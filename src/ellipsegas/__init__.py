@@ -5,7 +5,7 @@ from .errors import (DomainError, OutOfRangeError, SingularPointError,
 from .geometry import (EllipseGeometry, GasFamily, PolyFamily, PolyKind,
                        bulk_domain_contains, contains, edge_domain_contains,
                        ellipse_deficit, joukowsky, joukowsky_inverse, log_weight,
-                       mu, one_minus_mu, weight, weight_values)
+                       log_weight_values, mu, one_minus_mu, weight, weight_values)
 from .polynomials import (ScaledValue, chebyshev_t, chebyshev_u, chebyshev_v,
                           gegenbauer, jacobi, log_squared_norms, monic_value,
                           squared_norm)

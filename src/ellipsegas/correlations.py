@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SingularPointError
-from .geometry import EllipseGeometry, GasFamily, contains
+from .errors import DomainError
+from .geometry import EllipseGeometry, GasFamily, ellipse_deficit, log_weight_values
 from .kernels_finite import FiniteKernel
 from .polynomials import log_squared_norms
 
@@ -99,7 +99,7 @@ def _rescale(kernel: FiniteKernel, name: str):
     if name == "fig1":
         return (lambda z: z / math.sqrt(2 * tau)), 1.0 / (2 * tau * N)
     if name == "fig2":
-        return (lambda z: complex(z.real, z.imag / N)), 1.0 / N ** 2
+        return (lambda z: z.real + 1j * (z.imag / N)), 1.0 / N ** 2
     if name == "fig3":
         if a <= 0:
             raise DomainError("fig3 rescale needs a > 0")
@@ -110,36 +110,20 @@ def _rescale(kernel: FiniteKernel, name: str):
 def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") -> DensityGrid:
     """One-point density on a grid, with one of the figure rescale maps.
 
-    Out-of-domain nodes (and the measure-zero singular foci) carry 0.
+    Out-of-domain nodes and the measure-zero weight singularities (the foci
+    of the 1/|1 +- z| weights, the wall when a < 0) carry 0.
     """
     fmap, factor = _rescale(kernel, rescale)
+    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    w = fmap(xs + 1j * ys)
+    ok = ellipse_deficit(kernel.geometry, w) >= 0.0
+    ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf
     vals = np.zeros((grid.nx, grid.ny))
-    geo = kernel.geometry
-    for ix, x in enumerate(grid.xs):
-        cols = []
-        pts = []
-        for iy, y in enumerate(grid.ys):
-            w = fmap(complex(x, y))
-            if contains(geo, w):
-                cols.append(iy)
-                pts.append(w)
-        if not pts:
-            continue
-        try:
-            dens = kernel.diagonal(np.array(pts))
-        except (SingularPointError, FloatingPointError):
-            dens = np.array([_diag_or_zero(kernel, w) for w in pts])
-        vals[ix, cols] = factor * np.real(dens)
+    if ok.any():
+        vals[ok] = factor * kernel.diagonal(w[ok])
     # numerical floor: clip tiny negative roundoff
     vals[vals < 0] = 0.0
     return DensityGrid(grid, vals)
-
-
-def _diag_or_zero(kernel: FiniteKernel, z: complex) -> float:
-    try:
-        return float(np.real(kernel.eval(z, z)))
-    except SingularPointError:
-        return 0.0
 
 
 def log_partition(gas: GasFamily, geometry: EllipseGeometry, N: int) -> float:

@@ -139,52 +139,15 @@ def weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
     1/|1+z| weights) return float('inf') rather than raising; a < 0 families
     likewise return inf exactly on the wall.
     """
-    a = gas.a
-    kind = gas.kind
-    if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
-        q = max(float(ellipse_deficit(geometry, z)), 0.0)
-        if q == 0.0:
-            return 0.0 if a > 0 else (1.0 if a == 0 else math.inf)
-        return q ** a
-    if kind == PolyKind.CHEBYSHEV_T:
-        d = abs(1.0 - z * z)
-        return math.inf if d == 0.0 else 1.0 / d
-    if kind == PolyKind.CHEBYSHEV_V:
-        d = abs(1.0 + z)
-        return math.inf if d == 0.0 else 1.0 / d
-    # asymmetric Jacobi families
-    q = max(float(one_minus_mu(geometry, z)), 0.0)
-    if kind == PolyKind.JACOBI_PLUS:
-        if q == 0.0:
-            return 0.0 if a > 0 else (1.0 if a == 0 else math.inf)
-        return q ** a
-    d = abs(1.0 + z)
-    if d == 0.0:
-        return math.inf
-    if q == 0.0:
-        return 0.0 if a > 0 else (1.0 / d if a == 0 else math.inf)
-    return q ** a / d
-
-
-def weight_values(gas: GasFamily, geometry: EllipseGeometry, zs) -> np.ndarray:
-    """Vectorized weight over an array of interior, non-singular points."""
-    zs = np.asarray(zs, dtype=complex)
-    a = gas.a
-    kind = gas.kind
-    if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
-        return ellipse_deficit(geometry, zs) ** a
-    if kind == PolyKind.CHEBYSHEV_T:
-        return 1.0 / np.abs(1.0 - zs * zs)
-    if kind == PolyKind.CHEBYSHEV_V:
-        return 1.0 / np.abs(1.0 + zs)
-    q = one_minus_mu(geometry, zs)
-    if kind == PolyKind.JACOBI_PLUS:
-        return q ** a
-    return q ** a / np.abs(1.0 + zs)
+    return math.exp(log_weight(gas, geometry, z))
 
 
 def log_weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
-    """log w(z); -inf where the weight vanishes, +inf at singular points."""
+    """log w(z); -inf where the weight vanishes, +inf at singular points.
+
+    The scalar form of `log_weight_values`, kept free of numpy because the
+    sampler calls it once per proposal.
+    """
     a = gas.a
     kind = gas.kind
     if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
@@ -209,6 +172,35 @@ def log_weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
     if q <= 0.0:
         return -math.inf if a > 0 else (-math.log(d) if a == 0 else math.inf)
     return a * math.log(q) - math.log(d)
+
+
+def log_weight_values(gas: GasFamily, geometry: EllipseGeometry, zs) -> np.ndarray:
+    """log w at an array of points, with the conventions of `log_weight`:
+    -inf where the weight vanishes, +inf flags a singular point."""
+    zs = np.asarray(zs, dtype=complex)
+    a = gas.a
+    kind = gas.kind
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == PolyKind.CHEBYSHEV_T:
+            return -np.log(np.abs(1.0 - zs * zs))
+        if kind == PolyKind.CHEBYSHEV_V:
+            return -np.log(np.abs(1.0 + zs))
+        if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
+            q = ellipse_deficit(geometry, zs)
+        else:
+            q = one_minus_mu(geometry, zs)
+        # a log q inside; on the wall (q <= 0) the limit of q^a: 0, 1 or inf
+        wall = -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
+        lw = np.where(q > 0.0, a * np.log(q), wall)
+        if kind == PolyKind.JACOBI_MINUS:
+            d = np.abs(1.0 + zs)
+            lw = np.where(d == 0.0, math.inf, lw - np.log(d))
+    return lw
+
+
+def weight_values(gas: GasFamily, geometry: EllipseGeometry, zs) -> np.ndarray:
+    """Vectorized weight: exp of `log_weight_values`."""
+    return np.exp(log_weight_values(gas, geometry, zs))
 
 
 def joukowsky(omega: complex) -> complex:

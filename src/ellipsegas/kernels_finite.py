@@ -2,9 +2,13 @@
 Ginibre reference kernels used as limit targets.
 
 The gas kernel is K_N(z1,z2) = sqrt(w(z1) w(z2)) sum_{n<N} M_n(z1) M_n(zbar2)/h_n
-with monic polynomials and norms from `polynomials`.  Each term is assembled
-as a mantissa/exponent pair and the sum is aligned to the maximum exponent,
-so evaluation stays finite arbitrarily close to the wall and for N ~ 10^4.
+with monic polynomials and norms from `polynomials`; M_n(zbar) = conj M_n(z)
+because the coefficients are real.  Each term is carried as a mantissa and an
+exponent and the sum is aligned to its largest exponent, so evaluation stays
+finite arbitrarily close to the wall and for N ~ 10^4.  One point pair runs
+the plain-Python recurrence of `scaled_sequence`, one table per distinct
+point.  A batch streams the orthonormal recurrence M_n/sqrt(h_n) degree by
+degree, vectorized over the points, and never holds an [N, points] table.
 """
 
 from __future__ import annotations
@@ -15,8 +19,14 @@ import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import DomainError, SingularPointError
-from .geometry import EllipseGeometry, GasFamily, contains, log_weight
-from .polynomials import log_squared_norms, monic_scaled_sequence
+from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
+                       log_weight_values)
+from .polynomials import (_LN2, _coefficients, _steps, log_monic_factors, log_squared_norms,
+                          scaled_sequence)
+
+# the streamed sum rescales a point's recurrence pair outside [2^-250, 2^250],
+# so the square of a value stays finite after any in-domain step
+_STREAM_LO, _STREAM_HI = 2.0 ** -250, 2.0 ** 250
 
 
 class FiniteKernel:
@@ -28,7 +38,14 @@ class FiniteKernel:
         self.gas = gas
         self.geometry = geometry
         self.N = N
-        self._log_h = log_squared_norms(gas, geometry, N - 1)
+        # log of M_n / sqrt(h_n) over the family polynomial p_n
+        self._log_c = (log_monic_factors(gas.family, N - 1)
+                       - 0.5 * log_squared_norms(gas, geometry, N - 1))
+        # recurrence of M_n / sqrt(h_n), divided by its degree-0 value: the
+        # p_{n-1} term scales by r_n = c_n / c_{n-1}, the p_{n-2} term by r_n r_{n-1}
+        lin0, lin1, quad = _coefficients(gas.family, N - 1)
+        r = np.exp(np.diff(self._log_c, prepend=self._log_c[0]))
+        self._orthonormal = (lin0 * r, lin1 * r, quad * r * np.roll(r, 1))
 
     def _check_point(self, z: complex) -> float:
         if not contains(self.geometry, z):
@@ -38,9 +55,63 @@ class FiniteKernel:
             raise SingularPointError(f"point {z} sits on a weight singularity")
         return lw
 
-    def _tables(self, zs):
-        """Monic mantissa/log tables for a batch of points."""
-        return monic_scaled_sequence(self.gas.family, self.N - 1, zs)
+    def _check_points(self, zs: np.ndarray) -> np.ndarray:
+        outside = ~(ellipse_deficit(self.geometry, zs) >= 0.0)
+        if outside.any():
+            raise DomainError(f"point {zs[outside][0]} lies outside the ellipse")
+        lw = log_weight_values(self.gas, self.geometry, zs)
+        singular = lw == math.inf
+        if singular.any():
+            raise SingularPointError(f"point {zs[singular][0]} sits on a weight singularity")
+        return lw
+
+    def _table(self, z: complex):
+        """Mantissas and logs of M_n(z)/sqrt(h_n), n < N, at one point."""
+        mant, logs = scaled_sequence(self.gas.family, self.N - 1, z)
+        return mant[:, 0], logs[:, 0] + self._log_c
+
+    def _stream(self, zs: np.ndarray, z1):
+        """(acc, log scale) of sum_n q_n(z1) conj q_n(zs), or of sum_n |q_n(zs)|^2
+        when z1 is None, with q_n = M_n/sqrt(h_n).
+
+        Each point accumulates in units of 2^top, its largest term exponent so
+        far; top and the term factor change only when a recurrence pair is
+        rescaled.
+        """
+        pts = zs if z1 is None else np.concatenate(([z1], zs))
+        acc = np.zeros(pts.shape, dtype=float if z1 is None else complex)
+        top = fac = None
+        for vals, mag, bits, rescaled in _steps(self._orthonormal, pts, _STREAM_LO, _STREAM_HI):
+            if fac is None or rescaled:
+                expo = 2.0 * bits if z1 is None else bits[0] + bits
+                new = expo if top is None else np.maximum(top, expo)
+                if top is not None:
+                    acc *= np.exp2(top - new)
+                top, fac = new, np.exp2(expo - new)
+            if z1 is None:
+                acc += mag * mag * fac
+            else:
+                acc += vals[0] * np.conj(vals) * fac
+        if z1 is not None:
+            acc, top = acc[1:], top[1:]
+        return acc, top * _LN2 + 2.0 * self._log_c[0]
+
+    def _kernel(self, z1, zs: np.ndarray, lw1, lws: np.ndarray) -> np.ndarray:
+        """K_N(z1, zs) at validated points with their log-weights; z1 None
+        gives the diagonal K_N(zs, zs)."""
+        if zs.size == 1:
+            m2, l2 = self._table(complex(zs[0]))
+            if z1 is None or z1 == zs[0]:
+                terms, lt = np.abs(m2) ** 2, 2.0 * l2
+            else:
+                m1, l1 = self._table(z1)
+                terms, lt = m1 * np.conj(m2), l1 + l2
+            top = np.max(lt)
+            acc = np.sum(terms * np.exp(lt - top))
+        else:
+            acc, top = self._stream(zs, z1)
+        lw = lws if z1 is None else 0.5 * (lw1 + lws)
+        return acc * np.exp(top + lw)
 
     def __call__(self, z1: complex, z2: complex) -> complex:
         return self.eval(z1, z2)
@@ -48,38 +119,23 @@ class FiniteKernel:
     def eval(self, z1: complex, z2: complex) -> complex:
         lw1 = self._check_point(z1)
         lw2 = self._check_point(z2)
-        m1, l1 = self._tables(complex(z1))
-        m2, l2 = self._tables(np.conj(complex(z2)))
-        lt = l1[:, 0] + l2[:, 0] - self._log_h
-        mt = m1[:, 0] * m2[:, 0]
-        top = float(np.max(lt))
-        acc = complex(np.sum(mt * np.exp(lt - top)))
-        lpre = 0.5 * (lw1 + lw2) + top
-        if lpre == -math.inf:
-            return 0.0 + 0.0j
-        return acc * math.exp(lpre)
+        z2 = np.array([z2], dtype=complex)
+        return complex(self._kernel(complex(z1), z2, lw1, np.array([lw2]))[0])
 
     def diagonal(self, zs) -> np.ndarray:
-        """Density rho_1 = K_N(z, z) at a batch of in-domain points."""
+        """Density rho_1 = K_N(z, z) at a batch of points of the ellipse;
+        DomainError outside it, SingularPointError on a weight singularity."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        m, l = self._tables(zs)
-        lt = 2.0 * l - self._log_h[:, None]
-        top = np.max(lt, axis=0)
-        acc = np.sum(np.abs(m) ** 2 * np.exp(lt - top), axis=0)
-        lw = np.array([log_weight(self.gas, self.geometry, z) for z in zs])
-        return acc * np.exp(top + lw)
+        flat = zs.ravel()
+        return self._kernel(None, flat, None, self._check_points(flat)).reshape(zs.shape)
 
     def eval_batch(self, z1: complex, zs) -> np.ndarray:
-        """K_N(z1, zs[i]) for a batch of second arguments (no domain checks)."""
+        """K_N(z1, zs[i]) for a batch of second arguments, with the domain
+        checks of `eval`."""
+        lw1 = self._check_point(z1)
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        m1, l1 = self._tables(complex(z1))
-        m2, l2 = self._tables(np.conj(zs))
-        lt = l1[:, :1] + l2 - self._log_h[:, None]
-        top = np.max(lt, axis=0)
-        acc = np.sum(m1[:, :1] * m2 * np.exp(lt - top), axis=0)
-        lw1 = log_weight(self.gas, self.geometry, z1)
-        lw2 = np.array([log_weight(self.gas, self.geometry, z) for z in zs])
-        return acc * np.exp(top + 0.5 * (lw1 + lw2))
+        flat = zs.ravel()
+        return self._kernel(complex(z1), flat, lw1, self._check_points(flat)).reshape(zs.shape)
 
 
 def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:

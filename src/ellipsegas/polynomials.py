@@ -8,6 +8,7 @@ that degrees up to 10^5 and arguments like 1/tau ~ 10^6 never overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,32 +43,144 @@ class ScaledValue:
         return ScaledValue(z * 2.0 ** (-k), k * _LN2)
 
 
-def _recurrence_coefs(kind: PolyKind, a: float, z):
-    """(A_n, B_n) of p_n = A_n p_{n-1} + B_n p_{n-2}, plus (p_0, p_1)."""
+def _jacobi_coefficients(alpha: float, gamma: float, n_max: int):
+    """(alpha_n, beta_n, gamma_n), n = 0..n_max, of the Jacobi recurrence
+    P_n = (alpha_n + beta_n z) P_{n-1} + gamma_n P_{n-2} for P^(alpha, gamma).
+
+    Index 0 is unused; the n = 1 entries give P_1 from P_0 = 1 and P_{-1} = 0.
+    """
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    al, be = alpha, gamma
+    n = np.arange(n_max + 1, dtype=float)
+    n[:2] = 2.0  # placeholders, overwritten below (avoids a 0/0 at n = 0, 1)
+    c = 2.0 * n + al + be
+    a1 = 2.0 * n * (n + al + be) * (c - 2.0)
+    lin0 = (c - 1.0) * (al * al - be * be) / a1
+    lin1 = (c - 2.0) * (c - 1.0) * c / a1
+    quad = -2.0 * (n + al - 1.0) * (n + be - 1.0) * c / a1
+    if n_max >= 1:
+        lin0[1], lin1[1], quad[1] = 0.5 * (al - be), 0.5 * (al + be + 2.0), 0.0
+    return lin0, lin1, quad
+
+
+@functools.lru_cache(maxsize=16)
+def _coefficients(family: PolyFamily, n_max: int):
+    """z-independent (alpha_n, beta_n, gamma_n) of the family's recurrence
+    p_n = (alpha_n + beta_n z) p_{n-1} + gamma_n p_{n-2}, n = 1..n_max
+    (p_0 = 1, p_{-1} = 0; index 0 is unused).  Cached, because a kernel
+    evaluates the same family to the same degree at every point; the arrays
+    are read-only."""
+    coefs = _build_coefficients(family, n_max)
+    for c in coefs:
+        c.flags.writeable = False
+    return coefs
+
+
+def _build_coefficients(family: PolyFamily, n_max: int):
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    kind = family.kind
     if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
-        aa = a if kind is PolyKind.GEGENBAUER else 0.0
-
-        def co(n):
-            return 2.0 * (n + aa) * z / n, -(n + 2.0 * aa) / n
-
-        return co, 1.0, 2.0 * (aa + 1.0) * z
+        aa = family.a if kind is PolyKind.GEGENBAUER else 0.0
+        n = np.arange(n_max + 1, dtype=float)
+        n[0] = 1.0  # placeholder for the unused index 0
+        return np.zeros(n_max + 1), 2.0 * (n + aa) / n, -(n + 2.0 * aa) / n
     if kind in (PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
-        al = a + 0.5
-        be = 0.5 if kind is PolyKind.JACOBI_PLUS else -0.5
-
-        def co(n):
-            c = 2.0 * n + al + be
-            a1 = 2.0 * n * (n + al + be) * (c - 2.0)
-            return (((c - 1.0) * (al * al - be * be) + (c - 2.0) * (c - 1.0) * c * z) / a1,
-                    -2.0 * (n + al - 1.0) * (n + be - 1.0) * c / a1)
-
-        return co, 1.0, 0.5 * (al - be) + 0.5 * (al + be + 2.0) * z
-    if kind is PolyKind.CHEBYSHEV_T:
-        return (lambda n: (2.0 * z, -1.0)), 1.0, z
-    if kind is PolyKind.CHEBYSHEV_V:
-        # third-kind gas convention: orthogonal under 1/|1+z|, V_1 = 2z + 1
-        return (lambda n: (2.0 * z, -1.0)), 1.0, 2.0 * z + 1.0
+        return _jacobi_coefficients(family.a + 0.5,
+                                   0.5 if kind is PolyKind.JACOBI_PLUS else -0.5, n_max)
+    if kind in (PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_V):
+        lin0, lin1, quad = np.zeros(n_max + 1), np.full(n_max + 1, 2.0), np.full(n_max + 1, -1.0)
+        if n_max >= 1:
+            # T_1 = z; third-kind gas convention (orthogonal under 1/|1+z|): V_1 = 2z + 1
+            lin0[1], lin1[1] = (0.0, 1.0) if kind is PolyKind.CHEBYSHEV_T else (1.0, 2.0)
+        return lin0, lin1, quad
     raise DomainError(f"unknown polynomial kind {kind}")
+
+
+def _steps(coefs, zs, lo: float, hi: float):
+    """Run the recurrence at the points zs (1-d complex), one degree per step.
+
+    Yields (values, magnitudes, bits, rescaled) for n = 0, 1, ...: p_n(zs) =
+    values * 2^bits.  Per point the pair (p_{n-1}, p_n) shares one exponent and
+    is rescaled when its larger magnitude leaves [lo, hi]; bits changes only
+    then, and rescaled says whether it did at this step.  The yielded arrays
+    are reused, so a consumer copies what it keeps past the next step.
+    """
+    lin0, lin1, quad = coefs
+    prev = np.zeros(zs.shape, dtype=complex)
+    curr = np.ones(zs.shape, dtype=complex)
+    mag = np.ones(zs.shape)
+    bits = np.zeros(zs.shape)
+    yield curr, mag, bits, False
+    for a_n, b_n, g_n in zip(lin0[1:].tolist(), lin1[1:].tolist(), quad[1:].tolist()):
+        nxt = b_n * zs
+        if a_n:
+            nxt += a_n
+        nxt *= curr
+        nxt += g_n * prev
+        prev, curr = curr, nxt
+        np.abs(curr, out=mag)
+        rescaled = False
+        if mag.size and (mag.max() > hi or mag.min() < lo):
+            big = np.maximum(mag, np.abs(prev))
+            out = (big > hi) | ((big > 0.0) & (big < lo))
+            if out.any():
+                k = np.frexp(big[out])[1]
+                f = np.exp2(-k)
+                prev[out] *= f
+                curr[out] *= f
+                mag[out] *= f
+                bits[out] += k
+                rescaled = True
+        yield curr, mag, bits, rescaled
+
+
+def _scalar_steps(coefs, z: complex):
+    """Values and exponents of p_0..p_n_max at one point: the recurrence of
+    `_steps` in plain Python, which beats numpy at one point."""
+    lin0, lin1, quad = coefs
+    lins = (lin0[1:] + lin1[1:] * z).tolist()
+    vals, bits = [1.0 + 0.0j], [0]
+    prev, curr, e = 0.0j, 1.0 + 0.0j, 0
+    for lin, g_n in zip(lins, quad[1:].tolist()):
+        prev, curr = curr, lin * curr + g_n * prev
+        m = abs(curr)
+        if m > _RESCALE_HI or m < _RESCALE_LO:
+            big = max(m, abs(prev))
+            if big > _RESCALE_HI or 0.0 < big < _RESCALE_LO:
+                k = math.frexp(big)[1]
+                f = math.ldexp(1.0, -k)
+                prev *= f
+                curr *= f
+                e += k
+        vals.append(curr)
+        bits.append(e)
+    return vals, bits
+
+
+def _scaled_table(coefs, z):
+    """(mantissas, logs) [n_max+1, npts] of the recurrence at points z."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    if zs.shape[0] == 1:
+        vals, bits = _scalar_steps(coefs, complex(zs[0]))
+        mant = np.array(vals, dtype=complex)[:, None]
+        logs = np.array(bits, dtype=float)[:, None]
+    else:
+        mant = np.empty((coefs[0].shape[0], zs.shape[0]), dtype=complex)
+        logs = np.empty(mant.shape)
+        for n, (vals, _, bits, _) in enumerate(_steps(coefs, zs, _RESCALE_LO, _RESCALE_HI)):
+            mant[n] = vals
+            logs[n] = bits
+    # frexp-normalize once; exact zeros carry a -inf log so they can never
+    # dominate the max-exponent alignment of downstream sums
+    mag = np.abs(mant)
+    k = np.frexp(mag)[1]
+    mant *= np.exp2(-k)
+    logs += k
+    logs *= _LN2
+    logs[mag == 0.0] = -np.inf
+    return mant, logs
 
 
 def scaled_sequence(family: PolyFamily, n_max: int, z):
@@ -75,46 +188,10 @@ def scaled_sequence(family: PolyFamily, n_max: int, z):
 
     z may be a scalar or a 1-d complex array.  Per point, the recurrence pair
     shares one running exponent and is rescaled whenever it leaves
-    [2^-500, 2^500]; emitted values are frexp-normalized.
+    [2^-500, 2^500]; emitted values are frexp-normalized.  One point runs a
+    plain-Python loop, several points one vectorized loop.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    npts = zs.shape[0]
-    co, p0, p1 = _recurrence_coefs(family.kind, family.a, zs)
-    mant = np.zeros((n_max + 1, npts), dtype=complex)
-    logs = np.zeros((n_max + 1, npts), dtype=float)
-    mp_ = np.full(npts, p0, dtype=complex) if np.isscalar(p0) else np.asarray(p0, dtype=complex) + np.zeros(npts)
-    mc = np.asarray(p1, dtype=complex) + np.zeros(npts)
-    e = np.zeros(npts)
-
-    def emit(n, m):
-        # exact zeros carry a -inf log so they can never dominate the
-        # max-exponent alignment of downstream sums
-        am = np.abs(m)
-        nz = am > 0.0
-        k = np.zeros(npts)
-        k[nz] = np.frexp(am[nz])[1]
-        mant[n] = np.where(nz, m * np.exp2(-k), 0.0)
-        logs[n] = np.where(nz, e + k * _LN2, -np.inf)
-
-    emit(0, mp_)
-    if n_max >= 1:
-        emit(1, mc)
-    for n in range(2, n_max + 1):
-        A, B = co(n)
-        mn = A * mc + B * mp_
-        mp_, mc = mc, mn
-        big = np.maximum(np.abs(mp_), np.abs(mc))
-        mask = (big > _RESCALE_HI) | ((big > 0.0) & (big < _RESCALE_LO))
-        if mask.any():
-            k = np.frexp(big[mask])[1]
-            f = np.exp2(-k)
-            mp_[mask] *= f
-            mc[mask] *= f
-            e[mask] += k * _LN2
-        emit(n, mc)
-    return mant, logs
+    return _scaled_table(_coefficients(family, n_max), z)
 
 
 def sequence(family: PolyFamily, n_max: int, z):
@@ -123,17 +200,18 @@ def sequence(family: PolyFamily, n_max: int, z):
     return mant * np.exp(logs)
 
 
-def _scaled_at(family: PolyFamily, n: int, z: complex) -> ScaledValue:
-    mant, logs = scaled_sequence(family, n, complex(z))
-    m = complex(mant[n, 0])
+def _scaled_at(coefs, z: complex) -> ScaledValue:
+    """The highest degree of the recurrence at one point."""
+    mant, logs = _scaled_table(coefs, complex(z))
+    m = complex(mant[-1, 0])
     if m == 0:
         return ScaledValue(0.0, 0.0)
-    return ScaledValue(m, float(logs[n, 0]))
+    return ScaledValue(m, float(logs[-1, 0]))
 
 
 def gegenbauer(n: int, a: float, z: complex) -> ScaledValue:
     """C_n^{(a+1)}(z) by forward recurrence, log-scaled."""
-    return _scaled_at(PolyFamily(PolyKind.GEGENBAUER, a), n, z)
+    return _scaled_at(_coefficients(PolyFamily(PolyKind.GEGENBAUER, a), n), z)
 
 
 def jacobi(n: int, alpha: float, gamma: float, z: complex) -> ScaledValue:
@@ -141,26 +219,7 @@ def jacobi(n: int, alpha: float, gamma: float, z: complex) -> ScaledValue:
     but the recurrence is the general one."""
     if alpha <= -1 or gamma <= -1:
         raise DomainError("jacobi requires alpha, gamma > -1")
-    if gamma == 0.5 and alpha > -0.5:
-        fam = PolyFamily(PolyKind.JACOBI_PLUS, alpha - 0.5)
-    elif gamma == -0.5 and alpha > -0.5:
-        fam = PolyFamily(PolyKind.JACOBI_MINUS, alpha - 0.5)
-    else:
-        return _jacobi_general(n, alpha, gamma, z)
-    return _scaled_at(fam, n, z)
-
-
-def _jacobi_general(n: int, al: float, be: float, z: complex) -> ScaledValue:
-    p_prev, p_curr = 1.0 + 0j, 0.5 * (al - be) + 0.5 * (al + be + 2.0) * z
-    if n == 0:
-        return ScaledValue.of(p_prev)
-    for m in range(2, n + 1):
-        c = 2.0 * m + al + be
-        a1 = 2.0 * m * (m + al + be) * (c - 2.0)
-        nxt = (((c - 1.0) * (al * al - be * be) + (c - 2.0) * (c - 1.0) * c * z) * p_curr
-               - 2.0 * (m + al - 1.0) * (m + be - 1.0) * c * p_prev) / a1
-        p_prev, p_curr = p_curr, nxt
-    return ScaledValue.of(p_curr)
+    return _scaled_at(_jacobi_coefficients(alpha, gamma, n), z)
 
 
 def chebyshev_t(n: int, z: complex) -> complex:
@@ -194,7 +253,7 @@ def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
 
 def monic_value(family: PolyFamily, n: int, z: complex) -> ScaledValue:
     """M_n(z): the family polynomial normalized to unit leading coefficient."""
-    raw = _scaled_at(family, n, z)
+    raw = _scaled_at(_coefficients(family, n), z)
     lk = float(log_monic_factors(family, n)[n])
     return ScaledValue(raw.mantissa, raw.log_scale + lk)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlations import DensityGrid, GridSpec
 from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, contains, log_weight
+from .geometry import EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight
 
 PRNG_ALGORITHM = "pcg64"
 
@@ -165,31 +165,29 @@ def density_chi_square(samples, kernel, grid: GridSpec, min_expected: float = 10
     the bin with a 3x3 midpoint refinement.  Returns (chi2, dof).
     """
     geo = kernel.geometry
-    N = len(samples[0])
     zs = np.concatenate([np.asarray(s) for s in samples])
     counts, _, _ = np.histogram2d(
         zs.real, zs.imag, bins=[grid.nx, grid.ny],
         range=[list(grid.x_range), list(grid.y_range)])
     M = len(samples)
-    chi2 = 0.0
-    dof = 0
     dx, dy = grid.dx, grid.dy
+    x0 = grid.x_range[0] + np.arange(grid.nx) * dx
+    y0 = grid.y_range[0] + np.arange(grid.ny) * dy
+    corners = x0[:, None, None] + 1j * y0[None, :, None] \
+        + np.array([0.0, dx, 1j * dy, dx + 1j * dy])
+    inside = np.all(ellipse_deficit(geo, corners) >= 0.0, axis=2)
+    if not inside.any():
+        return 0.0, 0
     offsets = (np.arange(3) + 0.5) / 3.0
-    for ix, x0 in enumerate(grid.x_range[0] + np.arange(grid.nx) * dx):
-        for iy, y0 in enumerate(grid.y_range[0] + np.arange(grid.ny) * dy):
-            corners = [complex(x0, y0), complex(x0 + dx, y0),
-                       complex(x0, y0 + dy), complex(x0 + dx, y0 + dy)]
-            if not all(contains(geo, c) for c in corners):
-                continue
-            sub = np.array([complex(x0 + ox * dx, y0 + oy * dy)
-                            for ox in offsets for oy in offsets])
-            rho = float(np.mean(np.real(kernel.diagonal(sub))))
-            expected = M * rho * dx * dy
-            if expected < min_expected:
-                continue
-            chi2 += (counts[ix, iy] - expected) ** 2 / expected
-            dof += 1
-    return chi2, dof
+    sub = (offsets[:, None] * dx + 1j * offsets[None, :] * dy).ravel()
+    ix, iy = np.nonzero(inside)
+    pts = (x0[ix, None] + 1j * y0[iy, None]) + sub
+    rho = np.mean(np.real(kernel.diagonal(pts)), axis=1)
+    expected = M * rho * dx * dy
+    used = expected >= min_expected
+    obs = counts[ix, iy][used]
+    expected = expected[used]
+    return float(np.sum((obs - expected) ** 2 / expected)), int(used.sum())
 
 
 def empirical_density(samples, grid: GridSpec) -> DensityGrid:

@@ -9,6 +9,7 @@ sine/Bessel kernels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import gammaln, ive, iv, jv
@@ -18,6 +19,7 @@ from .errors import DomainError, OutOfRangeError
 # Complex J evaluations are guaranteed accurate here; beyond this modulus the
 # caller is expected to switch to the large-argument cosine asymptotic.
 W_MAX = 60.0
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,16 @@ def _order(order) -> float:
     return order.nu if isinstance(order, BesselOrder) else BesselOrder(float(order)).nu
 
 
+def _jv_order(order) -> float:
+    """The order for scipy's complex jv, which returns nan at negative
+    subnormal orders; J_nu is continuous in nu, so those are order 0."""
+    nu = _order(order)
+    return 0.0 if -_SMALLEST_NORMAL < nu < 0.0 else nu
+
+
 def bessel_j(order, w: complex) -> complex:
     """J_nu(w) at complex w, principal branch of w^nu, for |w| <= W_MAX."""
-    nu = _order(order)
+    nu = _jv_order(order)
     w = complex(w)
     if abs(w) > W_MAX:
         raise OutOfRangeError(
@@ -55,7 +64,7 @@ def bessel_j(order, w: complex) -> complex:
 
 def bessel_j_any(order, w: complex) -> complex:
     """J_nu(w) without the W_MAX guard (internal; scipy handles large |w|)."""
-    return complex(jv(_order(order), complex(w)))
+    return complex(jv(_jv_order(order), complex(w)))
 
 
 def bessel_i(order, x: float) -> float:

@@ -85,6 +85,25 @@ def test_density_grid_fig_maps_run():
         assert dg.values.max() > 0.0
 
 
+@pytest.mark.parametrize("kind", [PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_V,
+                                  PolyKind.JACOBI_MINUS])
+def test_density_grid_is_zero_at_weight_singularities(kind):
+    # a cell centre exactly on a focus: the 1/|1 +- z| weight is infinite
+    # there, and the grid carries 0 instead
+    from ellipsegas import log_weight
+    geo = EllipseGeometry(0.5)
+    gas = GasFamily(kind, 1.0 if kind is PolyKind.JACOBI_MINUS else 0.0)
+    grid = GridSpec((-1.2, 1.2), (-1.2, 1.2), 6, 5)
+    vals = density_grid(FiniteKernel(gas, geo, 5), grid).values
+    assert np.all(np.isfinite(vals))
+    singular = [(ix, iy) for ix, x in enumerate(grid.xs) for iy, y in enumerate(grid.ys)
+                if log_weight(gas, geo, complex(x, y)) == math.inf]
+    assert singular
+    for ix, iy in singular:
+        assert vals[ix, iy] == 0.0
+    assert vals.max() > 0.0
+
+
 def test_fig1_concentration_at_small_tau():
     # tau = 0.005, N = 10, a = 1 (the figure's parameters): the exact mass
     # fraction beyond |z| = 0.8 is 1 - q(n)-sums ~ 0.656; with N = 20 the

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ellipsegas import (DomainError, EllipseGeometry, GasFamily, PolyKind,
                         bulk_domain_contains, contains, edge_domain_contains,
-                        joukowsky, joukowsky_inverse, log_weight, mu,
-                        one_minus_mu, weight)
+                        joukowsky, joukowsky_inverse, log_weight, log_weight_values,
+                        mu, one_minus_mu, weight, weight_values)
 
 from conftest import interior_points
 
@@ -103,6 +103,24 @@ def test_log_weight_matches_weight(rng):
         for z in interior_points(geo, 6, rng):
             assert math.exp(log_weight(gas, geo, z)) == pytest.approx(
                 weight(gas, geo, z), rel=1e-12)
+
+
+def test_log_weight_values_match_scalar_log_weight(rng):
+    # the array form keeps every convention of the scalar one: -inf where
+    # the weight vanishes, +inf at singular points (foci, the wall when a < 0)
+    for tau in (0.3, 0.8):
+        geo = EllipseGeometry(tau)
+        wall = [complex(geo.semi_x, 0.0), complex(0.0, geo.semi_y), -geo.semi_x]
+        pts = interior_points(geo, 20, rng) + wall + [1.0, -1.0, 0.0]
+        for kind in PolyKind:
+            for a in ((-0.5, 0.0, 1.5) if kind in (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS,
+                                                   PolyKind.JACOBI_MINUS) else (0.0,)):
+                gas = GasFamily(kind, a)
+                got = log_weight_values(gas, geo, pts)
+                ref = np.array([log_weight(gas, geo, z) for z in pts])
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(weight_values(gas, geo, pts),
+                                           [weight(gas, geo, z) for z in pts], rtol=1e-12)
 
 
 def test_joukowsky_examples():

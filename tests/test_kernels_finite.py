@@ -254,3 +254,101 @@ def test_elliptic_ginibre_hermite_orthogonality():
             else:
                 ref = math.factorial(n) * math.pi * math.sqrt(1 - tau ** 2) * (tau / 2) ** (-n)
                 assert integral.real == pytest.approx(ref, rel=1e-11)
+
+
+# ------------------------------------------- scalar and streamed engine paths
+
+A_KINDS = (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS)
+
+
+def engine_cases():
+    """Every family at tau in {1e-6, 0.5, 1 - 1e-6} and, where the family has
+    one, a in {-0.999, 0, 2.5}."""
+    cases = []
+    for tau in (1e-6, 0.5, 1 - 1e-6):
+        for kind in PolyKind:
+            for a in ((-0.999, 0.0, 2.5) if kind in A_KINDS else (0.0,)):
+                cases.append(pytest.param(GasFamily(kind, a), EllipseGeometry(tau),
+                                          id=f"{kind.value}-a{a}-tau{tau}"))
+    return cases
+
+
+def engine_points(geo, rng):
+    """Interior points, a point next to the right focus and one next to the wall."""
+    return interior_points(geo, 4, rng) + [1.0 - 1e-6, complex(0.999 * geo.semi_x, 0.0)]
+
+
+@pytest.mark.parametrize("gas,geo", engine_cases())
+def test_single_point_paths_agree(gas, geo, rng):
+    kern = FiniteKernel(gas, geo, 40)
+    for z in engine_points(geo, rng):
+        ref = kern.eval(z, z)
+        assert ref.imag == 0.0 and ref.real >= 0.0
+        for got in (kern.diagonal([z])[0], kern.eval_batch(z, [z])[0]):
+            assert abs(got - ref) <= 1e-12 * ref.real
+
+
+@pytest.mark.parametrize("gas,geo", engine_cases())
+def test_streamed_batch_matches_scalar_path(gas, geo, rng):
+    kern = FiniteKernel(gas, geo, 40)
+    pts = engine_points(geo, rng)
+    diag = kern.diagonal(pts)
+    ref = np.array([kern.eval(z, z).real for z in pts])
+    np.testing.assert_allclose(diag, ref, rtol=1e-10, atol=0.0)
+    for z1 in pts[:2]:
+        row = kern.eval_batch(z1, pts)
+        ref_row = np.array([kern.eval(z1, z) for z in pts])
+        scale = np.sqrt(kern.eval(z1, z1).real * ref)
+        assert np.all(np.abs(row - ref_row) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("gas,geo", engine_cases())
+def test_hermiticity_on_both_paths(gas, geo, rng):
+    kern = FiniteKernel(gas, geo, 40)
+    pts = engine_points(geo, rng)
+    diag = kern.diagonal(pts)
+    for i, z1 in enumerate(pts):
+        row = kern.eval_batch(z1, pts)
+        for j, z2 in enumerate(pts):
+            scale = math.sqrt(diag[i] * diag[j])
+            assert abs(kern.eval(z1, z2) - np.conj(kern.eval(z2, z1))) <= 1e-12 * scale
+            col = kern.eval_batch(z2, pts)[i]
+            assert abs(row[j] - np.conj(col)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("gas,geo", engine_cases())
+def test_batches_reject_points_outside_the_ellipse(gas, geo):
+    kern = FiniteKernel(gas, geo, 5)
+    outside = complex(1.01 * geo.semi_x, 0.0)
+    with pytest.raises(DomainError):
+        kern.eval_batch(0.0, [0.0, outside])
+    with pytest.raises(DomainError):
+        kern.eval_batch(outside, [0.0, 0.1])
+    with pytest.raises(DomainError):
+        kern.diagonal([0.0, outside])
+
+
+@pytest.mark.parametrize("kind,singular", [(PolyKind.CHEBYSHEV_T, 1.0),
+                                           (PolyKind.CHEBYSHEV_T, -1.0),
+                                           (PolyKind.CHEBYSHEV_V, -1.0),
+                                           (PolyKind.JACOBI_MINUS, -1.0)])
+def test_batches_raise_at_weight_singularities(kind, singular):
+    kern = FiniteKernel(GasFamily(kind, 1.0 if kind is PolyKind.JACOBI_MINUS else 0.0),
+                        EllipseGeometry(0.5), 5)
+    with pytest.raises(SingularPointError):
+        kern.diagonal([singular, 0.2])
+    with pytest.raises(SingularPointError):
+        kern.diagonal([singular])
+    with pytest.raises(SingularPointError):
+        kern.eval_batch(0.2, [0.3, singular])
+
+
+def test_streamed_diagonal_at_large_N_and_extreme_tau():
+    # the streamed sum rescales and realigns many times along the way
+    for tau, a in ((1e-6, 2.5), (0.5, 1.0), (1 - 1e-6, -0.999)):
+        geo = EllipseGeometry(tau)
+        kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, a), geo, 3000)
+        pts = [0.0, 0.5 * geo.semi_x, complex(0.2 * geo.semi_x, 0.5 * geo.semi_y),
+               0.999 * geo.semi_x]
+        ref = np.array([kern.eval(z, z).real for z in pts])
+        np.testing.assert_allclose(kern.diagonal(pts), ref, rtol=1e-9, atol=0.0)

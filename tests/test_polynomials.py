@@ -284,3 +284,33 @@ def test_scaled_recurrence_reaches_1e5_degrees():
     mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, 1.0), 100_000, 1 / 0.3)
     assert np.all(np.isfinite(logs[:, 0]))
     assert np.all(np.diff(logs[-1000:, 0]) > 0)   # geometric growth persists
+
+
+@pytest.mark.parametrize("family", [PolyFamily(kind, a) for kind in PolyKind
+                                    for a in ((-0.999, 0.0, 2.5) if kind in (
+                                        PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS,
+                                        PolyKind.JACOBI_MINUS) else (0.0,))],
+                         ids=repr)
+def test_single_point_and_batched_sequences_agree(family):
+    # the plain-Python loop for one point and the vectorized loop for many
+    # run the same recurrence; points near the foci and far outside included
+    pts = [0.3 + 0.2j, 1.0, -1.0, 0.999999 + 1e-7j, -1.0000001, 0.0, 2.5 - 1.5j,
+           1e6, 700.0 + 300.0j, 1e-3j]
+    mb, lb = scaled_sequence(family, 600, np.array(pts))
+    for i, z in enumerate(pts):
+        ms, ls = scaled_sequence(family, 600, z)
+        zero = ~np.isfinite(lb[:, i])
+        assert np.array_equal(zero, ~np.isfinite(ls[:, 0]))
+        rel = np.abs(ms[~zero, 0] * np.exp(ls[~zero, 0] - lb[~zero, i]) - mb[~zero, i])
+        assert np.all(rel <= 1e-10 * np.abs(mb[~zero, i]))
+
+
+def test_jacobi_general_parameters_match_closed_forms():
+    # P_n^(0,0) are the Legendre polynomials; P_2 = (3z^2 - 1)/2
+    z = 0.3 - 0.2j
+    assert jacobi(2, 0.0, 0.0, z).value == pytest.approx((3 * z * z - 1) / 2, rel=1e-14)
+    # P_n^(alpha, gamma)(1) = Gamma(n+alpha+1)/(Gamma(alpha+1) n!)
+    for alpha, gamma in ((2.0, -0.7), (-0.3, 3.0)):
+        got = jacobi(30, alpha, gamma, 1.0)
+        ref = gammaln(31 + alpha) - gammaln(alpha + 1) - gammaln(31)
+        assert got.log_scale + math.log(got.mantissa.real) == pytest.approx(ref, abs=1e-11)

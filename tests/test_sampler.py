@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ellipsegas import (ChainSettings, DomainError, EllipseGeometry, FiniteKernel,
-                        GasFamily, GridSpec, PolyKind, contains, empirical_density,
-                        log_density, log_weight, metropolis_accept, run_chain)
+                        GasFamily, GridSpec, PolyKind, contains, density_chi_square,
+                        empirical_density, log_density, log_weight, metropolis_accept,
+                        run_chain)
 
 GAS = GasFamily(PolyKind.GEGENBAUER, 1.0)
 GEO = EllipseGeometry(0.5)
@@ -148,6 +149,27 @@ def _bin_averaged_reference(kern, grid):
             ref[ix, iy] = float(np.mean(np.real(kern.diagonal(sub))))
             mask[ix, iy] = True
     return ref, mask
+
+
+def test_density_chi_square_matches_per_bin_sum(rng):
+    # one batched diagonal call gives the chi^2 of the bin-by-bin loop
+    from conftest import interior_points
+    kern = FiniteKernel(GAS, GEO, 5)
+    grid = GridSpec((-GEO.semi_x, GEO.semi_x), (-GEO.semi_y, GEO.semi_y), 12, 12)
+    samples = [np.array(interior_points(GEO, 5, rng, shrink=1.0)) for _ in range(400)]
+    chi2, dof = density_chi_square(samples, kern, grid, min_expected=2.0)
+    ref, mask = _bin_averaged_reference(kern, grid)
+    zs = np.concatenate(samples)
+    counts, _, _ = np.histogram2d(zs.real, zs.imag, bins=[grid.nx, grid.ny],
+                                  range=[list(grid.x_range), list(grid.y_range)])
+    ref_chi2, ref_dof = 0.0, 0
+    for ix, iy in zip(*np.nonzero(mask)):
+        expected = len(samples) * ref[ix, iy] * grid.dx * grid.dy
+        if expected >= 2.0:
+            ref_chi2 += (counts[ix, iy] - expected) ** 2 / expected
+            ref_dof += 1
+    assert dof == ref_dof > 20
+    assert chi2 == pytest.approx(ref_chi2, rel=1e-12)
 
 
 def test_monte_carlo_error_scaling():

@@ -134,6 +134,15 @@ def test_bessel_j_real_argument_is_real(nu, x):
     assert abs(val.imag) <= 1e-13 * max(1.0, abs(val))
 
 
+def test_bessel_j_subnormal_order_is_order_zero():
+    # scipy's complex jv returns nan at negative subnormal orders; the order
+    # is canonicalized, so J_nu(w) is J_0(w) there
+    for nu in (-2.2e-311, -5e-324, 2.2e-311):
+        for w in (1.0 + 0j, 0.3 + 2.0j, 17.5 + 0j):
+            assert bessel_j(nu, w) == bessel_j(0.0, w)
+    assert bessel_j(-2.2e-311, 1 + 0j) == pytest.approx(0.7651976865579666, rel=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-0.5, 3.0), st.floats(0.1, 40.0))
 def test_i_ratio_monotone_decreasing(nu, x):
