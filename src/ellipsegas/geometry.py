@@ -33,20 +33,6 @@ _CHEBYSHEV = frozenset({PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_U, PolyKind.CHE
 
 
 @dataclass(frozen=True)
-class PolyFamily:
-    """Polynomial family plus its boundary-charge parameter a > -1."""
-
-    kind: PolyKind
-    a: float = 0.0
-
-    def __post_init__(self):
-        if not self.a > -1:
-            raise DomainError(f"family parameter must satisfy a > -1, got {self.a}")
-        if self.kind in _CHEBYSHEV and self.a != 0.0:
-            raise DomainError(f"{self.kind.value} has no free parameter (a must stay 0)")
-
-
-@dataclass(frozen=True)
 class GasFamily:
     """One of the five implemented gases: polynomial family + weight + norms."""
 
@@ -60,14 +46,19 @@ class GasFamily:
             raise DomainError(f"{self.kind.value} gas has no free parameter")
 
     @property
-    def family(self) -> PolyFamily:
-        return PolyFamily(self.kind, self.a)
+    def family(self) -> GasFamily:
+        """The polynomial family of the gas, which is the gas itself."""
+        return self
 
     @property
     def has_focal_singularity(self) -> bool:
         """True if the weight has an integrable 1/|1 +- z| singularity at a focus."""
         return self.kind in (PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_V,
                              PolyKind.JACOBI_MINUS)
+
+
+# A polynomial family is fixed by the same (kind, a) as its gas.
+PolyFamily = GasFamily
 
 
 @dataclass(frozen=True)
@@ -132,6 +123,14 @@ def mu(geometry: EllipseGeometry, z: complex):
     return 1.0 - one_minus_mu(geometry, z)
 
 
+def _log_power(a: float, q: float) -> float:
+    """a log q, continued onto the hard wall q <= 0 by the limit of log q^a:
+    -inf, 0 or +inf for a >, = or < 0."""
+    if q <= 0.0:
+        return -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
+    return a * math.log(q)
+
+
 def weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
     """The family's one-particle weight w(z) at a point of the ellipse.
 
@@ -151,10 +150,7 @@ def log_weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
     a = gas.a
     kind = gas.kind
     if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
-        q = float(ellipse_deficit(geometry, z))
-        if q <= 0.0:
-            return -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
-        return a * math.log(q)
+        return _log_power(a, float(ellipse_deficit(geometry, z)))
     if kind == PolyKind.CHEBYSHEV_T:
         d = abs(1.0 - z * z)
         return math.inf if d == 0.0 else -math.log(d)
@@ -163,15 +159,11 @@ def log_weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
         return math.inf if d == 0.0 else -math.log(d)
     q = float(one_minus_mu(geometry, z))
     if kind == PolyKind.JACOBI_PLUS:
-        if q <= 0.0:
-            return -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
-        return a * math.log(q)
+        return _log_power(a, q)
     d = abs(1.0 + z)
     if d == 0.0:
         return math.inf
-    if q <= 0.0:
-        return -math.inf if a > 0 else (-math.log(d) if a == 0 else math.inf)
-    return a * math.log(q) - math.log(d)
+    return _log_power(a, q) - math.log(d)
 
 
 def log_weight_values(gas: GasFamily, geometry: EllipseGeometry, zs) -> np.ndarray:
@@ -189,9 +181,7 @@ def log_weight_values(gas: GasFamily, geometry: EllipseGeometry, zs) -> np.ndarr
             q = ellipse_deficit(geometry, zs)
         else:
             q = one_minus_mu(geometry, zs)
-        # a log q inside; on the wall (q <= 0) the limit of q^a: 0, 1 or inf
-        wall = -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
-        lw = np.where(q > 0.0, a * np.log(q), wall)
+        lw = np.where(q > 0.0, a * np.log(q), _log_power(a, 0.0))
         if kind == PolyKind.JACOBI_MINUS:
             d = np.abs(1.0 + zs)
             lw = np.where(d == 0.0, math.inf, lw - np.log(d))

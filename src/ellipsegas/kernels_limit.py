@@ -11,18 +11,19 @@ flip invariance is testable.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
-from .errors import DomainError, SingularPointError
-from .geometry import (EllipseGeometry, bulk_domain_contains, edge_domain_contains,
-                       joukowsky_inverse)
+from .errors import DomainError, OutOfRangeError, SingularPointError
+from .geometry import (EllipseGeometry, _log_power, bulk_domain_contains,
+                       edge_domain_contains, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, integrate_c
-from .specialfns import W_MAX, bessel_j, bessel_j_any, log_i_ratio
+from .specialfns import log_i_ratio
 
 _DEFAULT = QuadratureSpec()
 
@@ -34,13 +35,37 @@ def _quad(spec, a: float) -> QuadratureSpec:
                           singularity_exponent=a)
 
 
-def _i_ratio_logs(nu: float, xs) -> np.ndarray:
-    return np.array([log_i_ratio(nu, float(x)) for x in np.atleast_1d(xs)])
+def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
+                    **half_line) -> complex:
+    """The shared form of the deformed sine and Bessel kernels:
+
+        exp(log_factor) / (s pi^{3/2} Gamma(a+1)) * prod_q q^{a/2}
+            * int dc (cs/2)^{a+1/2} / I_{a+1/2}(cs) f(c),
+
+    over c in [0,1], or over the half line when `half_line` carries the
+    truncation and panel of `integrate_c`.  A wall factor q <= 0 takes the
+    hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
+    divergence flagged as inf.
+    """
+    lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - gammaln(a + 1)
+    for q in walls:
+        lpref += _log_power(0.5 * a, q)
+    if lpref == -math.inf:
+        return 0.0 + 0.0j
+    if lpref == math.inf:
+        return complex(math.inf, 0.0)
+
+    def g(c):
+        return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
+
+    domain = HALF_LINE if half_line else UNIT_INTERVAL
+    return complex(integrate_c(g, domain, _quad(spec, a), **half_line))
 
 
 def sine_kernel(x1: float, x2: float) -> float:
-    """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit."""
-    d = x1 - x2
+    """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit.  Complex points
+    enter through their real parts."""
+    d = complex(x1).real - complex(x2).real
     if d == 0.0:
         return 1.0 / math.pi
     return math.sin(d) / (math.pi * d)
@@ -59,13 +84,6 @@ def ginibre_kernel(u1: complex, u2: complex) -> complex:
                                              2.0 * phase.imag))
 
 
-def _half_power_logs(a: float, q: float) -> float:
-    """log q^{a/2} with the hard-wall conventions (0 for a>0, inf flag a<0)."""
-    if q <= 0.0:
-        return -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
-    return 0.5 * a * math.log(q)
-
-
 def bulk_weak(a: float, s: float, z1: complex, z2: complex,
               spec: QuadratureSpec | None = None) -> complex:
     """Deformed sine kernel of the weak bulk limit at the origin.
@@ -76,21 +94,9 @@ def bulk_weak(a: float, s: float, z1: complex, z2: complex,
     z1, z2 = complex(z1), complex(z2)
     if not (bulk_domain_contains(s, z1) and bulk_domain_contains(s, z2)):
         raise DomainError("point outside the weak-bulk strip |Im z| <= s/2")
-    nu = a + 0.5
     d = z1 - z2.conjugate()
-    lpref = (math.log(2.0) - math.log(s) - 1.5 * math.log(math.pi) - gammaln(a + 1)
-             + _half_power_logs(a, 1.0 - 4.0 * z1.imag ** 2 / s ** 2)
-             + _half_power_logs(a, 1.0 - 4.0 * z2.imag ** 2 / s ** 2))
-    if lpref == -math.inf:
-        return 0.0 + 0.0j
-    if lpref == math.inf:
-        return complex(math.inf, 0.0)   # integrable wall divergence for a < 0
-
-    def g(c):
-        lr = _i_ratio_logs(nu, c * s)
-        return np.exp(lr + lpref) * np.cos(c * d)
-
-    return complex(integrate_c(g, UNIT_INTERVAL, _quad(spec, a)))
+    walls = (1.0 - 4.0 * z1.imag ** 2 / s ** 2, 1.0 - 4.0 * z2.imag ** 2 / s ** 2)
+    return _ratio_integral(a, s, walls, lambda c: np.cos(c * d), spec, math.log(2.0))
 
 
 def bulk_strong(a: float, z1: complex, z2: complex,
@@ -104,61 +110,31 @@ def bulk_strong(a: float, z1: complex, z2: complex,
     z1, z2 = complex(z1), complex(z2)
     if abs(z1.imag) > 0.5 or abs(z2.imag) > 0.5:
         raise DomainError("point outside the strong-bulk strip |Im z| <= 1/2")
-    nu = a + 0.5
     d = z1 - z2.conjugate()
-    lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - gammaln(a + 1)
-             + _half_power_logs(a, 1.0 - 4.0 * z1.imag ** 2)
-             + _half_power_logs(a, 1.0 - 4.0 * z2.imag ** 2))
-    if lpref == -math.inf:
-        return 0.0 + 0.0j
-    if lpref == math.inf:
-        return complex(math.inf, 0.0)   # integrable wall divergence for a < 0
-
-    def g(t):
-        lr = _i_ratio_logs(nu, t)
-        return np.exp(lr + lpref) * np.cos(t * d)
-
+    walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
     T = max(50.0, 5.0 * (a + 2.0))
-    panel = min(5.0, max(1.0, T / 40.0))
-    return complex(integrate_c(g, HALF_LINE, _quad(spec, a), truncation=T, panel=panel))
+    return _ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), spec, math.log(2.0),
+                           truncation=T, panel=min(5.0, max(1.0, T / 40.0)))
 
 
 def _phi(nu: float, c, root: complex) -> np.ndarray:
     """J_nu(c*root) * (c*root)^{-nu}, an even (entire) function of root."""
-    c = np.atleast_1d(c)
-    out = np.empty(c.shape, dtype=complex)
-    for i, ci in enumerate(c):
-        u = ci * root
-        if u == 0:
-            out[i] = 0.5 ** nu * math.exp(-gammaln(nu + 1))
-            continue
-        j = bessel_j(nu, u) if abs(u) <= W_MAX else bessel_j_any(nu, u)
-        out[i] = j * np.exp(-nu * np.log(u))
-    return out
-
-
-def _edge_weight_logs(a: float, s: float, Z: complex) -> float:
-    return _half_power_logs(a, s * s / 4.0 + Z.real - (Z.imag / s) ** 2)
+    u = c * complex(root)
+    with np.errstate(all="ignore"):
+        val = jv(nu, u) * np.exp(-nu * np.log(u))
+    return np.where(u == 0, 0.5 ** nu * math.exp(-gammaln(nu + 1)), val)
 
 
 def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
                           w1: complex, w2: complex,
                           spec: QuadratureSpec | None = None) -> complex:
     nu = a + 0.5
-    lpref = (-math.log(4.0) - 0.5 * math.log(math.pi) - gammaln(a + 1)
-             + (a - 0.5) * math.log(s / 2.0)
-             + _edge_weight_logs(a, s, Z1) + _edge_weight_logs(a, s, Z2))
-    if lpref == -math.inf:
-        return 0.0 + 0.0j
-    if lpref == math.inf:
-        return complex(math.inf, 0.0)   # integrable wall divergence for a < 0
+    walls = [s * s / 4.0 + Z.real - (Z.imag / s) ** 2 for Z in (Z1, Z2)]
 
-    def g(c):
-        lr = _i_ratio_logs(nu, c * s) - nu * np.log(c * s / 2.0)  # = -log I
-        return (c ** (a + 1.5) * np.exp(lr) * _phi(nu, c, w1) * _phi(nu, c, w2)
-                * c ** (2.0 * nu))
+    def f(c):
+        return c ** (2.0 * a + 2.0) * _phi(nu, c, w1) * _phi(nu, c, w2)
 
-    return math.exp(lpref) * complex(integrate_c(g, UNIT_INTERVAL, _quad(spec, a)))
+    return _ratio_integral(a, s, walls, f, spec, math.log(math.pi / 2.0))
 
 
 def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
@@ -177,18 +153,15 @@ def bessel_kernel(a: float, X1: float, X2: float,
     """Hard-edge Bessel kernel (1/4)(X1 X2)^{-1/4} int_0^1 c J J dc, X > 0.
 
     The coincident point is evaluated by the same quadrature; the integrand
-    is smooth there.
+    is smooth there.  Complex points enter through their real parts.
     """
+    X1, X2 = complex(X1).real, complex(X2).real
     if X1 < 0 or X2 < 0:
         raise DomainError("bessel_kernel requires X >= 0")
     nu = a + 0.5
     r1, r2 = math.sqrt(X1), math.sqrt(X2)
-
-    def g(c):
-        return (c * np.array([bessel_j(nu, ci * r1) for ci in c])
-                * np.array([bessel_j(nu, ci * r2) for ci in c]))
-
-    val = complex(integrate_c(g, UNIT_INTERVAL, _quad(spec, a)))
+    val = complex(integrate_c(lambda c: c * jv(nu, c * r1) * jv(nu, c * r2),
+                              UNIT_INTERVAL, _quad(spec, a)))
     return 0.25 * (X1 * X2) ** (-0.25) * val.real
 
 
@@ -226,8 +199,8 @@ def _lower_gamma_ratio(s: float, z: complex) -> complex:
     return total * np.exp(-z)
 
 
-def _left_focus_weight_logs(a: float, s: float, Z: complex) -> float:
-    return _half_power_logs(a, 1.0 - 2.0 / (s * s) * (abs(Z) - Z.real))
+def _left_focus_walls(s: float, Z1: complex, Z2: complex):
+    return [1.0 - 2.0 / (s * s) * (abs(Z) - Z.real) for Z in (Z1, Z2)]
 
 
 def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
@@ -239,27 +212,16 @@ def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
     Z1, Z2 = complex(Z1), complex(Z2)
     if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
         raise DomainError("point outside the parabolic edge domain")
-    nu = a + 0.5
     w1 = np.sqrt(complex(Z1))
     w2 = np.sqrt(np.conj(complex(Z2)))
-    lpref = ((a - 0.5) * math.log(s / 2.0) - math.log(2.0) - 1.5 * math.log(math.pi)
-             - gammaln(a + 1)
-             + _left_focus_weight_logs(a, s, Z1) + _left_focus_weight_logs(a, s, Z2))
-    if lpref == -math.inf:
-        return 0.0 + 0.0j
-    if lpref == math.inf:
-        return complex(math.inf, 0.0)   # integrable wall divergence for a < 0
 
     def sinc(c, w):
         if w == 0:
             return c + 0j * c
         return np.sin(c * w) / w
 
-    def g(c):
-        lr = _i_ratio_logs(nu, c * s) - nu * np.log(c * s / 2.0)
-        return c ** (a + 0.5) * np.exp(lr) * sinc(c, w1) * sinc(c, w2)
-
-    return math.exp(lpref) * complex(integrate_c(g, UNIT_INTERVAL, _quad(spec, a)))
+    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2),
+                           lambda c: sinc(c, w1) * sinc(c, w2), spec)
 
 
 def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
@@ -271,22 +233,11 @@ def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
         raise DomainError("point outside the parabolic edge domain")
     if Z1 == 0 or Z2 == 0:
         raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
-    nu = a + 0.5
     w1 = np.sqrt(complex(Z1))
     w2 = np.sqrt(np.conj(complex(Z2)))
-    lpref = ((a - 0.5) * math.log(s / 2.0) - math.log(2.0) - 1.5 * math.log(math.pi)
-             - gammaln(a + 1) - 0.5 * (math.log(abs(Z1)) + math.log(abs(Z2)))
-             + _left_focus_weight_logs(a, s, Z1) + _left_focus_weight_logs(a, s, Z2))
-    if lpref == -math.inf:
-        return 0.0 + 0.0j
-    if lpref == math.inf:
-        return complex(math.inf, 0.0)   # integrable wall divergence for a < 0
-
-    def g(c):
-        lr = _i_ratio_logs(nu, c * s) - nu * np.log(c * s / 2.0)
-        return c ** (a + 0.5) * np.exp(lr) * np.cos(c * w1) * np.cos(c * w2)
-
-    return math.exp(lpref) * complex(integrate_c(g, UNIT_INTERVAL, _quad(spec, a)))
+    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2),
+                           lambda c: np.cos(c * w1) * np.cos(c * w2), spec,
+                           -0.5 * (math.log(abs(Z1)) + math.log(abs(Z2))))
 
 
 def bulk_from_edge_check(a: float, s: float, kappa: float, z1: complex, z2: complex,
@@ -305,19 +256,10 @@ def bulk_from_edge_check(a: float, s: float, kappa: float, z1: complex, z2: comp
     Z1 = kappa * h - 2.0 * math.sqrt(h) * z1
     Z2 = kappa * h - 2.0 * math.sqrt(h) * z2
     first = 4.0 * h * edge_weak(a, s, Z1, Z2, spec)
-
-    nu = a + 0.5
-    d = z1 - z2.conjugate()
-    lpref = (math.log(2.0) - math.log(s) - 1.5 * math.log(math.pi) - gammaln(a + 1)
-             - (a + 1.0) * math.log(kappa)
-             + 0.5 * a * (math.log(kappa - 4 * z1.imag ** 2 / s ** 2)
-                          + math.log(kappa - 4 * z2.imag ** 2 / s ** 2)))
-
-    def g(c):
-        lr = _i_ratio_logs(nu, c * s)
-        return np.exp(lr + lpref) * np.cos(c / math.sqrt(kappa) * d)
-
-    second = complex(integrate_c(g, UNIT_INTERVAL, _quad(spec, a)))
+    d = (z1 - z2.conjugate()) / math.sqrt(kappa)
+    walls = (kappa - 4 * z1.imag ** 2 / s ** 2, kappa - 4 * z2.imag ** 2 / s ** 2)
+    second = _ratio_integral(a, s, walls, lambda c: np.cos(c * d), spec,
+                             math.log(2.0) - (a + 1.0) * math.log(kappa))
     return first, second
 
 
@@ -345,59 +287,48 @@ def _interior_omega(geometry: EllipseGeometry, z: complex) -> complex:
     return om
 
 
-def _geometric_series(terms) -> complex:
-    total = 0.0 + 0.0j
-    for j, t in enumerate(terms):
-        total += t
-        if abs(t) < _SERIES_TOL * abs(total):
-            break
-        if j + 1 >= _SERIES_CAP:
-            break
-    return total
+def _series_frame(tau: float, z1: complex, z2: complex, decay: int):
+    """(v, omega_1, conj omega_2, e) for a global kernel, e_j = v^{-(1+2j)}.
+
+    The j-th series term shrinks like v^{-decay j}; e holds as many terms as
+    that takes to fall below _SERIES_TOL.  Past _SERIES_CAP terms (tau close
+    to 1) the sum is refused rather than truncated.
+    """
+    geo = EllipseGeometry(tau)
+    o1 = _interior_omega(geo, z1)
+    o2c = np.conj(_interior_omega(geo, z2))
+    v = geo.v
+    terms = math.ceil(math.log(1.0 / _SERIES_TOL) / (decay * math.log(v))) + 1
+    if terms > _SERIES_CAP:
+        raise OutOfRangeError(f"the tau={tau} global series needs {terms} terms, "
+                              f"more than {_SERIES_CAP}")
+    return v, o1, o2c, v ** -(1.0 + 2.0 * np.arange(terms))
+
+
+def _S(q):
+    return q / (1.0 - q) ** 2
 
 
 def global_kernel_u(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the flat (a=0, Chebyshev-U) gas, rescaled coordinates."""
-    geo = EllipseGeometry(tau)
-    o1 = _interior_omega(geo, z1)
-    o2 = np.conj(_interior_omega(geo, z2))
-    v = geo.v
-
-    def S(q):
-        return q / (1.0 - q) ** 2
-
-    def terms():
-        for j in range(_SERIES_CAP):
-            eta = v ** (-2.0 * (1 + 2 * j))
-            yield (S(eta * o1 * o2) - S(eta * o1 / o2)
-                   - S(eta * o2 / o1) + S(eta / (o1 * o2)))
-
-    tot = _geometric_series(terms())
-    return 2.0 / (math.pi * tau) * tot / ((o1 - 1.0 / o1) * (o2 - 1.0 / o2))
+    v, o1, o2, e = _series_frame(tau, z1, z2, 4)
+    eta = e * e
+    tot = np.sum(_S(eta * o1 * o2) - _S(eta * o1 / o2) - _S(eta * o2 / o1)
+                 + _S(eta / (o1 * o2)))
+    return complex(2.0 / (math.pi * tau) * tot / ((o1 - 1.0 / o1) * (o2 - 1.0 / o2)))
 
 
 def global_kernel_t(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the Chebyshev-I gas (weight 1/|1-z^2|), rescaled
     coordinates; includes the 1/(2 log v) zero-mode term."""
-    geo = EllipseGeometry(tau)
-    o1 = _interior_omega(geo, z1)
-    o2 = np.conj(_interior_omega(geo, z2))
-    v = geo.v
+    v, o1, o2, e = _series_frame(tau, z1, z2, 4)
     zeta1 = complex(z1) / math.sqrt(2 * tau)
     zeta2 = complex(z2) / math.sqrt(2 * tau)
-
-    def S(q):
-        return q / (1.0 - q) ** 2
-
-    def terms():
-        for j in range(_SERIES_CAP):
-            eta = v ** (-2.0 * (1 + 2 * j))
-            yield (S(eta * o1 * o2) + S(eta * o1 / o2)
-                   + S(eta * o2 / o1) + S(eta / (o1 * o2)))
-
-    tot = _geometric_series(terms()) + 1.0 / (2.0 * math.log(v))
+    eta = e * e
+    tot = np.sum(_S(eta * o1 * o2) + _S(eta * o1 / o2) + _S(eta * o2 / o1)
+                 + _S(eta / (o1 * o2))) + 1.0 / (2.0 * math.log(v))
     pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 - zeta1 ** 2) * abs(1 - zeta2 ** 2))
-    return pref * tot
+    return complex(pref * tot)
 
 
 def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
@@ -406,12 +337,10 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 
     Built from V_n(zeta) = (r^{2n+1} - r^{-2n-1})/(r - 1/r) with r the
     principal sqrt of omega; all half-integer powers below use these fixed
-    roots, which keeps the series single-valued and Hermitian.
+    roots, which keeps the series single-valued and Hermitian.  Its terms
+    shrink like v^{-2j} only: G(q) -> 1 leaves the factor e_j.
     """
-    geo = EllipseGeometry(tau)
-    o1 = _interior_omega(geo, z1)
-    o2c = np.conj(_interior_omega(geo, z2))
-    v = geo.v
+    v, o1, o2c, e = _series_frame(tau, z1, z2, 2)
     r1 = np.sqrt(o1)
     r2 = np.conj(np.sqrt(np.conj(o2c)))
     zeta1 = complex(z1) / math.sqrt(2 * tau)
@@ -420,31 +349,21 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
     def G(q):
         return (1.0 + q) / (1.0 - q) ** 2
 
-    def terms():
-        for j in range(_SERIES_CAP):
-            e = v ** (-(1.0 + 2 * j))      # eta_j^{1/2}
-            qa = e * e * o1 * o2c
-            qb = e * e * o1 / o2c
-            qc = e * e * o2c / o1
-            qd = e * e / (o1 * o2c)
-            yield e * (r1 * r2 * G(qa) - (r1 / r2) * G(qb)
-                       - (r2 / r1) * G(qc) + G(qd) / (r1 * r2))
-
-    tot = _geometric_series(terms())
+    eta = e * e
+    tot = np.sum(e * (r1 * r2 * G(eta * o1 * o2c) - (r1 / r2) * G(eta * o1 / o2c)
+                      - (r2 / r1) * G(eta * o2c / o1) + G(eta / (o1 * o2c)) / (r1 * r2)))
     D = (r1 - 1.0 / r1) * (r2 - 1.0 / r2)
     pref = (1.0 / (2.0 * math.pi * tau)
             / math.sqrt(abs(1 + zeta1) * abs(1 + np.conj(zeta2))))
-    return pref * tot / D
+    return complex(pref * tot / D)
 
 
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:
     """Dispatch to one of the three global kernels by kind."""
-    kind = LimitKind(kind) if not isinstance(kind, LimitKind) else kind
-    table = {LimitKind.GLOBAL_U: global_kernel_u, LimitKind.GLOBAL_T: global_kernel_t,
-             LimitKind.GLOBAL_V: global_kernel_v}
-    if kind not in table:
+    name, params, _ = _KERNELS[LimitKind(kind)]
+    if params != ("tau",):
         raise DomainError(f"{kind} is not a global kernel kind")
-    return table[kind](tau, z1, z2)
+    return globals()[name](tau, z1, z2)
 
 
 def global_rot_u(z1: complex, z2: complex) -> complex:
@@ -490,12 +409,28 @@ class LimitKind(Enum):
     GLOBAL_ROT_V = "global-rot-v"
 
 
-_NEEDS_A = {LimitKind.BULK_WEAK, LimitKind.EDGE_WEAK, LimitKind.EDGE_WEAK_MINUS_SINE,
-            LimitKind.EDGE_WEAK_MINUS_COSINE, LimitKind.BULK_STRONG,
-            LimitKind.EDGE_STRONG, LimitKind.BESSEL}
-_NEEDS_S = {LimitKind.BULK_WEAK, LimitKind.EDGE_WEAK, LimitKind.EDGE_WEAK_MINUS_SINE,
-            LimitKind.EDGE_WEAK_MINUS_COSINE}
-_NEEDS_TAU = {LimitKind.GLOBAL_U, LimitKind.GLOBAL_T, LimitKind.GLOBAL_V}
+# kind -> (kernel name, spec parameters it takes before (z1, z2), whether
+# it takes a QuadratureSpec).  Kernels are looked up by name so that a
+# module attribute swapped in later (a wrapper, a patch) is the one called.
+_KERNELS = {
+    LimitKind.BULK_WEAK: ("bulk_weak", ("a", "s"), True),
+    LimitKind.EDGE_WEAK: ("edge_weak", ("a", "s"), True),
+    LimitKind.EDGE_WEAK_MINUS_SINE: ("edge_weak_minus_sine", ("a", "s"), True),
+    LimitKind.EDGE_WEAK_MINUS_COSINE: ("edge_weak_minus_cosine", ("a", "s"), True),
+    LimitKind.BULK_STRONG: ("bulk_strong", ("a",), True),
+    LimitKind.EDGE_STRONG: ("edge_strong", ("a",), False),
+    LimitKind.SINE: ("sine_kernel", (), False),
+    LimitKind.BESSEL: ("bessel_kernel", ("a",), True),
+    LimitKind.GINIBRE: ("ginibre_kernel", (), False),
+    LimitKind.GLOBAL_U: ("global_kernel_u", ("tau",), False),
+    LimitKind.GLOBAL_T: ("global_kernel_t", ("tau",), False),
+    LimitKind.GLOBAL_V: ("global_kernel_v", ("tau",), False),
+    LimitKind.GLOBAL_ROT_U: ("global_rot_u", (), False),
+    LimitKind.GLOBAL_ROT_T: ("global_rot_t", (), False),
+    LimitKind.GLOBAL_ROT_V: ("global_rot_v", (), False),
+}
+_PARAMETERS = {"a": (lambda a: a > -1, "a > -1"), "s": (lambda s: s > 0, "s > 0"),
+               "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)")}
 
 
 @dataclass(frozen=True)
@@ -508,38 +443,14 @@ class LimitKernelSpec:
     tau: float | None = None
 
     def __post_init__(self):
-        if self.kind in _NEEDS_A:
-            if self.a is None or not self.a > -1:
-                raise DomainError(f"{self.kind.value} needs a > -1")
-        if self.kind in _NEEDS_S:
-            if self.s is None or not self.s > 0:
-                raise DomainError(f"{self.kind.value} needs s > 0")
-        if self.kind in _NEEDS_TAU:
-            if self.tau is None or not 0 < self.tau < 1:
-                raise DomainError(f"{self.kind.value} needs tau in (0,1)")
+        for p in _KERNELS[self.kind][1]:
+            valid, need = _PARAMETERS[p]
+            if getattr(self, p) is None or not valid(getattr(self, p)):
+                raise DomainError(f"{self.kind.value} needs {need}")
 
 
 def make_kernel(spec: LimitKernelSpec, quad: QuadratureSpec | None = None):
     """An evaluable K(z1, z2) for any limiting-kernel spec."""
-    k, a, s, tau = spec.kind, spec.a, spec.s, spec.tau
-    table = {
-        LimitKind.BULK_WEAK: lambda z1, z2: bulk_weak(a, s, z1, z2, quad),
-        LimitKind.EDGE_WEAK: lambda z1, z2: edge_weak(a, s, z1, z2, quad),
-        LimitKind.EDGE_WEAK_MINUS_SINE:
-            lambda z1, z2: edge_weak_minus_sine(a, s, z1, z2, quad),
-        LimitKind.EDGE_WEAK_MINUS_COSINE:
-            lambda z1, z2: edge_weak_minus_cosine(a, s, z1, z2, quad),
-        LimitKind.BULK_STRONG: lambda z1, z2: bulk_strong(a, z1, z2, quad),
-        LimitKind.EDGE_STRONG: lambda z1, z2: edge_strong(a, z1, z2),
-        LimitKind.SINE: lambda z1, z2: sine_kernel(complex(z1).real, complex(z2).real),
-        LimitKind.BESSEL:
-            lambda z1, z2: bessel_kernel(a, complex(z1).real, complex(z2).real, quad),
-        LimitKind.GINIBRE: ginibre_kernel,
-        LimitKind.GLOBAL_U: lambda z1, z2: global_kernel_u(tau, z1, z2),
-        LimitKind.GLOBAL_T: lambda z1, z2: global_kernel_t(tau, z1, z2),
-        LimitKind.GLOBAL_V: lambda z1, z2: global_kernel_v(tau, z1, z2),
-        LimitKind.GLOBAL_ROT_U: global_rot_u,
-        LimitKind.GLOBAL_ROT_T: global_rot_t,
-        LimitKind.GLOBAL_ROT_V: global_rot_v,
-    }
-    return table[k]
+    name, params, quadrature = _KERNELS[spec.kind]
+    kernel = functools.partial(globals()[name], *(getattr(spec, p) for p in params))
+    return functools.partial(kernel, spec=quad) if quadrature else kernel

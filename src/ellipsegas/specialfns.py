@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln, ive, iv, jv
 
 from .errors import DomainError, OutOfRangeError
@@ -62,11 +63,6 @@ def bessel_j(order, w: complex) -> complex:
     return complex(jv(nu, w))
 
 
-def bessel_j_any(order, w: complex) -> complex:
-    """J_nu(w) without the W_MAX guard (internal; scipy handles large |w|)."""
-    return complex(jv(_jv_order(order), complex(w)))
-
-
 def bessel_i(order, x: float) -> float:
     """I_nu(x) for real x >= 0."""
     nu = _order(order)
@@ -105,11 +101,24 @@ def log_bessel_i(order, x: float) -> float:
     return nu * math.log(x / 2.0) - gammaln(nu + 1) + ls
 
 
-def log_i_ratio(order, x: float) -> float:
-    """log[(x/2)^nu / I_nu(x)] for x >= 0 (limit log Gamma(nu+1) at x=0)."""
+def log_i_ratio(order, x):
+    """log[(x/2)^nu / I_nu(x)] for x >= 0 (limit log Gamma(nu+1) at x=0).
+
+    x may be an array; a scalar x gives a float.  ive runs on all entries at
+    once; those where it underflows to 0, or returns nan (scipy does at
+    negative subnormal orders), go through the series of `log_bessel_i`.
+    """
     nu = _order(order)
-    if x < 0:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0):
         raise DomainError(f"log_i_ratio requires x >= 0, got {x}")
-    if x < 1e-10:
-        return float(gammaln(nu + 1))
-    return nu * math.log(x / 2.0) - log_bessel_i(nu, x)
+    out = np.full(xs.shape, float(gammaln(nu + 1)))
+    pos = xs >= 1e-10
+    xp = xs[pos]
+    sc = ive(nu, xp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr = nu * np.log(xp / 2.0) - (np.log(sc) + xp)
+    for i in np.flatnonzero(~(sc > 0.0)):
+        lr[i] = nu * math.log(xp[i] / 2.0) - log_bessel_i(nu, float(xp[i]))
+    out[pos] = lr
+    return float(out) if out.ndim == 0 else out

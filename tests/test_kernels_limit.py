@@ -1,11 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
-                        LimitKernelSpec, LimitKind, PolyKind, QuadratureSpec,
-                        SingularPointError, bessel_kernel, bulk_from_edge_check,
+                        LimitKernelSpec, LimitKind, OutOfRangeError, PolyKind,
+                        QuadratureSpec, SingularPointError, bessel_kernel, bulk_from_edge_check,
                         bulk_strong, bulk_weak, edge_strong, edge_weak,
                         edge_weak_minus_cosine, edge_weak_minus_sine,
                         ginibre_kernel, global_kernel_t, global_kernel_u,
@@ -435,3 +436,96 @@ def test_bulk_kernels_on_strip_boundary():
     assert bulk_strong(1.0, 0.5j, 0.0) == 0.0
     assert abs(bulk_weak(0.0, 2.0, 1.0j, 1.0j)) > 0
     assert math.isinf(abs(bulk_strong(-0.5, 0.5j, 0.5j)))
+
+
+# ------------------------------------------------------- dispatch and series cap
+
+# the spec parameters each kind takes, with admissible values and points
+_NEEDS = {
+    LimitKind.BULK_WEAK: ("a", "s"), LimitKind.EDGE_WEAK: ("a", "s"),
+    LimitKind.EDGE_WEAK_MINUS_SINE: ("a", "s"), LimitKind.EDGE_WEAK_MINUS_COSINE: ("a", "s"),
+    LimitKind.BULK_STRONG: ("a",), LimitKind.EDGE_STRONG: ("a",), LimitKind.SINE: (),
+    LimitKind.BESSEL: ("a",), LimitKind.GINIBRE: (), LimitKind.GLOBAL_U: ("tau",),
+    LimitKind.GLOBAL_T: ("tau",), LimitKind.GLOBAL_V: ("tau",), LimitKind.GLOBAL_ROT_U: (),
+    LimitKind.GLOBAL_ROT_T: (), LimitKind.GLOBAL_ROT_V: (),
+}
+_VALID = {"a": 0.7, "s": 1.3, "tau": 0.4}
+_INVALID = {"a": -1.0, "s": 0.0, "tau": 1.0}
+
+
+@pytest.mark.parametrize("kind", list(LimitKind))
+def test_make_kernel_equals_direct_call(kind):
+    a, s, tau = _VALID["a"], _VALID["s"], _VALID["tau"]
+    z1, z2 = 0.3 + 0.2j, 0.5 - 0.1j
+    direct = {
+        LimitKind.BULK_WEAK: lambda: bulk_weak(a, s, z1, z2),
+        LimitKind.EDGE_WEAK: lambda: edge_weak(a, s, z1, z2),
+        LimitKind.EDGE_WEAK_MINUS_SINE: lambda: edge_weak_minus_sine(a, s, z1, z2),
+        LimitKind.EDGE_WEAK_MINUS_COSINE: lambda: edge_weak_minus_cosine(a, s, z1, z2),
+        LimitKind.BULK_STRONG: lambda: bulk_strong(a, z1, z2),
+        LimitKind.EDGE_STRONG: lambda: edge_strong(a, z1, z2),
+        LimitKind.SINE: lambda: sine_kernel(z1.real, z2.real),
+        LimitKind.BESSEL: lambda: bessel_kernel(a, z1.real, z2.real),
+        LimitKind.GINIBRE: lambda: ginibre_kernel(z1, z2),
+        LimitKind.GLOBAL_U: lambda: global_kernel_u(tau, z1, z2),
+        LimitKind.GLOBAL_T: lambda: global_kernel_t(tau, z1, z2),
+        LimitKind.GLOBAL_V: lambda: global_kernel_v(tau, z1, z2),
+        LimitKind.GLOBAL_ROT_U: lambda: global_rot_u(z1, z2),
+        LimitKind.GLOBAL_ROT_T: lambda: global_rot_t(z1, z2),
+        LimitKind.GLOBAL_ROT_V: lambda: global_rot_v(z1, z2),
+    }[kind]
+    kern = make_kernel(LimitKernelSpec(kind, a=a, s=s, tau=tau))
+    if kind in (LimitKind.SINE, LimitKind.BESSEL):
+        z1, z2 = z1.real, z2.real
+    assert kern(z1, z2) == direct()
+
+
+@pytest.mark.parametrize("kind", list(LimitKind))
+def test_limit_spec_rejects_each_missing_or_invalid_parameter(kind):
+    LimitKernelSpec(kind, **{p: _VALID[p] for p in _NEEDS[kind]})
+    for p in _NEEDS[kind]:
+        others = {q: _VALID[q] for q in _NEEDS[kind] if q != p}
+        with pytest.raises(DomainError):
+            LimitKernelSpec(kind, **others)
+        with pytest.raises(DomainError):
+            LimitKernelSpec(kind, **others, **{p: _INVALID[p]})
+
+
+def test_global_series_refuses_past_its_term_cap():
+    # tau this close to 1 needs more than 500 terms; the sum used to stop
+    # there silently (8e-9 relative off for U at tau = 0.9999)
+    with pytest.raises(OutOfRangeError):
+        global_kernel_u(0.9999, 0.1, 0.1)
+    with pytest.raises(OutOfRangeError):
+        global_kernel_v(0.999, 0.01, 0.01)
+    with pytest.raises(OutOfRangeError):
+        make_kernel(LimitKernelSpec(LimitKind.GLOBAL_T, tau=0.9999))(0.1, 0.1)
+
+
+def test_global_v_matches_independent_fsum_of_its_series():
+    # the V series decays like v^{-2j}, half the rate of U and T
+    tau, z1, z2 = 0.869, 0.3 + 0.1j, -0.2 + 0.25j
+    v = (math.sqrt(1 + tau) + math.sqrt(1 - tau)) / math.sqrt(2 * tau)
+
+    def omega(z):
+        zeta = z / math.sqrt(2 * tau)
+        root = cmath.sqrt(zeta * zeta - 1)
+        return max(zeta + root, zeta - root, key=abs)
+
+    o1, o2c = omega(z1), omega(z2).conjugate()
+    r1, r2 = cmath.sqrt(o1), cmath.sqrt(o2c.conjugate()).conjugate()
+
+    def G(q):
+        return (1 + q) / (1 - q) ** 2
+
+    terms = []
+    for j in range(3000):
+        e = v ** (-(1 + 2 * j))
+        terms.append(e * (r1 * r2 * G(e * e * o1 * o2c) - r1 / r2 * G(e * e * o1 / o2c)
+                          - r2 / r1 * G(e * e * o2c / o1) + G(e * e / (o1 * o2c)) / (r1 * r2)))
+    tot = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    zeta1, zeta2 = z1 / math.sqrt(2 * tau), z2 / math.sqrt(2 * tau)
+    ref = (tot / ((r1 - 1 / r1) * (r2 - 1 / r2)) / (2 * math.pi * tau)
+           / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2.conjugate())))
+    got = global_kernel_v(tau, z1, z2)
+    assert abs(got - ref) <= 1e-12 * abs(ref)

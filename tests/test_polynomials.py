@@ -314,3 +314,10 @@ def test_jacobi_general_parameters_match_closed_forms():
         got = jacobi(30, alpha, gamma, 1.0)
         ref = gammaln(31 + alpha) - gammaln(alpha + 1) - gammaln(31)
         assert got.log_scale + math.log(got.mantissa.real) == pytest.approx(ref, abs=1e-11)
+
+
+def test_poly_family_is_the_gas_family():
+    gas = GasFamily(PolyKind.JACOBI_MINUS, 1.5)
+    assert PolyFamily is GasFamily
+    assert gas.family is gas
+    assert PolyFamily(PolyKind.JACOBI_MINUS, 1.5) == gas

@@ -148,3 +148,25 @@ def test_bessel_j_subnormal_order_is_order_zero():
 def test_i_ratio_monotone_decreasing(nu, x):
     # (x/2)^nu / I_nu(x) decreases in x (all series terms positive)
     assert log_i_ratio(nu, x) >= log_i_ratio(nu, x * 1.1) - 1e-12
+
+
+@pytest.mark.parametrize("nu", [0.5, 3.0, 200.5, -2.225073858507e-311, 0.0])
+def test_log_i_ratio_array_equals_scalar_calls(nu):
+    # covers x = 0, x below the 1e-10 cut, ive underflow (nu = 200.5 at small
+    # x) and scipy's nan from ive at a negative subnormal order
+    xs = np.array([0.0, 1e-12, 1e-3, 0.7, 1.0, 5.0, 40.0, 700.0])
+    got = log_i_ratio(nu, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, g in zip(xs, got):
+        assert g == log_i_ratio(nu, float(x))
+        # the per-point formula on the scalar log_bessel_i path
+        ref = (math.lgamma(nu + 1) if x < 1e-10
+               else nu * math.log(x / 2.0) - log_bessel_i(nu, float(x)))
+        assert g == pytest.approx(ref, rel=1e-14, abs=1e-14)
+    assert np.all(np.isfinite(got))
+    assert isinstance(log_i_ratio(nu, 1.0), float)
+
+
+def test_log_i_ratio_array_rejects_negative_entry():
+    with pytest.raises(DomainError):
+        log_i_ratio(1.5, np.array([0.5, -1e-3]))
