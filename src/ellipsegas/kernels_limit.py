@@ -23,7 +23,7 @@ from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, _log_power, bulk_domain_contains,
                        edge_domain_contains, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, integrate_c
-from .specialfns import log_i_ratio
+from .specialfns import W_MAX, log_i_ratio
 
 _DEFAULT = QuadratureSpec()
 
@@ -36,14 +36,14 @@ def _quad(spec, a: float) -> QuadratureSpec:
 
 
 def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
-                    **half_line) -> complex:
+                    domain: str = UNIT_INTERVAL, **half_line) -> complex:
     """The shared form of the deformed sine and Bessel kernels:
 
         exp(log_factor) / (s pi^{3/2} Gamma(a+1)) * prod_q q^{a/2}
             * int dc (cs/2)^{a+1/2} / I_{a+1/2}(cs) f(c),
 
-    over c in [0,1], or over the half line when `half_line` carries the
-    truncation and panel of `integrate_c`.  A wall factor q <= 0 takes the
+    over `domain`, c in [0,1] by default; `half_line` carries the truncation
+    and panel of `integrate_c` for the half line.  A wall factor q <= 0 takes the
     hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
     divergence flagged as inf.
     """
@@ -58,14 +58,12 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     def g(c):
         return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
 
-    domain = HALF_LINE if half_line else UNIT_INTERVAL
     return complex(integrate_c(g, domain, _quad(spec, a), **half_line))
 
 
 def sine_kernel(x1: float, x2: float) -> float:
-    """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit.  Complex points
-    enter through their real parts."""
-    d = complex(x1).real - complex(x2).real
+    """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit."""
+    d = x1 - x2
     if d == 0.0:
         return 1.0 / math.pi
     return math.sin(d) / (math.pi * d)
@@ -114,7 +112,7 @@ def bulk_strong(a: float, z1: complex, z2: complex,
     walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
     T = max(50.0, 5.0 * (a + 2.0))
     return _ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), spec, math.log(2.0),
-                           truncation=T, panel=min(5.0, max(1.0, T / 40.0)))
+                           HALF_LINE, truncation=T, panel=min(5.0, max(1.0, T / 40.0)))
 
 
 def _phi(nu: float, c, root: complex) -> np.ndarray:
@@ -153,11 +151,13 @@ def bessel_kernel(a: float, X1: float, X2: float,
     """Hard-edge Bessel kernel (1/4)(X1 X2)^{-1/4} int_0^1 c J J dc, X > 0.
 
     The coincident point is evaluated by the same quadrature; the integrand
-    is smooth there.  Complex points enter through their real parts.
+    is smooth there.  Refused past X = W_MAX^2: the integrand oscillates at
+    frequency sqrt(X1) + sqrt(X2) on [0,1], beyond what the c-nodes resolve.
     """
-    X1, X2 = complex(X1).real, complex(X2).real
     if X1 < 0 or X2 < 0:
         raise DomainError("bessel_kernel requires X >= 0")
+    if max(X1, X2) > W_MAX ** 2:
+        raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
     nu = a + 0.5
     r1, r2 = math.sqrt(X1), math.sqrt(X2)
     val = complex(integrate_c(lambda c: c * jv(nu, c * r1) * jv(nu, c * r2),
@@ -360,7 +360,7 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:
     """Dispatch to one of the three global kernels by kind."""
-    name, params, _ = _KERNELS[LimitKind(kind)]
+    name, params, _, _ = _KERNELS[LimitKind(kind)]
     if params != ("tau",):
         raise DomainError(f"{kind} is not a global kernel kind")
     return globals()[name](tau, z1, z2)
@@ -410,24 +410,25 @@ class LimitKind(Enum):
 
 
 # kind -> (kernel name, spec parameters it takes before (z1, z2), whether
-# it takes a QuadratureSpec).  Kernels are looked up by name so that a
+# it takes a QuadratureSpec, whether it takes real points; make_kernel passes
+# those the real parts of z1, z2).  Kernels are looked up by name so that a
 # module attribute swapped in later (a wrapper, a patch) is the one called.
 _KERNELS = {
-    LimitKind.BULK_WEAK: ("bulk_weak", ("a", "s"), True),
-    LimitKind.EDGE_WEAK: ("edge_weak", ("a", "s"), True),
-    LimitKind.EDGE_WEAK_MINUS_SINE: ("edge_weak_minus_sine", ("a", "s"), True),
-    LimitKind.EDGE_WEAK_MINUS_COSINE: ("edge_weak_minus_cosine", ("a", "s"), True),
-    LimitKind.BULK_STRONG: ("bulk_strong", ("a",), True),
-    LimitKind.EDGE_STRONG: ("edge_strong", ("a",), False),
-    LimitKind.SINE: ("sine_kernel", (), False),
-    LimitKind.BESSEL: ("bessel_kernel", ("a",), True),
-    LimitKind.GINIBRE: ("ginibre_kernel", (), False),
-    LimitKind.GLOBAL_U: ("global_kernel_u", ("tau",), False),
-    LimitKind.GLOBAL_T: ("global_kernel_t", ("tau",), False),
-    LimitKind.GLOBAL_V: ("global_kernel_v", ("tau",), False),
-    LimitKind.GLOBAL_ROT_U: ("global_rot_u", (), False),
-    LimitKind.GLOBAL_ROT_T: ("global_rot_t", (), False),
-    LimitKind.GLOBAL_ROT_V: ("global_rot_v", (), False),
+    LimitKind.BULK_WEAK: ("bulk_weak", ("a", "s"), True, False),
+    LimitKind.EDGE_WEAK: ("edge_weak", ("a", "s"), True, False),
+    LimitKind.EDGE_WEAK_MINUS_SINE: ("edge_weak_minus_sine", ("a", "s"), True, False),
+    LimitKind.EDGE_WEAK_MINUS_COSINE: ("edge_weak_minus_cosine", ("a", "s"), True, False),
+    LimitKind.BULK_STRONG: ("bulk_strong", ("a",), True, False),
+    LimitKind.EDGE_STRONG: ("edge_strong", ("a",), False, False),
+    LimitKind.SINE: ("sine_kernel", (), False, True),
+    LimitKind.BESSEL: ("bessel_kernel", ("a",), True, True),
+    LimitKind.GINIBRE: ("ginibre_kernel", (), False, False),
+    LimitKind.GLOBAL_U: ("global_kernel_u", ("tau",), False, False),
+    LimitKind.GLOBAL_T: ("global_kernel_t", ("tau",), False, False),
+    LimitKind.GLOBAL_V: ("global_kernel_v", ("tau",), False, False),
+    LimitKind.GLOBAL_ROT_U: ("global_rot_u", (), False, False),
+    LimitKind.GLOBAL_ROT_T: ("global_rot_t", (), False, False),
+    LimitKind.GLOBAL_ROT_V: ("global_rot_v", (), False, False),
 }
 _PARAMETERS = {"a": (lambda a: a > -1, "a > -1"), "s": (lambda s: s > 0, "s > 0"),
                "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)")}
@@ -451,6 +452,10 @@ class LimitKernelSpec:
 
 def make_kernel(spec: LimitKernelSpec, quad: QuadratureSpec | None = None):
     """An evaluable K(z1, z2) for any limiting-kernel spec."""
-    name, params, quadrature = _KERNELS[spec.kind]
+    name, params, quadrature, real = _KERNELS[spec.kind]
     kernel = functools.partial(globals()[name], *(getattr(spec, p) for p in params))
-    return functools.partial(kernel, spec=quad) if quadrature else kernel
+    if quadrature:
+        kernel = functools.partial(kernel, spec=quad)
+    if real:
+        return lambda z1, z2: kernel(complex(z1).real, complex(z2).real)
+    return kernel

@@ -157,6 +157,25 @@ def test_bessel_kernel_j0_diagonal_positive():
     assert math.isfinite(val) and val > 0
 
 
+def test_bessel_kernel_refuses_beyond_w_max_squared():
+    # at X = 1e4 the integrand oscillates at ~200 rad on [0,1], which the
+    # default c-nodes alias
+    with pytest.raises(OutOfRangeError):
+        bessel_kernel(0.0, 1e4, 1e4)
+    with pytest.raises(OutOfRangeError):
+        make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, 1e4 + 0.5j)
+
+
+def test_real_point_kernels_reject_complex_points():
+    # make_kernel passes the real parts; the functions themselves take reals
+    with pytest.raises(TypeError):
+        sine_kernel(0.3 + 0.2j, 0.0)
+    with pytest.raises(TypeError):
+        bessel_kernel(0.0, 1.0 + 0.5j, 1.0)
+    kern = make_kernel(LimitKernelSpec(LimitKind.SINE))
+    assert kern(0.3 + 0.2j, 0.0) == sine_kernel(0.3, 0.0)
+
+
 # --------------------------------------------------------------------- strong bulk
 
 def test_bulk_strong_matches_weak_at_large_s():
