@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,25 +19,29 @@ import numpy as np
 
 from .correlations import DensityGrid, GridSpec, density_grid
 from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, PolyKind
+from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, weight_values
 from .kernels_finite import (FiniteKernel, kernel_elliptic_ginibre, kernel_truncated,
                              kernel_truncated_limit)
 from .kernels_limit import (LimitKernelSpec, LimitKind, bulk_strong, bulk_weak,
                             edge_weak, make_kernel)
-from .quadrature import QuadratureSpec
+from .polynomials import log_squared_norms, monic_scaled_sequence
+from .quadrature import QuadratureSpec, rule_for_gas
 from .sampler import ChainSettings, PRNG_ALGORITHM, density_chi_square, run_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_FAMILIES = {
-    "gegenbauer": PolyKind.GEGENBAUER,
-    "jacobi-plus": PolyKind.JACOBI_PLUS,
-    "jacobi-minus": PolyKind.JACOBI_MINUS,
-    "chebyshev-t": PolyKind.CHEBYSHEV_T,
-    "chebyshev-u": PolyKind.CHEBYSHEV_U,
-    "chebyshev-v": PolyKind.CHEBYSHEV_V,
+# --kind values that are not a LimitKind -> (kernel, the flags it takes before
+# (z1, z2)), each of them required; "finite" instead builds a FiniteKernel of
+# the --family gas from --tau and --N.  Kernels are looked up by name, as in
+# make_kernel, so that a module attribute swapped in later (a wrapper, a
+# patch) is the one called.
+_REFERENCE_KINDS = {
+    "finite": ("FiniteKernel", ("N", "tau")),
+    "truncated": ("kernel_truncated", ("a", "N")),
+    "truncated-limit": ("kernel_truncated_limit", ("a",)),
+    "elliptic-ginibre": ("kernel_elliptic_ginibre", ("tau", "N")),
 }
 
 
@@ -56,10 +61,8 @@ def _threads_cap() -> int:
 
 
 def _gas(args) -> GasFamily:
-    kind = _FAMILIES[args.family]
-    a = 0.0 if kind in (PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_U,
-                        PolyKind.CHEBYSHEV_V) else args.a
-    return GasFamily(kind, a)
+    kind = PolyKind(args.family)
+    return GasFamily(kind, 0.0 if kind in _CHEBYSHEV else args.a)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -71,12 +74,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _grid_csv(grid: DensityGrid) -> str:
-    lines = ["x,y,rho"]
-    xs = [float(x) for x in grid.spec.xs]
-    ys = [float(y) for y in grid.spec.ys]
-    for ix in range(grid.spec.nx):
-        for iy in range(grid.spec.ny):
-            lines.append(f"{xs[ix]!r},{ys[iy]!r},{float(grid.values[ix, iy])!r}")
+    ys = grid.spec.ys.tolist()
+    lines = ["x,y,rho"] + [f"{x!r},{y!r},{rho!r}"
+                           for x, column in zip(grid.spec.xs.tolist(), grid.values.tolist())
+                           for y, rho in zip(ys, column)]
     return "\n".join(lines) + "\n"
 
 
@@ -87,14 +88,13 @@ def _grid_json(grid: DensityGrid, rescale: str) -> str:
         "nx": grid.spec.nx,
         "ny": grid.spec.ny,
         "rescale": rescale,
-        "values": [float(v) for v in grid.values.ravel(order="C")],
+        "values": grid.values.ravel(order="C").tolist(),
     }
     return json.dumps(payload) + "\n"
 
 
 def cmd_density(args) -> int:
-    gas = _gas(args)
-    kernel = FiniteKernel(gas, EllipseGeometry(args.tau), args.N)
+    kernel = FiniteKernel(_gas(args), EllipseGeometry(args.tau), args.N)
     grid = GridSpec((args.xmin, args.xmax), (args.ymin, args.ymax), args.nx, args.ny)
     dg = density_grid(kernel, grid, rescale=args.rescale)
     text = _grid_csv(dg) if args.format == "csv" else _grid_json(dg, args.rescale)
@@ -122,22 +122,17 @@ def _parse_pairs(raw: str):
 
 
 def _kernel_from_args(args):
-    kind = args.kind
-    if kind in ("finite", "truncated", "elliptic-ginibre") and args.N is None:
-        raise DomainError(f"--N is required for --kind {kind}")
-    if kind in ("finite", "elliptic-ginibre") and args.tau is None:
-        raise DomainError(f"--tau is required for --kind {kind}")
-    if kind == "finite":
-        gas = _gas(args)
-        return FiniteKernel(gas, EllipseGeometry(args.tau), args.N)
-    if kind == "truncated":
-        return lambda z1, z2: kernel_truncated(args.a, args.N, z1, z2)
-    if kind == "truncated-limit":
-        return lambda z1, z2: kernel_truncated_limit(args.a, z1, z2)
-    if kind == "elliptic-ginibre":
-        return lambda z1, z2: kernel_elliptic_ginibre(args.tau, args.N, z1, z2)
-    spec = LimitKernelSpec(LimitKind(kind), a=args.a, s=args.s, tau=args.tau)
-    return make_kernel(spec)
+    if args.kind not in _REFERENCE_KINDS:
+        return make_kernel(LimitKernelSpec(LimitKind(args.kind), a=args.a, s=args.s,
+                                           tau=args.tau))
+    name, flags = _REFERENCE_KINDS[args.kind]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise DomainError(f"--{flag} is required for --kind {args.kind}")
+    kernel = globals()[name]
+    if args.kind == "finite":
+        return kernel(_gas(args), EllipseGeometry(args.tau), args.N)
+    return functools.partial(kernel, *(getattr(args, flag) for flag in flags))
 
 
 def cmd_kernel(args) -> int:
@@ -155,53 +150,41 @@ def cmd_kernel(args) -> int:
 _BULK_POINTS = [0j, 0.3 + 0.2j, -0.5 + 0.4j, 1.0 - 0.3j, 0.7 + 0.45j]
 _EDGE_POINTS = [1.0 + 0j, 0.5 + 0.3j, 2.0 - 0.5j, 0.3 + 0j, 1.5 + 1.0j]
 
+# weak study -> (limit points, finite-N point of a limit point, density scale,
+# limit kernel); the gas of N particles sits at tau_N = 1/(1 + s^2/2N^2)
+_WEAK_STUDIES = {
+    "bulk-weak": (_BULK_POINTS, lambda z, N: z / N, lambda N: N ** 2, "bulk_weak"),
+    "edge-weak": (_EDGE_POINTS, lambda Z, N: 1.0 - Z / (2.0 * N ** 2),
+                  lambda N: 4.0 * N ** 4, "edge_weak"),
+}
+
 
 def cmd_converge(args) -> int:
     gas = _gas(args)
+    schedule = [int(x) for x in args.schedule.split(",")]
+    if min(schedule) < 1 or len(set(schedule)) < 2:
+        raise DomainError("--schedule needs at least two distinct positive values")
     rows = []
-    if args.study == "strong":
-        schedule = [int(x) for x in args.schedule.split(",")]
-        for s in schedule:
-            sup = 0.0
-            for z in _BULK_POINTS:
-                zt = z / 4.0  # keep |Im| <= 1/4, inside both strips
-                kw = s ** 2 * bulk_weak(args.a, float(s), s * zt, s * zt)
-                ks = bulk_strong(args.a, zt, zt)
-                sup = max(sup, abs(kw - ks))
-            rows.append({"s": s, "sup_discrepancy": sup})
-        xkey = "s"
-    else:
-        schedule = [int(x) for x in args.schedule.split(",")]
-        for N in schedule:
-            geo = EllipseGeometry(1.0 / (1.0 + args.s ** 2 / (2.0 * N ** 2)))
-            kern = FiniteKernel(gas, geo, N)
-            sup = 0.0
-            if args.study == "bulk-weak":
-                for z in _BULK_POINTS:
-                    kf = kern.eval(z / N, z / N) / N ** 2
-                    kl = bulk_weak(args.a, args.s, z, z)
-                    sup = max(sup, abs(kf - kl))
-            else:
-                for Z in _EDGE_POINTS:
-                    zz = 1.0 - Z / (2.0 * N ** 2)
-                    kf = kern.eval(zz, zz) / (4.0 * N ** 4)
-                    kl = edge_weak(args.a, args.s, Z, Z)
-                    sup = max(sup, abs(kf - kl))
-            rows.append({"N": N, "sup_discrepancy": sup})
-        xkey = "N"
-    xs = np.log([r[xkey] for r in rows])
+    for n in schedule:
+        if args.study == "strong":   # s^2 K_weak(s z/4) -> K_strong(z/4), |Im z/4| <= 1/4
+            gaps = [n ** 2 * bulk_weak(args.a, float(n), n * (z / 4.0), n * (z / 4.0))
+                    - bulk_strong(args.a, z / 4.0, z / 4.0) for z in _BULK_POINTS]
+        else:
+            points, finite_point, scale, limit = _WEAK_STUDIES[args.study]
+            tau_n = 1.0 / (1.0 + args.s ** 2 / (2.0 * n ** 2))
+            kern = FiniteKernel(gas, EllipseGeometry(tau_n), n)
+            gaps = [kern.eval(finite_point(z, n), finite_point(z, n)) / scale(n)
+                    - globals()[limit](args.a, args.s, z, z) for z in points]
+        rows.append({"s" if args.study == "strong" else "N": n,
+                     "sup_discrepancy": max(0.0, *map(abs, gaps))})
     ys = np.log([max(r["sup_discrepancy"], 1e-300) for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = float(np.polyfit(np.log(schedule), ys, 1)[0])
     payload = {"study": args.study, "rows": rows, "fitted_decay_exponent": slope}
     _write_text(args.output, json.dumps(payload) + "\n")
     return EXIT_OK
 
 
 def cmd_orthocheck(args) -> int:
-    from .quadrature import rule_for_gas
-    from .polynomials import log_squared_norms, monic_scaled_sequence
-    from .geometry import weight_values
-
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
     spec = QuadratureSpec(args.radial_nodes, args.angular_nodes, 64)
@@ -227,9 +210,7 @@ def cmd_sample(args) -> int:
     settings = ChainSettings(steps=args.steps, burn_in=args.burn_in, thin=args.thin,
                              proposal_sigma=args.sigma, seed=args.seed)
     samples, acceptance = run_chain(gas, geo, args.N, settings)
-    lines = []
-    for conf in samples:
-        lines.append(json.dumps({"points": [[z.real, z.imag] for z in conf]}))
+    lines = [json.dumps({"points": [[z.real, z.imag] for z in conf]}) for conf in samples]
     grid = GridSpec((-geo.semi_x, geo.semi_x), (-geo.semi_y, geo.semi_y), 12, 12)
     kernel = FiniteKernel(gas, geo, args.N)
     chi2, dof = density_chi_square(samples, kernel, grid)
@@ -247,13 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Coulomb-gas kernels on a hard-wall ellipse")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_family(q, tau_required=True):
-        q.add_argument("--family", choices=sorted(_FAMILIES), default="gegenbauer")
-        q.add_argument("--a", type=float, default=0.0)
-        q.add_argument("--tau", type=float, required=tau_required)
+    def add_gas(q, a=0.0, tau=True):
+        """--family, --a and --tau: required if tau is True, optional if False,
+        absent if None."""
+        q.add_argument("--family", choices=sorted(k.value for k in PolyKind),
+                       default="gegenbauer")
+        q.add_argument("--a", type=float, default=a)
+        if tau is not None:
+            q.add_argument("--tau", type=float, required=tau)
 
     d = sub.add_parser("density", help="one-point density on a grid")
-    add_family(d)
+    add_gas(d)
     d.add_argument("--N", type=int, required=True)
     d.add_argument("--nx", type=int, default=64)
     d.add_argument("--ny", type=int, default=64)
@@ -267,13 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_density)
 
     k = sub.add_parser("kernel", help="evaluate a finite or limiting kernel")
-    kinds = (["finite", "truncated", "truncated-limit", "elliptic-ginibre"]
-             + [kk.value for kk in LimitKind])
-    k.add_argument("--kind", choices=kinds, required=True)
-    k.add_argument("--family", choices=sorted(_FAMILIES), default="gegenbauer")
-    k.add_argument("--a", type=float, default=0.0)
+    k.add_argument("--kind", choices=[*_REFERENCE_KINDS, *(kk.value for kk in LimitKind)],
+                   required=True)
+    add_gas(k, tau=False)
     k.add_argument("--s", type=float, default=None)
-    k.add_argument("--tau", type=float, default=None)
     k.add_argument("--N", type=int, default=None)
     k.add_argument("--points", required=True,
                    help="semicolon-separated 're,im' (diagonal) or 're,im,re,im' pairs")
@@ -282,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("converge", help="finite-N to limit convergence study")
     c.add_argument("--study", choices=["bulk-weak", "edge-weak", "strong"], required=True)
-    c.add_argument("--family", choices=sorted(_FAMILIES), default="gegenbauer")
-    c.add_argument("--a", type=float, default=1.0)
+    add_gas(c, a=1.0, tau=None)
     c.add_argument("--s", type=float, default=1.0)
     c.add_argument("--schedule", default="100,200,400",
                    help="comma-separated N (or s) values")
@@ -291,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_converge)
 
     o = sub.add_parser("orthocheck", help="quadrature audit of orthonormality")
-    add_family(o)
+    add_gas(o)
     o.add_argument("--max-degree", type=int, default=8)
     o.add_argument("--radial-nodes", type=int, default=96)
     o.add_argument("--angular-nodes", type=int, default=128)
@@ -299,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_orthocheck)
 
     m = sub.add_parser("sample", help="Metropolis chain for the Gibbs measure")
-    add_family(m)
+    add_gas(m)
     m.add_argument("--N", type=int, required=True)
     m.add_argument("--steps", type=int, default=100_000)
     m.add_argument("--burn-in", type=int, default=10_000)

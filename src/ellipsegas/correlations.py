@@ -45,8 +45,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise DomainError("grid must have nx, ny >= 1")
-        if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
-            raise DomainError("grid ranges must be increasing")
+        if not (0.0 < self.dx < math.inf and 0.0 < self.dy < math.inf):
+            raise DomainError("grid ranges must be finite and increasing")
 
     @property
     def dx(self) -> float:

@@ -144,8 +144,8 @@ def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:
 
 def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
     """Finite-N kernel of the truncated-unitary ensemble on the unit disc."""
-    if not (abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("kernel_truncated requires |z| < 1")
+    if not (a > -1 and N >= 1 and abs(z1) < 1 and abs(z2) < 1):
+        raise DomainError("kernel_truncated requires a > -1, N >= 1 and |z| < 1")
     n = np.arange(N)
     lg = gammaln(n + a + 2) - gammaln(a + 1) - gammaln(n + 1)
     q = z1 * np.conj(z2)
@@ -155,8 +155,8 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
 
 def kernel_truncated_limit(a: float, z1: complex, z2: complex) -> complex:
     """N -> infinity closed form of the truncated-unitary kernel."""
-    if not (abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("kernel_truncated_limit requires |z| < 1")
+    if not (a > -1 and abs(z1) < 1 and abs(z2) < 1):
+        raise DomainError("kernel_truncated_limit requires a > -1 and |z| < 1")
     num = (1 - abs(z1) ** 2) ** (a / 2) * (1 - abs(z2) ** 2) ** (a / 2)
     return (a + 1) / math.pi * num / (1 - z1 * np.conj(z2)) ** (a + 2)
 
@@ -170,8 +170,8 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex, nodes: int = 64) -
     """
     X1, Y1 = Z1.real, Z1.imag
     X2, Y2 = Z2.real, Z2.imag
-    if X1 < 0 or X2 < 0:
-        raise DomainError("edge variables require Xhat >= 0")
+    if not (a > -1 and X1 >= 0 and X2 >= 0):
+        raise DomainError("kernel_truncated_edge requires a > -1 and Xhat >= 0")
     if X1 * X2 == 0.0 and a < 0:
         return complex(math.inf, 0.0)
     beta = 0.5 * (X1 + X2) + 0.5j * (Y1 - Y2)
@@ -186,8 +186,8 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex, nodes: int = 64) -
 def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> complex:
     """Elliptic Ginibre kernel (Hermite sum, whole plane); the a -> infinity
     target of the Gegenbauer gas under the sqrt(2 tau a) rescaling."""
-    if not 0 < tau < 1:
-        raise DomainError("tau must lie in (0,1)")
+    if not (0 < tau < 1 and N >= 1):
+        raise DomainError("kernel_elliptic_ginibre requires tau in (0,1) and N >= 1")
     u1 = z1 / math.sqrt(2 * tau)
     u2 = np.conj(z2) / math.sqrt(2 * tau)
     h1, h2 = _hermite_seq(N - 1, u1), _hermite_seq(N - 1, u2)

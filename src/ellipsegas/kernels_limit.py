@@ -148,21 +148,26 @@ def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
 
 def bessel_kernel(a: float, X1: float, X2: float,
                   spec: QuadratureSpec | None = None) -> float:
-    """Hard-edge Bessel kernel (1/4)(X1 X2)^{-1/4} int_0^1 c J J dc, X > 0.
+    """Hard-edge Bessel kernel
+    (1/4)(X1 X2)^{-1/4} int_0^1 c J_nu(c sqrt X1) J_nu(c sqrt X2) dc, nu = a + 1/2.
 
-    The coincident point is evaluated by the same quadrature; the integrand
-    is smooth there.  Refused past X = W_MAX^2: the integrand oscillates at
-    frequency sqrt(X1) + sqrt(X2) on [0,1], beyond what the c-nodes resolve.
+    Evaluated as (1/4)(X1 X2)^{a/2} int_0^1 c^{2a+2} phi(c sqrt X1) phi(c sqrt X2) dc
+    with the entire phi(u) = J_nu(u) u^{-nu}, which also holds on X = 0: there
+    the kernel is 0 for a > 0, its continuous limit for a = 0 and, for a < 0,
+    an integrable divergence flagged as inf.  Refused past X = W_MAX^2: the
+    integrand oscillates at frequency sqrt(X1) + sqrt(X2) on [0,1], beyond
+    what the c-nodes resolve.
     """
     if X1 < 0 or X2 < 0:
         raise DomainError("bessel_kernel requires X >= 0")
     if max(X1, X2) > W_MAX ** 2:
         raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
-    nu = a + 0.5
-    r1, r2 = math.sqrt(X1), math.sqrt(X2)
-    val = complex(integrate_c(lambda c: c * jv(nu, c * r1) * jv(nu, c * r2),
-                              UNIT_INTERVAL, _quad(spec, a)))
-    return 0.25 * (X1 * X2) ** (-0.25) * val.real
+    lpref = _log_power(0.5 * a, X1) + _log_power(0.5 * a, X2)
+    if lpref == math.inf:
+        return math.inf
+    val = integrate_c(lambda c: c ** (2.0 * a + 2.0) * _phi(a + 0.5, c, math.sqrt(X1))
+                      * _phi(a + 0.5, c, math.sqrt(X2)), UNIT_INTERVAL, _quad(spec, a))
+    return 0.25 * math.exp(lpref) * val.real
 
 
 def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:

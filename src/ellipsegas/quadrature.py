@@ -134,17 +134,18 @@ def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None =
     if truncation is None:
         truncation = max(50.0, 5.0 * (spec.singularity_exponent + 2.0))
     x, w = roots_legendre(max(16, spec.c_nodes // 4))
+    edges = [0.0]
+    while edges[-1] < truncation:
+        edges.append(min(edges[-1] + panel, truncation))
+    t0, t1 = np.array(edges[:-1]), np.array(edges[1:])
+    tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
+    # one composite rule, [panels, nodes]; g sees its nodes as one flat array
+    vals = np.asarray(g((tm[:, None] + th[:, None] * x).ravel()), dtype=complex)
+    parts = np.sum(np.outer(th, w) * vals.reshape(len(th), -1), axis=1).tolist()
     total = 0.0 + 0.0j
-    last = 0.0
-    t0 = 0.0
-    while t0 < truncation:
-        t1 = min(t0 + panel, truncation)
-        tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
-        vals = np.asarray(g(tm + th * x), dtype=complex)
-        part = complex(np.sum(w * th * vals))
+    for part in parts:
         total += part
-        last = abs(part)
-        t0 = t1
+    last = abs(parts[-1])
     if last > 1e-8 * max(abs(total), 1e-300):
         raise TailDivergenceError(
             f"final panel contributes {last:.3g} of {abs(total):.3g}; "

@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from ellipsegas import EllipseGeometry, FiniteKernel, GasFamily, PolyKind
-from ellipsegas.cli import main
+from ellipsegas import (EllipseGeometry, FiniteKernel, GasFamily, GridSpec, LimitKind, PolyKind,
+                        bessel_kernel, bulk_strong, bulk_weak, density_grid, edge_strong,
+                        edge_weak, edge_weak_minus_cosine, edge_weak_minus_sine,
+                        ginibre_kernel, global_kernel_t, global_kernel_u, global_kernel_v,
+                        global_rot_t, global_rot_u, global_rot_v, kernel_elliptic_ginibre,
+                        kernel_truncated, kernel_truncated_limit, sine_kernel)
+from ellipsegas.cli import _REFERENCE_KINDS, main
 
 
 def run(args):
@@ -201,3 +206,91 @@ def test_kernel_missing_parameters_exit_2(tmp_path):
                 "--points", "0,0", "--output", out]) == 2  # missing s
     assert run(["kernel", "--kind", "sine", "--points", "zero,0",
                 "--output", out]) == 2                      # malformed float
+
+
+@pytest.mark.parametrize("family, a", [("gegenbauer", "1"), ("chebyshev-t", "0"),
+                                       ("jacobi-minus", "0.5"), ("gegenbauer", "-0.5")])
+def test_density_every_cell_is_the_grid_value(tmp_path, family, a):
+    # cell centers x in {-2,-1,0,1,2}, y in {-1,0,1}: x = +-2 lies outside the
+    # ellipse, (+-1, 0) are foci of the 1/|1 +- z| weights
+    flags = ["--family", family, "--a", a, "--tau", "0.5", "--N", "4", "--nx", "5",
+             "--ny", "3", "--xmin", "-2.5", "--xmax", "2.5", "--ymin", "-1.5",
+             "--ymax", "1.5", "--rescale", "fig2"]
+    gas = GasFamily(PolyKind(family), float(a))
+    grid = GridSpec((-2.5, 2.5), (-1.5, 1.5), 5, 3)
+    dg = density_grid(FiniteKernel(gas, EllipseGeometry(0.5), 4), grid, rescale="fig2")
+    assert (dg.values == 0.0).sum() >= 6
+    out = tmp_path / "d.csv"
+    assert run(["density"] + flags + ["--output", str(out)]) == 0
+    expect = [f"{x!r},{y!r},{float(dg.values[i, j])!r}"
+              for i, x in enumerate(grid.xs.tolist()) for j, y in enumerate(grid.ys.tolist())]
+    assert out.read_text().splitlines() == ["x,y,rho"] + expect
+    out = tmp_path / "d.json"
+    assert run(["density"] + flags + ["--format", "json", "--output", str(out)]) == 0
+    values = out.read_text().split('"values": [')[1].split("]")[0].split(", ")
+    assert values == [repr(float(v)) for v in dg.values.ravel()]
+
+
+_POINTS = (0.1 + 0.05j, 0.2 - 0.03j)
+_DIRECT = {
+    "finite": lambda z1, z2: FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.5),
+                                          EllipseGeometry(0.4), 5).eval(z1, z2),
+    "truncated": lambda z1, z2: kernel_truncated(0.5, 5, z1, z2),
+    "truncated-limit": lambda z1, z2: kernel_truncated_limit(0.5, z1, z2),
+    "elliptic-ginibre": lambda z1, z2: kernel_elliptic_ginibre(0.4, 5, z1, z2),
+    "bulk-weak": lambda z1, z2: bulk_weak(0.5, 1.2, z1, z2),
+    "edge-weak": lambda z1, z2: edge_weak(0.5, 1.2, z1, z2),
+    "edge-weak-minus-sine": lambda z1, z2: edge_weak_minus_sine(0.5, 1.2, z1, z2),
+    "edge-weak-minus-cosine": lambda z1, z2: edge_weak_minus_cosine(0.5, 1.2, z1, z2),
+    "bulk-strong": lambda z1, z2: bulk_strong(0.5, z1, z2),
+    "edge-strong": lambda z1, z2: edge_strong(0.5, z1, z2),
+    "sine": lambda z1, z2: sine_kernel(z1.real, z2.real),
+    "bessel": lambda z1, z2: bessel_kernel(0.5, z1.real, z2.real),
+    "ginibre": ginibre_kernel,
+    "global-u": lambda z1, z2: global_kernel_u(0.4, z1, z2),
+    "global-t": lambda z1, z2: global_kernel_t(0.4, z1, z2),
+    "global-v": lambda z1, z2: global_kernel_v(0.4, z1, z2),
+    "global-rot-u": global_rot_u,
+    "global-rot-t": global_rot_t,
+    "global-rot-v": global_rot_v,
+}
+
+
+def test_direct_calls_cover_every_kernel_kind():
+    assert list(_DIRECT) == [*_REFERENCE_KINDS, *(kind.value for kind in LimitKind)]
+
+
+@pytest.mark.parametrize("kind", list(_DIRECT))
+def test_kernel_value_is_the_library_value(tmp_path, kind):
+    out = tmp_path / "k.json"
+    z1, z2 = _POINTS
+    assert run(["kernel", "--kind", kind, "--family", "jacobi-plus", "--a", "0.5",
+                "--s", "1.2", "--tau", "0.4", "--N", "5",
+                "--points", f"{z1.real},{z1.imag},{z2.real},{z2.imag}",
+                "--output", str(out)]) == 0
+    row = json.loads(out.read_text())["values"][0]
+    assert complex(row["re"], row["im"]) == complex(_DIRECT[kind](z1, z2))
+
+
+@pytest.mark.parametrize("flags", [["--a", "-2", "--N", "3"], ["--a", "0", "--N", "0"],
+                                   ["--a", "-1", "--N", "3"]])
+def test_kernel_reference_kind_outside_domain_exits_2(tmp_path, flags):
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", "truncated"] + flags
+               + ["--points", "0,0", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study, schedule", [("strong", "0,10"), ("strong", "100,100"),
+                                             ("bulk-weak", "40"), ("edge-weak", "-40,80"),
+                                             ("strong", "10,x")])
+def test_converge_malformed_schedule_exits_2(tmp_path, study, schedule):
+    assert run(["converge", "--study", study, f"--schedule={schedule}",
+                "--output", str(tmp_path / "c.json")]) == 2
+
+
+@pytest.mark.parametrize("bound, value", [("--xmin", "nan"), ("--xmax", "inf"),
+                                          ("--ymin", "-inf"), ("--ymax", "nan")])
+def test_density_non_finite_range_exits_2(tmp_path, bound, value):
+    assert run(["density", "--tau", "0.5", "--N", "3", f"{bound}={value}",
+                "--output", str(tmp_path / "d.csv")]) == 2

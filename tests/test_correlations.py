@@ -129,6 +129,16 @@ def test_grid_validation():
         GridSpec((1.0, 0.0), (0.0, 1.0), 4, 4)
 
 
+def test_grid_ranges_must_be_finite():
+    # a nan bound passed the increasing check and wrote nan coordinates
+    for bad in [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0),
+                (-1e308, 1.7e308)]:
+        with pytest.raises(DomainError):
+            GridSpec(bad, (0.0, 1.0), 4, 4)
+        with pytest.raises(DomainError):
+            GridSpec((0.0, 1.0), bad, 4, 4)
+
+
 # ---------------------------------------------------------------- partition
 
 def test_log_partition_examples():

@@ -193,6 +193,21 @@ def test_truncated_edge_independent_path():
         kernel_truncated_edge(1.0, -0.5, 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kernel_truncated(-1.5, 3, 0.1, 0.1),
+    lambda: kernel_truncated(-1.0, 3, 0.1, 0.1),
+    lambda: kernel_truncated(0.5, 0, 0.1, 0.1),
+    lambda: kernel_truncated_limit(-2.0, 0.1, 0.1),
+    lambda: kernel_truncated_limit(math.nan, 0.1, 0.1),
+    lambda: kernel_truncated_edge(-1.0, 1.0, 1.0),
+    lambda: kernel_elliptic_ginibre(0.5, 0, 0.0, 0.0),
+    lambda: kernel_elliptic_ginibre(0.5, -2, 0.0, 0.0),
+])
+def test_reference_kernels_check_a_and_N(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_kernel_eval_function_alias():
     geo = EllipseGeometry(0.6)
     kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 0.0), geo, 2)

@@ -157,6 +157,20 @@ def test_bessel_kernel_j0_diagonal_positive():
     assert math.isfinite(val) and val > 0
 
 
+def test_bessel_kernel_on_the_edge_X_zero():
+    # a = 0: J_{1/2}(x) = sqrt(2/(pi x)) sin x gives the X1 -> 0 limit
+    # K(0, X) = (1/(2 pi sqrt X)) int_0^1 c sin(c sqrt X) dc, at X = 1
+    # (sin 1 - cos 1)/(2 pi)
+    limit = (math.sin(1.0) - math.cos(1.0)) / (2.0 * math.pi)
+    assert bessel_kernel(0.0, 0.0, 1.0) == pytest.approx(limit, rel=1e-13)
+    assert bessel_kernel(0.0, 1.0, 0.0) == pytest.approx(limit, rel=1e-13)
+    assert bessel_kernel(0.0, 1e-14, 1.0) == pytest.approx(limit, rel=1e-6)
+    assert bessel_kernel(0.7, 0.0, 1.0) == 0.0
+    assert bessel_kernel(2.0, 0.0, 0.0) == 0.0
+    assert bessel_kernel(-0.4, 0.0, 1.0) == math.inf   # edge_strong's hard-edge flag
+    assert isinstance(bessel_kernel(0.0, 0.0, 1.0), float)
+
+
 def test_bessel_kernel_refuses_beyond_w_max_squared():
     # at X = 1e4 the integrand oscillates at ~200 rad on [0,1], which the
     # default c-nodes alias

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from ellipsegas import (EllipseGeometry, FiniteKernel, GasFamily, HALF_LINE,
                         PolyKind, QuadratureSpec, TailDivergenceError,
@@ -147,6 +148,37 @@ def test_half_line_tail_divergence_detected():
     spec = QuadratureSpec(16, 16, 32)
     with pytest.raises(TailDivergenceError):
         integrate_c(lambda t: np.ones_like(t), HALF_LINE, spec, truncation=60.0)
+
+
+def test_half_line_calls_its_integrand_once_on_all_panels():
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return np.exp(-t)
+
+    val = integrate_c(g, HALF_LINE, QuadratureSpec(16, 16, 64), truncation=50.0, panel=1.25)
+    assert val.real == pytest.approx(1.0, rel=1e-13)
+    assert len(calls) == 1 and calls[0].shape == (40 * 16,)
+    assert 0.0 < calls[0].min() and calls[0].max() < 50.0
+
+
+@pytest.mark.parametrize("truncation, panel", [(50.0, 1.25), (17.3, 0.7), (33.0, 5.0)])
+def test_half_line_equals_the_panel_by_panel_sum(truncation, panel):
+    # reference: one Gauss-Legendre rule per panel, panel sums added in order
+    def g(t):
+        return np.exp(-2.5 * t) * np.cos((1.0 + 0.3j) * t)
+
+    x, w = roots_legendre(16)
+    total, t0 = 0.0 + 0.0j, 0.0
+    while t0 < truncation:
+        t1 = min(t0 + panel, truncation)
+        tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
+        total += complex(np.sum(w * th * g(tm + th * x)))
+        t0 = t1
+    got = integrate_c(g, HALF_LINE, QuadratureSpec(16, 16, 64), truncation=truncation,
+                      panel=panel)
+    assert got == total
 
 
 def test_quadrature_spec_validation():
