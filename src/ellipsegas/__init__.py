@@ -5,7 +5,8 @@ from .errors import (DomainError, OutOfRangeError, SingularPointError,
 from .geometry import (EllipseGeometry, GasFamily, PolyFamily, PolyKind,
                        bulk_domain_contains, contains, edge_domain_contains,
                        ellipse_deficit, joukowsky, joukowsky_inverse, log_weight,
-                       log_weight_values, mu, one_minus_mu, weight, weight_values)
+                       log_weight_rule, log_weight_values, mu, one_minus_mu, weight,
+                       weight_values)
 from .polynomials import (ScaledValue, chebyshev_t, chebyshev_u, chebyshev_v,
                           gegenbauer, jacobi, log_squared_norms, monic_value,
                           squared_norm)
@@ -24,8 +25,9 @@ from .kernels_limit import (LimitKernelSpec, LimitKind, bessel_kernel,
 from .correlations import (DensityGrid, GridSpec, correlation_k, density_grid,
                            log_partition)
 from .sampler import (ChainSettings, PRNG_ALGORITHM, ParticleConfiguration,
-                      density_chi_square, empirical_density, log_density,
-                      metropolis_accept, run_chain)
+                      density_chi_square, empirical_density,
+                      integrated_autocorrelation, log_density, metropolis_accept,
+                      run_chain)
 from .specialfns import (BesselOrder, W_MAX, bessel_i, bessel_j, ln_gamma,
                          log_bessel_i, log_i_ratio)
 

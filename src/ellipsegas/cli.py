@@ -109,6 +109,8 @@ def _parse_pairs(raw: str):
         if not chunk:
             continue
         parts = [float(p) for p in chunk.split(",")]
+        if not all(math.isfinite(p) for p in parts):
+            raise DomainError(f"pair {chunk!r} has a non-finite coordinate")
         if len(parts) == 2:
             z = complex(parts[0], parts[1])
             pairs.append((z, z))

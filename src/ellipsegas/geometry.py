@@ -88,15 +88,22 @@ class EllipseGeometry:
     def area(self) -> float:
         return math.pi * self.semi_x * self.semi_y
 
+    @property
+    def wall_coefficients(self) -> tuple:
+        """(2 tau/(1+tau), 2 tau/(1-tau)), the c_x, c_y of the deficit
+        1 - c_x x^2 - c_y y^2."""
+        tau = self.tau
+        return 2 * tau / (1 + tau), 2 * tau / (1 - tau)
+
 
 def ellipse_deficit(geometry: EllipseGeometry, z: complex):
     """1 - (2tau/(1+tau)) x^2 - (2tau/(1-tau)) y^2; >= 0 inside, 0 on the wall.
 
     Accepts scalars or numpy arrays.
     """
-    tau = geometry.tau
+    cx, cy = geometry.wall_coefficients
     x, y = z.real, z.imag
-    return 1.0 - (2 * tau / (1 + tau)) * x * x - (2 * tau / (1 - tau)) * y * y
+    return 1.0 - cx * x * x - cy * y * y
 
 
 def contains(geometry: EllipseGeometry, z: complex) -> bool:
@@ -141,29 +148,50 @@ def weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
     return math.exp(log_weight(gas, geometry, z))
 
 
-def log_weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
-    """log w(z); -inf where the weight vanishes, +inf at singular points.
+def log_weight_rule(gas: GasFamily, geometry: EllipseGeometry):
+    """The scalar rule of `log_weight` bound to one (gas, geometry).
 
-    The scalar form of `log_weight_values`, kept free of numpy because the
-    sampler calls it once per proposal.
+    Returns rule(x, y, q) = log w(x + iy), where q is the ellipse deficit at
+    the point, which callers have already computed for their wall test.  The
+    constants of the geometry are taken once, and the arithmetic is that of
+    `log_weight_values`, without numpy, because the sampler calls the rule
+    once per proposal.
     """
     a = gas.a
     kind = gas.kind
-    if kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
-        return _log_power(a, float(ellipse_deficit(geometry, z)))
+    at_wall = _log_power(a, 0.0)
     if kind == PolyKind.CHEBYSHEV_T:
-        d = abs(1.0 - z * z)
-        return math.inf if d == 0.0 else -math.log(d)
-    if kind == PolyKind.CHEBYSHEV_V:
-        d = abs(1.0 + z)
-        return math.inf if d == 0.0 else -math.log(d)
-    q = float(one_minus_mu(geometry, z))
-    if kind == PolyKind.JACOBI_PLUS:
-        return _log_power(a, q)
-    d = abs(1.0 + z)
-    if d == 0.0:
-        return math.inf
-    return _log_power(a, q) - math.log(d)
+        def rule(x, y, q):
+            z = complex(x, y)
+            d = abs(1.0 - z * z)
+            return math.inf if d == 0.0 else -math.log(d)
+    elif kind == PolyKind.CHEBYSHEV_V:
+        def rule(x, y, q):
+            d = abs(complex(1.0 + x, y))
+            return math.inf if d == 0.0 else -math.log(d)
+    elif kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
+        def rule(x, y, q):
+            return at_wall if q <= 0.0 else a * math.log(q)
+    else:
+        # one_minus_mu: A^2 q / (A^2 + x + A |1+z|), A = semi_x
+        A = geometry.semi_x
+        A2 = A * A
+        minus = kind == PolyKind.JACOBI_MINUS
+
+        def rule(x, y, q):
+            d = abs(complex(1.0 + x, y))
+            q = A2 * q / (A2 + x + A * d)
+            lw = at_wall if q <= 0.0 else a * math.log(q)
+            if not minus:
+                return lw
+            return math.inf if d == 0.0 else lw - math.log(d)
+    return rule
+
+
+def log_weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:
+    """log w(z); -inf where the weight vanishes, +inf at singular points."""
+    x, y = z.real, z.imag
+    return log_weight_rule(gas, geometry)(x, y, float(ellipse_deficit(geometry, z)))
 
 
 def log_weight_values(gas: GasFamily, geometry: EllipseGeometry, zs) -> np.ndarray:

@@ -8,6 +8,7 @@ seed alone.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -15,9 +16,16 @@ import numpy as np
 
 from .correlations import DensityGrid, GridSpec
 from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight
+from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
+                       log_weight_rule)
 
 PRNG_ALGORITHM = "pcg64"
+# steps whose random numbers are drawn at once: bounded, so memory does not
+# grow with the steps
+DRAW_BLOCK = 2048
+# the normal double range, inside which a distance-ratio product is trusted
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -106,12 +114,47 @@ def _initial_configuration(geometry: EllipseGeometry, N: int, rng) -> np.ndarray
     return pts
 
 
+def _log_ratio(pts: list, j: int, znew: complex, lw_new: float, lw_old: float) -> float:
+    """`log_density` after particle j of pts moves to znew, minus before:
+
+    lw_new - lw_old + 2 log prod_{l != j} |znew - z_l| / |z_j - z_l|,
+
+    or -inf if znew coincides with another particle.  One log per call; a
+    product that leaves the normal double range falls back to
+    `_coulomb_log_ratio_fsum` (an intermediate product that only passes
+    through the subnormals is not caught).
+    """
+    zold = pts[j]
+    p = 1.0
+    for zl in pts[:j] + pts[j + 1:]:
+        p *= abs(znew - zl) / abs(zold - zl)
+    if _TINY <= p <= _HUGE:
+        return lw_new - lw_old + 2.0 * math.log(p)
+    coulomb = _coulomb_log_ratio_fsum(pts, j, znew)
+    return coulomb if coulomb == -math.inf else lw_new - lw_old + coulomb
+
+
+def _coulomb_log_ratio_fsum(pts: list, j: int, znew: complex) -> float:
+    """The Coulomb term of `_log_ratio` as an exactly rounded sum of logs;
+    -inf if znew coincides with another particle."""
+    zold = pts[j]
+    others = pts[:j] + pts[j + 1:]
+    d_new = [abs(znew - zl) for zl in others]
+    if 0.0 in d_new:
+        return -math.inf
+    return 2.0 * math.fsum([math.log(d) for d in d_new]
+                           + [-math.log(abs(zold - zl)) for zl in others])
+
+
 def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
               settings: ChainSettings):
     """Post-burn-in, thinned configurations of the N-particle chain.
 
     Returns (configurations, acceptance_rate); one step is one proposed
-    single-particle move.
+    single-particle move.  The step is scalar Python over a list of N
+    positions.  After the initial configuration, the random numbers come in
+    blocks of `DRAW_BLOCK` steps: particle indices, then Gaussian moves, then
+    uniforms, so the chain of a seed depends on that order.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -119,42 +162,70 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     sigma = settings.proposal_sigma
     if sigma is None:
         sigma = 0.15 * geometry.semi_y
-    pts = _initial_configuration(geometry, N, rng)
-    logw = np.array([log_weight(gas, geometry, z) for z in pts])
+    cx, cy = geometry.wall_coefficients
+    rule = log_weight_rule(gas, geometry)
+    pts = _initial_configuration(geometry, N, rng).tolist()
+    logw = [log_weight(gas, geometry, z) for z in pts]
+    steps, burn_in, thin = settings.steps, settings.burn_in, settings.thin
     out = []
     accepted = 0
     rejected_streak = 0
     warned = False
-    for step in range(settings.steps):
-        j = int(rng.integers(N))
-        dz = complex(*(sigma * rng.standard_normal(2)))
-        znew = pts[j] + dz
-        u = rng.random()       # drawn unconditionally to keep the stream aligned
-        if contains(geometry, znew):
-            lw_new = log_weight(gas, geometry, znew)
-            others = np.delete(pts, j)
-            d_new = np.abs(znew - others)
-            d_old = np.abs(pts[j] - others)
-            if np.any(d_new == 0.0):
-                log_ratio = -math.inf
-            else:
-                log_ratio = (lw_new - logw[j]
-                             + 2.0 * float(np.sum(np.log(d_new) - np.log(d_old))))
-            if metropolis_accept(log_ratio, u):
-                pts[j] = znew
-                logw[j] = lw_new
-                accepted += 1
-                rejected_streak = 0
+    step = 0
+    while step < steps:
+        size = min(DRAW_BLOCK, steps - step)
+        js = rng.integers(N, size=size).tolist()
+        moves = (sigma * rng.standard_normal((size, 2))).ravel().tolist()
+        us = rng.random(size).tolist()
+        for j, dx, dy, u in zip(js, moves[0::2], moves[1::2], us):
+            zold = pts[j]
+            x = zold.real + dx
+            y = zold.imag + dy
+            q = 1.0 - cx * x * x - cy * y * y
+            if q >= 0.0:      # the inclusive wall test of `contains`
+                znew = complex(x, y)
+                lw_new = rule(x, y, q)
+                if metropolis_accept(_log_ratio(pts, j, znew, lw_new, logw[j]), u):
+                    pts[j] = znew
+                    logw[j] = lw_new
+                    accepted += 1
+                    rejected_streak = 0
+                else:
+                    rejected_streak += 1
             else:
                 rejected_streak += 1
-        else:
-            rejected_streak += 1
-        if rejected_streak > 100_000 and not warned:
-            warnings.warn("zero-acceptance streak exceeded 1e5 steps", RuntimeWarning)
-            warned = True
-        if step >= settings.burn_in and (step - settings.burn_in) % settings.thin == 0:
-            out.append(pts.copy())
-    return out, accepted / settings.steps
+            if rejected_streak > 100_000 and not warned:
+                warnings.warn("zero-acceptance streak exceeded 1e5 steps", RuntimeWarning)
+                warned = True
+            if step >= burn_in and (step - burn_in) % thin == 0:
+                out.append(np.array(pts))
+            step += 1
+    return out, accepted / steps
+
+
+def integrated_autocorrelation(series, c: float = 5.0):
+    """(tau_int, ess) of a scalar observable along a chain.
+
+    tau_int = 1 + 2 sum_{t=1}^{M} rho(t), with rho the normalized
+    autocorrelation and M Sokal's automatic window, the smallest M with
+    M >= c tau_int(M) (Sokal 1997, c = 5); ess = n / tau_int.  In this
+    normalization an AR(1) series with coefficient r has tau_int =
+    (1 + r)/(1 - r), and independent draws have tau_int = 1.
+    """
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
+        raise DomainError("integrated_autocorrelation needs a finite 1-d series of >= 2 values")
+    n = x.size
+    x = x - x.mean()
+    nfft = 1 << (2 * n - 1).bit_length()      # zero padding: no wrap-around
+    f = np.fft.rfft(x, nfft)
+    acf = np.fft.irfft(f * f.conj(), nfft)[:n]
+    if not acf[0] > 0.0:
+        raise DomainError("a constant series has no autocorrelation time")
+    taus = 2.0 * np.cumsum(acf / acf[0]) - 1.0     # tau_int(M), M = 0..n-1
+    past = np.arange(n) >= c * taus
+    tau = float(taus[np.argmax(past)] if past.any() else taus[-1])
+    return tau, n / tau
 
 
 def density_chi_square(samples, kernel, grid: GridSpec, min_expected: float = 10.0):

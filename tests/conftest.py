@@ -36,3 +36,25 @@ def interior_points(geometry, n, rng, shrink=0.9):
                 and abs(z - 1) > 1e-3 and abs(z + 1) > 1e-3:
             pts.append(z)
     return pts
+
+
+def wall_points(geometry, n):
+    """n points whose ellipse deficit is exactly 0.0: from points spread over
+    the wall, y is stepped one ulp at a time toward the wall until it lands."""
+    import math
+
+    from ellipsegas import ellipse_deficit
+
+    pts = []
+    for theta in np.linspace(0.0, 2 * math.pi, 4 * n, endpoint=False):
+        x = geometry.semi_x * math.cos(theta)
+        y = geometry.semi_y * math.sin(theta)
+        for _ in range(64):
+            q = ellipse_deficit(geometry, complex(x, y))
+            if q == 0.0:
+                pts.append(complex(x, y))
+                break
+            y = math.nextafter(y, math.inf if (q > 0.0) == (y >= 0.0) else -math.inf)
+        if len(pts) == n:
+            return pts
+    raise AssertionError(f"found only {len(pts)} exact wall points")

@@ -20,8 +20,8 @@ from ellipsegas import (ChainSettings, EllipseGeometry, FiniteKernel, GasFamily,
                         edge_strong, edge_weak, edge_weak_minus_cosine,
                         edge_weak_minus_sine, ginibre_kernel, global_kernel_t,
                         global_kernel_u, global_kernel_v, global_rot_t,
-                        global_rot_u, global_rot_v, kernel_truncated,
-                        kernel_truncated_edge, log_squared_norms,
+                        global_rot_u, global_rot_v, integrated_autocorrelation,
+                        kernel_truncated, kernel_truncated_edge, log_squared_norms,
                         rule_for_gas, run_chain, sine_kernel, weight_values)
 from ellipsegas.polynomials import monic_scaled_sequence
 
@@ -336,9 +336,13 @@ def test_criterion_11_sampler_chi_square():
     grid = GridSpec((-geo.semi_x, geo.semi_x), (-geo.semi_y, geo.semi_y), 12, 12)
     chi2, dof = density_chi_square(samples, kern, grid)
     sigma = (chi2 - dof) / math.sqrt(2 * dof)
+    # the chi^2 treats the thinned configurations as independent; the ESS of
+    # sum |z_j|^2 says how far they are from it
+    tau, ess = integrated_autocorrelation([np.sum(np.abs(s) ** 2) for s in samples])
     elapsed = time.time() - t0
     ok = abs(sigma) <= 3.0 and elapsed < 300.0
     assert report(11, ok, f"chi2 {chi2:.1f} on {dof} bins = {sigma:+.2f} sigma, "
+                          f"ESS of sum|z|^2 {ess:.0f} of {len(samples)} (tau_int {tau:.2f}), "
                           f"acceptance {acceptance:.2f}, {elapsed:.0f}s"), \
         "sampler cross-check"
 

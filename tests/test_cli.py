@@ -95,6 +95,16 @@ def test_kernel_inadmissible_point_exits_2(tmp_path):
                 "--points", "0,0.9", "--output", str(tmp_path / "k.json")]) == 2
 
 
+@pytest.mark.parametrize("kind, points", [("sine", "nan,0"), ("ginibre", "inf,0"),
+                                          ("sine", "0,0,0,-inf")])
+def test_kernel_non_finite_point_exits_2(tmp_path, capsys, kind, points):
+    # a non-finite coordinate would reach the JSON as NaN or Infinity
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", kind, "--points", points, "--output", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernel_pair_points(tmp_path):
     out = tmp_path / "k.json"
     assert run(["kernel", "--kind", "bulk-weak", "--a", "1", "--s", "1",

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from ellipsegas import (DomainError, EllipseGeometry, GasFamily, PolyKind,
                         bulk_domain_contains, contains, edge_domain_contains,
-                        joukowsky, joukowsky_inverse, log_weight, log_weight_values,
-                        mu, one_minus_mu, weight, weight_values)
+                        ellipse_deficit, joukowsky, joukowsky_inverse, log_weight,
+                        log_weight_rule, log_weight_values, mu, one_minus_mu, weight,
+                        weight_values)
 
-from conftest import interior_points
+from conftest import interior_points, wall_points
 
 
 def test_geometry_invariants():
@@ -121,6 +122,48 @@ def test_log_weight_values_match_scalar_log_weight(rng):
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
                 np.testing.assert_allclose(weight_values(gas, geo, pts),
                                            [weight(gas, geo, z) for z in pts], rtol=1e-12)
+
+
+def test_scalar_log_weight_rule_matches_array_form(rng):
+    # the one scalar rule (which log_weight and the sampler call) against the
+    # numpy form: within 4 ulp, and exactly equal where the array gives +-inf.
+    # np.log, np.abs and their math counterparts may round apart by 1 ulp; a
+    # log whose argument moves by 1 ulp moves by about 1e-16 absolute, and
+    # jacobi-minus subtracts log|1+z| from a log q^a that can nearly cancel
+    # it, so the ulp is counted at a scale of at least 1 and of both terms
+    for tau in (1e-3, 0.3, 0.7, 0.99):
+        geo = EllipseGeometry(tau)
+        pts = interior_points(geo, 30, rng) + wall_points(geo, 8) + [1.0 + 0j, -1.0 + 0j]
+        for kind in PolyKind:
+            for a in ((-0.5, 0.0, 0.7, 2.5) if kind in (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS,
+                                                        PolyKind.JACOBI_MINUS) else (0.0,)):
+                gas = GasFamily(kind, a)
+                rule = log_weight_rule(gas, geo)
+                ref = log_weight_values(gas, geo, pts)
+                for z, want in zip(pts, ref):
+                    got = rule(z.real, z.imag, float(ellipse_deficit(geo, z)))
+                    assert log_weight(gas, geo, z) == got
+                    if math.isinf(want):
+                        assert got == want, (kind, a, tau, z)
+                    else:
+                        scale = max(1.0, abs(want))
+                        if kind == PolyKind.JACOBI_MINUS:
+                            scale = max(scale, abs(math.log(abs(1.0 + z))))
+                        assert abs(got - want) <= 4 * np.spacing(scale), (kind, a, tau, z)
+
+
+def test_log_weight_rule_flags_on_the_wall():
+    geo = EllipseGeometry(0.5)
+    for z in wall_points(geo, 4):
+        q = float(ellipse_deficit(geo, z))
+        assert q == 0.0
+        for kind in (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
+            for a, flag in ((-0.5, math.inf), (0.0, None), (2.5, -math.inf)):
+                got = log_weight_rule(GasFamily(kind, a), geo)(z.real, z.imag, q)
+                if flag is not None:
+                    assert got == flag
+                else:
+                    assert math.isfinite(got)
 
 
 def test_joukowsky_examples():

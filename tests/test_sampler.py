@@ -5,8 +5,12 @@ import pytest
 
 from ellipsegas import (ChainSettings, DomainError, EllipseGeometry, FiniteKernel,
                         GasFamily, GridSpec, PolyKind, contains, density_chi_square,
-                        empirical_density, log_density, log_weight, metropolis_accept,
+                        ellipse_deficit, empirical_density, integrated_autocorrelation,
+                        log_density, log_weight, log_weight_rule, metropolis_accept,
                         run_chain)
+from ellipsegas.sampler import DRAW_BLOCK, _coulomb_log_ratio_fsum, _log_ratio
+
+from conftest import interior_points, wall_points
 
 GAS = GasFamily(PolyKind.GEGENBAUER, 1.0)
 GEO = EllipseGeometry(0.5)
@@ -213,3 +217,144 @@ def test_zero_acceptance_streak_warns():
         samples, acc = run_chain(GAS, GEO, 3, settings)
     assert acc == 0.0
     assert len(samples) == 3
+
+
+def _step_gases():
+    for kind in (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
+        for a in (-0.9, 0.0, 2.5):
+            yield GasFamily(kind, a)
+    for kind in (PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_U, PolyKind.CHEBYSHEV_V):
+        yield GasFamily(kind)
+
+
+def _step_log_ratio(rule, geo, pts, j, znew):
+    """The chain's log-ratio for moving particle j of pts to znew, with the
+    log-weights the chain keeps."""
+    lw_old = rule(pts[j].real, pts[j].imag, float(ellipse_deficit(geo, pts[j])))
+    lw_new = rule(znew.real, znew.imag, float(ellipse_deficit(geo, znew)))
+    return _log_ratio(pts, j, znew, lw_new, lw_old)
+
+
+def test_step_log_ratio_equals_log_density_difference(rng):
+    # every family, a on both sides of 0, tau from 1e-3 to 0.99; proposals
+    # inside, exactly on the wall, onto the foci and z = -1 (the +-inf flags)
+    # and onto another particle
+    checked = {-math.inf: 0, math.inf: 0, "finite": 0}
+    for tau in (1e-3, 0.5, 0.99):
+        geo = EllipseGeometry(tau)
+        targets = interior_points(geo, 4, rng) + wall_points(geo, 3) + [1.0 + 0j, -1.0 + 0j]
+        for gas in _step_gases():
+            rule = log_weight_rule(gas, geo)
+            pts = interior_points(geo, 5, rng)
+            before = log_density(gas, geo, pts)
+            assert math.isfinite(before)
+            for j in range(len(pts)):
+                for znew in targets + [pts[(j + 1) % len(pts)]]:
+                    after = log_density(gas, geo, pts[:j] + [znew] + pts[j + 1:])
+                    got = _step_log_ratio(rule, geo, pts, j, znew)
+                    if math.isinf(after):
+                        assert got == after, (gas, tau, j, znew)
+                        checked[after] += 1
+                    else:
+                        scale = max(1.0, abs(before) + abs(after))
+                        assert abs(got - (after - before)) <= 1e-12 * scale, (gas, tau, j, znew)
+                        checked["finite"] += 1
+    assert min(checked.values()) > 50
+
+
+def test_step_log_ratio_fallback_on_underflowing_product():
+    # a particle moving into a tight cluster: each distance ratio is ~1e-6,
+    # so the product over the cluster underflows and the step sums logs
+    mpmath = pytest.importorskip("mpmath")
+    geo = EllipseGeometry(0.5)
+    cluster = [0.1 + 1e-6 * complex(math.cos(t), math.sin(t))
+               for t in np.linspace(0.0, 2 * math.pi, 60, endpoint=False)]
+    pts = cluster + [0.5 + 0.2j]
+    j, znew = len(pts) - 1, 0.1 + 0.5e-6j
+    p = 1.0
+    for zl in pts[:j]:
+        p *= abs(znew - zl) / abs(pts[j] - zl)
+    assert p < 2.2250738585072014e-308            # left the normal range
+    mpmath.mp.dps = 40
+    exact = 2 * mpmath.log(mpmath.fprod(abs(mpmath.mpc(znew) - mpmath.mpc(zl))
+                                        / abs(mpmath.mpc(pts[j]) - mpmath.mpc(zl))
+                                        for zl in pts[:j]))
+    got = _log_ratio(pts, j, znew, 0.0, 0.0)
+    assert got == _coulomb_log_ratio_fsum(pts, j, znew)
+    assert abs(got - float(exact)) <= 1e-12 * abs(float(exact))
+    gas = GasFamily(PolyKind.GEGENBAUER, 1.0)
+    after = log_density(gas, geo, pts[:j] + [znew])
+    before = log_density(gas, geo, pts)
+    rule = log_weight_rule(gas, geo)
+    assert _step_log_ratio(rule, geo, pts, j, znew) == pytest.approx(
+        after - before, rel=1e-12, abs=1e-12 * (abs(after) + abs(before)))
+    # and the fallback agrees with the product on ordinary configurations
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        pts = interior_points(geo, 8, rng)
+        znew = interior_points(geo, 1, rng)[0]
+        for j in range(8):
+            assert _log_ratio(pts, j, znew, 0.0, 0.0) == pytest.approx(
+                _coulomb_log_ratio_fsum(pts, j, znew), rel=1e-12, abs=1e-13)
+    assert _coulomb_log_ratio_fsum(pts, 0, pts[1]) == -math.inf
+    # a coincidence is -inf even onto a singular point of the weight
+    assert _log_ratio(pts, 0, pts[1], math.inf, 0.0) == -math.inf
+
+
+def _reference_chain(gas, geo, N, settings):
+    """run_chain with the acceptance ratio taken from log_density, on the
+    same random numbers: the same blocks of DRAW_BLOCK draws."""
+    rng = np.random.Generator(np.random.PCG64(settings.seed))
+    sigma = settings.proposal_sigma or 0.15 * geo.semi_y
+    from ellipsegas.sampler import _initial_configuration
+    pts = list(_initial_configuration(geo, N, rng))
+    out, accepted = [], 0
+    for start in range(0, settings.steps, DRAW_BLOCK):
+        size = min(DRAW_BLOCK, settings.steps - start)
+        js = rng.integers(N, size=size)
+        moves = sigma * rng.standard_normal((size, 2))
+        us = rng.random(size)
+        for k in range(size):
+            j = js[k]
+            new = pts[:j] + [pts[j] + complex(moves[k, 0], moves[k, 1])] + pts[j + 1:]
+            if contains(geo, new[j]) and metropolis_accept(
+                    log_density(gas, geo, new) - log_density(gas, geo, pts), us[k]):
+                pts = new
+                accepted += 1
+            step = start + k
+            if step >= settings.burn_in and (step - settings.burn_in) % settings.thin == 0:
+                out.append(np.array(pts))
+    return out, accepted / settings.steps
+
+
+def test_chain_matches_log_density_reference():
+    # across a block boundary, with proposals that leave the wall
+    gas = GasFamily(PolyKind.JACOBI_MINUS, -0.5)
+    geo = EllipseGeometry(0.7)
+    settings = ChainSettings(steps=DRAW_BLOCK + 1500, burn_in=300, thin=37,
+                             proposal_sigma=0.3, seed=17)
+    got, acc = run_chain(gas, geo, 4, settings)
+    ref, ref_acc = _reference_chain(gas, geo, 4, settings)
+    assert acc == ref_acc
+    assert 0.05 < acc < 0.95
+    assert len(got) == len(ref) == len(range(300, DRAW_BLOCK + 1500, 37))
+    for c1, c2 in zip(got, ref):
+        np.testing.assert_array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.9])
+def test_integrated_autocorrelation_ar1(r):
+    # AR(1), x_t = r x_{t-1} + e_t, has tau_int = (1 + r)/(1 - r)
+    from scipy.signal import lfilter
+    n = 1_000_000
+    e = np.random.default_rng(12).standard_normal(n)
+    x = lfilter([1.0], [1.0, -r], e)
+    tau, ess = integrated_autocorrelation(x)
+    assert tau == pytest.approx((1 + r) / (1 - r), rel=0.1)
+    assert ess == pytest.approx(n / tau, rel=1e-12)
+
+
+def test_integrated_autocorrelation_rejects_degenerate_series():
+    for bad in ([1.0], [2.0] * 10, [0.0, math.nan, 1.0], np.zeros((3, 3))):
+        with pytest.raises(DomainError):
+            integrated_autocorrelation(bad)
