@@ -120,9 +120,15 @@ def one_minus_mu(geometry: EllipseGeometry, z: complex):
     foci and vanishes exactly with the ellipse deficit on the wall.
     """
     x, y = z.real, z.imag
-    A = geometry.semi_x
-    r = np.hypot(1.0 + x, y)
-    return A * A * ellipse_deficit(geometry, z) / (A * A + x + A * r)
+    return _one_minus_mu_from(geometry.semi_x, x, np.hypot(1.0 + x, y),
+                              ellipse_deficit(geometry, z))
+
+
+def _one_minus_mu_from(A, x, r, q):
+    """1 - mu = A^2 q / (A^2 + x + A r), with A = semi_x, r = |1+z| and q the
+    ellipse deficit; scalar or array arithmetic alike, so that `one_minus_mu`
+    and the scalar rule of `log_weight_rule` share the one formula."""
+    return A * A * q / (A * A + x + A * r)
 
 
 def mu(geometry: EllipseGeometry, z: complex):
@@ -173,14 +179,12 @@ def log_weight_rule(gas: GasFamily, geometry: EllipseGeometry):
         def rule(x, y, q):
             return at_wall if q <= 0.0 else a * math.log(q)
     else:
-        # one_minus_mu: A^2 q / (A^2 + x + A |1+z|), A = semi_x
         A = geometry.semi_x
-        A2 = A * A
         minus = kind == PolyKind.JACOBI_MINUS
 
         def rule(x, y, q):
             d = abs(complex(1.0 + x, y))
-            q = A2 * q / (A2 + x + A * d)
+            q = _one_minus_mu_from(A, x, d, q)
             lw = at_wall if q <= 0.0 else a * math.log(q)
             if not minus:
                 return lw

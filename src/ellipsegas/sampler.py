@@ -26,6 +26,8 @@ DRAW_BLOCK = 2048
 # the normal double range, inside which a distance-ratio product is trusted
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
+# Sokal's automatic-window constant for integrated_autocorrelation
+_SOKAL_C = 5.0
 
 
 @dataclass(frozen=True)
@@ -203,14 +205,16 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     return out, accepted / steps
 
 
-def integrated_autocorrelation(series, c: float = 5.0):
+def integrated_autocorrelation(series):
     """(tau_int, ess) of a scalar observable along a chain.
 
     tau_int = 1 + 2 sum_{t=1}^{M} rho(t), with rho the normalized
     autocorrelation and M Sokal's automatic window, the smallest M with
     M >= c tau_int(M) (Sokal 1997, c = 5); ess = n / tau_int.  In this
     normalization an AR(1) series with coefficient r has tau_int =
-    (1 + r)/(1 - r), and independent draws have tau_int = 1.
+    (1 + r)/(1 - r), and independent draws have tau_int = 1.  A series whose
+    windowed tau_int is not positive, to rounding (strongly anti-correlated,
+    e.g. an alternating one), has no meaningful ESS and raises DomainError.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
@@ -223,8 +227,11 @@ def integrated_autocorrelation(series, c: float = 5.0):
     if not acf[0] > 0.0:
         raise DomainError("a constant series has no autocorrelation time")
     taus = 2.0 * np.cumsum(acf / acf[0]) - 1.0     # tau_int(M), M = 0..n-1
-    past = np.arange(n) >= c * taus
+    past = np.arange(n) >= _SOKAL_C * taus
     tau = float(taus[np.argmax(past)] if past.any() else taus[-1])
+    # below the rounding of the n-term sum, tau_int is indistinguishable from 0
+    if not tau > 4.0 * n * sys.float_info.epsilon:
+        raise DomainError(f"windowed tau_int = {tau:g} is not positive: no effective sample size")
     return tau, n / tau
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ellipsegas import (DomainError, EllipseGeometry, GasFamily, PolyKind,
                         bulk_domain_contains, contains, edge_domain_contains,
                         ellipse_deficit, joukowsky, joukowsky_inverse, log_weight,
-                        log_weight_rule, log_weight_values, mu, one_minus_mu, weight,
-                        weight_values)
+                        log_weight_values, mu, one_minus_mu, weight, weight_values)
+from ellipsegas.geometry import log_weight_rule
 
 from conftest import interior_points, wall_points
 

@@ -6,8 +6,8 @@ import pytest
 from ellipsegas import (ChainSettings, DomainError, EllipseGeometry, FiniteKernel,
                         GasFamily, GridSpec, PolyKind, contains, density_chi_square,
                         ellipse_deficit, empirical_density, integrated_autocorrelation,
-                        log_density, log_weight, log_weight_rule, metropolis_accept,
-                        run_chain)
+                        log_density, log_weight, metropolis_accept, run_chain)
+from ellipsegas.geometry import log_weight_rule
 from ellipsegas.sampler import DRAW_BLOCK, _coulomb_log_ratio_fsum, _log_ratio
 
 from conftest import interior_points, wall_points
@@ -358,3 +358,11 @@ def test_integrated_autocorrelation_rejects_degenerate_series():
     for bad in ([1.0], [2.0] * 10, [0.0, math.nan, 1.0], np.zeros((3, 3))):
         with pytest.raises(DomainError):
             integrated_autocorrelation(bad)
+
+
+@pytest.mark.parametrize("series", [[0.0, 1.0], [1.0, -1.0] * 50, [-1.0, 1.0] * 51])
+def test_integrated_autocorrelation_rejects_nonpositive_tau(series):
+    # [0, 1] has rho(1) = -1/2, so tau_int(1) = 0; an alternating series
+    # has rho(1) near -1 and a windowed tau_int below 0
+    with pytest.raises(DomainError):
+        integrated_autocorrelation(series)
