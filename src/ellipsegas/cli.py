@@ -2,7 +2,8 @@
 studies, orthogonality audits, Monte Carlo sampling.
 
 All output is deterministic: identical flags (and seed) produce byte-identical
-files.  Floats are rendered with repr(), the shortest round-trip decimal.
+files.  Floats are rendered with repr(), the shortest round-trip decimal, and JSON
+is strict: a non-finite value is never written as NaN or Infinity.
 Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
 """
 
@@ -43,6 +44,14 @@ _REFERENCE_KINDS = {
     "truncated-limit": ("kernel_truncated_limit", ("a",)),
     "elliptic-ginibre": ("kernel_elliptic_ginibre", ("tau", "N")),
 }
+
+# the value by which the a < 0 kernels flag their integrable hard-edge
+# divergence; the kernel command writes it as "re": null, "divergent": true
+_DIVERGENT = complex(math.inf, 0.0)
+
+# strict JSON: a non-finite float raises ValueError, so the command exits 2.
+# One encoder serves every line; json.dumps would build one per call.
+_dumps = json.JSONEncoder(allow_nan=False).encode
 
 
 def _threads_cap() -> int:
@@ -90,7 +99,7 @@ def _grid_json(grid: DensityGrid, rescale: str) -> str:
         "rescale": rescale,
         "values": grid.values.ravel(order="C").tolist(),
     }
-    return json.dumps(payload) + "\n"
+    return _dumps(payload) + "\n"
 
 
 def cmd_density(args) -> int:
@@ -143,9 +152,13 @@ def cmd_kernel(args) -> int:
     rows = []
     for z1, z2 in pairs:
         val = complex(kernel(z1, z2))
-        rows.append({"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag],
-                     "re": val.real, "im": val.imag})
-    _write_text(args.output, json.dumps({"kind": args.kind, "values": rows}) + "\n")
+        row = {"z1": [z1.real, z1.imag], "z2": [z2.real, z2.imag]}
+        if val == _DIVERGENT:
+            row.update(re=None, im=None, divergent=True)
+        else:
+            row.update(re=val.real, im=val.imag)
+        rows.append(row)
+    _write_text(args.output, _dumps({"kind": args.kind, "values": rows}) + "\n")
     return EXIT_OK
 
 
@@ -182,7 +195,7 @@ def cmd_converge(args) -> int:
     ys = np.log([max(r["sup_discrepancy"], 1e-300) for r in rows])
     slope = float(np.polyfit(np.log(schedule), ys, 1)[0])
     payload = {"study": args.study, "rows": rows, "fitted_decay_exponent": slope}
-    _write_text(args.output, json.dumps(payload) + "\n")
+    _write_text(args.output, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -202,7 +215,7 @@ def cmd_orthocheck(args) -> int:
         "max_degree": args.max_degree,
         "max_offdiagonal": off, "max_diagonal_error": dia,
     }
-    _write_text(args.output, json.dumps(payload) + "\n")
+    _write_text(args.output, _dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -212,7 +225,7 @@ def cmd_sample(args) -> int:
     settings = ChainSettings(steps=args.steps, burn_in=args.burn_in, thin=args.thin,
                              proposal_sigma=args.sigma, seed=args.seed)
     samples, acceptance = run_chain(gas, geo, args.N, settings)
-    lines = [json.dumps({"points": [[z.real, z.imag] for z in conf]}) for conf in samples]
+    lines = [_dumps({"points": [[z.real, z.imag] for z in conf]}) for conf in samples]
     grid = GridSpec((-geo.semi_x, geo.semi_x), (-geo.semi_y, geo.semi_y), 12, 12)
     kernel = FiniteKernel(gas, geo, args.N)
     chi2, dof = density_chi_square(samples, kernel, grid)
@@ -220,7 +233,7 @@ def cmd_sample(args) -> int:
                "acceptance_rate": acceptance, "chi_square": chi2, "dof": dof,
                "sigma_units": (chi2 - dof) / math.sqrt(2 * dof) if dof else None,
                "configurations": len(samples)}
-    lines.append(json.dumps({"summary": summary}))
+    lines.append(_dumps({"summary": summary}))
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -6,12 +6,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .geometry import EllipseGeometry, GasFamily, ellipse_deficit, log_weight_values
 from .kernels_finite import FiniteKernel
 from .polynomials import log_squared_norms
+from .specialfns import ln_gamma
 
 
 def correlation_k(kernel, points) -> float:
@@ -130,4 +130,4 @@ def log_partition(gas: GasFamily, geometry: EllipseGeometry, N: int) -> float:
     """ln Z_N = ln N! + sum_{n<N} ln h_n (beta = 2 determinantal identity)."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    return float(gammaln(N + 1) + np.sum(log_squared_norms(gas, geometry, N - 1)))
+    return float(ln_gamma(N + 1) + np.sum(log_squared_norms(gas, geometry, N - 1)))

@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import DomainError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
                        log_weight_values)
 from .polynomials import (_LN2, _coefficients, _steps, log_monic_factors, log_squared_norms,
                           scaled_sequence)
+from .quadrature import _gauss_rule
+from .specialfns import ln_gamma
 
 # the streamed sum rescales a point's recurrence pair outside [2^-250, 2^250],
 # so the square of a value stays finite after any in-domain step
@@ -147,7 +148,7 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
     if not (a > -1 and N >= 1 and abs(z1) < 1 and abs(z2) < 1):
         raise DomainError("kernel_truncated requires a > -1, N >= 1 and |z| < 1")
     n = np.arange(N)
-    lg = gammaln(n + a + 2) - gammaln(a + 1) - gammaln(n + 1)
+    lg = ln_gamma(n + a + 2) - ln_gamma(a + 1) - ln_gamma(n + 1)
     q = z1 * np.conj(z2)
     s = complex(np.sum(np.exp(lg) * q ** n)) / math.pi
     return (1 - abs(z1) ** 2) ** (a / 2) * (1 - abs(z2) ** 2) ** (a / 2) * s
@@ -175,11 +176,11 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex, nodes: int = 64) -
     if X1 * X2 == 0.0 and a < 0:
         return complex(math.inf, 0.0)
     beta = 0.5 * (X1 + X2) + 0.5j * (Y1 - Y2)
-    xj, wj = roots_jacobi(nodes, 0.0, a + 1.0)
+    xj, wj = _gauss_rule("jacobi", nodes, 0.0, a + 1.0)
     c = (xj + 1.0) / 2.0
     w = wj / 2.0 ** (a + 2.0)                 # sum w F(c) = int_0^1 c^{a+1} F dc
     integral = complex(np.sum(w * np.exp(-c * beta)))
-    pref = (X1 * X2) ** (a / 2) / (4.0 * math.pi) * math.exp(-gammaln(a + 1))
+    pref = (X1 * X2) ** (a / 2) / (4.0 * math.pi) * math.exp(-ln_gamma(a + 1))
     return pref * integral
 
 
@@ -192,7 +193,7 @@ def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> com
     u2 = np.conj(z2) / math.sqrt(2 * tau)
     h1, h2 = _hermite_seq(N - 1, u1), _hermite_seq(N - 1, u2)
     n = np.arange(N)
-    coef = np.exp(n * math.log(tau / 2) - gammaln(n + 1))
+    coef = np.exp(n * math.log(tau / 2) - ln_gamma(n + 1))
     s = complex(np.sum(coef * h1 * h2))
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
     pref = math.exp(-(x1 * x1 + x2 * x2) / (2 * (1 + tau))

@@ -17,15 +17,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, jv
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, _log_power, bulk_domain_contains,
                        edge_domain_contains, joukowsky_inverse)
-from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, integrate_c
-from .specialfns import W_MAX, log_i_ratio
+from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
+                         integrate_c)
+from .specialfns import W_MAX, ln_gamma, log_i_ratio
 
 _DEFAULT = QuadratureSpec()
+# Bessel-ratio node arrays kept per process; each is 0.5-5 kB
+_RATIO_CACHE = 64
 
 
 def _quad(spec, a: float) -> QuadratureSpec:
@@ -33,6 +35,14 @@ def _quad(spec, a: float) -> QuadratureSpec:
         spec = _DEFAULT
     return QuadratureSpec(spec.radial_nodes, spec.angular_nodes, spec.c_nodes,
                           singularity_exponent=a)
+
+
+@functools.lru_cache(maxsize=_RATIO_CACHE)
+def _node_log_ratio(nu: float, s: float, rule: tuple) -> np.ndarray:
+    """Read-only log_i_ratio(nu, c s) at the nodes c of `_gauss_rule(*rule)`."""
+    lr = log_i_ratio(nu, _gauss_rule(*rule)[0] * s)
+    lr.flags.writeable = False
+    return lr
 
 
 def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
@@ -47,7 +57,7 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
     divergence flagged as inf.
     """
-    lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - gammaln(a + 1)
+    lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
     for q in walls:
         lpref += _log_power(0.5 * a, q)
     if lpref == -math.inf:
@@ -55,10 +65,13 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     if lpref == math.inf:
         return complex(math.inf, 0.0)
 
-    def g(c):
-        return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
+    quad = _quad(spec, a)
+    lr = _node_log_ratio(a + 0.5, s, _c_rule(domain, quad, **half_line))
 
-    return complex(integrate_c(g, domain, _quad(spec, a), **half_line))
+    def g(c):
+        return np.exp(lr + lpref) * f(c)
+
+    return complex(integrate_c(g, domain, quad, **half_line))
 
 
 def sine_kernel(x1: float, x2: float) -> float:
@@ -117,10 +130,11 @@ def bulk_strong(a: float, z1: complex, z2: complex,
 
 def _phi(nu: float, c, root: complex) -> np.ndarray:
     """J_nu(c*root) * (c*root)^{-nu}, an even (entire) function of root."""
+    from scipy.special import jv
     u = c * complex(root)
     with np.errstate(all="ignore"):
         val = jv(nu, u) * np.exp(-nu * np.log(u))
-    return np.where(u == 0, 0.5 ** nu * math.exp(-gammaln(nu + 1)), val)
+    return np.where(u == 0, 0.5 ** nu * math.exp(-ln_gamma(nu + 1)), val)
 
 
 def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
@@ -182,7 +196,7 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     if Z1.real * Z2.real == 0.0 and a < 0:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
-    pref = (Z1.real * Z2.real) ** (a / 2) / (4.0 * math.pi) * math.exp(-gammaln(a + 1))
+    pref = (Z1.real * Z2.real) ** (a / 2) / (4.0 * math.pi) * math.exp(-ln_gamma(a + 1))
     if abs(beta) < 1e-14:
         return pref / (a + 2.0)
     return pref * _lower_gamma_ratio(a + 2.0, beta)

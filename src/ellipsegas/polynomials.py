@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind
+from .specialfns import ln_gamma
 
 _LN2 = math.log(2.0)
 _RESCALE_HI = 2.0 ** 500
@@ -240,11 +240,11 @@ def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
     a = family.a
     kind = family.kind
     if kind is PolyKind.GEGENBAUER:
-        return gammaln(a + 1) + gammaln(n + 1) - gammaln(n + a + 1) - n * _LN2
+        return ln_gamma(a + 1) + ln_gamma(n + 1) - ln_gamma(n + a + 1) - n * _LN2
     if kind is PolyKind.JACOBI_PLUS:
-        return n * _LN2 + gammaln(n + 1) + gammaln(n + a + 2) - gammaln(2 * n + a + 2)
+        return n * _LN2 + ln_gamma(n + 1) + ln_gamma(n + a + 2) - ln_gamma(2 * n + a + 2)
     if kind is PolyKind.JACOBI_MINUS:
-        return n * _LN2 + gammaln(n + 1) + gammaln(n + a + 1) - gammaln(2 * n + a + 1)
+        return n * _LN2 + ln_gamma(n + 1) + ln_gamma(n + a + 1) - ln_gamma(2 * n + a + 1)
     if kind is PolyKind.CHEBYSHEV_T:
         return np.where(n == 0, 0.0, (1 - n) * _LN2)
     # U and V: leading coefficient 2^n
@@ -285,8 +285,9 @@ def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> 
     if kind is PolyKind.GEGENBAUER:
         mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a), n_max, 1.0 / tau)
         lc = logs[:, 0] + np.log(mant[:, 0].real)  # positive for argument > 1
-        g1 = gammaln(a + 1) + gammaln(n + 1) - gammaln(n + a + 2) - n * _LN2
-        g2 = gammaln(a + 1) + gammaln(n + 1) - gammaln(n + a + 1) - n * _LN2
+        lg = ln_gamma(a + 1) + ln_gamma(n + 1)
+        g1 = lg - ln_gamma(n + a + 2) - n * _LN2
+        g2 = lg - ln_gamma(n + a + 1) - n * _LN2
         pref = math.log(math.pi * math.sqrt(1 - tau * tau) / (2 * tau))
         return g1 + g2 + pref + lc
     if kind in (PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
@@ -298,10 +299,10 @@ def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> 
         lk = log_monic_factors(gas.family, n_max)
         half = math.log(2.0) if plus else 0.0
         off = 2 if plus else 1
-        lg = gammaln(n + (1.5 if plus else 0.5))
+        lg = ln_gamma(n + (1.5 if plus else 0.5))
         lh_raw = (math.log(2.0) + half + 0.5 * math.log((1 - tau) / (2 * tau))
-                  + 2.0 * lg + 2.0 * gammaln(a + 1)
-                  - np.log(2 * n + a + off) - 2.0 * gammaln(n + a + off) + lc)
+                  + 2.0 * lg + 2.0 * ln_gamma(a + 1)
+                  - np.log(2 * n + a + off) - 2.0 * ln_gamma(n + a + off) + lc)
         return 2.0 * lk + lh_raw
     if kind is PolyKind.CHEBYSHEV_T:
         ns = np.maximum(n, 1)

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError, TailDivergenceError
 from .geometry import EllipseGeometry, GasFamily, PolyKind
 
 UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
+# Gauss rules kept per process; each is a few kB
+_RULE_CACHE = 128
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,58 @@ class QuadratureSpec:
             raise DomainError("singularity exponent must exceed -1")
 
 
+def _read_only(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=_RULE_CACHE)
+def _gauss_rule(kind: str, n: int, *params: float):
+    """Read-only (nodes, weights) of one Gauss rule, built once per process.
+
+    "legendre": n-node Gauss-Legendre on [-1, 1].  "jacobi", params
+    (alpha, beta): n-node Gauss-Jacobi for the weight (1-x)^alpha (1+x)^beta.
+    UNIT_INTERVAL: the n-node Legendre rule moved to [0, 1].  HALF_LINE,
+    params (truncation, panel): the max(16, n // 4)-node Legendre rule on
+    each panel of [0, truncation], nodes as one flat array and weights as
+    [panels, nodes].
+    """
+    if kind == "legendre":
+        from scipy.special import roots_legendre
+        return _read_only(*roots_legendre(n))
+    if kind == "jacobi":
+        from scipy.special import roots_jacobi
+        return _read_only(*roots_jacobi(n, *params))
+    if kind == UNIT_INTERVAL:
+        x, w = _gauss_rule("legendre", n)
+        return _read_only((x + 1.0) / 2.0, w / 2.0)
+    truncation, panel = params
+    x, w = _gauss_rule("legendre", max(16, n // 4))
+    edges = [0.0]
+    while edges[-1] < truncation:
+        edges.append(min(edges[-1] + panel, truncation))
+    t0, t1 = np.array(edges[:-1]), np.array(edges[1:])
+    tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
+    return _read_only((tm[:, None] + th[:, None] * x).ravel(), np.outer(th, w))
+
+
+def _c_rule(domain: str, spec: QuadratureSpec, truncation: float | None = None,
+            panel: float = 5.0) -> tuple:
+    """The `_gauss_rule` arguments of integrate_c's rule on `domain`."""
+    if domain == UNIT_INTERVAL:
+        return UNIT_INTERVAL, spec.c_nodes
+    if domain != HALF_LINE:
+        raise DomainError(f"unknown domain {domain!r}")
+    if truncation is None:
+        truncation = max(50.0, 5.0 * (spec.singularity_exponent + 2.0))
+    return HALF_LINE, spec.c_nodes, truncation, panel
+
+
 @lru_cache(maxsize=64)
 def _disc_rule(tau: float, a: float, nr: int, nth: int):
     geo = EllipseGeometry(tau)
-    xj, wj = roots_jacobi(nr, a, 0.0)
+    xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
     t = (xj + 1.0) / 2.0                      # t = r^2
     wt = wj / 2.0 ** (a + 1.0)                # sum wt F(t) = int (1-t)^a F dt
     th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
@@ -69,7 +118,7 @@ def _disc_rule(tau: float, a: float, nr: int, nth: int):
 def _annulus_rule(tau: float, a: float, nr: int, nth: int):
     geo = EllipseGeometry(tau)
     v = geo.v
-    xj, wj = roots_jacobi(nr, a, 0.0)
+    xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
     rho = 1.0 + (xj + 1.0) / 2.0 * (v - 1.0)
     wr = wj * ((v - 1.0) / 2.0) ** (a + 1.0)  # sum wr F = int_1^v (v-rho)^a F
     ph = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
@@ -112,36 +161,21 @@ def integrate_ellipse(f, geometry: EllipseGeometry, spec: QuadratureSpec,
     return complex(np.sum(w * vals))
 
 
-def _unit_nodes(n: int):
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None = None,
                 panel: float = 5.0) -> complex:
     """Integrate g over c in [0,1] or t in [0,inf) (paneled, truncated).
 
     Half-line truncation defaults to max(50, 5*(a+2)) with a the spec's
     singularity exponent; the final panel must be negligible or the
-    integrand is flagged as non-decaying.
+    integrand is flagged as non-decaying.  g sees the nodes as one flat
+    array, the same read-only array on every call with the same rule.
     """
+    c, w = _gauss_rule(*_c_rule(domain, spec, truncation, panel))
+    vals = np.asarray(g(c), dtype=complex)
     if domain == UNIT_INTERVAL:
-        c, w = _unit_nodes(spec.c_nodes)
-        vals = np.asarray(g(c), dtype=complex)
         return complex(np.sum(w * vals))
-    if domain != HALF_LINE:
-        raise DomainError(f"unknown domain {domain!r}")
-    if truncation is None:
-        truncation = max(50.0, 5.0 * (spec.singularity_exponent + 2.0))
-    x, w = roots_legendre(max(16, spec.c_nodes // 4))
-    edges = [0.0]
-    while edges[-1] < truncation:
-        edges.append(min(edges[-1] + panel, truncation))
-    t0, t1 = np.array(edges[:-1]), np.array(edges[1:])
-    tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
-    # one composite rule, [panels, nodes]; g sees its nodes as one flat array
-    vals = np.asarray(g((tm[:, None] + th[:, None] * x).ravel()), dtype=complex)
-    parts = np.sum(np.outer(th, w) * vals.reshape(len(th), -1), axis=1).tolist()
+    # one composite rule, weights [panels, nodes]
+    parts = np.sum(w * vals.reshape(w.shape), axis=1).tolist()
     total = 0.0 + 0.0j
     for part in parts:
         total += part

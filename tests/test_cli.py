@@ -304,3 +304,70 @@ def test_converge_malformed_schedule_exits_2(tmp_path, study, schedule):
 def test_density_non_finite_range_exits_2(tmp_path, bound, value):
     assert run(["density", "--tau", "0.5", "--N", "3", f"{bound}={value}",
                 "--output", str(tmp_path / "d.csv")]) == 2
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(const):
+        raise ValueError(f"non-strict JSON: {const}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("kind", ["edge-strong", "bessel"])
+def test_kernel_hard_edge_divergence_is_strict_json(tmp_path, kind):
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", kind, "--a", "-0.5", "--points", "0,0;1,0",
+                "--output", str(out)]) == 0
+    flagged, finite = _strict_json(out.read_text())["values"]
+    assert flagged == {"z1": [0.0, 0.0], "z2": [0.0, 0.0], "re": None, "im": None,
+                       "divergent": True}
+    assert set(finite) == {"z1", "z2", "re", "im"} and finite["re"] > 0
+
+
+def test_kernel_non_finite_value_exits_2(tmp_path, capsys, monkeypatch):
+    from ellipsegas import kernels_limit
+    monkeypatch.setattr(kernels_limit, "sine_kernel", lambda x1, x2: math.nan)
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", "sine", "--points", "0,0", "--output", str(out)]) == 2
+    assert "JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_finite_commands_never_load_scipy(tmp_path):
+    # a fresh interpreter: density, sample and the finite/reference kernel
+    # kinds run without scipy; a limit kernel loads it on first use
+    import os
+    import subprocess
+    import sys
+
+    import ellipsegas
+    out = tmp_path / "out.json"
+    script = f"""
+import json, sys
+import ellipsegas, ellipsegas.cli as cli
+out = {str(out)!r}
+for argv in (["density", "--family", "jacobi-plus", "--a", "0.5", "--tau", "0.5", "--N", "6",
+              "--nx", "5", "--ny", "5", "--format", "json"],
+             ["sample", "--family", "gegenbauer", "--a", "1", "--tau", "0.5", "--N", "4",
+              "--steps", "2000", "--burn-in", "200", "--thin", "10", "--seed", "3"],
+             ["kernel", "--kind", "finite", "--family", "jacobi-minus", "--a", "0.3",
+              "--tau", "0.6", "--N", "40", "--points", "0.1,0.2"],
+             ["kernel", "--kind", "truncated", "--a", "0.3", "--N", "12", "--points", "0.1,0.2"],
+             ["kernel", "--kind", "truncated-limit", "--a", "0.3", "--points", "0.1,0.2"],
+             ["kernel", "--kind", "elliptic-ginibre", "--tau", "0.4", "--N", "12",
+              "--points", "0.1,0.2"]):
+    assert cli.main(argv + ["--output", out]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert cli.main(["kernel", "--kind", "bulk-weak", "--a", "1", "--s", "1",
+                 "--points", "0.3,0.2,0,0", "--output", out]) == 0
+row = json.load(open(out))["values"][0]
+assert complex(row["re"], row["im"]) == ellipsegas.bulk_weak(1.0, 1.0, 0.3 + 0.2j, 0j)
+assert "scipy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellipsegas.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

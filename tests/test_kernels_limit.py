@@ -12,8 +12,11 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         ginibre_kernel, global_kernel_t, global_kernel_u,
                         global_kernel_v, global_rot_t, global_rot_u, global_rot_v,
                         kernel_truncated_edge, make_kernel, sine_kernel)
-from ellipsegas.kernels_limit import _edge_weak_with_roots
-from ellipsegas.specialfns import bessel_j
+from ellipsegas import kernels_limit
+from ellipsegas.geometry import _log_power
+from ellipsegas.kernels_limit import _edge_weak_with_roots, _node_log_ratio
+from ellipsegas.quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule, integrate_c
+from ellipsegas.specialfns import bessel_j, ln_gamma, log_i_ratio
 
 B_OF = lambda a: math.sqrt(math.pi) * math.exp(math.lgamma(a + 1.5) - math.lgamma(a + 2.0))
 
@@ -562,3 +565,67 @@ def test_global_v_matches_independent_fsum_of_its_series():
            / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2.conjugate())))
     got = global_kernel_v(tau, z1, z2)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+# ------------------------------------------------------------------ node caches
+
+def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, **half_line):
+    """The Bessel-ratio integral with log_i_ratio run on every call."""
+    lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
+    for q in walls:
+        lpref += _log_power(0.5 * a, q)
+
+    def g(c):
+        return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
+
+    return complex(integrate_c(g, domain, QuadratureSpec(singularity_exponent=a),
+                               **half_line))
+
+
+def _uncached_bulk_weak(a, s, z1, z2):
+    d = z1 - z2.conjugate()
+    walls = (1.0 - 4.0 * z1.imag ** 2 / s ** 2, 1.0 - 4.0 * z2.imag ** 2 / s ** 2)
+    return _uncached_ratio_integral(a, s, walls, lambda c: np.cos(c * d), math.log(2.0))
+
+
+def _uncached_bulk_strong(a, z1, z2):
+    d = z1 - z2.conjugate()
+    walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
+    T = max(50.0, 5.0 * (a + 2.0))
+    return _uncached_ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), math.log(2.0),
+                                    HALF_LINE, truncation=T,
+                                    panel=min(5.0, max(1.0, T / 40.0)))
+
+
+_CACHE_POINTS = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j, 1.3 + 0.3j, -0.9 - 0.25j, 0.0j]
+
+
+@pytest.mark.parametrize("kind, a, s, uncached", [
+    ("bulk-weak", 0.37, 1.31, _uncached_bulk_weak),
+    ("bulk-strong", -0.43, None, lambda a, s, z1, z2: _uncached_bulk_strong(a, z1, z2))])
+def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind, a, s,
+                                                              uncached):
+    calls = []
+
+    def counting(nu, x):
+        calls.append(nu)
+        return log_i_ratio(nu, x)
+
+    _node_log_ratio.cache_clear()
+    monkeypatch.setattr(kernels_limit, "log_i_ratio", counting)
+    kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
+    pairs = [(z1, z2) for z1 in _CACHE_POINTS for z2 in _CACHE_POINTS[:4]]
+    values = [kern(z1, z2) for z1, z2 in pairs]
+    assert len(values) == 24 and calls == [a + 0.5]
+    monkeypatch.undo()
+    for (z1, z2), val in zip(pairs, values):
+        assert val == uncached(a, s, z1, z2)
+
+
+def test_cached_node_log_ratios_are_read_only():
+    bulk_weak(0.5, 1.0, 0.2j, 0.1)
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec(singularity_exponent=0.5))
+    lr = _node_log_ratio(1.0, 1.0, rule)
+    with pytest.raises(ValueError):
+        lr[0] = 0.0
+    assert np.array_equal(lr, log_i_ratio(1.0, _gauss_rule(*rule)[0] * 1.0))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from ellipsegas import (EllipseGeometry, FiniteKernel, GasFamily, HALF_LINE,
+from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, HALF_LINE,
                         PolyKind, QuadratureSpec, TailDivergenceError,
                         UNIT_INTERVAL, integrate_c, integrate_ellipse,
                         rule_for_gas, weight)
 from ellipsegas.polynomials import log_squared_norms, monic_scaled_sequence
-from ellipsegas.quadrature import ellipse_rule
+from ellipsegas.quadrature import _c_rule, _gauss_rule, ellipse_rule
 
 from conftest import gas_cases
 
@@ -195,3 +195,43 @@ def test_rule_is_deterministic():
     z1, w1 = ellipse_rule(geo, spec)
     z2, w2 = ellipse_rule(geo, spec)
     assert np.array_equal(z1, z2) and np.array_equal(w1, w2)
+
+
+@pytest.mark.parametrize("rule", [(UNIT_INTERVAL, 64), (HALF_LINE, 64, 50.0, 1.25),
+                                  ("legendre", 16), ("jacobi", 64, 0.0, 1.5)])
+def test_cached_rules_are_read_only_and_shared(rule):
+    nodes, weights = _gauss_rule(*rule)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    again = _gauss_rule(*rule)
+    assert again[0] is nodes and again[1] is weights
+
+
+def test_cached_rules_equal_a_fresh_build():
+    from scipy.special import roots_jacobi
+    x, w = roots_legendre(64)
+    c, wc = _gauss_rule(UNIT_INTERVAL, 64)
+    assert np.array_equal(c, (x + 1.0) / 2.0) and np.array_equal(wc, w / 2.0)
+    xj, wj = roots_jacobi(64, 0.0, 1.5)
+    cj, wcj = _gauss_rule("jacobi", 64, 0.0, 1.5)
+    assert np.array_equal(cj, xj) and np.array_equal(wcj, wj)
+
+
+def test_integrate_c_passes_the_cached_nodes():
+    seen = []
+
+    def g(c):
+        seen.append(c)
+        return np.exp(-c)
+
+    spec = QuadratureSpec(16, 16, 64)
+    integrate_c(g, UNIT_INTERVAL, spec)
+    integrate_c(g, HALF_LINE, spec, truncation=50.0, panel=1.25)
+    assert seen[0] is _gauss_rule(*_c_rule(UNIT_INTERVAL, spec))[0]
+    assert seen[1] is _gauss_rule(HALF_LINE, 64, 50.0, 1.25)[0]
+    # the default truncation is max(50, 5(a+2)) of the spec's exponent
+    assert _c_rule(HALF_LINE, QuadratureSpec(c_nodes=32, singularity_exponent=9.0)) == (
+        HALF_LINE, 32, 55.0, 5.0)
+    with pytest.raises(DomainError):
+        _c_rule("circle", spec)

@@ -170,3 +170,46 @@ def test_log_i_ratio_array_equals_scalar_calls(nu):
 def test_log_i_ratio_array_rejects_negative_entry():
     with pytest.raises(DomainError):
         log_i_ratio(1.5, np.array([0.5, -1e-3]))
+
+
+@pytest.mark.parametrize("a", [-0.999, -0.6, -0.5, -0.1, 0.0, 0.5, 1.0, 1.7, 2.999])
+def test_ln_gamma_array_matches_scipy_on_n_plus_c(a):
+    from scipy.special import gammaln
+    n = np.arange(10_001)
+    eps = np.finfo(float).eps
+    for c in (a + 1, a + 2, a + 0.5, 2 * n + a + 1):
+        x = n + c
+        x = x[x > 0]    # a + 1/2 <= 0 when a <= -1/2
+        got, ref = ln_gamma(x), gammaln(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert np.all(np.abs(got - ref) <= 8 * eps * np.maximum(1.0, np.abs(ref)))
+
+
+def test_ln_gamma_array_keeps_shape_and_extremes():
+    x = np.array([[5e-324, 0.5, 12.999], [13.0, 1e200, math.inf]])
+    got = ln_gamma(x)
+    assert got.shape == x.shape
+    # below 13 and past 1e150 the entries are math.lgamma's; 13 runs the series
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)):
+        assert got[i, j] == math.lgamma(x[i, j])
+    assert got[1, 0] == pytest.approx(math.lgamma(13.0), rel=4e-16)
+    assert ln_gamma(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [2.5, -1.5], [math.nan, 3.0], [20.0, math.nan],
+                                 [[14.0, 15.0], [16.0, -1e-300]], [-math.inf]])
+def test_ln_gamma_array_rejects_nonpositive_or_nan(bad):
+    with pytest.raises(DomainError):
+        ln_gamma(np.array(bad))
+
+
+@pytest.mark.parametrize("x", [1e-300, 0.3, 1.0, 2.5, 12.9, 13.0, 40.5, 1e4 + 0.25, 1e200])
+def test_ln_gamma_scalar_is_math_lgamma(x):
+    got = ln_gamma(x)
+    assert type(got) is float and got == math.lgamma(x)
+    assert ln_gamma(np.float64(x)) == math.lgamma(x)
+
+
+def test_ln_gamma_scalar_rejects_nan():
+    with pytest.raises(DomainError):
+        ln_gamma(math.nan)
