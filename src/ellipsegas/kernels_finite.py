@@ -7,20 +7,24 @@ because the coefficients are real.  Each term is carried as a mantissa and an
 exponent and the sum is aligned to its largest exponent, so evaluation stays
 finite arbitrarily close to the wall and for N ~ 10^4.  One point pair runs
 the plain-Python recurrence of `scaled_sequence`, one table per distinct
-point.  A batch streams the orthonormal recurrence M_n/sqrt(h_n) degree by
-degree, vectorized over the points, and never holds an [N, points] table.
+point.  A kernel keeps the checked table of each of the last `_STORE_POINTS`
+points it was asked for, so a k-point determinant runs k recurrences; at 24 B
+per term the store holds at most about 7.7 MB at N = 10^4.  A batch streams
+the orthonormal recurrence M_n/sqrt(h_n) degree by degree, vectorized over
+the points, and never holds an [N, points] table.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
 from .errors import DomainError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
                        log_weight_values)
-from .polynomials import (_LN2, _coefficients, _steps, log_monic_factors, log_squared_norms,
+from .polynomials import (_LN2, _coefficients, _log_monic_factors, _steps, log_squared_norms,
                           scaled_sequence)
 from .quadrature import _gauss_rule
 from .specialfns import ln_gamma
@@ -28,6 +32,8 @@ from .specialfns import ln_gamma
 # the streamed sum rescales a point's recurrence pair outside [2^-250, 2^250],
 # so the square of a value stays finite after any in-domain step
 _STREAM_LO, _STREAM_HI = 2.0 ** -250, 2.0 ** 250
+# points whose checked single-point table a kernel keeps, oldest evicted first
+_STORE_POINTS = 32
 
 
 class FiniteKernel:
@@ -40,13 +46,15 @@ class FiniteKernel:
         self.geometry = geometry
         self.N = N
         # log of M_n / sqrt(h_n) over the family polynomial p_n
-        self._log_c = (log_monic_factors(gas.family, N - 1)
+        self._log_c = (_log_monic_factors(gas.family, N - 1)
                        - 0.5 * log_squared_norms(gas, geometry, N - 1))
         # recurrence of M_n / sqrt(h_n), divided by its degree-0 value: the
         # p_{n-1} term scales by r_n = c_n / c_{n-1}, the p_{n-2} term by r_n r_{n-1}
         lin0, lin1, quad = _coefficients(gas.family, N - 1)
         r = np.exp(np.diff(self._log_c, prepend=self._log_c[0]))
         self._orthonormal = (lin0 * r, lin1 * r, quad * r * np.roll(r, 1))
+        # point -> (log-weight, mantissas, logs) of `_point`
+        self._store = OrderedDict()
 
     def _check_point(self, z: complex) -> float:
         if not contains(self.geometry, z):
@@ -66,10 +74,22 @@ class FiniteKernel:
             raise SingularPointError(f"point {zs[singular][0]} sits on a weight singularity")
         return lw
 
-    def _table(self, z: complex):
-        """Mantissas and logs of M_n(z)/sqrt(h_n), n < N, at one point."""
-        mant, logs = scaled_sequence(self.gas.family, self.N - 1, z)
-        return mant[:, 0], logs[:, 0] + self._log_c
+    def _point(self, z: complex):
+        """(log-weight, mantissas, logs of M_n(z)/sqrt(h_n), n < N) at one
+        point, checked and computed on its first use and then read from the
+        store; a point that fails its check raises and is not stored."""
+        key = complex(z)
+        entry = self._store.get(key)
+        if entry is None:
+            lw = self._check_point(z)
+            mant, logs = scaled_sequence(self.gas.family, self.N - 1, key)
+            mant, logs = mant[:, 0], logs[:, 0] + self._log_c
+            mant.flags.writeable = logs.flags.writeable = False
+            entry = (lw, mant, logs)
+            while len(self._store) >= _STORE_POINTS:
+                self._store.popitem(last=False)
+            self._store[key] = entry
+        return entry
 
     def _stream(self, zs: np.ndarray, z1):
         """(acc, log scale) of sum_n q_n(z1) conj q_n(zs), or of sum_n |q_n(zs)|^2
@@ -101,11 +121,11 @@ class FiniteKernel:
         """K_N(z1, zs) at validated points with their log-weights; z1 None
         gives the diagonal K_N(zs, zs)."""
         if zs.size == 1:
-            m2, l2 = self._table(complex(zs[0]))
+            _, m2, l2 = self._point(zs[0])
             if z1 is None or z1 == zs[0]:
                 terms, lt = np.abs(m2) ** 2, 2.0 * l2
             else:
-                m1, l1 = self._table(z1)
+                _, m1, l1 = self._point(z1)
                 terms, lt = m1 * np.conj(m2), l1 + l2
             top = np.max(lt)
             acc = np.sum(terms * np.exp(lt - top))
@@ -118,8 +138,8 @@ class FiniteKernel:
         return self.eval(z1, z2)
 
     def eval(self, z1: complex, z2: complex) -> complex:
-        lw1 = self._check_point(z1)
-        lw2 = self._check_point(z2)
+        lw1 = self._point(z1)[0]
+        lw2 = self._point(z2)[0]
         z2 = np.array([z2], dtype=complex)
         return complex(self._kernel(complex(z1), z2, lw1, np.array([lw2]))[0])
 

@@ -251,6 +251,15 @@ def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
     return -n * _LN2
 
 
+@functools.lru_cache(maxsize=16)
+def _log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
+    """`log_monic_factors`, cached and read-only: a kernel's construction and
+    the Jacobi norms of `log_squared_norms` share one computation."""
+    lk = log_monic_factors(family, n_max)
+    lk.flags.writeable = False
+    return lk
+
+
 def monic_value(family: PolyFamily, n: int, z: complex) -> ScaledValue:
     """M_n(z): the family polynomial normalized to unit leading coefficient."""
     raw = _scaled_at(_coefficients(family, n), z)
@@ -296,7 +305,7 @@ def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> 
         mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a),
                                      int(deg.max()), geometry.semi_x)
         lc = logs[deg, 0] + np.log(mant[deg, 0].real)
-        lk = log_monic_factors(gas.family, n_max)
+        lk = _log_monic_factors(gas.family, n_max)
         half = math.log(2.0) if plus else 0.0
         off = 2 if plus else 1
         lg = ln_gamma(n + (1.5 if plus else 0.5))

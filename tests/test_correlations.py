@@ -172,3 +172,46 @@ def test_log_partition_brute_force_quadrature_N2():
     diff2 = np.abs(z[:, None] - z[None, :]) ** 2
     Z2 = float(np.einsum("i,j,ij->", wv, wv, diff2))
     assert math.log(Z2) == pytest.approx(log_partition(gas, geo, 2), abs=1e-3)
+
+
+# ----------------------------------------- correlation_k's kernel contract
+
+# a 5-point determinant at the left focus of the jacobi-minus gas whose
+# imaginary residue exceeds 1e-9 of its magnitude, so correlation_k refuses it
+REFUSED_GAS = GasFamily(PolyKind.JACOBI_MINUS, 2.0962118349496284)
+REFUSED_TAU, REFUSED_N = 0.9998887448642737, 118
+REFUSED_POINTS = [-1.0000253920942512 - 1.3745979272781512e-05j,
+                  -0.9999353930888674 + 6.663360798739717e-05j,
+                  -0.9999171652330454 + 5.639252225265391e-05j,
+                  -0.9999869126815921 - 8.166232108575898e-06j,
+                  -0.9999323971065032 + 5.048685523779809e-05j]
+
+
+def _det_or_refusal(kernel, points):
+    try:
+        return correlation_k(kernel, points)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("gas,tau,N,points", [
+    (GasFamily(PolyKind.GEGENBAUER, 1.0), 0.5, 30,
+     [0.3 + 0.1j, -0.2 + 0.25j, 0.5 - 0.3j, 0.0, 0.1 - 0.1j]),
+    (REFUSED_GAS, REFUSED_TAU, REFUSED_N, REFUSED_POINTS),
+], ids=["answered", "refused"])
+def test_wrapped_finite_kernel_gets_k_squared_calls_and_the_same_determinant(
+        gas, tau, N, points):
+    geo = EllipseGeometry(tau)
+    kern = FiniteKernel(gas, geo, N)
+    calls = []
+
+    def wrapper(z1, z2):
+        calls.append((z1, z2))
+        return kern(z1, z2)
+
+    wrapped = _det_or_refusal(wrapper, points)
+    assert len(calls) == len(points) ** 2
+    assert calls == [(zi, zj) for zi in points for zj in points]
+    bare = _det_or_refusal(FiniteKernel(gas, geo, N), points)
+    assert type(wrapped) is type(bare) and wrapped == bare
+    assert isinstance(bare, str) == (gas is REFUSED_GAS)

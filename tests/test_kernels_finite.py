@@ -1,16 +1,22 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import ellipsegas.kernels_finite as kernels_finite
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
-                        PolyKind, QuadratureSpec, SingularPointError,
+                        PolyKind, QuadratureSpec, SingularPointError, correlation_k,
                         kernel_elliptic_ginibre, kernel_eval, kernel_truncated,
                         kernel_truncated_edge, kernel_truncated_limit,
                         rule_for_gas, weight)
+from ellipsegas.polynomials import log_monic_factors, log_squared_norms
 
-from conftest import gas_cases, interior_points
+from conftest import gas_cases, interior_points, wall_points
 
 
 def gegenbauer_explicit(n, a, z):
@@ -367,3 +373,150 @@ def test_streamed_diagonal_at_large_N_and_extreme_tau():
                0.999 * geo.semi_x]
         ref = np.array([kern.eval(z, z).real for z in pts])
         np.testing.assert_allclose(kern.diagonal(pts), ref, rtol=1e-9, atol=0.0)
+
+
+# ------------------------------------------------- the store of point tables
+
+def store_cases():
+    """Every family at tau in {1e-3, 0.5, 0.99} and, where the family has
+    one, a in {-0.9, 0, 2.5}."""
+    cases = []
+    for tau in (1e-3, 0.5, 0.99):
+        for kind in PolyKind:
+            for a in ((-0.9, 0.0, 2.5) if kind in A_KINDS else (0.0,)):
+                cases.append(pytest.param(GasFamily(kind, a), EllipseGeometry(tau),
+                                          id=f"{kind.value}-a{a}-tau{tau}"))
+    return cases
+
+
+@pytest.fixture
+def count_recurrences(monkeypatch):
+    """A list that gets one entry per scaled_sequence call of kernels_finite."""
+    calls = []
+    real = kernels_finite.scaled_sequence
+
+    def counting(family, n_max, z):
+        calls.append(z)
+        return real(family, n_max, z)
+    monkeypatch.setattr(kernels_finite, "scaled_sequence", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_correlation_k_runs_one_recurrence_per_point(k, count_recurrences):
+    geo = EllipseGeometry(0.5)
+    kern = FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 1.0), geo, 100)
+    pts = interior_points(geo, k, np.random.default_rng(k))
+    correlation_k(kern, pts)
+    assert len(count_recurrences) == k
+    correlation_k(kern, pts[::-1])
+    assert len(count_recurrences) == k
+
+
+@pytest.mark.parametrize("gas,geo", store_cases())
+def test_stored_values_equal_a_fresh_kernel_exactly(gas, geo, rng):
+    N = 40
+    pts = interior_points(geo, 3, rng)
+    if gas.a >= 0.0:        # for a < 0 the weight is infinite on the wall
+        pts += wall_points(geo, 2)
+    kern = FiniteKernel(gas, geo, N)
+    first = {(z1, z2): kern.eval(z1, z2) for z1 in pts for z2 in pts}
+    for z1 in pts:
+        for z2 in pts:
+            fresh = FiniteKernel(gas, geo, N)
+            assert kern.eval(z1, z2) == first[z1, z2] == fresh.eval(z1, z2)
+            assert kern.eval_batch(z1, [z2]) == fresh.eval_batch(z1, [z2])
+        assert kern.diagonal([z1]) == FiniteKernel(gas, geo, N).diagonal([z1])
+        assert first[z1, z1].imag == 0.0
+
+
+@pytest.mark.parametrize("kind,bad", [(PolyKind.GEGENBAUER, 2.0),
+                                      (PolyKind.CHEBYSHEV_T, 1.0),
+                                      (PolyKind.CHEBYSHEV_T, -1.0),
+                                      (PolyKind.CHEBYSHEV_V, -1.0),
+                                      (PolyKind.JACOBI_MINUS, -1.0)])
+def test_a_rejected_point_raises_on_every_call(kind, bad):
+    kern = FiniteKernel(GasFamily(kind, 1.0 if kind in A_KINDS else 0.0),
+                        EllipseGeometry(0.5), 20)
+    error = DomainError if kind is PolyKind.GEGENBAUER else SingularPointError
+    good = [0.1 + 0.2j, -0.3 + 0.1j]
+    for _ in range(2):
+        with pytest.raises(error):
+            kern.eval(bad, bad)
+    for z in good:
+        kern.eval(z, z)
+    for call in (lambda: kern.eval(bad, good[0]), lambda: kern.eval(good[1], bad),
+                 lambda: kern.eval(bad, bad), lambda: correlation_k(kern, good + [bad])):
+        for _ in range(2):
+            with pytest.raises(error):
+                call()
+    assert complex(bad) not in kern._store
+
+
+def test_store_is_bounded_and_stays_exact(rng):
+    gas, geo, N = GasFamily(PolyKind.GEGENBAUER, 0.5), EllipseGeometry(0.3), 60
+    bound = kernels_finite._STORE_POINTS
+    pts = interior_points(geo, bound + 8, rng)
+    kern = FiniteKernel(gas, geo, N)
+    for z in pts:
+        kern.eval(z, pts[0])
+        assert len(kern._store) <= bound
+    # the earliest points have been evicted and are computed again
+    for z1, z2 in [(pts[1], pts[1]), (pts[-1], pts[2]), (pts[3], pts[-2])]:
+        assert kern.eval(z1, z2) == FiniteKernel(gas, geo, N).eval(z1, z2)
+        assert len(kern._store) <= bound
+
+
+def test_threads_sharing_a_kernel_get_the_sequential_values(rng):
+    # more points than the store holds, so the threads evict each other's tables
+    gas, geo, N = GasFamily(PolyKind.JACOBI_PLUS, 0.5), EllipseGeometry(0.6), 30
+    bound = kernels_finite._STORE_POINTS
+    pts = interior_points(geo, bound + 8, rng)
+    pairs = [(z1, z2) for z1 in pts[::3] for z2 in pts[1::2]]
+    ref = [FiniteKernel(gas, geo, N).eval(z1, z2) for z1, z2 in pairs]
+    kern = FiniteKernel(gas, geo, N)
+    results = {}
+
+    def worker(t):
+        start = t * len(pairs) // 6
+        order = list(range(start, len(pairs))) + list(range(start))
+        results[t] = {i: kern.eval(*pairs[i]) for i in order}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == list(range(6))
+    for got in results.values():
+        assert [got[i] for i in range(len(pairs))] == ref
+    assert len(kern._store) <= bound + len(threads)
+
+
+def test_a_kernel_with_stored_points_is_freed_without_the_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kern = FiniteKernel(GasFamily(PolyKind.JACOBI_MINUS, 0.5), EllipseGeometry(0.5), 30)
+        correlation_k(kern, [0.1 + 0.2j, -0.3 + 0.1j, 0.4])
+        assert kern._store
+        ref = weakref.ref(kern)
+        del kern
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_log_c_is_the_monic_factors_over_the_root_norms():
+    # the cached factors give the same bits as a fresh log_monic_factors
+    for kind in PolyKind:
+        gas, geo = GasFamily(kind, 1.5 if kind in A_KINDS else 0.0), EllipseGeometry(0.4)
+        kern = FiniteKernel(gas, geo, 50)
+        ref = log_monic_factors(gas.family, 49) - 0.5 * log_squared_norms(gas, geo, 49)
+        assert np.array_equal(kern._log_c, ref)

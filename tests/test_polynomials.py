@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from ellipsegas import (DomainError, EllipseGeometry, GasFamily, PolyFamily,
+import ellipsegas.polynomials as polynomials
+from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, PolyFamily,
                         PolyKind, ScaledValue, chebyshev_t, chebyshev_u,
                         chebyshev_v, gegenbauer, jacobi, joukowsky_inverse,
                         monic_value, squared_norm)
@@ -321,3 +322,19 @@ def test_poly_family_is_the_gas_family():
     assert PolyFamily is GasFamily
     assert gas.family is gas
     assert PolyFamily(PolyKind.JACOBI_MINUS, 1.5) == gas
+
+
+def test_jacobi_kernel_construction_computes_the_monic_factors_once(monkeypatch):
+    # the kernel's coefficients and the Jacobi norms share one
+    # log_monic_factors (3 array log-gamma calls); the norms add 2 of their own
+    array_calls = []
+    real = polynomials.ln_gamma
+
+    def counting(x):
+        if np.ndim(x):
+            array_calls.append(x)
+        return real(x)
+    monkeypatch.setattr(polynomials, "ln_gamma", counting)
+    polynomials._log_monic_factors.cache_clear()
+    FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.75), EllipseGeometry(0.5), 100)
+    assert len(array_calls) == 5
