@@ -3,7 +3,9 @@ studies, orthogonality audits, Monte Carlo sampling.
 
 All output is deterministic: identical flags (and seed) produce byte-identical
 files.  Floats are rendered with repr(), the shortest round-trip decimal, and JSON
-is strict: a non-finite value is never written as NaN or Infinity.
+is strict: a non-finite value is never written as NaN or Infinity.  A density
+CSV formats each coordinate once per grid axis, and `sample` writes its lines
+from one template per chain; both give the bytes of formatting every value.
 Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
 """
 
@@ -83,11 +85,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _grid_csv(grid: DensityGrid) -> str:
-    ys = grid.spec.ys.tolist()
-    lines = ["x,y,rho"] + [f"{x!r},{y!r},{rho!r}"
-                           for x, column in zip(grid.spec.xs.tolist(), grid.values.tolist())
-                           for y, rho in zip(ys, column)]
-    return "\n".join(lines) + "\n"
+    """x,y,rho rows, x outer; each coordinate is formatted once per grid axis,
+    so only rho is formatted per cell."""
+    ys = [f"{y!r}," for y in grid.spec.ys.tolist()]
+    rows = ["x,y,rho\n"]
+    for x, column in zip(grid.spec.xs.tolist(), grid.values.tolist()):
+        xc = f"{x!r},"
+        rows += [f"{xc}{y}{rho!r}\n" for y, rho in zip(ys, column)]
+    return "".join(rows)
 
 
 def _grid_json(grid: DensityGrid, rescale: str) -> str:
@@ -219,13 +224,24 @@ def cmd_orthocheck(args) -> int:
     return EXIT_OK
 
 
+def _configuration_lines(samples, N: int) -> list[str]:
+    """One '{"points": [[x, y], ...]}' line per configuration, byte for byte
+    what `_dumps` writes, from one %-template per chain; a non-finite
+    position raises DomainError, as strict JSON requires."""
+    positions = np.array(samples, dtype=complex).view(float)
+    if not np.isfinite(positions).all():
+        raise DomainError("a sampled position is not finite")
+    template = '{"points": [' + ", ".join(["[%r, %r]"] * N) + "]}"
+    return [template % tuple(row) for row in positions.tolist()]
+
+
 def cmd_sample(args) -> int:
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
     settings = ChainSettings(steps=args.steps, burn_in=args.burn_in, thin=args.thin,
                              proposal_sigma=args.sigma, seed=args.seed)
     samples, acceptance = run_chain(gas, geo, args.N, settings)
-    lines = [_dumps({"points": [[z.real, z.imag] for z in conf]}) for conf in samples]
+    lines = _configuration_lines(samples, args.N)
     grid = GridSpec((-geo.semi_x, geo.semi_x), (-geo.semi_y, geo.semi_y), 12, 12)
     kernel = FiniteKernel(gas, geo, args.N)
     chi2, dof = density_chi_square(samples, kernel, grid)
@@ -264,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--rescale", choices=["none", "fig1", "fig2", "fig3"], default="none")
     d.add_argument("--format", choices=["csv", "json"], default="csv")
     d.add_argument("--output", default="-")
-    d.set_defaults(func=cmd_density)
 
     k = sub.add_parser("kernel", help="evaluate a finite or limiting kernel")
     k.add_argument("--kind", choices=[*_REFERENCE_KINDS, *(kk.value for kk in LimitKind)],
@@ -275,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--points", required=True,
                    help="semicolon-separated 're,im' (diagonal) or 're,im,re,im' pairs")
     k.add_argument("--output", default="-")
-    k.set_defaults(func=cmd_kernel)
 
     c = sub.add_parser("converge", help="finite-N to limit convergence study")
     c.add_argument("--study", choices=["bulk-weak", "edge-weak", "strong"], required=True)
@@ -284,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--schedule", default="100,200,400",
                    help="comma-separated N (or s) values")
     c.add_argument("--output", default="-")
-    c.set_defaults(func=cmd_converge)
 
     o = sub.add_parser("orthocheck", help="quadrature audit of orthonormality")
     add_gas(o)
@@ -292,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--radial-nodes", type=int, default=96)
     o.add_argument("--angular-nodes", type=int, default=128)
     o.add_argument("--output", default="-")
-    o.set_defaults(func=cmd_orthocheck)
 
     m = sub.add_parser("sample", help="Metropolis chain for the Gibbs measure")
     add_gas(m)
@@ -303,18 +315,23 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--sigma", type=float, default=None)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--output", default="-")
-    m.set_defaults(func=cmd_sample)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no command: `main` looks
+    up cmd_<command> by name when it is called, as `_REFERENCE_KINDS` does."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _threads_cap()
         if getattr(args, "N", None) is not None and args.N < 1:
             raise DomainError("N must be >= 1")
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ValueError as exc:   # DomainError and malformed numeric flags
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -119,9 +119,11 @@ class FiniteKernel:
 
     def _kernel(self, z1, zs: np.ndarray, lw1, lws: np.ndarray) -> np.ndarray:
         """K_N(z1, zs) at validated points with their log-weights; z1 None
-        gives the diagonal K_N(zs, zs)."""
+        gives the diagonal K_N(zs, zs).  A single point takes its log-weight
+        from the store, so every one-point path weights as `eval` does."""
         if zs.size == 1:
-            _, m2, l2 = self._point(zs[0])
+            lw2, m2, l2 = self._point(zs[0])
+            lws = np.array([lw2])
             if z1 is None or z1 == zs[0]:
                 terms, lt = np.abs(m2) ** 2, 2.0 * l2
             else:

@@ -97,10 +97,12 @@ def log_density(gas: GasFamily, geometry: EllipseGeometry, points) -> float:
 
 
 def metropolis_accept(log_ratio: float, u: float) -> bool:
-    """Accept iff u < min(1, exp(log_ratio)); u is uniform on [0,1)."""
+    """Accept iff u < min(1, exp(log_ratio)); u is uniform on [0,1).  At
+    u = 0 that is log_ratio > -inf, so a zero-weight move is refused; a nan
+    log_ratio is never accepted."""
     if log_ratio >= 0.0:
         return True
-    return math.log(u) < log_ratio if u > 0.0 else True
+    return math.log(u) < log_ratio if u > 0.0 else log_ratio > -math.inf
 
 
 def _initial_configuration(geometry: EllipseGeometry, N: int, rng) -> np.ndarray:

@@ -371,3 +371,112 @@ assert "scipy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the writers against the formatters they replace ---------------------------
+
+_reference_dumps = json.JSONEncoder(allow_nan=False).encode
+
+
+def _reference_csv(grid):
+    """The per-cell formatter: three reprs per row."""
+    ys = grid.spec.ys.tolist()
+    lines = ["x,y,rho"] + [f"{x!r},{y!r},{rho!r}"
+                           for x, column in zip(grid.spec.xs.tolist(), grid.values.tolist())
+                           for y, rho in zip(ys, column)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_lines(samples):
+    """The JSON encoder on nested lists of numpy scalars."""
+    return [_reference_dumps({"points": [[z.real, z.imag] for z in conf]}) for conf in samples]
+
+
+_AWKWARD = [-0.0, 5e-324, 1e16, 0.1, 0.0, -1.5e-310, 2.0 ** 53 + 2, 1 / 3]
+
+
+@pytest.mark.parametrize("x_range, y_range, nx, ny", [
+    ((-1.2, 1.2), (-1.2, 1.2), 4, 2),
+    ((0.0, 1e-323), (1e16, 3e16), 1, 2),
+    ((-0.3, 0.3), (-0.1, 0.1), 2, 4),
+])
+def test_grid_csv_is_the_per_cell_formatter(x_range, y_range, nx, ny):
+    from ellipsegas.cli import _grid_csv
+    from ellipsegas.correlations import DensityGrid
+
+    spec = GridSpec(x_range, y_range, nx, ny)
+    values = np.resize(np.array(_AWKWARD), (nx, ny))
+    grid = DensityGrid(spec, values)
+    assert _grid_csv(grid) == _reference_csv(grid)
+
+
+@pytest.mark.parametrize("N", [1, 3, 8])
+def test_configuration_lines_are_the_json_encoder(N):
+    from ellipsegas.cli import _configuration_lines
+
+    awkward = np.resize(np.array(_AWKWARD), 2 * N)
+    samples = [awkward.view(complex), awkward[::-1].copy().view(complex),
+               np.full(N, complex(-0.0, -0.0))]
+    assert _configuration_lines(samples, N) == _reference_lines(samples)
+    assert _configuration_lines([], N) == []
+
+
+def test_sample_lines_match_a_chain(tmp_path):
+    from ellipsegas import ChainSettings, run_chain
+    from ellipsegas.cli import _configuration_lines
+
+    settings = ChainSettings(steps=3000, burn_in=300, thin=50, seed=12)
+    samples, _ = run_chain(GasFamily(PolyKind.JACOBI_PLUS, 0.5), EllipseGeometry(0.5), 5,
+                           settings)
+    lines = _configuration_lines(samples, 5)
+    assert lines == _reference_lines(samples)
+    out = tmp_path / "s.ndjson"
+    assert run(["sample", "--family", "jacobi-plus", "--a", "0.5", "--tau", "0.5", "--N", "5",
+                "--steps", "3000", "--burn-in", "300", "--thin", "50", "--seed", "12",
+                "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[:-1] == lines
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_position_raises_before_writing(tmp_path, monkeypatch, bad):
+    import ellipsegas.cli as cli
+    from ellipsegas.errors import DomainError
+
+    samples = [np.array([0.1 + 0.2j, 0.3 - 0.1j]), np.array([complex(0.1, bad), 0.2 + 0j])]
+    with pytest.raises(DomainError):
+        cli._configuration_lines(samples, 2)
+    with pytest.raises(ValueError):     # the encoder the lines replace refuses it too
+        _reference_lines(samples)
+    monkeypatch.setattr(cli, "run_chain", lambda gas, geo, N, settings: (samples, 0.5))
+    out = tmp_path / "s.ndjson"
+    assert run(["sample", "--tau", "0.5", "--N", "2", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    import ellipsegas.cli as cli
+
+    real, builds = cli.build_parser, []
+
+    def counted():
+        builds.append(1)
+        return real()
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    out = str(tmp_path / "d.csv")
+    for _ in range(2):
+        assert run(["density", "--tau", "0.5", "--N", "2", "--nx", "2", "--ny", "2",
+                    "--output", out]) == 0
+    assert len(builds) == 1
+
+
+def test_main_calls_the_command_by_name(monkeypatch):
+    # a wrapper or patch put on cmd_density after the parser was built is the
+    # one that runs
+    import ellipsegas.cli as cli
+
+    run(["density", "--tau", "0.5", "--N", "2", "--nx", "1", "--ny", "1", "--format", "json"])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_density", lambda args: seen.append(args.N) or 7)
+    assert run(["density", "--tau", "0.5", "--N", "3"]) == 7
+    assert seen == [3]

@@ -66,6 +66,39 @@ def test_metropolis_accept_rule():
         assert acc == pytest.approx(min(1.0, r), abs=2e-5)
 
 
+def test_metropolis_accept_at_u_zero():
+    # u = 0 < exp(log_ratio) exactly when the ratio is positive: a finite
+    # log_ratio accepts, even one whose exp underflows; a zero-weight move
+    # (log_ratio = -inf) is refused, and nan is refused at every u
+    for lr in (-1e300, -745.2, -5.0, 0.0, 3.0, math.inf):
+        assert metropolis_accept(lr, 0.0)
+    assert not metropolis_accept(-math.inf, 0.0)
+    for u in (0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53):
+        assert not metropolis_accept(math.nan, u)
+        assert not metropolis_accept(-math.inf, u)
+
+
+def _accept_at_u_zero(log_ratio, u):
+    """The former rule, which accepted every move at u = 0."""
+    if log_ratio >= 0.0:
+        return True
+    return math.log(u) < log_ratio if u > 0.0 else True
+
+
+@pytest.mark.parametrize("seed, N", [(42, 4), (12, 4), (1, 8)])
+def test_u_zero_rule_keeps_the_chains(monkeypatch, seed, N):
+    # only a u = 0 draw with a non-finite log_ratio decides differently, so
+    # the chains of the test seeds are unchanged
+    import ellipsegas.sampler as sampler
+
+    settings = ChainSettings(steps=20_000, burn_in=1000, thin=100, seed=seed)
+    s1, acc1 = run_chain(GAS, GEO, N, settings)
+    monkeypatch.setattr(sampler, "metropolis_accept", _accept_at_u_zero)
+    s2, acc2 = run_chain(GAS, GEO, N, settings)
+    assert acc1 == acc2
+    np.testing.assert_array_equal(np.array(s1), np.array(s2))
+
+
 def test_detailed_balance_two_state_toy():
     # discretized two-state chain: symmetric proposal, Metropolis acceptance;
     # the exact transition matrix fixes pi = (p0, p1)/(p0+p1)
