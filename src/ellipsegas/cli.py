@@ -25,8 +25,7 @@ from .errors import DomainError
 from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, weight_values
 from .kernels_finite import (FiniteKernel, kernel_elliptic_ginibre, kernel_truncated,
                              kernel_truncated_limit)
-from .kernels_limit import (LimitKernelSpec, LimitKind, bulk_strong, bulk_weak,
-                            edge_weak, make_kernel)
+from .kernels_limit import LimitKernelSpec, LimitKind, bulk_strong, bulk_weak, make_kernel
 from .polynomials import log_squared_norms, monic_scaled_sequence
 from .quadrature import QuadratureSpec, rule_for_gas
 from .sampler import ChainSettings, PRNG_ALGORITHM, density_chi_square, run_chain
@@ -170,12 +169,12 @@ def cmd_kernel(args) -> int:
 _BULK_POINTS = [0j, 0.3 + 0.2j, -0.5 + 0.4j, 1.0 - 0.3j, 0.7 + 0.45j]
 _EDGE_POINTS = [1.0 + 0j, 0.5 + 0.3j, 2.0 - 0.5j, 0.3 + 0j, 1.5 + 1.0j]
 
-# weak study -> (limit points, finite-N point of a limit point, density scale,
-# limit kernel); the gas of N particles sits at tau_N = 1/(1 + s^2/2N^2)
+# weak study, named by the LimitKind it converges to -> (limit points, finite-N
+# point of a limit point, density scale); the gas of N particles sits at
+# tau_N = 1/(1 + s^2/2N^2)
 _WEAK_STUDIES = {
-    "bulk-weak": (_BULK_POINTS, lambda z, N: z / N, lambda N: N ** 2, "bulk_weak"),
-    "edge-weak": (_EDGE_POINTS, lambda Z, N: 1.0 - Z / (2.0 * N ** 2),
-                  lambda N: 4.0 * N ** 4, "edge_weak"),
+    "bulk-weak": (_BULK_POINTS, lambda z, N: z / N, lambda N: N ** 2),
+    "edge-weak": (_EDGE_POINTS, lambda Z, N: 1.0 - Z / (2.0 * N ** 2), lambda N: 4.0 * N ** 4),
 }
 
 
@@ -184,17 +183,19 @@ def cmd_converge(args) -> int:
     schedule = [int(x) for x in args.schedule.split(",")]
     if min(schedule) < 1 or len(set(schedule)) < 2:
         raise DomainError("--schedule needs at least two distinct positive values")
+    if args.study != "strong":
+        points, finite_point, scale = _WEAK_STUDIES[args.study]
+        limit = make_kernel(LimitKernelSpec(LimitKind(args.study), a=args.a, s=args.s))
     rows = []
     for n in schedule:
         if args.study == "strong":   # s^2 K_weak(s z/4) -> K_strong(z/4), |Im z/4| <= 1/4
             gaps = [n ** 2 * bulk_weak(args.a, float(n), n * (z / 4.0), n * (z / 4.0))
                     - bulk_strong(args.a, z / 4.0, z / 4.0) for z in _BULK_POINTS]
         else:
-            points, finite_point, scale, limit = _WEAK_STUDIES[args.study]
             tau_n = 1.0 / (1.0 + args.s ** 2 / (2.0 * n ** 2))
             kern = FiniteKernel(gas, EllipseGeometry(tau_n), n)
             gaps = [kern.eval(finite_point(z, n), finite_point(z, n)) / scale(n)
-                    - globals()[limit](args.a, args.s, z, z) for z in points]
+                    - limit(z, z) for z in points]
         rows.append({"s" if args.study == "strong" else "N": n,
                      "sup_discrepancy": max(0.0, *map(abs, gaps))})
     ys = np.log([max(r["sup_discrepancy"], 1e-300) for r in rows])

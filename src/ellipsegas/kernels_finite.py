@@ -29,9 +29,6 @@ from .polynomials import (_LN2, _coefficients, _log_monic_factors, _steps, log_s
 from .quadrature import _gauss_rule
 from .specialfns import ln_gamma
 
-# the streamed sum rescales a point's recurrence pair outside [2^-250, 2^250],
-# so the square of a value stays finite after any in-domain step
-_STREAM_LO, _STREAM_HI = 2.0 ** -250, 2.0 ** 250
 # points whose checked single-point table a kernel keeps, oldest evicted first
 _STORE_POINTS = 32
 
@@ -102,7 +99,7 @@ class FiniteKernel:
         pts = zs if z1 is None else np.concatenate(([z1], zs))
         acc = np.zeros(pts.shape, dtype=float if z1 is None else complex)
         top = fac = None
-        for vals, mag, bits, rescaled in _steps(self._orthonormal, pts, _STREAM_LO, _STREAM_HI):
+        for vals, mag, bits, rescaled in _steps(self._orthonormal, pts):
             if fac is None or rescaled:
                 expo = 2.0 * bits if z1 is None else bits[0] + bits
                 new = expo if top is None else np.maximum(top, expo)
@@ -117,21 +114,24 @@ class FiniteKernel:
             acc, top = acc[1:], top[1:]
         return acc, top * _LN2 + 2.0 * self._log_c[0]
 
-    def _kernel(self, z1, zs: np.ndarray, lw1, lws: np.ndarray) -> np.ndarray:
-        """K_N(z1, zs) at validated points with their log-weights; z1 None
-        gives the diagonal K_N(zs, zs).  A single point takes its log-weight
-        from the store, so every one-point path weights as `eval` does."""
-        if zs.size == 1:
+    def _kernel(self, z1, zs) -> np.ndarray:
+        """K_N(z1, zs[i]), or the diagonal K_N(zs[i], zs[i]) when z1 is None,
+        with z1 checked before zs.  zs is a 1-d complex array, or the one-tuple
+        (z2,) of `eval`, so that an error names z2 as it was given.  A single
+        point is checked and kept by `_point`, so every one-point path weights
+        as `eval` does; a batch is checked as a whole and streamed."""
+        if len(zs) == 1:
+            lw1, m1, l1 = (None,) * 3 if z1 is None else self._point(z1)
             lw2, m2, l2 = self._point(zs[0])
-            lws = np.array([lw2])
             if z1 is None or z1 == zs[0]:
                 terms, lt = np.abs(m2) ** 2, 2.0 * l2
             else:
-                _, m1, l1 = self._point(z1)
                 terms, lt = m1 * np.conj(m2), l1 + l2
             top = np.max(lt)
-            acc = np.sum(terms * np.exp(lt - top))
+            acc, lws = np.sum(terms * np.exp(lt - top)), np.array([lw2])
         else:
+            lw1 = None if z1 is None else self._check_point(z1)
+            lws = self._check_points(zs)
             acc, top = self._stream(zs, z1)
         lw = lws if z1 is None else 0.5 * (lw1 + lws)
         return acc * np.exp(top + lw)
@@ -140,25 +140,19 @@ class FiniteKernel:
         return self.eval(z1, z2)
 
     def eval(self, z1: complex, z2: complex) -> complex:
-        lw1 = self._point(z1)[0]
-        lw2 = self._point(z2)[0]
-        z2 = np.array([z2], dtype=complex)
-        return complex(self._kernel(complex(z1), z2, lw1, np.array([lw2]))[0])
+        return complex(self._kernel(z1, (z2,))[0])
 
     def diagonal(self, zs) -> np.ndarray:
         """Density rho_1 = K_N(z, z) at a batch of points of the ellipse;
         DomainError outside it, SingularPointError on a weight singularity."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        flat = zs.ravel()
-        return self._kernel(None, flat, None, self._check_points(flat)).reshape(zs.shape)
+        return self._kernel(None, zs.ravel()).reshape(zs.shape)
 
     def eval_batch(self, z1: complex, zs) -> np.ndarray:
         """K_N(z1, zs[i]) for a batch of second arguments, with the domain
         checks of `eval`."""
-        lw1 = self._check_point(z1)
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        flat = zs.ravel()
-        return self._kernel(complex(z1), flat, lw1, self._check_points(flat)).reshape(zs.shape)
+        return self._kernel(z1, zs.ravel()).reshape(zs.shape)
 
 
 def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:

@@ -30,11 +30,10 @@ _DEFAULT = QuadratureSpec()
 _RATIO_CACHE = 64
 
 
-def _quad(spec, a: float) -> QuadratureSpec:
-    if spec is None:
-        spec = _DEFAULT
-    return QuadratureSpec(spec.radial_nodes, spec.angular_nodes, spec.c_nodes,
-                          singularity_exponent=a)
+def _check_a(a: float) -> None:
+    """The parameter a of every limiting kernel lies in its domain a > -1."""
+    if not a > -1:
+        raise DomainError(f"limiting kernel parameter must satisfy a > -1, got {a}")
 
 
 @functools.lru_cache(maxsize=_RATIO_CACHE)
@@ -57,6 +56,7 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
     divergence flagged as inf.
     """
+    _check_a(a)
     lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
     for q in walls:
         lpref += _log_power(0.5 * a, q)
@@ -65,13 +65,13 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     if lpref == math.inf:
         return complex(math.inf, 0.0)
 
-    quad = _quad(spec, a)
-    lr = _node_log_ratio(a + 0.5, s, _c_rule(domain, quad, **half_line))
+    spec = spec or _DEFAULT
+    lr = _node_log_ratio(a + 0.5, s, _c_rule(domain, spec, **half_line))
 
     def g(c):
         return np.exp(lr + lpref) * f(c)
 
-    return complex(integrate_c(g, domain, quad, **half_line))
+    return complex(integrate_c(g, domain, spec, **half_line))
 
 
 def sine_kernel(x1: float, x2: float) -> float:
@@ -137,6 +137,15 @@ def _phi(nu: float, c, root: complex) -> np.ndarray:
     return np.where(u == 0, 0.5 ** nu * math.exp(-ln_gamma(nu + 1)), val)
 
 
+def _edge_points(s: float, Z1: complex, Z2: complex):
+    """(Z1, Z2, sqrt Z1, sqrt conj Z2) of two points of the weak edge kernels;
+    DomainError outside the parabolic edge domain."""
+    Z1, Z2 = complex(Z1), complex(Z2)
+    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
+        raise DomainError("point outside the parabolic edge domain")
+    return Z1, Z2, np.sqrt(Z1), np.sqrt(np.conj(Z2))
+
+
 def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
                           w1: complex, w2: complex,
                           spec: QuadratureSpec | None = None) -> complex:
@@ -152,12 +161,7 @@ def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
 def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
               spec: QuadratureSpec | None = None) -> complex:
     """Deformed Bessel kernel of the weak edge limit at the +1 focus."""
-    Z1, Z2 = complex(Z1), complex(Z2)
-    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
-        raise DomainError("point outside the parabolic edge domain")
-    w1 = np.sqrt(complex(Z1))
-    w2 = np.sqrt(np.conj(complex(Z2)))
-    return _edge_weak_with_roots(a, s, Z1, Z2, w1, w2, spec)
+    return _edge_weak_with_roots(a, s, *_edge_points(s, Z1, Z2), spec)
 
 
 def bessel_kernel(a: float, X1: float, X2: float,
@@ -176,11 +180,12 @@ def bessel_kernel(a: float, X1: float, X2: float,
         raise DomainError("bessel_kernel requires X >= 0")
     if max(X1, X2) > W_MAX ** 2:
         raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
+    _check_a(a)
     lpref = _log_power(0.5 * a, X1) + _log_power(0.5 * a, X2)
     if lpref == math.inf:
         return math.inf
     val = integrate_c(lambda c: c ** (2.0 * a + 2.0) * _phi(a + 0.5, c, math.sqrt(X1))
-                      * _phi(a + 0.5, c, math.sqrt(X2)), UNIT_INTERVAL, _quad(spec, a))
+                      * _phi(a + 0.5, c, math.sqrt(X2)), UNIT_INTERVAL, spec or _DEFAULT)
     return 0.25 * math.exp(lpref) * val.real
 
 
@@ -193,6 +198,7 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
     Z1, Z2 = complex(Z1), complex(Z2)
     if Z1.real < 0 or Z2.real < 0:
         raise DomainError("edge_strong requires X >= 0")
+    _check_a(a)
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     if Z1.real * Z2.real == 0.0 and a < 0:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
@@ -228,11 +234,7 @@ def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
 
     Sine-type integrand: the J_{1/2} pair collapses to sin(c sqrt(Z))/sqrt(Z).
     """
-    Z1, Z2 = complex(Z1), complex(Z2)
-    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
-        raise DomainError("point outside the parabolic edge domain")
-    w1 = np.sqrt(complex(Z1))
-    w2 = np.sqrt(np.conj(complex(Z2)))
+    Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
 
     def sinc(c, w):
         if w == 0:
@@ -247,13 +249,9 @@ def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
                            spec: QuadratureSpec | None = None) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, -1/2) Jacobi gas
     (cosine-type); also the Chebyshev-I edge kernel at a = 0."""
-    Z1, Z2 = complex(Z1), complex(Z2)
-    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
-        raise DomainError("point outside the parabolic edge domain")
+    Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
     if Z1 == 0 or Z2 == 0:
         raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
-    w1 = np.sqrt(complex(Z1))
-    w2 = np.sqrt(np.conj(complex(Z2)))
     return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2),
                            lambda c: np.cos(c * w1) * np.cos(c * w2), spec,
                            -0.5 * (math.log(abs(Z1)) + math.log(abs(Z2))))

@@ -19,8 +19,10 @@ from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind
 from .specialfns import ln_gamma
 
 _LN2 = math.log(2.0)
-_RESCALE_HI = 2.0 ** 500
-_RESCALE_LO = 2.0 ** -500
+# a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
+# of a value, which the streamed kernel sum takes, stays finite after any
+# in-domain step; a rescale is by a power of two, so it changes no bit
+_RESCALE_LO, _RESCALE_HI = 2.0 ** -250, 2.0 ** 250
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,14 @@ def _build_coefficients(family: PolyFamily, n_max: int):
     raise DomainError(f"unknown polynomial kind {kind}")
 
 
-def _steps(coefs, zs, lo: float, hi: float):
+def _steps(coefs, zs):
     """Run the recurrence at the points zs (1-d complex), one degree per step.
 
     Yields (values, magnitudes, bits, rescaled) for n = 0, 1, ...: p_n(zs) =
     values * 2^bits.  Per point the pair (p_{n-1}, p_n) shares one exponent and
-    is rescaled when its larger magnitude leaves [lo, hi]; bits changes only
-    then, and rescaled says whether it did at this step.  The yielded arrays
-    are reused, so a consumer copies what it keeps past the next step.
+    is rescaled when its larger magnitude leaves [2^-250, 2^250]; bits changes
+    only then, and rescaled says whether it did at this step.  The yielded
+    arrays are reused, so a consumer copies what it keeps past the next step.
     """
     lin0, lin1, quad = coefs
     prev = np.zeros(zs.shape, dtype=complex)
@@ -122,9 +124,9 @@ def _steps(coefs, zs, lo: float, hi: float):
         prev, curr = curr, nxt
         np.abs(curr, out=mag)
         rescaled = False
-        if mag.size and (mag.max() > hi or mag.min() < lo):
+        if mag.size and (mag.max() > _RESCALE_HI or mag.min() < _RESCALE_LO):
             big = np.maximum(mag, np.abs(prev))
-            out = (big > hi) | ((big > 0.0) & (big < lo))
+            out = (big > _RESCALE_HI) | ((big > 0.0) & (big < _RESCALE_LO))
             if out.any():
                 k = np.frexp(big[out])[1]
                 f = np.exp2(-k)
@@ -169,7 +171,7 @@ def _scaled_table(coefs, z):
     else:
         mant = np.empty((coefs[0].shape[0], zs.shape[0]), dtype=complex)
         logs = np.empty(mant.shape)
-        for n, (vals, _, bits, _) in enumerate(_steps(coefs, zs, _RESCALE_LO, _RESCALE_HI)):
+        for n, (vals, _, bits, _) in enumerate(_steps(coefs, zs)):
             mant[n] = vals
             logs[n] = bits
     # frexp-normalize once; exact zeros carry a -inf log so they can never
@@ -188,7 +190,7 @@ def scaled_sequence(family: PolyFamily, n_max: int, z):
 
     z may be a scalar or a 1-d complex array.  Per point, the recurrence pair
     shares one running exponent and is rescaled whenever it leaves
-    [2^-500, 2^500]; emitted values are frexp-normalized.  One point runs a
+    [2^-250, 2^250]; emitted values are frexp-normalized.  One point runs a
     plain-Python loop, several points one vectorized loop.
     """
     return _scaled_table(_coefficients(family, n_max), z)

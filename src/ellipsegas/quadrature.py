@@ -111,7 +111,7 @@ def _disc_rule(tau: float, a: float, nr: int, nth: int):
     tgrid = np.meshgrid(t, th, indexing="ij")[0]
     w = (geo.semi_x * geo.semi_y * 0.5 * (2.0 * math.pi / nth)
          * np.outer(wt, np.ones(nth)) / (1.0 - tgrid) ** a)
-    return z.ravel(), w.ravel()
+    return _read_only(z.ravel(), w.ravel())
 
 
 @lru_cache(maxsize=64)
@@ -128,11 +128,12 @@ def _annulus_rule(tau: float, a: float, nr: int, nth: int):
     jac = np.abs(om * om - 1.0) ** 2 / (4.0 * rr ** 4) * rr
     w = ((2.0 * math.pi / nth) * np.outer(wr, np.ones(nth))
          * jac / (v - rr) ** a)
-    return z.ravel(), w.ravel()
+    return _read_only(z.ravel(), w.ravel())
 
 
 def ellipse_rule(geometry: EllipseGeometry, spec: QuadratureSpec, focal: bool = False):
-    """Nodes z and weights W with  integral_E f d2z ~ sum W f(z)."""
+    """Nodes z and weights W with  integral_E f d2z ~ sum W f(z); read-only,
+    because each rule is built once per process and shared."""
     builder = _annulus_rule if focal else _disc_rule
     return builder(geometry.tau, spec.singularity_exponent,
                    spec.radial_nodes, spec.angular_nodes)

@@ -237,6 +237,13 @@ def integrated_autocorrelation(series):
     return tau, n / tau
 
 
+def _bin_counts(samples, grid: GridSpec) -> np.ndarray:
+    """[nx, ny] counts of all sampled positions in the cells of the grid."""
+    zs = np.concatenate([np.asarray(s) for s in samples])
+    return np.histogram2d(zs.real, zs.imag, bins=[grid.nx, grid.ny],
+                          range=[list(grid.x_range), list(grid.y_range)])[0]
+
+
 def density_chi_square(samples, kernel, grid: GridSpec, min_expected: float = 10.0):
     """Pearson chi^2 of binned sample counts against the kernel diagonal.
 
@@ -245,10 +252,7 @@ def density_chi_square(samples, kernel, grid: GridSpec, min_expected: float = 10
     the bin with a 3x3 midpoint refinement.  Returns (chi2, dof).
     """
     geo = kernel.geometry
-    zs = np.concatenate([np.asarray(s) for s in samples])
-    counts, _, _ = np.histogram2d(
-        zs.real, zs.imag, bins=[grid.nx, grid.ny],
-        range=[list(grid.x_range), list(grid.y_range)])
+    counts = _bin_counts(samples, grid)
     M = len(samples)
     dx, dy = grid.dx, grid.dy
     x0 = grid.x_range[0] + np.arange(grid.nx) * dx
@@ -276,10 +280,7 @@ def empirical_density(samples, grid: GridSpec) -> DensityGrid:
     if not samples:
         raise DomainError("empirical_density needs at least one configuration")
     N = len(samples[0])
-    zs = np.concatenate([np.asarray(s) for s in samples])
-    counts, _, _ = np.histogram2d(
-        zs.real, zs.imag, bins=[grid.nx, grid.ny],
-        range=[list(grid.x_range), list(grid.y_range)])
+    counts = _bin_counts(samples, grid)
     total = counts.sum()
     if total == 0:
         raise DomainError("no sample fell inside the grid")

@@ -480,3 +480,12 @@ def test_main_calls_the_command_by_name(monkeypatch):
     monkeypatch.setattr(cli, "cmd_density", lambda args: seen.append(args.N) or 7)
     assert run(["density", "--tau", "0.5", "--N", "3"]) == 7
     assert seen == [3]
+
+
+@pytest.mark.parametrize("study", ["bulk-weak", "edge-weak"])
+def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
+    out = tmp_path / "c.json"
+    assert run(["converge", "--study", study, "--a", "1", "--s", "-1",
+                "--schedule", "10,20", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {study} needs s > 0\n"
+    assert not out.exists()

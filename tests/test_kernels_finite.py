@@ -520,3 +520,34 @@ def test_log_c_is_the_monic_factors_over_the_root_norms():
         kern = FiniteKernel(gas, geo, 50)
         ref = log_monic_factors(gas.family, 49) - 0.5 * log_squared_norms(gas, geo, 49)
         assert np.array_equal(kern._log_c, ref)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda k: k.eval(2 + 0j, -1 + 0j), DomainError, "point (2+0j) lies outside the ellipse"),
+    (lambda k: k.eval(2.0, -1), DomainError, "point 2.0 lies outside the ellipse"),
+    (lambda k: k.eval(-1 + 0j, 2 + 0j), SingularPointError,
+     "point (-1+0j) sits on a weight singularity"),
+    (lambda k: k.eval_batch(2 + 0j, [-1 + 0j]), DomainError,
+     "point (2+0j) lies outside the ellipse"),
+    (lambda k: k.eval_batch(-1.0, [0.1, 2.0]), SingularPointError,
+     "point -1.0 sits on a weight singularity"),
+    (lambda k: k.eval_batch(0.1 + 0.2j, [2 + 0j]), DomainError,
+     "point (2+0j) lies outside the ellipse"),
+    (lambda k: k.eval_batch(0.1 + 0.2j, [0.3, 2 + 0j, -1 + 0j]), DomainError,
+     "point (2+0j) lies outside the ellipse"),
+    (lambda k: k.diagonal([-1 + 0j]), SingularPointError,
+     "point (-1+0j) sits on a weight singularity"),
+    (lambda k: k.diagonal([0.1 + 0.2j, 2 + 0j]), DomainError,
+     "point (2+0j) lies outside the ellipse"),
+])
+@pytest.mark.parametrize("kind", [PolyKind.CHEBYSHEV_V, PolyKind.JACOBI_MINUS])
+def test_one_entry_checks_z1_before_zs_and_names_the_first_bad_point(kind, call, error,
+                                                                     message):
+    """Every call reaches the kernel through one checked entry: z1 is checked
+    before zs, and the error names the first bad point as it was given."""
+    a = 0.0 if kind is PolyKind.CHEBYSHEV_V else 0.5
+    kern = FiniteKernel(GasFamily(kind, a), EllipseGeometry(0.5), 6)
+    for _ in range(2):      # the same before and after the good points are stored
+        with pytest.raises(DomainError) as exc:
+            call(kern)
+        assert type(exc.value) is error and str(exc.value) == message

@@ -629,3 +629,26 @@ def test_cached_node_log_ratios_are_read_only():
     with pytest.raises(ValueError):
         lr[0] = 0.0
     assert np.array_equal(lr, log_i_ratio(1.0, _gauss_rule(*rule)[0] * 1.0))
+
+
+# every kernel that takes a, at a point with X = Re z = 0 and at an interior point
+_A_KERNELS = {
+    "bulk_weak": lambda a, z: bulk_weak(a, 1.0, z, z),
+    "bulk_strong": lambda a, z: bulk_strong(a, z, z),
+    "edge_weak": lambda a, z: edge_weak(a, 1.0, z, z),
+    "edge_weak_minus_sine": lambda a, z: edge_weak_minus_sine(a, 1.0, z, z),
+    "edge_weak_minus_cosine": lambda a, z: edge_weak_minus_cosine(a, 1.0, z, z),
+    "bulk_from_edge_check": lambda a, z: bulk_from_edge_check(a, 1.0, 1.0, z, z, 30.0),
+    "bessel_kernel": lambda a, z: bessel_kernel(a, z.real, z.real),
+    "edge_strong": lambda a, z: edge_strong(a, z, z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_A_KERNELS))
+@pytest.mark.parametrize("a", [-1.0, -1.5, math.nan])
+@pytest.mark.parametrize("z", [0.2j, 0.5 + 0.2j])
+def test_limit_kernels_refuse_a_at_most_minus_one(name, a, z):
+    kernel = _A_KERNELS[name]
+    kernel(0.5, z)          # the point itself is in the kernel's domain
+    with pytest.raises(DomainError, match=r"a > -1, got "):
+        kernel(a, z)

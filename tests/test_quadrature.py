@@ -9,7 +9,8 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, H
                         UNIT_INTERVAL, integrate_c, integrate_ellipse,
                         rule_for_gas, weight)
 from ellipsegas.polynomials import log_squared_norms, monic_scaled_sequence
-from ellipsegas.quadrature import _c_rule, _gauss_rule, ellipse_rule
+from ellipsegas.quadrature import (_annulus_rule, _c_rule, _disc_rule, _gauss_rule,
+                                   ellipse_rule)
 
 from conftest import gas_cases
 
@@ -235,3 +236,15 @@ def test_integrate_c_passes_the_cached_nodes():
         HALF_LINE, 32, 55.0, 5.0)
     with pytest.raises(DomainError):
         _c_rule("circle", spec)
+
+
+@pytest.mark.parametrize("focal", [False, True])
+def test_cached_ellipse_rules_are_read_only(focal):
+    geo, spec = EllipseGeometry(0.5), QuadratureSpec()
+    for arr in ellipse_rule(geo, spec, focal=focal):
+        with pytest.raises(ValueError):
+            arr[0] = 123.0
+    build = (_annulus_rule if focal else _disc_rule).__wrapped__
+    fresh = build(geo.tau, spec.singularity_exponent, spec.radial_nodes, spec.angular_nodes)
+    again = ellipse_rule(geo, spec, focal=focal)
+    assert all(np.array_equal(x, y) for x, y in zip(again, fresh))
