@@ -15,17 +15,16 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .correlations import DensityGrid, GridSpec, density_grid
+from .correlations import RESCALE_MAPS, DensityGrid, GridSpec, density_grid
 from .errors import DomainError
 from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, weight_values
 from .kernels_finite import (FiniteKernel, kernel_elliptic_ginibre, kernel_truncated,
                              kernel_truncated_limit)
-from .kernels_limit import LimitKernelSpec, LimitKind, bulk_strong, bulk_weak, make_kernel
+from .kernels_limit import LimitKernelSpec, LimitKind, bulk_weak, make_kernel
 from .polynomials import log_squared_norms, monic_scaled_sequence
 from .quadrature import QuadratureSpec, rule_for_gas
 from .sampler import ChainSettings, PRNG_ALGORITHM, density_chi_square, run_chain
@@ -53,21 +52,6 @@ _DIVERGENT = complex(math.inf, 0.0)
 # strict JSON: a non-finite float raises ValueError, so the command exits 2.
 # One encoder serves every line; json.dumps would build one per call.
 _dumps = json.JSONEncoder(allow_nan=False).encode
-
-
-def _threads_cap() -> int:
-    """ELLIPSE_GAS_THREADS caps worker parallelism; evaluation here is
-    sequential and deterministic, so any valid cap is honored trivially."""
-    raw = os.environ.get("ELLIPSE_GAS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"ELLIPSE_GAS_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DomainError("ELLIPSE_GAS_THREADS must be >= 1")
-    return n
 
 
 def _gas(args) -> GasFamily:
@@ -169,12 +153,27 @@ def cmd_kernel(args) -> int:
 _BULK_POINTS = [0j, 0.3 + 0.2j, -0.5 + 0.4j, 1.0 - 0.3j, 0.7 + 0.45j]
 _EDGE_POINTS = [1.0 + 0j, 0.5 + 0.3j, 2.0 - 0.5j, 0.3 + 0j, 1.5 + 1.0j]
 
-# weak study, named by the LimitKind it converges to -> (limit points, finite-N
-# point of a limit point, density scale); the gas of N particles sits at
-# tau_N = 1/(1 + s^2/2N^2)
-_WEAK_STUDIES = {
-    "bulk-weak": (_BULK_POINTS, lambda z, N: z / N, lambda N: N ** 2),
-    "edge-weak": (_EDGE_POINTS, lambda Z, N: 1.0 - Z / (2.0 * N ** 2), lambda N: 4.0 * N ** 4),
+
+def _weak_side(point, scale, args, gas: GasFamily, n: int):
+    """Finite side of a weak study: z -> K_N(point(z, N), point(z, N)) / scale(N)
+    for the gas of N = n particles at tau_N = 1/(1 + s^2/2N^2)."""
+    kern = FiniteKernel(gas, EllipseGeometry(1.0 / (1.0 + args.s ** 2 / (2.0 * n ** 2))), n)
+    return lambda z: kern.eval(point(z, n), point(z, n)) / scale(n)
+
+
+# converge --study -> (the LimitKind it converges to, its points, the row key
+# of a schedule entry, approximant(args, gas, entry), which gives the finite
+# side as a function of a point).  A row holds the sup over the points of
+# |finite side - K(z, z)|; the limit K is cached, so it runs once per point.
+# The strong study takes s^2 K_weak(s z) -> K_strong(z), |Im z| <= 1/4.
+_STUDIES = {
+    "bulk-weak": (LimitKind.BULK_WEAK, _BULK_POINTS, "N",
+                  functools.partial(_weak_side, lambda z, N: z / N, lambda N: N ** 2)),
+    "edge-weak": (LimitKind.EDGE_WEAK, _EDGE_POINTS, "N",
+                  functools.partial(_weak_side, lambda Z, N: 1.0 - Z / (2.0 * N ** 2),
+                                    lambda N: 4.0 * N ** 4)),
+    "strong": (LimitKind.BULK_STRONG, [z / 4.0 for z in _BULK_POINTS], "s",
+               lambda args, gas, s: lambda z: s ** 2 * bulk_weak(args.a, float(s), s * z, s * z)),
 }
 
 
@@ -183,21 +182,13 @@ def cmd_converge(args) -> int:
     schedule = [int(x) for x in args.schedule.split(",")]
     if min(schedule) < 1 or len(set(schedule)) < 2:
         raise DomainError("--schedule needs at least two distinct positive values")
-    if args.study != "strong":
-        points, finite_point, scale = _WEAK_STUDIES[args.study]
-        limit = make_kernel(LimitKernelSpec(LimitKind(args.study), a=args.a, s=args.s))
+    kind, points, key, approximant = _STUDIES[args.study]
+    limit = functools.cache(make_kernel(LimitKernelSpec(kind, a=args.a, s=args.s)))
     rows = []
     for n in schedule:
-        if args.study == "strong":   # s^2 K_weak(s z/4) -> K_strong(z/4), |Im z/4| <= 1/4
-            gaps = [n ** 2 * bulk_weak(args.a, float(n), n * (z / 4.0), n * (z / 4.0))
-                    - bulk_strong(args.a, z / 4.0, z / 4.0) for z in _BULK_POINTS]
-        else:
-            tau_n = 1.0 / (1.0 + args.s ** 2 / (2.0 * n ** 2))
-            kern = FiniteKernel(gas, EllipseGeometry(tau_n), n)
-            gaps = [kern.eval(finite_point(z, n), finite_point(z, n)) / scale(n)
-                    - limit(z, z) for z in points]
-        rows.append({"s" if args.study == "strong" else "N": n,
-                     "sup_discrepancy": max(0.0, *map(abs, gaps))})
+        approx = approximant(args, gas, n)
+        gaps = [approx(z) - limit(z, z) for z in points]
+        rows.append({key: n, "sup_discrepancy": max(0.0, *map(abs, gaps))})
     ys = np.log([max(r["sup_discrepancy"], 1e-300) for r in rows])
     slope = float(np.polyfit(np.log(schedule), ys, 1)[0])
     payload = {"study": args.study, "rows": rows, "fitted_decay_exponent": slope}
@@ -278,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--xmax", type=float, default=1.2)
     d.add_argument("--ymin", type=float, default=-1.2)
     d.add_argument("--ymax", type=float, default=1.2)
-    d.add_argument("--rescale", choices=["none", "fig1", "fig2", "fig3"], default="none")
+    d.add_argument("--rescale", choices=RESCALE_MAPS, default="none")
     d.add_argument("--format", choices=["csv", "json"], default="csv")
     d.add_argument("--output", default="-")
 
@@ -293,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--output", default="-")
 
     c = sub.add_parser("converge", help="finite-N to limit convergence study")
-    c.add_argument("--study", choices=["bulk-weak", "edge-weak", "strong"], required=True)
+    c.add_argument("--study", choices=list(_STUDIES), required=True)
     add_gas(c, a=1.0, tau=None)
     c.add_argument("--s", type=float, default=1.0)
     c.add_argument("--schedule", default="100,200,400",
@@ -329,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _threads_cap()
         if getattr(args, "N", None) is not None and args.N < 1:
             raise DomainError("N must be >= 1")
         return globals()["cmd_" + args.command](args)

@@ -121,8 +121,6 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
     vals = np.zeros((grid.nx, grid.ny))
     if ok.any():
         vals[ok] = factor * kernel.diagonal(w[ok])
-    # numerical floor: clip tiny negative roundoff
-    vals[vals < 0] = 0.0
     return DensityGrid(grid, vals)
 
 

@@ -12,6 +12,11 @@ points it was asked for, so a k-point determinant runs k recurrences; at 24 B
 per term the store holds at most about 7.7 MB at N = 10^4.  A batch streams
 the orthonormal recurrence M_n/sqrt(h_n) degree by degree, vectorized over
 the points, and never holds an [N, points] table.
+
+The truncated-unitary and elliptic Ginibre reference kernels add their terms
+in log space as well, aligned to the largest, with the Gaussian or wall
+prefactor folded into the exponent; the Hermite polynomials run through the
+rescaled recurrence of `polynomials`.  Both stay finite for N up to 10^4.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 from .errors import DomainError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
                        log_weight_values)
-from .polynomials import (_LN2, _coefficients, _log_monic_factors, _steps, log_squared_norms,
-                          scaled_sequence)
+from .polynomials import (_LN2, _coefficients, _log_monic_factors, _scalar_steps, _steps,
+                          log_squared_norms, scaled_sequence)
 from .quadrature import _gauss_rule
 from .specialfns import ln_gamma
 
@@ -150,9 +155,9 @@ class FiniteKernel:
 
     def eval_batch(self, z1: complex, zs) -> np.ndarray:
         """K_N(z1, zs[i]) for a batch of second arguments, with the domain
-        checks of `eval`."""
+        checks of `eval`; complex, also where zs is the one point z1."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        return self._kernel(z1, zs.ravel()).reshape(zs.shape)
+        return self._kernel(z1, zs.ravel()).astype(complex, copy=False).reshape(zs.shape)
 
 
 def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:
@@ -163,11 +168,13 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
     """Finite-N kernel of the truncated-unitary ensemble on the unit disc."""
     if not (a > -1 and N >= 1 and abs(z1) < 1 and abs(z2) < 1):
         raise DomainError("kernel_truncated requires a > -1, N >= 1 and |z| < 1")
-    n = np.arange(N)
-    lg = ln_gamma(n + a + 2) - ln_gamma(a + 1) - ln_gamma(n + 1)
     q = z1 * np.conj(z2)
-    s = complex(np.sum(np.exp(lg) * q ** n)) / math.pi
-    return (1 - abs(z1) ** 2) ** (a / 2) * (1 - abs(z2) ** 2) ** (a / 2) * s
+    n = np.arange(N if q else 1)             # q = 0 leaves the n = 0 term
+    lt = (ln_gamma(n + a + 2) - ln_gamma(a + 1) - ln_gamma(n + 1) + n * math.log(abs(q) or 1.0)
+          + 0.5 * a * (math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2)))
+    top = np.max(lt)
+    s = np.sum(np.exp(lt - top) * (q / abs(q) if q else 1.0) ** n)
+    return complex(s) * math.exp(top) / math.pi
 
 
 def kernel_truncated_limit(a: float, z1: complex, z2: complex) -> complex:
@@ -200,29 +207,25 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex, nodes: int = 64) -
     return pref * integral
 
 
+def _hermite_coefficients(n_max: int):
+    """(alpha_n, beta_n, gamma_n) of the physicists' Hermite recurrence
+    H_n = 2z H_{n-1} - 2(n-1) H_{n-2}, in the form of `polynomials._coefficients`."""
+    return np.zeros(n_max + 1), np.full(n_max + 1, 2.0), -2.0 * (np.arange(n_max + 1) - 1.0)
+
+
 def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> complex:
     """Elliptic Ginibre kernel (Hermite sum, whole plane); the a -> infinity
     target of the Gegenbauer gas under the sqrt(2 tau a) rescaling."""
     if not (0 < tau < 1 and N >= 1):
         raise DomainError("kernel_elliptic_ginibre requires tau in (0,1) and N >= 1")
-    u1 = z1 / math.sqrt(2 * tau)
-    u2 = np.conj(z2) / math.sqrt(2 * tau)
-    h1, h2 = _hermite_seq(N - 1, u1), _hermite_seq(N - 1, u2)
+    coefs = _hermite_coefficients(N - 1)
+    m1, b1 = _scalar_steps(coefs, z1 / math.sqrt(2 * tau))
+    m2, b2 = _scalar_steps(coefs, np.conj(z2) / math.sqrt(2 * tau))
     n = np.arange(N)
-    coef = np.exp(n * math.log(tau / 2) - ln_gamma(n + 1))
-    s = complex(np.sum(coef * h1 * h2))
+    lt = n * math.log(tau / 2) - ln_gamma(n + 1) + (np.array(b1) + np.array(b2)) * _LN2
+    top = np.max(lt)
+    s = complex(np.sum(np.exp(lt - top) * np.array(m1) * np.array(m2)))
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
-    pref = math.exp(-(x1 * x1 + x2 * x2) / (2 * (1 + tau))
+    pref = math.exp(top - (x1 * x1 + x2 * x2) / (2 * (1 + tau))
                     - (y1 * y1 + y2 * y2) / (2 * (1 - tau)))
     return pref * s / (math.pi * math.sqrt(1 - tau * tau))
-
-
-def _hermite_seq(n_max: int, z: complex) -> np.ndarray:
-    """Physicists' Hermite H_0..H_{n_max} at one point."""
-    out = np.zeros(n_max + 1, dtype=complex)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * z
-    for n in range(2, n_max + 1):
-        out[n] = 2.0 * z * out[n - 1] - 2.0 * (n - 1) * out[n - 2]
-    return out

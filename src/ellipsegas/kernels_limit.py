@@ -30,10 +30,17 @@ _DEFAULT = QuadratureSpec()
 _RATIO_CACHE = 64
 
 
-def _check_a(a: float) -> None:
-    """The parameter a of every limiting kernel lies in its domain a > -1."""
-    if not a > -1:
-        raise DomainError(f"limiting kernel parameter must satisfy a > -1, got {a}")
+# parameter -> (whether a value lies in its domain, the domain as text); one
+# rule for LimitKernelSpec and for every kernel called directly
+_PARAMETERS = {"a": (lambda a: a > -1, "a > -1"), "s": (lambda s: s > 0, "s > 0"),
+               "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)")}
+
+
+def _check(name: str, value: float) -> None:
+    """The limiting-kernel parameter `name` has a value in its domain."""
+    valid, need = _PARAMETERS[name]
+    if not valid(value):
+        raise DomainError(f"limiting kernel parameter must satisfy {need}, got {value}")
 
 
 @functools.lru_cache(maxsize=_RATIO_CACHE)
@@ -56,7 +63,7 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
     divergence flagged as inf.
     """
-    _check_a(a)
+    _check("a", a)
     lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
     for q in walls:
         lpref += _log_power(0.5 * a, q)
@@ -102,6 +109,7 @@ def bulk_weak(a: float, s: float, z1: complex, z2: complex,
     K(z1,z2) = (2/(s pi^{3/2} Gamma(a+1))) prod_j (1-4 yhat_j^2/s^2)^{a/2}
                * int_0^1 dc (cs/2)^{a+1/2}/I_{a+1/2}(cs) cos(c(z1 - conj z2)).
     """
+    _check("s", s)
     z1, z2 = complex(z1), complex(z2)
     if not (bulk_domain_contains(s, z1) and bulk_domain_contains(s, z2)):
         raise DomainError("point outside the weak-bulk strip |Im z| <= s/2")
@@ -140,6 +148,7 @@ def _phi(nu: float, c, root: complex) -> np.ndarray:
 def _edge_points(s: float, Z1: complex, Z2: complex):
     """(Z1, Z2, sqrt Z1, sqrt conj Z2) of two points of the weak edge kernels;
     DomainError outside the parabolic edge domain."""
+    _check("s", s)
     Z1, Z2 = complex(Z1), complex(Z2)
     if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
         raise DomainError("point outside the parabolic edge domain")
@@ -180,7 +189,7 @@ def bessel_kernel(a: float, X1: float, X2: float,
         raise DomainError("bessel_kernel requires X >= 0")
     if max(X1, X2) > W_MAX ** 2:
         raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
-    _check_a(a)
+    _check("a", a)
     lpref = _log_power(0.5 * a, X1) + _log_power(0.5 * a, X2)
     if lpref == math.inf:
         return math.inf
@@ -198,7 +207,7 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
     Z1, Z2 = complex(Z1), complex(Z2)
     if Z1.real < 0 or Z2.real < 0:
         raise DomainError("edge_strong requires X >= 0")
-    _check_a(a)
+    _check("a", a)
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     if Z1.real * Z2.real == 0.0 and a < 0:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
@@ -265,6 +274,7 @@ def bulk_from_edge_check(a: float, s: float, kappa: float, z1: complex, z2: comp
     The edge integrand oscillates at frequency ~ sqrt(kappa h), so spec.c_nodes
     must grow with sqrt(h).
     """
+    _check("s", s)
     if kappa <= 0 or h <= 0:
         raise DomainError("kappa and h must be positive")
     z1, z2 = complex(z1), complex(z2)
@@ -447,8 +457,6 @@ _KERNELS = {
     LimitKind.GLOBAL_ROT_T: ("global_rot_t", (), False, False),
     LimitKind.GLOBAL_ROT_V: ("global_rot_v", (), False, False),
 }
-_PARAMETERS = {"a": (lambda a: a > -1, "a > -1"), "s": (lambda s: s > 0, "s > 0"),
-               "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)")}
 
 
 @dataclass(frozen=True)

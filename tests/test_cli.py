@@ -166,13 +166,17 @@ def test_sample_invalid_N_exits_2(tmp_path):
                 "--output", str(tmp_path / "s.ndjson")]) == 2
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("ELLIPSE_GAS_THREADS", "not-a-number")
-    assert run(["kernel", "--kind", "sine", "--points", "0,0",
-                "--output", str(tmp_path / "k.json")]) == 2
-    monkeypatch.setenv("ELLIPSE_GAS_THREADS", "4")
-    assert run(["kernel", "--kind", "sine", "--points", "0,0",
-                "--output", str(tmp_path / "k.json")]) == 0
+def test_threads_env_is_not_read(tmp_path, monkeypatch):
+    # main reads no environment variable: any value of ELLIPSE_GAS_THREADS,
+    # however malformed, leaves the exit code and the output as they are
+    args = ["kernel", "--kind", "sine", "--points", "0,0", "--output"]
+    monkeypatch.delenv("ELLIPSE_GAS_THREADS", raising=False)
+    assert run(args + [str(tmp_path / "plain.json")]) == 0
+    for value in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("ELLIPSE_GAS_THREADS", value)
+        out = tmp_path / f"k{value}.json"
+        assert run(args + [str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_converge_strong_study(tmp_path):
@@ -182,6 +186,36 @@ def test_converge_strong_study(tmp_path):
     payload = json.loads(out.read_text())
     sups = [r["sup_discrepancy"] for r in payload["rows"]]
     assert sups[0] > sups[1] > sups[2]
+
+
+def test_converge_strong_study_evaluates_the_limit_once_per_point(tmp_path, monkeypatch):
+    import ellipsegas.cli as cli
+    import ellipsegas.kernels_limit as kernels_limit
+
+    calls = []
+    original = kernels_limit.bulk_strong
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_limit, "bulk_strong", counted)
+    monkeypatch.setattr(cli, "bulk_strong", counted, raising=False)
+    assert run(["converge", "--study", "strong", "--a", "1",
+                "--schedule", "10,20,40", "--output", str(tmp_path / "cs.json")]) == 0
+    assert len(calls) == 5
+
+
+def test_converge_and_density_choices_come_from_their_tables(capsys):
+    import ellipsegas.cli as cli
+    from ellipsegas.correlations import RESCALE_MAPS
+
+    for argv, choices in ((["converge", "--study", "nope"], list(cli._STUDIES)),
+                          (["density", "--tau", "0.5", "--N", "2", "--rescale", "nope"],
+                           list(RESCALE_MAPS))):
+        with pytest.raises(SystemExit):
+            run(argv)
+        assert ", ".join(f"'{c}'" for c in choices) in capsys.readouterr().err
 
 
 def test_density_fig3_command(tmp_path):

@@ -133,6 +133,25 @@ def test_truncated_examples():
         kernel_truncated(0.0, 5, 1.2, 0.0)
 
 
+@pytest.mark.parametrize("a", [200.0, 500.0])
+def test_truncated_large_a_and_N_matches_its_limit(a):
+    # exp(ln Gamma) of the coefficients overflows here; the log-space sum does not
+    z = 0.3 + 0.1j
+    got = kernel_truncated(a, 10_000, z, z)
+    ref = kernel_truncated_limit(a, z, z)
+    assert np.isfinite(got)
+    assert abs(got - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 2.5])
+def test_truncated_at_the_origin_is_its_first_term(a):
+    # z1 conj z2 = 0 leaves the n = 0 term (a+1)/pi (1-|z2|^2)^{a/2}
+    z = 0.6 - 0.2j
+    for z1, z2 in ((0.0, z), (z, 0.0), (0.0, 0.0)):
+        want = (a + 1) / math.pi * (1 - abs(z1) ** 2 - abs(z2) ** 2) ** (a / 2)
+        assert kernel_truncated(a, 50, z1, z2) == pytest.approx(want, rel=1e-14)
+
+
 def test_truncated_limit_values_and_convergence():
     assert kernel_truncated_limit(0.0, 0.0, 0.0) == pytest.approx(1 / math.pi, rel=1e-14)
     assert kernel_truncated_limit(1.0, 0.0, 0.0) == pytest.approx(2 / math.pi, rel=1e-14)
@@ -151,6 +170,47 @@ def test_elliptic_ginibre_values():
     k12 = kernel_elliptic_ginibre(0.5, 6, z1, z2)
     k21 = kernel_elliptic_ginibre(0.5, 6, z2, z1)
     assert abs(k12 - np.conj(k21)) <= 1e-12 * abs(k12)
+
+
+# the points at which the elliptic Ginibre kernel is tested, (tau, z1, z2)
+_GINIBRE_POINTS = [(0.5, 0.0, 0.0), (0.5, 0.4 + 0.3j, -0.6 - 0.1j), (0.5, -0.6 - 0.1j, 0.4 + 0.3j),
+                   (0.5, 0.5 + 0.2j, 0.5 + 0.2j), (0.5, 0.3, -0.4 + 0.1j),
+                   (0.4, 0.1 + 0.05j, 0.2 - 0.03j), (0.5, 0.3 + 0.1j, 0.3 + 0.1j)]
+
+
+@pytest.mark.parametrize("N", [400, 10_000])
+def test_elliptic_ginibre_finite_and_converged_at_large_N(N):
+    for tau, z1, z2 in _GINIBRE_POINTS:
+        got = kernel_elliptic_ginibre(tau, N, z1, z2)
+        ref = kernel_elliptic_ginibre(tau, 250, z1, z2)
+        assert np.isfinite(got)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_elliptic_ginibre_matches_high_precision_sum():
+    # at tau = 0.9 the coefficients (tau/2)^n/n! leave the double range before
+    # the Hermite products do; a 50-digit sum of the same N terms is the reference
+    mpmath = pytest.importorskip("mpmath")
+    tau, N = 0.9, 250
+
+    def reference(z1, z2):
+        with mpmath.workdps(50):
+            t = mpmath.mpf(tau)
+            u1 = mpmath.mpc(z1) / mpmath.sqrt(2 * t)
+            u2 = mpmath.conj(mpmath.mpc(z2)) / mpmath.sqrt(2 * t)
+            h1, h2, total = [0, mpmath.mpf(1)], [0, mpmath.mpf(1)], 0
+            for n in range(N):
+                if n:
+                    h1 = [h1[1], 2 * u1 * h1[1] - 2 * (n - 1) * h1[0]]
+                    h2 = [h2[1], 2 * u2 * h2[1] - 2 * (n - 1) * h2[0]]
+                total += (t / 2) ** n / mpmath.factorial(n) * h1[1] * h2[1]
+            gauss = mpmath.exp(-(z1.real ** 2 + z2.real ** 2) / (2 * (1 + t))
+                               - (z1.imag ** 2 + z2.imag ** 2) / (2 * (1 - t)))
+            return complex(gauss * total / (mpmath.pi * mpmath.sqrt(1 - t * t)))
+
+    for z1, z2 in [(0j, 0j), (0.4 + 0.3j, -0.6 - 0.1j), (3 + 1j, 3 + 1j), (1.5 - 0.7j, 0.8 + 1.1j)]:
+        scale = math.sqrt(abs(reference(z1, z1) * reference(z2, z2)))
+        assert abs(kernel_elliptic_ginibre(tau, N, z1, z2) - reference(z1, z2)) <= 1e-13 * scale
 
 
 def test_gegenbauer_to_elliptic_ginibre_limit():
@@ -253,7 +313,8 @@ def test_elliptic_ginibre_hermite_orthogonality():
     #   = delta_mn n! pi sqrt(1-tau^2) (tau/2)^{-n},
     # checked by tensor Gauss-Hermite quadrature over the plane
     from numpy.polynomial.hermite import hermgauss
-    from ellipsegas.kernels_finite import _hermite_seq
+    from ellipsegas.kernels_finite import _hermite_coefficients
+    from ellipsegas.polynomials import _scalar_steps
 
     tau = 0.5
     u, wu = hermgauss(48)
@@ -265,7 +326,9 @@ def test_elliptic_ginibre_hermite_orthogonality():
     vals = np.zeros((nmax + 1, x.size, y.size), dtype=complex)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            vals[:, i, j] = _hermite_seq(nmax, complex(xi, yj) / math.sqrt(2 * tau))
+            mant, bits = _scalar_steps(_hermite_coefficients(nmax),
+                                       complex(xi, yj) / math.sqrt(2 * tau))
+            vals[:, i, j] = np.array(mant) * np.exp2(bits)
     for m in range(nmax + 1):
         for n in range(nmax + 1):
             integral = np.einsum("i,j,ij->", wx, wy, vals[m] * np.conj(vals[n]))
@@ -307,6 +370,21 @@ def test_single_point_paths_agree(gas, geo, rng):
         assert ref.imag == 0.0 and ref.real >= 0.0
         for got in (kern.diagonal([z])[0], kern.eval_batch(z, [z])[0]):
             assert got == ref
+
+
+@pytest.mark.parametrize("gas,geo", engine_cases())
+def test_eval_batch_is_complex_at_every_length(gas, geo, rng):
+    # the one-point batch at z1 itself sums |q_n|^2, yet returns the dtype of
+    # every other batch and the bits of eval
+    kern = FiniteKernel(gas, geo, 40)
+    pts = engine_points(geo, rng)
+    for z in pts:
+        one = kern.eval_batch(z, [z])
+        assert one.dtype == np.complex128
+        bits = np.array([kern.eval(z, z)]).view(np.uint64)
+        assert one.view(np.uint64).tolist() == bits.tolist()
+    for zs in ([pts[1]], pts[:2], pts):
+        assert kern.eval_batch(pts[0], zs).dtype == np.complex128
 
 
 @pytest.mark.parametrize("gas,geo", engine_cases())

@@ -652,3 +652,24 @@ def test_limit_kernels_refuse_a_at_most_minus_one(name, a, z):
     kernel(0.5, z)          # the point itself is in the kernel's domain
     with pytest.raises(DomainError, match=r"a > -1, got "):
         kernel(a, z)
+
+
+# every kernel that takes s, at a point of its domain for s = 1
+_S_KERNELS = {
+    "bulk_weak": lambda s, z: bulk_weak(0.5, s, z, z),
+    "edge_weak": lambda s, z: edge_weak(0.5, s, z, z),
+    "edge_weak_minus_sine": lambda s, z: edge_weak_minus_sine(0.5, s, z, z),
+    "edge_weak_minus_cosine": lambda s, z: edge_weak_minus_cosine(0.5, s, z, z),
+    "bulk_from_edge_check": lambda s, z: bulk_from_edge_check(0.5, s, 1.0, z, z, 30.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_S_KERNELS))
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("z", [0.3, 0.5 + 0.2j])
+def test_weak_kernels_refuse_s_not_positive(name, s, z):
+    # refused by name before a wall term divides by s or log s is taken
+    kernel = _S_KERNELS[name]
+    kernel(1.0, z)          # the point itself is in the kernel's domain
+    with pytest.raises(DomainError, match=r"s > 0, got "):
+        kernel(s, z)
