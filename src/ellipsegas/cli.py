@@ -25,7 +25,7 @@ from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, weight_v
 from .kernels_finite import (FiniteKernel, kernel_elliptic_ginibre, kernel_truncated,
                              kernel_truncated_limit)
 from .kernels_limit import LimitKernelSpec, LimitKind, bulk_weak, make_kernel
-from .polynomials import log_squared_norms, monic_scaled_sequence
+from .polynomials import log_raw_norms, scaled_sequence
 from .quadrature import QuadratureSpec, rule_for_gas
 from .sampler import ChainSettings, PRNG_ALGORITHM, density_chi_square, run_chain
 
@@ -201,8 +201,8 @@ def cmd_orthocheck(args) -> int:
     geo = EllipseGeometry(args.tau)
     spec = QuadratureSpec(args.radial_nodes, args.angular_nodes, 64)
     z, w = rule_for_gas(gas, geo, spec)
-    mant, logs = monic_scaled_sequence(gas.family, args.max_degree, z)
-    lh = log_squared_norms(gas, geo, args.max_degree)
+    mant, logs = scaled_sequence(gas.family, args.max_degree, z)
+    lh = log_raw_norms(gas, geo, args.max_degree)
     vals = mant * np.exp(logs - lh[:, None] / 2.0)
     gram = (vals * (w * weight_values(gas, geo, z))) @ np.conj(vals.T)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))

@@ -1,17 +1,19 @@
 """Finite-N correlation kernels, plus the truncated-unitary and elliptic
 Ginibre reference kernels used as limit targets.
 
-The gas kernel is K_N(z1,z2) = sqrt(w(z1) w(z2)) sum_{n<N} M_n(z1) M_n(zbar2)/h_n
-with monic polynomials and norms from `polynomials`; M_n(zbar) = conj M_n(z)
-because the coefficients are real.  Each term is carried as a mantissa and an
-exponent and the sum is aligned to its largest exponent, so evaluation stays
-finite arbitrarily close to the wall and for N ~ 10^4.  One point pair runs
-the plain-Python recurrence of `scaled_sequence`, one table per distinct
-point.  A kernel keeps the checked table of each of the last `_STORE_POINTS`
-points it was asked for, so a k-point determinant runs k recurrences; at 24 B
-per term the store holds at most about 7.7 MB at N = 10^4.  A batch streams
-the orthonormal recurrence M_n/sqrt(h_n) degree by degree, vectorized over
-the points, and never holds an [N, points] table.
+The gas kernel is K_N(z1,z2) = sqrt(w(z1) w(z2)) sum_{n<N} p_n(z1) p_n(zbar2)/h_n
+with p_n the Gegenbauer, Jacobi or Chebyshev polynomial of the recurrence in
+`polynomials` and h_n = int |p_n|^2 w its norm from `log_raw_norms`; no monic
+factor enters.  p_n(zbar) = conj p_n(z) because the coefficients are real.
+Each term is carried as a mantissa and an exponent and the sum is aligned to
+its largest exponent, so evaluation stays finite arbitrarily close to the
+wall and for N ~ 10^4.  One point pair runs the plain-Python recurrence of
+`scaled_sequence`, one table per distinct point.  A kernel keeps the checked
+table of each of the last `_STORE_POINTS` points it was asked for, so a
+k-point determinant runs k recurrences; at 24 B per term the store holds at
+most about 7.7 MB at N = 10^4.  A batch streams the orthonormal recurrence
+p_n/sqrt(h_n) degree by degree, vectorized over the points, and never holds
+an [N, points] table.
 
 The truncated-unitary and elliptic Ginibre reference kernels add their terms
 in log space as well, aligned to the largest, with the Gaussian or wall
@@ -21,6 +23,7 @@ rescaled recurrence of `polynomials`.  Both stay finite for N up to 10^4.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import OrderedDict
 
@@ -29,8 +32,8 @@ import numpy as np
 from .errors import DomainError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
                        log_weight_values)
-from .polynomials import (_LN2, _coefficients, _log_monic_factors, _scalar_steps, _steps,
-                          log_squared_norms, scaled_sequence)
+from .polynomials import (_LN2, _coefficients, _scalar_steps, _steps, log_raw_norms,
+                          scaled_sequence)
 from .quadrature import _gauss_rule
 from .specialfns import ln_gamma
 
@@ -47,10 +50,9 @@ class FiniteKernel:
         self.gas = gas
         self.geometry = geometry
         self.N = N
-        # log of M_n / sqrt(h_n) over the family polynomial p_n
-        self._log_c = (_log_monic_factors(gas.family, N - 1)
-                       - 0.5 * log_squared_norms(gas, geometry, N - 1))
-        # recurrence of M_n / sqrt(h_n), divided by its degree-0 value: the
+        # log of 1/sqrt(h_n), which turns p_n into the orthonormal p_n/sqrt(h_n)
+        self._log_c = -0.5 * log_raw_norms(gas, geometry, N - 1)
+        # recurrence of p_n / sqrt(h_n), divided by its degree-0 value: the
         # p_{n-1} term scales by r_n = c_n / c_{n-1}, the p_{n-2} term by r_n r_{n-1}
         lin0, lin1, quad = _coefficients(gas.family, N - 1)
         r = np.exp(np.diff(self._log_c, prepend=self._log_c[0]))
@@ -77,7 +79,7 @@ class FiniteKernel:
         return lw
 
     def _point(self, z: complex):
-        """(log-weight, mantissas, logs of M_n(z)/sqrt(h_n), n < N) at one
+        """(log-weight, mantissas, logs of p_n(z)/sqrt(h_n), n < N) at one
         point, checked and computed on its first use and then read from the
         store; a point that fails its check raises and is not stored."""
         key = complex(z)
@@ -95,7 +97,7 @@ class FiniteKernel:
 
     def _stream(self, zs: np.ndarray, z1):
         """(acc, log scale) of sum_n q_n(z1) conj q_n(zs), or of sum_n |q_n(zs)|^2
-        when z1 is None, with q_n = M_n/sqrt(h_n).
+        when z1 is None, with q_n = p_n/sqrt(h_n).
 
         Each point accumulates in units of 2^top, its largest term exponent so
         far; top and the term factor change only when a recurrence pair is
@@ -178,11 +180,14 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
 
 
 def kernel_truncated_limit(a: float, z1: complex, z2: complex) -> complex:
-    """N -> infinity closed form of the truncated-unitary kernel."""
+    """N -> infinity closed form of the truncated-unitary kernel,
+    (a+1)/pi (1-|z1|^2)^{a/2} (1-|z2|^2)^{a/2} / (1 - z1 conj z2)^{a+2},
+    in log space, so it stays finite at large a; the principal log is the
+    right branch because Re(1 - z1 conj z2) > 0 on the disc."""
     if not (a > -1 and abs(z1) < 1 and abs(z2) < 1):
         raise DomainError("kernel_truncated_limit requires a > -1 and |z| < 1")
-    num = (1 - abs(z1) ** 2) ** (a / 2) * (1 - abs(z2) ** 2) ** (a / 2)
-    return (a + 1) / math.pi * num / (1 - z1 * np.conj(z2)) ** (a + 2)
+    lw = 0.5 * a * (math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2))
+    return (a + 1) / math.pi * cmath.exp(lw - (a + 2) * cmath.log(1 - z1 * z2.conjugate()))
 
 
 def kernel_truncated_edge(a: float, Z1: complex, Z2: complex, nodes: int = 64) -> complex:

@@ -208,23 +208,28 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
     if Z1.real < 0 or Z2.real < 0:
         raise DomainError("edge_strong requires X >= 0")
     _check("a", a)
-    beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
-    if Z1.real * Z2.real == 0.0 and a < 0:
+    lpref = (_log_power(0.5 * a, Z1.real) + _log_power(0.5 * a, Z2.real)
+             - math.log(4.0 * math.pi) - ln_gamma(a + 1))
+    if lpref == math.inf:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
-    pref = (Z1.real * Z2.real) ** (a / 2) / (4.0 * math.pi) * math.exp(-ln_gamma(a + 1))
+    pref = math.exp(lpref)
+    beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     if abs(beta) < 1e-14:
         return pref / (a + 2.0)
     return pref * _lower_gamma_ratio(a + 2.0, beta)
 
 
 def _lower_gamma_ratio(s: float, z: complex) -> complex:
-    """gamma_low(s, z) / z^s via the ascending series (desk-scale |z|)."""
+    """gamma_low(s, z) / z^s via the ascending series (desk-scale |z|);
+    OutOfRangeError once the partial sum leaves the double range."""
     term = 1.0 / s
     total = term
     k = 1
     while True:
         term *= z / (s + k)
         total += term
+        if not abs(total) < math.inf:       # inf, or nan from inf - inf
+            raise OutOfRangeError(f"incomplete gamma series overflows at |z| = {abs(z):g}")
         if abs(term) < 1e-17 * abs(total):
             break
         k += 1

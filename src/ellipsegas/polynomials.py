@@ -4,6 +4,11 @@ All families are evaluated by forward three-term recurrence (stable here:
 every call site sits in or near the ellipse where the polynomials are the
 dominant solution).  Values are carried as (mantissa, log_scale) pairs so
 that degrees up to 10^5 and arguments like 1/tau ~ 10^6 never overflow.
+
+One normalisation serves the kernels: `log_raw_norms` gives log int |p_n|^2 w
+for the polynomial p_n the recurrence produces.  The monic polynomials
+M_n = kappa_n p_n and their norms h_n = kappa_n^2 int |p_n|^2 w are the
+public view on top of it (`log_monic_factors`, `log_squared_norms`).
 """
 
 from __future__ import annotations
@@ -253,15 +258,6 @@ def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
     return -n * _LN2
 
 
-@functools.lru_cache(maxsize=16)
-def _log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
-    """`log_monic_factors`, cached and read-only: a kernel's construction and
-    the Jacobi norms of `log_squared_norms` share one computation."""
-    lk = log_monic_factors(family, n_max)
-    lk.flags.writeable = False
-    return lk
-
-
 def monic_value(family: PolyFamily, n: int, z: complex) -> ScaledValue:
     """M_n(z): the family polynomial normalized to unit leading coefficient."""
     raw = _scaled_at(_coefficients(family, n), z)
@@ -281,8 +277,9 @@ def _log_v_power_diff(m, log_v):
     return t + np.log1p(-np.exp(-2.0 * t))
 
 
-def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.ndarray:
-    """log h_n, n = 0..n_max, for the monic polynomials of the gas.
+def log_raw_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.ndarray:
+    """log of int |p_n|^2 w, n = 0..n_max, for the family polynomial p_n of
+    the recurrence (not the monic one): the normalisation of the kernel.
 
     Closed forms: the Gegenbauer norms need C_n^{(a+1)}(1/tau), the Jacobi
     families need C_*^{(a+1)}(semi_x), both evaluated log-scaled; Chebyshev
@@ -295,37 +292,32 @@ def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> 
     kind = gas.kind
     if kind is PolyKind.GEGENBAUER:
         mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a), n_max, 1.0 / tau)
-        lc = logs[:, 0] + np.log(mant[:, 0].real)  # positive for argument > 1
-        lg = ln_gamma(a + 1) + ln_gamma(n + 1)
-        g1 = lg - ln_gamma(n + a + 2) - n * _LN2
-        g2 = lg - ln_gamma(n + a + 1) - n * _LN2
         pref = math.log(math.pi * math.sqrt(1 - tau * tau) / (2 * tau))
-        return g1 + g2 + pref + lc
+        # mantissas are positive for argument > 1; the exponent, the largest
+        # term, is added last
+        return logs[:, 0] + (np.log(mant[:, 0].real) + pref - np.log(n + a + 1))
     if kind in (PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
-        plus = kind is PolyKind.JACOBI_PLUS
-        deg = 2 * n + 1 if plus else 2 * n
+        off = 2 if kind is PolyKind.JACOBI_PLUS else 1
+        deg = 2 * n + off - 1                  # 2n + 1 for jacobi-plus, 2n for jacobi-minus
         mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a),
                                      int(deg.max()), geometry.semi_x)
         lc = logs[deg, 0] + np.log(mant[deg, 0].real)
-        lk = _log_monic_factors(gas.family, n_max)
-        half = math.log(2.0) if plus else 0.0
-        off = 2 if plus else 1
-        lg = ln_gamma(n + (1.5 if plus else 0.5))
-        lh_raw = (math.log(2.0) + half + 0.5 * math.log((1 - tau) / (2 * tau))
-                  + 2.0 * lg + 2.0 * ln_gamma(a + 1)
-                  - np.log(2 * n + a + off) - 2.0 * ln_gamma(n + a + off) + lc)
-        return 2.0 * lk + lh_raw
-    if kind is PolyKind.CHEBYSHEV_T:
-        ns = np.maximum(n, 1)
-        body = ((1 - ns) * math.log(4.0) + math.log(math.pi)
-                + _log_v_power_diff(2 * ns, log_v) - np.log(4 * ns))
-        return np.where(n == 0, math.log(2 * math.pi * log_v), body)
-    if kind is PolyKind.CHEBYSHEV_U:
-        return (-(n + 1) * math.log(4.0) + math.log(math.pi)
-                + _log_v_power_diff(2 * n + 2, log_v) - np.log(n + 1))
-    # CHEBYSHEV_V
-    return (-n * math.log(4.0) + math.log(math.pi)
-            + _log_v_power_diff(2 * n + 1, log_v) - np.log(2 * n + 1))
+        return (off * _LN2 + 0.5 * math.log((1 - tau) / (2 * tau))
+                + 2.0 * ln_gamma(n + off - 0.5) + 2.0 * ln_gamma(a + 1)
+                - np.log(2 * n + a + off) - 2.0 * ln_gamma(n + a + off) + lc)
+    # Chebyshev T, U, V: pi (v^m - v^-m) / (c m) with m = 2n, 2n + 2, 2n + 1 and
+    # c = 2, 2, 1; the zero mode of T, m = 0, is 2 pi log v
+    m = 2 * n + {PolyKind.CHEBYSHEV_T: 0, PolyKind.CHEBYSHEV_U: 2}.get(kind, 1)
+    c = 1.0 if kind is PolyKind.CHEBYSHEV_V else 2.0
+    ms = np.maximum(m, 1)
+    lh = math.log(math.pi) + _log_v_power_diff(ms, log_v) - np.log(c * ms)
+    return np.where(m == 0, math.log(2 * math.pi * log_v), lh)
+
+
+def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.ndarray:
+    """log h_n, n = 0..n_max, for the monic polynomials of the gas:
+    2 log kappa_n plus the raw norms of `log_raw_norms`."""
+    return 2.0 * log_monic_factors(gas.family, n_max) + log_raw_norms(gas, geometry, n_max)
 
 
 def squared_norm(gas: GasFamily, geometry: EllipseGeometry, n: int) -> float:

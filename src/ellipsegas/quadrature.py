@@ -21,13 +21,14 @@ ordering), making results independent of any data-parallel evaluation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TailDivergenceError
+from .errors import DomainError, OutOfRangeError, TailDivergenceError
 from .geometry import EllipseGeometry, GasFamily, PolyKind
 
 UNIT_INTERVAL = "unit_interval"
@@ -168,21 +169,28 @@ def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None =
 
     Half-line truncation defaults to max(50, 5*(a+2)) with a the spec's
     singularity exponent; the final panel must be negligible or the
-    integrand is flagged as non-decaying.  g sees the nodes as one flat
-    array, the same read-only array on every call with the same rule.
+    integrand is flagged as non-decaying.  An integrand that is not finite at
+    a node, such as an underflowed factor times an overflowed one, or a sum
+    that overflows, raises OutOfRangeError rather than return nan.  g sees the nodes as one flat array, the same
+    read-only array on every call with the same rule.
     """
     c, w = _gauss_rule(*_c_rule(domain, spec, truncation, panel))
     vals = np.asarray(g(c), dtype=complex)
     if domain == UNIT_INTERVAL:
-        return complex(np.sum(w * vals))
-    # one composite rule, weights [panels, nodes]
-    parts = np.sum(w * vals.reshape(w.shape), axis=1).tolist()
-    total = 0.0 + 0.0j
-    for part in parts:
-        total += part
-    last = abs(parts[-1])
-    if last > 1e-8 * max(abs(total), 1e-300):
-        raise TailDivergenceError(
-            f"final panel contributes {last:.3g} of {abs(total):.3g}; "
-            "increase truncation or check integrand decay")
+        total = complex(np.sum(w * vals))
+    else:
+        # one composite rule, weights [panels, nodes]
+        parts = np.sum(w * vals.reshape(w.shape), axis=1).tolist()
+        total = 0.0 + 0.0j
+        for part in parts:
+            total += part
+        last = abs(parts[-1])
+        if last > 1e-8 * max(abs(total), 1e-300):
+            raise TailDivergenceError(
+                f"final panel contributes {last:.3g} of {abs(total):.3g}; "
+                "increase truncation or check integrand decay")
+    # the weights are positive, so a value that is not finite at any node
+    # leaves the sum not finite; checking the sum is the cheaper test
+    if not cmath.isfinite(total):
+        raise OutOfRangeError("integrand leaves the double range at a quadrature node")
     return total

@@ -358,6 +358,27 @@ def test_kernel_hard_edge_divergence_is_strict_json(tmp_path, kind):
     assert set(finite) == {"z1", "z2", "re", "im"} and finite["re"] > 0
 
 
+@pytest.mark.parametrize("kind, points, expect", [
+    ("truncated-limit", "0.99,0", lambda v: v["re"] == pytest.approx(402700.0655996, rel=1e-11)),
+    ("edge-strong", "5,0", lambda v: v["re"] == 0.0 and v["im"] == 0.0)],
+    ids=["truncated-limit", "edge-strong"])
+def test_kernel_at_large_a_is_strict_json(tmp_path, kind, points, expect):
+    # both values leave the double range in their factors but not in the result
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", kind, "--a", "500", "--points", points,
+                "--output", str(out)]) == 0
+    (value,) = _strict_json(out.read_text())["values"]
+    assert expect(value)
+
+
+def test_kernel_out_of_range_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", "bessel", "--a", "200", "--points", "100,0",
+                "--output", str(out)]) == 2
+    assert "double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernel_non_finite_value_exits_2(tmp_path, capsys, monkeypatch):
     from ellipsegas import kernels_limit
     monkeypatch.setattr(kernels_limit, "sine_kernel", lambda x1, x2: math.nan)

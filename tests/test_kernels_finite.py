@@ -11,10 +11,10 @@ from scipy.special import gammaln
 import ellipsegas.kernels_finite as kernels_finite
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         PolyKind, QuadratureSpec, SingularPointError, correlation_k,
-                        kernel_elliptic_ginibre, kernel_eval, kernel_truncated,
-                        kernel_truncated_edge, kernel_truncated_limit,
+                        ellipse_deficit, kernel_elliptic_ginibre, kernel_eval,
+                        kernel_truncated, kernel_truncated_edge, kernel_truncated_limit,
                         rule_for_gas, weight)
-from ellipsegas.polynomials import log_monic_factors, log_squared_norms
+from ellipsegas.polynomials import log_raw_norms
 
 from conftest import gas_cases, interior_points, wall_points
 
@@ -160,6 +160,26 @@ def test_truncated_limit_values_and_convergence():
         lim = kernel_truncated_limit(1.0, z1, z2)
         fin = kernel_truncated(1.0, 600, z1, z2)
         assert abs(lim - fin) <= 1e-8 * max(1.0, abs(lim))
+
+
+@pytest.mark.parametrize("a, z1, z2", [(500.0, 0.99, 0.99),
+                                        (5000.0, -0.5 + 0.5j, -0.5 + 0.5j),
+                                        (500.0, 0.9 + 0.1j, 0.85 - 0.2j)])
+def test_truncated_limit_stays_finite_at_large_a(a, z1, z2):
+    # the powers (1-|z|^2)^{a/2} and (1 - z1 conj z2)^{a+2} leave the double
+    # range here; their ratio, against the closed form in 40 digits, does not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w1, w2 = mpmath.mpc(z1), mpmath.mpc(z2)
+        ref = complex((a + 1) / mpmath.pi * ((1 - abs(w1) ** 2) * (1 - abs(w2) ** 2)) ** (a / 2)
+                      / (1 - w1 * mpmath.conj(w2)) ** (a + 2))
+    assert abs(kernel_truncated_limit(a, z1, z2) - ref) <= 1e-11 * abs(ref)
+
+
+def test_truncated_limit_at_a_5000_is_the_large_N_sum():
+    z = -0.5 + 0.5j
+    ref = kernel_truncated(5000.0, 10_000, z, z)
+    assert abs(kernel_truncated_limit(5000.0, z, z) - ref) <= 1e-10 * abs(ref)
 
 
 def test_elliptic_ginibre_values():
@@ -591,13 +611,67 @@ def test_a_kernel_with_stored_points_is_freed_without_the_collector():
             gc.enable()
 
 
-def test_log_c_is_the_monic_factors_over_the_root_norms():
-    # the cached factors give the same bits as a fresh log_monic_factors
+def test_log_c_is_minus_half_the_raw_norms():
+    # the kernel is normalised by the raw family norms, with no monic factor
     for kind in PolyKind:
         gas, geo = GasFamily(kind, 1.5 if kind in A_KINDS else 0.0), EllipseGeometry(0.4)
         kern = FiniteKernel(gas, geo, 50)
-        ref = log_monic_factors(gas.family, 49) - 0.5 * log_squared_norms(gas, geo, 49)
-        assert np.array_equal(kern._log_c, ref)
+        assert np.array_equal(kern._log_c, -0.5 * log_raw_norms(gas, geo, 49))
+
+
+def _gegenbauer_mp(a, z, N):
+    """C_n^{(a+1)}(z), n < N, by the recurrence in the current mpmath precision."""
+    import mpmath
+    lam = mpmath.mpf(a) + 1
+    vals = [mpmath.mpf(0), mpmath.mpf(1)]     # C_{-1}, C_0
+    for n in range(1, N):
+        vals.append((2 * (n + lam - 1) * z * vals[-1] - (n + 2 * lam - 2) * vals[-2]) / n)
+    return vals[1:]
+
+
+def _gegenbauer_raw_norms_mp(a, tau, N):
+    """h_n = pi sqrt(1-tau^2)/(2 tau) C_n^{(a+1)}(1/tau)/(n+a+1), n < N."""
+    import mpmath
+    t = mpmath.mpf(tau)
+    pref = mpmath.pi * mpmath.sqrt(1 - t * t) / (2 * t)
+    return [pref * c / (n + a + 1) for n, c in enumerate(_gegenbauer_mp(a, 1 / t, N))]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 2.5])
+def test_log_c_matches_a_30_digit_gegenbauer_norm_to_n_1e4(a):
+    # every degree of the normalisation, against the closed form in 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    tau, N = 0.5, 10_000
+    with mpmath.workdps(30):
+        ref = np.array([float(-mpmath.log(h) / 2) for h in _gegenbauer_raw_norms_mp(a, tau, N)])
+    kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, a), EllipseGeometry(tau), N)
+    assert np.max(np.abs(kern._log_c - ref)) <= 4e-12
+
+
+def test_kernel_near_the_wall_at_N_1e4_matches_a_40_digit_sum():
+    # points with ellipse deficit 1e-3 .. 1e-2, where the terms near n = N
+    # dominate; eval takes the one-point path, diagonal the streamed one.  The
+    # weight is the library's, so that the check is on the sum: the deficit
+    # rounds to a relative eps/deficit, up to 1.2e-13 at these points
+    mpmath = pytest.importorskip("mpmath")
+    a, tau, N = 0.5, 0.5, 10_000
+    geo = EllipseGeometry(tau)
+    gas = GasFamily(PolyKind.GEGENBAUER, a)
+    pts = [math.sqrt(1 - d) * complex(geo.semi_x * math.cos(th), geo.semi_y * math.sin(th))
+           for d, th in ((1e-3, 0.3), (3e-3, 1.2), (1e-2, 2.5))]
+    assert all(1e-3 <= ellipse_deficit(geo, z) <= 1.001e-2 for z in pts)
+    refs = []
+    with mpmath.workdps(40):
+        norms = _gegenbauer_raw_norms_mp(a, tau, N)
+        for z in pts:
+            vals = _gegenbauer_mp(a, mpmath.mpc(z), N)
+            total = mpmath.fsum(abs(c) ** 2 / h for c, h in zip(vals, norms))
+            refs.append(float(weight(gas, geo, z) * total))
+    kern = FiniteKernel(gas, geo, N)
+    refs = np.array(refs)
+    one = np.array([kern.eval(z, z) for z in pts])
+    assert np.all(np.abs(one - refs) <= 1e-13 * refs)
+    assert np.all(np.abs(kern.diagonal(pts) - refs) <= 1e-13 * refs)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -183,6 +184,16 @@ def test_bessel_kernel_refuses_beyond_w_max_squared():
         make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, 1e4 + 0.5j)
 
 
+@pytest.mark.parametrize("call", [lambda: edge_weak(100.0, 1.0, 1.0, 0.5 + 0.3j),
+                                  lambda: bessel_kernel(100.0, 1.0, 2.0),
+                                  lambda: bessel_kernel(200.0, 100.0, 100.0)],
+                         ids=["edge_weak-a100", "bessel-a100", "bessel-a200"])
+def test_quadrature_kernels_refuse_where_the_integrand_leaves_the_double_range(call):
+    # on the smallest c-nodes J_nu(u) underflows to 0 while u^-nu overflows
+    with pytest.raises(OutOfRangeError):
+        call()
+
+
 def test_real_point_kernels_reject_complex_points():
     # make_kernel passes the real parts; the functions themselves take reals
     with pytest.raises(TypeError):
@@ -255,6 +266,34 @@ def test_edge_strong_equals_truncated_unitary_path(a):
         # both paths flag the hard-edge divergence identically
         assert edge_strong(a, 0.0, 0.0).real == math.inf
         assert kernel_truncated_edge(a, 0.0, 0.0).real == math.inf
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 2.0])
+def test_edge_strong_matches_its_closed_form_in_40_digits(a):
+    # (X1 X2)^{a/2} / (4 pi Gamma(a+1)) gamma_low(a+2, beta) / beta^{a+2}; at
+    # X = 0 the prefactor is the hard-wall limit, inf for a < 0
+    mpmath = pytest.importorskip("mpmath")
+    for X1, X2 in itertools.product((0.0, 1.0, 3.0), repeat=2):
+        for Y1, Y2 in ((0.0, 0.0), (0.5, -1.0)):
+            got = edge_strong(a, complex(X1, Y1), complex(X2, Y2))
+            if X1 * X2 == 0.0 and a < 0:
+                assert got == complex(math.inf, 0.0)
+                continue
+            with mpmath.workdps(40):
+                beta = mpmath.mpc(0.5 * (X1 + X2), 0.5 * (Y1 - Y2))
+                pref = mpmath.mpf(X1 * X2) ** (a / 2) / (4 * mpmath.pi * mpmath.gamma(a + 1))
+                ref = complex(pref * (mpmath.gammainc(a + 2, 0, beta) / beta ** (a + 2)
+                                      if beta else 1 / mpmath.mpf(a + 2)))
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_edge_strong_underflows_or_refuses_outside_the_double_range():
+    # (X1 X2)^{a/2} alone overflows at a = 500, X = 5; the whole prefactor
+    # underflows to 0
+    assert edge_strong(500.0, 5.0, 5.0) == 0.0
+    # the incomplete gamma series reaches e^800 before it converges
+    with pytest.raises(OutOfRangeError):
+        edge_strong(0.5, 800.0, 800.0)
 
 
 # ------------------------------------------------------------------ left focus

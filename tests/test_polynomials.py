@@ -324,9 +324,12 @@ def test_poly_family_is_the_gas_family():
     assert PolyFamily(PolyKind.JACOBI_MINUS, 1.5) == gas
 
 
-def test_jacobi_kernel_construction_computes_the_monic_factors_once(monkeypatch):
-    # the kernel's coefficients and the Jacobi norms share one
-    # log_monic_factors (3 array log-gamma calls); the norms add 2 of their own
+@pytest.mark.parametrize("kind, calls", [(PolyKind.JACOBI_PLUS, 2), (PolyKind.GEGENBAUER, 0)])
+def test_kernel_construction_reads_the_raw_norms_without_monic_factors(monkeypatch, kind,
+                                                                        calls):
+    # the kernel is normalised by the raw norms alone: the Jacobi norms make
+    # 2 array log-gamma calls, the Gegenbauer norms none, and no monic factor
+    # is computed
     array_calls = []
     real = polynomials.ln_gamma
 
@@ -335,6 +338,6 @@ def test_jacobi_kernel_construction_computes_the_monic_factors_once(monkeypatch)
             array_calls.append(x)
         return real(x)
     monkeypatch.setattr(polynomials, "ln_gamma", counting)
-    polynomials._log_monic_factors.cache_clear()
-    FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.75), EllipseGeometry(0.5), 100)
-    assert len(array_calls) == 5
+    monkeypatch.setattr(polynomials, "log_monic_factors", None)
+    FiniteKernel(GasFamily(kind, 0.75), EllipseGeometry(0.5), 100)
+    assert len(array_calls) == calls
