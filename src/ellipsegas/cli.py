@@ -21,7 +21,7 @@ import numpy as np
 
 from .correlations import RESCALE_MAPS, DensityGrid, GridSpec, density_grid
 from .errors import DomainError
-from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, weight_values
+from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, _check, weight_values
 from .kernels_finite import (FiniteKernel, kernel_elliptic_ginibre, kernel_truncated,
                              kernel_truncated_limit)
 from .kernels_limit import LimitKernelSpec, LimitKind, bulk_weak, make_kernel
@@ -320,8 +320,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "N", None) is not None and args.N < 1:
-            raise DomainError("N must be >= 1")
+        if getattr(args, "N", None) is not None:
+            _check("N", args.N)
         return globals()["cmd_" + args.command](args)
     except ValueError as exc:   # DomainError and malformed numeric flags
         print(f"error: {exc}", file=sys.stderr)

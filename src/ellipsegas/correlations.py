@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, ellipse_deficit, log_weight_values
+from .geometry import EllipseGeometry, GasFamily, _check, ellipse_deficit, log_weight_values
 from .kernels_finite import FiniteKernel
 from .polynomials import log_squared_norms
 from .specialfns import ln_gamma
@@ -126,6 +126,5 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
 
 def log_partition(gas: GasFamily, geometry: EllipseGeometry, N: int) -> float:
     """ln Z_N = ln N! + sum_{n<N} ln h_n (beta = 2 determinantal identity)."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    _check("N", N)
     return float(ln_gamma(N + 1) + np.sum(log_squared_norms(gas, geometry, N - 1)))

@@ -6,6 +6,12 @@ The ellipse is parametrized by tau in (0,1):
 
 with semi-axes sqrt((1+tau)/(2 tau)), sqrt((1-tau)/(2 tau)) and foci at +-1.
 Five gas families live on it, distinguished by their one-particle weight.
+
+Every parameter rule of the package is written once, in `_PARAMETERS`, and
+checked by `_check`: the weight exponent a > -1, the weak scale s > 0 and the
+proposal width are finite, tau lies in (0,1), and N, burn_in and thin are
+integers.  The rules of the points (inside the ellipse, X >= 0, the strips)
+stay with the functions that take them.
 """
 
 from __future__ import annotations
@@ -14,10 +20,29 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError
+
+# parameter -> (whether a value lies in its domain, the domain as text); one
+# rule for every function and class that takes the parameter, and for the text
+# of LimitKernelSpec; inf and nan lie in no domain
+_PARAMETERS = {"a": (lambda a: -1 < a < math.inf, "finite a > -1"),
+               "s": (lambda s: 0 < s < math.inf, "finite s > 0"),
+               "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)"),
+               "N": (lambda N: isinstance(N, Integral) and N >= 1, "integer N >= 1"),
+               "burn_in": (lambda b: isinstance(b, Integral) and b >= 0, "integer burn_in >= 0"),
+               "thin": (lambda t: isinstance(t, Integral) and t >= 1, "integer thin >= 1"),
+               "proposal_sigma": (lambda p: 0 < p < math.inf, "finite proposal_sigma > 0")}
+
+
+def _check(name: str, value) -> None:
+    """DomainError naming the parameter `name` unless `value` lies in its domain."""
+    valid, need = _PARAMETERS[name]
+    if not valid(value):
+        raise DomainError(f"expected {need}, got {value}")
 
 
 class PolyKind(Enum):
@@ -40,8 +65,7 @@ class GasFamily:
     a: float = 0.0
 
     def __post_init__(self):
-        if not self.a > -1:
-            raise DomainError(f"gas parameter must satisfy a > -1, got {self.a}")
+        _check("a", self.a)
         if self.kind in _CHEBYSHEV and self.a != 0.0:
             raise DomainError(f"{self.kind.value} gas has no free parameter")
 
@@ -68,8 +92,7 @@ class EllipseGeometry:
     tau: float
 
     def __post_init__(self):
-        if not 0 < self.tau < 1:
-            raise DomainError(f"tau must lie in (0,1), got {self.tau}")
+        _check("tau", self.tau)
 
     @property
     def semi_x(self) -> float:

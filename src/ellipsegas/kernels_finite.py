@@ -30,8 +30,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
-                       log_weight_values)
+from .geometry import (EllipseGeometry, GasFamily, _check, _log_power, contains,
+                       ellipse_deficit, log_weight, log_weight_values)
 from .polynomials import (_LN2, _coefficients, _scalar_steps, _steps, log_raw_norms,
                           scaled_sequence)
 from .quadrature import _gauss_rule
@@ -45,8 +45,7 @@ class FiniteKernel:
     """Immutable N-point projection kernel of one gas on one ellipse."""
 
     def __init__(self, gas: GasFamily, geometry: EllipseGeometry, N: int):
-        if N < 1:
-            raise DomainError(f"N must be >= 1, got {N}")
+        _check("N", N)
         self.gas = gas
         self.geometry = geometry
         self.N = N
@@ -168,8 +167,10 @@ def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:
 
 def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
     """Finite-N kernel of the truncated-unitary ensemble on the unit disc."""
-    if not (a > -1 and N >= 1 and abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("kernel_truncated requires a > -1, N >= 1 and |z| < 1")
+    _check("a", a)
+    _check("N", N)
+    if not (abs(z1) < 1 and abs(z2) < 1):
+        raise DomainError("kernel_truncated requires |z| < 1")
     q = z1 * np.conj(z2)
     n = np.arange(N if q else 1)             # q = 0 leaves the n = 0 term
     lt = (ln_gamma(n + a + 2) - ln_gamma(a + 1) - ln_gamma(n + 1) + n * math.log(abs(q) or 1.0)
@@ -184,32 +185,34 @@ def kernel_truncated_limit(a: float, z1: complex, z2: complex) -> complex:
     (a+1)/pi (1-|z1|^2)^{a/2} (1-|z2|^2)^{a/2} / (1 - z1 conj z2)^{a+2},
     in log space, so it stays finite at large a; the principal log is the
     right branch because Re(1 - z1 conj z2) > 0 on the disc."""
-    if not (a > -1 and abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("kernel_truncated_limit requires a > -1 and |z| < 1")
+    _check("a", a)
+    if not (abs(z1) < 1 and abs(z2) < 1):
+        raise DomainError("kernel_truncated_limit requires |z| < 1")
     lw = 0.5 * a * (math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2))
     return (a + 1) / math.pi * cmath.exp(lw - (a + 2) * cmath.log(1 - z1 * z2.conjugate()))
 
 
-def kernel_truncated_edge(a: float, Z1: complex, Z2: complex, nodes: int = 64) -> complex:
+def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
     """Edge limit of the truncated-unitary kernel at unity.
 
     lim (1/4N^2) K_N^trunc(1 - Zhat_j/(2N)) with Zhat = Xhat + i Yhat,
     evaluated by Gauss-Jacobi quadrature of int_0^1 c^{a+1} e^{-c beta} dc.
-    This is the independent cross-check path for the strong edge kernel.
+    This is the independent cross-check path for the strong edge kernel; its
+    prefactor (Xhat1 Xhat2)^{a/2}/(4 pi Gamma(a+1)) is taken in log space, as
+    there, with the same inf flag on the edge Xhat = 0 for a < 0.
     """
-    X1, Y1 = Z1.real, Z1.imag
-    X2, Y2 = Z2.real, Z2.imag
-    if not (a > -1 and X1 >= 0 and X2 >= 0):
-        raise DomainError("kernel_truncated_edge requires a > -1 and Xhat >= 0")
-    if X1 * X2 == 0.0 and a < 0:
-        return complex(math.inf, 0.0)
-    beta = 0.5 * (X1 + X2) + 0.5j * (Y1 - Y2)
-    xj, wj = _gauss_rule("jacobi", nodes, 0.0, a + 1.0)
-    c = (xj + 1.0) / 2.0
-    w = wj / 2.0 ** (a + 2.0)                 # sum w F(c) = int_0^1 c^{a+1} F dc
-    integral = complex(np.sum(w * np.exp(-c * beta)))
-    pref = (X1 * X2) ** (a / 2) / (4.0 * math.pi) * math.exp(-ln_gamma(a + 1))
-    return pref * integral
+    _check("a", a)
+    Z1, Z2 = complex(Z1), complex(Z2)
+    if not (Z1.real >= 0 and Z2.real >= 0):
+        raise DomainError("kernel_truncated_edge requires Xhat >= 0")
+    # 2^{-(a+2)} turns the Gauss-Jacobi sum at c = (xj + 1)/2 into int_0^1 c^{a+1} F(c) dc
+    lpref = (_log_power(0.5 * a, Z1.real) + _log_power(0.5 * a, Z2.real)
+             - math.log(4.0 * math.pi) - ln_gamma(a + 1) - (a + 2.0) * _LN2)
+    if lpref == math.inf:
+        return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
+    beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
+    xj, wj = _gauss_rule("jacobi", 64, 0.0, a + 1.0)
+    return math.exp(lpref) * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
 
 
 def _hermite_coefficients(n_max: int):
@@ -221,8 +224,8 @@ def _hermite_coefficients(n_max: int):
 def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> complex:
     """Elliptic Ginibre kernel (Hermite sum, whole plane); the a -> infinity
     target of the Gegenbauer gas under the sqrt(2 tau a) rescaling."""
-    if not (0 < tau < 1 and N >= 1):
-        raise DomainError("kernel_elliptic_ginibre requires tau in (0,1) and N >= 1")
+    _check("tau", tau)
+    _check("N", N)
     coefs = _hermite_coefficients(N - 1)
     m1, b1 = _scalar_steps(coefs, z1 / math.sqrt(2 * tau))
     m2, b2 = _scalar_steps(coefs, np.conj(z2) / math.sqrt(2 * tau))

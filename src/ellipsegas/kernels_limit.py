@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (EllipseGeometry, _log_power, bulk_domain_contains,
-                       edge_domain_contains, joukowsky_inverse)
+from .geometry import (_PARAMETERS, EllipseGeometry, _check, _log_power,
+                       bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
 from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
                          integrate_c)
 from .specialfns import W_MAX, ln_gamma, log_i_ratio
@@ -28,19 +28,6 @@ from .specialfns import W_MAX, ln_gamma, log_i_ratio
 _DEFAULT = QuadratureSpec()
 # Bessel-ratio node arrays kept per process; each is 0.5-5 kB
 _RATIO_CACHE = 64
-
-
-# parameter -> (whether a value lies in its domain, the domain as text); one
-# rule for LimitKernelSpec and for every kernel called directly
-_PARAMETERS = {"a": (lambda a: a > -1, "a > -1"), "s": (lambda s: s > 0, "s > 0"),
-               "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)")}
-
-
-def _check(name: str, value: float) -> None:
-    """The limiting-kernel parameter `name` has a value in its domain."""
-    valid, need = _PARAMETERS[name]
-    if not valid(value):
-        raise DomainError(f"limiting kernel parameter must satisfy {need}, got {value}")
 
 
 @functools.lru_cache(maxsize=_RATIO_CACHE)

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
-from .geometry import EllipseGeometry, GasFamily, PolyKind
+from .geometry import EllipseGeometry, GasFamily, PolyKind, _check
 
 UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
@@ -47,8 +47,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if min(self.radial_nodes, self.angular_nodes, self.c_nodes) < 4:
             raise DomainError("all node counts must be >= 4")
-        if not self.singularity_exponent > -1:
-            raise DomainError("singularity exponent must exceed -1")
+        _check("a", self.singularity_exponent)
 
 
 def _read_only(*arrays):

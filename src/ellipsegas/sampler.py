@@ -16,8 +16,8 @@ import numpy as np
 
 from .correlations import DensityGrid, GridSpec
 from .errors import DomainError
-from .geometry import (EllipseGeometry, GasFamily, contains, ellipse_deficit, log_weight,
-                       log_weight_rule)
+from .geometry import (EllipseGeometry, GasFamily, _check, contains, ellipse_deficit,
+                       log_weight, log_weight_rule)
 
 PRNG_ALGORITHM = "pcg64"
 # steps whose random numbers are drawn at once: bounded, so memory does not
@@ -64,12 +64,12 @@ class ChainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in >= self.steps:
+        _check("burn_in", self.burn_in)
+        _check("thin", self.thin)
+        if self.proposal_sigma is not None:
+            _check("proposal_sigma", self.proposal_sigma)
+        if self.burn_in >= self.steps:   # so steps >= 1
             raise DomainError("burn_in must be smaller than steps")
-        if self.thin < 1:
-            raise DomainError("thin must be >= 1")
-        if self.proposal_sigma is not None and self.proposal_sigma <= 0:
-            raise DomainError("proposal_sigma must be positive")
 
 
 def log_density(gas: GasFamily, geometry: EllipseGeometry, points) -> float:
@@ -160,12 +160,9 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     blocks of `DRAW_BLOCK` steps: particle indices, then Gaussian moves, then
     uniforms, so the chain of a seed depends on that order.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    _check("N", N)
     rng = np.random.Generator(np.random.PCG64(settings.seed))
-    sigma = settings.proposal_sigma
-    if sigma is None:
-        sigma = 0.15 * geometry.semi_y
+    sigma = settings.proposal_sigma or 0.15 * geometry.semi_y   # None: the default
     cx, cy = geometry.wall_coefficients
     rule = log_weight_rule(gas, geometry)
     pts = _initial_configuration(geometry, N, rng).tolist()

@@ -542,5 +542,31 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
     out = tmp_path / "c.json"
     assert run(["converge", "--study", study, "--a", "1", "--s", "-1",
                 "--schedule", "10,20", "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {study} needs s > 0\n"
+    assert capsys.readouterr().err == f"error: {study} needs finite s > 0\n"
+    assert not out.exists()
+
+
+# a parameter outside its rule, inf and nan included, is refused before any output
+@pytest.mark.parametrize("argv,message", [
+    (["density", "--family", "gegenbauer", "--a", "inf", "--tau", "0.5", "--N", "3"],
+     "expected finite a > -1, got inf"),
+    (["kernel", "--kind", "bulk-weak", "--a", "1", "--s", "inf", "--points", "0,0"],
+     "bulk-weak needs finite s > 0"),
+    (["kernel", "--kind", "edge-strong", "--a", "inf", "--points", "0,0"],
+     "edge-strong needs finite a > -1"),
+    (["kernel", "--kind", "truncated-limit", "--a", "nan", "--points", "0.1,0"],
+     "expected finite a > -1, got nan"),
+    (["sample", "--family", "jacobi-plus", "--a", "inf", "--tau", "0.5", "--N", "3",
+      "--steps", "100", "--burn-in", "10"], "expected finite a > -1, got inf"),
+    (["sample", "--tau", "0.5", "--N", "3", "--steps", "0", "--burn-in", "-1"],
+     "expected integer burn_in >= 0, got -1"),
+    (["sample", "--tau", "0.5", "--N", "3", "--steps", "100", "--burn-in", "-10"],
+     "expected integer burn_in >= 0, got -10"),
+    (["sample", "--tau", "0.5", "--N", "3", "--steps", "100", "--burn-in", "10",
+      "--sigma", "inf"], "expected finite proposal_sigma > 0, got inf"),
+])
+def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellipsegas as eg
 from ellipsegas import (DomainError, EllipseGeometry, GasFamily, PolyKind,
                         bulk_domain_contains, contains, edge_domain_contains,
                         ellipse_deficit, joukowsky, joukowsky_inverse, log_weight,
@@ -210,3 +212,73 @@ def test_contains_matches_deficit_sign(tau, x, y):
     z = complex(x, y)
     q = 1 - 2 * tau / (1 + tau) * x * x - 2 * tau / (1 - tau) * y * y
     assert contains(geo, z) == (q >= 0)
+
+
+# every entry point that checks a parameter of the gas or of the chain -> (the
+# parameters it takes, a call built from a dict of them); each call is in its
+# domain at _GOOD, so only the value under test can be refused
+_GOOD = {"a": 0.5, "s": 1.0, "tau": 0.5, "N": 3, "burn_in": 1, "thin": 1,
+         "proposal_sigma": 0.1}
+
+
+def _entry_points():
+    gas, geo = GasFamily(PolyKind.GEGENBAUER, 0.5), EllipseGeometry(0.5)
+    z = 0.2 + 0.1j
+    weak = {name: (("a", "s"), lambda p, f=getattr(eg, name): f(p["a"], p["s"], z, z))
+            for name in ("bulk_weak", "edge_weak", "edge_weak_minus_sine",
+                         "edge_weak_minus_cosine")}
+    return {
+        "GasFamily": (("a",), lambda p: GasFamily(PolyKind.JACOBI_PLUS, p["a"])),
+        "EllipseGeometry": (("tau",), lambda p: EllipseGeometry(p["tau"])),
+        "QuadratureSpec": (("a",), lambda p: eg.QuadratureSpec(singularity_exponent=p["a"])),
+        **weak,
+        "bulk_from_edge_check": (("a", "s"), lambda p: eg.bulk_from_edge_check(
+            p["a"], p["s"], 1.0, z, z, 30.0)),
+        "bulk_strong": (("a",), lambda p: eg.bulk_strong(p["a"], z, z)),
+        "bessel_kernel": (("a",), lambda p: eg.bessel_kernel(p["a"], 0.5, 0.5)),
+        "edge_strong": (("a",), lambda p: eg.edge_strong(p["a"], z, z)),
+        "global_kernel_u": (("tau",), lambda p: eg.global_kernel_u(p["tau"], z, z)),
+        "LimitKernelSpec": (("a", "s"), lambda p: eg.LimitKernelSpec(
+            eg.LimitKind.BULK_WEAK, a=p["a"], s=p["s"])),
+        "FiniteKernel": (("N",), lambda p: eg.FiniteKernel(gas, geo, p["N"])),
+        "kernel_truncated": (("a", "N"), lambda p: eg.kernel_truncated(p["a"], p["N"], z, z)),
+        "kernel_truncated_limit": (("a",), lambda p: eg.kernel_truncated_limit(p["a"], z, z)),
+        "kernel_truncated_edge": (("a",), lambda p: eg.kernel_truncated_edge(p["a"], z, z)),
+        "kernel_elliptic_ginibre": (("tau", "N"), lambda p: eg.kernel_elliptic_ginibre(
+            p["tau"], p["N"], z, z)),
+        "log_partition": (("N",), lambda p: eg.log_partition(gas, geo, p["N"])),
+        "run_chain": (("N",), lambda p: eg.run_chain(gas, geo, p["N"], eg.ChainSettings(20, 1))),
+        "ChainSettings": (("burn_in", "thin", "proposal_sigma"), lambda p: eg.ChainSettings(
+            20, p["burn_in"], p["thin"], p["proposal_sigma"])),
+    }
+
+
+# parameter -> (its domain as the refusal states it, values outside it)
+_RULES = {"a": ("finite a > -1", [math.inf, math.nan, -1.0]),
+          "s": ("finite s > 0", [math.inf, math.nan, 0.0]),
+          "tau": ("tau in (0,1)", [math.inf, math.nan, 0.0, 1.0]),
+          "N": ("integer N >= 1", [0, 2.5, 3.0, math.inf]),
+          "burn_in": ("integer burn_in >= 0", [-1, -10, 1.5]),
+          "thin": ("integer thin >= 1", [0, 2.5]),
+          "proposal_sigma": ("finite proposal_sigma > 0", [math.inf, math.nan, 0.0, -1.0])}
+_CASES = [(name, p, bad) for name, (params, _) in _entry_points().items()
+          for p in params for bad in _RULES[p][1]]
+
+
+@pytest.mark.parametrize("name,param,bad", _CASES)
+def test_every_entry_point_refuses_a_parameter_outside_its_rule(name, param, bad):
+    _, call = _entry_points()[name]
+    call(dict(_GOOD, N=np.int64(3)))        # in its domain, a numpy integer N included
+    with pytest.raises(DomainError, match=re.escape(_RULES[param][0])):
+        call(dict(_GOOD, **{param: bad}))
+
+
+def test_the_rules_live_in_one_table():
+    from ellipsegas import kernels_limit
+    from ellipsegas.geometry import _PARAMETERS, _check
+
+    assert kernels_limit._PARAMETERS is _PARAMETERS and kernels_limit._check is _check
+    for name, (need, values) in _RULES.items():
+        for value in values:
+            with pytest.raises(DomainError, match=re.escape(f"{need}, got {value}")):
+                _check(name, value)

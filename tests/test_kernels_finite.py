@@ -703,3 +703,19 @@ def test_one_entry_checks_z1_before_zs_and_names_the_first_bad_point(kind, call,
         with pytest.raises(DomainError) as exc:
             call(kern)
         assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("a,Z1,Z2", [(300.0, 30.0, 30.0), (200.0, 50.0, 40.0 + 1.0j)])
+def test_truncated_edge_at_large_a(a, Z1, Z2):
+    # (X1 X2)^{a/2} and 1/Gamma(a+1) each leave the double range; their product
+    # in log space does not
+    from ellipsegas import edge_strong
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w1, w2 = mpmath.mpc(Z1), mpmath.mpc(Z2)
+        beta = (w1.real + w2.real) / 2 + 1j * (w1.imag - w2.imag) / 2
+        ref = complex((w1.real * w2.real) ** (a / 2) / (4 * mpmath.pi * mpmath.gamma(a + 1))
+                      * mpmath.gammainc(a + 2, 0, beta) / beta ** (a + 2))
+    got = kernel_truncated_edge(a, Z1, Z2)
+    assert abs(got - ref) <= 1e-11 * abs(ref)
+    assert abs(got - edge_strong(a, Z1, Z2)) <= 1e-11 * abs(ref)

@@ -399,3 +399,12 @@ def test_integrated_autocorrelation_rejects_nonpositive_tau(series):
     # has rho(1) near -1 and a windowed tau_int below 0
     with pytest.raises(DomainError):
         integrated_autocorrelation(series)
+
+
+def test_chain_settings_refuse_a_negative_burn_in_before_comparing_it_with_steps():
+    # steps = 0 with burn_in = -1 used to pass and then divide by zero steps
+    with pytest.raises(DomainError, match="integer burn_in >= 0, got -1"):
+        ChainSettings(steps=0, burn_in=-1)
+    with pytest.raises(DomainError, match="burn_in must be smaller than steps"):
+        ChainSettings(steps=0, burn_in=0)
+    assert ChainSettings(steps=1, burn_in=np.int64(0), thin=np.int64(2)).thin == 2
