@@ -8,10 +8,11 @@ with semi-axes sqrt((1+tau)/(2 tau)), sqrt((1-tau)/(2 tau)) and foci at +-1.
 Five gas families live on it, distinguished by their one-particle weight.
 
 Every parameter rule of the package is written once, in `_PARAMETERS`, and
-checked by `_check`: the weight exponent a > -1, the weak scale s > 0 and the
-proposal width are finite, tau lies in (0,1), and N, burn_in and thin are
-integers.  The rules of the points (inside the ellipse, X >= 0, the strips)
-stay with the functions that take them.
+checked by `_check`: the weight exponent a > -1, the Jacobi exponents alpha,
+gamma > -1, the weak scale s > 0 and the proposal width are finite, tau lies
+in (0,1), and N, burn_in and thin are integers.  The rules of the points
+(inside the ellipse, X >= 0, the strips) stay with the functions that take
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OutOfRangeError
 
 # parameter -> (whether a value lies in its domain, the domain as text); one
 # rule for every function and class that takes the parameter, and for the text
@@ -35,7 +36,9 @@ _PARAMETERS = {"a": (lambda a: -1 < a < math.inf, "finite a > -1"),
                "N": (lambda N: isinstance(N, Integral) and N >= 1, "integer N >= 1"),
                "burn_in": (lambda b: isinstance(b, Integral) and b >= 0, "integer burn_in >= 0"),
                "thin": (lambda t: isinstance(t, Integral) and t >= 1, "integer thin >= 1"),
-               "proposal_sigma": (lambda p: 0 < p < math.inf, "finite proposal_sigma > 0")}
+               "proposal_sigma": (lambda p: 0 < p < math.inf, "finite proposal_sigma > 0"),
+               "alpha": (lambda a: -1 < a < math.inf, "finite alpha > -1"),
+               "gamma": (lambda g: -1 < g < math.inf, "finite gamma > -1")}
 
 
 def _check(name: str, value) -> None:
@@ -165,6 +168,13 @@ def _log_power(a: float, q: float) -> float:
     if q <= 0.0:
         return -math.inf if a > 0 else (0.0 if a == 0 else math.inf)
     return a * math.log(q)
+
+
+def _exp_in_range(lp: float) -> float:
+    """exp(lp) of a log prefactor; OutOfRangeError where it leaves the double range."""
+    if lp > math.log(np.finfo(float).max):
+        raise OutOfRangeError(f"prefactor e^{lp:.6g} leaves the double range")
+    return math.exp(lp)
 
 
 def weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:

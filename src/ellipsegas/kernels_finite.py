@@ -29,8 +29,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
-from .geometry import (EllipseGeometry, GasFamily, _check, _log_power, contains,
+from .errors import DomainError, OutOfRangeError, SingularPointError
+from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_power, contains,
                        ellipse_deficit, log_weight, log_weight_values)
 from .polynomials import (_LN2, _coefficients, _scalar_steps, _steps, log_raw_norms,
                           scaled_sequence)
@@ -182,14 +182,30 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
 
 def kernel_truncated_limit(a: float, z1: complex, z2: complex) -> complex:
     """N -> infinity closed form of the truncated-unitary kernel,
-    (a+1)/pi (1-|z1|^2)^{a/2} (1-|z2|^2)^{a/2} / (1 - z1 conj z2)^{a+2},
-    in log space, so it stays finite at large a; the principal log is the
-    right branch because Re(1 - z1 conj z2) > 0 on the disc."""
+    (a+1)/pi (1-|z1|^2)^{a/2} (1-|z2|^2)^{a/2} / w^{a+2}, w = 1 - z1 conj z2.
+
+    With x = |z1-z2|^2/|w|^2 = 1 - (1-|z1|^2)(1-|z2|^2)/|w|^2 it is
+    (a+1)/pi exp((a/2) log(1-x) - 2 log|w| - i (a+2) arg w), and log(1-x) is
+    log1p(-x) for x < 1/2: no two terms of size a cancel, so the diagonal
+    (x = 0) keeps full relative accuracy at any a.  For x >= 1/2, where
+    log1p(-x) would lose 1 - x, log(1-x) is the sum of the logs of the three
+    factors.  w is formed as 1 - |z2|^2 - (z1-z2) conj z2, so Im w has no
+    cancellation and the phase (a+2) arg w of close pairs stays accurate; arg w
+    is the principal one, because Re w > 0 on the disc.  A value past the
+    double range raises OutOfRangeError.
+    """
     _check("a", a)
     if not (abs(z1) < 1 and abs(z2) < 1):
         raise DomainError("kernel_truncated_limit requires |z| < 1")
-    lw = 0.5 * a * (math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2))
-    return (a + 1) / math.pi * cmath.exp(lw - (a + 2) * cmath.log(1 - z1 * z2.conjugate()))
+    w = 1 - z2 * z2.conjugate() - (z1 - z2) * z2.conjugate()
+    x = (abs(z1 - z2) / abs(w)) ** 2
+    log_1mx = (math.log1p(-x) if x < 0.5 else
+               math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2) - 2.0 * math.log(abs(w)))
+    k = (a + 1) / math.pi * cmath.exp(complex(0.5 * a * log_1mx - 2.0 * math.log(abs(w)),
+                                               -(a + 2) * cmath.phase(w)))
+    if cmath.isinf(k):
+        raise OutOfRangeError(f"kernel_truncated_limit leaves the double range at a = {a:g}")
+    return k
 
 
 def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
@@ -212,7 +228,7 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     xj, wj = _gauss_rule("jacobi", 64, 0.0, a + 1.0)
-    return math.exp(lpref) * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
+    return _exp_in_range(lpref) * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
 
 
 def _hermite_coefficients(n_max: int):

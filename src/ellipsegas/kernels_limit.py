@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (_PARAMETERS, EllipseGeometry, _check, _log_power,
+from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
 from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
                          integrate_c)
@@ -48,9 +48,12 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     over `domain`, c in [0,1] by default; `half_line` carries the truncation
     and panel of `integrate_c` for the half line.  A wall factor q <= 0 takes the
     hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
-    divergence flagged as inf.
+    divergence flagged as inf.  A half-line rule past its node cap is refused
+    first, whatever the walls.
     """
     _check("a", a)
+    spec = spec or _DEFAULT
+    lr = _node_log_ratio(a + 0.5, s, _c_rule(domain, spec, **half_line))
     lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
     for q in walls:
         lpref += _log_power(0.5 * a, q)
@@ -58,9 +61,6 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
         return 0.0 + 0.0j
     if lpref == math.inf:
         return complex(math.inf, 0.0)
-
-    spec = spec or _DEFAULT
-    lr = _node_log_ratio(a + 0.5, s, _c_rule(domain, spec, **half_line))
 
     def g(c):
         return np.exp(lr + lpref) * f(c)
@@ -111,7 +111,9 @@ def bulk_strong(a: float, z1: complex, z2: complex,
 
     The half-line integral int_0^infty dt (t/2)^{a+1/2}/I_{a+1/2}(t)
     cos(t(z1 - conj z2)) is truncated at max(50, 5(a+2)) where the integrand
-    has decayed below machine relevance.
+    has decayed below machine relevance.  With the default spec that rule has
+    16(a+2) nodes from a = 38 on, so past a = 1022 it exceeds the half-line
+    node cap of `quadrature` and the kernel raises OutOfRangeError.
     """
     z1, z2 = complex(z1), complex(z2)
     if abs(z1.imag) > 0.5 or abs(z2.imag) > 0.5:
@@ -199,7 +201,7 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
              - math.log(4.0 * math.pi) - ln_gamma(a + 1))
     if lpref == math.inf:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
-    pref = math.exp(lpref)
+    pref = _exp_in_range(lpref)
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     if abs(beta) < 1e-14:
         return pref / (a + 2.0)
@@ -290,8 +292,9 @@ _SERIES_TOL = 1e-15
 _SERIES_CAP = 500
 
 
-def _interior_omega(geometry: EllipseGeometry, z: complex) -> complex:
-    """omega for a rescaled global point z; requires 1 <= |omega| < v.
+def _interior_omega(geometry: EllipseGeometry, z: complex):
+    """(zeta, omega) for a rescaled global point z, zeta = z/sqrt(2 tau);
+    requires 1 <= |omega| < v.
 
     The series extends continuously onto the open branch cut (|omega| = 1
     with Im omega >= 0); only the degenerate focal points omega = +-1, where
@@ -303,51 +306,53 @@ def _interior_omega(geometry: EllipseGeometry, z: complex) -> complex:
         raise DomainError(f"point {z} is outside the open rescaled ellipse")
     if abs(om * om - 1.0) < 1e-13:
         raise DomainError(f"point {z} sits at a focus of the rescaled ellipse")
-    return om
+    return zeta, om
 
 
 def _series_frame(tau: float, z1: complex, z2: complex, decay: int):
-    """(v, omega_1, conj omega_2, e) for a global kernel, e_j = v^{-(1+2j)}.
+    """(v, zeta_1, zeta_2, omega_1, conj omega_2, p) for a global kernel, with
+    p_j = e_j^{decay/2}, e_j = v^{-(1+2j)}, the powers of its image sum.
 
-    The j-th series term shrinks like v^{-decay j}; e holds as many terms as
+    The j-th series term shrinks like v^{-decay j}; p holds as many terms as
     that takes to fall below _SERIES_TOL.  Past _SERIES_CAP terms (tau close
     to 1) the sum is refused rather than truncated.
     """
     geo = EllipseGeometry(tau)
-    o1 = _interior_omega(geo, z1)
-    o2c = np.conj(_interior_omega(geo, z2))
+    (zeta1, o1), (zeta2, o2) = (_interior_omega(geo, z) for z in (z1, z2))
     v = geo.v
     terms = math.ceil(math.log(1.0 / _SERIES_TOL) / (decay * math.log(v))) + 1
     if terms > _SERIES_CAP:
         raise OutOfRangeError(f"the tau={tau} global series needs {terms} terms, "
                               f"more than {_SERIES_CAP}")
-    return v, o1, o2c, v ** -(1.0 + 2.0 * np.arange(terms))
+    e = v ** -(1.0 + 2.0 * np.arange(terms))
+    return v, zeta1, zeta2, o1, np.conj(o2), e ** (decay // 2)
 
 
-def _S(q):
-    return q / (1.0 - q) ** 2
+def _images(p, x1: complex, x2: complex, sign: float) -> complex:
+    """The Joukowsky image sum of every global kernel,
+
+        sum_j S(p_j x1 x2) + sign S(p_j x1/x2) + sign S(p_j x2/x1) + S(p_j/(x1 x2)),
+
+    with S(q) = q/(1-q)^2, evaluated as one S over a [4, terms] array."""
+    q = np.outer((x1, x1, x2, 1.0), p)
+    q[0] *= x2
+    q[1:] /= [[x2], [x1], [x1 * x2]]
+    return np.sum(np.sum([[1.0], [sign], [sign], [1.0]] * (q / (1.0 - q) ** 2), axis=0))
 
 
 def global_kernel_u(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the flat (a=0, Chebyshev-U) gas, rescaled coordinates."""
-    v, o1, o2, e = _series_frame(tau, z1, z2, 4)
-    eta = e * e
-    tot = np.sum(_S(eta * o1 * o2) - _S(eta * o1 / o2) - _S(eta * o2 / o1)
-                 + _S(eta / (o1 * o2)))
+    _, _, _, o1, o2, eta = _series_frame(tau, z1, z2, 4)
+    tot = _images(eta, o1, o2, -1.0)
     return complex(2.0 / (math.pi * tau) * tot / ((o1 - 1.0 / o1) * (o2 - 1.0 / o2)))
 
 
 def global_kernel_t(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the Chebyshev-I gas (weight 1/|1-z^2|), rescaled
     coordinates; includes the 1/(2 log v) zero-mode term."""
-    v, o1, o2, e = _series_frame(tau, z1, z2, 4)
-    zeta1 = complex(z1) / math.sqrt(2 * tau)
-    zeta2 = complex(z2) / math.sqrt(2 * tau)
-    eta = e * e
-    tot = np.sum(_S(eta * o1 * o2) + _S(eta * o1 / o2) + _S(eta * o2 / o1)
-                 + _S(eta / (o1 * o2))) + 1.0 / (2.0 * math.log(v))
+    v, zeta1, zeta2, o1, o2, eta = _series_frame(tau, z1, z2, 4)
     pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 - zeta1 ** 2) * abs(1 - zeta2 ** 2))
-    return complex(pref * tot)
+    return complex(pref * (_images(eta, o1, o2, 1.0) + 1.0 / (2.0 * math.log(v))))
 
 
 def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
@@ -356,25 +361,17 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 
     Built from V_n(zeta) = (r^{2n+1} - r^{-2n-1})/(r - 1/r) with r the
     principal sqrt of omega; all half-integer powers below use these fixed
-    roots, which keeps the series single-valued and Hermitian.  Its terms
-    shrink like v^{-2j} only: G(q) -> 1 leaves the factor e_j.
+    roots, which keeps the series single-valued and Hermitian.  Each term is
+    sqrt(q) G(q), G(q) = (1+q)/(1-q)^2, at sqrt(q) = e_j r1^{+-1} r2^{+-1} with
+    e_j = v^{-(1+2j)}; since sqrt(q) G(q) = [S(sqrt q) - S(-sqrt q)]/2, the
+    series is half the difference of the image sums over e and -e.  Its
+    terms shrink like v^{-2j} only: G(q) -> 1 leaves the factor e_j.
     """
-    v, o1, o2c, e = _series_frame(tau, z1, z2, 2)
-    r1 = np.sqrt(o1)
-    r2 = np.conj(np.sqrt(np.conj(o2c)))
-    zeta1 = complex(z1) / math.sqrt(2 * tau)
-    zeta2 = complex(z2) / math.sqrt(2 * tau)
-
-    def G(q):
-        return (1.0 + q) / (1.0 - q) ** 2
-
-    eta = e * e
-    tot = np.sum(e * (r1 * r2 * G(eta * o1 * o2c) - (r1 / r2) * G(eta * o1 / o2c)
-                      - (r2 / r1) * G(eta * o2c / o1) + G(eta / (o1 * o2c)) / (r1 * r2)))
-    D = (r1 - 1.0 / r1) * (r2 - 1.0 / r2)
-    pref = (1.0 / (2.0 * math.pi * tau)
-            / math.sqrt(abs(1 + zeta1) * abs(1 + np.conj(zeta2))))
-    return complex(pref * tot / D)
+    _, zeta1, zeta2, o1, o2c, e = _series_frame(tau, z1, z2, 2)
+    r1, r2 = np.sqrt(o1), np.conj(np.sqrt(np.conj(o2c)))
+    tot = 0.5 * (_images(e, r1, r2, -1.0) - _images(-e, r1, r2, -1.0))
+    pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2))
+    return complex(pref * tot / ((r1 - 1.0 / r1) * (r2 - 1.0 / r2)))
 
 
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:

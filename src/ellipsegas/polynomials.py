@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind
+from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check
 from .specialfns import ln_gamma
 
 _LN2 = math.log(2.0)
@@ -224,8 +224,8 @@ def gegenbauer(n: int, a: float, z: complex) -> ScaledValue:
 def jacobi(n: int, alpha: float, gamma: float, z: complex) -> ScaledValue:
     """P_n^{(alpha,gamma)}(z); only gamma = +-1/2 arises in the gases here,
     but the recurrence is the general one."""
-    if alpha <= -1 or gamma <= -1:
-        raise DomainError("jacobi requires alpha, gamma > -1")
+    _check("alpha", alpha)
+    _check("gamma", gamma)
     return _scaled_at(_jacobi_coefficients(alpha, gamma, n), z)
 
 

@@ -29,12 +29,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
-from .geometry import EllipseGeometry, GasFamily, PolyKind, _check
+from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, joukowsky
 
 UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
 # Gauss rules kept per process; each is a few kB
 _RULE_CACHE = 128
+# nodes of a half-line rule past which it is refused: log_i_ratio falls back to
+# a per-node series where ive underflows, so a first bulk_strong call takes
+# 0.04 s on 9,632 nodes (a = 600), 0.37 s on 16,032 (a = 1000) and 33 s on
+# 48,032 (a = 3000), on a 2-vCPU VM
+_HALF_LINE_CAP = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,8 @@ def _gauss_rule(kind: str, n: int, *params: float):
     UNIT_INTERVAL: the n-node Legendre rule moved to [0, 1].  HALF_LINE,
     params (truncation, panel): the max(16, n // 4)-node Legendre rule on
     each panel of [0, truncation], nodes as one flat array and weights as
-    [panels, nodes].
+    [panels, nodes]; OutOfRangeError, before it is built, past
+    _HALF_LINE_CAP nodes.
     """
     if kind == "legendre":
         from scipy.special import roots_legendre
@@ -78,6 +84,8 @@ def _gauss_rule(kind: str, n: int, *params: float):
         return _read_only((x + 1.0) / 2.0, w / 2.0)
     truncation, panel = params
     x, w = _gauss_rule("legendre", max(16, n // 4))
+    if not truncation / panel * x.size <= _HALF_LINE_CAP:
+        raise OutOfRangeError(f"the half-line rule needs more than {_HALF_LINE_CAP} nodes")
     edges = [0.0]
     while edges[-1] < truncation:
         edges.append(min(edges[-1] + panel, truncation))
@@ -105,29 +113,25 @@ def _disc_rule(tau: float, a: float, nr: int, nth: int):
     t = (xj + 1.0) / 2.0                      # t = r^2
     wt = wj / 2.0 ** (a + 1.0)                # sum wt F(t) = int (1-t)^a F dt
     th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
-    r = np.sqrt(t)
-    rr, tt = np.meshgrid(r, th, indexing="ij")
+    tgrid, tt = np.meshgrid(t, th, indexing="ij")
+    rr = np.sqrt(tgrid)
     z = geo.semi_x * rr * np.cos(tt) + 1j * geo.semi_y * rr * np.sin(tt)
-    tgrid = np.meshgrid(t, th, indexing="ij")[0]
-    w = (geo.semi_x * geo.semi_y * 0.5 * (2.0 * math.pi / nth)
-         * np.outer(wt, np.ones(nth)) / (1.0 - tgrid) ** a)
+    w = geo.semi_x * geo.semi_y * 0.5 * (2.0 * math.pi / nth) * wt[:, None] / (1.0 - tgrid) ** a
     return _read_only(z.ravel(), w.ravel())
 
 
 @lru_cache(maxsize=64)
 def _annulus_rule(tau: float, a: float, nr: int, nth: int):
-    geo = EllipseGeometry(tau)
-    v = geo.v
+    v = EllipseGeometry(tau).v
     xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
     rho = 1.0 + (xj + 1.0) / 2.0 * (v - 1.0)
     wr = wj * ((v - 1.0) / 2.0) ** (a + 1.0)  # sum wr F = int_1^v (v-rho)^a F
     ph = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
     rr, pp = np.meshgrid(rho, ph, indexing="ij")
     om = rr * np.exp(1j * pp)
-    z = (om + 1.0 / om) / 2.0
+    z = joukowsky(om)
     jac = np.abs(om * om - 1.0) ** 2 / (4.0 * rr ** 4) * rr
-    w = ((2.0 * math.pi / nth) * np.outer(wr, np.ones(nth))
-         * jac / (v - rr) ** a)
+    w = (2.0 * math.pi / nth) * wr[:, None] * jac / (v - rr) ** a
     return _read_only(z.ravel(), w.ravel())
 
 

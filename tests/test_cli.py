@@ -564,6 +564,11 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "expected integer burn_in >= 0, got -10"),
     (["sample", "--tau", "0.5", "--N", "3", "--steps", "100", "--burn-in", "10",
       "--sigma", "inf"], "expected finite proposal_sigma > 0, got inf"),
+    # a finite value past what the kernel can compute in double precision
+    (["kernel", "--kind", "edge-strong", "--a", "300", "--points", "3000,0"],
+     "prefactor e^984.473 leaves the double range"),
+    (["kernel", "--kind", "bulk-strong", "--a", "1e8", "--points", "0,0"],
+     "the half-line rule needs more than 16384 nodes"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

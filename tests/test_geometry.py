@@ -218,7 +218,7 @@ def test_contains_matches_deficit_sign(tau, x, y):
 # parameters it takes, a call built from a dict of them); each call is in its
 # domain at _GOOD, so only the value under test can be refused
 _GOOD = {"a": 0.5, "s": 1.0, "tau": 0.5, "N": 3, "burn_in": 1, "thin": 1,
-         "proposal_sigma": 0.1}
+         "proposal_sigma": 0.1, "alpha": 0.5, "gamma": -0.5}
 
 
 def _entry_points():
@@ -250,6 +250,7 @@ def _entry_points():
         "run_chain": (("N",), lambda p: eg.run_chain(gas, geo, p["N"], eg.ChainSettings(20, 1))),
         "ChainSettings": (("burn_in", "thin", "proposal_sigma"), lambda p: eg.ChainSettings(
             20, p["burn_in"], p["thin"], p["proposal_sigma"])),
+        "jacobi": (("alpha", "gamma"), lambda p: eg.jacobi(3, p["alpha"], p["gamma"], 0.3)),
     }
 
 
@@ -260,7 +261,9 @@ _RULES = {"a": ("finite a > -1", [math.inf, math.nan, -1.0]),
           "N": ("integer N >= 1", [0, 2.5, 3.0, math.inf]),
           "burn_in": ("integer burn_in >= 0", [-1, -10, 1.5]),
           "thin": ("integer thin >= 1", [0, 2.5]),
-          "proposal_sigma": ("finite proposal_sigma > 0", [math.inf, math.nan, 0.0, -1.0])}
+          "proposal_sigma": ("finite proposal_sigma > 0", [math.inf, math.nan, 0.0, -1.0]),
+          "alpha": ("finite alpha > -1", [math.inf, math.nan, -1.0]),
+          "gamma": ("finite gamma > -1", [math.inf, math.nan, -1.5])}
 _CASES = [(name, p, bad) for name, (params, _) in _entry_points().items()
           for p in params for bad in _RULES[p][1]]
 

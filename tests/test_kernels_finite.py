@@ -176,6 +176,41 @@ def test_truncated_limit_stays_finite_at_large_a(a, z1, z2):
     assert abs(kernel_truncated_limit(a, z1, z2) - ref) <= 1e-11 * abs(ref)
 
 
+@pytest.mark.parametrize("a", [0.5, 1e3, 1e8, 1e15, 1e20, 1e300])
+@pytest.mark.parametrize("z", [0.1 + 0.1j, 0.9 - 0.3j, -0.5 + 0.5j])
+def test_truncated_limit_diagonal_keeps_full_accuracy_at_any_a(a, z):
+    # the diagonal is (a+1)/(pi (1-|z|^2)^2); the a/2 and a+2 powers used to
+    # cancel in floating point, 9e-8 off at a = 1e8, 145% at a = 1e15 and an
+    # OverflowError from a = 1e20
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        ref = float((mpmath.mpf(a) + 1) / mpmath.pi / (1 - abs(mpmath.mpc(z)) ** 2) ** 2)
+    got = kernel_truncated_limit(a, z, z)
+    assert got.imag == 0.0 and abs(got.real - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("a, z1, z2", [(1e8, 0.9 - 0.3j, 0.9 - 0.3000001j),
+                                        (1e15, 0.3 + 0.1j, 0.300000001 + 0.1j),
+                                        (0.5, 0.999, -0.999), (0.5, 0.999, 0.999j),
+                                        (3.0, 0.9, -0.5 + 0.8j)])
+def test_truncated_limit_off_the_diagonal_against_60_digits(a, z1, z2):
+    # close pairs at large a (Im w taken from z1 - z2) and far pairs near the
+    # wall, where 1 - |z1-z2|^2/|w|^2 is below 1/2 and log1p would lose it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        w1, w2 = mpmath.mpc(z1), mpmath.mpc(z2)
+        ref = complex((a + 1) / mpmath.pi * mpmath.exp(
+            a / 2 * mpmath.log((1 - abs(w1) ** 2) * (1 - abs(w2) ** 2))
+            - (a + 2) * mpmath.log(1 - w1 * mpmath.conj(w2))))
+    assert abs(kernel_truncated_limit(a, z1, z2) - ref) <= 1e-11 * abs(ref)
+
+
+def test_truncated_limit_refuses_past_the_double_range():
+    from ellipsegas import OutOfRangeError
+    with pytest.raises(OutOfRangeError):
+        kernel_truncated_limit(1e308, 0.9 - 0.3j, 0.9 - 0.3j)
+
+
 def test_truncated_limit_at_a_5000_is_the_large_N_sum():
     z = -0.5 + 0.5j
     ref = kernel_truncated(5000.0, 10_000, z, z)

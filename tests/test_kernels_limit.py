@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,21 @@ def test_bulk_strong_ginibre_equivalence():
         assert abs(got - ref) <= 1e-2 * max(1.0, abs(ref))
 
 
+def test_bulk_strong_refuses_past_the_half_line_node_cap():
+    # its rule has 16(a+2) nodes; a = 3000 used to take 33 s for its first
+    # value and a = 1e8 would ask for 1.6e9 nodes
+    for a in (1023.0, 3000.0, 1e8, 1e300):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeError, match="half-line rule needs more than 16384 nodes"):
+            bulk_strong(a, 0.1, 0.1)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(OutOfRangeError):       # also where a wall would give 0
+        bulk_strong(1e8, 0.5j, 0.0)
+    with pytest.raises(OutOfRangeError):
+        integrate_c(np.cos, HALF_LINE, QuadratureSpec(), truncation=1e6, panel=1.0)
+    assert _gauss_rule(HALF_LINE, 64, 5120.0, 5.0)[0].size == 16384   # a = 1022 answers
+
+
 # --------------------------------------------------------------------- strong edge
 
 def test_edge_strong_value():
@@ -294,6 +310,15 @@ def test_edge_strong_underflows_or_refuses_outside_the_double_range():
     # the incomplete gamma series reaches e^800 before it converges
     with pytest.raises(OutOfRangeError):
         edge_strong(0.5, 800.0, 800.0)
+
+
+@pytest.mark.parametrize("kernel", [edge_strong, kernel_truncated_edge])
+@pytest.mark.parametrize("X", [3000.0, 1e6])
+def test_strong_edge_kernels_refuse_a_prefactor_past_the_double_range(kernel, X):
+    # (X1 X2)^{a/2}/Gamma(a+1) is e^984 at a = 300, X = 3000; it used to
+    # raise a bare OverflowError from math.exp
+    with pytest.raises(OutOfRangeError, match="leaves the double range"):
+        kernel(300.0, X, X)
 
 
 # ------------------------------------------------------------------ left focus
@@ -604,6 +629,72 @@ def test_global_v_matches_independent_fsum_of_its_series():
            / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2.conjugate())))
     got = global_kernel_v(tau, z1, z2)
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _global_by_fsum(kind, tau, z1, z2):
+    """A global kernel from its own series: each term in plain complex
+    arithmetic, S(q) = q/(1-q)^2 for U and T and G(q) = (1+q)/(1-q)^2 for V,
+    3000 terms summed with math.fsum."""
+    v = (math.sqrt(1 + tau) + math.sqrt(1 - tau)) / math.sqrt(2 * tau)
+    zeta1, zeta2 = z1 / math.sqrt(2 * tau), z2 / math.sqrt(2 * tau)
+
+    def omega(zeta):
+        root = cmath.sqrt(zeta * zeta - 1)
+        return max(zeta + root, zeta - root, key=abs)
+
+    def S(q):
+        return q / (1 - q) ** 2
+
+    def G(q):
+        return (1 + q) / (1 - q) ** 2
+
+    o1, o2c = omega(zeta1), omega(zeta2).conjugate()
+    r1, r2 = cmath.sqrt(o1), cmath.sqrt(o2c.conjugate()).conjugate()
+    sign = 1 if kind == "t" else -1
+    terms = []
+    for j in range(3000):
+        e = v ** (-(1 + 2 * j))
+        eta = e * e
+        if kind == "v":
+            terms.append(e * (r1 * r2 * G(eta * o1 * o2c) - r1 / r2 * G(eta * o1 / o2c)
+                              - r2 / r1 * G(eta * o2c / o1) + G(eta / (o1 * o2c)) / (r1 * r2)))
+        else:
+            terms.append(S(eta * o1 * o2c) + sign * S(eta * o1 / o2c)
+                         + sign * S(eta * o2c / o1) + S(eta / (o1 * o2c)))
+    tot = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    if kind == "u":
+        return 2 / (math.pi * tau) * tot / ((o1 - 1 / o1) * (o2c - 1 / o2c))
+    if kind == "t":
+        return ((tot + 1 / (2 * math.log(v))) / (2 * math.pi * tau)
+                / math.sqrt(abs(1 - zeta1 ** 2) * abs(1 - zeta2 ** 2)))
+    return (tot / ((r1 - 1 / r1) * (r2 - 1 / r2)) / (2 * math.pi * tau)
+            / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2)))
+
+
+def _global_point(tau, radius, angle):
+    """z = sqrt(2 tau) J(omega) at |omega| = 1 + radius (v - 1), arg omega = angle."""
+    v = (math.sqrt(1 + tau) + math.sqrt(1 - tau)) / math.sqrt(2 * tau)
+    om = (1 + radius * (v - 1)) * cmath.exp(1j * angle)
+    return math.sqrt(2 * tau) * (om + 1 / om) / 2
+
+
+@pytest.mark.parametrize("kind,fn", [("u", global_kernel_u), ("t", global_kernel_t),
+                                     ("v", global_kernel_v)])
+@pytest.mark.parametrize("tau", [0.05, 0.5, 0.95, 0.999])
+@pytest.mark.parametrize("place", ["off-diagonal", "near-wall diagonal"])
+def test_global_kernels_match_independent_fsum_of_their_series(kind, fn, tau, place):
+    # U and T read one image sum with signs -1 and +1; V reads it at +-e through
+    # sqrt(q) G(q) = [S(sqrt q) - S(-sqrt q)]/2, checked here against G itself
+    if place == "off-diagonal":
+        z1, z2 = _global_point(tau, 0.4, 0.7), _global_point(tau, 0.6, -2.1)
+    else:                                   # 0.1% of the annulus width from the wall
+        z1 = z2 = _global_point(tau, 0.999, 1.1)
+    if kind == "v" and tau == 0.999:        # past the V cap of 0.9976
+        with pytest.raises(OutOfRangeError):
+            fn(tau, z1, z2)
+        return
+    scale = math.sqrt(abs(_global_by_fsum(kind, tau, z1, z1) * _global_by_fsum(kind, tau, z2, z2)))
+    assert abs(fn(tau, z1, z2) - _global_by_fsum(kind, tau, z1, z2)) <= 1e-12 * scale
 
 
 # ------------------------------------------------------------------ node caches
