@@ -23,9 +23,13 @@ from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
 from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
                          integrate_c)
-from .specialfns import W_MAX, ln_gamma, log_i_ratio
+from .specialfns import (_LN2, _LOG_TINY, _SHORT_SERIES_MAX, W_MAX, _powers, _psi,
+                         _recur_down, _recurrence_start, _rising_reciprocals, _series_terms,
+                         ln_gamma, log_i_ratio)
 
 _DEFAULT = QuadratureSpec()
+# |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
+_GAMMA_SERIES_MAX = 5.0
 # Bessel-ratio node arrays kept per process; each is 0.5-5 kB
 _RATIO_CACHE = 64
 
@@ -125,13 +129,45 @@ def bulk_strong(a: float, z1: complex, z2: complex,
                            HALF_LINE, truncation=T, panel=min(5.0, max(1.0, T / 40.0)))
 
 
-def _phi(nu: float, c, root: complex) -> np.ndarray:
-    """J_nu(c*root) * (c*root)^{-nu}, an even (entire) function of root."""
-    from scipy.special import jv
-    u = c * complex(root)
-    with np.errstate(all="ignore"):
-        val = jv(nu, u) * np.exp(-nu * np.log(u))
-    return np.where(u == 0, 0.5 ** nu * math.exp(-ln_gamma(nu + 1)), val)
+@functools.lru_cache(maxsize=_RATIO_CACHE)
+def _node_powers(rule: tuple) -> np.ndarray:
+    """Read-only c^2, c^4, ... at the nodes c of `_gauss_rule(*rule)`, as many
+    powers as the series of psi takes at |u| <= _SHORT_SERIES_MAX for any
+    order."""
+    c = _gauss_rule(*rule)[0]
+    table = _powers(c * c + 0j, _series_terms(-0.5, _SHORT_SERIES_MAX ** 2 / 4.0) - 1)
+    table.flags.writeable = False
+    return table
+
+
+def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
+    """J_nu(c*root) * (c*root)^{-nu} at the nodes c of `_gauss_rule(*rule)`, an
+    even (entire) function of root.
+
+    Where every |c root| <= _SHORT_SERIES_MAX, as on the unit rule for
+    |root| <= 4, `_psi_recurrence` runs on the cached table of c^{2k}: each
+    series is one product of the table with (-root^2/4)^k / (k! (mu+1)_k);
+    otherwise every node goes to `_psi`.  OutOfRangeError once
+    phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows (from nu of about 84.9),
+    where the kernels' products of two phi would.
+    """
+    if 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY:
+        raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {nu:g}")
+    phi0 = 0.5 ** nu / math.gamma(nu + 1.0)
+    c = _gauss_rule(*rule)[0]
+    w = complex(root)
+    r = abs(w) * c[-1]
+    if r > _SHORT_SERIES_MAX:
+        return _psi(nu, c * w) * phi0
+    table = _node_powers(rule)
+    powers = np.cumprod(np.full(table.shape[1], -w * w / 4.0))
+    m = _recurrence_start(nu, r)
+
+    def series(mu):
+        return 1.0 + table @ (_rising_reciprocals(mu, table.shape[1] + 1)[1:] * powers)
+
+    above = series(nu + m + 1.0) if m else None
+    return _recur_down(nu, m, table[:, 0] * (w * w / 4.0), series(nu + m), above) * phi0
 
 
 def _edge_points(s: float, Z1: complex, Z2: complex):
@@ -149,9 +185,10 @@ def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
                           spec: QuadratureSpec | None = None) -> complex:
     nu = a + 0.5
     walls = [s * s / 4.0 + Z.real - (Z.imag / s) ** 2 for Z in (Z1, Z2)]
+    rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
 
     def f(c):
-        return c ** (2.0 * a + 2.0) * _phi(nu, c, w1) * _phi(nu, c, w2)
+        return c ** (2.0 * a + 2.0) * _phi(nu, rule, w1) * _phi(nu, rule, w2)
 
     return _ratio_integral(a, s, walls, f, spec, math.log(math.pi / 2.0))
 
@@ -182,8 +219,10 @@ def bessel_kernel(a: float, X1: float, X2: float,
     lpref = _log_power(0.5 * a, X1) + _log_power(0.5 * a, X2)
     if lpref == math.inf:
         return math.inf
-    val = integrate_c(lambda c: c ** (2.0 * a + 2.0) * _phi(a + 0.5, c, math.sqrt(X1))
-                      * _phi(a + 0.5, c, math.sqrt(X2)), UNIT_INTERVAL, spec or _DEFAULT)
+    spec = spec or _DEFAULT
+    rule = _c_rule(UNIT_INTERVAL, spec)
+    val = integrate_c(lambda c: c ** (2.0 * a + 2.0) * _phi(a + 0.5, rule, math.sqrt(X1))
+                      * _phi(a + 0.5, rule, math.sqrt(X2)), UNIT_INTERVAL, spec)
     return 0.25 * math.exp(lpref) * val.real
 
 
@@ -209,8 +248,21 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
 
 
 def _lower_gamma_ratio(s: float, z: complex) -> complex:
-    """gamma_low(s, z) / z^s via the ascending series (desk-scale |z|);
-    OutOfRangeError once the partial sum leaves the double range."""
+    """gamma_low(s, z) / z^s, Re z >= 0, by the ascending series, or by
+    Gamma(s) z^-s - Gamma(s, z) z^-s with Gamma(s, z) from its continued
+    fraction (DLMF 8.9.2) where the series cancels or overflows.
+
+    Off the real axis the series' partial sums grow like e^|z| while the
+    value goes like e^-Re z |z|^-1: up to 2e-13 relative off at |z| = 10 and 220%
+    at 40.  The fraction form loses eps (log Gamma(s) + s log|z|) to its
+    exponentials instead.  So past |z| = max(_GAMMA_SERIES_MAX, s + 1), where
+    the fraction converges fast, it takes over where e^(|z| - Re z) is the
+    larger loss, where e^-z underflows, or where a partial sum overflows.
+    """
+    r = abs(z)
+    if r > max(_GAMMA_SERIES_MAX, s + 1.0) and (
+            z.real > 700.0 or r - z.real > math.log(1.0 + ln_gamma(s) + s * math.log(r))):
+        return _lower_gamma_ratio_cf(s, z)
     term = 1.0 / s
     total = term
     k = 1
@@ -218,13 +270,35 @@ def _lower_gamma_ratio(s: float, z: complex) -> complex:
         term *= z / (s + k)
         total += term
         if not abs(total) < math.inf:       # inf, or nan from inf - inf
-            raise OutOfRangeError(f"incomplete gamma series overflows at |z| = {abs(z):g}")
+            return _lower_gamma_ratio_cf(s, z)
         if abs(term) < 1e-17 * abs(total):
             break
         k += 1
         if k > 100_000:
             raise RuntimeError("incomplete gamma series did not converge")
     return total * np.exp(-z)
+
+
+def _lower_gamma_ratio_cf(s: float, z: complex) -> complex:
+    """Gamma(s) z^-s - e^-z h, h = e^z z^-s Gamma(s, z) by the modified Lentz
+    method on 1/(z+1-s- 1(1-s)/(z+3-s- 2(2-s)/(z+5-s- ...)))."""
+    tiny = 1e-300
+    b = z + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 100_000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < 1e-16:
+            return cmath.exp(ln_gamma(s) - s * cmath.log(z)) - cmath.exp(-z) * h
+    raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 
 def _left_focus_walls(s: float, Z1: complex, Z2: complex):

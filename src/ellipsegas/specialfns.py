@@ -1,14 +1,32 @@
-"""Gamma and Bessel utilities used by every limiting kernel.
+"""Gamma and Bessel functions used by every limiting kernel, in numpy alone.
 
-Bessel evaluations are backed by scipy.special (Amos), imported on first
-use, so that the finite-N code, which needs only log-gamma, never loads
-scipy; the module adds the domain contracts, the log-scaled variants needed
-at large order, and the half-power ratio (x/2)^nu / I_nu(x) that appears
-inside all deformed sine/Bessel kernels.
+The finite-N code needs only log-gamma.  The limiting kernels need
+psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u), an even entire function of complex u,
+and the half-power ratio (x/2)^nu / I_nu(x) at real x >= 0.  Both come from
+standard expansions, so the package loads no scipy at run time:
+
+  I_nu(x), real x >= 0 (`log_i_ratio`, `log_bessel_i`, `bessel_i`):
+    x <= 20                   ascending series (DLMF 10.25.2), positive terms,
+                              with fewer terms up to x = 4
+    x >= max(20, 2 nu^2)      Hankel expansion of e^-x I_nu(x) (DLMF 10.40.1)
+    nu >= 50                  Debye's uniform expansion (DLMF 10.41.3)
+    otherwise                 Debye at order nu + m, then m < 51 steps of the
+                              ratio recurrence (DLMF 10.29.1) down to nu
+  psi(u), complex u (`bessel_j`, the edge and Bessel kernels):
+    |u| >= max(20, 2 nu^2)    Hankel expansion (DLMF 10.17.3)
+    otherwise                 ascending series (DLMF 10.2.2) at orders nu + m
+                              and nu + m + 1, m = max(0, ceil(|u|^2/4 - nu - 1)),
+                              where it cancels little, then m steps of the
+                              backward recurrence in the order (DLMF 10.6.1)
+
+In `log_i_ratio` each regime's term count is fixed by nu and the regime's
+bounds, so an entry's value does not depend on the other entries.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +38,11 @@ from .errors import DomainError, OutOfRangeError
 # Complex J evaluations are guaranteed accurate here; beyond this modulus the
 # caller is expected to switch to the large-argument cosine asymptotic.
 W_MAX = 60.0
-_SMALLEST_NORMAL = sys.float_info.min
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2.0)
+# relative size of the first term a series may drop
+_TAIL = 2.0 ** -60
 
 # Stirling series of log Gamma(x) for x >= 13, with the Cephes coefficients
 # of scipy's gammaln: (x - 1/2) log x - x + log sqrt(2 pi) + A(1/x^2)/x
@@ -29,6 +51,16 @@ _LOG_SQRT_2PI = 0.91893853320467274178
 _STIRLING_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
                7.93650340457716943945e-4, -2.77777777730099687205e-3,
                8.33333333333331927722e-2)
+
+# regime bounds, see the module docstring
+_I_SERIES_MAX = 20.0
+_HANKEL_MIN = 20.0
+_DEBYE_MIN = 50.0
+_DEBYE_TERMS = 14
+# argument up to which the ascending series of the I-ratio takes the shorter
+# term count that 4 needs; the kernels' tables of c^2k hold that many powers
+# and serve |c root| up to it
+_SHORT_SERIES_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -42,17 +74,32 @@ class BesselOrder:
             raise DomainError(f"Bessel order must be finite and >= -1/2, got {self.nu}")
 
 
+def _lgamma(x: float) -> float:
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise OutOfRangeError(f"log Gamma({x:g}) leaves the double range") from None
+
+
+def _log_gamma(x: float) -> float:
+    """log Gamma(x), x > 0, for the Bessel series' leading factors: below 171
+    as log(math.gamma(x)), within 3 eps of a 40-digit value on (0.5, 4.5)
+    where math.lgamma is up to 6 eps off."""
+    return math.log(math.gamma(x)) if x < 171.0 else _lgamma(x)
+
+
 def ln_gamma(x):
     """Natural log of Gamma(x) for x > 0; a scalar x gives a float.
 
     On an array, entries from 13 up run the Stirling series at once and the
     smaller ones (at most a few of an n + c sequence) go through math.lgamma.
-    Any entry <= 0 or nan raises DomainError.
+    Any entry <= 0 or nan raises DomainError, and one whose log Gamma passes
+    the largest double (x from about 2.5e305) OutOfRangeError.
     """
     if np.ndim(x) == 0:
         if not x > 0:
             raise DomainError(f"ln_gamma requires x > 0, got {x}")
-        return math.lgamma(x)
+        return _lgamma(x)
     xs = np.asarray(x, dtype=float)
     # clipped so that no entry over- or underflows; the entries the clip
     # moved (below 13, above 1e150, <= 0 or nan) are replaced after
@@ -66,7 +113,7 @@ def ln_gamma(x):
     rest = xs.ravel()[moved].tolist()
     if not all(v > 0 for v in rest):
         raise DomainError("ln_gamma requires every entry > 0")
-    out.ravel()[moved] = [math.lgamma(v) for v in rest]
+    out.ravel()[moved] = [_lgamma(v) for v in rest]
     return out
 
 
@@ -74,84 +121,312 @@ def _order(order) -> float:
     return order.nu if isinstance(order, BesselOrder) else BesselOrder(float(order)).nu
 
 
-def _jv_order(order) -> float:
-    """The order for scipy's complex jv, which returns nan at negative
-    subnormal orders; J_nu is continuous in nu, so those are order 0."""
+def _powers(t: np.ndarray, terms: int) -> np.ndarray:
+    """[t, t^2, ..., t^terms] along a new last axis, by repeated products."""
+    out = np.empty(t.shape + (terms,), dtype=t.dtype)
+    out[...] = t[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
+
+
+def _poly_tail(coefs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{k >= 1} coefs[k] t^k, as one product with the table of powers."""
+    if coefs.size < 2:
+        return np.zeros(t.shape, dtype=np.result_type(t, coefs))
+    return _powers(t, coefs.size - 1) @ coefs[1:]
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=256)
+def _rising_reciprocals(nu: float, terms: int) -> np.ndarray:
+    """1 / (k! (nu+1)_k), k < terms: the ascending series of
+    psi(iy) = Gamma(nu+1) (2/y)^nu I_nu(y) in (y/2)^2; read-only."""
+    k = np.arange(1, terms, dtype=float)
+    out = np.ones(terms)
+    out[1:] = np.cumprod(1.0 / (k * (nu + k)))
+    return _read_only(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _series_terms(nu: float, q_max: float) -> int:
+    """Terms of the ascending series in q = (x/2)^2 that leave a tail below
+    _TAIL of the sum of |terms| at every q <= q_max: the terms are positive
+    in |q|, and the tail's share grows with |q|."""
+    term = total = 1.0
+    k = 0
+    while True:
+        k += 1
+        step = q_max / (k * (nu + k))
+        term *= step
+        total += term
+        if term < _TAIL * total and step < 0.5:
+            return k + 1
+
+
+def _series_at(nu: float, q):
+    """sum_k q^k / (k! (nu+1)_k) at one real or complex q, term by term."""
+    term = total = 1.0
+    for k in range(1, _series_terms(nu, abs(q))):
+        term *= q / (k * (nu + k))
+        total += term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# I_nu at real x >= 0
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=256)
+def _hankel_coefficients(nu: float, r_min: float) -> np.ndarray:
+    """a_k(nu), the coefficients of the Hankel expansions in 1/x (DLMF
+    10.17.1), up to the first one below _TAIL at x = r_min, or to the last
+    nonzero one at half-odd order; read-only."""
+    mu = 4.0 * nu * nu
+    out = [1.0]
+    while True:
+        k = len(out)
+        nxt = out[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
+        if nxt == 0.0:
+            break
+        out.append(nxt)
+        if abs(nxt) / r_min ** k < _TAIL:
+            break
+    return _read_only(np.array(out))
+
+
+@functools.lru_cache(maxsize=1)
+def _debye_polynomials() -> tuple:
+    """Coefficients (in p) of Debye's polynomials U_k(p), k < _DEBYE_TERMS,
+    from U_{k+1} = p^2 (1-p^2) U_k'/2 + int_0^p (1-5t^2) U_k(t) dt / 8."""
+    from numpy.polynomial import polynomial as P
+    out = [np.array([1.0])]
+    for _ in range(_DEBYE_TERMS - 1):
+        u = out[-1]
+        out.append(P.polyadd(P.polymul([0.0, 0.0, 0.5, 0.0, -0.5], P.polyder(u)),
+                             P.polyint(P.polymul([1.0, 0.0, -5.0], u)) / 8.0))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _debye_coefficients(nu: float) -> np.ndarray:
+    """sum_k U_k(p) nu^-k as one polynomial in p; read-only."""
+    polys = _debye_polynomials()
+    out = np.zeros(polys[-1].size)
+    for k, u in enumerate(polys):
+        out[:u.size] += u * nu ** -k
+    return _read_only(out)
+
+
+def _hankel_min(nu: float) -> float:
+    """The argument from which the Hankel expansions of order nu are used."""
+    return max(_HANKEL_MIN, 2.0 * nu * nu)
+
+
+def _ratio_series(nu: float, x: np.ndarray) -> np.ndarray:
+    """log_i_ratio by the ascending series, each entry with the terms that
+    the smaller of _SHORT_SERIES_MAX and _I_SERIES_MAX above it takes."""
+    lg = _log_gamma(nu + 1.0)
+    q = x * x / 4.0
+    short = _rising_reciprocals(nu, _series_terms(nu, _SHORT_SERIES_MAX ** 2 / 4.0))
+    if x.size == 0 or x.max() <= _SHORT_SERIES_MAX:
+        return lg - np.log1p(_poly_tail(short, q))
+    out = lg - np.log1p(_poly_tail(
+        _rising_reciprocals(nu, _series_terms(nu, _I_SERIES_MAX ** 2 / 4.0)), q))
+    near = x <= _SHORT_SERIES_MAX
+    out[near] = lg - np.log1p(_poly_tail(short, q[near]))
+    return out
+
+
+def _i_hankel_tail(nu: float, x: np.ndarray) -> np.ndarray:
+    """sqrt(2 pi x) e^-x I_nu(x) - 1 by the Hankel expansion (DLMF 10.40.1)."""
+    a = _hankel_coefficients(nu, _hankel_min(nu))
+    return _poly_tail(a * np.where(np.arange(a.size) % 2 == 0, 1.0, -1.0), 1.0 / x)
+
+
+def _ratio_hankel(nu: float, x: np.ndarray) -> np.ndarray:
+    return (nu * np.log(x / 2.0) - x + 0.5 * np.log(2.0 * math.pi * x)
+            - np.log1p(_i_hankel_tail(nu, x)))
+
+
+def _log_i_debye(nu: float, x: np.ndarray) -> np.ndarray:
+    """log I_nu(x), x > 0, by the uniform expansion: with z = x/nu and
+    w = sqrt(1 + z^2), nu eta = nu w + nu log(z / (1 + w))."""
+    z = x / nu
+    w = np.sqrt(1.0 + z * z)
+    u = np.log1p(_poly_tail(_debye_coefficients(nu), 1.0 / w))
+    return (nu * w + nu * np.log(z / (1.0 + w)) - 0.5 * math.log(2.0 * math.pi * nu)
+            - 0.5 * np.log(w) + u)
+
+
+def _log_i_shifted(nu: float, x: np.ndarray) -> np.ndarray:
+    """log I_nu(x): Debye at order nu + m >= _DEBYE_MIN, then down to nu with
+    r_{mu-1} = 1 / (2 mu / x + r_mu), r_mu = I_{mu+1} / I_mu, which is stable
+    downward (I is the minimal solution); the r, each below 1, are
+    multiplied and logged once."""
+    m = math.ceil(_DEBYE_MIN - nu)
+    top = _log_i_debye(nu + m, x)
+    r = np.exp(_log_i_debye(nu + m + 1.0, x) - top)
+    prod = np.ones(x.shape)
+    for j in range(m, 0, -1):
+        r = 1.0 / (2.0 * (nu + j) / x + r)
+        prod *= r
+    return top - np.log(prod)
+
+
+def log_i_ratio(order, x):
+    """log[(x/2)^nu / I_nu(x)] for finite x >= 0 (log Gamma(nu+1) at x = 0).
+
+    x may be an array; a scalar x gives a float.  Each entry goes to one of
+    the regimes of the module docstring by x and nu alone.
+    """
     nu = _order(order)
-    return 0.0 if -_SMALLEST_NORMAL < nu < 0.0 else nu
+    xs = np.asarray(x, dtype=float)
+    hi = xs.max() if xs.size else 0.0
+    if not (hi < math.inf and (xs.size == 0 or xs.min() >= 0)):
+        raise DomainError(f"log_i_ratio requires finite x >= 0, got {x}")
+    if xs.ndim == 0:
+        return float(log_i_ratio(nu, xs.reshape(1))[0])
+    if hi <= _I_SERIES_MAX:
+        return _ratio_series(nu, xs)
+    out = np.empty(xs.shape)
+    series = xs <= _I_SERIES_MAX
+    out[series] = _ratio_series(nu, xs[series])
+    rest = ~series
+    if nu >= _DEBYE_MIN:
+        out[rest] = nu * np.log(xs[rest] / 2.0) - _log_i_debye(nu, xs[rest])
+    else:
+        hankel = rest & (xs >= _hankel_min(nu))
+        out[hankel] = _ratio_hankel(nu, xs[hankel])
+        mid = rest & ~hankel
+        if np.any(mid):
+            out[mid] = nu * np.log(xs[mid] / 2.0) - _log_i_shifted(nu, xs[mid])
+    return out
+
+
+def log_bessel_i(order, x: float) -> float:
+    """log I_nu(x) for x > 0, stable for large order and large argument."""
+    nu = _order(order)
+    if not x > 0:
+        raise DomainError(f"log_bessel_i requires x > 0, got {x}")
+    return nu * math.log(x / 2.0) - log_i_ratio(nu, x)
+
+
+def bessel_i(order, x: float) -> float:
+    """I_nu(x) for real x >= 0; inf past the double range.
+
+    Where it is in range, the value is a product rather than the exponential
+    of `log_bessel_i`, whose rounding grows with |log I_nu(x)|: the Hankel
+    expansion times e^x, or else (x/2)^nu / Gamma(nu+1) times the ascending
+    series, summed term by term, all terms being positive.
+    """
+    nu = _order(order)
+    if not x >= 0:
+        raise DomainError(f"bessel_i requires x >= 0, got {x}")
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    if nu < _DEBYE_MIN and _hankel_min(nu) <= x < _LOG_MAX:
+        h = 1.0 + float(_i_hankel_tail(nu, np.array([float(x)]))[0])
+        return math.exp(x) / math.sqrt(2.0 * math.pi * x) * h
+    if x < _LOG_MAX:
+        # (x/2)^nu / Gamma(nu+1); past the range of either, from the
+        # fractional order up, one factor a step, each partial product below
+        # e^(x/2)
+        n = 0 if nu < 170.0 and nu * math.log(x / 2.0) < 700.0 else math.floor(nu)
+        pref = (x / 2.0) ** (nu - n) / math.gamma(nu - n + 1.0)
+        for j in range(1, n + 1):
+            pref *= (x / 2.0) / (nu - n + j)
+        if 0.0 < pref < math.inf:
+            return pref * _series_at(nu, x * x / 4.0)
+    log_i = log_bessel_i(nu, x)
+    return math.exp(log_i) if log_i < _LOG_MAX else math.inf
+
+
+# ---------------------------------------------------------------------------
+# J_nu at complex u
+# ---------------------------------------------------------------------------
+
+def _psi_hankel(nu: float, u: np.ndarray) -> np.ndarray:
+    """sqrt(2/(pi u)) (P cos w - Q sin w), w = u - nu pi/2 - pi/4, times
+    Gamma(nu+1) (2/u)^nu, on Re u >= 0 (psi is even); P and Q take the
+    even and the odd terms of sum_k (-1)^(k//2) a_k u^-k."""
+    u = np.where(u.real < 0, -u, u)
+    a = _hankel_coefficients(nu, _hankel_min(nu))
+    coefs = a * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(a.size) % 4]
+    powers = _powers(1.0 / u, max(a.size - 1, 1))     # column j holds u^-(j+1)
+    p = coefs[0] + powers[:, 1::2][:, :coefs[2::2].size] @ coefs[2::2]
+    q = powers[:, 0::2][:, :coefs[1::2].size] @ coefs[1::2]
+    w = u - (0.5 * nu + 0.25) * math.pi
+    lead = np.exp(ln_gamma(nu + 1.0) + nu * _LN2 + 0.5 * math.log(2.0 / math.pi)
+                  - (nu + 0.5) * np.log(u))
+    return lead * (p * np.cos(w) - q * np.sin(w))
+
+
+def _recurrence_start(nu: float, r: float) -> int:
+    """The m for which the series of psi_{nu+m} loses at most e^2 to
+    cancellation at |u| <= r: (r/2)^2 <= nu + m + 1."""
+    return max(0, math.ceil(r * r / 4.0 - nu - 1.0))
+
+
+def _recur_down(nu: float, m: int, q, psi, above):
+    """psi_nu from psi_{nu+m} and psi_{nu+m+1} by the backward recurrence of
+    psi_mu = Gamma(mu+1) (2/u)^mu J_mu(u) (DLMF 10.6.1),
+
+        psi_{mu-1} = psi_mu - q psi_{mu+1} / (mu (mu+1)),  q = (u/2)^2.
+
+    J is the minimal solution upward, so the recurrence is stable downward.
+    This is Miller's algorithm with exact starting values; a normalising
+    sum would cancel instead: Gegenbauer's like e^|Im u|, the plane-wave sum
+    like |u|^nu."""
+    for j in range(m, 0, -1):
+        above, psi = psi, psi - q * (1.0 / ((nu + j) * (nu + j + 1.0))) * above
+    return psi
+
+
+def _psi_recurrence(nu: float, u: np.ndarray) -> np.ndarray:
+    """psi(u) from the series at orders nu + m and nu + m + 1, m by
+    `_recurrence_start` at r = max |u|, then `_recur_down`."""
+    r = float(np.max(np.abs(u)))
+    m = _recurrence_start(nu, r)
+    q = u * u / 4.0
+
+    def series(mu):
+        return 1.0 + _poly_tail(_rising_reciprocals(mu, _series_terms(mu, r * r / 4.0)), -q)
+
+    return _recur_down(nu, m, q, series(nu + m), series(nu + m + 1.0) if m else None)
+
+
+def _psi(nu: float, u: np.ndarray) -> np.ndarray:
+    """psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u) = sum_k (-u^2/4)^k / (k! (nu+1)_k)
+    at every entry of the complex array u: the Hankel expansion from
+    `_hankel_min`, `_psi_recurrence` below it."""
+    u = np.asarray(u, dtype=complex)
+    hankel = np.abs(u) >= _hankel_min(nu)
+    if not np.any(hankel):
+        return _psi_recurrence(nu, u)
+    out = np.empty(u.shape, dtype=complex)
+    out[hankel] = _psi_hankel(nu, u[hankel])
+    if not np.all(hankel):
+        out[~hankel] = _psi_recurrence(nu, u[~hankel])
+    return out
 
 
 def bessel_j(order, w: complex) -> complex:
     """J_nu(w) at complex w, principal branch of w^nu, for |w| <= W_MAX."""
-    nu = _jv_order(order)
+    nu = _order(order)
     w = complex(w)
     if abs(w) > W_MAX:
         raise OutOfRangeError(
             f"|w|={abs(w):.3g} exceeds W_MAX={W_MAX}; use the cosine asymptotic"
         )
-    from scipy.special import jv
-    return complex(jv(nu, w))
-
-
-def bessel_i(order, x: float) -> float:
-    """I_nu(x) for real x >= 0."""
-    nu = _order(order)
-    if x < 0:
-        raise DomainError(f"bessel_i requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    from scipy.special import iv
-    return float(iv(nu, x))
-
-
-def log_bessel_i(order, x: float) -> float:
-    """log I_nu(x) for x > 0, stable for large order and large argument.
-
-    Uses the exponentially scaled ive when it does not underflow; otherwise
-    (x much smaller than nu) sums the ascending series in log space.
-    """
-    nu = _order(order)
-    if x <= 0:
-        raise DomainError(f"log_bessel_i requires x > 0, got {x}")
-    from scipy.special import ive
-    sc = float(ive(nu, x))
-    if sc > 0.0:
-        return math.log(sc) + x
-    # ive underflows only for x << nu where the series converges in few terms
-    lq = math.log(x * x / 4.0)
-    lu = 0.0  # log of term l=0 relative to the (x/2)^nu / Gamma(nu+1) prefactor
-    ls = 0.0
-    l = 0
-    while True:
-        lu += lq - math.log((l + 1) * (nu + l + 1))
-        ls = max(ls, lu) + math.log1p(math.exp(-abs(lu - ls)))
-        l += 1
-        if lu < ls - 40.0 and l > x / 2:
-            break
-        if l > 200_000:
-            raise RuntimeError("log_bessel_i series did not converge")
-    return nu * math.log(x / 2.0) - ln_gamma(nu + 1) + ls
-
-
-def log_i_ratio(order, x):
-    """log[(x/2)^nu / I_nu(x)] for x >= 0 (limit log Gamma(nu+1) at x=0).
-
-    x may be an array; a scalar x gives a float.  ive runs on all entries at
-    once; those where it underflows to 0, or returns nan (scipy does at
-    negative subnormal orders), go through the series of `log_bessel_i`.
-    """
-    from scipy.special import ive
-    nu = _order(order)
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise DomainError(f"log_i_ratio requires x >= 0, got {x}")
-    out = np.full(xs.shape, ln_gamma(nu + 1))
-    pos = xs >= 1e-10
-    xp = xs[pos]
-    sc = ive(nu, xp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = nu * np.log(xp / 2.0) - (np.log(sc) + xp)
-    for i in np.flatnonzero(~(sc > 0.0)):
-        lr[i] = nu * math.log(xp[i] / 2.0) - log_bessel_i(nu, float(xp[i]))
-    out[pos] = lr
-    return float(out) if out.ndim == 0 else out
+    if w == 0:
+        return complex(1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf))
+    if _recurrence_start(nu, abs(w)) == 0:
+        psi = _series_at(nu, -w * w / 4.0)
+    else:
+        psi = complex(_psi(nu, np.array([w]))[0])
+    if nu < 170.0:
+        return psi * (w / 2.0) ** nu / math.gamma(nu + 1.0)
+    return psi * cmath.exp(nu * cmath.log(w / 2.0) - ln_gamma(nu + 1.0))

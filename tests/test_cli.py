@@ -388,9 +388,9 @@ def test_kernel_non_finite_value_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_finite_commands_never_load_scipy(tmp_path):
-    # a fresh interpreter: density, sample and the finite/reference kernel
-    # kinds run without scipy; a limit kernel loads it on first use
+def test_every_command_runs_without_scipy(tmp_path):
+    # a fresh interpreter: every command, every study of converge and every
+    # kind of kernel run, and no scipy module is loaded at the end
     import os
     import subprocess
     import sys
@@ -400,25 +400,48 @@ def test_finite_commands_never_load_scipy(tmp_path):
     script = f"""
 import json, sys
 import ellipsegas, ellipsegas.cli as cli
+from ellipsegas import LimitKind
 out = {str(out)!r}
-for argv in (["density", "--family", "jacobi-plus", "--a", "0.5", "--tau", "0.5", "--N", "6",
-              "--nx", "5", "--ny", "5", "--format", "json"],
-             ["sample", "--family", "gegenbauer", "--a", "1", "--tau", "0.5", "--N", "4",
-              "--steps", "2000", "--burn-in", "200", "--thin", "10", "--seed", "3"],
-             ["kernel", "--kind", "finite", "--family", "jacobi-minus", "--a", "0.3",
-              "--tau", "0.6", "--N", "40", "--points", "0.1,0.2"],
-             ["kernel", "--kind", "truncated", "--a", "0.3", "--N", "12", "--points", "0.1,0.2"],
-             ["kernel", "--kind", "truncated-limit", "--a", "0.3", "--points", "0.1,0.2"],
-             ["kernel", "--kind", "elliptic-ginibre", "--tau", "0.4", "--N", "12",
-              "--points", "0.1,0.2"]):
+kernel_args = {{
+    "finite": ["--family", "jacobi-minus", "--a", "0.3", "--tau", "0.6", "--N", "40"],
+    "truncated": ["--a", "0.3", "--N", "12"],
+    "truncated-limit": ["--a", "0.3"],
+    "elliptic-ginibre": ["--tau", "0.4", "--N", "12"],
+    "bulk-weak": ["--a", "1", "--s", "1"],
+    "edge-weak": ["--a", "0.5", "--s", "1.5"],
+    "edge-weak-minus-sine": ["--a", "0.5", "--s", "1.5"],
+    "edge-weak-minus-cosine": ["--a", "0.5", "--s", "1.5"],
+    "bulk-strong": ["--a", "0.5"],
+    "edge-strong": ["--a", "0.5"],
+    "sine": [],
+    "bessel": ["--a", "0.5"],
+    "ginibre": [],
+    "global-u": ["--tau", "0.5"],
+    "global-t": ["--tau", "0.5"],
+    "global-v": ["--tau", "0.5"],
+    "global-rot-u": [],
+    "global-rot-t": [],
+    "global-rot-v": [],
+}}
+assert set(kernel_args) >= {{k.value for k in LimitKind}}
+runs = [["density", "--family", "jacobi-plus", "--a", "0.5", "--tau", "0.5", "--N", "6",
+         "--nx", "5", "--ny", "5", "--format", "json"],
+        ["sample", "--family", "gegenbauer", "--a", "1", "--tau", "0.5", "--N", "4",
+         "--steps", "2000", "--burn-in", "200", "--thin", "10", "--seed", "3"],
+        ["orthocheck", "--family", "jacobi-minus", "--a", "0.5", "--tau", "0.5",
+         "--max-degree", "4"]]
+runs += [["converge", "--study", study, "--a", "0.5", "--s", "1", "--schedule", "2,3"]
+         for study in cli._STUDIES]
+runs += [["kernel", "--kind", kind, *args, "--points", "0.3,0.1;0.3,0.1,0.2,-0.05"]
+         for kind, args in kernel_args.items()]
+for argv in runs:
     assert cli.main(argv + ["--output", out]) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
 assert cli.main(["kernel", "--kind", "bulk-weak", "--a", "1", "--s", "1",
                  "--points", "0.3,0.2,0,0", "--output", out]) == 0
 row = json.load(open(out))["values"][0]
 assert complex(row["re"], row["im"]) == ellipsegas.bulk_weak(1.0, 1.0, 0.3 + 0.2j, 0j)
-assert "scipy" in sys.modules
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy"))
+assert not loaded, loaded
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(ellipsegas.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -190,7 +190,7 @@ def test_bessel_kernel_refuses_beyond_w_max_squared():
                                   lambda: bessel_kernel(200.0, 100.0, 100.0)],
                          ids=["edge_weak-a100", "bessel-a100", "bessel-a200"])
 def test_quadrature_kernels_refuse_where_the_integrand_leaves_the_double_range(call):
-    # on the smallest c-nodes J_nu(u) underflows to 0 while u^-nu overflows
+    # the product of two J_nu(u) u^-nu, at most 4^-nu / Gamma(nu+1)^2, underflows
     with pytest.raises(OutOfRangeError):
         call()
 
@@ -303,13 +303,51 @@ def test_edge_strong_matches_its_closed_form_in_40_digits(a):
             assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
-def test_edge_strong_underflows_or_refuses_outside_the_double_range():
+def test_edge_strong_underflows_outside_the_double_range():
     # (X1 X2)^{a/2} alone overflows at a = 500, X = 5; the whole prefactor
     # underflows to 0
     assert edge_strong(500.0, 5.0, 5.0) == 0.0
-    # the incomplete gamma series reaches e^800 before it converges
-    with pytest.raises(OutOfRangeError):
-        edge_strong(0.5, 800.0, 800.0)
+
+
+def _edge_strong_40_digits(a, Z1, Z2):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        beta = mpmath.mpc(0.5 * (Z1.real + Z2.real), 0.5 * (Z1.imag - Z2.imag))
+        pref = (mpmath.mpf(Z1.real * Z2.real) ** (mpmath.mpf(a) / 2)
+                / (4 * mpmath.pi * mpmath.gamma(a + 1)))
+        return complex(pref * mpmath.gammainc(a + 2, 0, beta) / beta ** (a + 2))
+
+
+@pytest.mark.parametrize("a, Z1, Z2", [
+    (0.5, 800.0, 800.0), (0.5, 710.0, 720.0 + 3.0j), (1.5, 1000.0 + 5.0j, 900.0 - 40.0j),
+    (0.0, 2000.0, 2000.0), (2.0, 30.0, 30.0 + 50.0j), (-0.5, 0.2 + 40.0j, 0.3 - 35.0j),
+    (7.0, 12.0 + 9.0j, 3.0 - 4.0j), (30.0, 40.0, 45.0 + 60.0j)])
+def test_edge_strong_answers_past_the_series_range(a, Z1, Z2):
+    # past |beta| = 5 the continued fraction of Gamma(s, beta) takes over where
+    # the series cancels or overflows: edge_strong(0.5, 800, 800) used to be
+    # refused, and at beta = 0.25 + 37.5i the series was 3.1% off
+    got = edge_strong(a, Z1, Z2)
+    assert abs(got - _edge_strong_40_digits(a, complex(Z1), complex(Z2))) <= 1e-12 * abs(got)
+
+
+def test_edge_strong_keeps_the_series_up_to_beta_5():
+    # the benchmark's points have |beta| <= 5: there the value is the plain
+    # ascending series, bit for bit
+    def series(s, z):
+        term = total = 1.0 / s
+        k = 1
+        while True:
+            term *= z / (s + k)
+            total += term
+            if abs(term) < 1e-17 * abs(total):
+                return total * np.exp(-z)
+            k += 1
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        s = 1.0 + 4.0 * rng.random()
+        z = complex(4.0 * rng.random(), 6.0 * rng.random() - 3.0)
+        assert kernels_limit._lower_gamma_ratio(s, z) == series(s, z)
 
 
 @pytest.mark.parametrize("kernel", [edge_strong, kernel_truncated_edge])

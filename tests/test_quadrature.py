@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, HALF_LINE,
                         PolyKind, QuadratureSpec, TailDivergenceError,
@@ -10,7 +9,7 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, H
                         rule_for_gas, weight)
 from ellipsegas.polynomials import log_squared_norms, monic_scaled_sequence
 from ellipsegas.quadrature import (_annulus_rule, _c_rule, _disc_rule, _gauss_rule,
-                                   ellipse_rule)
+                                   _jacobi_rule, ellipse_rule)
 
 from conftest import gas_cases
 
@@ -170,7 +169,7 @@ def test_half_line_equals_the_panel_by_panel_sum(truncation, panel):
     def g(t):
         return np.exp(-2.5 * t) * np.cos((1.0 + 0.3j) * t)
 
-    x, w = roots_legendre(16)
+    x, w = _jacobi_rule(16, 0.0, 0.0)
     total, t0 = 0.0 + 0.0j, 0.0
     while t0 < truncation:
         t1 = min(t0 + panel, truncation)
@@ -210,11 +209,10 @@ def test_cached_rules_are_read_only_and_shared(rule):
 
 
 def test_cached_rules_equal_a_fresh_build():
-    from scipy.special import roots_jacobi
-    x, w = roots_legendre(64)
+    x, w = _jacobi_rule(64, 0.0, 0.0)
     c, wc = _gauss_rule(UNIT_INTERVAL, 64)
     assert np.array_equal(c, (x + 1.0) / 2.0) and np.array_equal(wc, w / 2.0)
-    xj, wj = roots_jacobi(64, 0.0, 1.5)
+    xj, wj = _jacobi_rule(64, 0.0, 1.5)
     cj, wcj = _gauss_rule("jacobi", 64, 0.0, 1.5)
     assert np.array_equal(cj, xj) and np.array_equal(wcj, wj)
 
@@ -248,3 +246,40 @@ def test_cached_ellipse_rules_are_read_only(focal):
     fresh = build(geo.tau, spec.singularity_exponent, spec.radial_nodes, spec.angular_nodes)
     again = ellipse_rule(geo, spec, focal=focal)
     assert all(np.array_equal(x, y) for x, y in zip(again, fresh))
+
+
+# ------------------------------------------------------ native Gauss rules
+# scipy.special.roots_* is a test-only oracle; the exact moments of
+# (1+x)^j, 2^(alpha+beta+j+1) B(alpha+1, beta+j+1), j < 2n, are the other
+
+_RULE_CASES = [(n, a, b) for n in (4, 5, 16, 64, 97, 256)
+               for a, b in ((0.0, 0.0), (-0.999, 0.0), (0.0, 1.5), (-0.5, -0.5), (50.0, 0.0),
+                            (0.0, 50.0), (50.0, 49.9), (-0.9, 30.0), (2.5, 2.5), (0.3, -0.7))]
+
+
+def _moment_error(n, a, b, x, w):
+    from scipy.special import betaln
+    j = np.arange(2 * n)
+    ref = np.exp((a + b + j + 1) * math.log(2.0) + betaln(a + 1, b + j + 1))
+    got = np.array([np.sum(w * (1.0 + x) ** k) for k in j])
+    return np.max(np.abs(got - ref) / ref)
+
+
+@pytest.mark.parametrize("n, a, b", _RULE_CASES)
+def test_native_gauss_rules_against_scipy_and_exact_moments(n, a, b):
+    from scipy.special import roots_jacobi, roots_legendre
+    x, w = _gauss_rule("legendre", n) if a == b == 0.0 else _gauss_rule("jacobi", n, a, b)
+    xs, ws = roots_legendre(n) if a == b == 0.0 else roots_jacobi(n, a, b)
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0 and np.all(w > 0)
+    assert np.max(np.abs(x - xs)) <= 4e-16
+    # no worse than scipy's rule against the exact moments, up to rounding
+    assert _moment_error(n, a, b, x, w) <= max(2.0 * _moment_error(n, a, b, xs, ws), 5e-14)
+
+
+def test_large_legendre_rule_needs_no_eigenvalue_solve():
+    # Tricomi's start and three Newton steps; the weights sum to 2 and
+    # integrate x^(2n-2) exactly
+    x, w = _jacobi_rule(1024, 0.0, 0.0)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert abs(np.sum(w) - 2.0) <= 1e-14
+    assert np.sum(w * x ** 2046) == pytest.approx(2.0 / 2047.0, rel=1e-12)

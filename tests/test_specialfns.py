@@ -135,8 +135,8 @@ def test_bessel_j_real_argument_is_real(nu, x):
 
 
 def test_bessel_j_subnormal_order_is_order_zero():
-    # scipy's complex jv returns nan at negative subnormal orders; the order
-    # is canonicalized, so J_nu(w) is J_0(w) there
+    # J_nu is continuous in nu, and at a subnormal order every coefficient of
+    # the series and of the Miller sums rounds to its order-0 value
     for nu in (-2.2e-311, -5e-324, 2.2e-311):
         for w in (1.0 + 0j, 0.3 + 2.0j, 17.5 + 0j):
             assert bessel_j(nu, w) == bessel_j(0.0, w)
@@ -152,8 +152,9 @@ def test_i_ratio_monotone_decreasing(nu, x):
 
 @pytest.mark.parametrize("nu", [0.5, 3.0, 200.5, -2.225073858507e-311, 0.0])
 def test_log_i_ratio_array_equals_scalar_calls(nu):
-    # covers x = 0, x below the 1e-10 cut, ive underflow (nu = 200.5 at small
-    # x) and scipy's nan from ive at a negative subnormal order
+    # covers x = 0, tiny x, both series term counts, the Hankel, Debye and
+    # shifted-Debye regimes, large order at small x and a negative subnormal
+    # order
     xs = np.array([0.0, 1e-12, 1e-3, 0.7, 1.0, 5.0, 40.0, 700.0])
     got = log_i_ratio(nu, xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
@@ -213,3 +214,157 @@ def test_ln_gamma_scalar_is_math_lgamma(x):
 def test_ln_gamma_scalar_rejects_nan():
     with pytest.raises(DomainError):
         ln_gamma(math.nan)
+
+
+# ------------------------------------------------------ ln_gamma past doubles
+
+def test_ln_gamma_past_the_double_range_is_out_of_range():
+    # math.lgamma raises a bare OverflowError from x of about 2.5e305
+    with pytest.raises(OutOfRangeError):
+        ln_gamma(1e306)
+    with pytest.raises(OutOfRangeError):
+        ln_gamma(np.array([3.0, 1e306]))
+    assert ln_gamma(2.4e305) == math.lgamma(2.4e305)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: __import__("ellipsegas").edge_strong(1e306, 1.0, 0.5),
+    lambda: __import__("ellipsegas").kernel_truncated_edge(1e306, 1.0, 0.5),
+    lambda: __import__("ellipsegas").bulk_weak(1e306, 1.0, 0.1, 0.1),
+    lambda: __import__("ellipsegas").bessel_kernel(1e306, 1.0, 2.0),
+    lambda: __import__("ellipsegas").kernel_truncated(1e306, 5, 0.1, 0.1)],
+    ids=["edge_strong", "kernel_truncated_edge", "bulk_weak", "bessel_kernel",
+         "kernel_truncated"])
+def test_kernels_refuse_a_past_the_double_range(call):
+    with pytest.raises(OutOfRangeError):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "edge-strong", "--points", "1,0.5"],
+    ["--kind", "bulk-weak", "--s", "1", "--points", "0.1,0"],
+    ["--kind", "bessel", "--points", "1,0"],
+    ["--kind", "truncated", "--N", "5", "--points", "0.1,0.1"]])
+def test_cli_exits_2_at_a_past_the_double_range(argv, capsys):
+    from ellipsegas.cli import main
+    assert main(["kernel", *argv, "--a", "1e306"]) == 2
+    assert "double range" in capsys.readouterr().err
+
+
+# ------------------------------------------- the native Bessel functions
+# scipy and 40-digit mpmath are test-only oracles.  Errors are measured in
+# units of eps times the conditioning scale of each function: for the
+# I-ratio |nu log(x/2)| + |log I_nu(x)|, the two terms it is the difference
+# of; for psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u) the larger of |psi| and
+# Gamma(nu+1) |2/u|^nu sqrt(|J_nu|^2 + |Y_nu|^2), the modulus that J
+# oscillates under.  In every regime the native error may not exceed
+# scipy's on the same points by more than a few units.
+
+_EPS = np.finfo(float).eps
+_RNG = np.random.default_rng(20261018)
+
+
+def _ratio_error_units(nu, xs, got):
+    units = []
+    for x, g in zip(xs, got):
+        li = mp.log(mp.besseli(nu, mp.mpf(x), maxterms=10 ** 6))
+        ref = nu * mp.log(mp.mpf(x) / 2) - li
+        scale = abs(nu * math.log(x / 2)) + abs(float(li))
+        units.append(abs(g - float(ref)) / (_EPS * scale))
+    return max(units)
+
+
+def _scipy_ratio(nu, xs):
+    from scipy.special import ive
+    with np.errstate(all="ignore"):
+        return nu * np.log(xs / 2.0) - (np.log(ive(nu, xs)) + xs)
+
+
+@pytest.mark.parametrize("regime, nus, xs", [
+    ("series", [-0.5, -0.45, 0.0, 0.5, 1.3, 3.5, 12.0, 49.0], [1e-3, 0.4, 2.0, 3.99, 4.01, 11.0, 19.9]),
+    ("hankel", [-0.45, 0.0, 0.5, 1.3, 3.1], [20.1, 27.0, 45.0, 120.0, 690.0]),
+    ("shifted", [3.5, 7.2, 15.5, 30.0, 49.9], [20.5, 35.0, 60.0, 150.0, 400.0]),
+    ("debye", [50.0, 80.0, 200.5, 1000.5], [0.5, 19.0, 25.0, 178.0, 1010.0, 5000.0])])
+def test_log_i_ratio_against_40_digits_no_worse_than_scipy(regime, nus, xs):
+    for nu in nus:
+        xs_ = np.array(xs)
+        ours = _ratio_error_units(nu, xs_, log_i_ratio(nu, xs_))
+        theirs = _scipy_ratio(nu, xs_)
+        ok = np.isfinite(theirs)
+        floor = _ratio_error_units(nu, xs_[ok], theirs[ok]) if ok.any() else 0.0
+        assert ours <= max(floor, 2.0), (regime, nu, ours, floor)
+
+
+def test_log_bessel_i_and_bessel_i_against_40_digits():
+    from scipy.special import iv
+    for nu in (-0.45, 0.0, 1.5, 3.5, 12.0, 60.0, 200.5):
+        for x in (1e-3, 0.7, 3.0, 9.0, 19.0, 33.0, 150.0, 650.0):
+            ref = mp.besseli(nu, mp.mpf(x))
+            lb = log_bessel_i(nu, x)
+            assert abs(lb - float(mp.log(ref))) <= 4 * _EPS * (abs(float(mp.log(ref)))
+                                                               + abs(nu * math.log(x / 2)))
+            if mp.mpf("1e-300") < ref < mp.mpf("1e300"):
+                err = abs(bessel_i(nu, x) - float(ref)) / float(ref)
+                sc = abs(float(iv(nu, x)) - float(ref)) / float(ref)
+                assert err <= max(sc, 8 * _EPS), (nu, x, err, sc)
+
+
+def _psi_error_units(nu, us, got):
+    units = []
+    for u, g in zip(us, got):
+        mu = mp.mpc(u)
+        ref = mp.hyp0f1(nu + 1, -mu ** 2 / 4)
+        modulus = (mp.gamma(nu + 1) * abs(2 / mu) ** nu
+                   * mp.sqrt(abs(mp.besselj(nu, mu)) ** 2 + abs(mp.bessely(nu, mu)) ** 2))
+        units.append(abs(g - complex(ref)) / (_EPS * float(max(abs(ref), modulus))))
+    return max(units)
+
+
+def _points(r0, r1, count, im_max=None):
+    r = _RNG.uniform(r0, r1, count)
+    u = r * np.exp(1j * _RNG.uniform(-math.pi, math.pi, count))
+    if im_max is not None:
+        u = u.real + 1j * np.clip(u.imag, -im_max, im_max)
+    return u
+
+
+@pytest.mark.parametrize("regime, us", [
+    ("series, edge strip", _points(0.05, 4.0, 12, 1.5)),
+    ("series, any direction", _points(0.05, 4.0, 12)),
+    ("miller, edge strip", _points(4.0, 20.0, 12, 1.5)),
+    ("miller, any direction", _points(4.0, 20.0, 12)),
+    ("miller, real line", np.linspace(4.2, 19.8, 9) + 0j),
+    ("hankel", _points(20.0, 60.0, 12)),
+    ("w_max", np.array([60.0, -60.0, 60.0j, 42.4 + 42.4j, 0.5 + 59.99j]))])
+@pytest.mark.parametrize("nu", [-0.45, 0.0, 0.5, 1.3, 3.5, -5e-324])
+def test_psi_against_40_digits_no_worse_than_scipy(regime, us, nu):
+    from scipy.special import jv
+    from ellipsegas.specialfns import _psi
+    ours = _psi_error_units(nu, us, _psi(nu, us))
+    scipy_psi = [complex(mp.mpc(complex(jv(max(nu, 0.0) if nu < 0 and nu > -1e-300 else nu, u)))
+                         * mp.gamma(nu + 1) * (2 / mp.mpc(u)) ** nu) for u in us]
+    theirs = _psi_error_units(nu, us, scipy_psi)
+    assert ours <= max(theirs, 16.0), (regime, nu, ours, theirs)
+
+
+@pytest.mark.parametrize("nu", [8.0, 30.0, 200.5])
+def test_psi_at_large_order_against_40_digits(nu):
+    from ellipsegas.specialfns import _psi
+    us = np.concatenate([_points(0.05, 60.0, 16), [60.0, 30j, 12 + 8j]])
+    assert _psi_error_units(nu, us, _psi(nu, us)) <= 16.0
+
+
+def test_bessel_j_against_40_digits_at_the_regime_edges():
+    for nu in (-0.45, 0.0, 0.5, 3.5, 200.5, -5e-324):
+        for w in (0.3 + 0.1j, 3.99, 4.01 - 0.5j, 19.9j, 20.1 + 0.2j, W_MAX, -W_MAX * 1j,
+                  W_MAX * (0.6 + 0.8j)):
+            got = bessel_j(nu, w)
+            ref = mp.besselj(nu, mp.mpc(w))
+            mod = mp.sqrt(abs(ref) ** 2 + abs(mp.bessely(nu, mp.mpc(w))) ** 2)
+            assert abs(got - complex(ref)) <= 64 * _EPS * float(max(abs(ref), mod)), (nu, w)
+
+
+def test_bessel_j_at_zero():
+    assert bessel_j(0.0, 0.0) == 1.0
+    assert bessel_j(0.5, 0.0) == 0.0
+    assert bessel_j(-0.45, 0.0).real == math.inf
