@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,20 +24,17 @@ from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
 from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
                          integrate_c)
-from .specialfns import (_LN2, _LOG_TINY, _SHORT_SERIES_MAX, W_MAX, _powers, _psi,
-                         _recur_down, _recurrence_start, _rising_reciprocals, _series_terms,
-                         ln_gamma, log_i_ratio)
+from .specialfns import W_MAX, _phi, ln_gamma, log_i_ratio
 
 _DEFAULT = QuadratureSpec()
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
 _GAMMA_SERIES_MAX = 5.0
-# Bessel-ratio node arrays kept per process; each is 0.5-5 kB
-_RATIO_CACHE = 64
 
 
-@functools.lru_cache(maxsize=_RATIO_CACHE)
+@functools.lru_cache(maxsize=64)
 def _node_log_ratio(nu: float, s: float, rule: tuple) -> np.ndarray:
-    """Read-only log_i_ratio(nu, c s) at the nodes c of `_gauss_rule(*rule)`."""
+    """Read-only log_i_ratio(nu, c s) at the nodes c of `_gauss_rule(*rule)`;
+    each is 0.5-5 kB."""
     lr = log_i_ratio(nu, _gauss_rule(*rule)[0] * s)
     lr.flags.writeable = False
     return lr
@@ -53,7 +51,7 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     and panel of `integrate_c` for the half line.  A wall factor q <= 0 takes the
     hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
     divergence flagged as inf.  A half-line rule past its node cap is refused
-    first, whatever the walls.
+    first, whatever the walls, and a value below the normal doubles after.
     """
     _check("a", a)
     spec = spec or _DEFAULT
@@ -69,7 +67,16 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     def g(c):
         return np.exp(lr + lpref) * f(c)
 
-    return complex(integrate_c(g, domain, spec, **half_line))
+    return _normal(complex(integrate_c(g, domain, spec, **half_line)))
+
+
+def _normal(value):
+    """value, or OutOfRangeError where its modulus is below the smallest
+    normal double: a subnormal kernel value, or one summed from subnormal
+    terms, has lost bits to the exponent range."""
+    if abs(value) < sys.float_info.min:
+        raise OutOfRangeError(f"kernel value {value!r} is below the normal double range")
+    return value
 
 
 def sine_kernel(x1: float, x2: float) -> float:
@@ -129,62 +136,37 @@ def bulk_strong(a: float, z1: complex, z2: complex,
                            HALF_LINE, truncation=T, panel=min(5.0, max(1.0, T / 40.0)))
 
 
-@functools.lru_cache(maxsize=_RATIO_CACHE)
-def _node_powers(rule: tuple) -> np.ndarray:
-    """Read-only c^2, c^4, ... at the nodes c of `_gauss_rule(*rule)`, as many
-    powers as the series of psi takes at |u| <= _SHORT_SERIES_MAX for any
-    order."""
-    c = _gauss_rule(*rule)[0]
-    table = _powers(c * c + 0j, _series_terms(-0.5, _SHORT_SERIES_MAX ** 2 / 4.0) - 1)
-    table.flags.writeable = False
-    return table
-
-
-def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
-    """J_nu(c*root) * (c*root)^{-nu} at the nodes c of `_gauss_rule(*rule)`, an
-    even (entire) function of root.
-
-    Where every |c root| <= _SHORT_SERIES_MAX, as on the unit rule for
-    |root| <= 4, `_psi_recurrence` runs on the cached table of c^{2k}: each
-    series is one product of the table with (-root^2/4)^k / (k! (mu+1)_k);
-    otherwise every node goes to `_psi`.  OutOfRangeError once
-    phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows (from nu of about 84.9),
-    where the kernels' products of two phi would.
-    """
-    if 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY:
-        raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {nu:g}")
-    phi0 = 0.5 ** nu / math.gamma(nu + 1.0)
-    c = _gauss_rule(*rule)[0]
-    w = complex(root)
-    r = abs(w) * c[-1]
-    if r > _SHORT_SERIES_MAX:
-        return _psi(nu, c * w) * phi0
-    table = _node_powers(rule)
-    powers = np.cumprod(np.full(table.shape[1], -w * w / 4.0))
-    m = _recurrence_start(nu, r)
-
-    def series(mu):
-        return 1.0 + table @ (_rising_reciprocals(mu, table.shape[1] + 1)[1:] * powers)
-
-    above = series(nu + m + 1.0) if m else None
-    return _recur_down(nu, m, table[:, 0] * (w * w / 4.0), series(nu + m), above) * phi0
-
-
 def _edge_points(s: float, Z1: complex, Z2: complex):
     """(Z1, Z2, sqrt Z1, sqrt conj Z2) of two points of the weak edge kernels;
     DomainError outside the parabolic edge domain."""
     _check("s", s)
     Z1, Z2 = complex(Z1), complex(Z2)
-    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)):
+    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)
+            and cmath.isfinite(Z1) and cmath.isfinite(Z2)):
         raise DomainError("point outside the parabolic edge domain")
     return Z1, Z2, np.sqrt(Z1), np.sqrt(np.conj(Z2))
+
+
+@functools.lru_cache(maxsize=1024)
+def _edge_wall(s: float, Z: complex) -> float:
+    """The weak-edge wall factor q = s^2/4 + X - (Y/s)^2 at Z = X + iY,
+    correctly rounded.  Its terms cancel near the wall q = 0, and a root of Z
+    carries the same rounding, so q is summed exactly over the integers:
+    each double is an integer over a power of two.  That takes 2-3 us, so
+    the factor of each point is kept for the kernel's other calls there."""
+    a, b = s.as_integer_ratio()
+    c, d = Z.real.as_integer_ratio()
+    e, f = Z.imag.as_integer_ratio()
+    aa, bb, ff = a * a, b * b, f * f
+    # over the common denominator 4 a^2 b^2 d f^2
+    return ((aa * d + 4 * c * bb) * aa * ff - 4 * e * e * bb * bb * d) / (4 * aa * bb * d * ff)
 
 
 def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
                           w1: complex, w2: complex,
                           spec: QuadratureSpec | None = None) -> complex:
     nu = a + 0.5
-    walls = [s * s / 4.0 + Z.real - (Z.imag / s) ** 2 for Z in (Z1, Z2)]
+    walls = [_edge_wall(s, Z) for Z in (Z1, Z2)]
     rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
 
     def f(c):
@@ -209,7 +191,8 @@ def bessel_kernel(a: float, X1: float, X2: float,
     the kernel is 0 for a > 0, its continuous limit for a = 0 and, for a < 0,
     an integrable divergence flagged as inf.  Refused past X = W_MAX^2: the
     integrand oscillates at frequency sqrt(X1) + sqrt(X2) on [0,1], beyond
-    what the c-nodes resolve.
+    what the c-nodes resolve; refused too where the integral or the value
+    falls below the normal doubles.
     """
     if X1 < 0 or X2 < 0:
         raise DomainError("bessel_kernel requires X >= 0")
@@ -219,11 +202,13 @@ def bessel_kernel(a: float, X1: float, X2: float,
     lpref = _log_power(0.5 * a, X1) + _log_power(0.5 * a, X2)
     if lpref == math.inf:
         return math.inf
+    if lpref == -math.inf:
+        return 0.0
     spec = spec or _DEFAULT
     rule = _c_rule(UNIT_INTERVAL, spec)
     val = integrate_c(lambda c: c ** (2.0 * a + 2.0) * _phi(a + 0.5, rule, math.sqrt(X1))
                       * _phi(a + 0.5, rule, math.sqrt(X2)), UNIT_INTERVAL, spec)
-    return 0.25 * math.exp(lpref) * val.real
+    return _normal(0.25 * math.exp(lpref) * _normal(val.real))
 
 
 def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
@@ -301,8 +286,10 @@ def _lower_gamma_ratio_cf(s: float, z: complex) -> complex:
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 
-def _left_focus_walls(s: float, Z1: complex, Z2: complex):
-    return [1.0 - 2.0 / (s * s) * (abs(Z) - Z.real) for Z in (Z1, Z2)]
+def _left_focus_walls(s: float, Z1: complex, Z2: complex, w1: complex, w2: complex):
+    """1 - 2 (|Z| - X)/s^2 at two edge points Z with roots w, which is
+    q / (s^2/4 + (Re w)^2) for the weak-edge wall factor q of Z."""
+    return [_edge_wall(s, Z) / (s * s / 4.0 + w.real ** 2) for Z, w in ((Z1, w1), (Z2, w2))]
 
 
 def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
@@ -318,7 +305,7 @@ def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
             return c + 0j * c
         return np.sin(c * w) / w
 
-    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2),
+    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2, w1, w2),
                            lambda c: sinc(c, w1) * sinc(c, w2), spec)
 
 
@@ -329,7 +316,7 @@ def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
     Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
     if Z1 == 0 or Z2 == 0:
         raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
-    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2),
+    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2, w1, w2),
                            lambda c: np.cos(c * w1) * np.cos(c * w2), spec,
                            -0.5 * (math.log(abs(Z1)) + math.log(abs(Z2))))
 

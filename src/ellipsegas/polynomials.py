@@ -201,12 +201,6 @@ def scaled_sequence(family: PolyFamily, n_max: int, z):
     return _scaled_table(_coefficients(family, n_max), z)
 
 
-def sequence(family: PolyFamily, n_max: int, z):
-    """Plain (unscaled) values for moderate degree; vectorized over z."""
-    mant, logs = scaled_sequence(family, n_max, z)
-    return mant * np.exp(logs)
-
-
 def _scaled_at(coefs, z: complex) -> ScaledValue:
     """The highest degree of the recurrence at one point."""
     mant, logs = _scaled_table(coefs, complex(z))
@@ -230,15 +224,15 @@ def jacobi(n: int, alpha: float, gamma: float, z: complex) -> ScaledValue:
 
 
 def chebyshev_t(n: int, z: complex) -> complex:
-    return complex(sequence(PolyFamily(PolyKind.CHEBYSHEV_T), n, z)[n, 0])
+    return complex(_scaled_at(_coefficients(PolyFamily(PolyKind.CHEBYSHEV_T), n), z).value)
 
 
 def chebyshev_u(n: int, z: complex) -> complex:
-    return complex(sequence(PolyFamily(PolyKind.CHEBYSHEV_U), n, z)[n, 0])
+    return complex(_scaled_at(_coefficients(PolyFamily(PolyKind.CHEBYSHEV_U), n), z).value)
 
 
 def chebyshev_v(n: int, z: complex) -> complex:
-    return complex(sequence(PolyFamily(PolyKind.CHEBYSHEV_V), n, z)[n, 0])
+    return complex(_scaled_at(_coefficients(PolyFamily(PolyKind.CHEBYSHEV_V), n), z).value)
 
 
 def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:

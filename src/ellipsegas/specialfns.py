@@ -3,7 +3,13 @@
 The finite-N code needs only log-gamma.  The limiting kernels need
 psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u), an even entire function of complex u,
 and the half-power ratio (x/2)^nu / I_nu(x) at real x >= 0.  Both come from
-standard expansions, so the package loads no scipy at run time:
+standard expansions, so the package loads no scipy at run time.
+
+One log-gamma, `ln_gamma`, serves scalars and arrays: log(math.gamma(x))
+below 13 and Stirling's series from 13.  Every ascending series of
+0F1(;nu+1;q) takes its terms q^k / (k! (nu+1)_k) from `_ascending`, and one
+series-and-recurrence core, `_psi_tabled`, serves psi on a node table and at
+any array of points:
 
   I_nu(x), real x >= 0 (`log_i_ratio`, `log_bessel_i`, `bessel_i`):
     x <= 20                   ascending series (DLMF 10.25.2), positive terms,
@@ -12,7 +18,7 @@ standard expansions, so the package loads no scipy at run time:
     nu >= 50                  Debye's uniform expansion (DLMF 10.41.3)
     otherwise                 Debye at order nu + m, then m < 51 steps of the
                               ratio recurrence (DLMF 10.29.1) down to nu
-  psi(u), complex u (`bessel_j`, the edge and Bessel kernels):
+  psi(u), complex u (`bessel_j`, `_phi` of the edge and Bessel kernels):
     |u| >= max(20, 2 nu^2)    Hankel expansion (DLMF 10.17.3)
     otherwise                 ascending series (DLMF 10.2.2) at orders nu + m
                               and nu + m + 1, m = max(0, ceil(|u|^2/4 - nu - 1)),
@@ -74,46 +80,49 @@ class BesselOrder:
             raise DomainError(f"Bessel order must be finite and >= -1/2, got {self.nu}")
 
 
-def _lgamma(x: float) -> float:
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        raise OutOfRangeError(f"log Gamma({x:g}) leaves the double range") from None
+def _stirling(x, log):
+    """log Gamma(x), x >= 13, for a float (log = math.log) or an array
+    (np.log), within 2.3 eps relative of a 40-digit value."""
+    p = 1.0 / (x * x)
+    series = _STIRLING_A[0]
+    for coef in _STIRLING_A[1:]:
+        series = series * p + coef
+    return (x - 0.5) * log(x) - x + _LOG_SQRT_2PI + series / x
 
 
-def _log_gamma(x: float) -> float:
-    """log Gamma(x), x > 0, for the Bessel series' leading factors: below 171
-    as log(math.gamma(x)), within 3 eps of a 40-digit value on (0.5, 4.5)
-    where math.lgamma is up to 6 eps off."""
-    return math.log(math.gamma(x)) if x < 171.0 else _lgamma(x)
+def _ln_gamma(x: float) -> float:
+    if not x > 0:
+        raise DomainError(f"ln_gamma requires x > 0, got {x}")
+    if x < _STIRLING_MIN:
+        # math.gamma overflows below about 5.6e-309, where log Gamma(x) is
+        # -log x to rounding
+        return math.log(math.gamma(x)) if x > 1e-300 else -math.log(x)
+    if x == math.inf:
+        return x
+    out = _stirling(x, math.log)
+    if out == math.inf:
+        raise OutOfRangeError(f"log Gamma({x:g}) leaves the double range")
+    return out
 
 
 def ln_gamma(x):
     """Natural log of Gamma(x) for x > 0; a scalar x gives a float.
 
-    On an array, entries from 13 up run the Stirling series at once and the
-    smaller ones (at most a few of an n + c sequence) go through math.lgamma.
-    Any entry <= 0 or nan raises DomainError, and one whose log Gamma passes
-    the largest double (x from about 2.5e305) OutOfRangeError.
+    Below 13 it is log(math.gamma(x)), within 3 eps of a 40-digit value,
+    where math.lgamma is up to 5.5 eps off; from 13 up, Stirling's series,
+    which an array runs on all such entries at once.  Any entry <= 0 or nan
+    raises DomainError, and one whose log Gamma passes the largest double
+    (x from about 2.55e305) OutOfRangeError.
     """
-    if np.ndim(x) == 0:
-        if not x > 0:
-            raise DomainError(f"ln_gamma requires x > 0, got {x}")
-        return _lgamma(x)
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        return _ln_gamma(float(x))
     xs = np.asarray(x, dtype=float)
     # clipped so that no entry over- or underflows; the entries the clip
     # moved (below 13, above 1e150, <= 0 or nan) are replaced after
     xc = np.minimum(np.maximum(xs, _STIRLING_MIN), 1e150)
-    p = 1.0 / (xc * xc)
-    series = _STIRLING_A[0]
-    for coef in _STIRLING_A[1:]:
-        series = series * p + coef
-    out = (xc - 0.5) * np.log(xc) - xc + _LOG_SQRT_2PI + series / xc
+    out = _stirling(xc, np.log)
     moved = np.flatnonzero(xs != xc)
-    rest = xs.ravel()[moved].tolist()
-    if not all(v > 0 for v in rest):
-        raise DomainError("ln_gamma requires every entry > 0")
-    out.ravel()[moved] = [_lgamma(v) for v in rest]
+    out.ravel()[moved] = [_ln_gamma(v) for v in xs.ravel()[moved].tolist()]
     return out
 
 
@@ -140,14 +149,21 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _ascending(nu: float, q: float, terms: int) -> np.ndarray:
+    """q^k / (k! (nu+1)_k), k < terms, the terms of the ascending series of
+    0F1(;nu+1;q), each the last times q / (k (nu + k)), so that no power of q
+    overflows before a term does."""
+    k = np.arange(1, terms, dtype=float)
+    out = np.ones(terms)
+    out[1:] = np.cumprod(q / (k * (nu + k)))
+    return out
+
+
 @functools.lru_cache(maxsize=256)
 def _rising_reciprocals(nu: float, terms: int) -> np.ndarray:
     """1 / (k! (nu+1)_k), k < terms: the ascending series of
     psi(iy) = Gamma(nu+1) (2/y)^nu I_nu(y) in (y/2)^2; read-only."""
-    k = np.arange(1, terms, dtype=float)
-    out = np.ones(terms)
-    out[1:] = np.cumprod(1.0 / (k * (nu + k)))
-    return _read_only(out)
+    return _read_only(_ascending(nu, 1.0, terms))
 
 
 @functools.lru_cache(maxsize=256)
@@ -164,15 +180,6 @@ def _series_terms(nu: float, q_max: float) -> int:
         total += term
         if term < _TAIL * total and step < 0.5:
             return k + 1
-
-
-def _series_at(nu: float, q):
-    """sum_k q^k / (k! (nu+1)_k) at one real or complex q, term by term."""
-    term = total = 1.0
-    for k in range(1, _series_terms(nu, abs(q))):
-        term *= q / (k * (nu + k))
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +235,14 @@ def _hankel_min(nu: float) -> float:
 def _ratio_series(nu: float, x: np.ndarray) -> np.ndarray:
     """log_i_ratio by the ascending series, each entry with the terms that
     the smaller of _SHORT_SERIES_MAX and _I_SERIES_MAX above it takes."""
-    lg = _log_gamma(nu + 1.0)
+    lg = ln_gamma(nu + 1.0)
     q = x * x / 4.0
-    short = _rising_reciprocals(nu, _series_terms(nu, _SHORT_SERIES_MAX ** 2 / 4.0))
-    if x.size == 0 or x.max() <= _SHORT_SERIES_MAX:
-        return lg - np.log1p(_poly_tail(short, q))
-    out = lg - np.log1p(_poly_tail(
-        _rising_reciprocals(nu, _series_terms(nu, _I_SERIES_MAX ** 2 / 4.0)), q))
     near = x <= _SHORT_SERIES_MAX
-    out[near] = lg - np.log1p(_poly_tail(short, q[near]))
+    out = np.empty(x.shape)
+    for part, r in ((near, _SHORT_SERIES_MAX), (~near, _I_SERIES_MAX)):
+        if np.any(part):
+            coefs = _rising_reciprocals(nu, _series_terms(nu, r * r / 4.0))
+            out[part] = lg - np.log1p(_poly_tail(coefs, q[part]))
     return out
 
 
@@ -319,8 +325,8 @@ def bessel_i(order, x: float) -> float:
 
     Where it is in range, the value is a product rather than the exponential
     of `log_bessel_i`, whose rounding grows with |log I_nu(x)|: the Hankel
-    expansion times e^x, or else (x/2)^nu / Gamma(nu+1) times the ascending
-    series, summed term by term, all terms being positive.
+    expansion times e^x, or else (x/2)^nu / Gamma(nu+1) times the sum of the
+    positive terms of `_ascending`.
     """
     nu = _order(order)
     if not x >= 0:
@@ -339,7 +345,8 @@ def bessel_i(order, x: float) -> float:
         for j in range(1, n + 1):
             pref *= (x / 2.0) / (nu - n + j)
         if 0.0 < pref < math.inf:
-            return pref * _series_at(nu, x * x / 4.0)
+            q = x * x / 4.0
+            return pref * float(np.sum(_ascending(nu, q, _series_terms(nu, q))))
     log_i = log_bessel_i(nu, x)
     return math.exp(log_i) if log_i < _LOG_MAX else math.inf
 
@@ -370,9 +377,11 @@ def _recurrence_start(nu: float, r: float) -> int:
     return max(0, math.ceil(r * r / 4.0 - nu - 1.0))
 
 
-def _recur_down(nu: float, m: int, q, psi, above):
-    """psi_nu from psi_{nu+m} and psi_{nu+m+1} by the backward recurrence of
-    psi_mu = Gamma(mu+1) (2/u)^mu J_mu(u) (DLMF 10.6.1),
+def _psi_tabled(nu: float, r: float, table: np.ndarray, z=1.0) -> np.ndarray:
+    """psi at the entries u, |u| <= r, for which table[:, k-1] z^k = (-u^2/4)^k:
+    the ascending series, one product with the table at each of the orders
+    nu + m and nu + m + 1, m by `_recurrence_start`, then m steps down of the
+    backward recurrence of psi_mu = Gamma(mu+1) (2/u)^mu J_mu(u) (DLMF 10.6.1),
 
         psi_{mu-1} = psi_mu - q psi_{mu+1} / (mu (mu+1)),  q = (u/2)^2.
 
@@ -380,37 +389,36 @@ def _recur_down(nu: float, m: int, q, psi, above):
     This is Miller's algorithm with exact starting values; a normalising
     sum would cancel instead: Gegenbauer's like e^|Im u|, the plane-wave sum
     like |u|^nu."""
+    m = _recurrence_start(nu, r)
+    zk = np.cumprod(np.full(table.shape[1], z))
+
+    def series(mu):
+        return 1.0 + table @ (_rising_reciprocals(mu, table.shape[1] + 1)[1:] * zk)
+
+    q = -z * table[:, 0]
+    psi, above = series(nu + m), (series(nu + m + 1.0) if m else None)
     for j in range(m, 0, -1):
         above, psi = psi, psi - q * (1.0 / ((nu + j) * (nu + j + 1.0))) * above
     return psi
 
 
-def _psi_recurrence(nu: float, u: np.ndarray) -> np.ndarray:
-    """psi(u) from the series at orders nu + m and nu + m + 1, m by
-    `_recurrence_start` at r = max |u|, then `_recur_down`."""
-    r = float(np.max(np.abs(u)))
-    m = _recurrence_start(nu, r)
-    q = u * u / 4.0
-
-    def series(mu):
-        return 1.0 + _poly_tail(_rising_reciprocals(mu, _series_terms(mu, r * r / 4.0)), -q)
-
-    return _recur_down(nu, m, q, series(nu + m), series(nu + m + 1.0) if m else None)
-
-
 def _psi(nu: float, u: np.ndarray) -> np.ndarray:
     """psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u) = sum_k (-u^2/4)^k / (k! (nu+1)_k)
     at every entry of the complex array u: the Hankel expansion from
-    `_hankel_min`, `_psi_recurrence` below it."""
+    `_hankel_min`, below it `_psi_tabled` on the powers of -u^2/4, as many as
+    the series at order nu + m takes at r = max |u|."""
     u = np.asarray(u, dtype=complex)
-    hankel = np.abs(u) >= _hankel_min(nu)
-    if not np.any(hankel):
-        return _psi_recurrence(nu, u)
-    out = np.empty(u.shape, dtype=complex)
-    out[hankel] = _psi_hankel(nu, u[hankel])
-    if not np.all(hankel):
-        out[~hankel] = _psi_recurrence(nu, u[~hankel])
-    return out
+    size = np.abs(u)
+    r = float(size.max())
+    if r >= _hankel_min(nu):
+        hankel = size >= _hankel_min(nu)
+        out = np.empty(u.shape, dtype=complex)
+        out[hankel] = _psi_hankel(nu, u[hankel])
+        if not np.all(hankel):
+            out[~hankel] = _psi(nu, u[~hankel])
+        return out
+    terms = _series_terms(nu + _recurrence_start(nu, r), r * r / 4.0)
+    return _psi_tabled(nu, r, _powers(-u * u / 4.0, terms - 1))
 
 
 def bessel_j(order, w: complex) -> complex:
@@ -423,10 +431,40 @@ def bessel_j(order, w: complex) -> complex:
         )
     if w == 0:
         return complex(1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf))
-    if _recurrence_start(nu, abs(w)) == 0:
-        psi = _series_at(nu, -w * w / 4.0)
-    else:
-        psi = complex(_psi(nu, np.array([w]))[0])
+    psi = complex(_psi(nu, np.array([w]))[0])
     if nu < 170.0:
         return psi * (w / 2.0) ** nu / math.gamma(nu + 1.0)
     return psi * cmath.exp(nu * cmath.log(w / 2.0) - ln_gamma(nu + 1.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _node_powers(rule: tuple):
+    """Read-only (c, [c^2, c^4, ...]) at the nodes c of the quadrature rule
+    `rule`, as many powers as the series of psi takes at |u| <= _SHORT_SERIES_MAX
+    for any order; each is 0.5-5 kB."""
+    from .quadrature import _gauss_rule     # quadrature reads ln_gamma from here
+    c = _gauss_rule(*rule)[0]
+    terms = _series_terms(-0.5, _SHORT_SERIES_MAX ** 2 / 4.0)
+    return c, _read_only(_powers(c * c + 0j, terms - 1))
+
+
+def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
+    """J_nu(c*root) * (c*root)^{-nu} at the nodes c of the quadrature rule
+    `rule`, an even (entire) function of root.
+
+    Where every |c root| <= _SHORT_SERIES_MAX, as on the unit rule for
+    |root| <= 4, `_psi_tabled` runs on the cached table of c^{2k}: each
+    series is one product of the table with (-root^2/4)^k / (k! (mu+1)_k);
+    otherwise every node goes to `_psi`.  OutOfRangeError once
+    phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows (from nu of about 84.9),
+    where the kernels' products of two phi would.
+    """
+    if 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY:
+        raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {nu:g}")
+    phi0 = 0.5 ** nu / math.gamma(nu + 1.0)
+    c, table = _node_powers(rule)
+    w = complex(root)
+    r = abs(w) * c[-1]
+    if r > _SHORT_SERIES_MAX:
+        return _psi(nu, c * w) * phi0
+    return _psi_tabled(nu, r, table, -w * w / 4.0) * phi0

@@ -106,6 +106,10 @@ def test_edge_weak_diagonal_and_symmetry():
 def test_edge_weak_domain_error():
     with pytest.raises(DomainError):
         edge_weak(1.0, 1.0, -0.3 + 0.8j, 0.0)
+    # X = inf passes the parabola's inequality; it is refused, not summed
+    for kernel in (edge_weak, edge_weak_minus_sine, edge_weak_minus_cosine):
+        with pytest.raises(DomainError):
+            kernel(0.5, 1.0, complex(math.inf, 0.0), 1.0)
 
 
 def test_edge_weak_branch_flip_invariance():
@@ -193,6 +197,96 @@ def test_quadrature_kernels_refuse_where_the_integrand_leaves_the_double_range(c
     # the product of two J_nu(u) u^-nu, at most 4^-nu / Gamma(nu+1)^2, underflows
     with pytest.raises(OutOfRangeError):
         call()
+
+
+def _rule_sum_40(kind, a, s, Z1, Z2):
+    """A weak-edge or Bessel kernel as the 40-digit sum of its own integrand
+    over the default 64-node c-rule, whose nodes and weights are taken as
+    exact: it measures rounding alone."""
+    mpmath = pytest.importorskip("mpmath")
+    c, w = _gauss_rule(*_c_rule(UNIT_INTERVAL, QuadratureSpec()))
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        nu = a + mpmath.mpf(1) / 2
+        Z1, Z2 = mpmath.mpc(Z1), mpmath.mpc(Z2)
+        w1, w2 = mpmath.sqrt(Z1), mpmath.sqrt(mpmath.conj(Z2))
+        ratio = lambda c: (c * s / 2) ** nu / mpmath.besseli(nu, c * s)
+        phi = lambda u: mpmath.hyp0f1(nu + 1, -u * u / 4) / (2 ** nu * mpmath.gamma(nu + 1))
+        walls = [s * s / 4 + Z.real - (Z.imag / s) ** 2 for Z in (Z1, Z2)]
+        pref = 1 / (s * mpmath.pi ** 1.5 * mpmath.gamma(a + 1))
+        if kind == "bessel":
+            pref, walls = (Z1.real * Z2.real) ** (a / 2) / 4, []
+            f = lambda c: c ** (2 * a + 2) * phi(c * w1) * phi(c * w2)
+        elif kind == "edge-weak":
+            pref *= mpmath.pi / 2
+            f = lambda c: ratio(c) * c ** (2 * a + 2) * phi(c * w1) * phi(c * w2)
+        else:
+            walls = [1 - 2 / (s * s) * (abs(Z) - Z.real) for Z in (Z1, Z2)]
+            if kind == "edge-weak-minus-sine":
+                f = lambda c: ratio(c) * mpmath.sin(c * w1) / w1 * mpmath.sin(c * w2) / w2
+            else:
+                pref /= mpmath.sqrt(abs(Z1) * abs(Z2))
+                f = lambda c: ratio(c) * mpmath.cos(c * w1) * mpmath.cos(c * w2)
+        for q in walls:
+            pref *= q ** (a / 2)
+        return complex(pref * mpmath.fsum(mpmath.mpf(wi) * f(mpmath.mpf(ci))
+                                          for ci, wi in zip(c.tolist(), w.tolist())))
+
+
+_EDGE_KERNELS = {"edge-weak": edge_weak, "edge-weak-minus-sine": edge_weak_minus_sine,
+                 "edge-weak-minus-cosine": edge_weak_minus_cosine}
+
+
+@pytest.mark.parametrize("kind", sorted(_EDGE_KERNELS))
+@pytest.mark.parametrize("Z2", [1.749 - 4.358j, 0.3 + 0.4j])
+def test_weak_edge_walls_near_the_boundary_against_40_digits(kind, Z2):
+    # Z1 is 0.0089 from the parabola's wall in q = s^2/4 + X - (Y/s)^2,
+    # whose terms are of size 3.2: q summed in doubles is 4e-14 off, so the
+    # kernels were 57-156 eps off the 40-digit sum of the same rule; with q
+    # summed exactly they are within 2.3 eps
+    a, s, Z1 = -0.817, 2.43, 1.749 - 4.358j
+    ref = _rule_sum_40(kind, a, s, Z1, Z2)
+    got = _EDGE_KERNELS[kind](a, s, Z1, Z2)
+    assert abs(got - ref) <= 8 * np.finfo(float).eps * abs(ref)
+
+
+def test_edge_wall_is_correctly_rounded():
+    from fractions import Fraction
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        s = float(rng.uniform(0.01, 5.0)) * 2.0 ** int(rng.integers(-20, 20))
+        Y = float(rng.uniform(-50, 50))
+        X = (Y / s) ** 2 - s * s / 4 + float(rng.choice([-1, 1]) * 10 ** rng.uniform(-12, 2))
+        exact = Fraction(s) ** 2 / 4 + Fraction(X) - (Fraction(Y) / Fraction(s)) ** 2
+        assert kernels_limit._edge_wall(s, complex(X, Y)) == float(exact)
+    assert kernels_limit._edge_wall(2.0, complex(-1.0, 0.0)) == 0.0    # on the wall
+
+
+@pytest.mark.parametrize("a", [83.0, 84.0, 84.3])
+def test_edge_and_bessel_kernels_answer_in_full_precision_or_refuse(a):
+    # below the order where phi(0)^2 underflows (about 84.4), the two
+    # kernels returned subnormal values: edge_weak(84, ...) = 6.7e-312 and
+    # bessel_kernel(83, 1, 0.5) = 1.9e-317, 1.6e-12 and 8e-4 off; and
+    # bessel_kernel(84.3, 3600, 3600) = 1.4e-20, normal but 6e-5 off, from
+    # an integral of subnormal terms.  Each is refused now.  An answer is
+    # normal and within 2e-13 of the 40-digit sum of the same rule: its
+    # prefactor is the exp of terms up to lnGamma(a+1) = 285 and
+    # a log X = 573, each rounded to eps relative, which allows about 1.3e-13.
+    call = {"edge-weak": lambda s, Z1, Z2: edge_weak(a, s, Z1, Z2),
+            "bessel": lambda s, Z1, Z2: bessel_kernel(a, Z1, Z2)}
+    # (kind, s, Z1, Z2, whether the kernel answers)
+    for kind, s, Z1, Z2, answers in [("edge-weak", 1.0, 1.0, 0.5 + 0.3j, a < 84),
+                                     ("bessel", 1.0, 1.0, 0.5, False),
+                                     ("bessel", 1.0, 1000.0, 1000.0, a < 84),
+                                     ("bessel", 1.0, 3600.0, 3600.0, False)]:
+        if not answers:
+            with pytest.raises(OutOfRangeError):
+                call[kind](s, Z1, Z2)
+            continue
+        got = call[kind](s, Z1, Z2)
+        ref = _rule_sum_40(kind, a, s, Z1, Z2)
+        assert abs(got) >= np.finfo(float).tiny
+        assert abs(got - ref) <= 2e-13 * abs(ref), (kind, a, Z1, got, ref)
 
 
 def test_real_point_kernels_reject_complex_points():
