@@ -4,8 +4,9 @@ studies, orthogonality audits, Monte Carlo sampling.
 All output is deterministic: identical flags (and seed) produce byte-identical
 files.  Floats are rendered with repr(), the shortest round-trip decimal, and JSON
 is strict: a non-finite value is never written as NaN or Infinity.  A density
-CSV formats each coordinate once per grid axis, and `sample` writes its lines
-from one template per chain; both give the bytes of formatting every value.
+CSV formats each coordinate once per grid axis, and `sample` formats each
+distinct particle coordinate once and fills every line from those texts by one
+template per chain; both give the same bytes as formatting every value.
 Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
 """
 
@@ -52,6 +53,9 @@ _DIVERGENT = complex(math.inf, 0.0)
 # strict JSON: a non-finite float raises ValueError, so the command exits 2.
 # One encoder serves every line; json.dumps would build one per call.
 _dumps = json.JSONEncoder(allow_nan=False).encode
+
+# configurations per block in which `sample` fills in its lines
+_LINE_BLOCK = 64
 
 
 def _gas(args) -> GasFamily:
@@ -218,13 +222,23 @@ def cmd_orthocheck(args) -> int:
 
 def _configuration_lines(samples, N: int) -> list[str]:
     """One '{"points": [[x, y], ...]}' line per configuration, byte for byte
-    what `_dumps` writes, from one %-template per chain; a non-finite
-    position raises DomainError, as strict JSON requires."""
+    what `_dumps` writes; a non-finite position raises DomainError, as strict
+    JSON requires.  A chain moves one particle per step, so most positions
+    recur from line to line: each distinct coordinate, keyed on its bits so
+    that 0.0 and -0.0 stay apart, is formatted once, and every line is filled
+    in from those texts by one %-template per chain."""
     positions = np.array(samples, dtype=complex).view(float)
     if not np.isfinite(positions).all():
         raise DomainError("a sampled position is not finite")
-    template = '{"points": [' + ", ".join(["[%r, %r]"] * N) + "]}"
-    return [template % tuple(row) for row in positions.tolist()]
+    bits, which = np.unique(positions.view(np.int64), return_inverse=True)
+    which = which.reshape(positions.shape)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    del positions, bits     # from here on only the texts and their indices
+    template = '{"points": [' + ", ".join(["[%s, %s]"] * N) + "]}"
+    # the rows of texts are taken a block at a time, so that no table of them
+    # all is held beside the lines
+    return [template % tuple(row) for start in range(0, len(which), _LINE_BLOCK)
+            for row in texts[which[start:start + _LINE_BLOCK]].tolist()]
 
 
 def cmd_sample(args) -> int:

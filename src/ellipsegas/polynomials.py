@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check
-from .specialfns import ln_gamma
+from .specialfns import ln_gamma, ln_gamma_difference
 
 _LN2 = math.log(2.0)
 # a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
@@ -296,9 +296,11 @@ def log_raw_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.n
         mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a),
                                      int(deg.max()), geometry.semi_x)
         lc = logs[deg, 0] + np.log(mant[deg, 0].real)
+        # Gamma(n + off - 1/2)^2 / Gamma(n + a + off)^2 from one log-gamma
+        # difference, whose rounding is not that of the two log-gammas
         return (off * _LN2 + 0.5 * math.log((1 - tau) / (2 * tau))
-                + 2.0 * ln_gamma(n + off - 0.5) + 2.0 * ln_gamma(a + 1)
-                - np.log(2 * n + a + off) - 2.0 * ln_gamma(n + a + off) + lc)
+                - 2.0 * ln_gamma_difference(n + off - 0.5, a + 0.5) + 2.0 * ln_gamma(a + 1)
+                - np.log(2 * n + a + off) + lc)
     # Chebyshev T, U, V: pi (v^m - v^-m) / (c m) with m = 2n, 2n + 2, 2n + 1 and
     # c = 2, 2, 1; the zero mode of T, m = 0, is 2 pi log v
     m = 2 * n + {PolyKind.CHEBYSHEV_T: 0, PolyKind.CHEBYSHEV_U: 2}.get(kind, 1)

@@ -11,6 +11,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +24,8 @@ PRNG_ALGORITHM = "pcg64"
 # steps whose random numbers are drawn at once: bounded, so memory does not
 # grow with the steps
 DRAW_BLOCK = 2048
+# a chain warns once when more steps than this in a row are all rejected
+STREAK_LIMIT = 100_000
 # the normal double range, inside which a distance-ratio product is trusted
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
@@ -96,13 +99,17 @@ def log_density(gas: GasFamily, geometry: EllipseGeometry, points) -> float:
     return tot
 
 
+def _log_uniforms(us: list) -> list:
+    """log u of each uniform draw u on [0, 1), with log 0 = -inf: the one
+    rule by which `metropolis_accept` and `run_chain` compare u with a ratio."""
+    return [math.log(u) if u > 0.0 else -math.inf for u in us]
+
+
 def metropolis_accept(log_ratio: float, u: float) -> bool:
-    """Accept iff u < min(1, exp(log_ratio)); u is uniform on [0,1).  At
-    u = 0 that is log_ratio > -inf, so a zero-weight move is refused; a nan
-    log_ratio is never accepted."""
-    if log_ratio >= 0.0:
-        return True
-    return math.log(u) < log_ratio if u > 0.0 else log_ratio > -math.inf
+    """Accept iff u < min(1, exp(log_ratio)); u is uniform on [0,1), so that
+    is log u < log_ratio.  At u = 0 that is log_ratio > -inf, so a
+    zero-weight move is refused; a nan log_ratio is never accepted."""
+    return _log_uniforms([u])[0] < log_ratio
 
 
 def _initial_configuration(geometry: EllipseGeometry, N: int, rng) -> np.ndarray:
@@ -158,7 +165,10 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     single-particle move.  The step is scalar Python over a list of N
     positions.  After the initial configuration, the random numbers come in
     blocks of `DRAW_BLOCK` steps: particle indices, then Gaussian moves, then
-    uniforms, so the chain of a seed depends on that order.
+    uniforms, so the chain of a seed depends on that order.  Each uniform is
+    taken to its log once per block, and a step is accepted by one comparison
+    with its log-ratio; thinning counts down, and the rejection streak is read
+    from the last accepted step once per block.
     """
     _check("N", N)
     rng = np.random.Generator(np.random.PCG64(settings.seed))
@@ -167,40 +177,46 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     rule = log_weight_rule(gas, geometry)
     pts = _initial_configuration(geometry, N, rng).tolist()
     logw = [log_weight(gas, geometry, z) for z in pts]
-    steps, burn_in, thin = settings.steps, settings.burn_in, settings.thin
+    steps, thin = settings.steps, settings.thin
     out = []
     accepted = 0
-    rejected_streak = 0
+    last = -1                  # the last accepted step
     warned = False
+    keep = settings.burn_in    # steps before the next kept configuration
     step = 0
     while step < steps:
         size = min(DRAW_BLOCK, steps - step)
         js = rng.integers(N, size=size).tolist()
         moves = (sigma * rng.standard_normal((size, 2))).ravel().tolist()
-        us = rng.random(size).tolist()
-        for j, dx, dy, u in zip(js, moves[0::2], moves[1::2], us):
-            zold = pts[j]
-            x = zold.real + dx
-            y = zold.imag + dy
-            q = 1.0 - cx * x * x - cy * y * y
-            if q >= 0.0:      # the inclusive wall test of `contains`
-                znew = complex(x, y)
-                lw_new = rule(x, y, q)
-                if metropolis_accept(_log_ratio(pts, j, znew, lw_new, logw[j]), u):
-                    pts[j] = znew
-                    logw[j] = lw_new
-                    accepted += 1
-                    rejected_streak = 0
+        log_us = _log_uniforms(rng.random(size).tolist())
+        end = step + size
+        block = zip(range(step, end), js, moves[0::2], moves[1::2], log_us)
+        while step < end:
+            # to the end of the block, or to the step at which an unbroken
+            # rejection streak would first pass the limit, where it is read
+            stop = end if warned else min(end, last + STREAK_LIMIT + 2)
+            for k, j, dx, dy, log_u in islice(block, stop - step):
+                zold = pts[j]
+                x = zold.real + dx
+                y = zold.imag + dy
+                q = 1.0 - cx * x * x - cy * y * y
+                if q >= 0.0:      # the inclusive wall test of `contains`
+                    znew = complex(x, y)
+                    lw_new = rule(x, y, q)
+                    if log_u < _log_ratio(pts, j, znew, lw_new, logw[j]):
+                        pts[j] = znew
+                        logw[j] = lw_new
+                        accepted += 1
+                        last = k
+                if keep:
+                    keep -= 1
                 else:
-                    rejected_streak += 1
-            else:
-                rejected_streak += 1
-            if rejected_streak > 100_000 and not warned:
+                    out.append(np.array(pts))
+                    keep = thin - 1
+            step = stop
+            if not warned and step - 1 - last > STREAK_LIMIT:
                 warnings.warn("zero-acceptance streak exceeded 1e5 steps", RuntimeWarning)
                 warned = True
-            if step >= burn_in and (step - burn_in) % thin == 0:
-                out.append(np.array(pts))
-            step += 1
     return out, accepted / steps
 
 

@@ -80,14 +80,20 @@ class BesselOrder:
             raise DomainError(f"Bessel order must be finite and >= -1/2, got {self.nu}")
 
 
-def _stirling(x, log):
-    """log Gamma(x), x >= 13, for a float (log = math.log) or an array
-    (np.log), within 2.3 eps relative of a 40-digit value."""
+def _stirling_tail(x):
+    """A(1/x^2)/x, the part of Stirling's series past (x - 1/2) log x - x +
+    log sqrt(2 pi), for x >= 13."""
     p = 1.0 / (x * x)
     series = _STIRLING_A[0]
     for coef in _STIRLING_A[1:]:
         series = series * p + coef
-    return (x - 0.5) * log(x) - x + _LOG_SQRT_2PI + series / x
+    return series / x
+
+
+def _stirling(x, log):
+    """log Gamma(x), x >= 13, for a float (log = math.log) or an array
+    (np.log), within 2.3 eps relative of a 40-digit value."""
+    return (x - 0.5) * log(x) - x + _LOG_SQRT_2PI + _stirling_tail(x)
 
 
 def _ln_gamma(x: float) -> float:
@@ -123,6 +129,29 @@ def ln_gamma(x):
     out = _stirling(xc, np.log)
     moved = np.flatnonzero(xs != xc)
     out.ravel()[moved] = [_ln_gamma(v) for v in xs.ravel()[moved].tolist()]
+    return out
+
+
+def ln_gamma_difference(x, d: float) -> np.ndarray:
+    """log Gamma(x + d) - log Gamma(x) for a finite array x and a float d,
+    with x and x + d > 0, without the cancellation of the two log-gammas.
+
+    Where x and x + d are both >= 13 it is one Stirling series,
+
+        (x - 1/2) log1p(d/x) + d (log(x + d) - 1) + A(x + d) - A(x),
+
+    with A the series tail of `ln_gamma`, so its rounding is a few eps of the
+    difference, not of log Gamma(x); elsewhere both log-gammas are small, and
+    it is their difference.  An entry <= 0 or nan raises DomainError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = x + d
+    out = np.empty(x.shape)
+    big = np.minimum(x, y) >= _STIRLING_MIN
+    xb, yb = x[big], y[big]
+    out[big] = ((xb - 0.5) * np.log1p(d / xb) + d * (np.log(yb) - 1.0)
+                + (_stirling_tail(yb) - _stirling_tail(xb)))
+    out[~big] = ln_gamma(y[~big]) - ln_gamma(x[~big])
     return out
 
 

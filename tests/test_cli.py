@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 
@@ -11,6 +12,7 @@ from ellipsegas import (EllipseGeometry, FiniteKernel, GasFamily, GridSpec, Limi
                         global_rot_t, global_rot_u, global_rot_v, kernel_elliptic_ginibre,
                         kernel_truncated, kernel_truncated_limit, sine_kernel)
 from ellipsegas.cli import _REFERENCE_KINDS, main
+from ellipsegas.errors import DomainError
 
 
 def run(args):
@@ -497,6 +499,39 @@ def test_configuration_lines_are_the_json_encoder(N):
                np.full(N, complex(-0.0, -0.0))]
     assert _configuration_lines(samples, N) == _reference_lines(samples)
     assert _configuration_lines([], N) == []
+
+
+def _spy_on_repr(monkeypatch, cli):
+    """Count the values `cli` formats with repr."""
+    formatted = []
+
+    def spy(x):
+        formatted.append(x)
+        return builtins.repr(x)
+    monkeypatch.setattr(cli, "repr", spy, raising=False)
+    return formatted
+
+
+def test_configuration_lines_format_each_distinct_coordinate_once(monkeypatch):
+    import ellipsegas.cli as cli
+
+    # positions recur across configurations, as in a chain; 0.0 in one row
+    # is -0.0 in another, and 5e-324 is a subnormal
+    a, b, c = complex(0.0, 5e-324), complex(0.25, -0.0), complex(1 / 3, 0.1)
+    samples = [np.array([a, b, c]), np.array([a, complex(-0.0, 0.1), c]),
+               np.array([complex(0.0, -5e-324), b, c]), np.array([a, b, c])]
+    formatted = _spy_on_repr(monkeypatch, cli)
+    lines = cli._configuration_lines(samples, 3)
+    assert lines == _reference_lines(samples)
+    assert '[0.0, 5e-324], [-0.0, 0.1]' in lines[1] and '[0.25, -0.0]' in lines[2]
+    coords = np.array(samples).view(float).ravel()
+    assert len(formatted) == len(set(coords.view(np.int64).tolist())) == 7 < coords.size
+    assert sorted(map(repr, formatted)) == sorted(set(map(repr, coords.tolist())))
+    # a non-finite position raises before any text is built
+    formatted.clear()
+    with pytest.raises(DomainError):
+        cli._configuration_lines(samples + [np.array([a, complex(math.nan, 0.0), c])], 3)
+    assert formatted == []
 
 
 def test_sample_lines_match_a_chain(tmp_path):

@@ -8,7 +8,8 @@ from ellipsegas import (ChainSettings, DomainError, EllipseGeometry, FiniteKerne
                         ellipse_deficit, empirical_density, integrated_autocorrelation,
                         log_density, log_weight, metropolis_accept, run_chain)
 from ellipsegas.geometry import log_weight_rule
-from ellipsegas.sampler import DRAW_BLOCK, _coulomb_log_ratio_fsum, _log_ratio
+from ellipsegas.sampler import (DRAW_BLOCK, STREAK_LIMIT, _coulomb_log_ratio_fsum,
+                                _log_ratio)
 
 from conftest import interior_points, wall_points
 
@@ -78,25 +79,68 @@ def test_metropolis_accept_at_u_zero():
         assert not metropolis_accept(-math.inf, u)
 
 
-def _accept_at_u_zero(log_ratio, u):
-    """The former rule, which accepted every move at u = 0."""
-    if log_ratio >= 0.0:
-        return True
-    return math.log(u) < log_ratio if u > 0.0 else True
+_TABLE_RATIOS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, -1.0)
+_TABLE_US = (0.0, 5e-324, 0.3, 0.5, 1.0 - 2.0 ** -53)
+
+
+def test_metropolis_accept_and_the_block_rule_agree():
+    # the chain compares each step's log-ratio with the log-uniforms of its
+    # block; one table for both, against u < min(1, exp(log_ratio)) decided
+    # by hand: only nan and -inf are refused at every u, and -1 is refused
+    # where log u >= -1
+    from ellipsegas.sampler import _log_uniforms
+
+    refused = {(-1.0, u) for u in _TABLE_US if u > math.exp(-1.0)}
+    for block in (list(_TABLE_US), [u for u in _TABLE_US if u > 0.0]):
+        log_us = _log_uniforms(block)
+        assert log_us == [math.log(u) if u > 0.0 else -math.inf for u in block]
+        for lr in _TABLE_RATIOS:
+            for u, log_u in zip(block, log_us):
+                expected = not (math.isnan(lr) or lr == -math.inf or (lr, u) in refused)
+                assert (log_u < lr) is expected, (lr, u)
+                assert metropolis_accept(lr, u) is expected, (lr, u)
+
+
+def _refusing_at_u_zero(calls):
+    """A block rule that decides the other way at u = 0, where every move
+    with a log-ratio above -inf is accepted: it refuses them all; calls
+    collects the uniforms it is given."""
+    def rule(us):
+        calls.extend(us)
+        return [math.log(u) if u > 0.0 else math.inf for u in us]
+    return rule
 
 
 @pytest.mark.parametrize("seed, N", [(42, 4), (12, 4), (1, 8)])
 def test_u_zero_rule_keeps_the_chains(monkeypatch, seed, N):
-    # only a u = 0 draw with a non-finite log_ratio decides differently, so
-    # the chains of the test seeds are unchanged
+    # only a u = 0 draw decides differently, so the chains of the test seeds
+    # are unchanged; the patched rule is the one the chain reads, once for
+    # each step's uniform
     import ellipsegas.sampler as sampler
 
     settings = ChainSettings(steps=20_000, burn_in=1000, thin=100, seed=seed)
     s1, acc1 = run_chain(GAS, GEO, N, settings)
-    monkeypatch.setattr(sampler, "metropolis_accept", _accept_at_u_zero)
+    calls = []
+    monkeypatch.setattr(sampler, "_log_uniforms", _refusing_at_u_zero(calls))
     s2, acc2 = run_chain(GAS, GEO, N, settings)
+    assert len(calls) == settings.steps and 0.0 not in calls
     assert acc1 == acc2
     np.testing.assert_array_equal(np.array(s1), np.array(s2))
+
+
+def test_u_zero_patch_changes_a_chain_that_draws_zero(monkeypatch):
+    # the test above is not vacuous: with every uniform drawn as 0, the rule
+    # accepts each proposal inside the wall and the patched rule none
+    import ellipsegas.sampler as sampler
+
+    settings = ChainSettings(steps=500, burn_in=0, thin=1, seed=3)
+    real = sampler._log_uniforms
+    monkeypatch.setattr(sampler, "_log_uniforms", lambda us: real([0.0] * len(us)))
+    _, acc1 = run_chain(GAS, GEO, 4, settings)
+    monkeypatch.setattr(sampler, "_log_uniforms",
+                        lambda us: _refusing_at_u_zero([])([0.0] * len(us)))
+    _, acc2 = run_chain(GAS, GEO, 4, settings)
+    assert acc1 > 0.5 and acc2 == 0.0
 
 
 def test_detailed_balance_two_state_toy():
@@ -335,13 +379,15 @@ def test_step_log_ratio_fallback_on_underflowing_product():
 
 
 def _reference_chain(gas, geo, N, settings):
-    """run_chain with the acceptance ratio taken from log_density, on the
-    same random numbers: the same blocks of DRAW_BLOCK draws."""
+    """run_chain with the acceptance ratio taken from log_density, a modulo
+    test for thinning and `metropolis_accept` per step, on the same random
+    numbers: the same blocks of DRAW_BLOCK draws.  Also returns the number of
+    proposals that left the wall."""
     rng = np.random.Generator(np.random.PCG64(settings.seed))
     sigma = settings.proposal_sigma or 0.15 * geo.semi_y
     from ellipsegas.sampler import _initial_configuration
     pts = list(_initial_configuration(geo, N, rng))
-    out, accepted = [], 0
+    out, accepted, outside = [], 0, 0
     for start in range(0, settings.steps, DRAW_BLOCK):
         size = min(DRAW_BLOCK, settings.steps - start)
         js = rng.integers(N, size=size)
@@ -350,6 +396,7 @@ def _reference_chain(gas, geo, N, settings):
         for k in range(size):
             j = js[k]
             new = pts[:j] + [pts[j] + complex(moves[k, 0], moves[k, 1])] + pts[j + 1:]
+            outside += not contains(geo, new[j])
             if contains(geo, new[j]) and metropolis_accept(
                     log_density(gas, geo, new) - log_density(gas, geo, pts), us[k]):
                 pts = new
@@ -357,22 +404,66 @@ def _reference_chain(gas, geo, N, settings):
             step = start + k
             if step >= settings.burn_in and (step - settings.burn_in) % settings.thin == 0:
                 out.append(np.array(pts))
-    return out, accepted / settings.steps
+    return out, accepted / settings.steps, outside
 
 
-def test_chain_matches_log_density_reference():
-    # across a block boundary, with proposals that leave the wall
-    gas = GasFamily(PolyKind.JACOBI_MINUS, -0.5)
+@pytest.mark.parametrize("N", [4, 16])
+@pytest.mark.parametrize("family, a", [("gegenbauer", 1.5), ("jacobi-plus", 0.7),
+                                       ("jacobi-minus", -0.5), ("chebyshev-t", 0.0),
+                                       ("chebyshev-u", 0.0), ("chebyshev-v", 0.0)])
+def test_chain_matches_log_density_reference(family, a, N):
+    # across a block boundary, with a burn-in that is no multiple of thin and
+    # proposals that leave the wall: configurations and acceptance bit-equal
+    gas = GasFamily(PolyKind(family), a)
     geo = EllipseGeometry(0.7)
-    settings = ChainSettings(steps=DRAW_BLOCK + 1500, burn_in=300, thin=37,
-                             proposal_sigma=0.3, seed=17)
-    got, acc = run_chain(gas, geo, 4, settings)
-    ref, ref_acc = _reference_chain(gas, geo, 4, settings)
+    settings = ChainSettings(steps=DRAW_BLOCK + 400, burn_in=301, thin=37,
+                             proposal_sigma=0.3, seed=17 + N)
+    got, acc = run_chain(gas, geo, N, settings)
+    ref, ref_acc, outside = _reference_chain(gas, geo, N, settings)
     assert acc == ref_acc
-    assert 0.05 < acc < 0.95
-    assert len(got) == len(ref) == len(range(300, DRAW_BLOCK + 1500, 37))
+    assert 0.05 < acc < 0.95 and outside > 50
+    assert len(got) == len(ref) == len(range(301, DRAW_BLOCK + 400, 37))
     for c1, c2 in zip(got, ref):
         np.testing.assert_array_equal(c1, c2)
+
+
+def _scripted_ratios(monkeypatch, accept_at):
+    """Patch the chain's log-ratio so that the steps in accept_at are
+    accepted and every other step is refused; returns the call count."""
+    import ellipsegas.sampler as sampler
+
+    calls = [0]
+
+    def log_ratio(pts, j, znew, lw_new, lw_old):
+        calls[0] += 1
+        return 0.0 if calls[0] - 1 in accept_at else -math.inf
+    monkeypatch.setattr(sampler, "_log_ratio", log_ratio)
+    return calls
+
+
+@pytest.mark.parametrize("second_accept, warns", [(STREAK_LIMIT + 1, 0), (STREAK_LIMIT + 2, 1)])
+def test_streak_warning_is_exact_inside_a_block(monkeypatch, recwarn, second_accept, warns):
+    # a streak of STREAK_LIMIT rejections passes, one more warns, although
+    # the acceptance that ends it falls inside a block, before the block end
+    # where the streak is otherwise read
+    calls = _scripted_ratios(monkeypatch, {0, second_accept})
+    settings = ChainSettings(steps=second_accept + 400, burn_in=0, thin=1000,
+                             proposal_sigma=1e-12, seed=2)
+    block_end = (second_accept // DRAW_BLOCK + 1) * DRAW_BLOCK
+    assert second_accept < block_end - 100 and block_end <= settings.steps
+    samples, acc = run_chain(GAS, GEO, 3, settings)
+    assert calls[0] == settings.steps       # every proposal stayed inside
+    assert acc == 2 / settings.steps
+    assert len([w for w in recwarn if "zero-acceptance" in str(w.message)]) == warns
+
+
+def test_streak_warning_is_emitted_once(monkeypatch, recwarn):
+    calls = _scripted_ratios(monkeypatch, {0})
+    settings = ChainSettings(steps=2 * STREAK_LIMIT + 5000, burn_in=10, thin=50_000,
+                             proposal_sigma=1e-12, seed=2)
+    run_chain(GAS, GEO, 3, settings)
+    assert calls[0] == settings.steps
+    assert len([w for w in recwarn if "zero-acceptance" in str(w.message)]) == 1
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.9])

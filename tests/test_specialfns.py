@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ellipsegas import (BesselOrder, DomainError, OutOfRangeError, W_MAX,
                         bessel_i, bessel_j, ln_gamma, log_bessel_i, log_i_ratio)
+from ellipsegas.specialfns import ln_gamma_difference
 
 mp.mp.dps = 40
 
@@ -185,6 +186,23 @@ def test_ln_gamma_array_matches_scipy_on_n_plus_c(a):
         got, ref = ln_gamma(x), gammaln(x)
         assert isinstance(got, np.ndarray) and got.shape == x.shape
         assert np.all(np.abs(got - ref) <= 8 * eps * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("off", [1, 2])
+@pytest.mark.parametrize("a", [-0.9, 0.7, 50.0])
+def test_ln_gamma_difference_against_40_digits(a, off):
+    # the Gamma part of the Jacobi norms, log Gamma(n + a + off) -
+    # log Gamma(n + off - 1/2) for n <= 1e4, on both sides of the Stirling
+    # bound 13: within 1e-14, or 3 ulps where the value is so large (a = 50,
+    # up to 465) that its double spacing passes 1e-14/3.  The two log-gammas
+    # subtracted are 1e-11 off at n = 1e4
+    n = np.unique(np.concatenate([np.arange(40), np.geomspace(40, 1e4, 60).astype(int)]))
+    got = ln_gamma_difference(n + off - 0.5, a + 0.5)
+    assert got.shape == n.shape
+    for k, g in zip(n.tolist(), got.tolist()):
+        ref = mp.loggamma(k + off + mp.mpf(a)) - mp.loggamma(k + off - mp.mpf(0.5))
+        tol = max(1e-14, 3 * float(np.spacing(abs(float(ref)))))
+        assert abs(mp.mpf(g) - ref) <= tol, (k, g, ref)
 
 
 def test_ln_gamma_array_keeps_shape_and_extremes():
