@@ -35,10 +35,13 @@ from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_p
 from .polynomials import (_LN2, _coefficients, _scalar_steps, _steps, log_raw_norms,
                           scaled_sequence)
 from .quadrature import _gauss_rule
-from .specialfns import ln_gamma
+from .specialfns import ln_gamma, ln_gamma_difference
 
 # points whose checked single-point table a kernel keeps, oldest evicted first
 _STORE_POINTS = 32
+# |beta| past which kernel_truncated_edge refuses: its 64-node rule no longer
+# resolves e^(-c beta) near the imaginary axis (1e-11 off at 180)
+_TRUNCATED_EDGE_BETA_MAX = 160.0
 
 
 class FiniteKernel:
@@ -166,14 +169,18 @@ def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:
 
 
 def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
-    """Finite-N kernel of the truncated-unitary ensemble on the unit disc."""
+    """Finite-N kernel of the truncated-unitary ensemble on the unit disc.
+
+    Its terms take log Gamma(n+a+2) - log Gamma(n+1) from one
+    `ln_gamma_difference`: as two log-gammas it was 1.3e-10 off at n = 1e5.
+    """
     _check("a", a)
     _check("N", N)
     if not (abs(z1) < 1 and abs(z2) < 1):
         raise DomainError("kernel_truncated requires |z| < 1")
     q = z1 * np.conj(z2)
     n = np.arange(N if q else 1)             # q = 0 leaves the n = 0 term
-    lt = (ln_gamma(n + a + 2) - ln_gamma(a + 1) - ln_gamma(n + 1) + n * math.log(abs(q) or 1.0)
+    lt = (ln_gamma_difference(n + 1, a + 1) - ln_gamma(a + 1) + n * math.log(abs(q) or 1.0)
           + 0.5 * a * (math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2)))
     top = np.max(lt)
     s = np.sum(np.exp(lt - top) * (q / abs(q) if q else 1.0) ** n)
@@ -212,10 +219,18 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
     """Edge limit of the truncated-unitary kernel at unity.
 
     lim (1/4N^2) K_N^trunc(1 - Zhat_j/(2N)) with Zhat = Xhat + i Yhat,
-    evaluated by Gauss-Jacobi quadrature of int_0^1 c^{a+1} e^{-c beta} dc.
+    evaluated by Gauss-Jacobi quadrature of int_0^1 c^{a+1} e^{-c beta} dc,
+    beta = (Xhat1 + Xhat2)/2 + i (Yhat1 - Yhat2)/2.
     This is the independent cross-check path for the strong edge kernel; its
     prefactor (Xhat1 Xhat2)^{a/2}/(4 pi Gamma(a+1)) is taken in log space, as
     there, with the same inf flag on the edge Xhat = 0 for a < 0.
+
+    Up to |beta| = 160 the integral is within 5e-14 of
+    int_0^1 c^{a+1} e^{-c Re beta} dc, its scale, for -0.99 <= a <= 30 and
+    every arg beta (1.3e-13 at a = 300); past it the rule fails first near
+    the imaginary axis, 1e-11 off at |beta| = 180 and 0.3 at 260, so it
+    raises OutOfRangeError there.  A prefactor past the double range is
+    refused first.
     """
     _check("a", a)
     Z1, Z2 = complex(Z1), complex(Z2)
@@ -226,9 +241,13 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
              - math.log(4.0 * math.pi) - ln_gamma(a + 1) - (a + 2.0) * _LN2)
     if lpref == math.inf:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
+    pref = _exp_in_range(lpref)
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
+    if abs(beta) > _TRUNCATED_EDGE_BETA_MAX:
+        raise OutOfRangeError(f"kernel_truncated_edge needs |beta| <= "
+                              f"{_TRUNCATED_EDGE_BETA_MAX:g}, got {abs(beta):.6g}")
     xj, wj = _gauss_rule("jacobi", 64, 0.0, a + 1.0)
-    return _exp_in_range(lpref) * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
+    return pref * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
 
 
 def _hermite_coefficients(n_max: int):

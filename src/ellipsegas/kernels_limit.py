@@ -6,6 +6,16 @@ Re sqrt(Z) >= 0.  Every kernel depends on sqrt(Z) only through even
 combinations (J_nu(c sqrt(Z)) (sqrt(Z))^{-nu} is entire in Z), so the branch
 choice drops out; `_edge_weak_with_roots` exposes the root explicitly so the
 flip invariance is testable.
+
+The weak edge kernels and the Bessel kernel integrate products of two node
+functions, one per root: J_nu(c w) (c w)^-nu (`_phi`), sin(c w)/w or
+cos(c w), at the nodes c of the c-rule.  Each such table is kept per root by
+`specialfns._per_root`, 16 tables of about 1 kB on the default 64-node rule,
+keyed on the root's bits, so K(z1,z1), K(z1,z2), K(z2,z1) and K(z2,z2) build
+four tables (two for `bessel_kernel`) instead of eight.  The power c^(2a+2)
+is kept per (a, rule) by `_node_power`, and the Bessel ratio per (a, s, rule)
+by `_node_log_ratio`.  Every kept array is read-only, and a value reads the
+same bits as one built afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
 from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
                          integrate_c)
-from .specialfns import W_MAX, _phi, ln_gamma, log_i_ratio
+from .specialfns import W_MAX, _per_root, _phi, ln_gamma, log_i_ratio
 
 _DEFAULT = QuadratureSpec()
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
@@ -38,6 +48,15 @@ def _node_log_ratio(nu: float, s: float, rule: tuple) -> np.ndarray:
     lr = log_i_ratio(nu, _gauss_rule(*rule)[0] * s)
     lr.flags.writeable = False
     return lr
+
+
+@functools.lru_cache(maxsize=64)
+def _node_power(a: float, rule: tuple) -> np.ndarray:
+    """Read-only c^(2a+2) at the nodes c of `_gauss_rule(*rule)`, the power
+    of the edge and Bessel kernels' integrands."""
+    p = _gauss_rule(*rule)[0] ** (2.0 * a + 2.0)
+    p.flags.writeable = False
+    return p
 
 
 def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
@@ -169,8 +188,8 @@ def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
     walls = [_edge_wall(s, Z) for Z in (Z1, Z2)]
     rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
 
-    def f(c):
-        return c ** (2.0 * a + 2.0) * _phi(nu, rule, w1) * _phi(nu, rule, w2)
+    def f(c):       # the tables are at the nodes c of `rule`
+        return _node_power(a, rule) * _phi(nu, rule, w1) * _phi(nu, rule, w2)
 
     return _ratio_integral(a, s, walls, f, spec, math.log(math.pi / 2.0))
 
@@ -206,7 +225,7 @@ def bessel_kernel(a: float, X1: float, X2: float,
         return 0.0
     spec = spec or _DEFAULT
     rule = _c_rule(UNIT_INTERVAL, spec)
-    val = integrate_c(lambda c: c ** (2.0 * a + 2.0) * _phi(a + 0.5, rule, math.sqrt(X1))
+    val = integrate_c(lambda c: _node_power(a, rule) * _phi(a + 0.5, rule, math.sqrt(X1))
                       * _phi(a + 0.5, rule, math.sqrt(X2)), UNIT_INTERVAL, spec)
     return _normal(0.25 * math.exp(lpref) * _normal(val.real))
 
@@ -292,32 +311,45 @@ def _left_focus_walls(s: float, Z1: complex, Z2: complex, w1: complex, w2: compl
     return [_edge_wall(s, Z) / (s * s / 4.0 + w.real ** 2) for Z, w in ((Z1, w1), (Z2, w2))]
 
 
+def _sinc_nodes(rule: tuple, w: complex) -> np.ndarray:
+    """sin(c w)/w at the nodes c of `_gauss_rule(*rule)`; c at w = 0."""
+    c = _gauss_rule(*rule)[0]
+    if w == 0:
+        return c + 0j * c
+    return np.sin(c * w) / w
+
+
+def _cos_nodes(rule: tuple, w: complex) -> np.ndarray:
+    """cos(c w) at the nodes c of `_gauss_rule(*rule)`."""
+    return np.cos(_gauss_rule(*rule)[0] * w)
+
+
 def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
                          spec: QuadratureSpec | None = None) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, +1/2) Jacobi gas.
 
-    Sine-type integrand: the J_{1/2} pair collapses to sin(c sqrt(Z))/sqrt(Z).
+    Sine-type integrand: the J_{1/2} pair collapses to sin(c sqrt(Z))/sqrt(Z),
+    kept per root by `_per_root`.
     """
     Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
-
-    def sinc(c, w):
-        if w == 0:
-            return c + 0j * c
-        return np.sin(c * w) / w
-
+    rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
     return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2, w1, w2),
-                           lambda c: sinc(c, w1) * sinc(c, w2), spec)
+                           lambda c: _per_root(_sinc_nodes, rule, w1)
+                           * _per_root(_sinc_nodes, rule, w2), spec)
 
 
 def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
                            spec: QuadratureSpec | None = None) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, -1/2) Jacobi gas
-    (cosine-type); also the Chebyshev-I edge kernel at a = 0."""
+    (cosine-type); also the Chebyshev-I edge kernel at a = 0.  cos(c sqrt(Z))
+    is kept per root by `_per_root`."""
     Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
     if Z1 == 0 or Z2 == 0:
         raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
+    rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
     return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2, w1, w2),
-                           lambda c: np.cos(c * w1) * np.cos(c * w2), spec,
+                           lambda c: _per_root(_cos_nodes, rule, w1)
+                           * _per_root(_cos_nodes, rule, w2), spec,
                            -0.5 * (math.log(abs(Z1)) + math.log(abs(Z2))))
 
 

@@ -241,7 +241,7 @@ def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
     a = family.a
     kind = family.kind
     if kind is PolyKind.GEGENBAUER:
-        return ln_gamma(a + 1) + ln_gamma(n + 1) - ln_gamma(n + a + 1) - n * _LN2
+        return ln_gamma(a + 1) - ln_gamma_difference(n + 1, a) - n * _LN2
     if kind is PolyKind.JACOBI_PLUS:
         return n * _LN2 + ln_gamma(n + 1) + ln_gamma(n + a + 2) - ln_gamma(2 * n + a + 2)
     if kind is PolyKind.JACOBI_MINUS:

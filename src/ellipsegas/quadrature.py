@@ -251,10 +251,10 @@ def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None =
     c, w = _gauss_rule(*_c_rule(domain, spec, truncation, panel))
     vals = np.asarray(g(c), dtype=complex)
     if domain == UNIT_INTERVAL:
-        total = complex(np.sum(w * vals))
+        total = complex((w * vals).sum())
     else:
         # one composite rule, weights [panels, nodes]
-        parts = np.sum(w * vals.reshape(w.shape), axis=1).tolist()
+        parts = (w * vals.reshape(w.shape)).sum(axis=1).tolist()
         total = 0.0 + 0.0j
         for part in parts:
             total += part

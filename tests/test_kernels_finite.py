@@ -143,6 +143,23 @@ def test_truncated_large_a_and_N_matches_its_limit(a):
     assert abs(got - ref) <= 1e-11 * abs(ref)
 
 
+@pytest.mark.parametrize("a", [-0.5, 0.7, 3.0])
+@pytest.mark.parametrize("z", [1 - 5 * 2.0 ** -20, 1j * (1 - 5 * 2.0 ** -20)])
+def test_truncated_near_the_wall_at_large_N_against_40_digits(a, z):
+    # |z|^2 = 1 - 9.5e-6 is exact in doubles, and the terms near n = N = 1e5
+    # carry weight e^-0.95; lnGamma(n+a+2) - lnGamma(n+1) as two log-gammas
+    # was 1.3e-10 off there, and the kernel 1.4e-11 to 2.6e-11
+    mpmath = pytest.importorskip("mpmath")
+    N = 100_000
+    with mpmath.workdps(40):
+        q = mpmath.mpf(abs(z)) ** 2
+        # sum_{n<N} (a+2)_n q^n / n! = (1-q)^-(a+2) I_{1-q}(a+2, N), regularized
+        want = float((a + 1) * (1 - q) ** -2 / mpmath.pi
+                     * mpmath.betainc(a + 2, N, 0, 1 - q, regularized=True))
+    got = kernel_truncated(a, N, z, z)
+    assert abs(got - want) <= 1e-13 * want
+
+
 @pytest.mark.parametrize("a", [-0.5, 0.0, 2.5])
 def test_truncated_at_the_origin_is_its_first_term(a):
     # z1 conj z2 = 0 leaves the n = 0 term (a+1)/pi (1-|z2|^2)^{a/2}
@@ -754,3 +771,33 @@ def test_truncated_edge_at_large_a(a, Z1, Z2):
     got = kernel_truncated_edge(a, Z1, Z2)
     assert abs(got - ref) <= 1e-11 * abs(ref)
     assert abs(got - edge_strong(a, Z1, Z2)) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("a", [-0.99, -0.5, 0.5, 3.0, 30.0])
+def test_truncated_edge_within_its_beta_bound_against_40_digits(a):
+    # at Z1 = beta, Z2 = conj beta; the error is taken against the scale of the
+    # integral, int_0^1 c^{a+1} e^{-c Re beta} dc, times the prefactor, every
+    # direction of beta up to the bound, where the rule is weakest
+    mpmath = pytest.importorskip("mpmath")
+    for size in (40.0, 100.0, 160.0):
+        for angle in np.linspace(-1.56, 1.56, 27):
+            beta = complex(size * math.cos(angle), size * math.sin(angle))
+            with mpmath.workdps(40):
+                b, x = mpmath.mpc(beta), mpmath.mpf(beta.real)
+                pref = x ** a / (4 * mpmath.pi * mpmath.gamma(a + 1))
+                want = complex(pref * mpmath.gammainc(a + 2, 0, b) / b ** (a + 2))
+                scale = float(pref * mpmath.gammainc(a + 2, 0, x) / x ** (a + 2))
+            got = kernel_truncated_edge(a, beta, beta.conjugate())
+            assert abs(got - want) <= 1e-13 * scale, (size, angle)
+
+
+@pytest.mark.parametrize("a,Z1,Z2", [(0.5, 800.0, 800.0), (0.0, 2000.0, 2000.0),
+                                     (1.5, 1000 + 5j, 900 - 40j), (3.0, 1.0 + 161j, 1.0 - 161j),
+                                     (-0.5, 160.0 + 0.5j, 160.5 - 0.5j)])
+def test_truncated_edge_refuses_past_its_beta_bound(a, Z1, Z2):
+    # its 64-node rule was 7.4e-7 off at (0.5, 800, 800) and 1.7e-2 at
+    # (0, 2000, 2000); edge_strong answers there
+    from ellipsegas import OutOfRangeError, edge_strong
+    with pytest.raises(OutOfRangeError, match=r"\|beta\| <= 160"):
+        kernel_truncated_edge(a, Z1, Z2)
+    assert np.isfinite(edge_strong(a, Z1, Z2))

@@ -14,7 +14,7 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         ginibre_kernel, global_kernel_t, global_kernel_u,
                         global_kernel_v, global_rot_t, global_rot_u, global_rot_v,
                         kernel_truncated_edge, make_kernel, sine_kernel)
-from ellipsegas import kernels_limit
+from ellipsegas import kernels_limit, specialfns
 from ellipsegas.geometry import _log_power
 from ellipsegas.kernels_limit import _edge_weak_with_roots, _node_log_ratio
 from ellipsegas.quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule, integrate_c
@@ -891,6 +891,118 @@ def test_cached_node_log_ratios_are_read_only():
     with pytest.raises(ValueError):
         lr[0] = 0.0
     assert np.array_equal(lr, log_i_ratio(1.0, _gauss_rule(*rule)[0] * 1.0))
+
+
+# the per-root node tables of the quadrature edge kernels: kind -> (module
+# holding the builder, builder name, a, s, the distinct roots of one pair)
+_ROOT_BUILDERS = {
+    "edge-weak": (specialfns, "_phi_nodes", 0.8, 1.7, 4),
+    "edge-weak-minus-sine": (kernels_limit, "_sinc_nodes", 0.3, 1.2, 4),
+    "edge-weak-minus-cosine": (kernels_limit, "_cos_nodes", -0.4, 2.1, 4),
+    "bessel": (specialfns, "_phi_nodes", 1.3, None, 2),
+}
+# pairs of points: off the real axis, on it (sqrt Z = x + 0i and sqrt conj Z
+# = x - 0i), and with a root past |root| = 4, where phi leaves the c^2k table
+_ROOT_PAIRS = [(0.9 + 0.4j, -0.2 - 0.3j), (9.0 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
+               (20.0 + 1.0j, 3.0 + 0j)]
+_BESSEL_PAIRS = [(0.9, 0.2), (9.0, 0.25), (3.0, 0.6), (400.0, 2.0)]
+
+
+def _pairs(kind):
+    return _BESSEL_PAIRS if kind == "bessel" else _ROOT_PAIRS
+
+
+@pytest.mark.parametrize("kind", sorted(_ROOT_BUILDERS))
+@pytest.mark.parametrize("pair", range(4))
+def test_one_node_table_per_distinct_root_of_a_pair(monkeypatch, kind, pair):
+    # K(z1,z1), K(z1,z2), K(z2,z1), K(z2,z2) read the roots sqrt Z1, sqrt conj Z1,
+    # sqrt Z2 and sqrt conj Z2 (sqrt X1 and sqrt X2 for bessel), each built once
+    module, name, a, s, roots = _ROOT_BUILDERS[kind]
+    build = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
+    z1, z2 = _pairs(kind)[pair]
+    for _ in range(2):
+        for u, v in ((z1, z1), (z1, z2), (z2, z1), (z2, z2)):
+            kern(u, v)
+    assert len(calls) == roots
+
+
+def _uncached(monkeypatch):
+    """Take the memo of the per-root tables and node powers out of the kernels."""
+    def per_root(build, *args):
+        return build(*args)
+
+    for module in (specialfns, kernels_limit):
+        monkeypatch.setattr(module, "_per_root", per_root)
+    monkeypatch.setattr(kernels_limit, "_node_power",
+                        lambda a, rule: _gauss_rule(*rule)[0] ** (2.0 * a + 2.0))
+
+
+@pytest.mark.parametrize("kind", sorted(_ROOT_BUILDERS))
+def test_memoized_tables_give_the_bits_of_an_uncached_evaluation(monkeypatch, kind):
+    _, _, a, s, _ = _ROOT_BUILDERS[kind]
+    kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
+    calls = [(u, v) for z1, z2 in _pairs(kind) for u, v in ((z1, z1), (z1, z2), (z2, z1), (z2, z2))]
+    first = [repr(kern(u, v)) for u, v in calls]
+    again = [repr(kern(u, v)) for u, v in calls]         # each table read from the memo
+    _uncached(monkeypatch)
+    assert first == again == [repr(kern(u, v)) for u, v in calls]
+
+
+def test_root_tables_keep_signed_zeros_apart(monkeypatch):
+    # 3 + 0i and 3 - 0i are equal keys to a dict; their sin(c w)/w tables
+    # differ in the sign of some zero imaginary parts
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    plus, minus = complex(3.0, 0.0), complex(3.0, -0.0)
+    tables = [specialfns._per_root(kernels_limit._sinc_nodes, rule, w) for w in (plus, minus)]
+    fresh = [kernels_limit._sinc_nodes(rule, w) for w in (plus, minus)]
+    assert [repr(t.tolist()) for t in tables] == [repr(t.tolist()) for t in fresh]
+    assert repr(fresh[0].tolist()) != repr(fresh[1].tolist())
+
+
+def test_cached_root_tables_and_node_powers_are_read_only():
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    tables = [kernels_limit._node_power(0.8, rule), specialfns._phi(1.3, rule, 0.7 + 0.1j),
+              specialfns._per_root(kernels_limit._sinc_nodes, rule, 0.7 + 0.1j),
+              specialfns._per_root(kernels_limit._cos_nodes, rule, 0.7 + 0.1j)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_phi_refusal_is_raised_on_every_call_and_never_cached(monkeypatch):
+    calls = []
+    build = specialfns._phi_nodes
+    monkeypatch.setattr(specialfns, "_phi_nodes", lambda *args: calls.append(args) or build(*args))
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    before = specialfns._root_table.cache_info()
+    for _ in range(3):
+        with pytest.raises(OutOfRangeError, match="leaves the double range"):
+            specialfns._phi(90.0, rule, 0.5 + 0.5j)
+        with pytest.raises(OutOfRangeError):
+            edge_weak(89.5, 1.0, 0.5 + 0.3j, 0.5 + 0.3j)
+    after = specialfns._root_table.cache_info()
+    assert calls == [] and after.misses == before.misses and after.hits == before.hits
+
+
+def test_root_tables_stay_within_their_bound():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        z1, z2 = (complex(2.0 * rng.random(), rng.random() - 0.5) for _ in range(2))
+        edge_weak(0.5, 1.5, z1, z2)
+        edge_weak_minus_sine(0.5, 1.5, z1, z2)
+        edge_weak_minus_cosine(0.5, 1.5, z1, z2)
+        bessel_kernel(0.5, 4.0 * rng.random(), 4.0 * rng.random())
+        info = specialfns._root_table.cache_info()
+        assert info.maxsize == specialfns._ROOT_TABLES == 16 and info.currsize <= 16
+    assert kernels_limit._node_power.cache_info().currsize <= 64
 
 
 # every kernel that takes a, at a point with X = Re z = 0 and at an interior point
