@@ -3,10 +3,12 @@ studies, orthogonality audits, Monte Carlo sampling.
 
 All output is deterministic: identical flags (and seed) produce byte-identical
 files.  Floats are rendered with repr(), the shortest round-trip decimal, and JSON
-is strict: a non-finite value is never written as NaN or Infinity.  A density
-CSV formats each coordinate once per grid axis, and `sample` formats each
-distinct particle coordinate once and fills every line from those texts by one
-template per chain; both give the same bytes as formatting every value.
+is strict: a non-finite value is never written as NaN or Infinity.  Grids and
+chains repeat most of their values, so the writers format each distinct value
+once, keyed on its bits: a density file formats each coordinate once per grid
+axis and each distinct density once, in CSV and in JSON, and `sample` fills
+every line from the texts of its distinct particle coordinates by one template
+per chain.  All of them give the same bytes as formatting every value.
 Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
 """
 
@@ -71,27 +73,48 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _distinct_texts(values):
+    """(texts, which): the repr of each distinct value of the float array
+    `values`, keyed on its bits so that 0.0 and -0.0 stay apart, as an object
+    array, and the index into texts of every value, shaped as `values`.
+    Density grids and chains repeat most of their values, so each distinct
+    one is formatted once."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return texts, which.reshape(values.shape)
+
+
 def _grid_csv(grid: DensityGrid) -> str:
-    """x,y,rho rows, x outer; each coordinate is formatted once per grid axis,
-    so only rho is formatted per cell."""
+    """x,y,rho rows, x outer; each coordinate is formatted once per grid axis
+    and each distinct rho once."""
     ys = [f"{y!r}," for y in grid.spec.ys.tolist()]
+    texts, which = _distinct_texts(grid.values)
     rows = ["x,y,rho\n"]
-    for x, column in zip(grid.spec.xs.tolist(), grid.values.tolist()):
+    for x, column in zip(grid.spec.xs.tolist(), texts[which].tolist()):
         xc = f"{x!r},"
-        rows += [f"{xc}{y}{rho!r}\n" for y, rho in zip(ys, column)]
+        rows += [f"{xc}{y}{rho}\n" for y, rho in zip(ys, column)]
     return "".join(rows)
 
 
 def _grid_json(grid: DensityGrid, rescale: str) -> str:
+    """The grid object with row-major values, byte for byte what `_dumps`
+    writes: the encoder writes the rest of the payload and the texts of
+    `_distinct_texts` are spliced in as its last member.  A non-finite value
+    raises DomainError before anything is formatted, as strict JSON requires."""
+    if not np.isfinite(grid.values).all():
+        raise DomainError("a density value is not finite; strict JSON cannot hold it")
     payload = {
         "x_range": list(grid.spec.x_range),
         "y_range": list(grid.spec.y_range),
         "nx": grid.spec.nx,
         "ny": grid.spec.ny,
         "rescale": rescale,
-        "values": grid.values.ravel(order="C").tolist(),
+        "values": [],
     }
-    return _dumps(payload) + "\n"
+    texts, which = _distinct_texts(grid.values.ravel(order="C"))
+    head = _dumps(payload)[:-len("]}")]
+    return head + ", ".join(texts[which].tolist()) + "]}\n"
 
 
 def cmd_density(args) -> int:
@@ -224,16 +247,14 @@ def _configuration_lines(samples, N: int) -> list[str]:
     """One '{"points": [[x, y], ...]}' line per configuration, byte for byte
     what `_dumps` writes; a non-finite position raises DomainError, as strict
     JSON requires.  A chain moves one particle per step, so most positions
-    recur from line to line: each distinct coordinate, keyed on its bits so
-    that 0.0 and -0.0 stay apart, is formatted once, and every line is filled
-    in from those texts by one %-template per chain."""
+    recur from line to line: `_distinct_texts` formats each distinct
+    coordinate once, and every line is filled in from those texts by one
+    %-template per chain."""
     positions = np.array(samples, dtype=complex).view(float)
     if not np.isfinite(positions).all():
         raise DomainError("a sampled position is not finite")
-    bits, which = np.unique(positions.view(np.int64), return_inverse=True)
-    which = which.reshape(positions.shape)
-    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    del positions, bits     # from here on only the texts and their indices
+    texts, which = _distinct_texts(positions)
+    del positions           # from here on only the texts and their indices
     template = '{"points": [' + ", ".join(["[%s, %s]"] * N) + "]}"
     # the rows of texts are taken a block at a time, so that no table of them
     # all is held beside the lines

@@ -112,15 +112,34 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
 
     Out-of-domain nodes and the measure-zero weight singularities (the foci
     of the 1/|1 +- z| weights, the wall when a < 0) carry 0.
+
+    K_N(zbar, zbar) is K_N(z, z) bit for bit: the recurrence coefficients are
+    real, the weight and the wall test are even in y, and each rescale map
+    sends zbar to the conjugate of the image of z.  So a grid row above the
+    middle whose centre is exactly minus that of its mirror row is copied
+    from that row, not evaluated; the centres y0 + (j + 1/2) dy round
+    asymmetrically, so only some rows mirror.  A streamed point does not
+    depend on the rest of its batch, so the values are those of evaluating
+    every cell; where the fold would leave a single point, which
+    `FiniteKernel.diagonal` sums by its one-point path, every cell is
+    evaluated.
     """
     fmap, factor = _rescale(kernel, rescale)
-    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    ys = grid.ys
+    row = np.arange(grid.ny)
+    mirrored = (row > row[::-1]) & (ys == -ys[::-1])
+    xs, ys = np.meshgrid(grid.xs, ys, indexing="ij")
     w = fmap(xs + 1j * ys)
     ok = ellipse_deficit(kernel.geometry, w) >= 0.0
     ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf
+    todo = ok & ~mirrored
+    if np.count_nonzero(todo) == 1:
+        todo = ok
     vals = np.zeros((grid.nx, grid.ny))
-    if ok.any():
-        vals[ok] = factor * kernel.diagonal(w[ok])
+    if todo.any():
+        vals[todo] = factor * kernel.diagonal(w[todo])
+    if todo is not ok:
+        vals[:, mirrored] = vals[:, row[::-1][mirrored]]
     return DensityGrid(grid, vals)
 
 

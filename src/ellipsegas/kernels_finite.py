@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import OrderedDict
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,11 +169,24 @@ def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:
     return kernel.eval(z1, z2)
 
 
+def _exact_abs2(z: complex) -> Fraction:
+    """|z|^2 = x^2 + y^2 of a complex double, exactly."""
+    z = complex(z)
+    x, y = Fraction(z.real), Fraction(z.imag)
+    return x * x + y * y
+
+
 def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
     """Finite-N kernel of the truncated-unitary ensemble on the unit disc.
 
     Its terms take log Gamma(n+a+2) - log Gamma(n+1) from one
     `ln_gamma_difference`: as two log-gammas it was 1.3e-10 off at n = 1e5.
+    The wall factors log(1 - |z|^2), and log|q| = log|z1 conj z2| for
+    |q| > 1/sqrt(2), are taken from |z|^2 = x^2 + y^2 summed exactly, as
+    `kernels_limit._edge_wall` sums its wall factor: from the rounded |q|
+    the n-th term lost n eps, and the kernel 1e-11 at N = 1e5 near the wall
+    off the axes. Farther in, the terms fall off as |q|^n and log|q| is
+    taken from the rounded |q|.
     """
     _check("a", a)
     _check("N", N)
@@ -180,8 +194,12 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
         raise DomainError("kernel_truncated requires |z| < 1")
     q = z1 * np.conj(z2)
     n = np.arange(N if q else 1)             # q = 0 leaves the n = 0 term
-    lt = (ln_gamma_difference(n + 1, a + 1) - ln_gamma(a + 1) + n * math.log(abs(q) or 1.0)
-          + 0.5 * a * (math.log1p(-abs(z1) ** 2) + math.log1p(-abs(z2) ** 2)))
+    s1, s2 = _exact_abs2(z1), _exact_abs2(z2)
+    p = s1 * s2                              # |q|^2, exact
+    # log1p only near the wall: at small |q| the rounded p - 1 loses eps/p
+    log_q = 0.5 * math.log1p(float(p - 1)) if p > 0.5 else math.log(abs(q) or 1.0)
+    lt = (ln_gamma_difference(n + 1, a + 1) - ln_gamma(a + 1) + n * log_q
+          + 0.5 * a * (math.log(float(1 - s1)) + math.log(float(1 - s2))))
     top = np.max(lt)
     s = np.sum(np.exp(lt - top) * (q / abs(q) if q else 1.0) ** n)
     return complex(s) * math.exp(top) / math.pi

@@ -487,11 +487,18 @@ def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
 
     OutOfRangeError once phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows (from
     nu of about 84.9), where the kernels' products of two phi would; that
-    test runs on every call, before the cache, so a refusal is never kept.
+    test runs on every call, before the table cache, so a refusal is never
+    kept as a table.  Its verdict is kept per order by `_phi_underflows`.
     """
-    if 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY:
+    if _phi_underflows(nu):
         raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {nu:g}")
     return _per_root(_phi_nodes, nu, rule, root)
+
+
+@functools.lru_cache(maxsize=256)
+def _phi_underflows(nu: float) -> bool:
+    """Whether phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows at order nu."""
+    return 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY
 
 
 def _phi_nodes(nu: float, rule: tuple, root: complex) -> np.ndarray:

@@ -490,6 +490,53 @@ def test_grid_csv_is_the_per_cell_formatter(x_range, y_range, nx, ny):
     assert _grid_csv(grid) == _reference_csv(grid)
 
 
+@pytest.mark.parametrize("x_range, y_range, nx, ny", [
+    ((-1.2, 1.2), (-1.2, 1.2), 4, 2),
+    ((0.0, 1e-323), (1e16, 3e16), 1, 2),
+    ((-0.3, 0.3), (-0.1, 0.1), 2, 4),
+])
+def test_grid_json_is_the_json_encoder(x_range, y_range, nx, ny):
+    from ellipsegas.cli import _grid_json
+    from ellipsegas.correlations import DensityGrid
+
+    spec = GridSpec(x_range, y_range, nx, ny)
+    grid = DensityGrid(spec, np.resize(np.array(_AWKWARD), (nx, ny)))
+    payload = {"x_range": list(x_range), "y_range": list(y_range), "nx": nx, "ny": ny,
+               "rescale": "fig2", "values": grid.values.ravel().tolist()}
+    assert _grid_json(grid, "fig2") == _reference_dumps(payload) + "\n"
+
+
+def test_grid_writers_format_each_distinct_density_once(monkeypatch):
+    import ellipsegas.cli as cli
+    from ellipsegas.correlations import DensityGrid
+
+    values = np.resize(np.array(_AWKWARD), (6, 5))
+    grid = DensityGrid(GridSpec((-1.0, 1.0), (-0.5, 0.5), 6, 5), values)
+    formatted = _spy_on_repr(monkeypatch, cli)
+    csv, text = cli._grid_csv(grid), cli._grid_json(grid, "none")
+    assert csv == _reference_csv(grid) and json.loads(text)["values"] == values.ravel().tolist()
+    distinct = sorted(set(map(repr, _AWKWARD)))
+    assert sorted(map(repr, formatted)) == sorted(distinct * 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_density_json_with_a_non_finite_value_exits_2(tmp_path, capsys, monkeypatch, bad):
+    import ellipsegas.cli as cli
+    from ellipsegas.correlations import DensityGrid
+
+    def broken(kernel, grid, rescale="none"):
+        values = np.full((grid.nx, grid.ny), 0.25)
+        values[1, 0] = bad
+        return DensityGrid(grid, values)
+    formatted = _spy_on_repr(monkeypatch, cli)
+    monkeypatch.setattr(cli, "density_grid", broken)
+    out = tmp_path / "d.json"
+    assert run(["density", "--tau", "0.5", "--N", "3", "--nx", "3", "--ny", "2",
+                "--format", "json", "--output", str(out)]) == 2
+    assert "JSON" in capsys.readouterr().err
+    assert formatted == [] and not out.exists()
+
+
 @pytest.mark.parametrize("N", [1, 3, 8])
 def test_configuration_lines_are_the_json_encoder(N):
     from ellipsegas.cli import _configuration_lines

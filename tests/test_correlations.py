@@ -104,6 +104,99 @@ def test_density_grid_is_zero_at_weight_singularities(kind):
     assert vals.max() > 0.0
 
 
+def _every_cell(kernel, grid, rescale):
+    """The grid with every admissible cell evaluated, in one batch."""
+    from ellipsegas.correlations import _rescale
+    from ellipsegas.geometry import ellipse_deficit, log_weight_values
+    fmap, factor = _rescale(kernel, rescale)
+    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    w = fmap(xs + 1j * ys)
+    ok = ellipse_deficit(kernel.geometry, w) >= 0.0
+    ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf
+    vals = np.zeros((grid.nx, grid.ny))
+    vals[ok] = factor * kernel.diagonal(w[ok])
+    return vals
+
+
+def _mirrored_rows(grid):
+    """The rows above the middle whose centre is exactly minus their mirror's."""
+    row = np.arange(grid.ny)
+    return (row > row[::-1]) & (grid.ys == -grid.ys[::-1])
+
+
+def _figure_window(gas, tau, N, rescale, a):
+    """1.05 x the bounding box of the domain in figure coordinates."""
+    geo = EllipseGeometry(tau)
+    f = {"none": 1.0, "fig1": math.sqrt(2 * tau), "fig2": 1.0,
+         "fig3": math.sqrt(2 * tau * a / N)}[rescale]
+    sx, sy = 1.05 * geo.semi_x * f, 1.05 * geo.semi_y * (N if rescale == "fig2" else f)
+    return (-sx, sx), (-sy, sy)
+
+
+_MIRROR_CASES = [(kind, rescale) for kind in PolyKind
+                 for rescale in ("none", "fig1", "fig2", "fig3")
+                 if not (rescale == "fig3" and kind.value.startswith("chebyshev"))]
+
+
+@pytest.mark.parametrize("ny", [63, 64, 80, 81])
+@pytest.mark.parametrize("kind, rescale", _MIRROR_CASES)
+def test_mirrored_rows_are_the_evaluated_rows_bit_for_bit(kind, rescale, ny):
+    N, tau = 14, 0.35
+    a = 0.0 if kind.value.startswith("chebyshev") else (2.5 * N if rescale == "fig3" else 0.7)
+    gas = GasFamily(kind, a)
+    kern = FiniteKernel(gas, EllipseGeometry(tau), N)
+    grid = GridSpec(*_figure_window(gas, tau, N, rescale, a), 9, ny)
+    assert _mirrored_rows(grid).any()
+    got = density_grid(kern, grid, rescale=rescale).values
+    want = _every_cell(kern, grid, rescale)
+    assert want.max() > 0.0
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_mirrored_rows_never_reach_diagonal():
+    kern = FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.5), EllipseGeometry(0.4), 9)
+    grid = GridSpec((-1.6, 1.6), (-0.8, 0.8), 10, 40)
+    mirrored = _mirrored_rows(grid)
+    assert 0 < mirrored.sum() < grid.ny // 2
+    seen = []
+    diagonal = kern.diagonal
+    kern.diagonal = lambda zs: seen.append(zs.copy()) or diagonal(zs)
+    got = density_grid(kern, grid).values
+    assert len(seen) == 1
+    ys = set(seen[0].imag.tolist())
+    assert ys.isdisjoint(grid.ys[mirrored].tolist())
+    assert len(seen[0]) == np.count_nonzero(got[:, ~mirrored])
+    del kern.diagonal
+    want = _every_cell(kern, grid, "none")
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_window_where_no_row_mirrors_evaluates_every_cell():
+    kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 1.0), EllipseGeometry(0.5), 8)
+    grid = GridSpec((-1.2, 1.2), (-0.3, 0.5), 12, 16)
+    assert not _mirrored_rows(grid).any()
+    seen = []
+    diagonal = kern.diagonal
+    kern.diagonal = lambda zs: seen.append(len(zs)) or diagonal(zs)
+    got = density_grid(kern, grid).values
+    assert seen == [np.count_nonzero(got)]
+    del kern.diagonal
+    want = _every_cell(kern, grid, "none")
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_fold_to_one_point_evaluates_both_mirror_cells():
+    # the two admissible cells mirror each other; one point alone would take
+    # the one-point path of `diagonal`, so both are evaluated as one batch
+    kern = FiniteKernel(GasFamily(PolyKind.JACOBI_MINUS, 0.5), EllipseGeometry(0.5), 30)
+    grid = GridSpec((0.1, 0.3), (-0.25, 0.25), 1, 2)
+    assert _mirrored_rows(grid).tolist() == [False, True]
+    got = density_grid(kern, grid).values
+    want = _every_cell(kern, grid, "none")
+    assert np.all(want > 0.0)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_fig1_concentration_at_small_tau():
     # tau = 0.005, N = 10, a = 1 (the figure's parameters): the exact mass
     # fraction beyond |z| = 0.8 is 1 - q(n)-sums ~ 0.656; with N = 20 the

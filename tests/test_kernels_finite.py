@@ -143,21 +143,50 @@ def test_truncated_large_a_and_N_matches_its_limit(a):
     assert abs(got - ref) <= 1e-11 * abs(ref)
 
 
+def _truncated_diagonal_40_digits(a, N, z):
+    """K_N^trunc(z, z) at 40 digits, with |z|^2 = x^2 + y^2 exact."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q = mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+        # sum_{n<N} (a+2)_n q^n / n! = (1-q)^-(a+2) I_{1-q}(a+2, N), regularized
+        return float((a + 1) * (1 - q) ** -2 / mpmath.pi
+                     * mpmath.betainc(a + 2, N, 0, 1 - q, regularized=True))
+
+
 @pytest.mark.parametrize("a", [-0.5, 0.7, 3.0])
 @pytest.mark.parametrize("z", [1 - 5 * 2.0 ** -20, 1j * (1 - 5 * 2.0 ** -20)])
 def test_truncated_near_the_wall_at_large_N_against_40_digits(a, z):
     # |z|^2 = 1 - 9.5e-6 is exact in doubles, and the terms near n = N = 1e5
     # carry weight e^-0.95; lnGamma(n+a+2) - lnGamma(n+1) as two log-gammas
     # was 1.3e-10 off there, and the kernel 1.4e-11 to 2.6e-11
-    mpmath = pytest.importorskip("mpmath")
     N = 100_000
-    with mpmath.workdps(40):
-        q = mpmath.mpf(abs(z)) ** 2
-        # sum_{n<N} (a+2)_n q^n / n! = (1-q)^-(a+2) I_{1-q}(a+2, N), regularized
-        want = float((a + 1) * (1 - q) ** -2 / mpmath.pi
-                     * mpmath.betainc(a + 2, N, 0, 1 - q, regularized=True))
+    want = _truncated_diagonal_40_digits(a, N, complex(z))
     got = kernel_truncated(a, N, z, z)
     assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("a", [0.7, -0.5, 3.0])
+def test_truncated_off_the_axes_at_large_N_against_40_digits(a):
+    # off the axes x^2 + y^2 rounds: log|q| from the rounded |q| cost the
+    # n-th term n eps, and the wall factors (a/2) log(1 - |z|^2) lost eps/1e-5;
+    # the kernel was 2e-13 to 1e-11 off
+    N = 100_000
+    z = (0.6 + 0.8j) * (1 - 5 * 2.0 ** -20)
+    want = _truncated_diagonal_40_digits(a, N, z)
+    got = kernel_truncated(a, N, z, z)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("N", [5, 100_000])
+@pytest.mark.parametrize("a", [0.5, -0.5, 3.0])
+@pytest.mark.parametrize("z", [1e-4, 5e-5, 3e-5 + 4e-5j, 1e-160, 5e-324])
+def test_truncated_at_small_nonzero_q_against_40_digits(z, a, N):
+    # |q| = |z|^2 is far from the wall: log|q| taken as log1p(|q|^2 - 1)/2
+    # would round |q|^2 - 1 to -1 below |q| ~ 7e-9 and raise, and lose
+    # eps/|q|^2 of log|q| above it
+    want = _truncated_diagonal_40_digits(a, N, complex(z))
+    got = kernel_truncated(a, N, z, z)
+    assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("a", [-0.5, 0.0, 2.5])

@@ -992,6 +992,23 @@ def test_phi_refusal_is_raised_on_every_call_and_never_cached(monkeypatch):
     assert calls == [] and after.misses == before.misses and after.hits == before.hits
 
 
+def test_phi_order_check_runs_once_per_order(monkeypatch):
+    # the check's log-gamma runs on the first call at an order only; a
+    # refused order is refused again on every call, from its kept verdict
+    calls = []
+    lg = specialfns.ln_gamma
+    monkeypatch.setattr(specialfns, "ln_gamma", lambda x: calls.append(x) or lg(x))
+    specialfns._phi_underflows.cache_clear()
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    for root in (0.3 + 0.2j, 0.7 - 0.1j, 0.3 + 0.2j):
+        specialfns._phi(1.25, rule, root)
+    assert calls == [2.25]
+    for _ in range(3):
+        with pytest.raises(OutOfRangeError):
+            specialfns._phi(91.25, rule, 0.5 + 0.5j)
+    assert calls == [2.25, 92.25]
+
+
 def test_root_tables_stay_within_their_bound():
     rng = np.random.default_rng(8)
     for _ in range(40):
