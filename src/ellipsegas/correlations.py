@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, _check, ellipse_deficit, log_weight_values
+from .geometry import (EllipseGeometry, GasFamily, PolyKind, _check, ellipse_deficit,
+                       log_weight_values)
 from .kernels_finite import FiniteKernel
 from .polynomials import log_squared_norms
 from .specialfns import ln_gamma
@@ -107,6 +108,17 @@ def _rescale(kernel: FiniteKernel, name: str):
     raise DomainError(f"unknown rescale map {name!r}; choose from {RESCALE_MAPS}")
 
 
+# families whose recurrence has no constant term, a_n = 0, and whose weight
+# is even in x, so that p_n(-z) = (-1)^n p_n(z) bit for bit
+_X_EVEN = frozenset({PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_U})
+
+
+def _mirrored(centres: np.ndarray) -> np.ndarray:
+    """The cells past the middle whose centre is exactly minus their mirror's."""
+    i = np.arange(centres.size)
+    return (i > i[::-1]) & (centres == -centres[::-1])
+
+
 def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") -> DensityGrid:
     """One-point density on a grid, with one of the figure rescale maps.
 
@@ -118,28 +130,31 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
     sends zbar to the conjugate of the image of z.  So a grid row above the
     middle whose centre is exactly minus that of its mirror row is copied
     from that row, not evaluated; the centres y0 + (j + 1/2) dy round
-    asymmetrically, so only some rows mirror.  A streamed point does not
+    asymmetrically, so only some rows mirror.  For the Gegenbauer and
+    Chebyshev T and U gases K_N(-z, -z) is K_N(z, z) bit for bit as well
+    (a_n = 0, a weight even in x, and odd rescale maps), so their columns
+    right of the middle mirror in the same way.  A streamed point does not
     depend on the rest of its batch, so the values are those of evaluating
     every cell; where the fold would leave a single point, which
     `FiniteKernel.diagonal` sums by its one-point path, every cell is
     evaluated.
     """
     fmap, factor = _rescale(kernel, rescale)
-    ys = grid.ys
-    row = np.arange(grid.ny)
-    mirrored = (row > row[::-1]) & (ys == -ys[::-1])
-    xs, ys = np.meshgrid(grid.xs, ys, indexing="ij")
+    rows = _mirrored(grid.ys)
+    cols = _mirrored(grid.xs) & (kernel.gas.kind in _X_EVEN)
+    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     w = fmap(xs + 1j * ys)
     ok = ellipse_deficit(kernel.geometry, w) >= 0.0
     ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf
-    todo = ok & ~mirrored
+    todo = ok & ~cols[:, None] & ~rows
     if np.count_nonzero(todo) == 1:
         todo = ok
     vals = np.zeros((grid.nx, grid.ny))
     if todo.any():
         vals[todo] = factor * kernel.diagonal(w[todo])
     if todo is not ok:
-        vals[:, mirrored] = vals[:, row[::-1][mirrored]]
+        vals[cols] = vals[::-1][cols]
+        vals[:, rows] = vals[:, ::-1][:, rows]
     return DensityGrid(grid, vals)
 
 

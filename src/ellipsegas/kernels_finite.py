@@ -5,15 +5,17 @@ The gas kernel is K_N(z1,z2) = sqrt(w(z1) w(z2)) sum_{n<N} p_n(z1) p_n(zbar2)/h_
 with p_n the Gegenbauer, Jacobi or Chebyshev polynomial of the recurrence in
 `polynomials` and h_n = int |p_n|^2 w its norm from `log_raw_norms`; no monic
 factor enters.  p_n(zbar) = conj p_n(z) because the coefficients are real.
-Each term is carried as a mantissa and an exponent and the sum is aligned to
-its largest exponent, so evaluation stays finite arbitrarily close to the
-wall and for N ~ 10^4.  One point pair runs the plain-Python recurrence of
-`scaled_sequence`, one table per distinct point.  A kernel keeps the checked
-table of each of the last `_STORE_POINTS` points it was asked for, so a
-k-point determinant runs k recurrences; at 24 B per term the store holds at
-most about 7.7 MB at N = 10^4.  A batch streams the orthonormal recurrence
-p_n/sqrt(h_n) degree by degree, vectorized over the points, and never holds
-an [N, points] table.
+The recurrence carries each value as a mantissa and an exponent, so
+evaluation stays finite arbitrarily close to the wall and for N ~ 10^4.
+A single point runs the plain-Python recurrence of `scaled_sequence` once
+and keeps one feature table, F_n = q_n(z) e^-t for the orthonormal
+q_n = p_n/sqrt(h_n), scaled by its largest term e^t; a pair of points is one
+conjugate dot product of two tables, times e^(t1 + t2) and the weights.  A
+kernel keeps the checked table of each of the last `_STORE_POINTS` points it
+was asked for, so a k-point determinant runs k recurrences; at 16 B per term
+the store holds at most about 5.1 MB at N = 10^4.  A batch streams the
+orthonormal recurrence degree by degree, vectorized over the points, aligned
+to each point's largest exponent, and never holds an [N, points] table.
 
 The truncated-unitary and elliptic Ginibre reference kernels add their terms
 in log space as well, aligned to the largest, with the Gaussian or wall
@@ -55,12 +57,9 @@ class FiniteKernel:
         self.N = N
         # log of 1/sqrt(h_n), which turns p_n into the orthonormal p_n/sqrt(h_n)
         self._log_c = -0.5 * log_raw_norms(gas, geometry, N - 1)
-        # recurrence of p_n / sqrt(h_n), divided by its degree-0 value: the
-        # p_{n-1} term scales by r_n = c_n / c_{n-1}, the p_{n-2} term by r_n r_{n-1}
-        lin0, lin1, quad = _coefficients(gas.family, N - 1)
-        r = np.exp(np.diff(self._log_c, prepend=self._log_c[0]))
-        self._orthonormal = (lin0 * r, lin1 * r, quad * r * np.roll(r, 1))
-        # point -> (log-weight, mantissas, logs) of `_point`
+        # the recurrence of `_stream`, built by the first batch
+        self._orthonormal = None
+        # point -> (log-weight, features, scale) of `_point`
         self._store = OrderedDict()
 
     def _check_point(self, z: complex) -> float:
@@ -82,21 +81,37 @@ class FiniteKernel:
         return lw
 
     def _point(self, z: complex):
-        """(log-weight, mantissas, logs of p_n(z)/sqrt(h_n), n < N) at one
-        point, checked and computed on its first use and then read from the
-        store; a point that fails its check raises and is not stored."""
+        """(log-weight lw, features F, scale t) at one point: F_n = q_n(z) e^-t
+        for the orthonormal q_n = p_n/sqrt(h_n), n < N, with t = max_n log|q_n(z)|,
+        so the largest |F_n| is in [1/2, 1).  Checked and computed on the
+        point's first use and then read from the store; a point that fails
+        its check raises and is not stored."""
         key = complex(z)
         entry = self._store.get(key)
         if entry is None:
             lw = self._check_point(z)
             mant, logs = scaled_sequence(self.gas.family, self.N - 1, key)
-            mant, logs = mant[:, 0], logs[:, 0] + self._log_c
-            mant.flags.writeable = logs.flags.writeable = False
-            entry = (lw, mant, logs)
+            logs = logs[:, 0] + self._log_c
+            t = float(np.max(logs))
+            feats = mant[:, 0] * np.exp(logs - t)
+            feats.flags.writeable = False
+            entry = (lw, feats, t)
             while len(self._store) >= _STORE_POINTS:
                 self._store.popitem(last=False)
             self._store[key] = entry
         return entry
+
+    def _pair(self, z1, z2):
+        """K_N(z1, z2) of two single points as one product of their feature
+        tables, sum_n F_n(z1) conj F_n(z2) e^(t1 + t2 + (lw1 + lw2)/2); the
+        real K_N(z2, z2) when z1 is None or equal to z2.  z1 is checked first."""
+        if z1 is not None:
+            lw1, f1, t1 = self._point(z1)
+        lw2, f2, t2 = self._point(z2)
+        if z1 is None or z1 == z2:
+            v = f2.view(float)
+            return float(np.dot(v, v)) * math.exp(2.0 * t2 + lw2)
+        return complex(np.vdot(f2, f1)) * math.exp(t1 + t2 + 0.5 * (lw1 + lw2))
 
     def _stream(self, zs: np.ndarray, z1):
         """(acc, log scale) of sum_n q_n(z1) conj q_n(zs), or of sum_n |q_n(zs)|^2
@@ -106,6 +121,12 @@ class FiniteKernel:
         far; top and the term factor change only when a recurrence pair is
         rescaled.
         """
+        if self._orthonormal is None:
+            # divided by its degree-0 value: the p_{n-1} term scales by
+            # r_n = c_n / c_{n-1}, the p_{n-2} term by r_n r_{n-1}
+            lin0, lin1, quad = _coefficients(self.gas.family, self.N - 1)
+            r = np.exp(np.diff(self._log_c, prepend=self._log_c[0]))
+            self._orthonormal = (lin0 * r, lin1 * r, quad * r * np.roll(r, 1))
         pts = zs if z1 is None else np.concatenate(([z1], zs))
         acc = np.zeros(pts.shape, dtype=float if z1 is None else complex)
         top = fac = None
@@ -124,25 +145,16 @@ class FiniteKernel:
             acc, top = acc[1:], top[1:]
         return acc, top * _LN2 + 2.0 * self._log_c[0]
 
-    def _kernel(self, z1, zs) -> np.ndarray:
+    def _kernel(self, z1, zs: np.ndarray) -> np.ndarray:
         """K_N(z1, zs[i]), or the diagonal K_N(zs[i], zs[i]) when z1 is None,
-        with z1 checked before zs.  zs is a 1-d complex array, or the one-tuple
-        (z2,) of `eval`, so that an error names z2 as it was given.  A single
-        point is checked and kept by `_point`, so every one-point path weights
-        as `eval` does; a batch is checked as a whole and streamed."""
+        with z1 checked before zs.  A single point is checked and kept by
+        `_point` and evaluated by `_pair`, as `eval` is; a batch is checked as
+        a whole and streamed."""
         if len(zs) == 1:
-            lw1, m1, l1 = (None,) * 3 if z1 is None else self._point(z1)
-            lw2, m2, l2 = self._point(zs[0])
-            if z1 is None or z1 == zs[0]:
-                terms, lt = np.abs(m2) ** 2, 2.0 * l2
-            else:
-                terms, lt = m1 * np.conj(m2), l1 + l2
-            top = np.max(lt)
-            acc, lws = np.sum(terms * np.exp(lt - top)), np.array([lw2])
-        else:
-            lw1 = None if z1 is None else self._check_point(z1)
-            lws = self._check_points(zs)
-            acc, top = self._stream(zs, z1)
+            return np.array([self._pair(z1, zs[0])])
+        lw1 = None if z1 is None else self._check_point(z1)
+        lws = self._check_points(zs)
+        acc, top = self._stream(zs, z1)
         lw = lws if z1 is None else 0.5 * (lw1 + lws)
         return acc * np.exp(top + lw)
 
@@ -150,7 +162,7 @@ class FiniteKernel:
         return self.eval(z1, z2)
 
     def eval(self, z1: complex, z2: complex) -> complex:
-        return complex(self._kernel(z1, (z2,))[0])
+        return complex(self._pair(z1, z2))
 
     def diagonal(self, zs) -> np.ndarray:
         """Density rho_1 = K_N(z, z) at a batch of points of the ellipse;
@@ -283,9 +295,9 @@ def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> com
     m1, b1 = _scalar_steps(coefs, z1 / math.sqrt(2 * tau))
     m2, b2 = _scalar_steps(coefs, np.conj(z2) / math.sqrt(2 * tau))
     n = np.arange(N)
-    lt = n * math.log(tau / 2) - ln_gamma(n + 1) + (np.array(b1) + np.array(b2)) * _LN2
+    lt = n * math.log(tau / 2) - ln_gamma(n + 1) + (b1 + b2) * _LN2
     top = np.max(lt)
-    s = complex(np.sum(np.exp(lt - top) * np.array(m1) * np.array(m2)))
+    s = complex(np.sum(np.exp(lt - top) * m1 * m2))
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
     pref = math.exp(top - (x1 * x1 + x2 * x2) / (2 * (1 + tau))
                     - (y1 * y1 + y2 * y2) / (2 * (1 - tau)))

@@ -11,11 +11,13 @@ The weak edge kernels and the Bessel kernel integrate products of two node
 functions, one per root: J_nu(c w) (c w)^-nu (`_phi`), sin(c w)/w or
 cos(c w), at the nodes c of the c-rule.  Each such table is kept per root by
 `specialfns._per_root`, 16 tables of about 1 kB on the default 64-node rule,
-keyed on the root's bits, so K(z1,z1), K(z1,z2), K(z2,z1) and K(z2,z2) build
-four tables (two for `bessel_kernel`) instead of eight.  The power c^(2a+2)
-is kept per (a, rule) by `_node_power`, and the Bessel ratio per (a, s, rule)
-by `_node_log_ratio`.  Every kept array is read-only, and a value reads the
-same bits as one built afresh.
+keyed on the root's bits.  The node functions have real coefficients, so the
+table at sqrt(conj Z) is the conjugate of the table at sqrt(Z): K(z1,z1),
+K(z1,z2), K(z2,z1) and K(z2,z2) build two tables, one per point, instead of
+eight.  The power c^(2a+2) is kept per (a, rule) by `_node_power`, and the
+Bessel ratio per (a, s, rule) by `_node_log_ratio`.  Every kept array is
+read-only, and a kernel value reads the same bits as one from tables built
+afresh.
 """
 
 from __future__ import annotations

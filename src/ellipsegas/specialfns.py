@@ -517,15 +517,22 @@ def _phi_nodes(nu: float, rule: tuple, root: complex) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_ROOT_TABLES)
 def _root_table(build, args: tuple, signs: tuple) -> np.ndarray:
+    if signs[1] < 0.0:
+        *head, root = args
+        return _read_only(np.conj(_per_root(build, *head, root.conjugate())))
     return _read_only(build(*args))
 
 
 def _per_root(build, *args) -> np.ndarray:
     """build(*args), a node table of one root, the last of args, kept with
     the last _ROOT_TABLES such tables of every builder in one LRU cache and
-    read-only.  The key carries the signs of the root's parts, so that 0.0
-    and -0.0, which are equal keys, stay apart: for a real Z the edge kernels
-    read the roots x + 0i of Z and x - 0i of conj Z."""
+    read-only.  Every builder has real coefficients, so its table at conj w
+    is the conjugate of its table at w: a root whose imaginary part carries
+    a minus sign reads the conjugate of the table at its conjugate root, and
+    the roots sqrt Z and sqrt conj Z of a point build one table.  The key
+    carries the signs of the root's parts, so that 0.0 and -0.0, which are
+    equal keys, stay apart: for a real Z the edge kernels read the roots
+    x + 0i of Z and x - 0i of conj Z."""
     root = args[-1]
     return _root_table(build, args, (math.copysign(1.0, root.real),
                                      math.copysign(1.0, root.imag)))

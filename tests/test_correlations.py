@@ -124,6 +124,12 @@ def _mirrored_rows(grid):
     return (row > row[::-1]) & (grid.ys == -grid.ys[::-1])
 
 
+def _mirrored_columns(grid):
+    """The columns right of the middle whose centre is exactly minus their mirror's."""
+    col = np.arange(grid.nx)
+    return (col > col[::-1]) & (grid.xs == -grid.xs[::-1])
+
+
 def _figure_window(gas, tau, N, rescale, a):
     """1.05 x the bounding box of the domain in figure coordinates."""
     geo = EllipseGeometry(tau)
@@ -153,6 +159,34 @@ def test_mirrored_rows_are_the_evaluated_rows_bit_for_bit(kind, rescale, ny):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+_X_EVEN = (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_U)
+
+
+@pytest.mark.parametrize("nx", [9, 10, 80, 81])
+@pytest.mark.parametrize("kind, rescale", _MIRROR_CASES)
+def test_mirrored_columns_are_the_evaluated_columns_bit_for_bit(kind, rescale, nx):
+    # a_n = 0 and a weight even in x fold the columns of the Gegenbauer and
+    # Chebyshev T and U gases; Jacobi +- and Chebyshev V never fold them
+    N, tau = 14, 0.35
+    a = 0.0 if kind.value.startswith("chebyshev") else (2.5 * N if rescale == "fig3" else 0.7)
+    gas = GasFamily(kind, a)
+    kern = FiniteKernel(gas, EllipseGeometry(tau), N)
+    x_range, (y0, y1) = _figure_window(gas, tau, N, rescale, a)
+    grid = GridSpec(x_range, (y0, 0.9 * y1), nx, 31)      # no row mirrors
+    assert _mirrored_columns(grid).any() and not _mirrored_rows(grid).any()
+    seen = []
+    diagonal = kern.diagonal
+    kern.diagonal = lambda zs: seen.append(len(zs)) or diagonal(zs)
+    got = density_grid(kern, grid, rescale=rescale).values
+    del kern.diagonal
+    want = _every_cell(kern, grid, rescale)
+    assert want.max() > 0.0
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    folded = np.count_nonzero(want[~_mirrored_columns(grid)])
+    assert seen == [folded if kind in _X_EVEN else np.count_nonzero(want)]
+    assert folded < np.count_nonzero(want)
+
+
 def test_mirrored_rows_never_reach_diagonal():
     kern = FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.5), EllipseGeometry(0.4), 9)
     grid = GridSpec((-1.6, 1.6), (-0.8, 0.8), 10, 40)
@@ -172,9 +206,10 @@ def test_mirrored_rows_never_reach_diagonal():
 
 
 def test_a_window_where_no_row_mirrors_evaluates_every_cell():
+    # nor any column: the Gegenbauer columns of an x-symmetric window mirror
     kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 1.0), EllipseGeometry(0.5), 8)
-    grid = GridSpec((-1.2, 1.2), (-0.3, 0.5), 12, 16)
-    assert not _mirrored_rows(grid).any()
+    grid = GridSpec((-1.2, 1.1), (-0.3, 0.5), 12, 16)
+    assert not _mirrored_rows(grid).any() and not _mirrored_columns(grid).any()
     seen = []
     diagonal = kern.diagonal
     kern.diagonal = lambda zs: seen.append(len(zs)) or diagonal(zs)

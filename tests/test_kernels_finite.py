@@ -755,6 +755,65 @@ def test_kernel_near_the_wall_at_N_1e4_matches_a_40_digit_sum():
     assert np.all(np.abs(kern.diagonal(pts) - refs) <= 1e-13 * refs)
 
 
+def _jacobi_minus_mp(a, z, N):
+    """P_n^(a+1/2, -1/2)(z), n < N, by the recurrence in the current mpmath precision."""
+    import mpmath
+    al, be = mpmath.mpf(a) + mpmath.mpf(1) / 2, -mpmath.mpf(1) / 2
+    vals = [mpmath.mpf(1), (al - be) / 2 + (al + be + 2) / 2 * z]
+    for n in range(2, N):
+        c = 2 * n + al + be
+        a1 = 2 * n * (n + al + be) * (c - 2)
+        vals.append(((c - 1) * (al * al - be * be) + (c - 2) * (c - 1) * c * z) / a1 * vals[-1]
+                    - 2 * (n + al - 1) * (n + be - 1) * c / a1 * vals[-2])
+    return vals[:N]
+
+
+def _jacobi_minus_raw_norms_mp(a, tau, N):
+    """h_n = 2 sqrt((1-tau)/(2 tau)) Gamma(n+1/2)^2 Gamma(a+1)^2 C_2n^(a+1)(semi_x)
+    / (Gamma(n+a+1)^2 (2n+a+1)), n < N, the closed form of `log_raw_norms`."""
+    import mpmath
+    t = mpmath.mpf(tau)
+    c = _gegenbauer_mp(a, mpmath.mpf(EllipseGeometry(tau).semi_x), 2 * N - 1)
+    pref = 2 * mpmath.sqrt((1 - t) / (2 * t)) * mpmath.gamma(a + 1) ** 2
+    return [pref * (mpmath.gamma(n + mpmath.mpf(1) / 2) / mpmath.gamma(n + a + 1)) ** 2
+            * c[2 * n] / (2 * n + a + 1) for n in range(N)]
+
+
+@pytest.mark.parametrize("kind", [PolyKind.GEGENBAUER, PolyKind.JACOBI_MINUS])
+def test_a_pair_with_largest_terms_at_different_degrees_matches_a_40_digit_sum(kind):
+    # z1 inside, whose terms fall off from n = 0, and z2 at deficit 1e-3, whose
+    # terms peak near n = 1000: each point's feature table is scaled to its
+    # own largest term, and the product of the two tables is the kernel.  The
+    # weight is the library's, and the tolerance that of the near-wall diagonal
+    mpmath = pytest.importorskip("mpmath")
+    a, tau, N = 0.5, 0.5, 10_000
+    geo = EllipseGeometry(tau)
+    gas = GasFamily(kind, a)
+    z1 = 0.2 + 0.15j
+    z2 = math.sqrt(1 - 1e-3) * complex(geo.semi_x * math.cos(0.3), geo.semi_y * math.sin(0.3))
+    assert 0.99e-3 <= ellipse_deficit(geo, z2) <= 1.01e-3
+    poly = _gegenbauer_mp if kind is PolyKind.GEGENBAUER else _jacobi_minus_mp
+    norms = _gegenbauer_raw_norms_mp if kind is PolyKind.GEGENBAUER else _jacobi_minus_raw_norms_mp
+    with mpmath.workdps(40):
+        h = norms(a, tau, N)
+        p1, p2 = (poly(a, mpmath.mpc(z), N) for z in (z1, z2))
+        terms = [(abs(u) ** 2 / hn, abs(v) ** 2 / hn) for u, v, hn in zip(p1, p2, h)]
+        assert max(range(N), key=lambda n: terms[n][0]) < 10
+        assert max(range(N), key=lambda n: terms[n][1]) > 500
+        w1, w2 = weight(gas, geo, z1), weight(gas, geo, z2)
+        k12 = complex(math.sqrt(w1 * w2) * mpmath.fsum(u * mpmath.conj(v) / hn
+                                                       for u, v, hn in zip(p1, p2, h)))
+        k11 = float(w1 * mpmath.fsum(t for t, _ in terms))
+        k22 = float(w2 * mpmath.fsum(t for _, t in terms))
+    kern = FiniteKernel(gas, geo, N)
+    tol = 1e-13 * math.sqrt(k11 * k22)
+    assert abs(kern.eval(z1, z2) - k12) <= tol
+    assert abs(kern.eval(z2, z1) - k12.conjugate()) <= tol
+    assert abs(kern.eval_batch(z1, [z2])[0] - k12) <= tol
+    assert abs(kern.eval(z1, z1) - k11) <= 1e-13 * k11
+    assert abs(kern.eval(z2, z2) - k22) <= 1e-13 * k22
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda k: k.eval(2 + 0j, -1 + 0j), DomainError, "point (2+0j) lies outside the ellipse"),
     (lambda k: k.eval(2.0, -1), DomainError, "point 2.0 lies outside the ellipse"),

@@ -894,11 +894,11 @@ def test_cached_node_log_ratios_are_read_only():
 
 
 # the per-root node tables of the quadrature edge kernels: kind -> (module
-# holding the builder, builder name, a, s, the distinct roots of one pair)
+# holding the builder, builder name, a, s, the tables one pair builds)
 _ROOT_BUILDERS = {
-    "edge-weak": (specialfns, "_phi_nodes", 0.8, 1.7, 4),
-    "edge-weak-minus-sine": (kernels_limit, "_sinc_nodes", 0.3, 1.2, 4),
-    "edge-weak-minus-cosine": (kernels_limit, "_cos_nodes", -0.4, 2.1, 4),
+    "edge-weak": (specialfns, "_phi_nodes", 0.8, 1.7, 2),
+    "edge-weak-minus-sine": (kernels_limit, "_sinc_nodes", 0.3, 1.2, 2),
+    "edge-weak-minus-cosine": (kernels_limit, "_cos_nodes", -0.4, 2.1, 2),
     "bessel": (specialfns, "_phi_nodes", 1.3, None, 2),
 }
 # pairs of points: off the real axis, on it (sqrt Z = x + 0i and sqrt conj Z
@@ -916,7 +916,8 @@ def _pairs(kind):
 @pytest.mark.parametrize("pair", range(4))
 def test_one_node_table_per_distinct_root_of_a_pair(monkeypatch, kind, pair):
     # K(z1,z1), K(z1,z2), K(z2,z1), K(z2,z2) read the roots sqrt Z1, sqrt conj Z1,
-    # sqrt Z2 and sqrt conj Z2 (sqrt X1 and sqrt X2 for bessel), each built once
+    # sqrt Z2 and sqrt conj Z2 (sqrt X1 and sqrt X2 for bessel); the table at
+    # sqrt conj Z is the conjugate of the one at sqrt Z, so each point builds once
     module, name, a, s, roots = _ROOT_BUILDERS[kind]
     build = getattr(module, name)
     calls = []
@@ -957,14 +958,17 @@ def test_memoized_tables_give_the_bits_of_an_uncached_evaluation(monkeypatch, ki
 
 
 def test_root_tables_keep_signed_zeros_apart(monkeypatch):
-    # 3 + 0i and 3 - 0i are equal keys to a dict; their sin(c w)/w tables
-    # differ in the sign of some zero imaginary parts
+    # 3 + 0i and 3 - 0i are equal keys to a dict; the table at 3 - 0i is the
+    # conjugate of the one at 3 + 0i, equal in value to its own build, and
+    # differs from the 3 + 0i table in the sign of its zero imaginary parts
     rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
     plus, minus = complex(3.0, 0.0), complex(3.0, -0.0)
     tables = [specialfns._per_root(kernels_limit._sinc_nodes, rule, w) for w in (plus, minus)]
     fresh = [kernels_limit._sinc_nodes(rule, w) for w in (plus, minus)]
-    assert [repr(t.tolist()) for t in tables] == [repr(t.tolist()) for t in fresh]
-    assert repr(fresh[0].tolist()) != repr(fresh[1].tolist())
+    assert repr(tables[0].tolist()) == repr(fresh[0].tolist())
+    assert repr(tables[1].tolist()) == repr(np.conj(fresh[0]).tolist())
+    assert np.array_equal(tables[1], fresh[1])
+    assert repr(tables[0].tolist()) != repr(tables[1].tolist())
 
 
 def test_cached_root_tables_and_node_powers_are_read_only():

@@ -10,7 +10,7 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, P
                         PolyKind, ScaledValue, chebyshev_t, chebyshev_u,
                         chebyshev_v, gegenbauer, jacobi, joukowsky_inverse,
                         monic_value, squared_norm)
-from ellipsegas.polynomials import (log_monic_factors, log_squared_norms,
+from ellipsegas.polynomials import (log_monic_factors, log_raw_norms, log_squared_norms,
                                     monic_scaled_sequence, scaled_sequence)
 
 from conftest import interior_points
@@ -343,3 +343,34 @@ def test_kernel_construction_reads_the_raw_norms_without_monic_factors(monkeypat
     monkeypatch.setattr(polynomials, "log_monic_factors", None)
     FiniteKernel(GasFamily(kind, 0.75), EllipseGeometry(0.5), 100)
     assert len(array_calls) == calls
+
+
+_SIX_FAMILIES = [PolyFamily(kind, 0.0 if kind.value.startswith("chebyshev") else 0.5)
+                 for kind in PolyKind]
+
+
+@pytest.mark.parametrize("family", _SIX_FAMILIES, ids=repr)
+@pytest.mark.parametrize("tau", [1e-6, 0.5, 1 - 1e-6])
+def test_a_float_argument_runs_the_real_parts_of_the_complex_run(family, tau):
+    # the norms' recurrences at 1/tau and semi_x run in float arithmetic;
+    # every coefficient is real, so nothing but the imaginary parts changes
+    for x in (1.0 / tau, EllipseGeometry(tau).semi_x):
+        mr, lr = scaled_sequence(family, 20_000, x)
+        mc, lc = scaled_sequence(family, 20_000, complex(x))
+        assert mr.dtype == mc.dtype == complex and not mr.imag.any()
+        np.testing.assert_array_equal(mr.real.view(np.int64), mc.real.view(np.int64))
+        np.testing.assert_array_equal(lr.view(np.int64), lc.view(np.int64))
+
+
+@pytest.mark.parametrize("tau", [1e-6, 0.5, 1 - 1e-6])
+def test_raw_norms_are_those_of_the_complex_run(monkeypatch, tau):
+    # the float recurrence leaves the normalisation, and so the density
+    # files, bit for bit as the complex one gave it
+    geo = EllipseGeometry(tau)
+    got = [log_raw_norms(gas, geo, 10_000) for gas in _SIX_FAMILIES]
+    real = polynomials.scaled_sequence
+    monkeypatch.setattr(polynomials, "scaled_sequence",
+                        lambda family, n_max, z: real(family, n_max, complex(z)))
+    for gas, lh in zip(_SIX_FAMILIES, got):
+        np.testing.assert_array_equal(lh.view(np.int64),
+                                      log_raw_norms(gas, geo, 10_000).view(np.int64))
