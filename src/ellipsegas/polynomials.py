@@ -6,7 +6,9 @@ dominant solution).  Values are carried as (mantissa, log_scale) pairs so
 that degrees up to 10^5 and arguments like 1/tau ~ 10^6 never overflow.
 
 One normalisation serves the kernels: `log_raw_norms` gives log int |p_n|^2 w
-for the polynomial p_n the recurrence produces.  The monic polynomials
+for the polynomial p_n the recurrence produces, from p_n(1/tau) for the
+Gegenbauer and Jacobi gases and from closed forms in the Joukowsky radius for
+the Chebyshev gases.  The monic polynomials
 M_n = kappa_n p_n and their norms h_n = kappa_n^2 int |p_n|^2 w are the
 public view on top of it (`log_monic_factors`, `log_squared_norms`).
 """
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check
+from .errors import DomainError, OutOfRangeError
+from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _exp_in_range
 from .specialfns import ln_gamma, ln_gamma_difference
 
 _LN2 = math.log(2.0)
@@ -39,7 +41,11 @@ class ScaledValue:
 
     @property
     def value(self) -> complex:
-        return self.mantissa * math.exp(self.log_scale)
+        """mantissa * exp(log_scale); OutOfRangeError past the double range."""
+        v = self.mantissa * _exp_in_range(self.log_scale)
+        if abs(v) == math.inf:
+            raise OutOfRangeError(f"value {v} leaves the double range")
+        return v
 
     @staticmethod
     def of(z: complex) -> "ScaledValue":
@@ -248,10 +254,13 @@ def log_monic_factors(family: PolyFamily, n_max: int) -> np.ndarray:
     kind = family.kind
     if kind is PolyKind.GEGENBAUER:
         return ln_gamma(a + 1) - ln_gamma_difference(n + 1, a) - n * _LN2
-    if kind is PolyKind.JACOBI_PLUS:
-        return n * _LN2 + ln_gamma(n + 1) + ln_gamma(n + a + 2) - ln_gamma(2 * n + a + 2)
-    if kind is PolyKind.JACOBI_MINUS:
-        return n * _LN2 + ln_gamma(n + 1) + ln_gamma(n + a + 1) - ln_gamma(2 * n + a + 1)
+    if kind in (PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
+        # 2^n n! Gamma(n+b)/Gamma(2n+b), with Gamma(2n+b) split by Legendre's
+        # duplication formula so that no log-gamma of size n log n is cancelled
+        b = a + (2 if kind is PolyKind.JACOBI_PLUS else 1)
+        return (0.5 * math.log(math.pi) - (n + b - 1) * _LN2
+                + ln_gamma_difference(n + b / 2 + 0.5, b / 2 - 0.5)
+                - ln_gamma_difference(n + 1, b / 2 - 1))
     if kind is PolyKind.CHEBYSHEV_T:
         return np.where(n == 0, 0.0, (1 - n) * _LN2)
     # U and V: leading coefficient 2^n
@@ -271,48 +280,43 @@ def monic_scaled_sequence(family: PolyFamily, n_max: int, z):
     return mant, logs + log_monic_factors(family, n_max)[:, None]
 
 
-def _log_v_power_diff(m, log_v):
-    """log(v^m - v^-m) for m >= 1, stable when m*log(v) is tiny."""
-    t = m * log_v
-    return t + np.log1p(-np.exp(-2.0 * t))
-
-
 def log_raw_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.ndarray:
     """log of int |p_n|^2 w, n = 0..n_max, for the family polynomial p_n of
     the recurrence (not the monic one): the normalisation of the kernel.
 
-    Closed forms: the Gegenbauer norms need C_n^{(a+1)}(1/tau), the Jacobi
-    families need C_*^{(a+1)}(semi_x), both evaluated log-scaled; Chebyshev
-    norms reduce to powers of the Joukowsky radius v.
+    Closed forms: the Gegenbauer and Jacobi norms need the gas's own
+    polynomial at 1/tau, p_n(1/tau), evaluated log-scaled (for the Jacobi
+    gases through the quadratic map 2 semi_x^2 - 1 = 1/tau from the Gegenbauer
+    form at semi_x); Chebyshev norms reduce to powers of the Joukowsky radius v.
     """
     n = np.arange(n_max + 1)
     a = gas.a
     tau = geometry.tau
-    log_v = math.log(geometry.v)
     kind = gas.kind
-    if kind is PolyKind.GEGENBAUER:
-        mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a), n_max, 1.0 / tau)
-        pref = math.log(math.pi * math.sqrt(1 - tau * tau) / (2 * tau))
+    if kind in (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
+        if kind is PolyKind.GEGENBAUER:
+            c, d = math.log(math.pi * math.sqrt(1 - tau * tau) / (2 * tau)), np.log(n + a + 1)
+        else:
+            # C_{2n+off-1}^(a+1)(semi_x) is P_n^(a+1/2, off-3/2)(1/tau) times
+            # a Pochhammer ratio and, for jacobi-plus, semi_x (DLMF 18.7.13-14);
+            # the ratio leaves one Gamma(n + off - 1/2)/Gamma(n + a + off)
+            off = 2 if kind is PolyKind.JACOBI_PLUS else 1
+            c = (off * _LN2 + 0.5 * math.log(math.pi * (1 - tau) / (2 * tau)) + ln_gamma(a + 1)
+                 + (off - 1) * math.log(geometry.semi_x))
+            d = ln_gamma_difference(n + off - 0.5, a + 0.5) + np.log(2 * n + a + off)
+        mant, logs = scaled_sequence(gas.family, n_max, 1.0 / tau)
         # mantissas are positive for argument > 1; the exponent, the largest
         # term, is added last
-        return logs[:, 0] + (np.log(mant[:, 0].real) + pref - np.log(n + a + 1))
-    if kind in (PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
-        off = 2 if kind is PolyKind.JACOBI_PLUS else 1
-        deg = 2 * n + off - 1                  # 2n + 1 for jacobi-plus, 2n for jacobi-minus
-        mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a),
-                                     int(deg.max()), geometry.semi_x)
-        lc = logs[deg, 0] + np.log(mant[deg, 0].real)
-        # Gamma(n + off - 1/2)^2 / Gamma(n + a + off)^2 from one log-gamma
-        # difference, whose rounding is not that of the two log-gammas
-        return (off * _LN2 + 0.5 * math.log((1 - tau) / (2 * tau))
-                - 2.0 * ln_gamma_difference(n + off - 0.5, a + 0.5) + 2.0 * ln_gamma(a + 1)
-                - np.log(2 * n + a + off) + lc)
+        return logs[:, 0] + (np.log(mant[:, 0].real) + c - d)
     # Chebyshev T, U, V: pi (v^m - v^-m) / (c m) with m = 2n, 2n + 2, 2n + 1 and
-    # c = 2, 2, 1; the zero mode of T, m = 0, is 2 pi log v
+    # c = 2, 2, 1, where log(v^m - v^-m) = t + log1p(-e^-2t), t = m log v, stays
+    # accurate when t is tiny; the zero mode of T, m = 0, is 2 pi log v
     m = 2 * n + {PolyKind.CHEBYSHEV_T: 0, PolyKind.CHEBYSHEV_U: 2}.get(kind, 1)
     c = 1.0 if kind is PolyKind.CHEBYSHEV_V else 2.0
     ms = np.maximum(m, 1)
-    lh = math.log(math.pi) + _log_v_power_diff(ms, log_v) - np.log(c * ms)
+    log_v = math.log(geometry.v)
+    t = ms * log_v
+    lh = math.log(math.pi) + (t + np.log1p(-np.exp(-2.0 * t))) - np.log(c * ms)
     return np.where(m == 0, math.log(2 * math.pi * log_v), lh)
 
 

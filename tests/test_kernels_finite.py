@@ -755,31 +755,47 @@ def test_kernel_near_the_wall_at_N_1e4_matches_a_40_digit_sum():
     assert np.all(np.abs(kern.diagonal(pts) - refs) <= 1e-13 * refs)
 
 
-def _jacobi_minus_mp(a, z, N):
-    """P_n^(a+1/2, -1/2)(z), n < N, by the recurrence in the current mpmath precision."""
+def _jacobi_mp(a, off, zs, N):
+    """P_n^(a+1/2, off-3/2)(z), n < N, at each point z of zs, by the recurrence
+    in the current mpmath precision: the jacobi-plus (off = 2) or jacobi-minus
+    (off = 1) polynomial.  The coefficients are built once for all points."""
     import mpmath
-    al, be = mpmath.mpf(a) + mpmath.mpf(1) / 2, -mpmath.mpf(1) / 2
-    vals = [mpmath.mpf(1), (al - be) / 2 + (al + be + 2) / 2 * z]
+    al, be = mpmath.mpf(a) + mpmath.mpf(1) / 2, off - mpmath.mpf(3) / 2
+    coefs = []
     for n in range(2, N):
         c = 2 * n + al + be
         a1 = 2 * n * (n + al + be) * (c - 2)
-        vals.append(((c - 1) * (al * al - be * be) + (c - 2) * (c - 1) * c * z) / a1 * vals[-1]
-                    - 2 * (n + al - 1) * (n + be - 1) * c / a1 * vals[-2])
-    return vals[:N]
+        coefs.append(((c - 1) * (al * al - be * be) / a1, (c - 2) * (c - 1) * c / a1,
+                      2 * (n + al - 1) * (n + be - 1) * c / a1))
+    out = []
+    for z in zs:
+        vals = [mpmath.mpf(1), (al - be) / 2 + (al + be + 2) / 2 * z]
+        for lin0, lin1, quad in coefs:
+            vals.append((lin0 + lin1 * z) * vals[-1] - quad * vals[-2])
+        out.append(vals[:N])
+    return out
 
 
-def _jacobi_minus_raw_norms_mp(a, tau, N):
-    """h_n = 2 sqrt((1-tau)/(2 tau)) Gamma(n+1/2)^2 Gamma(a+1)^2 C_2n^(a+1)(semi_x)
-    / (Gamma(n+a+1)^2 (2n+a+1)), n < N, the closed form of `log_raw_norms`."""
+def _jacobi_raw_norms_mp(a, off, tau, N):
+    """h_n = 2^off sqrt((1-tau)/(2 tau)) Gamma(n+off-1/2)^2 Gamma(a+1)^2
+    C_{2n+off-1}^(a+1)(semi_x) / (Gamma(n+a+off)^2 (2n+a+off)), n < N: the
+    Gegenbauer form of the Jacobi norms, at the semi_x of the double tau
+    taken exactly, so that the reference is the ellipse of tau."""
     import mpmath
     t = mpmath.mpf(tau)
-    c = _gegenbauer_mp(a, mpmath.mpf(EllipseGeometry(tau).semi_x), 2 * N - 1)
-    pref = 2 * mpmath.sqrt((1 - t) / (2 * t)) * mpmath.gamma(a + 1) ** 2
-    return [pref * (mpmath.gamma(n + mpmath.mpf(1) / 2) / mpmath.gamma(n + a + 1)) ** 2
-            * c[2 * n] / (2 * n + a + 1) for n in range(N)]
+    c = _gegenbauer_mp(a, mpmath.sqrt((1 + t) / (2 * t)), 2 * N + off - 2)
+    pref = 2 ** off * mpmath.sqrt((1 - t) / (2 * t)) * mpmath.gamma(a + 1) ** 2
+    # Gamma(n+off-1/2)/Gamma(n+a+off) by its ratio recurrence
+    ratio = mpmath.gamma(off - mpmath.mpf(1) / 2) / mpmath.gamma(a + off)
+    norms = []
+    for n in range(N):
+        norms.append(pref * ratio ** 2 * c[2 * n + off - 1] / (2 * n + a + off))
+        ratio *= (n + off - mpmath.mpf(1) / 2) / (n + a + off)
+    return norms
 
 
-@pytest.mark.parametrize("kind", [PolyKind.GEGENBAUER, PolyKind.JACOBI_MINUS])
+@pytest.mark.parametrize("kind", [PolyKind.GEGENBAUER, PolyKind.JACOBI_MINUS,
+                                  PolyKind.JACOBI_PLUS])
 def test_a_pair_with_largest_terms_at_different_degrees_matches_a_40_digit_sum(kind):
     # z1 inside, whose terms fall off from n = 0, and z2 at deficit 1e-3, whose
     # terms peak near n = 1000: each point's feature table is scaled to its
@@ -792,11 +808,15 @@ def test_a_pair_with_largest_terms_at_different_degrees_matches_a_40_digit_sum(k
     z1 = 0.2 + 0.15j
     z2 = math.sqrt(1 - 1e-3) * complex(geo.semi_x * math.cos(0.3), geo.semi_y * math.sin(0.3))
     assert 0.99e-3 <= ellipse_deficit(geo, z2) <= 1.01e-3
-    poly = _gegenbauer_mp if kind is PolyKind.GEGENBAUER else _jacobi_minus_mp
-    norms = _gegenbauer_raw_norms_mp if kind is PolyKind.GEGENBAUER else _jacobi_minus_raw_norms_mp
+    off = 2 if kind is PolyKind.JACOBI_PLUS else 1
     with mpmath.workdps(40):
-        h = norms(a, tau, N)
-        p1, p2 = (poly(a, mpmath.mpc(z), N) for z in (z1, z2))
+        zs = [mpmath.mpc(z1), mpmath.mpc(z2)]
+        if kind is PolyKind.GEGENBAUER:
+            h = _gegenbauer_raw_norms_mp(a, tau, N)
+            p1, p2 = (_gegenbauer_mp(a, z, N) for z in zs)
+        else:
+            h = _jacobi_raw_norms_mp(a, off, tau, N)
+            p1, p2 = _jacobi_mp(a, off, zs, N)
         terms = [(abs(u) ** 2 / hn, abs(v) ** 2 / hn) for u, v, hn in zip(p1, p2, h)]
         assert max(range(N), key=lambda n: terms[n][0]) < 10
         assert max(range(N), key=lambda n: terms[n][1]) > 500

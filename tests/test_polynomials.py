@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from scipy.special import gammaln
 
 import ellipsegas.polynomials as polynomials
-from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, PolyFamily,
-                        PolyKind, ScaledValue, chebyshev_t, chebyshev_u,
+from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, OutOfRangeError,
+                        PolyFamily, PolyKind, ScaledValue, chebyshev_t, chebyshev_u,
                         chebyshev_v, gegenbauer, jacobi, joukowsky_inverse,
                         monic_value, squared_norm)
 from ellipsegas.polynomials import (log_monic_factors, log_raw_norms, log_squared_norms,
@@ -188,6 +189,20 @@ def test_scaled_value_invariant_and_roundtrip():
     assert zero.mantissa == 0.0 and zero.log_scale == 0.0
 
 
+def test_values_past_the_double_range_are_refused():
+    with pytest.raises(OutOfRangeError, match="leaves the double range"):
+        chebyshev_t(2000, 2.0)
+    with pytest.raises(OutOfRangeError, match="leaves the double range"):
+        gegenbauer(3000, 0.5, 3.0).value
+    # a log scale in range whose product with the mantissa rounds to inf
+    near_max = math.log(sys.float_info.max) - 0.1
+    with pytest.raises(OutOfRangeError):
+        ScaledValue(1.5 + 0j, near_max).value
+    with pytest.raises(OutOfRangeError):
+        ScaledValue(-1.5j, near_max).value
+    assert ScaledValue(0.75 + 0j, near_max).value.real == 0.75 * math.exp(near_max)
+
+
 def test_scaled_sequence_roundtrip_against_plain():
     # wherever plain double evaluation does not overflow the two agree
     fam = PolyFamily(PolyKind.GEGENBAUER, 1.0)
@@ -227,6 +242,83 @@ def test_norm_examples():
     geo = EllipseGeometry(0.5)
     got = math.exp(squared_norm(GasFamily(PolyKind.CHEBYSHEV_T), geo, 0))
     assert got == pytest.approx(2 * math.pi * math.log(geo.v), rel=1e-12)
+
+
+# log h_n of the raw polynomials at n = 0, 10, 9999, from the Gegenbauer form
+# C_{2n+off-1}^(a+1)(semi_x) in 50-digit mpmath at the tau given; at
+# tau = 1 - 1e-6 and n = 9999 the value moves by ~1e-10 when 1/tau is rounded,
+# so that degree is left out there
+_JACOBI_LOG_RAW_NORMS_50_DIGITS = {
+    ("jacobi-plus", -0.99, 1e-06): (19.5554602989481, 161.1566796546836, 145081.18827988324),
+    ("jacobi-plus", -0.99, 0.5): (6.2892558853183775, 15.739380319130511, 13163.881078263326),
+    ("jacobi-plus", -0.99, 0.999999): (-0.8212311977030264, -4.2707400609075306, None),
+    ("jacobi-plus", 0.5, 1e-06): (13.638484603830856, 153.70923081662966, 145063.7771946652),
+    ("jacobi-plus", 0.5, 0.5): (0.37228019020113556, 8.743485093394614, 13146.934717376227),
+    ("jacobi-plus", 0.5, 0.999999): (-6.738206892820268, -8.57438687475978, None),
+    ("jacobi-plus", 30.0, 1e-06): (8.060517336528301, 142.54041189315674, 144887.22646992299),
+    ("jacobi-plus", 30.0, 0.5): (-5.205687077101418, 0.5348126578848801, 12979.568203860757),
+    ("jacobi-plus", 30.0, 0.999999): (-12.316174160122822, -11.632114220857883, None),
+    ("jacobi-minus", -0.99, 1e-06): (13.00422844109935, 153.21067893259104, 145073.24080533357),
+    ("jacobi-minus", -0.99, 0.5): (6.0964736621174636, 14.389239459012838, 13162.529453634437),
+    ("jacobi-minus", -0.99, 0.999999): (-0.8112811168500459, -4.962921592285664, None),
+    ("jacobi-minus", 0.5, 1e-06): (7.993593147003096, 145.9656301990349, 145055.82994361443),
+    ("jacobi-minus", 0.5, 0.5): (1.0858383680212085, 7.595087551326728, 13145.583316245582),
+    ("jacobi-minus", 0.5, 0.999999): (-5.821916410946301, -9.131102653011803, None),
+    ("jacobi-minus", 30.0, 1e-06): (4.965071050626114, 136.4494441709197, 144879.28363586898),
+    ("jacobi-minus", 30.0, 0.5): (-1.9426837283557734, 0.9299653093672956, 12978.221218878918),
+    ("jacobi-minus", 30.0, 0.999999): (-8.850438507323283, -10.943646914750278, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JACOBI_LOG_RAW_NORMS_50_DIGITS), ids=repr)
+def test_jacobi_raw_norms_match_50_digit_values(case):
+    kind, a, tau = case
+    lh = log_raw_norms(GasFamily(PolyKind(kind), a), EllipseGeometry(tau), 9999)
+    for n, ref in zip((0, 10, 9999), _JACOBI_LOG_RAW_NORMS_50_DIGITS[case]):
+        if ref is not None:
+            # a few eps of the log-gamma terms that cancel at small n, and
+            # 18 eps of log h_n itself
+            assert abs(lh[n] - ref) <= 1e-13 + 4e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", [1e-6, 0.5, 1 - 1e-6])
+def test_gegenbauer_and_chebyshev_raw_norms_keep_their_bits(tau):
+    # the closed forms, operation for operation, that the density files and
+    # chains of these gases were computed with
+    geo = EllipseGeometry(tau)
+    n = np.arange(10_000)
+    for a in (-0.99, 0.5, 30.0):
+        mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, a), 9999, 1.0 / tau)
+        pref = math.log(math.pi * math.sqrt(1 - tau * tau) / (2 * tau))
+        ref = logs[:, 0] + (np.log(mant[:, 0].real) + pref - np.log(n + a + 1))
+        got = log_raw_norms(GasFamily(PolyKind.GEGENBAUER, a), geo, 9999)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+    log_v = math.log(geo.v)
+    for kind, shift, c in ((PolyKind.CHEBYSHEV_T, 0, 2.0), (PolyKind.CHEBYSHEV_U, 2, 2.0),
+                           (PolyKind.CHEBYSHEV_V, 1, 1.0)):
+        m = 2 * n + shift
+        ms = np.maximum(m, 1)
+        t = ms * log_v
+        lh = math.log(math.pi) + (t + np.log1p(-np.exp(-2.0 * t))) - np.log(c * ms)
+        ref = np.where(m == 0, math.log(2 * math.pi * log_v), lh)
+        got = log_raw_norms(GasFamily(kind), geo, 9999)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("kind, off", [(PolyKind.JACOBI_PLUS, 2), (PolyKind.JACOBI_MINUS, 1)])
+@pytest.mark.parametrize("a", [-0.99, 0.5, 30.0])
+def test_jacobi_monic_factors_match_40_digits(kind, off, a):
+    # kappa_n = 2^n n! Gamma(n+b)/Gamma(2n+b), b = a + off: the inverse leading
+    # coefficient of P_n^(a+1/2, off-3/2)
+    mpmath = pytest.importorskip("mpmath")
+    ns = (0, 1, 2, 12, 13, 100, 1000, 9999, 10_000)
+    got = log_monic_factors(PolyFamily(kind, a), 10_000)
+    with mpmath.workdps(40):
+        b = mpmath.mpf(a) + off
+        for n in ns:
+            ref = (n * mpmath.log(2) + mpmath.loggamma(n + 1) + mpmath.loggamma(n + b)
+                   - mpmath.loggamma(2 * n + b))
+            assert abs(got[n] - float(ref)) <= 1e-12
 
 
 def test_chebyshev_u_norms_match_gegenbauer_a0():
@@ -352,8 +444,9 @@ _SIX_FAMILIES = [PolyFamily(kind, 0.0 if kind.value.startswith("chebyshev") else
 @pytest.mark.parametrize("family", _SIX_FAMILIES, ids=repr)
 @pytest.mark.parametrize("tau", [1e-6, 0.5, 1 - 1e-6])
 def test_a_float_argument_runs_the_real_parts_of_the_complex_run(family, tau):
-    # the norms' recurrences at 1/tau and semi_x run in float arithmetic;
-    # every coefficient is real, so nothing but the imaginary parts changes
+    # the norms' recurrence at 1/tau, and one at any float such as semi_x,
+    # runs in float arithmetic; every coefficient is real, so nothing but the
+    # imaginary parts changes
     for x in (1.0 / tau, EllipseGeometry(tau).semi_x):
         mr, lr = scaled_sequence(family, 20_000, x)
         mc, lc = scaled_sequence(family, 20_000, complex(x))
