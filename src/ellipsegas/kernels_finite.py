@@ -14,8 +14,12 @@ conjugate dot product of two tables, times e^(t1 + t2) and the weights.  A
 kernel keeps the checked table of each of the last `_STORE_POINTS` points it
 was asked for, so a k-point determinant runs k recurrences; at 16 B per term
 the store holds at most about 5.1 MB at N = 10^4.  A batch streams the
-orthonormal recurrence degree by degree, vectorized over the points, aligned
-to each point's largest exponent, and never holds an [N, points] table.
+family's recurrence degree by degree, vectorized over the points, aligned
+to each point's largest exponent, and never holds an [N, points] table:
+with 1/sqrt(h_n) = sigma_n 2^f_n, its coefficients scaled by powers of two
+only carry 2^f_n p_n bit for bit, and sigma_n enters each term once.  Every
+operation is per point, so a streamed value does not depend on the rest of
+its batch.  A row K_N(z1, zs) streams zs against z1's kept table.
 
 The truncated-unitary and elliptic Ginibre reference kernels add their terms
 in log space as well, aligned to the largest, with the Gaussian or wall
@@ -57,18 +61,8 @@ class FiniteKernel:
         self.N = N
         # log of 1/sqrt(h_n), which turns p_n into the orthonormal p_n/sqrt(h_n)
         self._log_c = -0.5 * log_raw_norms(gas, geometry, N - 1)
-        # the recurrence of `_stream`, built by the first batch
-        self._orthonormal = None
         # point -> (log-weight, features, scale) of `_point`
         self._store = OrderedDict()
-
-    def _check_point(self, z: complex) -> float:
-        if not contains(self.geometry, z):
-            raise DomainError(f"point {z} lies outside the ellipse")
-        lw = log_weight(self.gas, self.geometry, z)
-        if lw == math.inf:
-            raise SingularPointError(f"point {z} sits on a weight singularity")
-        return lw
 
     def _check_points(self, zs: np.ndarray) -> np.ndarray:
         outside = ~(ellipse_deficit(self.geometry, zs) >= 0.0)
@@ -89,7 +83,11 @@ class FiniteKernel:
         key = complex(z)
         entry = self._store.get(key)
         if entry is None:
-            lw = self._check_point(z)
+            if not contains(self.geometry, z):
+                raise DomainError(f"point {z} lies outside the ellipse")
+            lw = log_weight(self.gas, self.geometry, z)
+            if lw == math.inf:
+                raise SingularPointError(f"point {z} sits on a weight singularity")
             mant, logs = scaled_sequence(self.gas.family, self.N - 1, key)
             logs = logs[:, 0] + self._log_c
             t = float(np.max(logs))
@@ -113,50 +111,62 @@ class FiniteKernel:
             return float(np.dot(v, v)) * math.exp(2.0 * t2 + lw2)
         return complex(np.vdot(f2, f1)) * math.exp(t1 + t2 + 0.5 * (lw1 + lw2))
 
-    def _stream(self, zs: np.ndarray, z1):
-        """(acc, log scale) of sum_n q_n(z1) conj q_n(zs), or of sum_n |q_n(zs)|^2
-        when z1 is None, with q_n = p_n/sqrt(h_n).
+    def _stream(self, zs: np.ndarray, f1=None):
+        """(acc, log scale) of sum_n |q_n(zs)|^2, or of sum_n f1_n conj q_n(zs)
+        for a first point's kept feature table f1 from `_point`, with
+        q_n = p_n/sqrt(h_n).
 
-        Each point accumulates in units of 2^top, its largest term exponent so
-        far; top and the term factor change only when a recurrence pair is
-        rescaled.
+        1/sqrt(h_n) = sigma_n 2^f_n with f_n = floor(log2 c_n) - floor(log2 c_0):
+        the family's coefficients, scaled by powers of two only (degree n by
+        2^(f_n - f_{n-1}), its p_{n-2} term by 2^(f_n - f_{n-2})), carry the
+        bits of 2^f_n p_n, and the per-degree scalar sigma_n^2, or f1_n sigma_n,
+        multiplies each term once.  Each point accumulates in units of 2^top,
+        its largest term exponent so far; top and the term factor change only
+        when its recurrence pair is rescaled.  Every operation is per point,
+        so a value does not depend on the rest of its batch.
         """
-        if self._orthonormal is None:
-            # divided by its degree-0 value: the p_{n-1} term scales by
-            # r_n = c_n / c_{n-1}, the p_{n-2} term by r_n r_{n-1}
-            lin0, lin1, quad = _coefficients(self.gas.family, self.N - 1)
-            r = np.exp(np.diff(self._log_c, prepend=self._log_c[0]))
-            self._orthonormal = (lin0 * r, lin1 * r, quad * r * np.roll(r, 1))
-        pts = zs if z1 is None else np.concatenate(([z1], zs))
-        acc = np.zeros(pts.shape, dtype=float if z1 is None else complex)
-        top = fac = None
-        for vals, mag, bits, rescaled in _steps(self._orthonormal, pts):
-            if fac is None or rescaled:
-                expo = 2.0 * bits if z1 is None else bits[0] + bits
-                new = expo if top is None else np.maximum(top, expo)
-                if top is not None:
-                    acc *= np.exp2(top - new)
+        f = np.floor(self._log_c / _LN2) - math.floor(self._log_c[0] / _LN2)
+        d = np.diff(f, prepend=0.0).astype(int)
+        lin0, lin1, quad = _coefficients(self.gas.family, self.N - 1)
+        coefs = np.ldexp(lin0, d), np.ldexp(lin1, d), np.ldexp(quad, d + np.roll(d, 1))
+        # log c_n - f_n ln2, with ln2 the double _LN2 in which log_raw_norms
+        # counts its exponents, split into a 24-bit head whose product with
+        # f_n is exact and a tail: no rounding of f_n ln2 enters sigma_n
+        hi = float(np.float32(_LN2))
+        log_sigma = self._log_c - f * hi - f * (_LN2 - hi)
+        scalars = np.exp(2.0 * log_sigma) if f1 is None else f1 * np.exp(log_sigma)
+        acc = np.zeros(zs.shape, dtype=scalars.dtype)
+        term = np.empty_like(acc)
+        # every exponent is 0 until the first rescale, and fac None stands for 1
+        top, fac = np.zeros(zs.shape), None
+        for s_n, (vals, mag, bits, rescaled) in zip(scalars.tolist(), _steps(coefs, zs)):
+            if rescaled:
+                expo = bits * (2.0 if f1 is None else 1.0)     # a copy: _steps reuses bits
+                new = np.maximum(top, expo)
+                acc *= np.exp2(top - new)
                 top, fac = new, np.exp2(expo - new)
-            if z1 is None:
-                acc += mag * mag * fac
+            if f1 is None:
+                np.multiply(mag, mag, out=term)
             else:
-                acc += vals[0] * np.conj(vals) * fac
-        if z1 is not None:
-            acc, top = acc[1:], top[1:]
-        return acc, top * _LN2 + 2.0 * self._log_c[0]
+                np.conjugate(vals, out=term)
+            if fac is not None:
+                term *= fac
+            term *= s_n
+            acc += term
+        return acc, top * _LN2
 
     def _kernel(self, z1, zs: np.ndarray) -> np.ndarray:
         """K_N(z1, zs[i]), or the diagonal K_N(zs[i], zs[i]) when z1 is None,
         with z1 checked before zs.  A single point is checked and kept by
         `_point` and evaluated by `_pair`, as `eval` is; a batch is checked as
-        a whole and streamed."""
+        a whole and streamed against z1's kept table."""
         if len(zs) == 1:
             return np.array([self._pair(z1, zs[0])])
-        lw1 = None if z1 is None else self._check_point(z1)
+        lw1, f1, t1 = (None, None, 0.0) if z1 is None else self._point(z1)
         lws = self._check_points(zs)
-        acc, top = self._stream(zs, z1)
+        acc, top = self._stream(zs, f1)
         lw = lws if z1 is None else 0.5 * (lw1 + lws)
-        return acc * np.exp(top + lw)
+        return acc * np.exp(top + t1 + lw)
 
     def __call__(self, z1: complex, z2: complex) -> complex:
         return self.eval(z1, z2)
@@ -264,8 +274,8 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
     """
     _check("a", a)
     Z1, Z2 = complex(Z1), complex(Z2)
-    if not (Z1.real >= 0 and Z2.real >= 0):
-        raise DomainError("kernel_truncated_edge requires Xhat >= 0")
+    if not (Z1.real >= 0 and Z2.real >= 0 and cmath.isfinite(Z1) and cmath.isfinite(Z2)):
+        raise DomainError("kernel_truncated_edge requires finite Zhat with Xhat >= 0")
     # 2^{-(a+2)} turns the Gauss-Jacobi sum at c = (xj + 1)/2 into int_0^1 c^{a+1} F(c) dc
     lpref = (_log_power(0.5 * a, Z1.real) + _log_power(0.5 * a, Z2.real)
              - math.log(4.0 * math.pi) - ln_gamma(a + 1) - (a + 2.0) * _LN2)

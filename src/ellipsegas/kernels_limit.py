@@ -91,34 +91,45 @@ def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
     return _normal(complex(integrate_c(g, domain, spec, **half_line)))
 
 
-def _normal(value):
+def _normal(value, name: str = "kernel"):
     """value, or OutOfRangeError where its modulus is below the smallest
     normal double: a subnormal kernel value, or one summed from subnormal
     terms, has lost bits to the exponent range."""
     if abs(value) < sys.float_info.min:
-        raise OutOfRangeError(f"kernel value {value!r} is below the normal double range")
+        raise OutOfRangeError(f"{name} value {value!r} is below the normal double range")
     return value
 
 
 def sine_kernel(x1: float, x2: float) -> float:
-    """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit."""
+    """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit.  DomainError for an x
+    that is not finite; OutOfRangeError for a value below the normal doubles,
+    as past |x1 - x2| = 1/(pi 2^-1022), where x1 - x2 may also overflow."""
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise DomainError(f"sine_kernel requires finite x, got {x1!r}, {x2!r}")
     d = x1 - x2
     if d == 0.0:
         return 1.0 / math.pi
-    return math.sin(d) / (math.pi * d)
+    if math.isinf(d):
+        raise OutOfRangeError("sine_kernel value is below the normal double range")
+    return _normal(math.sin(d) / (math.pi * d), "sine_kernel")
 
 
 def ginibre_kernel(u1: complex, u2: complex) -> complex:
     """(2/pi) exp(-|u1|^2 - |u2|^2 + 2 u1 conj(u2)).
 
-    Written as exp(-|u1-u2|^2 + 2i Im(u1 conj u2)) so the diagonal is 2/pi
-    exactly, not just up to rounding of the cancelling exponent.
+    Written as exp(-|d|^2 + 2i Im(d conj m)), d = u1 - u2, m = (u1 + u2)/2,
+    so the diagonal is 2/pi exactly, also where u1 conj u2 overflows, and
+    swapping u1 and u2 conjugates the value exactly.  DomainError for a u
+    that is not finite; OutOfRangeError for a phase past the double range.
     """
     u1, u2 = complex(u1), complex(u2)
-    d = u1 - u2
-    phase = u1 * u2.conjugate()
-    return 2.0 / math.pi * cmath.exp(complex(-(d.real ** 2 + d.imag ** 2),
-                                             2.0 * phase.imag))
+    if not (cmath.isfinite(u1) and cmath.isfinite(u2)):
+        raise DomainError(f"ginibre_kernel requires finite u, got {u1!r}, {u2!r}")
+    d, m = u1 - u2, 0.5 * u1 + 0.5 * u2
+    phase = 2.0 * (d.imag * m.real - d.real * m.imag)
+    if not math.isfinite(phase):
+        raise OutOfRangeError("ginibre_kernel phase 2 Im(u1 conj u2) leaves the double range")
+    return 2.0 / math.pi * cmath.exp(complex(-(d.real * d.real + d.imag * d.imag), phase))
 
 
 def bulk_weak(a: float, s: float, z1: complex, z2: complex,
@@ -237,20 +248,30 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
 
     (X1 X2)^{a/2}/(4 pi Gamma(a+1)) * gamma_low(a+2, beta)/beta^{a+2} with
     beta = (X1+X2)/2 + i (Y1-Y2)/2; matches the truncated-unitary edge.
+    Where the gamma ratio falls below the normal doubles and the prefactor
+    does not, their product is not known and OutOfRangeError is raised: at
+    a = 0.5 and X1 = X2 = X the ratio is in range up to X ~ 1e120, the value
+    (a+1)/(4 pi X^2) up to X ~ 1e150.  So is |beta| past 2^1022.
     """
     Z1, Z2 = complex(Z1), complex(Z2)
-    if Z1.real < 0 or Z2.real < 0:
-        raise DomainError("edge_strong requires X >= 0")
+    if not (Z1.real >= 0 and Z2.real >= 0 and cmath.isfinite(Z1) and cmath.isfinite(Z2)):
+        raise DomainError("edge_strong requires finite Z with X >= 0")
     _check("a", a)
     lpref = (_log_power(0.5 * a, Z1.real) + _log_power(0.5 * a, Z2.real)
              - math.log(4.0 * math.pi) - ln_gamma(a + 1))
     if lpref == math.inf:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
     pref = _exp_in_range(lpref)
-    beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
+    beta = complex(0.5 * Z1.real + 0.5 * Z2.real, 0.5 * Z1.imag - 0.5 * Z2.imag)
     if abs(beta) < 1e-14:
         return pref / (a + 2.0)
-    return pref * _lower_gamma_ratio(a + 2.0, beta)
+    if abs(beta) > 2.0 ** 1022:     # the continued fraction's 1/beta would be subnormal
+        raise OutOfRangeError(f"edge_strong needs |beta| <= 2^1022, got {abs(beta):.6g}")
+    ratio = _lower_gamma_ratio(a + 2.0, beta)
+    if pref and abs(ratio) < sys.float_info.min:
+        raise OutOfRangeError(f"edge_strong gamma ratio {ratio!r} at |beta| = {abs(beta):.6g} "
+                              f"is below the normal double range")
+    return pref * ratio
 
 
 def _lower_gamma_ratio(s: float, z: complex) -> complex:

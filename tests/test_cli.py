@@ -674,6 +674,8 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "prefactor e^984.473 leaves the double range"),
     (["kernel", "--kind", "bulk-strong", "--a", "1e8", "--points", "0,0"],
      "the half-line rule needs more than 16384 nodes"),
+    (["kernel", "--kind", "edge-strong", "--a", "0.5", "--points", "1e308,0"],
+     "edge_strong needs |beta| <= 2^1022, got 1e+308"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

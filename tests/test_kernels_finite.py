@@ -544,14 +544,44 @@ def test_batches_raise_at_weight_singularities(kind, singular):
 
 
 def test_streamed_diagonal_at_large_N_and_extreme_tau():
-    # the streamed sum rescales and realigns many times along the way
-    for tau, a in ((1e-6, 2.5), (0.5, 1.0), (1 - 1e-6, -0.999)):
+    # the streamed sum rescales and realigns many times along the way; its
+    # recurrence coefficients are scaled by exact powers of two, so neither
+    # the diagonal nor a row drifts from the one-point path with the degree
+    # (rounded ratios c_n/c_{n-1}, compounded, were 1.0e-11 off at
+    # gegenbauer a = 2.5, tau = 1 - 1e-6)
+    for tau in (1e-6, 0.5, 1 - 1e-6):
         geo = EllipseGeometry(tau)
-        kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, a), geo, 3000)
-        pts = [0.0, 0.5 * geo.semi_x, complex(0.2 * geo.semi_x, 0.5 * geo.semi_y),
-               0.999 * geo.semi_x]
-        ref = np.array([kern.eval(z, z).real for z in pts])
-        np.testing.assert_allclose(kern.diagonal(pts), ref, rtol=1e-9, atol=0.0)
+        for kind in PolyKind:
+            for a in ((-0.999, 2.5) if kind in A_KINDS else (0.0,)):
+                kern = FiniteKernel(GasFamily(kind, a), geo, 3000)
+                pts = [0.0, 0.5 * geo.semi_x, complex(0.2 * geo.semi_x, 0.5 * geo.semi_y),
+                       0.999 * geo.semi_x]
+                ref = np.array([kern.eval(z, z).real for z in pts])
+                np.testing.assert_allclose(kern.diagonal(pts), ref, rtol=1e-13, atol=0.0)
+                row = kern.eval_batch(pts[2], pts)
+                ref_row = np.array([kern.eval(pts[2], z) for z in pts])
+                assert np.all(np.abs(row - ref_row) <= 1e-13 * np.sqrt(ref[2] * ref))
+
+
+@pytest.mark.parametrize("kind,a,tau,N", [
+    pytest.param(PolyKind.GEGENBAUER, 800.0, 0.4, 281, id="gegenbauer-a800-tau0.4-N281"),
+    pytest.param(PolyKind.JACOBI_MINUS, 300.0, 0.7, 200, id="jacobi-minus-a300-tau0.7-N200"),
+    pytest.param(PolyKind.GEGENBAUER, 2.5, 1 - 1e-6, 3000, id="gegenbauer-a2.5-tau1-1e-6-N3000")])
+def test_a_streamed_value_does_not_depend_on_its_batch(kind, a, tau, N):
+    # density_grid copies mirrored cells from streamed values, so a point's
+    # value must be the same bits in any batch.  These points rescale their
+    # recurrence pairs at different degrees: a factor folded over the batch
+    # between rescales would make values depend on their neighbours
+    geo = EllipseGeometry(tau)
+    kern = FiniteKernel(GasFamily(kind, a), geo, N)
+    pts = np.array(interior_points(geo, 400, np.random.default_rng(2)))
+    diag = kern.diagonal(pts).view(np.int64)
+    row = kern.eval_batch(pts[0], pts).view(np.int64).reshape(-1, 2)
+    parts = [*np.arange(40).reshape(20, 2), *np.array_split(np.random.default_rng(3).permutation(400), 7)]
+    for part in parts:
+        assert np.array_equal(kern.diagonal(pts[part]).view(np.int64), diag[part])
+        assert np.array_equal(kern.eval_batch(pts[0], pts[part]).view(np.int64).reshape(-1, 2),
+                              row[part])
 
 
 # ------------------------------------------------- the store of point tables
@@ -730,29 +760,34 @@ def test_log_c_matches_a_30_digit_gegenbauer_norm_to_n_1e4(a):
 
 
 def test_kernel_near_the_wall_at_N_1e4_matches_a_40_digit_sum():
-    # points with ellipse deficit 1e-3 .. 1e-2, where the terms near n = N
+    # points with ellipse deficit 1e-4 .. 1e-2, where the terms near n = N
     # dominate; eval takes the one-point path, diagonal the streamed one.  The
     # weight is the library's, so that the check is on the sum: the deficit
-    # rounds to a relative eps/deficit, up to 1.2e-13 at these points
+    # rounds to a relative eps/deficit, about 1e-12 at these points
     mpmath = pytest.importorskip("mpmath")
     a, tau, N = 0.5, 0.5, 10_000
     geo = EllipseGeometry(tau)
-    gas = GasFamily(PolyKind.GEGENBAUER, a)
     pts = [math.sqrt(1 - d) * complex(geo.semi_x * math.cos(th), geo.semi_y * math.sin(th))
-           for d, th in ((1e-3, 0.3), (3e-3, 1.2), (1e-2, 2.5))]
-    assert all(1e-3 <= ellipse_deficit(geo, z) <= 1.001e-2 for z in pts)
-    refs = []
-    with mpmath.workdps(40):
-        norms = _gegenbauer_raw_norms_mp(a, tau, N)
-        for z in pts:
-            vals = _gegenbauer_mp(a, mpmath.mpc(z), N)
-            total = mpmath.fsum(abs(c) ** 2 / h for c, h in zip(vals, norms))
-            refs.append(float(weight(gas, geo, z) * total))
-    kern = FiniteKernel(gas, geo, N)
-    refs = np.array(refs)
-    one = np.array([kern.eval(z, z) for z in pts])
-    assert np.all(np.abs(one - refs) <= 1e-13 * refs)
-    assert np.all(np.abs(kern.diagonal(pts) - refs) <= 1e-13 * refs)
+           for d, th in ((1e-4, 0.7), (1e-3, 0.3), (3e-3, 1.2), (1e-2, 2.5))]
+    assert all(0.99e-4 <= ellipse_deficit(geo, z) <= 1.001e-2 for z in pts)
+    for kind in A_KINDS:
+        gas = GasFamily(kind, a)
+        with mpmath.workdps(40):
+            zs = [mpmath.mpc(z) for z in pts]
+            if kind is PolyKind.GEGENBAUER:
+                norms = _gegenbauer_raw_norms_mp(a, tau, N)
+                vals = [_gegenbauer_mp(a, z, N) for z in zs]
+            else:
+                off = 2 if kind is PolyKind.JACOBI_PLUS else 1
+                norms = _jacobi_raw_norms_mp(a, off, tau, N)
+                vals = _jacobi_mp(a, off, zs, N)
+            refs = np.array([float(weight(gas, geo, z)
+                                   * mpmath.fsum(abs(c) ** 2 / h for c, h in zip(p, norms)))
+                             for z, p in zip(pts, vals)])
+        kern = FiniteKernel(gas, geo, N)
+        one = np.array([kern.eval(z, z) for z in pts])
+        assert np.all(np.abs(one - refs) <= 1e-13 * refs)
+        assert np.all(np.abs(kern.diagonal(pts) - refs) <= 3e-14 * refs)
 
 
 def _jacobi_mp(a, off, zs, N):
@@ -830,6 +865,9 @@ def test_a_pair_with_largest_terms_at_different_degrees_matches_a_40_digit_sum(k
     assert abs(kern.eval(z1, z2) - k12) <= tol
     assert abs(kern.eval(z2, z1) - k12.conjugate()) <= tol
     assert abs(kern.eval_batch(z1, [z2])[0] - k12) <= tol
+    # the two-point row is streamed against z1's kept table
+    row = kern.eval_batch(z1, [z1, z2])
+    assert abs(row[0] - k11) <= 1e-13 * k11 and abs(row[1] - k12) <= tol
     assert abs(kern.eval(z1, z1) - k11) <= 1e-13 * k11
     assert abs(kern.eval(z2, z2) - k22) <= 1e-13 * k22
 

@@ -42,6 +42,31 @@ def test_ginibre_kernel_values():
     assert ginibre_kernel(1.0, 0.0) == pytest.approx(2 / math.pi * math.exp(-1), rel=1e-14)
 
 
+@pytest.mark.parametrize("kernel, args, expect", [
+    # beta = (X1 + X2)/2 overflowed and the continued fraction never converged
+    (edge_strong, (0.5, 1e308, 1e308), OutOfRangeError),
+    # the gamma ratio underflows to 0 while the value, 1.2e-261, does not
+    (edge_strong, (0.5, 1e130, 1e130), OutOfRangeError),
+    # inf and nan were the divergence flag, nan or a RuntimeError
+    (edge_strong, (0.5, math.inf, 1.0), DomainError),
+    (edge_strong, (0.5, math.nan, 0.0), DomainError),
+    (kernel_truncated_edge, (0.5, math.inf, 1.0), DomainError),
+    # x1 - x2 overflows: math domain error from sin(inf)
+    (sine_kernel, (1e308, -1e308), OutOfRangeError),
+    (sine_kernel, (math.nan, 0.0), DomainError),
+    # u1 conj u2 overflows, 2 Im(u1 conj u2) on the diagonal does not
+    (ginibre_kernel, (1e200 + 1e200j, 1e200 + 1e200j), 2.0 / math.pi),
+    (ginibre_kernel, (math.nan, 0.0), DomainError),
+], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
+def test_closed_form_kernels_at_the_ends_of_the_double_range(kernel, args, expect):
+    # each answers correctly or raises a named error that names the kernel
+    if isinstance(expect, type):
+        with pytest.raises(expect, match=kernel.__name__):
+            kernel(*args)
+    else:
+        assert kernel(*args) == pytest.approx(expect, rel=1e-14)
+
+
 # --------------------------------------------------------------------- bulk weak
 
 def test_bulk_weak_diagonal_real_positive():
@@ -401,6 +426,10 @@ def test_edge_strong_underflows_outside_the_double_range():
     # (X1 X2)^{a/2} alone overflows at a = 500, X = 5; the whole prefactor
     # underflows to 0
     assert edge_strong(500.0, 5.0, 5.0) == 0.0
+    # at X1 = X2 = X >> a the value is (a+1)/(4 pi X^2): in range, and answered,
+    # at X = 1e100 (past X ~ 1e120 the gamma ratio underflows and it is refused)
+    assert edge_strong(0.5, 1e100, 1e100) == pytest.approx(1.5 / (4.0 * math.pi) * 1e-200,
+                                                           rel=1e-14)
 
 
 def _edge_strong_40_digits(a, Z1, Z2):
