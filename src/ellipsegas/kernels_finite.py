@@ -7,24 +7,34 @@ with p_n the Gegenbauer, Jacobi or Chebyshev polynomial of the recurrence in
 factor enters.  p_n(zbar) = conj p_n(z) because the coefficients are real.
 The recurrence carries each value as a mantissa and an exponent, so
 evaluation stays finite arbitrarily close to the wall and for N ~ 10^4.
-A single point runs the plain-Python recurrence of `scaled_sequence` once
-and keeps one feature table, F_n = q_n(z) e^-t for the orthonormal
-q_n = p_n/sqrt(h_n), scaled by its largest term e^t; a pair of points is one
-conjugate dot product of two tables, times e^(t1 + t2) and the weights.  A
-kernel keeps the checked table of each of the last `_STORE_POINTS` points it
-was asked for, so a k-point determinant runs k recurrences; at 16 B per term
-the store holds at most about 5.1 MB at N = 10^4.  A batch streams the
-family's recurrence degree by degree, vectorized over the points, aligned
-to each point's largest exponent, and never holds an [N, points] table:
-with 1/sqrt(h_n) = sigma_n 2^f_n, its coefficients scaled by powers of two
-only carry 2^f_n p_n bit for bit, and sigma_n enters each term once.  Every
-operation is per point, so a streamed value does not depend on the rest of
-its batch.  A row K_N(z1, zs) streams zs against z1's kept table.
 
-The truncated-unitary and elliptic Ginibre reference kernels add their terms
-in log space as well, aligned to the largest, with the Gaussian or wall
-prefactor folded into the exponent; the Hermite polynomials run through the
-rescaled recurrence of `polynomials`.  Both stay finite for N up to 10^4.
+A kernel builds one scaled coefficient table: with 1/sqrt(h_n) = sigma_n 2^f_n,
+the family's coefficients scaled by powers of two only carry 2^f_n p_n bit
+for bit, and sigma_n enters each term once.  Both point paths run it.  A
+single point runs it in plain Python (`_point`) and keeps one feature table
+F and one log scale s, F_n e^s = sqrt(w(z)) q_n(z) for the orthonormal
+q_n = p_n/sqrt(h_n), with the largest |F_n| in [1/2, 1); a pair of points
+is one conjugate dot product of two tables times e^(s1 + s2).  A kernel
+keeps the checked entry of each of the last `_STORE_POINTS` points it was
+asked for, so a k-point determinant runs k recurrences; at 16 B per term
+the store holds at most about 5.1 MB at N = 10^4.  A batch (`_stream`) runs
+the table degree by degree, vectorized over the points, aligned to each
+point's largest exponent, and never holds an [N, points] table; each sum is
+folded to a mantissa in [1/2, 1) before it meets its exponential.  Every
+operation is per point, so a streamed value does not depend on the rest of
+its batch.  A row K_N(z1, zs) streams zs against z1's kept table.  Every
+integer exponent becomes a log through `_plus_bits`, which rounds no
+exponent times ln 2, and a value whose log scale leaves the double range raises
+OutOfRangeError.  At N = 10^4 near the wall (deficit 1e-4 to 1e-2, a = 0.5,
+tau = 0.5) both paths are within 2.6e-14 of 40-digit sums for the
+Gegenbauer and Jacobi gases, and at a = 300, tau = 1e-6, N = 3000, where
+term exponents reach 2e4, `eval` is within 3.4e-15 and `diagonal` 1.4e-14.
+
+The truncated-unitary kernel adds its terms in log space, aligned to the
+largest, with the wall prefactor folded into the exponent.  The elliptic
+Ginibre kernel runs the orthonormal Hermite recurrence at both points, with
+no log-gamma per term, and takes the Gaussian factor in the log scale of the
+product of the two folded tables.  Both stay finite for N up to 10^4.
 """
 
 from __future__ import annotations
@@ -39,8 +49,7 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_power, contains,
                        ellipse_deficit, log_weight, log_weight_values)
-from .polynomials import (_LN2, _coefficients, _scalar_steps, _steps, log_raw_norms,
-                          scaled_sequence)
+from .polynomials import _LN2, _coefficients, _scalar_steps, _steps, log_raw_norms
 from .quadrature import _gauss_rule
 from .specialfns import ln_gamma, ln_gamma_difference
 
@@ -49,6 +58,38 @@ _STORE_POINTS = 32
 # |beta| past which kernel_truncated_edge refuses: its 64-node rule no longer
 # resolves e^(-c beta) near the imaginary axis (1e-11 off at 180)
 _TRUNCATED_EDGE_BETA_MAX = 160.0
+# ln2 as the double _LN2, in which log_raw_norms counts its exponents, split
+# into a 24-bit head, whose product with an exponent below 2^29 is exact, and its tail
+_LN2_HI = float(np.float32(_LN2))
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _plus_bits(x, bits):
+    """x + bits ln2 for integer bits, floats or arrays: every conversion of a
+    power-of-two exponent to a log.  No rounding of bits ln2 itself enters."""
+    return x + bits * _LN2_HI + bits * (_LN2 - _LN2_HI)
+
+
+def _fold(vals, bits, sigma=1.0):
+    """(F, t) with F 2^t = sigma vals 2^bits, for the integer t that puts the
+    largest |F_n| in [1/2, 1): powers of two scale F, so only sigma vals rounds."""
+    top = bits.max()
+    f = sigma * vals * np.exp2(bits - top)
+    e = math.frexp(float(np.max(np.abs(f))))[1]
+    return f * math.ldexp(1.0, -e), int(top) + e
+
+
+def _times_exp(m, s):
+    """m e^s of a kernel sum m and its log scale s, floats or arrays of one
+    shape (an array m has |m| < 1); OutOfRangeError where a value, or its
+    scale e^s, leaves the double range."""
+    if isinstance(s, float):
+        v = m * math.exp(s) if s <= _LOG_MAX else math.inf
+        if abs(v) < math.inf:
+            return v
+    elif not (s > _LOG_MAX).any():
+        return m * np.exp(s)
+    raise OutOfRangeError("a kernel value leaves the double range")
 
 
 class FiniteKernel:
@@ -59,9 +100,19 @@ class FiniteKernel:
         self.gas = gas
         self.geometry = geometry
         self.N = N
-        # log of 1/sqrt(h_n), which turns p_n into the orthonormal p_n/sqrt(h_n)
+        # log c_n of c_n = 1/sqrt(h_n), which turns p_n into the orthonormal p_n/sqrt(h_n)
         self._log_c = -0.5 * log_raw_norms(gas, geometry, N - 1)
-        # point -> (log-weight, features, scale) of `_point`
+        # c_n = sigma_n 2^f_n with f_n = floor(log2 c_n) - floor(log2 c_0), so
+        # sigma_n is within a factor 2 of c_0 = 1/sqrt(int w), far inside the
+        # double range: the family's coefficients, scaled by powers of two only (degree n by
+        # 2^(f_n - f_{n-1}), its p_{n-2} term by 2^(f_n - f_{n-2})), carry the
+        # bits of 2^f_n p_n
+        f = np.floor(self._log_c / _LN2) - math.floor(self._log_c[0] / _LN2)
+        d = np.diff(f, prepend=0.0).astype(int)
+        lin0, lin1, quad = _coefficients(gas.family, N - 1)
+        self._coefs = np.ldexp(lin0, d), np.ldexp(lin1, d), np.ldexp(quad, d + np.roll(d, 1))
+        self._sigma = np.exp(_plus_bits(self._log_c, -f))
+        # point -> (features F, log scale s) of `_point`
         self._store = OrderedDict()
 
     def _check_points(self, zs: np.ndarray) -> np.ndarray:
@@ -75,11 +126,13 @@ class FiniteKernel:
         return lw
 
     def _point(self, z: complex):
-        """(log-weight lw, features F, scale t) at one point: F_n = q_n(z) e^-t
-        for the orthonormal q_n = p_n/sqrt(h_n), n < N, with t = max_n log|q_n(z)|,
-        so the largest |F_n| is in [1/2, 1).  Checked and computed on the
-        point's first use and then read from the store; a point that fails
-        its check raises and is not stored."""
+        """(features F, log scale s) at one point, with F_n e^s = sqrt(w(z)) q_n(z)
+        for the orthonormal q_n = p_n/sqrt(h_n), n < N.  The kernel's scaled
+        table gives 2^f_n p_n(z) = v_n 2^(b_n), and F_n = sigma_n v_n 2^(b_n - t)
+        for the integer t that puts the largest |F_n| in [1/2, 1), so only
+        sigma_n v_n rounds; s = lw/2 + t ln2 is one float.  Checked and
+        computed on the point's first use and then read from the store; a
+        point that fails its check raises and is not stored."""
         key = complex(z)
         entry = self._store.get(key)
         if entry is None:
@@ -88,12 +141,9 @@ class FiniteKernel:
             lw = log_weight(self.gas, self.geometry, z)
             if lw == math.inf:
                 raise SingularPointError(f"point {z} sits on a weight singularity")
-            mant, logs = scaled_sequence(self.gas.family, self.N - 1, key)
-            logs = logs[:, 0] + self._log_c
-            t = float(np.max(logs))
-            feats = mant[:, 0] * np.exp(logs - t)
+            feats, t = _fold(*_scalar_steps(self._coefs, key), self._sigma)
             feats.flags.writeable = False
-            entry = (lw, feats, t)
+            entry = (feats, _plus_bits(0.5 * lw, t))
             while len(self._store) >= _STORE_POINTS:
                 self._store.popitem(last=False)
             self._store[key] = entry
@@ -101,45 +151,32 @@ class FiniteKernel:
 
     def _pair(self, z1, z2):
         """K_N(z1, z2) of two single points as one product of their feature
-        tables, sum_n F_n(z1) conj F_n(z2) e^(t1 + t2 + (lw1 + lw2)/2); the
-        real K_N(z2, z2) when z1 is None or equal to z2.  z1 is checked first."""
+        tables, sum_n F_n(z1) conj F_n(z2) e^(s1 + s2); the real K_N(z2, z2)
+        when z1 is None or equal to z2.  z1 is checked first."""
         if z1 is not None:
-            lw1, f1, t1 = self._point(z1)
-        lw2, f2, t2 = self._point(z2)
+            f1, s1 = self._point(z1)
+        f2, s2 = self._point(z2)
         if z1 is None or z1 == z2:
-            v = f2.view(float)
-            return float(np.dot(v, v)) * math.exp(2.0 * t2 + lw2)
-        return complex(np.vdot(f2, f1)) * math.exp(t1 + t2 + 0.5 * (lw1 + lw2))
+            return _times_exp(float(np.vdot(f2, f2).real), 2.0 * s2)
+        return _times_exp(complex(np.vdot(f2, f1)), s1 + s2)
 
     def _stream(self, zs: np.ndarray, f1=None):
-        """(acc, log scale) of sum_n |q_n(zs)|^2, or of sum_n f1_n conj q_n(zs)
-        for a first point's kept feature table f1 from `_point`, with
-        q_n = p_n/sqrt(h_n).
+        """(acc, bits) with acc 2^bits the sum over n of sigma_n^2 |P_n(zs)|^2,
+        or of f1_n sigma_n conj P_n(zs) for a first point's kept feature table
+        f1 from `_point`, where P_n = 2^f_n p_n comes from the kernel's scaled
+        table, so sigma_n multiplies each term once.
 
-        1/sqrt(h_n) = sigma_n 2^f_n with f_n = floor(log2 c_n) - floor(log2 c_0):
-        the family's coefficients, scaled by powers of two only (degree n by
-        2^(f_n - f_{n-1}), its p_{n-2} term by 2^(f_n - f_{n-2})), carry the
-        bits of 2^f_n p_n, and the per-degree scalar sigma_n^2, or f1_n sigma_n,
-        multiplies each term once.  Each point accumulates in units of 2^top,
-        its largest term exponent so far; top and the term factor change only
-        when its recurrence pair is rescaled.  Every operation is per point,
-        so a value does not depend on the rest of its batch.
+        Each point accumulates in units of 2^top, its largest term exponent
+        so far; top and the term factor change only when its recurrence pair
+        is rescaled.  Every operation is per point, so a value does not
+        depend on the rest of its batch.
         """
-        f = np.floor(self._log_c / _LN2) - math.floor(self._log_c[0] / _LN2)
-        d = np.diff(f, prepend=0.0).astype(int)
-        lin0, lin1, quad = _coefficients(self.gas.family, self.N - 1)
-        coefs = np.ldexp(lin0, d), np.ldexp(lin1, d), np.ldexp(quad, d + np.roll(d, 1))
-        # log c_n - f_n ln2, with ln2 the double _LN2 in which log_raw_norms
-        # counts its exponents, split into a 24-bit head whose product with
-        # f_n is exact and a tail: no rounding of f_n ln2 enters sigma_n
-        hi = float(np.float32(_LN2))
-        log_sigma = self._log_c - f * hi - f * (_LN2 - hi)
-        scalars = np.exp(2.0 * log_sigma) if f1 is None else f1 * np.exp(log_sigma)
+        scalars = self._sigma * self._sigma if f1 is None else f1 * self._sigma
         acc = np.zeros(zs.shape, dtype=scalars.dtype)
         term = np.empty_like(acc)
         # every exponent is 0 until the first rescale, and fac None stands for 1
         top, fac = np.zeros(zs.shape), None
-        for s_n, (vals, mag, bits, rescaled) in zip(scalars.tolist(), _steps(coefs, zs)):
+        for s_n, (vals, mag, bits, rescaled) in zip(scalars.tolist(), _steps(self._coefs, zs)):
             if rescaled:
                 expo = bits * (2.0 if f1 is None else 1.0)     # a copy: _steps reuses bits
                 new = np.maximum(top, expo)
@@ -153,20 +190,22 @@ class FiniteKernel:
                 term *= fac
             term *= s_n
             acc += term
-        return acc, top * _LN2
+        return acc, top
 
     def _kernel(self, z1, zs: np.ndarray) -> np.ndarray:
         """K_N(z1, zs[i]), or the diagonal K_N(zs[i], zs[i]) when z1 is None,
         with z1 checked before zs.  A single point is checked and kept by
         `_point` and evaluated by `_pair`, as `eval` is; a batch is checked as
-        a whole and streamed against z1's kept table."""
+        a whole and streamed against z1's kept table.  Each streamed sum is
+        folded to a mantissa in [1/2, 1) before it meets its exponential."""
         if len(zs) == 1:
             return np.array([self._pair(z1, zs[0])])
-        lw1, f1, t1 = (None, None, 0.0) if z1 is None else self._point(z1)
+        # the log scale of a value is s1 + c lw(zs) plus the bits of its sum
+        f1, s1, c = (None, 0.0, 1.0) if z1 is None else (*self._point(z1), 0.5)
         lws = self._check_points(zs)
         acc, top = self._stream(zs, f1)
-        lw = lws if z1 is None else 0.5 * (lw1 + lws)
-        return acc * np.exp(top + t1 + lw)
+        e = np.frexp(np.abs(acc))[1]
+        return _times_exp(acc * np.exp2(-e), _plus_bits(s1 + c * lws, top + e))
 
     def __call__(self, z1: complex, z2: complex) -> complex:
         return self.eval(z1, z2)
@@ -290,25 +329,32 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
     return pref * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
 
 
-def _hermite_coefficients(n_max: int):
-    """(alpha_n, beta_n, gamma_n) of the physicists' Hermite recurrence
-    H_n = 2z H_{n-1} - 2(n-1) H_{n-2}, in the form of `polynomials._coefficients`."""
-    return np.zeros(n_max + 1), np.full(n_max + 1, 2.0), -2.0 * (np.arange(n_max + 1) - 1.0)
+def _hermite_coefficients(tau: float, n_max: int):
+    """(alpha_n, beta_n, gamma_n), in the form of `polynomials._coefficients`,
+    of u_n = z u_{n-1}/sqrt(n) - tau sqrt((n-1)/n) u_{n-2}: the Hermite
+    functions u_n = (tau/2)^(n/2) H_n(z/sqrt(2 tau))/sqrt(n!), orthonormal
+    under exp(-x^2/(1+tau) - y^2/(1-tau))/(pi sqrt(1-tau^2))."""
+    n = np.maximum(np.arange(n_max + 1.0), 1.0)     # 1 at the unused index 0
+    return np.zeros(n_max + 1), 1.0 / np.sqrt(n), -tau * np.sqrt((n - 1.0) / n)
 
 
 def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> complex:
     """Elliptic Ginibre kernel (Hermite sum, whole plane); the a -> infinity
-    target of the Gegenbauer gas under the sqrt(2 tau a) rescaling."""
+    target of the Gegenbauer gas under the sqrt(2 tau a) rescaling.
+
+    The sum over n < N of u_n(z1) u_n(conj z2) runs the orthonormal Hermite
+    recurrence of `_hermite_coefficients` at both points, so no term takes a
+    log-gamma.  Each point's table is folded as `_point` folds its own, and
+    their exponents join the log of the Gaussian factor in one log scale.
+    At tau = 0.5, N = 3000, z1 = z2 = 30+20i, where the terms peak near e^1400,
+    it is within 4.6e-14 of a 50-digit sum.  A value past the double range
+    raises OutOfRangeError.
+    """
     _check("tau", tau)
     _check("N", N)
-    coefs = _hermite_coefficients(N - 1)
-    m1, b1 = _scalar_steps(coefs, z1 / math.sqrt(2 * tau))
-    m2, b2 = _scalar_steps(coefs, np.conj(z2) / math.sqrt(2 * tau))
-    n = np.arange(N)
-    lt = n * math.log(tau / 2) - ln_gamma(n + 1) + (b1 + b2) * _LN2
-    top = np.max(lt)
-    s = complex(np.sum(np.exp(lt - top) * m1 * m2))
+    coefs = _hermite_coefficients(tau, N - 1)
+    (f1, t1), (f2, t2) = (_fold(*_scalar_steps(coefs, z)) for z in (z1, np.conj(z2)))
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
-    pref = math.exp(top - (x1 * x1 + x2 * x2) / (2 * (1 + tau))
-                    - (y1 * y1 + y2 * y2) / (2 * (1 - tau)))
-    return pref * s / (math.pi * math.sqrt(1 - tau * tau))
+    log_g = -(x1 * x1 + x2 * x2) / (2 * (1 + tau)) - (y1 * y1 + y2 * y2) / (2 * (1 - tau))
+    return _times_exp(complex(np.dot(f1, f2)) / (math.pi * math.sqrt(1 - tau * tau)),
+                      _plus_bits(log_g, t1 + t2))

@@ -12,7 +12,7 @@ from ellipsegas import (EllipseGeometry, FiniteKernel, GasFamily, GridSpec, Limi
                         global_rot_t, global_rot_u, global_rot_v, kernel_elliptic_ginibre,
                         kernel_truncated, kernel_truncated_limit, sine_kernel)
 from ellipsegas.cli import _REFERENCE_KINDS, main
-from ellipsegas.errors import DomainError
+from ellipsegas.errors import DomainError, OutOfRangeError
 
 
 def run(args):
@@ -379,6 +379,29 @@ def test_kernel_out_of_range_limit_exits_2(tmp_path, capsys):
                 "--output", str(out)]) == 2
     assert "double range" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_finite_kernel_values_past_the_double_range_raise_and_exit_2(tmp_path, capsys):
+    # 1 + 5e-324i lies inside the ellipse and off the focus z = 1, where the
+    # chebyshev-t weight 1/|1 - z^2| is about 1e323; the density grid has the
+    # cells -1 +- 5e-324i, where the chebyshev-v weight 1/|1 + z| is about 2e323.
+    # Every entry refuses where a log scale leaves the double range
+    z = 1 + 5e-324j
+    kern = FiniteKernel(GasFamily(PolyKind.CHEBYSHEV_T), EllipseGeometry(0.5), 10)
+    for call in (lambda: kern.eval(z, z), lambda: kern.diagonal([z]),
+                 lambda: kern.diagonal([z, 0.1]), lambda: kern.eval_batch(z, [z, 0.1])):
+        with pytest.raises(OutOfRangeError, match="double range"):
+            call()
+    out = tmp_path / "out"
+    for argv in (["kernel", "--kind", "finite", "--family", "chebyshev-t", "--tau", "0.5",
+                  "--N", "10", "--points", "1,5e-324"],
+                 ["density", "--family", "chebyshev-v", "--tau", "0.5", "--N", "10",
+                  "--nx", "3", "--ny", "2", "--xmin=-1.5", "--xmax=-0.5",
+                  "--ymin=-1e-323", "--ymax=1e-323"]):
+        assert run(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "double range" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_kernel_non_finite_value_exits_2(tmp_path, capsys, monkeypatch):

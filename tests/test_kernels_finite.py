@@ -288,6 +288,26 @@ def test_elliptic_ginibre_finite_and_converged_at_large_N(N):
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+def _elliptic_ginibre_mp(tau, N, z1, z2):
+    """The elliptic Ginibre kernel as the sum of its N Hermite terms
+    (tau/2)^n H_n(u1) H_n(u2)/n!, u1 = z1/sqrt(2 tau), u2 = conj z2/sqrt(2 tau),
+    in the current mpmath precision."""
+    import mpmath
+    t = mpmath.mpf(tau)
+    u1 = mpmath.mpc(z1) / mpmath.sqrt(2 * t)
+    u2 = mpmath.conj(mpmath.mpc(z2)) / mpmath.sqrt(2 * t)
+    h1, h2, coef, total = [0, mpmath.mpf(1)], [0, mpmath.mpf(1)], mpmath.mpf(1), 0
+    for n in range(N):
+        if n:
+            h1 = [h1[1], 2 * u1 * h1[1] - 2 * (n - 1) * h1[0]]
+            h2 = [h2[1], 2 * u2 * h2[1] - 2 * (n - 1) * h2[0]]
+            coef *= t / (2 * n)
+        total += coef * h1[1] * h2[1]
+    gauss = mpmath.exp(-(z1.real ** 2 + z2.real ** 2) / (2 * (1 + t))
+                       - (z1.imag ** 2 + z2.imag ** 2) / (2 * (1 - t)))
+    return complex(gauss * total / (mpmath.pi * mpmath.sqrt(1 - t * t)))
+
+
 def test_elliptic_ginibre_matches_high_precision_sum():
     # at tau = 0.9 the coefficients (tau/2)^n/n! leave the double range before
     # the Hermite products do; a 50-digit sum of the same N terms is the reference
@@ -296,22 +316,23 @@ def test_elliptic_ginibre_matches_high_precision_sum():
 
     def reference(z1, z2):
         with mpmath.workdps(50):
-            t = mpmath.mpf(tau)
-            u1 = mpmath.mpc(z1) / mpmath.sqrt(2 * t)
-            u2 = mpmath.conj(mpmath.mpc(z2)) / mpmath.sqrt(2 * t)
-            h1, h2, total = [0, mpmath.mpf(1)], [0, mpmath.mpf(1)], 0
-            for n in range(N):
-                if n:
-                    h1 = [h1[1], 2 * u1 * h1[1] - 2 * (n - 1) * h1[0]]
-                    h2 = [h2[1], 2 * u2 * h2[1] - 2 * (n - 1) * h2[0]]
-                total += (t / 2) ** n / mpmath.factorial(n) * h1[1] * h2[1]
-            gauss = mpmath.exp(-(z1.real ** 2 + z2.real ** 2) / (2 * (1 + t))
-                               - (z1.imag ** 2 + z2.imag ** 2) / (2 * (1 - t)))
-            return complex(gauss * total / (mpmath.pi * mpmath.sqrt(1 - t * t)))
+            return _elliptic_ginibre_mp(tau, N, z1, z2)
 
     for z1, z2 in [(0j, 0j), (0.4 + 0.3j, -0.6 - 0.1j), (3 + 1j, 3 + 1j), (1.5 - 0.7j, 0.8 + 1.1j)]:
         scale = math.sqrt(abs(reference(z1, z1) * reference(z2, z2)))
         assert abs(kernel_elliptic_ginibre(tau, N, z1, z2) - reference(z1, z2)) <= 1e-13 * scale
+
+
+def test_elliptic_ginibre_far_out_at_N_3000_matches_a_40_digit_sum():
+    # |z|^2 = 1300, so the terms peak near n = 1300 at about e^1400 and the
+    # Gaussian takes e^-1400 back: the orthonormal recurrence carries no
+    # log-gamma, whose rounding near n log n ~ 2e4 left the sum 1.3e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    tau, N, z = 0.5, 3000, 30 + 20j
+    with mpmath.workdps(40):
+        ref = _elliptic_ginibre_mp(tau, N, z, z)
+    got = kernel_elliptic_ginibre(tau, N, z, z)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_gegenbauer_to_elliptic_ginibre_limit():
@@ -409,9 +430,9 @@ def test_kernel_survives_N_1e4_near_wall():
 
 
 def test_elliptic_ginibre_hermite_orthogonality():
-    # the Hermite functions inside the elliptic Ginibre kernel satisfy
-    # int exp(-x^2/(1+tau) - y^2/(1-tau)) H_m(z/sqrt(2tau)) H_n(zbar/sqrt(2tau))
-    #   = delta_mn n! pi sqrt(1-tau^2) (tau/2)^{-n},
+    # the orthonormal Hermite functions u_n = (tau/2)^(n/2) H_n(z/sqrt(2tau))/sqrt(n!)
+    # of the elliptic Ginibre kernel satisfy
+    # int exp(-x^2/(1+tau) - y^2/(1-tau)) u_m(z) conj u_n(z) = delta_mn pi sqrt(1-tau^2),
     # checked by tensor Gauss-Hermite quadrature over the plane
     from numpy.polynomial.hermite import hermgauss
     from ellipsegas.kernels_finite import _hermite_coefficients
@@ -427,17 +448,15 @@ def test_elliptic_ginibre_hermite_orthogonality():
     vals = np.zeros((nmax + 1, x.size, y.size), dtype=complex)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            mant, bits = _scalar_steps(_hermite_coefficients(nmax),
-                                       complex(xi, yj) / math.sqrt(2 * tau))
+            mant, bits = _scalar_steps(_hermite_coefficients(tau, nmax), complex(xi, yj))
             vals[:, i, j] = np.array(mant) * np.exp2(bits)
+    ref = math.pi * math.sqrt(1 - tau ** 2)
     for m in range(nmax + 1):
         for n in range(nmax + 1):
             integral = np.einsum("i,j,ij->", wx, wy, vals[m] * np.conj(vals[n]))
             if m != n:
-                assert abs(integral) < 1e-9 * math.exp(
-                    0.5 * (gammaln(m + 1) + gammaln(n + 1))) * (2 / tau) ** ((m + n) / 2)
+                assert abs(integral) < 1e-9
             else:
-                ref = math.factorial(n) * math.pi * math.sqrt(1 - tau ** 2) * (tau / 2) ** (-n)
                 assert integral.real == pytest.approx(ref, rel=1e-11)
 
 
@@ -600,14 +619,15 @@ def store_cases():
 
 @pytest.fixture
 def count_recurrences(monkeypatch):
-    """A list that gets one entry per scaled_sequence call of kernels_finite."""
+    """A list that gets one entry per _scalar_steps call of kernels_finite:
+    one per point recurrence."""
     calls = []
-    real = kernels_finite.scaled_sequence
+    real = kernels_finite._scalar_steps
 
-    def counting(family, n_max, z):
+    def counting(coefs, z):
         calls.append(z)
-        return real(family, n_max, z)
-    monkeypatch.setattr(kernels_finite, "scaled_sequence", counting)
+        return real(coefs, z)
+    monkeypatch.setattr(kernels_finite, "_scalar_steps", counting)
     return calls
 
 
@@ -788,6 +808,39 @@ def test_kernel_near_the_wall_at_N_1e4_matches_a_40_digit_sum():
         one = np.array([kern.eval(z, z) for z in pts])
         assert np.all(np.abs(one - refs) <= 1e-13 * refs)
         assert np.all(np.abs(kern.diagonal(pts) - refs) <= 3e-14 * refs)
+
+
+def test_eval_with_exponents_near_2e4_matches_a_40_digit_sum():
+    # at a = 300, tau = 1e-6 the terms' power-of-two exponents reach about
+    # 2e4: a float log per term, that exponent times a rounded ln 2, left
+    # eval 1.1e-12 off; the scaled table rounds only sigma_n v_n
+    mpmath = pytest.importorskip("mpmath")
+    a, tau, N = 300.0, 1e-6, 3000
+    geo = EllipseGeometry(tau)
+    gas = GasFamily(PolyKind.GEGENBAUER, a)
+    z = complex(0.3 * geo.semi_x, 0.9 * geo.semi_y)
+    with mpmath.workdps(40):
+        h = _gegenbauer_raw_norms_mp(a, tau, N)
+        p = _gegenbauer_mp(a, mpmath.mpc(z), N)
+        ref = float(weight(gas, geo, z) * mpmath.fsum(abs(c) ** 2 / hn for c, hn in zip(p, h)))
+    kern = FiniteKernel(gas, geo, N)
+    assert abs(kern.eval(z, z) - ref) <= 1e-13 * ref
+    assert abs(kern.diagonal([z, 0.1j])[0] - ref) <= 3e-14 * ref
+
+
+def test_diagonal_and_eval_underflow_at_the_same_points():
+    # at a = 800 the weight is tiny and the sums are large: each streamed sum
+    # is folded to a mantissa in [1/2, 1) before its exponential, so the
+    # diagonal underflows only where eval does, and agrees with it elsewhere
+    geo = EllipseGeometry(0.4)
+    kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 800.0), geo, 281)
+    pts = interior_points(geo, 400, np.random.default_rng(2))
+    one = np.array([kern.eval(z, z).real for z in pts])
+    batch = kern.diagonal(pts)
+    assert np.array_equal(one == 0.0, batch == 0.0)
+    normal = np.maximum(one, batch) >= np.finfo(float).tiny
+    assert normal.sum() > 300
+    assert np.all(np.abs(one - batch)[normal] <= 1e-13 * one[normal])
 
 
 def _jacobi_mp(a, off, zs, N):
