@@ -18,15 +18,20 @@ is one conjugate dot product of two tables times e^(s1 + s2).  A kernel
 keeps the checked entry of each of the last `_STORE_POINTS` points it was
 asked for, so a k-point determinant runs k recurrences; at 16 B per term
 the store holds at most about 5.1 MB at N = 10^4.  A batch (`_stream`) runs
-the table degree by degree, vectorized over the points, aligned to each
-point's largest exponent, and never holds an [N, points] table; each sum is
-folded to a mantissa in [1/2, 1) before it meets its exponential.  Every
-operation is per point, so a streamed value does not depend on the rest of
-its batch.  A row K_N(z1, zs) streams zs against z1's kept table.  Every
-integer exponent becomes a log through `_plus_bits`, which rounds no
-exponent times ln 2, and a value whose log scale leaves the double range raises
-OutOfRangeError.  At N = 10^4 near the wall (deficit 1e-4 to 1e-2, a = 0.5,
-tau = 0.5) both paths are within 2.6e-14 of 40-digit sums for the
+the table block by block, K degrees at a time, vectorized over the points,
+with one magnitude, one rescale test, one alignment to each point's largest
+exponent and one reduction per block, and never holds an [N, points] table;
+each sum is folded to a mantissa in [1/2, 1) before it meets its
+exponential.  K comes from the kernel alone (`polynomials._block_length`:
+at most 32, fewer where one step of the scaled table can grow or shrink a
+value fast), and the diagonal of 808 points at N = 300 takes about half the
+time of a degree-by-degree run.  Every operation is per point, so a
+streamed value does not depend on the rest of its batch.  A row
+K_N(z1, zs) streams zs against z1's kept table.  Every integer exponent
+becomes a log through `_plus_bits`, which rounds no exponent times ln 2,
+and a value whose log scale leaves the double range raises
+OutOfRangeError.  At N = 10^4 near the wall (deficit 1e-4 to 1e-2,
+a = 0.5, tau = 0.5) both paths are within 2.6e-14 of 40-digit sums for the
 Gegenbauer and Jacobi gases, and at a = 300, tau = 1e-6, N = 3000, where
 term exponents reach 2e4, `eval` is within 3.4e-15 and `diagonal` 1.4e-14.
 
@@ -49,7 +54,7 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_power, contains,
                        ellipse_deficit, log_weight, log_weight_values)
-from .polynomials import _LN2, _coefficients, _scalar_steps, _steps, log_raw_norms
+from .polynomials import _LN2, _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
 from .quadrature import _gauss_rule
 from .specialfns import ln_gamma, ln_gamma_difference
 
@@ -112,6 +117,8 @@ class FiniteKernel:
         lin0, lin1, quad = _coefficients(gas.family, N - 1)
         self._coefs = np.ldexp(lin0, d), np.ldexp(lin1, d), np.ldexp(quad, d + np.roll(d, 1))
         self._sigma = np.exp(_plus_bits(self._log_c, -f))
+        # degrees per block of a batch, whose points have |z| <= semi_x
+        self._block = _block_length(self._coefs, geometry.semi_x, math.log2(self._sigma.max()))
         # point -> (features F, log scale s) of `_point`
         self._store = OrderedDict()
 
@@ -166,30 +173,39 @@ class FiniteKernel:
         f1 from `_point`, where P_n = 2^f_n p_n comes from the kernel's scaled
         table, so sigma_n multiplies each term once.
 
-        Each point accumulates in units of 2^top, its largest term exponent
-        so far; top and the term factor change only when its recurrence pair
-        is rescaled.  Every operation is per point, so a value does not
-        depend on the rest of its batch.
+        The terms come block by block from `_blocks`.  Each point
+        accumulates in units of 2^top, its largest term exponent so far; top
+        and the term factor change only when its recurrence pair is rescaled,
+        which is tested once per block.  A block's terms join the sum in one
+        reduction over the rows [acc + first term; the other terms], which
+        adds them in order of degree after the sum, as a degree-by-degree
+        run does, so the values are its bits (but for subnormal parts, at
+        points with a subnormal coordinate).  Every operation is per point,
+        so a value does not depend on the rest of its batch.
         """
         scalars = self._sigma * self._sigma if f1 is None else f1 * self._sigma
+        terms = np.empty((self._block, zs.shape[0])) if f1 is None else None
         acc = np.zeros(zs.shape, dtype=scalars.dtype)
-        term = np.empty_like(acc)
         # every exponent is 0 until the first rescale, and fac None stands for 1
         top, fac = np.zeros(zs.shape), None
-        for s_n, (vals, mag, bits, rescaled) in zip(scalars.tolist(), _steps(self._coefs, zs)):
+        for n0, block, bits, rescaled in _blocks(self._coefs, zs, self._block):
             if rescaled:
-                expo = bits * (2.0 if f1 is None else 1.0)     # a copy: _steps reuses bits
+                expo = bits * (2.0 if f1 is None else 1.0)     # a copy: _blocks updates bits
                 new = np.maximum(top, expo)
                 acc *= np.exp2(top - new)
-                top, fac = new, np.exp2(expo - new)
+                # of the sum's dtype, so that no block casts it
+                top, fac = new, np.exp2(expo - new).astype(acc.dtype)
             if f1 is None:
-                np.multiply(mag, mag, out=term)
+                rows = np.abs(block, out=terms[:len(block)])
+                rows *= rows
             else:
-                np.conjugate(vals, out=term)
+                rows = np.conjugate(block, out=block)
             if fac is not None:
-                term *= fac
-            term *= s_n
-            acc += term
+                rows *= fac
+            rows *= scalars[n0:n0 + len(rows), None]
+            # acc first, then the terms in order of degree
+            rows[0] += acc
+            np.add.reduce(rows, axis=0, out=acc)
         return acc, top
 
     def _kernel(self, z1, zs: np.ndarray) -> np.ndarray:

@@ -28,8 +28,12 @@ from .specialfns import ln_gamma, ln_gamma_difference
 _LN2 = math.log(2.0)
 # a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
 # of a value, which the streamed kernel sum takes, stays finite after any
-# in-domain step; a rescale is by a power of two, so it changes no bit
+# block that `_block_length` allows; a rescale is by a power of two, so it
+# changes no bit
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -250, 2.0 ** 250
+# the most degrees a block holds: a batch's buffers take 24 B per degree and
+# point; 16 and 24 were no faster on 800 to 3200 points, and slower at N = 3000
+_BLOCK_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -111,47 +115,68 @@ def _build_coefficients(family: PolyFamily, n_max: int):
     raise DomainError(f"unknown polynomial kind {kind}")
 
 
-def _steps(coefs, zs):
-    """Run the recurrence at the points zs (1-d complex), one degree per step.
+def _block_length(coefs, radius: float, log2_scale: float = 0.0) -> int:
+    """Degrees per block of `_blocks` at points with |z| <= radius, for a sum
+    of terms 4^log2_scale |p_n|^2: at least 1 and at most `_BLOCK_MAX` and
+    the number of steps.  A block starts from a pair whose larger magnitude
+    is in [2^-250, 2^250] (or 0), and one step moves that magnitude by at
+    most a factor G = max |alpha_n| + |beta_n| radius + |gamma_n| up and
+    H = max (1 + |alpha_n| + |beta_n| radius)/|gamma_n| down, so
+    K log2 G + log2_scale <= 250 keeps every term below 2^1000 and
+    K log2 H <= 700 keeps the pair normal; a nan bound (a nan point) is
+    ignored."""
+    lin0, lin1, quad = (np.abs(c[1:]) for c in coefs)
+    lin = lin0 + lin1 * radius
+    grow = math.log2(np.max(lin + quad, initial=2.0))
+    shrink = math.log2(np.max((1.0 + lin[1:]) / quad[1:], initial=2.0))
+    return max(1, int(min(_BLOCK_MAX, len(lin), (250.0 - log2_scale) / grow, 700.0 / shrink)))
 
-    Yields (values, magnitudes, bits, rescaled) for n = 0, 1, ...: p_n(zs) =
-    values * 2^bits.  Per point the pair (p_{n-1}, p_n) shares one exponent and
-    is rescaled when its larger magnitude leaves [2^-250, 2^250]; bits changes
-    only then, and rescaled says whether it did at this step.  The yielded
-    arrays are reused, so a consumer copies what it keeps past the next step.
+
+def _blocks(coefs, zs, size: int):
+    """Run the recurrence at the points zs (1-d complex), `size` degrees per
+    block.
+
+    Yields (n0, block, bits, rescaled) in order of degree, p_0 = 1 alone
+    first: the rows of block are p_n(zs) 2^-bits for n = n0, n0 + 1, ...
+    Per point the pair (p_{n-1}, p_n) that ends a block shares one exponent
+    and is rescaled when its larger magnitude leaves [2^-250, 2^250]; bits
+    changes only then, and rescaled says whether it did since the last
+    block.  A consumer may overwrite a block; bits is updated in place, so a
+    consumer copies what it keeps past the next block.  Rescales are powers
+    of two, so where a block ends changes no bit of p_n(zs) that is not
+    subnormal.
     """
-    lin0, lin1, quad = coefs
-    prev = np.zeros(zs.shape, dtype=complex)
-    curr = np.ones(zs.shape, dtype=complex)
-    mag = np.ones(zs.shape)
+    lin0, lin1, quad = (c.tolist() for c in coefs)
+    # rows 0 and 1 carry the pair that ends the last block
+    buf = np.empty((size + 2, zs.shape[0]), dtype=complex)
+    rows, tmp = list(buf), np.empty(zs.shape, dtype=complex)
+    buf[0], buf[1] = 0.0, 1.0
     bits = np.zeros(zs.shape)
-    yield curr, mag, bits, False
-    for a_n, b_n, g_n in zip(lin0[1:].tolist(), lin1[1:].tolist(), quad[1:].tolist()):
-        nxt = b_n * zs
-        if a_n:
-            nxt += a_n
-        nxt *= curr
-        nxt += g_n * prev
-        prev, curr = curr, nxt
-        np.abs(curr, out=mag)
-        rescaled = False
-        if mag.size and (mag.max() > _RESCALE_HI or mag.min() < _RESCALE_LO):
-            big = np.maximum(mag, np.abs(prev))
-            out = (big > _RESCALE_HI) | ((big > 0.0) & (big < _RESCALE_LO))
-            if out.any():
-                k = np.frexp(big[out])[1]
-                f = np.exp2(-k)
-                prev[out] *= f
-                curr[out] *= f
-                mag[out] *= f
-                bits[out] += k
-                rescaled = True
-        yield curr, mag, bits, rescaled
+    yield 0, np.ones((1, zs.shape[0]), dtype=complex), bits, False
+    for n0 in range(1, len(lin0), size):
+        big = np.maximum(np.abs(buf[0]), np.abs(buf[1]))
+        out = (big > _RESCALE_HI) | ((big > 0.0) & (big < _RESCALE_LO))
+        rescaled = bool(out.any())
+        if rescaled:
+            e = np.frexp(big[out])[1]
+            buf[:2, out] *= np.exp2(-e)
+            bits[out] += e
+        k = min(size, len(lin0) - n0)
+        for j, n in enumerate(range(n0, n0 + k), 2):
+            row = rows[j]
+            np.multiply(lin1[n], zs, out=row)
+            if lin0[n]:
+                row += lin0[n]
+            row *= rows[j - 1]
+            np.multiply(quad[n], rows[j - 2], out=tmp)
+            row += tmp
+        buf[:2] = buf[k:k + 2]
+        yield n0, buf[2:k + 2], bits, rescaled
 
 
 def _scalar_steps(coefs, z):
     """(values, exponents) of p_0..p_n_max at one point, as arrays: the
-    recurrence of `_steps` in plain Python, which beats numpy at one point.
+    recurrence of `_blocks` in plain Python, which beats numpy at one point.
     A float z runs in float arithmetic, about 1.5x faster; its values are the
     real parts of the run at complex(z) bit for bit, because every
     coefficient is real.  The loop records only where the exponent changes."""
@@ -180,7 +205,9 @@ def _scalar_steps(coefs, z):
 
 
 def _scaled_table(coefs, z):
-    """(mantissas, logs) [n_max+1, npts] of the recurrence at points z."""
+    """(mantissas, logs) [n_max+1, npts] of the recurrence at points z: one
+    point in plain Python, several block by block, with the block length
+    that the largest |z| allows."""
     zs = np.atleast_1d(np.asarray(z)).ravel()
     if zs.shape[0] == 1:
         z0 = complex(zs[0]) if np.iscomplexobj(zs) else float(zs[0])
@@ -188,9 +215,10 @@ def _scaled_table(coefs, z):
     else:
         mant = np.empty((coefs[0].shape[0], zs.shape[0]), dtype=complex)
         logs = np.empty(mant.shape)
-        for n, (vals, _, bits, _) in enumerate(_steps(coefs, zs.astype(complex))):
-            mant[n] = vals
-            logs[n] = bits
+        size = _block_length(coefs, np.max(np.abs(zs), initial=0.0))
+        for n0, block, bits, _ in _blocks(coefs, zs.astype(complex), size):
+            mant[n0:n0 + len(block)] = block
+            logs[n0:n0 + len(block)] = bits
     # frexp-normalize once; exact zeros carry a -inf log so they can never
     # dominate the max-exponent alignment of downstream sums
     mag = np.abs(mant)
@@ -208,7 +236,8 @@ def scaled_sequence(family: PolyFamily, n_max: int, z):
     z may be a scalar or a 1-d complex array.  Per point, the recurrence pair
     shares one running exponent and is rescaled whenever it leaves
     [2^-250, 2^250]; emitted values are frexp-normalized.  One point runs a
-    plain-Python loop, several points one vectorized loop.
+    plain-Python loop, several points one vectorized loop, block by block
+    (`_blocks`), which gives the bits of a degree-by-degree run.
     """
     return _scaled_table(_coefficients(family, n_max), z)
 

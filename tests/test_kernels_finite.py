@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from scipy.special import gammaln
 
 import ellipsegas.kernels_finite as kernels_finite
-from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
+import ellipsegas.polynomials as polynomials
+from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, PolyFamily,
                         PolyKind, QuadratureSpec, SingularPointError, correlation_k,
                         ellipse_deficit, kernel_elliptic_ginibre, kernel_eval,
                         kernel_truncated, kernel_truncated_edge, kernel_truncated_limit,
                         rule_for_gas, weight)
-from ellipsegas.polynomials import log_raw_norms
+from ellipsegas.polynomials import log_raw_norms, scaled_sequence
 
 from conftest import gas_cases, interior_points, wall_points
 
@@ -601,6 +603,218 @@ def test_a_streamed_value_does_not_depend_on_its_batch(kind, a, tau, N):
         assert np.array_equal(kern.diagonal(pts[part]).view(np.int64), diag[part])
         assert np.array_equal(kern.eval_batch(pts[0], pts[part]).view(np.int64).reshape(-1, 2),
                               row[part])
+
+
+# ------------------------------- the block core against the per-degree stream
+
+_RESCALE_LO, _RESCALE_HI = 2.0 ** -250, 2.0 ** 250
+
+
+def _reference_steps(coefs, zs):
+    """The recurrence one degree per step, the reference for
+    `polynomials._blocks`: yields (values, magnitudes, bits, rescaled) for n = 0, 1, ..., with
+    p_n(zs) = values 2^bits and the pair rescaled at the first degree it
+    leaves [2^-250, 2^250].  The yielded arrays are reused."""
+    lin0, lin1, quad = coefs
+    prev = np.zeros(zs.shape, dtype=complex)
+    curr = np.ones(zs.shape, dtype=complex)
+    mag = np.ones(zs.shape)
+    bits = np.zeros(zs.shape)
+    yield curr, mag, bits, False
+    for a_n, b_n, g_n in zip(lin0[1:].tolist(), lin1[1:].tolist(), quad[1:].tolist()):
+        nxt = b_n * zs
+        if a_n:
+            nxt += a_n
+        nxt *= curr
+        nxt += g_n * prev
+        prev, curr = curr, nxt
+        np.abs(curr, out=mag)
+        rescaled = False
+        if mag.size and (mag.max() > _RESCALE_HI or mag.min() < _RESCALE_LO):
+            big = np.maximum(mag, np.abs(prev))
+            out = (big > _RESCALE_HI) | ((big > 0.0) & (big < _RESCALE_LO))
+            if out.any():
+                k = np.frexp(big[out])[1]
+                f = np.exp2(-k)
+                prev[out] *= f
+                curr[out] *= f
+                mag[out] *= f
+                bits[out] += k
+                rescaled = True
+        yield curr, mag, bits, rescaled
+
+
+def _reference_kernel(kern, z1, zs):
+    """`FiniteKernel._kernel` of a batch (two or more points) with the sum
+    streamed one degree at a time: each term is aligned and added to the
+    sum in order of degree."""
+    f1, s1, c = (None, 0.0, 1.0) if z1 is None else (*kern._point(z1), 0.5)
+    lws = kern._check_points(zs)
+    scalars = kern._sigma * kern._sigma if f1 is None else f1 * kern._sigma
+    acc = np.zeros(zs.shape, dtype=scalars.dtype)
+    term = np.empty_like(acc)
+    top, fac = np.zeros(zs.shape), None
+    for s_n, (vals, mag, bits, rescaled) in zip(scalars.tolist(), _reference_steps(kern._coefs, zs)):
+        if rescaled:
+            expo = bits * (2.0 if f1 is None else 1.0)
+            new = np.maximum(top, expo)
+            acc *= np.exp2(top - new)
+            top, fac = new, np.exp2(expo - new)
+        if f1 is None:
+            np.multiply(mag, mag, out=term)
+        else:
+            np.conjugate(vals, out=term)
+        if fac is not None:
+            term *= fac
+        term *= s_n
+        acc += term
+    e = np.frexp(np.abs(acc))[1]
+    return kernels_finite._times_exp(acc * np.exp2(-e),
+                                     kernels_finite._plus_bits(s1 + c * lws, top + e))
+
+
+def _reference_rescales(coefs, zs):
+    """Per point, the degrees at which the per-degree stream rescales."""
+    degrees = [[] for _ in zs]
+    last = np.zeros(zs.shape)
+    for n, (_, _, bits, rescaled) in enumerate(_reference_steps(coefs, zs)):
+        if rescaled:
+            for i in np.flatnonzero(bits != last):
+                degrees[i].append(n)
+            last = bits.copy()
+    return degrees
+
+
+def _assert_same_bits(kern, pts):
+    """diagonal and two rows of eval_batch against the per-degree stream,
+    bit for bit."""
+    pts = np.asarray(pts, dtype=complex)
+    assert np.array_equal(kern.diagonal(pts).view(np.int64),
+                          _reference_kernel(kern, None, pts).view(np.int64))
+    for z1 in (pts[0], pts[-1]):
+        assert np.array_equal(kern.eval_batch(z1, pts).view(np.int64),
+                              _reference_kernel(kern, z1, pts).astype(complex).view(np.int64))
+
+
+def near_wall_points(geo):
+    """Points at ellipse deficits 1e-6, 1e-3 and 1e-1, and on the real axis
+    at 0.999 semi_x."""
+    return [complex(0.6 * geo.semi_x, math.sqrt(0.64 - d) * geo.semi_y) for d in (1e-6, 1e-3, 1e-1)] \
+        + [0.999 * geo.semi_x]
+
+
+@pytest.mark.parametrize("gas,geo", [
+    pytest.param(GasFamily(kind, a), EllipseGeometry(tau), id=f"{kind.value}-a{a}-tau{tau}")
+    for tau in (1e-6, 0.5, 1 - 1e-6) for kind in PolyKind
+    for a in ((-0.999, 0.5, 300.0) if kind in A_KINDS else (0.0,))])
+def test_blocks_give_the_bits_of_the_per_degree_stream(gas, geo):
+    # rescales are powers of two and each point sums its terms in order of
+    # degree after its running sum, so a block changes no bit of a value
+    K = FiniteKernel(gas, geo, 3000)._block
+    pts = interior_points(geo, 4, np.random.default_rng(11)) + near_wall_points(geo)
+    if gas.a >= 0.0:        # for a < 0 the weight is infinite on the wall
+        pts += wall_points(geo, 2)
+    for N in sorted({1, 2, K - 1, K, K + 1, 2 * K + 1, 3000} - {0}):
+        _assert_same_bits(FiniteKernel(gas, geo, N), pts)
+
+
+@pytest.mark.parametrize("kind,a,tau", [(PolyKind.GEGENBAUER, 300.0, 1e-6),
+                                        (PolyKind.JACOBI_MINUS, 0.5, 1e-6),
+                                        (PolyKind.CHEBYSHEV_T, 0.0, 1e-3)])
+def test_a_rescale_at_a_block_end_keeps_the_bits(kind, a, tau):
+    # the per-degree stream rescales at the last degree of a block (where a
+    # block sees the same pair) and at the first degree after it (where a
+    # block rescales K - 1 degrees later) at some of these points
+    geo = EllipseGeometry(tau)
+    kern = FiniteKernel(GasFamily(kind, a), geo, 1000)
+    K = kern._block
+    pts = np.array(interior_points(geo, 60, np.random.default_rng(5), shrink=0.999))
+    ends = {n % K for degrees in _reference_rescales(kern._coefs, pts) for n in degrees}
+    assert {0, 1} <= ends
+    _assert_same_bits(kern, pts)
+
+
+def _reference_scaled_table(coefs, zs):
+    """`scaled_sequence` at a batch of points from the per-degree stream."""
+    mant = np.empty((coefs[0].shape[0], zs.shape[0]), dtype=complex)
+    logs = np.empty(mant.shape)
+    for n, (vals, _, bits, _) in enumerate(_reference_steps(coefs, zs.astype(complex))):
+        mant[n] = vals
+        logs[n] = bits
+    mag = np.abs(mant)
+    k = np.frexp(mag)[1]
+    mant *= np.exp2(-k)
+    logs += k
+    logs *= math.log(2.0)
+    logs[mag == 0.0] = -np.inf
+    return mant, logs
+
+
+@pytest.mark.parametrize("family", [PolyFamily(kind, a) for kind in PolyKind
+                                    for a in ((-0.999, 0.5, 300.0) if kind in A_KINDS else (0.0,))],
+                         ids=repr)
+def test_scaled_sequence_of_a_batch_keeps_the_bits_of_the_per_degree_stream(family):
+    # near and far points share one block length, from the largest |z|
+    near = [0.3 + 0.2j, 1.0, -1.0, 0.999999 + 1e-7j, -1.0000001, 0.0, 2.5 - 1.5j, 1e-3j]
+    for pts in (near, near + [1e6, 700.0 + 300.0j], [0.5, -2.0]):
+        zs = np.array(pts)
+        for n_max in (0, 1, 2, 31, 32, 33, 600):
+            got = scaled_sequence(family, n_max, zs)
+            ref = _reference_scaled_table(polynomials._coefficients(family, n_max), zs)
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and np.array_equal(g.view(np.int64), r.view(np.int64))
+
+
+def test_empty_batches_and_one_degree_kernels_keep_their_shapes():
+    geo = EllipseGeometry(0.5)
+    kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 0.5), geo, 10)
+    for got, shape, dtype in ((kern.diagonal([]), (0,), np.float64),
+                              (kern.diagonal(np.zeros((0, 3))), (0, 3), np.float64),
+                              (kern.eval_batch(0.1, np.zeros((2, 0))), (2, 0), np.complex128),
+                              (kern.eval_batch(0.1, []), (0,), np.complex128)):
+        assert got.shape == shape and got.dtype == dtype
+    for zs in (np.array([], dtype=complex), np.array([])):
+        mant, logs = scaled_sequence(PolyFamily(PolyKind.GEGENBAUER, 0.5), 3, zs)
+        assert (mant.shape, mant.dtype, logs.shape, logs.dtype) == \
+            ((4, 0), np.complex128, (4, 0), np.float64)
+    # N = 1: degree 0 alone, no step
+    one = FiniteKernel(GasFamily(PolyKind.JACOBI_MINUS, 0.5), geo, 1)
+    assert one._block == 1
+    pts = np.array([[0.1, 0.2 + 0.1j], [0.3j, -0.5]])
+    diag, row = one.diagonal(pts), one.eval_batch(0.1 + 0.1j, pts)
+    assert (diag.shape, diag.dtype, row.shape, row.dtype) == \
+        ((2, 2), np.float64, (2, 2), np.complex128)
+    _assert_same_bits(one, pts.ravel())
+    assert np.array_equal(diag.ravel(), [one.eval(z, z).real for z in pts.ravel()])
+
+
+@pytest.mark.parametrize("kind", A_KINDS)
+@pytest.mark.parametrize("a", [-0.999, 300.0])
+def test_block_length_and_values_at_N_1e4_and_tau_1e_6(kind, a):
+    geo = EllipseGeometry(1e-6)
+    kern = FiniteKernel(GasFamily(kind, a), geo, 10_000)
+    assert 1 <= kern._block <= 32
+    pts = interior_points(geo, 6, np.random.default_rng(8)) + near_wall_points(geo)
+    assert np.all(np.isfinite(kern.diagonal(pts)))
+    assert np.all(np.isfinite(kern.eval_batch(pts[0], pts)))
+
+
+def test_a_batch_holds_blocks_not_an_N_by_points_table():
+    # the recurrence buffer holds K + 2 complex rows and the diagonal's terms
+    # K real rows, so a batch peaks near 1.5 K points 16 B plus a few
+    # point-sized vectors (2.25 K points 16 B measured at K = 32); an
+    # [N, points] table would be 10^4 points 16 B
+    geo = EllipseGeometry(0.5)
+    kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 0.5), geo, 10_000)
+    pts = np.array(interior_points(geo, 4096, np.random.default_rng(4)))
+    kern.diagonal(pts[:2])
+    tracemalloc.start()
+    try:
+        kern.diagonal(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * kern._block * len(pts) * 16
 
 
 # ------------------------------------------------- the store of point tables
