@@ -56,8 +56,10 @@ class ScaledValue:
         z = complex(z)
         if z == 0:
             return ScaledValue(0.0, 0.0)
+        # in two factors: 2^-k is past the double range where z is subnormal
         _, k = math.frexp(abs(z))
-        return ScaledValue(z * 2.0 ** (-k), k * _LN2)
+        step = min(-k, 1000)
+        return ScaledValue(z * 2.0 ** step * 2.0 ** (-k - step), k * _LN2)
 
 
 def _jacobi_coefficients(alpha: float, gamma: float, n_max: int):
@@ -133,8 +135,9 @@ def _block_length(coefs, radius: float, log2_scale: float = 0.0) -> int:
 
 
 def _blocks(coefs, zs, size: int):
-    """Run the recurrence at the points zs (1-d complex), `size` degrees per
-    block.
+    """Run the recurrence at the points zs (1-d), `size` degrees per block,
+    in their dtype: real points, such as the nodes of a Gauss rule, run in
+    real arithmetic.
 
     Yields (n0, block, bits, rescaled) in order of degree, p_0 = 1 alone
     first: the rows of block are p_n(zs) 2^-bits for n = n0, n0 + 1, ...
@@ -148,11 +151,11 @@ def _blocks(coefs, zs, size: int):
     """
     lin0, lin1, quad = (c.tolist() for c in coefs)
     # rows 0 and 1 carry the pair that ends the last block
-    buf = np.empty((size + 2, zs.shape[0]), dtype=complex)
-    rows, tmp = list(buf), np.empty(zs.shape, dtype=complex)
+    buf = np.empty((size + 2, zs.shape[0]), dtype=zs.dtype)
+    rows, tmp = list(buf), np.empty_like(zs)
     buf[0], buf[1] = 0.0, 1.0
     bits = np.zeros(zs.shape)
-    yield 0, np.ones((1, zs.shape[0]), dtype=complex), bits, False
+    yield 0, np.ones((1, zs.shape[0]), dtype=zs.dtype), bits, False
     for n0 in range(1, len(lin0), size):
         big = np.maximum(np.abs(buf[0]), np.abs(buf[1]))
         out = (big > _RESCALE_HI) | ((big > 0.0) & (big < _RESCALE_LO))
@@ -219,11 +222,15 @@ def _scaled_table(coefs, z):
         for n0, block, bits, _ in _blocks(coefs, zs.astype(complex), size):
             mant[n0:n0 + len(block)] = block
             logs[n0:n0 + len(block)] = bits
-    # frexp-normalize once; exact zeros carry a -inf log so they can never
-    # dominate the max-exponent alignment of downstream sums
+    # frexp-normalize once; a subnormal mantissa takes 2^-k in two factors,
+    # as one is past the double range.  Exact zeros carry a -inf log so they
+    # can never dominate the max-exponent alignment of downstream sums
     mag = np.abs(mant)
     k = np.frexp(mag)[1]
-    mant *= np.exp2(-k)
+    step = np.minimum(-k, 1000)
+    mant *= np.exp2(step)
+    sub = step != -k
+    mant[sub] *= np.exp2(-k[sub] - step[sub])
     logs += k
     logs *= _LN2
     logs[mag == 0.0] = -np.inf

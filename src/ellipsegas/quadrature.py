@@ -15,7 +15,10 @@ Two product rules cover all five weights:
 
 Both rules place the singular factors in the node/weight construction and
 divide them back out, so callers pass the raw integrand including the
-weight.  Summation order is fixed (numpy pairwise over a frozen node
+weight.  Their Gauss-Jacobi rules, and the Legendre rules of `integrate_c`,
+run no recurrence of their own: `_jacobi_rule` takes the Jacobi
+coefficients and the block core, with its rescale window, from
+`polynomials`.  Summation order is fixed (numpy pairwise over a frozen node
 ordering), making results independent of any data-parallel evaluation.
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
 from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, joukowsky
-from .polynomials import _jacobi_coefficients
+from .polynomials import _LN2, _block_length, _blocks, _jacobi_coefficients
 from .specialfns import ln_gamma
 
 UNIT_INTERVAL = "unit_interval"
@@ -65,70 +68,61 @@ def _read_only(*arrays):
     return arrays
 
 
-def _jacobi_values(n: int, alpha: float, beta: float, x: np.ndarray):
-    """(P_n, P_n', log scale) of the Jacobi polynomial P_n^(alpha, beta) at the
-    nodes x by its three-term recurrence; P_n and P_n' are the true values
-    times exp(-scale).  A step grows them by less than 2^8 on [-1, 1], so a
-    check every 32 steps against 2^500 keeps them finite."""
-    lin0, lin1, quad = (c.tolist() for c in _jacobi_coefficients(alpha, beta, n))
-    p0, p1 = np.zeros_like(x), np.ones_like(x)
-    d0, d1 = np.zeros_like(x), np.zeros_like(x)
-    scale = np.zeros_like(x)
-    for k in range(1, n + 1):
-        a = lin0[k] + lin1[k] * x
-        p0, p1 = p1, a * p1 + quad[k] * p0
-        d0, d1 = d1, lin1[k] * p0 + a * d1 + quad[k] * d0
-        if k % 32 == 0 and np.max(np.abs(d1)) > 2.0 ** 500:
-            big = np.abs(d1) > 2.0 ** 500
-            s = np.where(big, 2.0 ** -500, 1.0)
-            p0, p1, d0, d1 = p0 * s, p1 * s, d0 * s, d1 * s
-            scale += np.where(big, 500 * math.log(2.0), 0.0)
-    return p1, d1, scale
+def _top_degree(coefs, x: np.ndarray):
+    """(v, bits) with v 2^bits the last degree of the recurrence `coefs` at
+    the nodes x, from the block core of `polynomials`."""
+    for _, block, bits, _ in _blocks(coefs, x, _block_length(coefs, 1.0)):
+        pass
+    return block[-1], bits
 
 
 def _jacobi_rule(n: int, alpha: float, beta: float):
     """n-node Gauss-Jacobi rule for (1-x)^alpha (1+x)^beta on [-1, 1].
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix, polished by two Newton steps on the recurrence.  The Legendre nodes
-    start instead from Tricomi's approximation, off by O(n^-4), and take
-    three Newton steps: the dense eigenvalue solve costs O(n^3), 0.1-7 s at
-    n = 1024 depending on the load of a 2-vCPU VM.  The weights are taken
-    from the derivative formula 2^(alpha+beta+1) Gamma(n+alpha+1)
-    Gamma(n+beta+1) / (Gamma(n+alpha+beta+1) n! (1-x^2) P_n'(x)^2), with the
-    Gamma factors through ln_gamma.  A symmetric weight gets symmetric nodes
-    and weights.
+    The recurrence is the one of `polynomials`: its coefficients give the
+    Golub-Welsch matrix, whose eigenvalues are the nodes, and its block core
+    gives P_n and, by DLMF 18.9.15, P_n' = (n+alpha+beta+1)/2
+    P_(n-1)^(alpha+1, beta+1) at them, for two Newton steps.  The Legendre
+    nodes start instead from Tricomi's approximation, off by O(n^-4), and
+    take three Newton steps: the dense eigenvalue solve costs O(n^3), 0.1-7 s
+    at n = 1024 depending on the load of a 2-vCPU VM.  The weights are
+    proportional to 1/((1-x^2) P_n'(x)^2), with the run's exponent applied by
+    ldexp, so no power 2^bits is formed, and sum to 2^(alpha+beta+1)
+    B(alpha+1, beta+1); OutOfRangeError where that sum leaves the double
+    range (alpha or beta past about 1033 when the other is 0).  A symmetric
+    weight gets symmetric nodes and weights.
     """
     ab = alpha + beta
+    log_total = ((ab + 1.0) * _LN2 + ln_gamma(alpha + 1.0) + ln_gamma(beta + 1.0)
+                 - ln_gamma(ab + 2.0))
+    if log_total > math.log(np.finfo(float).max):
+        raise OutOfRangeError(f"the Gauss-Jacobi weights for alpha = {alpha:g}, beta = {beta:g} "
+                              f"sum to e^{log_total:.6g}, past the double range")
+    coefs = _jacobi_coefficients(alpha, beta, n)
+    derivative = _jacobi_coefficients(alpha + 1.0, beta + 1.0, n - 1)
     if alpha == beta == 0.0:
         theta = math.pi * (4.0 * np.arange(n, 0, -1) - 1.0) / (4.0 * n + 2.0)
         x = (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3)) * np.cos(theta)
         newton = 3
     else:
-        k = np.arange(1.0, n)
-        diag = np.empty(n)
-        diag[0] = (beta - alpha) / (ab + 2.0)
-        c = 2.0 * k + ab
-        diag[1:] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
-        off = np.empty(n - 1)
-        off[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab)))
-        kk, cc = k[1:], c[1:]
-        off[1:] = np.sqrt(4.0 * kk * (kk + alpha) * (kk + beta) * (kk + ab)
-                          / (cc * cc * (cc + 1.0) * (cc - 1.0)))
-        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        lin0, lin1, quad = coefs
+        off = np.sqrt(-quad[2:] / (lin1[1:-1] * lin1[2:]))
+        x = np.linalg.eigvalsh(np.diag(-lin0[1:] / lin1[1:]) + np.diag(off, 1) + np.diag(off, -1))
         newton = 2
     for _ in range(newton):
-        p, dp, _ = _jacobi_values(n, alpha, beta, x)
-        x = x - p / dp
-    _, dp, scale = _jacobi_values(n, alpha, beta, x)
-    log_c = ((ab + 1.0) * math.log(2.0) + ln_gamma(n + alpha + 1.0) + ln_gamma(n + beta + 1.0)
-             - ln_gamma(n + ab + 1.0) - ln_gamma(n + 1.0))
-    w = np.exp(log_c - np.log((1.0 - x) * (1.0 + x)) - 2.0 * (np.log(np.abs(dp)) + scale))
-    # the weights sum to int (1-x)^alpha (1+x)^beta; as in scipy, this sets the
-    # weight of a node next to an endpoint where alpha or beta is near -1,
-    # whose 1 - x^2 the nodes' last bits leave uncertain
-    w *= math.exp((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0) + ln_gamma(beta + 1.0)
-                  - ln_gamma(ab + 2.0)) / np.sum(w)
+        (p, p_bits), (q, q_bits) = _top_degree(coefs, x), _top_degree(derivative, x)
+        x = x - np.ldexp(p / q, (p_bits - q_bits).astype(int)) / (0.5 * (n + ab + 1.0))
+    # w = C / ((1-x^2) P_n'^2), with C set by the known sum: as in scipy, that
+    # sets the weight of a node next to an endpoint where alpha or beta is
+    # near -1, whose 1 - x^2 the nodes' last bits leave uncertain.  With P_n'
+    # a multiple of m 2^(e + bits), m in [1/2, 1), and C = c 2^k, every power
+    # of two is an integer exponent that ldexp applies exactly
+    q, q_bits = _top_degree(derivative, x)
+    m, e = np.frexp(q)
+    e = -2 * (e + q_bits.astype(int))
+    r = 1.0 / ((1.0 - x) * (1.0 + x) * m * m)
+    c, k = math.frexp(math.exp(log_total) / np.sum(np.ldexp(r, e - e.max())))
+    w = np.ldexp(r * c, e - e.max() + k)
     if alpha == beta:
         x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
     return x, w
@@ -181,6 +175,8 @@ def _c_rule(domain: str, spec: QuadratureSpec, truncation: float | None = None,
 def _disc_rule(tau: float, a: float, nr: int, nth: int):
     geo = EllipseGeometry(tau)
     xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
+    if a + 1.0 >= 1024.0:
+        raise OutOfRangeError(f"the disc rule's factor 2^(a+1) leaves the double range at a = {a:g}")
     t = (xj + 1.0) / 2.0                      # t = r^2
     wt = wj / 2.0 ** (a + 1.0)                # sum wt F(t) = int (1-t)^a F dt
     th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth

@@ -699,6 +699,12 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "the half-line rule needs more than 16384 nodes"),
     (["kernel", "--kind", "edge-strong", "--a", "0.5", "--points", "1e308,0"],
      "edge_strong needs |beta| <= 2^1022, got 1e+308"),
+    # Gauss-Jacobi rules whose weights, or the disc rule's 2^(a+1), leave the double range
+    (["orthocheck", "--family", "gegenbauer", "--a", "2000", "--tau", "0.5"],
+     "the Gauss-Jacobi weights for alpha = 2000, beta = 0 sum to e^1379.39, "
+     "past the double range"),
+    (["orthocheck", "--family", "gegenbauer", "--a", "1025", "--tau", "0.5"],
+     "the disc rule's factor 2^(a+1) leaves the double range at a = 1025"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -1204,6 +1204,15 @@ def test_truncated_edge_within_its_beta_bound_against_40_digits(a):
             assert abs(got - want) <= 1e-13 * scale, (size, angle)
 
 
+def test_truncated_edge_refuses_a_rule_past_the_double_range():
+    # the weights of its Gauss-Jacobi rule for (1+x)^(a+1) sum to
+    # 2^(a+2)/(a+2), past the double range from a of about 1032
+    from ellipsegas import OutOfRangeError
+    assert np.isfinite(kernel_truncated_edge(1000.0, 1.0, 1.0))
+    with pytest.raises(OutOfRangeError, match="past the double range"):
+        kernel_truncated_edge(2000.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("a,Z1,Z2", [(0.5, 800.0, 800.0), (0.0, 2000.0, 2000.0),
                                      (1.5, 1000 + 5j, 900 - 40j), (3.0, 1.0 + 161j, 1.0 - 161j),
                                      (-0.5, 160.0 + 0.5j, 160.5 - 0.5j)])

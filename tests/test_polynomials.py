@@ -189,6 +189,25 @@ def test_scaled_value_invariant_and_roundtrip():
     assert zero.mantissa == 0.0 and zero.log_scale == 0.0
 
 
+def test_subnormal_values_keep_finite_mantissas():
+    # the factor 2^-k that normalises a subnormal value leaves the double
+    # range, so it is applied in two factors
+    fam = PolyFamily(PolyKind.GEGENBAUER, 300.0)
+    for z in (5e-324j, np.array([5e-324j, 0.3 + 0.1j])):
+        mant, logs = scaled_sequence(fam, 600, z)
+        assert np.all(np.isfinite(mant)) and not np.isnan(logs).any()
+        live = np.abs(mant) > 0.0
+        assert np.all((0.5 <= np.abs(mant[live])) & (np.abs(mant[live]) < 2.0))
+    # C_1^(301)(z) = 602 z
+    sv = gegenbauer(1, 300.0, 5e-324j)
+    assert sv.mantissa == 0.587890625j and sv.value == pytest.approx(602 * 5e-324j, rel=1e-12)
+    for z in (5e-321j, -5e-324, 3e-310 - 4e-310j):
+        sv = ScaledValue.of(z)
+        assert 0.5 <= abs(sv.mantissa) < 2.0 and sv.value == pytest.approx(z, rel=1e-12)
+    # a normal value keeps its bits
+    assert ScaledValue.of(-3.75 + 2.5j).mantissa == (-3.75 + 2.5j) / 8.0
+
+
 def test_values_past_the_double_range_are_refused():
     with pytest.raises(OutOfRangeError, match="leaves the double range"):
         chebyshev_t(2000, 2.0)

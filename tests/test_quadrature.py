@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, HALF_LINE,
-                        PolyKind, QuadratureSpec, TailDivergenceError,
+                        OutOfRangeError, PolyKind, QuadratureSpec, TailDivergenceError,
                         UNIT_INTERVAL, integrate_c, integrate_ellipse,
                         rule_for_gas, weight)
 from ellipsegas.polynomials import log_squared_norms, monic_scaled_sequence
@@ -254,7 +254,10 @@ def test_cached_ellipse_rules_are_read_only(focal):
 
 _RULE_CASES = [(n, a, b) for n in (4, 5, 16, 64, 97, 256)
                for a, b in ((0.0, 0.0), (-0.999, 0.0), (0.0, 1.5), (-0.5, -0.5), (50.0, 0.0),
-                            (0.0, 50.0), (50.0, 49.9), (-0.9, 30.0), (2.5, 2.5), (0.3, -0.7))]
+                            (0.0, 50.0), (50.0, 49.9), (-0.9, 30.0), (2.5, 2.5), (0.3, -0.7),
+                            # the disc rule at a = 300, kernel_truncated_edge at a = 300, and
+                            # exponents where `_block_length` shortens the blocks
+                            (300.0, 0.0), (0.0, 301.0), (1000.0, 0.0))]
 
 
 def _moment_error(n, a, b, x, w):
@@ -274,6 +277,22 @@ def test_native_gauss_rules_against_scipy_and_exact_moments(n, a, b):
     assert np.max(np.abs(x - xs)) <= 4e-16
     # no worse than scipy's rule against the exact moments, up to rounding
     assert _moment_error(n, a, b, x, w) <= max(2.0 * _moment_error(n, a, b, xs, ws), 5e-14)
+
+
+@pytest.mark.parametrize("n, a, b", [(96, 1040.0, 0.0), (64, 0.0, 2001.0), (16, 1100.0, 0.5)])
+def test_gauss_jacobi_weights_past_the_double_range_are_refused(n, a, b):
+    # they sum to 2^(a+b+1) B(a+1, b+1), which leaves the double range from
+    # a + b of about 1033 when one exponent is 0, but not at a = b = 800
+    with pytest.raises(OutOfRangeError, match="past the double range"):
+        _jacobi_rule(n, a, b)
+    assert np.all(np.isfinite(_jacobi_rule(n, 800.0, 800.0)[1]))
+
+
+def test_disc_rule_refuses_a_factor_past_the_double_range():
+    # its weights take a factor 2^-(a+1); the Gauss-Jacobi rule is in range
+    with pytest.raises(OutOfRangeError, match="2\\^\\(a\\+1\\)"):
+        rule_for_gas(GasFamily(PolyKind.GEGENBAUER, 1025.0), EllipseGeometry(0.5),
+                     QuadratureSpec())
 
 
 def test_large_legendre_rule_needs_no_eigenvalue_solve():
