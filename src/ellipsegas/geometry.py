@@ -41,6 +41,10 @@ _PARAMETERS = {"a": (lambda a: -1 < a < math.inf, "finite a > -1"),
                "gamma": (lambda g: -1 < g < math.inf, "finite gamma > -1")}
 
 
+# log of the largest double
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def _check(name: str, value) -> None:
     """DomainError naming the parameter `name` unless `value` lies in its domain."""
     valid, need = _PARAMETERS[name]
@@ -172,7 +176,7 @@ def _log_power(a: float, q: float) -> float:
 
 def _exp_in_range(lp: float) -> float:
     """exp(lp) of a log prefactor; OutOfRangeError where it leaves the double range."""
-    if lp > math.log(np.finfo(float).max):
+    if lp > _LOG_MAX:
         raise OutOfRangeError(f"prefactor e^{lp:.6g} leaves the double range")
     return math.exp(lp)
 

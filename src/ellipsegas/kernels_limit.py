@@ -4,20 +4,33 @@ Ginibre, truncated-unitary edge, and the global Joukowsky-series kernels.
 Square roots of the edge variables follow the principal branch with
 Re sqrt(Z) >= 0.  Every kernel depends on sqrt(Z) only through even
 combinations (J_nu(c sqrt(Z)) (sqrt(Z))^{-nu} is entire in Z), so the branch
-choice drops out; `_edge_weak_with_roots` exposes the root explicitly so the
-flip invariance is testable.
+choice drops out.
 
-The weak edge kernels and the Bessel kernel integrate products of two node
-functions, one per root: J_nu(c w) (c w)^-nu (`_phi`), sin(c w)/w or
-cos(c w), at the nodes c of the c-rule.  Each such table is kept per root by
-`specialfns._per_root`, 16 tables of about 1 kB on the default 64-node rule,
-keyed on the root's bits.  The node functions have real coefficients, so the
-table at sqrt(conj Z) is the conjugate of the table at sqrt(Z): K(z1,z1),
-K(z1,z2), K(z2,z1) and K(z2,z2) build two tables, one per point, instead of
-eight.  The power c^(2a+2) is kept per (a, rule) by `_node_power`, and the
-Bessel ratio per (a, s, rule) by `_node_log_ratio`.  Every kept array is
-read-only, and a kernel value reads the same bits as one from tables built
-afresh.
+The deformed sine and Bessel kernels on c in [0,1] -- `bulk_weak`,
+`edge_weak`, `edge_weak_minus_sine`, `edge_weak_minus_cosine` and
+`bessel_kernel` -- are sums over the nodes c_i of the c-rule of a product of
+two node functions, one per point:
+
+    K(z1, z2) = e^(l(z1) + l(z2)) sum_i F_i(z1) conj F_i(z2),
+    F_i(z) = sqrt(W_i G(c_i)) u(c_i, z),
+
+with W the rule's weights, G the kernel's weight in c and l the point's log
+wall factor (the cosine kernel's also holds -log|Z|/2, the Bessel kernel's
+-log 2).  The node functions u are [cos cz, sin cz] for the bulk, whose
+cos(c(z1 - conj z2)) is their product, J_nu(c w) (c w)^-nu (`_phi`) for
+`edge_weak` and `bessel_kernel`, sin(c w)/w and cos(c w), w = sqrt(Z), for
+the left-focus kernels.  sqrt(W G) is kept per (a, s, rule) by
+`_sqrt_weights`, and each point's (F, l) by `_feature`, in one LRU cache of
+_FEATURES = 64 entries keyed on the kernel, a, s, the rule and the point's
+bits, signed zeros apart: 0.5-2 kB each, at most 128 kB, on the default
+64-node rule.  One call is two lookups, three real dot products and one exp:
+Re K = (Re F1, Im F1) . (Re F2, Im F2), the parts interleaved, and
+Im K = Im F1 . Re F2 - Re F1 . Im F2, so K(z,z) is real and
+K(z2,z1) = conj K(z1,z2) bit for bit.
+The bulk's products cancel at most down to sqrt(K(z1,z1) K(z2,z2)).  Every
+kept array is read-only, and a value reads the same bits as one from
+features built afresh.  `bulk_strong` integrates its half line per value,
+with `integrate_c`, because its tail test is on the whole integrand.
 """
 
 from __future__ import annotations
@@ -34,69 +47,177 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
-from .quadrature import (HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule,
-                         integrate_c)
-from .specialfns import W_MAX, _per_root, _phi, ln_gamma, log_i_ratio
+from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule, integrate_c
+from .specialfns import _LN2, W_MAX, _phi, _phi_underflows, _read_only, ln_gamma, log_i_ratio
 
 _DEFAULT = QuadratureSpec()
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
 _GAMMA_SERIES_MAX = 5.0
+# per-point features kept by `_feature`, 0.5-2 kB each on the default rule;
+# a pair of points reads two
+_FEATURES = 64
 
 
 @functools.lru_cache(maxsize=64)
-def _node_log_ratio(nu: float, s: float, rule: tuple) -> np.ndarray:
-    """Read-only log_i_ratio(nu, c s) at the nodes c of `_gauss_rule(*rule)`;
-    each is 0.5-5 kB."""
-    lr = log_i_ratio(nu, _gauss_rule(*rule)[0] * s)
-    lr.flags.writeable = False
-    return lr
+def _node_log_ratio(nu: float, rule: tuple) -> np.ndarray:
+    """Read-only log_i_ratio(nu, c) at the nodes c of `_gauss_rule(*rule)`,
+    the strong bulk kernel's half line; each is 0.5-128 kB."""
+    return _read_only(log_i_ratio(nu, _gauss_rule(*rule)[0]))
 
 
 @functools.lru_cache(maxsize=64)
-def _node_power(a: float, rule: tuple) -> np.ndarray:
-    """Read-only c^(2a+2) at the nodes c of `_gauss_rule(*rule)`, the power
-    of the edge and Bessel kernels' integrands."""
-    p = _gauss_rule(*rule)[0] ** (2.0 * a + 2.0)
-    p.flags.writeable = False
-    return p
+def _sqrt_weights(a: float, s: float | None, rule: tuple, log_factor: float,
+                  power: bool) -> np.ndarray:
+    """Read-only sqrt(W G) at the nodes c of `_gauss_rule(*rule)`, W its
+    weights, for the deformed kernels' weight
 
+        G(c) = e^log_factor (cs/2)^{a+1/2} / (s pi^{3/2} Gamma(a+1) I_{a+1/2}(cs)),
 
-def _ratio_integral(a: float, s: float, walls, f, spec, log_factor: float = 0.0,
-                    domain: str = UNIT_INTERVAL, **half_line) -> complex:
-    """The shared form of the deformed sine and Bessel kernels:
-
-        exp(log_factor) / (s pi^{3/2} Gamma(a+1)) * prod_q q^{a/2}
-            * int dc (cs/2)^{a+1/2} / I_{a+1/2}(cs) f(c),
-
-    over `domain`, c in [0,1] by default; `half_line` carries the truncation
-    and panel of `integrate_c` for the half line.  A wall factor q <= 0 takes the
-    hard-wall limit: the kernel is 0 for a > 0 and, for a < 0, an integrable
-    divergence flagged as inf.  A half-line rule past its node cap is refused
-    first, whatever the walls, and a value below the normal doubles after.
-    """
+    times c^(2a+2) if `power`; without s, G = c^(2a+2).  DomainError for an
+    a outside its rule, before any node function reads it."""
     _check("a", a)
-    spec = spec or _DEFAULT
-    lr = _node_log_ratio(a + 0.5, s, _c_rule(domain, spec, **half_line))
-    lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
-    for q in walls:
-        lpref += _log_power(0.5 * a, q)
-    if lpref == -math.inf:
-        return 0.0 + 0.0j
-    if lpref == math.inf:
-        return complex(math.inf, 0.0)
+    c, w = _gauss_rule(*rule)
+    g = w * c ** (2.0 * a + 2.0) if power else w
+    if s is not None:
+        g = g * np.exp(log_i_ratio(a + 0.5, c * s) + (log_factor - math.log(s)
+                                                      - 1.5 * math.log(math.pi) - ln_gamma(a + 1)))
+    return _read_only(np.sqrt(g))
 
-    def g(c):
-        return np.exp(lr + lpref) * f(c)
 
-    return _normal(complex(integrate_c(g, domain, spec, **half_line)))
+# the feature kernels: a point function takes (a, s, z), checks s and z and
+# gives (l, the argument of the node function); a node function gives F at
+# the nodes of `rule` from (a, s, rule, argument), after the check of a
+
+def _bulk_point(a: float, s: float, z: complex):
+    _check("s", s)
+    if not bulk_domain_contains(s, z):
+        raise DomainError("point outside the weak-bulk strip |Im z| <= s/2")
+    return _log_power(0.5 * a, 1.0 - 4.0 * z.imag ** 2 / s ** 2), z
+
+
+def _bulk_nodes(a: float, s: float, rule: tuple, z: complex) -> np.ndarray:
+    c = _gauss_rule(*rule)[0]
+    return _sqrt_weights(a, s, rule, _LN2, False) * np.array([np.cos(c * z), np.sin(c * z)])
+
+
+def _edge_wall(s: float, Z: complex) -> float:
+    """The weak-edge wall factor q = s^2/4 + X - (Y/s)^2 at Z = X + iY,
+    correctly rounded.  Its terms cancel near the wall q = 0, and a root of Z
+    carries the same rounding, so q is summed exactly over the integers:
+    each double is an integer over a power of two.  That takes 2-3 us, once
+    per point: the point's features keep the factor."""
+    a, b = s.as_integer_ratio()
+    c, d = Z.real.as_integer_ratio()
+    e, f = Z.imag.as_integer_ratio()
+    aa, bb, ff = a * a, b * b, f * f
+    # over the common denominator 4 a^2 b^2 d f^2
+    return ((aa * d + 4 * c * bb) * aa * ff - 4 * e * e * bb * bb * d) / (4 * aa * bb * d * ff)
+
+
+def _edge_point(a: float, s: float, Z: complex):
+    """The wall factor q and w = sqrt Z; DomainError outside the parabolic
+    edge domain."""
+    _check("s", s)
+    if not (edge_domain_contains(s, Z) and cmath.isfinite(Z)):
+        raise DomainError("point outside the parabolic edge domain")
+    return _log_power(0.5 * a, _edge_wall(s, Z)), cmath.sqrt(Z)
+
+
+def _phi_nodes(a: float, s: float | None, rule: tuple, w) -> np.ndarray:
+    """phi(c w) of `edge_weak` and, without s, of `bessel_kernel`."""
+    return _sqrt_weights(a, s, rule, math.log(math.pi / 2.0), True) * _phi(a + 0.5, rule, w)
+
+
+def _left_focus_point(a: float, s: float, Z: complex):
+    """The wall factor 1 - 2 (|Z| - X)/s^2, which is q / (s^2/4 + (Re w)^2)
+    for the weak-edge wall factor q of Z and w = sqrt Z."""
+    ell, w = _edge_point(a, s, Z)
+    return ell - _log_power(0.5 * a, s * s / 4.0 + w.real ** 2), w
+
+
+def _sine_nodes(a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
+    """sin(c w)/w, and c at w = 0."""
+    c = _gauss_rule(*rule)[0]
+    return _sqrt_weights(a, s, rule, 0.0, False) * (c + 0j * c if w == 0 else np.sin(c * w) / w)
+
+
+def _cosine_point(a: float, s: float, Z: complex):
+    ell, w = _left_focus_point(a, s, Z)
+    if Z == 0:
+        raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
+    return ell - 0.5 * math.log(abs(Z)), w
+
+
+def _cosine_nodes(a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
+    return _sqrt_weights(a, s, rule, 0.0, False) * np.cos(_gauss_rule(*rule)[0] * w)
+
+
+def _bessel_point(a: float, s: None, X: float):
+    if X < 0:
+        raise DomainError("bessel_kernel requires X >= 0")
+    if X > W_MAX ** 2:
+        raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
+    return _log_power(0.5 * a, X) - _LN2, math.sqrt(X)
+
+
+@functools.lru_cache(maxsize=_FEATURES)
+def _feature(point, nodes, a: float, s: float | None, rule: tuple, z, re_sign: float,
+             im_sign: float):
+    """(V, Re F, Im F, l) of one point: V, read-only, holds the parts of F
+    interleaved, and the parts are its views.  The signs of the parts of z
+    are in the key, so that 0.0 and -0.0, which are equal keys, stay apart.
+    A refusal raised here is never kept."""
+    ell, arg = point(a, s, z)
+    v = _read_only(np.ravel(nodes(a, s, rule, arg)).view(float))
+    return v, v[0::2], v[1::2], ell
+
+
+def _wall(ell: float) -> complex:
+    """The hard-wall limit of a value whose log prefactor l is -inf or inf:
+    0 for a > 0 and, for a < 0, an integrable divergence flagged as inf."""
+    return 0j if ell < 0 else complex(math.inf, 0.0)
+
+
+def _feature_kernel(point, nodes, a: float, s: float | None, z1, z2,
+                    spec: QuadratureSpec | None) -> complex:
+    """e^(l1 + l2) F1 . conj F2 from the kept features of z1 and z2.  A
+    product below the normal doubles has lost bits to the exponent range, and
+    is refused like a value there; so are e^(l1 + l2) and a value past the
+    double range."""
+    rule, sign = _c_rule(UNIT_INTERVAL, spec or _DEFAULT), math.copysign
+    v1, r1, i1, l1 = _feature(point, nodes, a, s, rule, z1, sign(1, z1.real), sign(1, z1.imag))
+    v2, r2, i2, l2 = _feature(point, nodes, a, s, rule, z2, sign(1, z2.real), sign(1, z2.imag))
+    ell = l1 + l2
+    if not -math.inf < ell < math.inf:
+        return _wall(ell)
+    re, im = v1.dot(v2), i1.dot(r2) - r1.dot(i2)
+    _normal(complex(re, im))
+    e = _exp_in_range(ell)
+    return _normal(complex(re * e, im * e))
+
+
+def _phi_kernel(point, a: float, s: float | None, z1, z2, spec: QuadratureSpec | None):
+    """`_feature_kernel` of the phi features of `edge_weak` and
+    `bessel_kernel`.  At an order where phi(0)^2 = 4^-nu / Gamma(nu+1)^2
+    underflows (from nu of about 84.9) it gives the hard-wall limit where a
+    point is on the wall and OutOfRangeError elsewhere, where the product of
+    two phi would underflow: on every call, before the feature cache, so
+    nothing is built or kept; the verdict is kept per order by
+    `_phi_underflows`."""
+    if -1.0 < a < math.inf and _phi_underflows(a + 0.5):
+        ell = point(a, s, z1)[0] + point(a, s, z2)[0]
+        if not -math.inf < ell < math.inf:
+            return _wall(ell)
+        raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {a + 0.5:g}")
+    return _feature_kernel(point, _phi_nodes, a, s, z1, z2, spec)
 
 
 def _normal(value, name: str = "kernel"):
     """value, or OutOfRangeError where its modulus is below the smallest
-    normal double: a subnormal kernel value, or one summed from subnormal
-    terms, has lost bits to the exponent range."""
-    if abs(value) < sys.float_info.min:
-        raise OutOfRangeError(f"{name} value {value!r} is below the normal double range")
+    normal double or not finite: a subnormal kernel value, or one summed from
+    subnormal terms, has lost bits to the exponent range."""
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise OutOfRangeError(f"{name} value {value!r} is outside the normal double range")
     return value
 
 
@@ -137,80 +258,54 @@ def bulk_weak(a: float, s: float, z1: complex, z2: complex,
     """Deformed sine kernel of the weak bulk limit at the origin.
 
     K(z1,z2) = (2/(s pi^{3/2} Gamma(a+1))) prod_j (1-4 yhat_j^2/s^2)^{a/2}
-               * int_0^1 dc (cs/2)^{a+1/2}/I_{a+1/2}(cs) cos(c(z1 - conj z2)).
+               * int_0^1 dc (cs/2)^{a+1/2}/I_{a+1/2}(cs) cos(c(z1 - conj z2)),
+
+    summed as the product of the features [cos cz, sin cz] of the two points.
     """
-    _check("s", s)
-    z1, z2 = complex(z1), complex(z2)
-    if not (bulk_domain_contains(s, z1) and bulk_domain_contains(s, z2)):
-        raise DomainError("point outside the weak-bulk strip |Im z| <= s/2")
-    d = z1 - z2.conjugate()
-    walls = (1.0 - 4.0 * z1.imag ** 2 / s ** 2, 1.0 - 4.0 * z2.imag ** 2 / s ** 2)
-    return _ratio_integral(a, s, walls, lambda c: np.cos(c * d), spec, math.log(2.0))
+    return _feature_kernel(_bulk_point, _bulk_nodes, a, s, complex(z1), complex(z2), spec)
 
 
 def bulk_strong(a: float, z1: complex, z2: complex,
                 spec: QuadratureSpec | None = None) -> complex:
-    """Strong non-Hermitian bulk kernel on the unit-width strip.
+    """Strong non-Hermitian bulk kernel on the unit-width strip,
 
-    The half-line integral int_0^infty dt (t/2)^{a+1/2}/I_{a+1/2}(t)
-    cos(t(z1 - conj z2)) is truncated at max(50, 5(a+2)) where the integrand
-    has decayed below machine relevance.  With the default spec that rule has
+        (2/(pi^{3/2} Gamma(a+1))) prod_j (1-4 y_j^2)^{a/2}
+            * int_0^infty dt (t/2)^{a+1/2}/I_{a+1/2}(t) cos(t(z1 - conj z2)).
+
+    The half line is truncated at max(50, 5(a+2)) where the integrand has
+    decayed below machine relevance.  With the default spec that rule has
     16(a+2) nodes from a = 38 on, so past a = 1022 it exceeds the half-line
-    node cap of `quadrature` and the kernel raises OutOfRangeError.
+    node cap of `quadrature` and the kernel raises OutOfRangeError, first,
+    whatever the walls.  A wall factor q <= 0 takes the hard-wall limit, as
+    in the feature kernels.
     """
     z1, z2 = complex(z1), complex(z2)
     if abs(z1.imag) > 0.5 or abs(z2.imag) > 0.5:
         raise DomainError("point outside the strong-bulk strip |Im z| <= 1/2")
-    d = z1 - z2.conjugate()
-    walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
+    _check("a", a)
+    spec = spec or _DEFAULT
     T = max(50.0, 5.0 * (a + 2.0))
-    return _ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), spec, math.log(2.0),
-                           HALF_LINE, truncation=T, panel=min(5.0, max(1.0, T / 40.0)))
-
-
-def _edge_points(s: float, Z1: complex, Z2: complex):
-    """(Z1, Z2, sqrt Z1, sqrt conj Z2) of two points of the weak edge kernels;
-    DomainError outside the parabolic edge domain."""
-    _check("s", s)
-    Z1, Z2 = complex(Z1), complex(Z2)
-    if not (edge_domain_contains(s, Z1) and edge_domain_contains(s, Z2)
-            and cmath.isfinite(Z1) and cmath.isfinite(Z2)):
-        raise DomainError("point outside the parabolic edge domain")
-    return Z1, Z2, np.sqrt(Z1), np.sqrt(np.conj(Z2))
-
-
-@functools.lru_cache(maxsize=1024)
-def _edge_wall(s: float, Z: complex) -> float:
-    """The weak-edge wall factor q = s^2/4 + X - (Y/s)^2 at Z = X + iY,
-    correctly rounded.  Its terms cancel near the wall q = 0, and a root of Z
-    carries the same rounding, so q is summed exactly over the integers:
-    each double is an integer over a power of two.  That takes 2-3 us, so
-    the factor of each point is kept for the kernel's other calls there."""
-    a, b = s.as_integer_ratio()
-    c, d = Z.real.as_integer_ratio()
-    e, f = Z.imag.as_integer_ratio()
-    aa, bb, ff = a * a, b * b, f * f
-    # over the common denominator 4 a^2 b^2 d f^2
-    return ((aa * d + 4 * c * bb) * aa * ff - 4 * e * e * bb * bb * d) / (4 * aa * bb * d * ff)
-
-
-def _edge_weak_with_roots(a: float, s: float, Z1: complex, Z2: complex,
-                          w1: complex, w2: complex,
-                          spec: QuadratureSpec | None = None) -> complex:
-    nu = a + 0.5
-    walls = [_edge_wall(s, Z) for Z in (Z1, Z2)]
-    rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
-
-    def f(c):       # the tables are at the nodes c of `rule`
-        return _node_power(a, rule) * _phi(nu, rule, w1) * _phi(nu, rule, w2)
-
-    return _ratio_integral(a, s, walls, f, spec, math.log(math.pi / 2.0))
+    half_line = {"truncation": T, "panel": min(5.0, max(1.0, T / 40.0))}
+    lr = _node_log_ratio(a + 0.5, _c_rule(HALF_LINE, spec, **half_line))
+    lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
+             + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
+             + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
+    if not -math.inf < lpref < math.inf:
+        return _wall(lpref)
+    d = z1 - z2.conjugate()
+    return _normal(complex(integrate_c(lambda t: np.exp(lr + lpref) * np.cos(t * d),
+                                       HALF_LINE, spec, **half_line)))
 
 
 def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
               spec: QuadratureSpec | None = None) -> complex:
-    """Deformed Bessel kernel of the weak edge limit at the +1 focus."""
-    return _edge_weak_with_roots(a, s, *_edge_points(s, Z1, Z2), spec)
+    """Deformed Bessel kernel of the weak edge limit at the +1 focus,
+
+        (1/(2 s sqrt(pi) Gamma(a+1))) prod_j q_j^{a/2}
+            * int_0^1 dc c^{2a+2} (cs/2)^{a+1/2}/I_{a+1/2}(cs) phi(c w1) conj phi(c w2),
+
+    w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`."""
+    return _phi_kernel(_edge_point, a, s, complex(Z1), complex(Z2), spec)
 
 
 def bessel_kernel(a: float, X1: float, X2: float,
@@ -226,21 +321,7 @@ def bessel_kernel(a: float, X1: float, X2: float,
     what the c-nodes resolve; refused too where the integral or the value
     falls below the normal doubles.
     """
-    if X1 < 0 or X2 < 0:
-        raise DomainError("bessel_kernel requires X >= 0")
-    if max(X1, X2) > W_MAX ** 2:
-        raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
-    _check("a", a)
-    lpref = _log_power(0.5 * a, X1) + _log_power(0.5 * a, X2)
-    if lpref == math.inf:
-        return math.inf
-    if lpref == -math.inf:
-        return 0.0
-    spec = spec or _DEFAULT
-    rule = _c_rule(UNIT_INTERVAL, spec)
-    val = integrate_c(lambda c: _node_power(a, rule) * _phi(a + 0.5, rule, math.sqrt(X1))
-                      * _phi(a + 0.5, rule, math.sqrt(X2)), UNIT_INTERVAL, spec)
-    return _normal(0.25 * math.exp(lpref) * _normal(val.real))
+    return _phi_kernel(_bessel_point, a, None, X1, X2, spec).real
 
 
 def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
@@ -328,76 +409,44 @@ def _lower_gamma_ratio_cf(s: float, z: complex) -> complex:
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 
-def _left_focus_walls(s: float, Z1: complex, Z2: complex, w1: complex, w2: complex):
-    """1 - 2 (|Z| - X)/s^2 at two edge points Z with roots w, which is
-    q / (s^2/4 + (Re w)^2) for the weak-edge wall factor q of Z."""
-    return [_edge_wall(s, Z) / (s * s / 4.0 + w.real ** 2) for Z, w in ((Z1, w1), (Z2, w2))]
-
-
-def _sinc_nodes(rule: tuple, w: complex) -> np.ndarray:
-    """sin(c w)/w at the nodes c of `_gauss_rule(*rule)`; c at w = 0."""
-    c = _gauss_rule(*rule)[0]
-    if w == 0:
-        return c + 0j * c
-    return np.sin(c * w) / w
-
-
-def _cos_nodes(rule: tuple, w: complex) -> np.ndarray:
-    """cos(c w) at the nodes c of `_gauss_rule(*rule)`."""
-    return np.cos(_gauss_rule(*rule)[0] * w)
-
-
 def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
                          spec: QuadratureSpec | None = None) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, +1/2) Jacobi gas.
 
-    Sine-type integrand: the J_{1/2} pair collapses to sin(c sqrt(Z))/sqrt(Z),
-    kept per root by `_per_root`.
+    Sine-type integrand: the J_{1/2} pair collapses to sin(c w)/w, w = sqrt Z,
+    and the wall factor is 1 - 2 (|Z| - X)/s^2.
     """
-    Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
-    rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
-    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2, w1, w2),
-                           lambda c: _per_root(_sinc_nodes, rule, w1)
-                           * _per_root(_sinc_nodes, rule, w2), spec)
+    return _feature_kernel(_left_focus_point, _sine_nodes, a, s, complex(Z1), complex(Z2),
+                           spec)
 
 
 def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
                            spec: QuadratureSpec | None = None) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, -1/2) Jacobi gas
-    (cosine-type); also the Chebyshev-I edge kernel at a = 0.  cos(c sqrt(Z))
-    is kept per root by `_per_root`."""
-    Z1, Z2, w1, w2 = _edge_points(s, Z1, Z2)
-    if Z1 == 0 or Z2 == 0:
-        raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
-    rule = _c_rule(UNIT_INTERVAL, spec or _DEFAULT)
-    return _ratio_integral(a, s, _left_focus_walls(s, Z1, Z2, w1, w2),
-                           lambda c: _per_root(_cos_nodes, rule, w1)
-                           * _per_root(_cos_nodes, rule, w2), spec,
-                           -0.5 * (math.log(abs(Z1)) + math.log(abs(Z2))))
+    (cosine-type), with node function cos(c sqrt Z) and the factor
+    |Z1 Z2|^{-1/2}; also the Chebyshev-I edge kernel at a = 0.
+    SingularPointError at the focus Z = 0."""
+    return _feature_kernel(_cosine_point, _cosine_nodes, a, s, complex(Z1), complex(Z2),
+                           spec)
 
 
 def bulk_from_edge_check(a: float, s: float, kappa: float, z1: complex, z2: complex,
                          h: float, spec: QuadratureSpec | None = None):
     """Pair (4h * edge_weak at Z = kappa h - 2 sqrt(h) zhat, closed bulk form).
 
-    The caller asserts closeness; at kappa = 1 the closed form is bulk_weak.
-    The edge integrand oscillates at frequency ~ sqrt(kappa h), so spec.c_nodes
-    must grow with sqrt(h).
+    The caller asserts closeness; at kappa = 1 the closed form is bulk_weak,
+    and at any kappa it is bulk_weak at zhat / sqrt(kappa), over kappa:
+    DomainError for a zhat outside the kappa-scaled strip
+    |Im zhat| <= sqrt(kappa) s/2.  The edge integrand oscillates at frequency
+    ~ sqrt(kappa h), so spec.c_nodes must grow with sqrt(h).
     """
     _check("s", s)
     if kappa <= 0 or h <= 0:
         raise DomainError("kappa and h must be positive")
-    z1, z2 = complex(z1), complex(z2)
-    if z1.imag ** 2 > kappa * s * s / 4.0 or z2.imag ** 2 > kappa * s * s / 4.0:
-        raise DomainError("point outside the kappa-scaled bulk strip")
-    Z1 = kappa * h - 2.0 * math.sqrt(h) * z1
-    Z2 = kappa * h - 2.0 * math.sqrt(h) * z2
-    first = 4.0 * h * edge_weak(a, s, Z1, Z2, spec)
-    d = (z1 - z2.conjugate()) / math.sqrt(kappa)
-    walls = (kappa - 4 * z1.imag ** 2 / s ** 2, kappa - 4 * z2.imag ** 2 / s ** 2)
-    second = _ratio_integral(a, s, walls, lambda c: np.cos(c * d), spec,
-                             math.log(2.0) - (a + 1.0) * math.log(kappa))
-    return first, second
+    z1, z2, root = complex(z1), complex(z2), math.sqrt(kappa)
+    second = bulk_weak(a, s, z1 / root, z2 / root, spec) / kappa
+    Z1, Z2 = (kappa * h - 2.0 * math.sqrt(h) * z for z in (z1, z2))
+    return 4.0 * h * edge_weak(a, s, Z1, Z2, spec), second
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
 from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, joukowsky
 from .polynomials import _LN2, _block_length, _blocks, _jacobi_coefficients
-from .specialfns import ln_gamma
+from .specialfns import _LOG_MAX, _LOG_TINY, ln_gamma, ln_gamma_difference
 
 UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
@@ -88,14 +88,18 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     at n = 1024 depending on the load of a 2-vCPU VM.  The weights are
     proportional to 1/((1-x^2) P_n'(x)^2), with the run's exponent applied by
     ldexp, so no power 2^bits is formed, and sum to 2^(alpha+beta+1)
-    B(alpha+1, beta+1); OutOfRangeError where that sum leaves the double
-    range (alpha or beta past about 1033 when the other is 0).  A symmetric
-    weight gets symmetric nodes and weights.
+    B(alpha+1, beta+1): the power of two by ldexp, and log B with
+    log Gamma(alpha+beta+2) - log Gamma(max(alpha, beta)+1) taken as one
+    `ln_gamma_difference`, whose two log-gammas would cancel (2.6e-13 off at
+    alpha = 300).  OutOfRangeError where the sum leaves the double range
+    (alpha or beta past about 1033 when the other is 0).  A symmetric weight
+    gets symmetric nodes and weights.
     """
     ab = alpha + beta
-    log_total = ((ab + 1.0) * _LN2 + ln_gamma(alpha + 1.0) + ln_gamma(beta + 1.0)
-                 - ln_gamma(ab + 2.0))
-    if log_total > math.log(np.finfo(float).max):
+    small, large = sorted((alpha, beta))
+    log_beta = ln_gamma(small + 1.0) - float(ln_gamma_difference(large + 1.0, small + 1.0))
+    log_total = (ab + 1.0) * _LN2 + log_beta
+    if log_total > _LOG_MAX:
         raise OutOfRangeError(f"the Gauss-Jacobi weights for alpha = {alpha:g}, beta = {beta:g} "
                               f"sum to e^{log_total:.6g}, past the double range")
     coefs = _jacobi_coefficients(alpha, beta, n)
@@ -115,14 +119,19 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     # w = C / ((1-x^2) P_n'^2), with C set by the known sum: as in scipy, that
     # sets the weight of a node next to an endpoint where alpha or beta is
     # near -1, whose 1 - x^2 the nodes' last bits leave uncertain.  With P_n'
-    # a multiple of m 2^(e + bits), m in [1/2, 1), and C = c 2^k, every power
-    # of two is an integer exponent that ldexp applies exactly
+    # a multiple of m 2^(e + bits), m in [1/2, 1), C = c 2^k and the sum
+    # 2^(alpha+beta+1) B = 2^(j + i) e^rest, j and i integers and rest in
+    # [0, ln 2), every power of two is an integer exponent that ldexp applies
+    # exactly, and the ln 2 of 2^(alpha+beta+1) cancels no log B
     q, q_bits = _top_degree(derivative, x)
     m, e = np.frexp(q)
     e = -2 * (e + q_bits.astype(int))
     r = 1.0 / ((1.0 - x) * (1.0 + x) * m * m)
-    c, k = math.frexp(math.exp(log_total) / np.sum(np.ldexp(r, e - e.max())))
-    w = np.ldexp(r * c, e - e.max() + k)
+    j = math.floor(ab + 1.0)
+    rest = (ab + 1.0 - j) * _LN2 + log_beta
+    i = math.floor(rest / _LN2)
+    c, k = math.frexp(math.exp(rest - i * _LN2) / np.sum(np.ldexp(r, e - e.max())))
+    w = np.ldexp(r * c, e - e.max() + k + j + i)
     if alpha == beta:
         x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
     return x, w
@@ -192,6 +201,12 @@ def _annulus_rule(tau: float, a: float, nr: int, nth: int):
     v = EllipseGeometry(tau).v
     xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
     rho = 1.0 + (xj + 1.0) / 2.0 * (v - 1.0)
+    # the logs of ((v-1)/2)^(a+1) and of (v-rho)^a at the ends of the nodes,
+    # where a factor past the normal doubles would leave weights of 0, inf or nan
+    logs = np.append(a * np.log(v - rho[[0, -1]]), (a + 1.0) * math.log((v - 1.0) / 2.0))
+    if not np.all((_LOG_TINY < logs) & (logs < _LOG_MAX)):
+        raise OutOfRangeError(f"the annulus rule's factor ((v-1)/2)^(a+1) or (v-rho)^a leaves "
+                              f"the double range at tau = {tau:g}, a = {a:g}")
     wr = wj * ((v - 1.0) / 2.0) ** (a + 1.0)  # sum wr F = int_1^v (v-rho)^a F
     ph = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
     rr, pp = np.meshgrid(rho, ph, indexing="ij")

@@ -67,9 +67,6 @@ _DEBYE_TERMS = 14
 # term count that 4 needs; the kernels' tables of c^2k hold that many powers
 # and serve |c root| up to it
 _SHORT_SERIES_MAX = 4.0
-# node tables of one root kept by `_per_root`, about 1 kB each on the default
-# 64-node rule; one pair of points of an edge kernel reads at most four roots
-_ROOT_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -480,31 +477,20 @@ def _node_powers(rule: tuple):
     return c, _read_only(_powers(c * c + 0j, terms - 1))
 
 
-def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
-    """J_nu(c*root) * (c*root)^{-nu} at the nodes c of the quadrature rule
-    `rule`, an even (entire) function of root; read-only, built by
-    `_phi_nodes` and kept per root by `_per_root`.
-
-    OutOfRangeError once phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows (from
-    nu of about 84.9), where the kernels' products of two phi would; that
-    test runs on every call, before the table cache, so a refusal is never
-    kept as a table.  Its verdict is kept per order by `_phi_underflows`.
-    """
-    if _phi_underflows(nu):
-        raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {nu:g}")
-    return _per_root(_phi_nodes, nu, rule, root)
-
-
 @functools.lru_cache(maxsize=256)
 def _phi_underflows(nu: float) -> bool:
-    """Whether phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows at order nu."""
+    """Whether phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows at order nu, from
+    nu of about 84.9, where the kernels' products of two phi would; they
+    refuse such an order on every call."""
     return 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY
 
 
-def _phi_nodes(nu: float, rule: tuple, root: complex) -> np.ndarray:
-    """`_phi`, uncached.  Where every |c root| <= _SHORT_SERIES_MAX, as on the
-    unit rule for |root| <= 4, `_psi_tabled` runs on the cached table of
-    c^{2k}: each series is one product of the table with
+def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
+    """J_nu(c*root) * (c*root)^{-nu} at the nodes c of the quadrature rule
+    `rule`, an even (entire) function of root, for an order at which
+    `_phi_underflows` is false.  Where every |c root| <= _SHORT_SERIES_MAX,
+    as on the unit rule for |root| <= 4, `_psi_tabled` runs on the cached
+    table of c^{2k}: each series is one product of the table with
     (-root^2/4)^k / (k! (mu+1)_k); otherwise every node goes to `_psi`."""
     phi0 = 0.5 ** nu / math.gamma(nu + 1.0)
     c, table = _node_powers(rule)
@@ -513,26 +499,3 @@ def _phi_nodes(nu: float, rule: tuple, root: complex) -> np.ndarray:
     if r > _SHORT_SERIES_MAX:
         return _psi(nu, c * w) * phi0
     return _psi_tabled(nu, r, table, -w * w / 4.0) * phi0
-
-
-@functools.lru_cache(maxsize=_ROOT_TABLES)
-def _root_table(build, args: tuple, signs: tuple) -> np.ndarray:
-    if signs[1] < 0.0:
-        *head, root = args
-        return _read_only(np.conj(_per_root(build, *head, root.conjugate())))
-    return _read_only(build(*args))
-
-
-def _per_root(build, *args) -> np.ndarray:
-    """build(*args), a node table of one root, the last of args, kept with
-    the last _ROOT_TABLES such tables of every builder in one LRU cache and
-    read-only.  Every builder has real coefficients, so its table at conj w
-    is the conjugate of its table at w: a root whose imaginary part carries
-    a minus sign reads the conjugate of the table at its conjugate root, and
-    the roots sqrt Z and sqrt conj Z of a point build one table.  The key
-    carries the signs of the root's parts, so that 0.0 and -0.0, which are
-    equal keys, stay apart: for a real Z the edge kernels read the roots
-    x + 0i of Z and x - 0i of conj Z."""
-    root = args[-1]
-    return _root_table(build, args, (math.copysign(1.0, root.real),
-                                     math.copysign(1.0, root.imag)))

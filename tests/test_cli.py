@@ -705,6 +705,9 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "past the double range"),
     (["orthocheck", "--family", "gegenbauer", "--a", "1025", "--tau", "0.5"],
      "the disc rule's factor 2^(a+1) leaves the double range at a = 1025"),
+    (["orthocheck", "--family", "jacobi-plus", "--a", "300", "--tau", "1e-6"],
+     "the annulus rule's factor ((v-1)/2)^(a+1) or (v-rho)^a leaves the double range "
+     "at tau = 1e-06, a = 300"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

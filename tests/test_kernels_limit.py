@@ -16,7 +16,7 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         kernel_truncated_edge, make_kernel, sine_kernel)
 from ellipsegas import kernels_limit, specialfns
 from ellipsegas.geometry import _log_power
-from ellipsegas.kernels_limit import _edge_weak_with_roots, _node_log_ratio
+from ellipsegas.kernels_limit import _FEATURES, _feature, _node_log_ratio, _sqrt_weights
 from ellipsegas.quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule, integrate_c
 from ellipsegas.specialfns import bessel_j, ln_gamma, log_i_ratio
 
@@ -138,14 +138,17 @@ def test_edge_weak_domain_error():
 
 
 def test_edge_weak_branch_flip_invariance():
-    # flipping sqrt(Z) -> -sqrt(Z) leaves the kernel unchanged
+    # flipping sqrt(Z) -> -sqrt(Z) leaves the kernel unchanged: its features
+    # at -sqrt(Z) give the value of those at sqrt(Z)
     a, s = 1.5, 0.8
     Z1, Z2 = 0.6 + 0.4j, 1.3 - 0.2j
-    w1 = np.sqrt(complex(Z1))
-    w2 = np.sqrt(np.conj(complex(Z2)))
-    base = _edge_weak_with_roots(a, s, Z1, Z2, w1, w2)
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    w1, w2 = np.sqrt(Z1), np.sqrt(Z2)
+    base = np.sum(kernels_limit._phi_nodes(a, s, rule, w1)
+                  * np.conj(kernels_limit._phi_nodes(a, s, rule, w2)))
     for f1, f2 in ((-1, 1), (1, -1), (-1, -1)):
-        flipped = _edge_weak_with_roots(a, s, Z1, Z2, f1 * w1, f2 * w2)
+        flipped = np.sum(kernels_limit._phi_nodes(a, s, rule, f1 * w1)
+                         * np.conj(kernels_limit._phi_nodes(a, s, rule, f2 * w2)))
         assert abs(flipped - base) <= 1e-12 * abs(base)
 
 
@@ -858,7 +861,7 @@ def test_global_kernels_match_independent_fsum_of_their_series(kind, fn, tau, pl
     assert abs(fn(tau, z1, z2) - _global_by_fsum(kind, tau, z1, z2)) <= 1e-12 * scale
 
 
-# ------------------------------------------------------------------ node caches
+# ------------------------------------------------------------------ feature caches
 
 def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, **half_line):
     """The Bessel-ratio integral with log_i_ratio run on every call."""
@@ -873,7 +876,8 @@ def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, *
                                **half_line))
 
 
-def _uncached_bulk_weak(a, s, z1, z2):
+def _closure_bulk_weak(a, s, z1, z2):
+    """bulk_weak as one integrand of c, cos(c(z1 - conj z2)), per value."""
     d = z1 - z2.conjugate()
     walls = (1.0 - 4.0 * z1.imag ** 2 / s ** 2, 1.0 - 4.0 * z2.imag ** 2 / s ** 2)
     return _uncached_ratio_integral(a, s, walls, lambda c: np.cos(c * d), math.log(2.0))
@@ -888,141 +892,155 @@ def _uncached_bulk_strong(a, z1, z2):
                                     panel=min(5.0, max(1.0, T / 40.0)))
 
 
+def _uncached(monkeypatch):
+    """Take the memo of the features and of sqrt(W G) out of the kernels."""
+    monkeypatch.setattr(kernels_limit, "_feature", _feature.__wrapped__)
+    monkeypatch.setattr(kernels_limit, "_sqrt_weights", _sqrt_weights.__wrapped__)
+
+
 _CACHE_POINTS = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j, 1.3 + 0.3j, -0.9 - 0.25j, 0.0j]
 
 
-@pytest.mark.parametrize("kind, a, s, uncached", [
-    ("bulk-weak", 0.37, 1.31, _uncached_bulk_weak),
-    ("bulk-strong", -0.43, None, lambda a, s, z1, z2: _uncached_bulk_strong(a, z1, z2))])
-def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind, a, s,
-                                                              uncached):
+@pytest.mark.parametrize("kind, a, s", [("bulk-weak", 0.37, 1.31), ("bulk-strong", -0.43, None)])
+def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind, a, s):
+    # bulk-weak: the kept features give the bits of features built afresh,
+    # and the per-value integrand within rounding of the bulk's own scale
+    # sqrt(K(z1,z1) K(z2,z2)); bulk-strong: the bits of its integrand with
+    # log_i_ratio run on every call
     calls = []
 
     def counting(nu, x):
         calls.append(nu)
         return log_i_ratio(nu, x)
 
-    _node_log_ratio.cache_clear()
+    for cache in (_node_log_ratio, _sqrt_weights, _feature):
+        cache.cache_clear()
     monkeypatch.setattr(kernels_limit, "log_i_ratio", counting)
     kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
     pairs = [(z1, z2) for z1 in _CACHE_POINTS for z2 in _CACHE_POINTS[:4]]
     values = [kern(z1, z2) for z1, z2 in pairs]
     assert len(values) == 24 and calls == [a + 0.5]
     monkeypatch.undo()
+    if kind == "bulk-strong":
+        for (z1, z2), val in zip(pairs, values):
+            assert val == _uncached_bulk_strong(a, z1, z2)
+        return
+    _uncached(monkeypatch)
+    assert [repr(kern(z1, z2)) for z1, z2 in pairs] == [repr(v) for v in values]
     for (z1, z2), val in zip(pairs, values):
-        assert val == uncached(a, s, z1, z2)
+        scale = math.sqrt(kern(z1, z1).real * kern(z2, z2).real)
+        assert abs(val - _closure_bulk_weak(a, s, z1, z2)) <= 8 * np.finfo(float).eps * scale
 
 
-def test_cached_node_log_ratios_are_read_only():
-    bulk_weak(0.5, 1.0, 0.2j, 0.1)
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec(singularity_exponent=0.5))
-    lr = _node_log_ratio(1.0, 1.0, rule)
-    with pytest.raises(ValueError):
-        lr[0] = 0.0
-    assert np.array_equal(lr, log_i_ratio(1.0, _gauss_rule(*rule)[0] * 1.0))
+def test_cached_arrays_are_read_only():
+    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    bulk_strong(0.5, 0.2j, 0.1)
+    arrays = [_node_log_ratio(1.0, _c_rule(HALF_LINE, QuadratureSpec(), 50.0, 1.25)),
+              _sqrt_weights(0.5, 1.0, rule, 0.0, False), _sqrt_weights(0.8, None, rule, 0.0, True)]
+    for kind, s, z in _FEATURE_POINTS:
+        arrays += _feature(*_functions(kind), 0.8, s, rule, z, 1.0, 1.0)[:3]
+    assert len(arrays) == 3 + 3 * 5
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
-# the per-root node tables of the quadrature edge kernels: kind -> (module
-# holding the builder, builder name, a, s, the tables one pair builds)
-_ROOT_BUILDERS = {
-    "edge-weak": (specialfns, "_phi_nodes", 0.8, 1.7, 2),
-    "edge-weak-minus-sine": (kernels_limit, "_sinc_nodes", 0.3, 1.2, 2),
-    "edge-weak-minus-cosine": (kernels_limit, "_cos_nodes", -0.4, 2.1, 2),
-    "bessel": (specialfns, "_phi_nodes", 1.3, None, 2),
+# the features of the five kernels: kind -> (LimitKind, a, s, point
+# function, node function)
+_FEATURE_KERNELS = {
+    "bulk": ("bulk-weak", 0.6, 1.4, "_bulk_point", "_bulk_nodes"),
+    "edge": ("edge-weak", 0.8, 1.7, "_edge_point", "_phi_nodes"),
+    "sine": ("edge-weak-minus-sine", 0.3, 1.2, "_left_focus_point", "_sine_nodes"),
+    "cosine": ("edge-weak-minus-cosine", -0.4, 2.1, "_cosine_point", "_cosine_nodes"),
+    "bessel": ("bessel", 1.3, None, "_bessel_point", "_phi_nodes"),
 }
+
+
+def _functions(kind):
+    """The point and node functions of a kind."""
+    return tuple(getattr(kernels_limit, name) for name in _FEATURE_KERNELS[kind][3:])
+# one point of each kernel's domain, off the real axis where it has one
+_FEATURE_POINTS = [("bulk", 1.4, 0.3 + 0.2j), ("edge", 1.7, 0.9 + 0.4j),
+                   ("sine", 1.2, 0.9 + 0.4j), ("cosine", 2.1, 0.9 + 0.4j), ("bessel", None, 0.9)]
 # pairs of points: off the real axis, on it (sqrt Z = x + 0i and sqrt conj Z
 # = x - 0i), and with a root past |root| = 4, where phi leaves the c^2k table
-_ROOT_PAIRS = [(0.9 + 0.4j, -0.2 - 0.3j), (9.0 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
+_FEATURE_PAIRS = {
+    "bulk": [(0.4 + 0.3j, -0.2 - 0.5j), (9.0 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
+             (20.0 + 0.1j, 3.0 + 0j)],
+    "bessel": [(0.9, 0.2), (9.0, 0.25), (3.0, 0.6), (400.0, 2.0)],
+}
+_EDGE_PAIRS = [(0.9 + 0.4j, -0.2 - 0.3j), (9.0 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
                (20.0 + 1.0j, 3.0 + 0j)]
-_BESSEL_PAIRS = [(0.9, 0.2), (9.0, 0.25), (3.0, 0.6), (400.0, 2.0)]
 
 
-def _pairs(kind):
-    return _BESSEL_PAIRS if kind == "bessel" else _ROOT_PAIRS
+def _feature_pairs(kind):
+    return _FEATURE_PAIRS.get(kind, _EDGE_PAIRS)
 
 
-@pytest.mark.parametrize("kind", sorted(_ROOT_BUILDERS))
+@pytest.mark.parametrize("kind", sorted(_FEATURE_KERNELS))
 @pytest.mark.parametrize("pair", range(4))
-def test_one_node_table_per_distinct_root_of_a_pair(monkeypatch, kind, pair):
-    # K(z1,z1), K(z1,z2), K(z2,z1), K(z2,z2) read the roots sqrt Z1, sqrt conj Z1,
-    # sqrt Z2 and sqrt conj Z2 (sqrt X1 and sqrt X2 for bessel); the table at
-    # sqrt conj Z is the conjugate of the one at sqrt Z, so each point builds once
-    module, name, a, s, roots = _ROOT_BUILDERS[kind]
-    build = getattr(module, name)
+def test_one_feature_build_per_distinct_point_of_a_pair(monkeypatch, kind, pair):
+    # K(z1,z1), K(z1,z2), K(z2,z1) and K(z2,z2), twice over, build the
+    # node functions of each point once
+    node_name = _FEATURE_KERNELS[kind][4]
+    nodes = getattr(kernels_limit, node_name)
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return build(*args)
+        return nodes(*args)
 
-    monkeypatch.setattr(module, name, counting)
-    kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
-    z1, z2 = _pairs(kind)[pair]
+    monkeypatch.setattr(kernels_limit, node_name, counting)
+    _feature.cache_clear()
+    name, a, s, _, _ = _FEATURE_KERNELS[kind]
+    kern = make_kernel(LimitKernelSpec(LimitKind(name), a=a, s=s))
+    z1, z2 = _feature_pairs(kind)[pair]
     for _ in range(2):
         for u, v in ((z1, z1), (z1, z2), (z2, z1), (z2, z2)):
             kern(u, v)
-    assert len(calls) == roots
+    assert len(calls) == 2
 
 
-def _uncached(monkeypatch):
-    """Take the memo of the per-root tables and node powers out of the kernels."""
-    def per_root(build, *args):
-        return build(*args)
-
-    for module in (specialfns, kernels_limit):
-        monkeypatch.setattr(module, "_per_root", per_root)
-    monkeypatch.setattr(kernels_limit, "_node_power",
-                        lambda a, rule: _gauss_rule(*rule)[0] ** (2.0 * a + 2.0))
-
-
-@pytest.mark.parametrize("kind", sorted(_ROOT_BUILDERS))
-def test_memoized_tables_give_the_bits_of_an_uncached_evaluation(monkeypatch, kind):
-    _, _, a, s, _ = _ROOT_BUILDERS[kind]
-    kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
-    calls = [(u, v) for z1, z2 in _pairs(kind) for u, v in ((z1, z1), (z1, z2), (z2, z1), (z2, z2))]
+@pytest.mark.parametrize("kind", sorted(_FEATURE_KERNELS))
+def test_memoized_features_give_the_bits_of_an_uncached_evaluation(monkeypatch, kind):
+    name, a, s, _, _ = _FEATURE_KERNELS[kind]
+    kern = make_kernel(LimitKernelSpec(LimitKind(name), a=a, s=s))
+    calls = [(u, v) for z1, z2 in _feature_pairs(kind)
+             for u, v in ((z1, z1), (z1, z2), (z2, z1), (z2, z2))]
     first = [repr(kern(u, v)) for u, v in calls]
-    again = [repr(kern(u, v)) for u, v in calls]         # each table read from the memo
+    again = [repr(kern(u, v)) for u, v in calls]         # each feature read from the memo
     _uncached(monkeypatch)
     assert first == again == [repr(kern(u, v)) for u, v in calls]
 
 
-def test_root_tables_keep_signed_zeros_apart(monkeypatch):
-    # 3 + 0i and 3 - 0i are equal keys to a dict; the table at 3 - 0i is the
-    # conjugate of the one at 3 + 0i, equal in value to its own build, and
-    # differs from the 3 + 0i table in the sign of its zero imaginary parts
+def test_features_keep_signed_zeros_apart():
+    # -0.3 + 0i and -0.3 - 0i are equal keys to a dict; the feature kept for
+    # each is its own build, [cos cz, sin cz] with zero imaginary parts of
+    # opposite signs
     rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
-    plus, minus = complex(3.0, 0.0), complex(3.0, -0.0)
-    tables = [specialfns._per_root(kernels_limit._sinc_nodes, rule, w) for w in (plus, minus)]
-    fresh = [kernels_limit._sinc_nodes(rule, w) for w in (plus, minus)]
-    assert repr(tables[0].tolist()) == repr(fresh[0].tolist())
-    assert repr(tables[1].tolist()) == repr(np.conj(fresh[0]).tolist())
-    assert np.array_equal(tables[1], fresh[1])
-    assert repr(tables[0].tolist()) != repr(tables[1].tolist())
-
-
-def test_cached_root_tables_and_node_powers_are_read_only():
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
-    tables = [kernels_limit._node_power(0.8, rule), specialfns._phi(1.3, rule, 0.7 + 0.1j),
-              specialfns._per_root(kernels_limit._sinc_nodes, rule, 0.7 + 0.1j),
-              specialfns._per_root(kernels_limit._cos_nodes, rule, 0.7 + 0.1j)]
-    for table in tables:
-        with pytest.raises(ValueError):
-            table[0] = 0.0
+    kept, fresh = [], []
+    for z in (complex(-0.3, 0.0), complex(-0.3, -0.0)):
+        signs = (-1.0, math.copysign(1.0, z.imag))
+        kept.append(_feature(*_functions("bulk"), 0.6, 1.4, rule, z, *signs)[0])
+        fresh.append(_feature.__wrapped__(*_functions("bulk"), 0.6, 1.4, rule, z, *signs)[0])
+    assert [repr(v.tolist()) for v in kept] == [repr(v.tolist()) for v in fresh]
+    assert repr(kept[0].tolist()) != repr(kept[1].tolist())
 
 
 def test_phi_refusal_is_raised_on_every_call_and_never_cached(monkeypatch):
+    # past the order where phi(0)^2 underflows nothing is built or looked up,
+    # and a point on the hard wall still gives the wall's limit
     calls = []
-    build = specialfns._phi_nodes
-    monkeypatch.setattr(specialfns, "_phi_nodes", lambda *args: calls.append(args) or build(*args))
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
-    before = specialfns._root_table.cache_info()
+    monkeypatch.setattr(kernels_limit, "_phi", lambda *args: calls.append(args))
+    before = _feature.cache_info()
     for _ in range(3):
         with pytest.raises(OutOfRangeError, match="leaves the double range"):
-            specialfns._phi(90.0, rule, 0.5 + 0.5j)
-        with pytest.raises(OutOfRangeError):
             edge_weak(89.5, 1.0, 0.5 + 0.3j, 0.5 + 0.3j)
-    after = specialfns._root_table.cache_info()
-    assert calls == [] and after.misses == before.misses and after.hits == before.hits
+        with pytest.raises(OutOfRangeError, match="leaves the double range"):
+            bessel_kernel(90.0, 0.5, 0.7)
+        assert edge_weak(89.5, 2.0, -1.0, 0.5 + 0.3j) == 0.0
+        assert bessel_kernel(90.0, 0.0, 0.7) == 0.0
+    assert calls == [] and _feature.cache_info() == before
 
 
 def test_phi_order_check_runs_once_per_order(monkeypatch):
@@ -1032,27 +1050,73 @@ def test_phi_order_check_runs_once_per_order(monkeypatch):
     lg = specialfns.ln_gamma
     monkeypatch.setattr(specialfns, "ln_gamma", lambda x: calls.append(x) or lg(x))
     specialfns._phi_underflows.cache_clear()
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
-    for root in (0.3 + 0.2j, 0.7 - 0.1j, 0.3 + 0.2j):
-        specialfns._phi(1.25, rule, root)
+    for X1, X2 in ((0.3, 0.2), (0.7, 0.1), (0.3, 0.2)):
+        bessel_kernel(0.75, X1, X2)
     assert calls == [2.25]
     for _ in range(3):
         with pytest.raises(OutOfRangeError):
-            specialfns._phi(91.25, rule, 0.5 + 0.5j)
+            bessel_kernel(90.75, 0.5, 0.5)
     assert calls == [2.25, 92.25]
 
 
-def test_root_tables_stay_within_their_bound():
+def test_feature_cache_stays_within_its_bound():
     rng = np.random.default_rng(8)
     for _ in range(40):
         z1, z2 = (complex(2.0 * rng.random(), rng.random() - 0.5) for _ in range(2))
+        bulk_weak(0.5, 1.5, z1, z2)
         edge_weak(0.5, 1.5, z1, z2)
         edge_weak_minus_sine(0.5, 1.5, z1, z2)
         edge_weak_minus_cosine(0.5, 1.5, z1, z2)
         bessel_kernel(0.5, 4.0 * rng.random(), 4.0 * rng.random())
-        info = specialfns._root_table.cache_info()
-        assert info.maxsize == specialfns._ROOT_TABLES == 16 and info.currsize <= 16
-    assert kernels_limit._node_power.cache_info().currsize <= 64
+        info = _feature.cache_info()
+        assert info.maxsize == _FEATURES == 64 and info.currsize <= 64
+    assert _sqrt_weights.cache_info().currsize <= 64
+
+
+def _hermitian_sweep_points(kind, s, rng):
+    """Points of a kernel's domain: random ones, on the real axis, with the
+    wall factor q -> 0 and on the wall."""
+    if kind == "bessel":
+        return [4.0 * rng.random(), float(rng.integers(1, 9)), 1e-300, 0.0]
+    if kind == "bulk":
+        x, y = 6.0 * rng.random() - 3.0, s / 2 * (2.0 * rng.random() - 1.0)
+        return [complex(x, y), complex(6.0 * rng.random() - 3.0, y * rng.random()),
+                complex(x, 0.0), complex(x, -0.0),
+                complex(x, s / 2 * (1.0 - 1e-12)), complex(x, -s / 2)]
+    Y = 4.0 * rng.random() - 2.0
+    wall = (Y / s) ** 2 - s * s / 4.0
+    X = 4.0 * rng.random()
+    return [complex(wall + 3.0 * rng.random(), Y), complex(X, 0.0), complex(X, -0.0),
+            complex(-s * s / 4.0 * rng.random(), 0.0), complex(-s * s / 4.0, 0.0),
+            complex(wall + 1e-12 * max(1.0, abs(wall)), Y)]
+
+
+@pytest.mark.parametrize("kind", sorted(_FEATURE_KERNELS))
+def test_feature_kernels_are_hermitian_bit_for_bit(kind):
+    # Re K = [Re F1, Im F1].[Re F2, Im F2] and Im K = Im F1.Re F2 - Re F1.Im F2:
+    # K(z,z) is real and K(z2,z1) = conj K(z1,z2), with a > 0, a < 0 and at
+    # a = 0, on and off the real axis, near and on the wall
+    name = _FEATURE_KERNELS[kind][0]
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for trial in range(12):
+        a = [-0.9 * rng.random(), 0.0, 3.0 * rng.random()][trial % 3]
+        s = None if kind == "bessel" else float(0.5 + 2.5 * rng.random())
+        kern = make_kernel(LimitKernelSpec(LimitKind(name), a=a, s=s))
+        for z1, z2 in itertools.combinations_with_replacement(
+                _hermitian_sweep_points(kind, s, rng), 2):
+            try:
+                k12 = complex(kern(z1, z2))
+            except (OutOfRangeError, SingularPointError) as exc:
+                with pytest.raises(type(exc)):
+                    kern(z2, z1)
+                continue
+            k21 = complex(kern(z2, z1))
+            assert k21 == k12.conjugate(), (a, s, z1, z2, k12, k21)
+            if z1 == z2:
+                assert k12.imag == 0.0
+            checked += 1
+    assert checked >= 100
 
 
 # every kernel that takes a, at a point with X = Re z = 0 and at an interior point

@@ -295,6 +295,32 @@ def test_disc_rule_refuses_a_factor_past_the_double_range():
                      QuadratureSpec())
 
 
+@pytest.mark.parametrize("n, alpha, beta", [(96, a, b) for a in (0.5, 30.0, 300.0, 1000.0)
+                                             for b in (0.0, 1.0)] + [(16, 1000.0, 0.0)])
+def test_gauss_jacobi_weights_sum_to_their_40_digit_total(n, alpha, beta):
+    # 2^(alpha+beta+1) B(alpha+1, beta+1): log Gamma(alpha+1) and
+    # log Gamma(alpha+beta+2) cancelled to 2.6e-13 at (96, 300, 0), and
+    # 1.5e-13 at (96, 1000, 0); the weights are summed exactly
+    mpmath = pytest.importorskip("mpmath")
+    w = _gauss_rule("jacobi", n, alpha, beta)[1]
+    with mpmath.workdps(40):
+        total = mpmath.mpf(2) ** (alpha + beta + 1) * mpmath.beta(alpha + 1, beta + 1)
+        got = mpmath.fsum(mpmath.mpf(v) for v in w.tolist())
+        assert abs(got / total - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("kind, a, tau", [(PolyKind.JACOBI_PLUS, 300.0, 1e-6),
+                                         (PolyKind.JACOBI_MINUS, 100.0, 1e-6),
+                                         (PolyKind.JACOBI_PLUS, 500.0, 0.9)])
+def test_annulus_rule_refuses_factors_past_the_double_range(kind, a, tau):
+    # at tau = 1e-6, v = 1414: ((v-1)/2)^(a+1) raised a bare OverflowError at
+    # a = 300, and (v-rho)^a overflowed with a RuntimeWarning at a = 100,
+    # leaving weights of 0; at tau = 0.9 both underflow at a = 500, and
+    # their ratio was nan
+    with pytest.raises(OutOfRangeError, match="annulus rule's factor"):
+        rule_for_gas(GasFamily(kind, a), EllipseGeometry(tau), QuadratureSpec())
+
+
 def test_large_legendre_rule_needs_no_eigenvalue_solve():
     # Tricomi's start and three Newton steps; the weights sum to 2 and
     # integrate x^(2n-2) exactly
