@@ -8,29 +8,37 @@ choice drops out.
 
 The deformed sine and Bessel kernels on c in [0,1] -- `bulk_weak`,
 `edge_weak`, `edge_weak_minus_sine`, `edge_weak_minus_cosine` and
-`bessel_kernel` -- are sums over the nodes c_i of the c-rule of a product of
-two node functions, one per point:
+`bessel_kernel` -- and `bulk_strong`, on the panels of its half line, are sums
+over the nodes c_i of their rule of a product of two node functions, one per
+point:
 
     K(z1, z2) = e^(l(z1) + l(z2)) sum_i F_i(z1) conj F_i(z2),
     F_i(z) = sqrt(W_i G(c_i)) u(c_i, z),
 
 with W the rule's weights, G the kernel's weight in c and l the point's log
 wall factor (the cosine kernel's also holds -log|Z|/2, the Bessel kernel's
--log 2).  The node functions u are [cos cz, sin cz] for the bulk, whose
-cos(c(z1 - conj z2)) is their product, J_nu(c w) (c w)^-nu (`_phi`) for
-`edge_weak` and `bessel_kernel`, sin(c w)/w and cos(c w), w = sqrt(Z), for
-the left-focus kernels.  sqrt(W G) is kept per (a, s, rule) by
-`_sqrt_weights`, and each point's (F, l) by `_feature`, in one LRU cache of
-_FEATURES = 64 entries keyed on the kernel, a, s, the rule and the point's
-bits, signed zeros apart: 0.5-2 kB each, at most 128 kB, on the default
-64-node rule.  One call is two lookups, three real dot products and one exp:
+-log 2).  The node functions u are [e^(icz), e^(-icz)]/sqrt 2 for the bulk,
+whose cos(c(z1 - conj z2)) is their product, with F formed in log space as
+exp(log sqrt(W G/2) -+ c y +- i c x), one complex exp per entry: cos(cz)
+alone overflows past |Im z| of about 710 where F does not; J_nu(c w)
+(c w)^-nu (`_phi`) for `edge_weak` and `bessel_kernel`; sin(c w)/w and
+cos(c w), w = sqrt(Z), for the left-focus kernels.  sqrt(W G), or its log
+for the bulk, is kept per (a, s, rule), and each point's (F, l) by
+`_feature`, in one LRU cache of _FEATURES = 64 entries keyed on the kernel,
+a, s, the rule and the point's bits, signed zeros apart: 0.5-2 kB each, at
+most 128 kB, on the default 64-node rule.  The half-line features of
+`bulk_strong` are 20 kB on the default 640-node rule and up to 512 KiB at
+the rule's node cap, so they have their own LRU cache of
+_HALF_LINE_FEATURES = 6 entries, at most 3 MiB.  A bulk point whose
+products could overflow keeps no node values, and is refused after the wall
+test.  One call is two lookups, three real dot products and one exp:
 Re K = (Re F1, Im F1) . (Re F2, Im F2), the parts interleaved, and
 Im K = Im F1 . Re F2 - Re F1 . Im F2, so K(z,z) is real and
-K(z2,z1) = conj K(z1,z2) bit for bit.
-The bulk's products cancel at most down to sqrt(K(z1,z1) K(z2,z2)).  Every
-kept array is read-only, and a value reads the same bits as one from
-features built afresh.  `bulk_strong` integrates its half line per value,
-with `integrate_c`, because its tail test is on the whole integrand.
+K(z2,z1) = conj K(z1,z2) bit for bit.  On the half line the same product
+over the last panel's nodes is the tail that `quadrature._check_tail` tests
+against the whole.  The bulk's products cancel at most down to
+sqrt(K(z1,z1) K(z2,z2)).  Every kept array is read-only, and a value reads
+the same bits as one from features built afresh.
 """
 
 from __future__ import annotations
@@ -45,9 +53,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
+from .geometry import (_LOG_MAX, _PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
-from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _gauss_rule, integrate_c
+from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
 from .specialfns import _LN2, W_MAX, _phi, _phi_underflows, _read_only, ln_gamma, log_i_ratio
 
 _DEFAULT = QuadratureSpec()
@@ -56,13 +64,24 @@ _GAMMA_SERIES_MAX = 5.0
 # per-point features kept by `_feature`, 0.5-2 kB each on the default rule;
 # a pair of points reads two
 _FEATURES = 64
+# per-point half-line features kept by `_half_line_feature`: 20 kB each on the
+# default 640-node rule, 512 KiB at the node cap of `quadrature`
+_HALF_LINE_FEATURES = 6
 
 
 @functools.lru_cache(maxsize=64)
-def _node_log_ratio(nu: float, rule: tuple) -> np.ndarray:
-    """Read-only log_i_ratio(nu, c) at the nodes c of `_gauss_rule(*rule)`,
-    the strong bulk kernel's half line; each is 0.5-128 kB."""
-    return _read_only(log_i_ratio(nu, _gauss_rule(*rule)[0]))
+def _bulk_log_weights(a: float, s: float, rule: tuple) -> np.ndarray:
+    """Read-only log sqrt(W G / 2) at the nodes c of `_gauss_rule(*rule)`, W
+    its weights, for the bulk kernels' weight
+
+        G(c) = 2 (cs/2)^{a+1/2} / (s pi^{3/2} Gamma(a+1) I_{a+1/2}(cs)),
+
+    s = 1 on the strong bulk's half line; 0.5-128 kB each.  DomainError for
+    an a outside its rule, before the rule is built."""
+    _check("a", a)
+    c, w = _gauss_rule(*rule)
+    return _read_only(0.5 * (np.log(w.ravel()) + log_i_ratio(a + 0.5, c * s)
+                             - (math.log(s) + 1.5 * math.log(math.pi) + ln_gamma(a + 1))))
 
 
 @functools.lru_cache(maxsize=64)
@@ -91,13 +110,26 @@ def _sqrt_weights(a: float, s: float | None, rule: tuple, log_factor: float,
 def _bulk_point(a: float, s: float, z: complex):
     _check("s", s)
     if not bulk_domain_contains(s, z):
-        raise DomainError("point outside the weak-bulk strip |Im z| <= s/2")
+        raise DomainError(f"point outside the bulk strip |Im z| <= {s / 2:g}")
     return _log_power(0.5 * a, 1.0 - 4.0 * z.imag ** 2 / s ** 2), z
 
 
 def _bulk_nodes(a: float, s: float, rule: tuple, z: complex) -> np.ndarray:
-    c = _gauss_rule(*rule)[0]
-    return _sqrt_weights(a, s, rule, _LN2, False) * np.array([np.cos(c * z), np.sin(c * z)])
+    """[exp(L + icz), exp(L - icz)] per node, L = log sqrt(W G / 2), each one
+    complex exp of its exponent L -+ cy +- icx: sqrt(W G) and cos(cz) are
+    not formed apart, so neither overflows where the feature does not.  No
+    node values, and no exp, where a product of two features, or the sum of
+    those of a value, could overflow: `_feature_kernel` refuses that point
+    after its wall test.  The exponents' imaginary zeros are +0, whatever
+    the sign of a zero part of z: the bulk has no branch cut."""
+    log_weights = _bulk_log_weights(a, s, rule)     # checks a before the rule is built
+    icz = _gauss_rule(*rule)[0] * complex(-z.imag, z.real)
+    arg = np.empty((icz.size, 2), complex)
+    np.add(log_weights, icz, out=arg[:, 0])
+    np.subtract(log_weights, icz, out=arg[:, 1])
+    if 2.0 * arg.real.max() + math.log(2 * arg.size) > _LOG_MAX:
+        return np.empty((0, 2), complex)
+    return np.exp(arg, out=arg)
 
 
 def _edge_wall(s: float, Z: complex) -> float:
@@ -160,16 +192,20 @@ def _bessel_point(a: float, s: None, X: float):
     return _log_power(0.5 * a, X) - _LN2, math.sqrt(X)
 
 
-@functools.lru_cache(maxsize=_FEATURES)
-def _feature(point, nodes, a: float, s: float | None, rule: tuple, z, re_sign: float,
-             im_sign: float):
+def _build_feature(point, nodes, a: float, s: float | None, rule: tuple, z, re_sign: float,
+                   im_sign: float):
     """(V, Re F, Im F, l) of one point: V, read-only, holds the parts of F
     interleaved, and the parts are its views.  The signs of the parts of z
     are in the key, so that 0.0 and -0.0, which are equal keys, stay apart.
-    A refusal raised here is never kept."""
+    A refusal raised here is never kept; a point without node values is
+    refused by `_feature_kernel`, after the wall test."""
     ell, arg = point(a, s, z)
     v = _read_only(np.ravel(nodes(a, s, rule, arg)).view(float))
     return v, v[0::2], v[1::2], ell
+
+
+_feature = functools.lru_cache(maxsize=_FEATURES)(_build_feature)
+_half_line_feature = functools.lru_cache(maxsize=_HALF_LINE_FEATURES)(_build_feature)
 
 
 def _wall(ell: float) -> complex:
@@ -179,20 +215,32 @@ def _wall(ell: float) -> complex:
 
 
 def _feature_kernel(point, nodes, a: float, s: float | None, z1, z2,
-                    spec: QuadratureSpec | None) -> complex:
-    """e^(l1 + l2) F1 . conj F2 from the kept features of z1 and z2.  A
-    product below the normal doubles has lost bits to the exponent range, and
-    is refused like a value there; so are e^(l1 + l2) and a value past the
+                    spec: QuadratureSpec | None, rule: tuple | None = None) -> complex:
+    """e^(l1 + l2) F1 . conj F2 from the kept features of z1 and z2, on the
+    unit-interval c-rule of `spec` or on `rule`.  On a half-line rule the
+    product over the last panel's nodes is that panel's share, which must
+    pass the tail test against the whole, after the prefactor.  A point off
+    the wall without node values is refused, after the wall test.  A product
+    below the normal doubles has lost bits to the exponent range, and is
+    refused like a value there; so are e^(l1 + l2) and a value past the
     double range."""
-    rule, sign = _c_rule(UNIT_INTERVAL, spec or _DEFAULT), math.copysign
-    v1, r1, i1, l1 = _feature(point, nodes, a, s, rule, z1, sign(1, z1.real), sign(1, z1.imag))
-    v2, r2, i2, l2 = _feature(point, nodes, a, s, rule, z2, sign(1, z2.real), sign(1, z2.imag))
+    rule, sign = rule or _c_rule(UNIT_INTERVAL, spec or _DEFAULT), math.copysign
+    feature = _half_line_feature if rule[0] == HALF_LINE else _feature
+    v1, r1, i1, l1 = feature(point, nodes, a, s, rule, z1, sign(1, z1.real), sign(1, z1.imag))
+    v2, r2, i2, l2 = feature(point, nodes, a, s, rule, z2, sign(1, z2.real), sign(1, z2.imag))
     ell = l1 + l2
     if not -math.inf < ell < math.inf:
         return _wall(ell)
+    if not (v1.size and v2.size):
+        z = z2 if v1.size else z1
+        raise OutOfRangeError(f"the products of the bulk features of {z!r} overflow")
     re, im = v1.dot(v2), i1.dot(r2) - r1.dot(i2)
-    _normal(complex(re, im))
     e = _exp_in_range(ell)
+    if feature is _half_line_feature:
+        last = 4 * _gauss_rule(*rule)[1].shape[1]     # the last panel's floats of F
+        tail = np.vdot(v2[-last:].view(complex), v1[-last:].view(complex))
+        _check_tail(abs(tail) * e, abs(complex(re, im)) * e)
+    _normal(complex(re, im))
     return _normal(complex(re * e, im * e))
 
 
@@ -260,7 +308,7 @@ def bulk_weak(a: float, s: float, z1: complex, z2: complex,
     K(z1,z2) = (2/(s pi^{3/2} Gamma(a+1))) prod_j (1-4 yhat_j^2/s^2)^{a/2}
                * int_0^1 dc (cs/2)^{a+1/2}/I_{a+1/2}(cs) cos(c(z1 - conj z2)),
 
-    summed as the product of the features [cos cz, sin cz] of the two points.
+    summed as the product of the bulk features of the two points.
     """
     return _feature_kernel(_bulk_point, _bulk_nodes, a, s, complex(z1), complex(z2), spec)
 
@@ -273,28 +321,17 @@ def bulk_strong(a: float, z1: complex, z2: complex,
             * int_0^infty dt (t/2)^{a+1/2}/I_{a+1/2}(t) cos(t(z1 - conj z2)).
 
     The half line is truncated at max(50, 5(a+2)) where the integrand has
-    decayed below machine relevance.  With the default spec that rule has
-    16(a+2) nodes from a = 38 on, so past a = 1022 it exceeds the half-line
-    node cap of `quadrature` and the kernel raises OutOfRangeError, first,
-    whatever the walls.  A wall factor q <= 0 takes the hard-wall limit, as
-    in the feature kernels.
+    decayed below machine relevance, and summed as the product of the bulk
+    features of the two points on its nodes; TailDivergenceError where the
+    last panel's share of that product is not negligible.  With the default
+    spec that rule has 16(a+2) nodes from a = 38 on, so past a = 1022 it
+    exceeds the half-line node cap of `quadrature` and the kernel raises
+    OutOfRangeError, first, whatever the walls.  A wall factor q <= 0 takes
+    the hard-wall limit, as in the feature kernels.
     """
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1.imag) > 0.5 or abs(z2.imag) > 0.5:
-        raise DomainError("point outside the strong-bulk strip |Im z| <= 1/2")
-    _check("a", a)
-    spec = spec or _DEFAULT
     T = max(50.0, 5.0 * (a + 2.0))
-    half_line = {"truncation": T, "panel": min(5.0, max(1.0, T / 40.0))}
-    lr = _node_log_ratio(a + 0.5, _c_rule(HALF_LINE, spec, **half_line))
-    lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
-             + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
-             + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
-    if not -math.inf < lpref < math.inf:
-        return _wall(lpref)
-    d = z1 - z2.conjugate()
-    return _normal(complex(integrate_c(lambda t: np.exp(lr + lpref) * np.cos(t * d),
-                                       HALF_LINE, spec, **half_line)))
+    rule = _c_rule(HALF_LINE, spec or _DEFAULT, T, min(5.0, max(1.0, T / 40.0)))
+    return _feature_kernel(_bulk_point, _bulk_nodes, a, 1.0, complex(z1), complex(z2), spec, rule)
 
 
 def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
@@ -457,40 +494,50 @@ _SERIES_TOL = 1e-15
 _SERIES_CAP = 500
 
 
-def _interior_omega(geometry: EllipseGeometry, z: complex):
+def _interior_omega(tau: float, v: float, z: complex):
     """(zeta, omega) for a rescaled global point z, zeta = z/sqrt(2 tau);
-    requires 1 <= |omega| < v.
+    requires 1 <= |omega| < v, v the Joukowsky radius of the wall.
 
     The series extends continuously onto the open branch cut (|omega| = 1
     with Im omega >= 0); only the degenerate focal points omega = +-1, where
     the Joukowsky frame collapses, are rejected.
     """
-    zeta = complex(z) / math.sqrt(2.0 * geometry.tau)
+    zeta = complex(z) / math.sqrt(2.0 * tau)
     om = joukowsky_inverse(zeta)
-    if abs(om) >= geometry.v:
+    if abs(om) >= v:
         raise DomainError(f"point {z} is outside the open rescaled ellipse")
     if abs(om * om - 1.0) < 1e-13:
         raise DomainError(f"point {z} sits at a focus of the rescaled ellipse")
     return zeta, om
 
 
-def _series_frame(tau: float, z1: complex, z2: complex, decay: int):
-    """(v, zeta_1, zeta_2, omega_1, conj omega_2, p) for a global kernel, with
-    p_j = e_j^{decay/2}, e_j = v^{-(1+2j)}, the powers of its image sum.
+@functools.lru_cache(maxsize=64)
+def _tau_frame(tau: float, decay: int):
+    """(v, terms, p) of the global series at tau, v the Joukowsky radius of
+    the wall and p_j = e_j^{decay/2}, e_j = v^{-(1+2j)}, the read-only
+    powers of its image sum.
 
     The j-th series term shrinks like v^{-decay j}; p holds as many terms as
-    that takes to fall below _SERIES_TOL.  Past _SERIES_CAP terms (tau close
-    to 1) the sum is refused rather than truncated.
+    that takes to fall below _SERIES_TOL, and is None past _SERIES_CAP
+    terms (tau close to 1), where the sum is refused rather than truncated.
     """
-    geo = EllipseGeometry(tau)
-    (zeta1, o1), (zeta2, o2) = (_interior_omega(geo, z) for z in (z1, z2))
-    v = geo.v
+    v = EllipseGeometry(tau).v
     terms = math.ceil(math.log(1.0 / _SERIES_TOL) / (decay * math.log(v))) + 1
     if terms > _SERIES_CAP:
+        return v, terms, None
+    return v, terms, _read_only((v ** -(1.0 + 2.0 * np.arange(terms))) ** (decay // 2))
+
+
+def _series_frame(tau: float, z1: complex, z2: complex, decay: int):
+    """(v, zeta_1, zeta_2, omega_1, conj omega_2, p) for a global kernel, the
+    tau part from `_tau_frame`: DomainError for a point outside the rescaled
+    ellipse is raised before OutOfRangeError past the term cap."""
+    v, terms, p = _tau_frame(tau, decay)
+    (zeta1, o1), (zeta2, o2) = (_interior_omega(tau, v, z) for z in (z1, z2))
+    if p is None:
         raise OutOfRangeError(f"the tau={tau} global series needs {terms} terms, "
                               f"more than {_SERIES_CAP}")
-    e = v ** -(1.0 + 2.0 * np.arange(terms))
-    return v, zeta1, zeta2, o1, np.conj(o2), e ** (decay // 2)
+    return v, zeta1, zeta2, o1, np.conj(o2), p
 
 
 def _images(p, x1: complex, x2: complex, sign: float) -> complex:
@@ -499,10 +546,12 @@ def _images(p, x1: complex, x2: complex, sign: float) -> complex:
         sum_j S(p_j x1 x2) + sign S(p_j x1/x2) + sign S(p_j x2/x1) + S(p_j/(x1 x2)),
 
     with S(q) = q/(1-q)^2, evaluated as one S over a [4, terms] array."""
-    q = np.outer((x1, x1, x2, 1.0), p)
+    q = np.array((x1, x1, x2, 1.0))[:, None] * p
     q[0] *= x2
-    q[1:] /= [[x2], [x1], [x1 * x2]]
-    return np.sum(np.sum([[1.0], [sign], [sign], [1.0]] * (q / (1.0 - q) ** 2), axis=0))
+    q[1:] /= np.array((x2, x1, x1 * x2))[:, None]
+    q /= (1.0 - q) ** 2
+    q[1:3] *= sign
+    return q.sum(axis=0).sum()
 
 
 def global_kernel_u(tau: float, z1: complex, z2: complex) -> complex:

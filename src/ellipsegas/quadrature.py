@@ -248,6 +248,15 @@ def integrate_ellipse(f, geometry: EllipseGeometry, spec: QuadratureSpec,
     return complex(np.sum(w * vals))
 
 
+def _check_tail(last: float, total: float) -> None:
+    """TailDivergenceError where the last panel of a half-line sum, of
+    modulus `last`, passes 1e-8 of the whole, of modulus `total`: the
+    integrand has not decayed by the truncation point."""
+    if last > 1e-8 * max(total, 1e-300):
+        raise TailDivergenceError(f"final panel contributes {last:.3g} of {total:.3g}; "
+                                  "increase truncation or check integrand decay")
+
+
 def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None = None,
                 panel: float = 5.0) -> complex:
     """Integrate g over c in [0,1] or t in [0,inf) (paneled, truncated).
@@ -269,11 +278,7 @@ def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None =
         total = 0.0 + 0.0j
         for part in parts:
             total += part
-        last = abs(parts[-1])
-        if last > 1e-8 * max(abs(total), 1e-300):
-            raise TailDivergenceError(
-                f"final panel contributes {last:.3g} of {abs(total):.3g}; "
-                "increase truncation or check integrand decay")
+        _check_tail(abs(parts[-1]), abs(total))
     # the weights are positive, so a value that is not finite at any node
     # leaves the sum not finite; checking the sum is the cheaper test
     if not cmath.isfinite(total):

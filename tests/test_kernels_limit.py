@@ -2,13 +2,14 @@ import cmath
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         LimitKernelSpec, LimitKind, OutOfRangeError, PolyKind,
-                        QuadratureSpec, SingularPointError, bessel_kernel, bulk_from_edge_check,
+                        QuadratureSpec, SingularPointError, TailDivergenceError, bessel_kernel, bulk_from_edge_check,
                         bulk_strong, bulk_weak, edge_strong, edge_weak,
                         edge_weak_minus_cosine, edge_weak_minus_sine,
                         ginibre_kernel, global_kernel_t, global_kernel_u,
@@ -16,8 +17,11 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         kernel_truncated_edge, make_kernel, sine_kernel)
 from ellipsegas import kernels_limit, specialfns
 from ellipsegas.geometry import _log_power
-from ellipsegas.kernels_limit import _FEATURES, _feature, _node_log_ratio, _sqrt_weights
-from ellipsegas.quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule, integrate_c
+from ellipsegas.kernels_limit import (_FEATURES, _HALF_LINE_FEATURES, _build_feature,
+                                      _bulk_log_weights, _feature, _half_line_feature,
+                                      _sqrt_weights)
+from ellipsegas.quadrature import (_HALF_LINE_CAP, HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule,
+                                   integrate_c)
 from ellipsegas.specialfns import bessel_j, ln_gamma, log_i_ratio
 
 B_OF = lambda a: math.sqrt(math.pi) * math.exp(math.lgamma(a + 1.5) - math.lgamma(a + 2.0))
@@ -98,6 +102,42 @@ def test_bulk_weak_finite_N_oracle():
     got = kern.eval(0.0, 0.0) / N ** 2
     ref = bulk_weak(a, s, 0.0, 0.0)
     assert abs(got - ref) <= 2e-3
+
+
+def _bulk_weak_sum_in_30_digits(a, s, z1, z2):
+    """The 64-node sum of bulk_weak, its weight G and cos(c(z1 - conj z2))
+    taken in 30 digits at the rule's double nodes and weights."""
+    mpmath = pytest.importorskip("mpmath")
+    c, w = _gauss_rule(UNIT_INTERVAL, 64)
+    with mpmath.workdps(30):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        d = mpmath.mpc(z1) - mpmath.conj(mpmath.mpc(z2))
+        total = mpmath.mpf(0)
+        for ci, wi in zip(c.tolist(), w.tolist()):
+            x = mpmath.mpf(ci) * s
+            g = 2 * (x / 2) ** (a + 0.5) / (s * mpmath.pi ** 1.5 * mpmath.gamma(a + 1)
+                                            * mpmath.besseli(a + 0.5, x))
+            total += mpmath.mpf(wi) * g * mpmath.cos(mpmath.mpf(ci) * d)
+        for z in (z1, z2):
+            total *= (1 - 4 * mpmath.mpf(z.imag) ** 2 / s ** 2) ** (a / 2)
+        return complex(total)
+
+
+def test_bulk_weak_answers_where_cos_cz_overflows():
+    # past |Im z| of about 710 cos(cz) overflows while sqrt(W G) cos(cz) does
+    # not; the features are formed in log space.  The 64-node rule itself is
+    # 2.9e-5 off the integral here: 30-digit mpmath.quad gives 1.19627764459e-05
+    a, s = 0.5, 3000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = bulk_weak(a, s, 1400j, 1400j)
+        z1, z2 = 0.3 + 700j, -0.2 - 700j
+        pair = [bulk_weak(a, s, u, v) for u, v in ((z1, z1), (z1, z2), (z2, z2))]
+    assert value.imag == 0.0 and 0.0 < value.real < math.inf
+    assert abs(value - _bulk_weak_sum_in_30_digits(a, s, 1400j, 1400j)) <= 1e-13 * value.real
+    scale = math.sqrt(pair[0].real * pair[2].real)
+    assert (abs(pair[1] - _bulk_weak_sum_in_30_digits(a, s, z1, z2))
+            <= 8 * np.finfo(float).eps * scale)
 
 
 def test_bulk_density_depends_only_on_imaginary_part():
@@ -371,6 +411,44 @@ def test_bulk_strong_refuses_past_the_half_line_node_cap():
     with pytest.raises(OutOfRangeError):
         integrate_c(np.cos, HALF_LINE, QuadratureSpec(), truncation=1e6, panel=1.0)
     assert _gauss_rule(HALF_LINE, 64, 5120.0, 5.0)[0].size == 16384   # a = 1022 answers
+
+
+def test_bulk_strong_refuses_the_tail_where_its_integral_does():
+    # the tail test reads the last panel of the feature product: it refuses
+    # exactly where the per-value integral of the half line does, and the
+    # values agree within rounding of the terms' sum
+    rng = np.random.default_rng(27)
+    refused = answered = 0
+    for _ in range(520):
+        a = float(3.0 - 4.0 * rng.random())
+        z1, z2 = (complex(6.0 * rng.random() - 3.0, rng.random() - 0.5) for _ in range(2))
+        try:
+            reference = _uncached_bulk_strong(a, z1, z2)
+        except TailDivergenceError:
+            with pytest.raises(TailDivergenceError):
+                bulk_strong(a, z1, z2)
+            refused += 1
+            continue
+        value = bulk_strong(a, z1, z2)
+        assert abs(value - reference) <= 1e-14 * _bulk_strong_term_moduli(a, z1, z2)
+        answered += 1
+    assert refused >= 50 and answered >= 50
+
+
+def test_half_line_feature_cache_stays_within_its_bound():
+    # a point's features are two complex numbers a node: 20 kB on the
+    # default 640-node rule and 512 KiB at the half-line node cap, so the
+    # kept features hold at most _HALF_LINE_FEATURES of them, 3 MiB
+    assert _HALF_LINE_FEATURES * _HALF_LINE_CAP * 32 <= 4e6
+    assert _kept_feature("strong", 0.5, None, 0.1 + 0.2j, 1.0, 1.0)[0].nbytes == 640 * 32
+    assert (_kept_feature("strong", 1022.0, None, 0.1 + 0.2j, 1.0, 1.0)[0].nbytes
+            == _HALF_LINE_CAP * 32)
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        z1, z2 = (complex(2.0 * rng.random(), 0.4 * rng.random() - 0.2) for _ in range(2))
+        bulk_strong(0.5, z1, z2)
+        info = _half_line_feature.cache_info()
+        assert info.maxsize == _HALF_LINE_FEATURES and info.currsize <= _HALF_LINE_FEATURES
 
 
 # --------------------------------------------------------------------- strong edge
@@ -702,6 +780,25 @@ def test_bulk_kernels_on_strip_boundary():
     assert math.isinf(abs(bulk_strong(-0.5, 0.5j, 0.5j)))
 
 
+def test_bulk_wall_comes_before_the_feature_overflow_refusal():
+    # near the wall at large a the products of a point's features could
+    # overflow, and its value is refused; paired with a point on the wall it
+    # is the wall's limit.  At a = 1000 and 1022 on the strong bulk, and at
+    # a = 200, s = 1e8, an exponent of the feature itself passes the doubles
+    # (about e^1010 and e^1337), so no exp is taken for it
+    for a, y in ((500.0, 0.45), (1000.0, 0.49), (1022.0, 0.49)):
+        z = complex(0.1, y)
+        with pytest.raises(OutOfRangeError, match="products of the bulk features"):
+            bulk_strong(a, z, z)
+        assert bulk_strong(a, 0.1 + 0.5j, z) == bulk_strong(a, z, -0.5j) == 0.0
+        with pytest.raises(OutOfRangeError, match="products of the bulk features"):
+            bulk_strong(a, 0.1, z)
+    for a, s, y in ((1000.0, 2000.0, 900.0), (200.0, 1e8, 4.99e7)):
+        with pytest.raises(OutOfRangeError, match="products of the bulk features"):
+            bulk_weak(a, s, complex(0.0, y), complex(0.0, y))
+        assert bulk_weak(a, s, complex(0.0, s / 2), complex(0.0, y)) == 0.0
+
+
 # ------------------------------------------------------- dispatch and series cap
 
 # the spec parameters each kind takes, with admissible values and points
@@ -861,6 +958,51 @@ def test_global_kernels_match_independent_fsum_of_their_series(kind, fn, tau, pl
     assert abs(fn(tau, z1, z2) - _global_by_fsum(kind, tau, z1, z2)) <= 1e-12 * scale
 
 
+def _per_value_series_frame(tau, z1, z2, decay):
+    """The global series frame built afresh for every value: geometry, term
+    count, cap and powers."""
+    geo = EllipseGeometry(tau)
+    (zeta1, o1), (zeta2, o2) = (kernels_limit._interior_omega(tau, geo.v, z) for z in (z1, z2))
+    v = geo.v
+    terms = math.ceil(math.log(1.0 / 1e-15) / (decay * math.log(v))) + 1
+    if terms > 500:
+        raise OutOfRangeError(f"the tau={tau} global series needs {terms} terms")
+    e = v ** -(1.0 + 2.0 * np.arange(terms))
+    return v, zeta1, zeta2, o1, np.conj(o2), e ** (decay // 2)
+
+
+def _per_value_images(p, x1, x2, sign):
+    """The image sum with its weight rows and divisors from nested lists."""
+    q = np.outer((x1, x1, x2, 1.0), p)
+    q[0] *= x2
+    q[1:] /= [[x2], [x1], [x1 * x2]]
+    return np.sum(np.sum([[1.0], [sign], [sign], [1.0]] * (q / (1.0 - q) ** 2), axis=0))
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.5, 0.95])
+def test_global_kernels_keep_the_bits_of_a_per_value_frame(monkeypatch, tau):
+    points = [_global_point(tau, radius, angle)
+              for radius, angle in ((0.4, 0.7), (0.6, -2.1), (0.999, 1.1), (0.0, 0.3))]
+    kernels = (global_kernel_u, global_kernel_t, global_kernel_v)
+    kept = [repr(fn(tau, z1, z2)) for fn in kernels for z1 in points for z2 in points]
+    assert not kernels_limit._tau_frame(tau, 4)[2].flags.writeable
+    monkeypatch.setattr(kernels_limit, "_series_frame", _per_value_series_frame)
+    monkeypatch.setattr(kernels_limit, "_images", _per_value_images)
+    assert kept == [repr(fn(tau, z1, z2)) for fn in kernels for z1 in points for z2 in points]
+
+
+def test_global_refusals_keep_their_order_and_kind():
+    # a point outside the ellipse is refused by DomainError before the term
+    # cap, on every call, also once the frame of that tau is kept
+    for _ in range(2):
+        for z1, z2 in ((10.0, 0.1), (0.1, 10.0)):
+            with pytest.raises(DomainError) as refusal:
+                global_kernel_u(0.9999, z1, z2)
+            assert refusal.type is DomainError
+        with pytest.raises(OutOfRangeError):
+            global_kernel_u(0.9999, 0.1, 0.1)
+
+
 # ------------------------------------------------------------------ feature caches
 
 def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, **half_line):
@@ -883,19 +1025,36 @@ def _closure_bulk_weak(a, s, z1, z2):
     return _uncached_ratio_integral(a, s, walls, lambda c: np.cos(c * d), math.log(2.0))
 
 
+def _strong_half_line(a):
+    """The truncation and panel of bulk_strong's half-line rule."""
+    T = max(50.0, 5.0 * (a + 2.0))
+    return {"truncation": T, "panel": min(5.0, max(1.0, T / 40.0))}
+
+
 def _uncached_bulk_strong(a, z1, z2):
+    """bulk_strong as one integrand of t, cos(t(z1 - conj z2)), per value."""
     d = z1 - z2.conjugate()
     walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
-    T = max(50.0, 5.0 * (a + 2.0))
     return _uncached_ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), math.log(2.0),
-                                    HALF_LINE, truncation=T,
-                                    panel=min(5.0, max(1.0, T / 40.0)))
+                                    HALF_LINE, **_strong_half_line(a))
+
+
+def _bulk_strong_term_moduli(a, z1, z2):
+    """The sum of the moduli of the terms of `_uncached_bulk_strong`'s node
+    sum, walls included: the scale of its rounding."""
+    t, w = _gauss_rule(*_c_rule(HALF_LINE, QuadratureSpec(), **_strong_half_line(a)))
+    lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
+             + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
+             + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
+    terms = np.exp(log_i_ratio(a + 0.5, t) + lpref) * np.cos(t * (z1 - z2.conjugate()))
+    return float(np.sum(w.ravel() * np.abs(terms)))
 
 
 def _uncached(monkeypatch):
-    """Take the memo of the features and of sqrt(W G) out of the kernels."""
-    monkeypatch.setattr(kernels_limit, "_feature", _feature.__wrapped__)
-    monkeypatch.setattr(kernels_limit, "_sqrt_weights", _sqrt_weights.__wrapped__)
+    """Take the memo of the features and of sqrt(W G) and its log out of the
+    kernels."""
+    for cache in (_feature, _half_line_feature, _sqrt_weights, _bulk_log_weights):
+        monkeypatch.setattr(kernels_limit, cache.__name__, cache.__wrapped__)
 
 
 _CACHE_POINTS = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j, 1.3 + 0.3j, -0.9 - 0.25j, 0.0j]
@@ -903,17 +1062,16 @@ _CACHE_POINTS = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j, 1.3 + 0.3j, -0.9 - 0.25j,
 
 @pytest.mark.parametrize("kind, a, s", [("bulk-weak", 0.37, 1.31), ("bulk-strong", -0.43, None)])
 def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind, a, s):
-    # bulk-weak: the kept features give the bits of features built afresh,
-    # and the per-value integrand within rounding of the bulk's own scale
-    # sqrt(K(z1,z1) K(z2,z2)); bulk-strong: the bits of its integrand with
-    # log_i_ratio run on every call
+    # the kept features give the bits of features built afresh, and the
+    # per-value integrand, with log_i_ratio run on every call, within
+    # rounding of the bulk's own scale sqrt(K(z1,z1) K(z2,z2))
     calls = []
 
     def counting(nu, x):
         calls.append(nu)
         return log_i_ratio(nu, x)
 
-    for cache in (_node_log_ratio, _sqrt_weights, _feature):
+    for cache in (_bulk_log_weights, _sqrt_weights, _feature, _half_line_feature):
         cache.cache_clear()
     monkeypatch.setattr(kernels_limit, "log_i_ratio", counting)
     kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
@@ -921,34 +1079,34 @@ def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind,
     values = [kern(z1, z2) for z1, z2 in pairs]
     assert len(values) == 24 and calls == [a + 0.5]
     monkeypatch.undo()
-    if kind == "bulk-strong":
-        for (z1, z2), val in zip(pairs, values):
-            assert val == _uncached_bulk_strong(a, z1, z2)
-        return
     _uncached(monkeypatch)
     assert [repr(kern(z1, z2)) for z1, z2 in pairs] == [repr(v) for v in values]
     for (z1, z2), val in zip(pairs, values):
         scale = math.sqrt(kern(z1, z1).real * kern(z2, z2).real)
-        assert abs(val - _closure_bulk_weak(a, s, z1, z2)) <= 8 * np.finfo(float).eps * scale
+        closure = (_closure_bulk_weak(a, s, z1, z2) if kind == "bulk-weak"
+                   else _uncached_bulk_strong(a, z1, z2))
+        assert abs(val - closure) <= 8 * np.finfo(float).eps * scale
 
 
 def test_cached_arrays_are_read_only():
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
     bulk_strong(0.5, 0.2j, 0.1)
-    arrays = [_node_log_ratio(1.0, _c_rule(HALF_LINE, QuadratureSpec(), 50.0, 1.25)),
-              _sqrt_weights(0.5, 1.0, rule, 0.0, False), _sqrt_weights(0.8, None, rule, 0.0, True)]
+    arrays = [_bulk_log_weights(0.5, 1.0, _c_rule(HALF_LINE, QuadratureSpec(), 50.0, 1.25)),
+              _sqrt_weights(0.5, 1.0, _c_rule(UNIT_INTERVAL, QuadratureSpec()), 0.0, False),
+              _sqrt_weights(0.8, None, _c_rule(UNIT_INTERVAL, QuadratureSpec()), 0.0, True)]
     for kind, s, z in _FEATURE_POINTS:
-        arrays += _feature(*_functions(kind), 0.8, s, rule, z, 1.0, 1.0)[:3]
-    assert len(arrays) == 3 + 3 * 5
+        arrays += _kept_feature(kind, 0.8, s, z, 1.0, 1.0)[:3]
+    assert len(arrays) == 3 + 3 * 6
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0.0
 
 
-# the features of the five kernels: kind -> (LimitKind, a, s, point
-# function, node function)
+# the features of the six kernels: kind -> (LimitKind, a, s, point
+# function, node function); the strong bulk's features are the bulk's at
+# s = 1 on its half line
 _FEATURE_KERNELS = {
     "bulk": ("bulk-weak", 0.6, 1.4, "_bulk_point", "_bulk_nodes"),
+    "strong": ("bulk-strong", 0.6, None, "_bulk_point", "_bulk_nodes"),
     "edge": ("edge-weak", 0.8, 1.7, "_edge_point", "_phi_nodes"),
     "sine": ("edge-weak-minus-sine", 0.3, 1.2, "_left_focus_point", "_sine_nodes"),
     "cosine": ("edge-weak-minus-cosine", -0.4, 2.1, "_cosine_point", "_cosine_nodes"),
@@ -959,14 +1117,30 @@ _FEATURE_KERNELS = {
 def _functions(kind):
     """The point and node functions of a kind."""
     return tuple(getattr(kernels_limit, name) for name in _FEATURE_KERNELS[kind][3:])
+
+
+def _kept_feature(kind, a, s, z, re_sign, im_sign, cache=None):
+    """The kept (V, Re F, Im F, l) of a point, on the kernel's default rule,
+    from `cache` if given: the strong bulk's on its half line at s = 1."""
+    if kind == "strong":
+        rule = _c_rule(HALF_LINE, QuadratureSpec(), **_strong_half_line(a))
+        s, cache = 1.0, cache or _half_line_feature
+    else:
+        rule, cache = _c_rule(UNIT_INTERVAL, QuadratureSpec()), cache or _feature
+    return cache(*_functions(kind), a, s, rule, z, re_sign, im_sign)
+
+
 # one point of each kernel's domain, off the real axis where it has one
-_FEATURE_POINTS = [("bulk", 1.4, 0.3 + 0.2j), ("edge", 1.7, 0.9 + 0.4j),
-                   ("sine", 1.2, 0.9 + 0.4j), ("cosine", 2.1, 0.9 + 0.4j), ("bessel", None, 0.9)]
+_FEATURE_POINTS = [("bulk", 1.4, 0.3 + 0.2j), ("strong", None, 0.3 + 0.2j),
+                   ("edge", 1.7, 0.9 + 0.4j), ("sine", 1.2, 0.9 + 0.4j),
+                   ("cosine", 2.1, 0.9 + 0.4j), ("bessel", None, 0.9)]
 # pairs of points: off the real axis, on it (sqrt Z = x + 0i and sqrt conj Z
 # = x - 0i), and with a root past |root| = 4, where phi leaves the c^2k table
 _FEATURE_PAIRS = {
     "bulk": [(0.4 + 0.3j, -0.2 - 0.5j), (9.0 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
              (20.0 + 0.1j, 3.0 + 0j)],
+    "strong": [(0.4 + 0.1j, -0.2 - 0.15j), (0.9 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
+               (2.0 + 0.1j, 1.0 + 0j)],
     "bessel": [(0.9, 0.2), (9.0, 0.25), (3.0, 0.6), (400.0, 2.0)],
 }
 _EDGE_PAIRS = [(0.9 + 0.4j, -0.2 - 0.3j), (9.0 + 0j, 0.25 + 0j), (0.6 + 0j, 0.3 - 0.2j),
@@ -992,6 +1166,7 @@ def test_one_feature_build_per_distinct_point_of_a_pair(monkeypatch, kind, pair)
 
     monkeypatch.setattr(kernels_limit, node_name, counting)
     _feature.cache_clear()
+    _half_line_feature.cache_clear()
     name, a, s, _, _ = _FEATURE_KERNELS[kind]
     kern = make_kernel(LimitKernelSpec(LimitKind(name), a=a, s=s))
     z1, z2 = _feature_pairs(kind)[pair]
@@ -1013,18 +1188,23 @@ def test_memoized_features_give_the_bits_of_an_uncached_evaluation(monkeypatch, 
     assert first == again == [repr(kern(u, v)) for u, v in calls]
 
 
-def test_features_keep_signed_zeros_apart():
-    # -0.3 + 0i and -0.3 - 0i are equal keys to a dict; the feature kept for
-    # each is its own build, [cos cz, sin cz] with zero imaginary parts of
-    # opposite signs
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+@pytest.mark.parametrize("kind", ["bulk", "strong"])
+def test_features_keep_signed_zeros_apart(kind):
+    # 0.2i and -0 + 0.2i are equal keys to a dict; each is kept as its own
+    # build.  The complex exps of the bulk features have +0 imaginary zeros
+    # either way, as the bulk has no branch cut, on the c-rule and the half
+    # line alike
+    _feature.cache_clear()
+    _half_line_feature.cache_clear()
     kept, fresh = [], []
-    for z in (complex(-0.3, 0.0), complex(-0.3, -0.0)):
-        signs = (-1.0, math.copysign(1.0, z.imag))
-        kept.append(_feature(*_functions("bulk"), 0.6, 1.4, rule, z, *signs)[0])
-        fresh.append(_feature.__wrapped__(*_functions("bulk"), 0.6, 1.4, rule, z, *signs)[0])
+    for z in (0.2j, complex(-0.0, 0.2)):
+        signs = (math.copysign(1.0, z.real), 1.0)
+        kept.append(_kept_feature(kind, 0.6, 1.4, z, *signs)[0])
+        fresh.append(_kept_feature(kind, 0.6, 1.4, z, *signs, cache=_build_feature)[0])
     assert [repr(v.tolist()) for v in kept] == [repr(v.tolist()) for v in fresh]
-    assert repr(kept[0].tolist()) != repr(kept[1].tolist())
+    assert kept[0] is not kept[1]
+    assert repr(kept[0].tolist()) == repr(kept[1].tolist())
+    assert _feature.cache_info().currsize + _half_line_feature.cache_info().currsize == 2
 
 
 def test_phi_refusal_is_raised_on_every_call_and_never_cached(monkeypatch):
@@ -1078,7 +1258,7 @@ def _hermitian_sweep_points(kind, s, rng):
     wall factor q -> 0 and on the wall."""
     if kind == "bessel":
         return [4.0 * rng.random(), float(rng.integers(1, 9)), 1e-300, 0.0]
-    if kind == "bulk":
+    if kind in ("bulk", "strong"):
         x, y = 6.0 * rng.random() - 3.0, s / 2 * (2.0 * rng.random() - 1.0)
         return [complex(x, y), complex(6.0 * rng.random() - 3.0, y * rng.random()),
                 complex(x, 0.0), complex(x, -0.0),
@@ -1101,13 +1281,14 @@ def test_feature_kernels_are_hermitian_bit_for_bit(kind):
     checked = 0
     for trial in range(12):
         a = [-0.9 * rng.random(), 0.0, 3.0 * rng.random()][trial % 3]
-        s = None if kind == "bessel" else float(0.5 + 2.5 * rng.random())
+        s = (None if kind == "bessel" else 1.0 if kind == "strong"
+             else float(0.5 + 2.5 * rng.random()))
         kern = make_kernel(LimitKernelSpec(LimitKind(name), a=a, s=s))
         for z1, z2 in itertools.combinations_with_replacement(
                 _hermitian_sweep_points(kind, s, rng), 2):
             try:
                 k12 = complex(kern(z1, z2))
-            except (OutOfRangeError, SingularPointError) as exc:
+            except (OutOfRangeError, SingularPointError, TailDivergenceError) as exc:
                 with pytest.raises(type(exc)):
                     kern(z2, z1)
                 continue
