@@ -26,6 +26,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
+from .specialfns import _LOG_MAX
 
 # parameter -> (whether a value lies in its domain, the domain as text); one
 # rule for every function and class that takes the parameter, and for the text
@@ -39,10 +40,6 @@ _PARAMETERS = {"a": (lambda a: -1 < a < math.inf, "finite a > -1"),
                "proposal_sigma": (lambda p: 0 < p < math.inf, "finite proposal_sigma > 0"),
                "alpha": (lambda a: -1 < a < math.inf, "finite alpha > -1"),
                "gamma": (lambda g: -1 < g < math.inf, "finite gamma > -1")}
-
-
-# log of the largest double
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _check(name: str, value) -> None:

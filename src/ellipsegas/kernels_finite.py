@@ -54,25 +54,15 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_power, contains,
                        ellipse_deficit, log_weight, log_weight_values)
-from .polynomials import _LN2, _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
+from .polynomials import _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
 from .quadrature import _gauss_rule
-from .specialfns import ln_gamma, ln_gamma_difference
+from .specialfns import _LN2, _LOG_MAX, _plus_bits, _read_only, ln_gamma, ln_gamma_difference
 
 # points whose checked single-point table a kernel keeps, oldest evicted first
 _STORE_POINTS = 32
 # |beta| past which kernel_truncated_edge refuses: its 64-node rule no longer
 # resolves e^(-c beta) near the imaginary axis (1e-11 off at 180)
 _TRUNCATED_EDGE_BETA_MAX = 160.0
-# ln2 as the double _LN2, in which log_raw_norms counts its exponents, split
-# into a 24-bit head, whose product with an exponent below 2^29 is exact, and its tail
-_LN2_HI = float(np.float32(_LN2))
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
-def _plus_bits(x, bits):
-    """x + bits ln2 for integer bits, floats or arrays: every conversion of a
-    power-of-two exponent to a log.  No rounding of bits ln2 itself enters."""
-    return x + bits * _LN2_HI + bits * (_LN2 - _LN2_HI)
 
 
 def _fold(vals, bits, sigma=1.0):
@@ -149,8 +139,7 @@ class FiniteKernel:
             if lw == math.inf:
                 raise SingularPointError(f"point {z} sits on a weight singularity")
             feats, t = _fold(*_scalar_steps(self._coefs, key), self._sigma)
-            feats.flags.writeable = False
-            entry = (feats, _plus_bits(0.5 * lw, t))
+            entry = (_read_only(feats), _plus_bits(0.5 * lw, t))
             while len(self._store) >= _STORE_POINTS:
                 self._store.popitem(last=False)
             self._store[key] = entry

@@ -12,33 +12,39 @@ The deformed sine and Bessel kernels on c in [0,1] -- `bulk_weak`,
 over the nodes c_i of their rule of a product of two node functions, one per
 point:
 
-    K(z1, z2) = e^(l(z1) + l(z2)) sum_i F_i(z1) conj F_i(z2),
-    F_i(z) = sqrt(W_i G(c_i)) u(c_i, z),
+    K(z1, z2) = e^(l(z1) + l(z2)) 2^(k(z1) + k(z2)) sum_i F_i(z1) conj F_i(z2),
+    F_i(z) 2^k(z) = sqrt(W_i G(c_i)) u(c_i, z),
 
-with W the rule's weights, G the kernel's weight in c and l the point's log
+with W the rule's weights, G the kernel's weight in c, l the point's log
 wall factor (the cosine kernel's also holds -log|Z|/2, the Bessel kernel's
--log 2).  The node functions u are [e^(icz), e^(-icz)]/sqrt 2 for the bulk,
-whose cos(c(z1 - conj z2)) is their product, with F formed in log space as
+-log 2) and k an exact power of two that keeps F of modest size at any a.
+The node functions u are [e^(icz), e^(-icz)]/sqrt 2 for the bulk, whose
+cos(c(z1 - conj z2)) is their product, with F formed in log space as
 exp(log sqrt(W G/2) -+ c y +- i c x), one complex exp per entry: cos(cz)
 alone overflows past |Im z| of about 710 where F does not; J_nu(c w)
-(c w)^-nu (`_phi`) for `edge_weak` and `bessel_kernel`; sin(c w)/w and
-cos(c w), w = sqrt(Z), for the left-focus kernels.  sqrt(W G), or its log
-for the bulk, is kept per (a, s, rule), and each point's (F, l) by
-`_feature`, in one LRU cache of _FEATURES = 64 entries keyed on the kernel,
-a, s, the rule and the point's bits, signed zeros apart: 0.5-2 kB each, at
-most 128 kB, on the default 64-node rule.  The half-line features of
-`bulk_strong` are 20 kB on the default 640-node rule and up to 512 KiB at
-the rule's node cap, so they have their own LRU cache of
-_HALF_LINE_FEATURES = 6 entries, at most 3 MiB.  A bulk point whose
-products could overflow keeps no node values, and is refused after the wall
-test.  One call is two lookups, three real dot products and one exp:
+(c w)^-nu for `edge_weak` and `bessel_kernel`, as psi(c w) (`_phi`) times
+phi(0) = m 2^k (`_phi_zero`); sin(c w)/w and cos(c w), w = sqrt(Z), for the
+left-focus kernels.  Only the phi features and the bulk features near the
+wall, whose exponents are then lowered by whole powers of two, have k != 0.
+sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by `_weights`,
+and each point's (F, l, k) by `_feature`, in one LRU cache of
+_FEATURES = 64 entries keyed on the kernel, a, s, the rule and the point's
+bits, signed zeros apart: 0.5-2 kB each, at most 128 kB, on the default
+64-node rule.  The half-line features of `bulk_strong` are 20 kB on the
+default 640-node rule and up to 512 KiB at the rule's node cap, so they
+have their own LRU cache of _HALF_LINE_FEATURES = 6 entries, at most
+3 MiB.  One call is two lookups, three real dot products, one exp and
+one ldexp per part, by 2^(k1 + k2) and, where e^(l1 + l2) is not a normal
+double, its power of two:
 Re K = (Re F1, Im F1) . (Re F2, Im F2), the parts interleaved, and
 Im K = Im F1 . Re F2 - Re F1 . Im F2, so K(z,z) is real and
-K(z2,z1) = conj K(z1,z2) bit for bit.  On the half line the same product
-over the last panel's nodes is the tail that `quadrature._check_tail` tests
-against the whole.  The bulk's products cancel at most down to
-sqrt(K(z1,z1) K(z2,z2)).  Every kept array is read-only, and a value reads
-the same bits as one from features built afresh.
+K(z2,z1) = conj K(z1,z2) bit for bit.  A value is refused only where it, or
+the product of the features, is outside the normal doubles.  On the half
+line the same product over the last panel's nodes is the tail that
+`quadrature._check_tail` tests against the whole.  The bulk's products
+cancel at most down to sqrt(K(z1,z1) K(z2,z2)).  Every kept array is
+read-only, and a value reads the same bits as one from features built
+afresh.
 """
 
 from __future__ import annotations
@@ -53,10 +59,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (_LOG_MAX, _PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
+from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
                        bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
-from .specialfns import _LN2, W_MAX, _phi, _phi_underflows, _read_only, ln_gamma, log_i_ratio
+from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
+                         log_i_ratio)
 
 _DEFAULT = QuadratureSpec()
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
@@ -70,37 +77,30 @@ _HALF_LINE_FEATURES = 6
 
 
 @functools.lru_cache(maxsize=64)
-def _bulk_log_weights(a: float, s: float, rule: tuple) -> np.ndarray:
-    """Read-only log sqrt(W G / 2) at the nodes c of `_gauss_rule(*rule)`, W
-    its weights, for the bulk kernels' weight
+def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
+    """Read-only weights at the nodes c of `_gauss_rule(*rule)`, W its
+    weights, of the deformed kernels' weight in c,
 
-        G(c) = 2 (cs/2)^{a+1/2} / (s pi^{3/2} Gamma(a+1) I_{a+1/2}(cs)),
+        G(c) = (cs/2)^{a+1/2} / (s pi^{3/2} Gamma(a+1) I_{a+1/2}(cs)):
 
-    s = 1 on the strong bulk's half line; 0.5-128 kB each.  DomainError for
-    an a outside its rule, before the rule is built."""
+    form "log" gives log sqrt(W G), the bulk's, whose G leaves the doubles
+    at large s (0.5-128 kB, s = 1 on the strong bulk's half line); "sqrt"
+    gives sqrt(W G), the left-focus kernels'; "phi" gives
+    sqrt(W c^(2a+2) G pi/2), `edge_weak`'s, and without s sqrt(W c^(2a+2)),
+    `bessel_kernel`'s.  W c^(2a+2) is one product under the root, which
+    keeps bessel_kernel(83, 1000, 1000) 5e-15 off the 40-digit sum of its
+    rule, where sqrt(W) c^(a+1) is 2.5e-14 off.  DomainError for an a
+    outside its rule, before the rule is built."""
     _check("a", a)
     c, w = _gauss_rule(*rule)
-    return _read_only(0.5 * (np.log(w.ravel()) + log_i_ratio(a + 0.5, c * s)
-                             - (math.log(s) + 1.5 * math.log(math.pi) + ln_gamma(a + 1))))
-
-
-@functools.lru_cache(maxsize=64)
-def _sqrt_weights(a: float, s: float | None, rule: tuple, log_factor: float,
-                  power: bool) -> np.ndarray:
-    """Read-only sqrt(W G) at the nodes c of `_gauss_rule(*rule)`, W its
-    weights, for the deformed kernels' weight
-
-        G(c) = e^log_factor (cs/2)^{a+1/2} / (s pi^{3/2} Gamma(a+1) I_{a+1/2}(cs)),
-
-    times c^(2a+2) if `power`; without s, G = c^(2a+2).  DomainError for an
-    a outside its rule, before any node function reads it."""
-    _check("a", a)
-    c, w = _gauss_rule(*rule)
-    g = w * c ** (2.0 * a + 2.0) if power else w
-    if s is not None:
-        g = g * np.exp(log_i_ratio(a + 0.5, c * s) + (log_factor - math.log(s)
-                                                      - 1.5 * math.log(math.pi) - ln_gamma(a + 1)))
-    return _read_only(np.sqrt(g))
+    w = w.ravel() * c ** (2.0 * a + 2.0) if form == "phi" else w.ravel()
+    if s is None:
+        return _read_only(np.sqrt(w))
+    log_g = log_i_ratio(a + 0.5, c * s)
+    const = ((math.log(math.pi / 2.0) if form == "phi" else 0.0) - math.log(s)
+             - 1.5 * math.log(math.pi) - ln_gamma(a + 1))
+    return _read_only(0.5 * (np.log(w) + log_g + const) if form == "log"
+                      else np.sqrt(w * np.exp(log_g + const)))
 
 
 # the feature kernels: a point function takes (a, s, z), checks s and z and
@@ -109,27 +109,32 @@ def _sqrt_weights(a: float, s: float | None, rule: tuple, log_factor: float,
 
 def _bulk_point(a: float, s: float, z: complex):
     _check("s", s)
-    if not bulk_domain_contains(s, z):
-        raise DomainError(f"point outside the bulk strip |Im z| <= {s / 2:g}")
+    if not (bulk_domain_contains(s, z) and cmath.isfinite(z)):
+        raise DomainError(f"point {z!r} outside the bulk strip |Im z| <= {s / 2:g}")
     return _log_power(0.5 * a, 1.0 - 4.0 * z.imag ** 2 / s ** 2), z
 
 
-def _bulk_nodes(a: float, s: float, rule: tuple, z: complex) -> np.ndarray:
-    """[exp(L + icz), exp(L - icz)] per node, L = log sqrt(W G / 2), each one
-    complex exp of its exponent L -+ cy +- icx: sqrt(W G) and cos(cz) are
-    not formed apart, so neither overflows where the feature does not.  No
-    node values, and no exp, where a product of two features, or the sum of
-    those of a value, could overflow: `_feature_kernel` refuses that point
-    after its wall test.  The exponents' imaginary zeros are +0, whatever
-    the sign of a zero part of z: the bulk has no branch cut."""
-    log_weights = _bulk_log_weights(a, s, rule)     # checks a before the rule is built
+def _bulk_nodes(a: float, s: float, rule: tuple, z: complex):
+    """[exp(L + icz), exp(L - icz)] per node, L = log sqrt(W G) from
+    `_weights`, each one complex exp of its exponent L -+ cy +- icx:
+    sqrt(W G) and cos(cz) are not formed apart, so neither overflows where
+    the feature does not.  Where a product of two features, or the sum of
+    those of a value, could overflow, the exponents are first lowered by
+    k ln2, k the whole number of ln2 in the largest, top = k ln2 + r
+    (divmod, so r is exact), as L -+ cy - top + r, and k is returned with
+    the node values; else k = 0.  The exponents' imaginary zeros are +0,
+    whatever the sign of a zero part of z: the bulk has no branch cut."""
+    log_weights = _weights(a, s, rule, "log")     # checks a before the rule is built
     icz = _gauss_rule(*rule)[0] * complex(-z.imag, z.real)
     arg = np.empty((icz.size, 2), complex)
     np.add(log_weights, icz, out=arg[:, 0])
     np.subtract(log_weights, icz, out=arg[:, 1])
-    if 2.0 * arg.real.max() + math.log(2 * arg.size) > _LOG_MAX:
-        return np.empty((0, 2), complex)
-    return np.exp(arg, out=arg)
+    top, k = arg.real.max(), 0
+    if 2.0 * top + math.log(2 * arg.size) > _LOG_MAX:
+        k, r = divmod(top, _LN2)
+        arg.real -= top
+        arg.real += r
+    return np.exp(arg, out=arg), int(k)
 
 
 def _edge_wall(s: float, Z: complex) -> float:
@@ -155,9 +160,13 @@ def _edge_point(a: float, s: float, Z: complex):
     return _log_power(0.5 * a, _edge_wall(s, Z)), cmath.sqrt(Z)
 
 
-def _phi_nodes(a: float, s: float | None, rule: tuple, w) -> np.ndarray:
-    """phi(c w) of `edge_weak` and, without s, of `bessel_kernel`."""
-    return _sqrt_weights(a, s, rule, math.log(math.pi / 2.0), True) * _phi(a + 0.5, rule, w)
+def _phi_nodes(a: float, s: float | None, rule: tuple, w):
+    """phi(c w) of `edge_weak` and, without s, of `bessel_kernel`, as node
+    values psi(c w) phi(0) 2^-k and k, phi(0) = m 2^k by `_phi_zero`: at any
+    order the node values are of modest size."""
+    weights = _weights(a, s, rule, "phi")      # checks a
+    m, k = _phi_zero(a + 0.5)
+    return weights * (_phi(a + 0.5, rule, w) * m), k
 
 
 def _left_focus_point(a: float, s: float, Z: complex):
@@ -170,7 +179,7 @@ def _left_focus_point(a: float, s: float, Z: complex):
 def _sine_nodes(a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
     """sin(c w)/w, and c at w = 0."""
     c = _gauss_rule(*rule)[0]
-    return _sqrt_weights(a, s, rule, 0.0, False) * (c + 0j * c if w == 0 else np.sin(c * w) / w)
+    return _weights(a, s, rule, "sqrt") * (c + 0j * c if w == 0 else np.sin(c * w) / w), 0
 
 
 def _cosine_point(a: float, s: float, Z: complex):
@@ -180,13 +189,13 @@ def _cosine_point(a: float, s: float, Z: complex):
     return ell - 0.5 * math.log(abs(Z)), w
 
 
-def _cosine_nodes(a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
-    return _sqrt_weights(a, s, rule, 0.0, False) * np.cos(_gauss_rule(*rule)[0] * w)
+def _cosine_nodes(a: float, s: float, rule: tuple, w: complex):
+    return _weights(a, s, rule, "sqrt") * np.cos(_gauss_rule(*rule)[0] * w), 0
 
 
 def _bessel_point(a: float, s: None, X: float):
-    if X < 0:
-        raise DomainError("bessel_kernel requires X >= 0")
+    if not 0.0 <= X < math.inf:
+        raise DomainError(f"bessel_kernel requires finite X >= 0, got {X!r}")
     if X > W_MAX ** 2:
         raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
     return _log_power(0.5 * a, X) - _LN2, math.sqrt(X)
@@ -194,70 +203,55 @@ def _bessel_point(a: float, s: None, X: float):
 
 def _build_feature(point, nodes, a: float, s: float | None, rule: tuple, z, re_sign: float,
                    im_sign: float):
-    """(V, Re F, Im F, l) of one point: V, read-only, holds the parts of F
-    interleaved, and the parts are its views.  The signs of the parts of z
-    are in the key, so that 0.0 and -0.0, which are equal keys, stay apart.
-    A refusal raised here is never kept; a point without node values is
-    refused by `_feature_kernel`, after the wall test."""
+    """(V, Re F, Im F, l, k) of one point, whose features are F 2^k: V,
+    read-only, holds the parts of F interleaved, and the parts are its
+    views.  The signs of the parts of z are in the key, so that 0.0 and
+    -0.0, which are equal keys, stay apart.  A refusal raised here is never
+    kept."""
     ell, arg = point(a, s, z)
-    v = _read_only(np.ravel(nodes(a, s, rule, arg)).view(float))
-    return v, v[0::2], v[1::2], ell
+    values, k = nodes(a, s, rule, arg)
+    v = _read_only(np.ravel(values).view(float))
+    return v, v[0::2], v[1::2], ell, k
 
 
 _feature = functools.lru_cache(maxsize=_FEATURES)(_build_feature)
 _half_line_feature = functools.lru_cache(maxsize=_HALF_LINE_FEATURES)(_build_feature)
 
 
-def _wall(ell: float) -> complex:
-    """The hard-wall limit of a value whose log prefactor l is -inf or inf:
-    0 for a > 0 and, for a < 0, an integrable divergence flagged as inf."""
-    return 0j if ell < 0 else complex(math.inf, 0.0)
-
-
 def _feature_kernel(point, nodes, a: float, s: float | None, z1, z2,
                     spec: QuadratureSpec | None, rule: tuple | None = None) -> complex:
-    """e^(l1 + l2) F1 . conj F2 from the kept features of z1 and z2, on the
-    unit-interval c-rule of `spec` or on `rule`.  On a half-line rule the
-    product over the last panel's nodes is that panel's share, which must
-    pass the tail test against the whole, after the prefactor.  A point off
-    the wall without node values is refused, after the wall test.  A product
-    below the normal doubles has lost bits to the exponent range, and is
-    refused like a value there; so are e^(l1 + l2) and a value past the
-    double range."""
+    """e^(l1 + l2) 2^(k1 + k2) F1 . conj F2 from the kept features of z1 and
+    z2, on the unit-interval c-rule of `spec` or on `rule`.  Where e^(l1 + l2)
+    is not a normal double it is taken as 2^j e^r, j the whole number of ln2
+    in l1 + l2 and r exact (divmod), and 2^(k1 + k2 + j) meets the product
+    last, so only a value outside the normal doubles is refused.  On a half-line
+    rule the product over the last panel's nodes is that panel's share,
+    which must pass the tail test against the whole.  A product below the
+    normal doubles has lost bits to the exponent range, and is refused like
+    a value there."""
     rule, sign = rule or _c_rule(UNIT_INTERVAL, spec or _DEFAULT), math.copysign
     feature = _half_line_feature if rule[0] == HALF_LINE else _feature
-    v1, r1, i1, l1 = feature(point, nodes, a, s, rule, z1, sign(1, z1.real), sign(1, z1.imag))
-    v2, r2, i2, l2 = feature(point, nodes, a, s, rule, z2, sign(1, z2.real), sign(1, z2.imag))
+    v1, r1, i1, l1, k1 = feature(point, nodes, a, s, rule, z1, sign(1, z1.real), sign(1, z1.imag))
+    v2, r2, i2, l2, k2 = feature(point, nodes, a, s, rule, z2, sign(1, z2.real), sign(1, z2.imag))
     ell = l1 + l2
     if not -math.inf < ell < math.inf:
-        return _wall(ell)
-    if not (v1.size and v2.size):
-        z = z2 if v1.size else z1
-        raise OutOfRangeError(f"the products of the bulk features of {z!r} overflow")
+        # the hard-wall limit: 0 for a > 0 and, for a < 0, an integrable
+        # divergence flagged as inf
+        return 0j if ell < 0 else complex(math.inf, 0.0)
+    j, r = (0, ell) if _LOG_TINY <= ell <= _LOG_MAX else divmod(ell, _LN2)
     re, im = v1.dot(v2), i1.dot(r2) - r1.dot(i2)
-    e = _exp_in_range(ell)
+    e = math.exp(r)
     if feature is _half_line_feature:
         last = 4 * _gauss_rule(*rule)[1].shape[1]     # the last panel's floats of F
         tail = np.vdot(v2[-last:].view(complex), v1[-last:].view(complex))
         _check_tail(abs(tail) * e, abs(complex(re, im)) * e)
     _normal(complex(re, im))
-    return _normal(complex(re * e, im * e))
-
-
-def _phi_kernel(point, a: float, s: float | None, z1, z2, spec: QuadratureSpec | None):
-    """`_feature_kernel` of the phi features of `edge_weak` and
-    `bessel_kernel`.  At an order where phi(0)^2 = 4^-nu / Gamma(nu+1)^2
-    underflows (from nu of about 84.9) it gives the hard-wall limit where a
-    point is on the wall and OutOfRangeError elsewhere, where the product of
-    two phi would underflow: on every call, before the feature cache, so
-    nothing is built or kept; the verdict is kept per order by
-    `_phi_underflows`."""
-    if -1.0 < a < math.inf and _phi_underflows(a + 0.5):
-        ell = point(a, s, z1)[0] + point(a, s, z2)[0]
-        if not -math.inf < ell < math.inf:
-            return _wall(ell)
-        raise OutOfRangeError(f"phi(0)^2 leaves the double range at order {a + 0.5:g}")
-    return _feature_kernel(point, _phi_nodes, a, s, z1, z2, spec)
+    try:
+        n = k1 + k2 + int(j)
+        value = complex(math.ldexp(re * e, n), math.ldexp(im * e, n))
+    except OverflowError:       # also from int(j) where l1 + l2 passes 2^1024 ln2
+        value = complex(math.inf, 0.0)
+    return _normal(value)
 
 
 def _normal(value, name: str = "kernel"):
@@ -323,7 +317,9 @@ def bulk_strong(a: float, z1: complex, z2: complex,
     The half line is truncated at max(50, 5(a+2)) where the integrand has
     decayed below machine relevance, and summed as the product of the bulk
     features of the two points on its nodes; TailDivergenceError where the
-    last panel's share of that product is not negligible.  With the default
+    last panel's share of that product is not negligible, as near the wall
+    at large a, where the integrand peaks near a/(1 - |y1 + y2|): so
+    bulk_strong(500, 0.1+0.45j, 0.1+0.45j) is refused.  With the default
     spec that rule has 16(a+2) nodes from a = 38 on, so past a = 1022 it
     exceeds the half-line node cap of `quadrature` and the kernel raises
     OutOfRangeError, first, whatever the walls.  A wall factor q <= 0 takes
@@ -342,7 +338,7 @@ def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
             * int_0^1 dc c^{2a+2} (cs/2)^{a+1/2}/I_{a+1/2}(cs) phi(c w1) conj phi(c w2),
 
     w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`."""
-    return _phi_kernel(_edge_point, a, s, complex(Z1), complex(Z2), spec)
+    return _feature_kernel(_edge_point, _phi_nodes, a, s, complex(Z1), complex(Z2), spec)
 
 
 def bessel_kernel(a: float, X1: float, X2: float,
@@ -358,7 +354,7 @@ def bessel_kernel(a: float, X1: float, X2: float,
     what the c-nodes resolve; refused too where the integral or the value
     falls below the normal doubles.
     """
-    return _phi_kernel(_bessel_point, a, None, X1, X2, spec).real
+    return _feature_kernel(_bessel_point, _phi_nodes, a, None, X1, X2, spec).real
 
 
 def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
@@ -503,6 +499,8 @@ def _interior_omega(tau: float, v: float, z: complex):
     the Joukowsky frame collapses, are rejected.
     """
     zeta = complex(z) / math.sqrt(2.0 * tau)
+    if not cmath.isfinite(zeta):
+        raise DomainError(f"point {z} is not finite")
     om = joukowsky_inverse(zeta)
     if abs(om) >= v:
         raise DomainError(f"point {z} is outside the open rescaled ellipse")

@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _exp_in_range
-from .specialfns import ln_gamma, ln_gamma_difference
+from .specialfns import _LN2, _read_only, ln_gamma, ln_gamma_difference
 
-_LN2 = math.log(2.0)
 # a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
 # of a value, which the streamed kernel sum takes, stays finite after any
 # block that `_block_length` allows; a rescale is by a power of two, so it
@@ -90,10 +89,7 @@ def _coefficients(family: PolyFamily, n_max: int):
     (p_0 = 1, p_{-1} = 0; index 0 is unused).  Cached, because a kernel
     evaluates the same family to the same degree at every point; the arrays
     are read-only."""
-    coefs = _build_coefficients(family, n_max)
-    for c in coefs:
-        c.flags.writeable = False
-    return coefs
+    return _read_only(*_build_coefficients(family, n_max))
 
 
 def _build_coefficients(family: PolyFamily, n_max: int):

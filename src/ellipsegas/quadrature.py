@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
 from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, joukowsky
-from .polynomials import _LN2, _block_length, _blocks, _jacobi_coefficients
-from .specialfns import _LOG_MAX, _LOG_TINY, ln_gamma, ln_gamma_difference
+from .polynomials import _block_length, _blocks, _jacobi_coefficients
+from .specialfns import _LN2, _LOG_MAX, _LOG_TINY, _read_only, ln_gamma, ln_gamma_difference
 
 UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
@@ -60,12 +60,6 @@ class QuadratureSpec:
         if min(self.radial_nodes, self.angular_nodes, self.c_nodes) < 4:
             raise DomainError("all node counts must be >= 4")
         _check("a", self.singularity_exponent)
-
-
-def _read_only(*arrays):
-    for x in arrays:
-        x.flags.writeable = False
-    return arrays
 
 
 def _top_degree(coefs, x: np.ndarray):

@@ -44,9 +44,13 @@ from .errors import DomainError, OutOfRangeError
 # Complex J evaluations are guaranteed accurate here; beyond this modulus the
 # caller is expected to switch to the large-argument cosine asymptotic.
 W_MAX = 60.0
+# the range constants of the package, and the ln2 split of `_plus_bits`
 _LOG_TINY = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
 _LN2 = math.log(2.0)
+# the double _LN2, in which exponents are counted, split into a 24-bit head,
+# whose product with an exponent below 2^29 is exact, and its tail
+_LN2_HI = float(np.float32(_LN2))
 # relative size of the first term a series may drop
 _TAIL = 2.0 ** -60
 
@@ -173,9 +177,17 @@ def _poly_tail(coefs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _powers(t, coefs.size - 1) @ coefs[1:]
 
 
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.flags.writeable = False
-    return x
+def _plus_bits(x, bits):
+    """x + bits ln2 for integer bits, floats or arrays: every conversion of a
+    power-of-two exponent to a log.  No rounding of bits ln2 itself enters."""
+    return x + bits * _LN2_HI + bits * (_LN2 - _LN2_HI)
+
+
+def _read_only(*arrays):
+    """The arrays, each made read-only: one array, or a tuple of several."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
 
 
 def _ascending(nu: float, q: float, terms: int) -> np.ndarray:
@@ -477,25 +489,35 @@ def _node_powers(rule: tuple):
     return c, _read_only(_powers(c * c + 0j, terms - 1))
 
 
-@functools.lru_cache(maxsize=256)
-def _phi_underflows(nu: float) -> bool:
-    """Whether phi(0)^2 = 4^-nu / Gamma(nu+1)^2 underflows at order nu, from
-    nu of about 84.9, where the kernels' products of two phi would; they
-    refuse such an order on every call."""
-    return 2.0 * (-nu * _LN2 - ln_gamma(nu + 1.0)) < _LOG_TINY
+def _phi_zero(nu: float) -> tuple:
+    """(m, k) with phi(0) = 2^-nu / Gamma(nu+1) = m 2^k, m in [1/2, 1), at
+    any order, however far phi(0) is below the doubles.  Below nu = 170,
+    where Gamma(nu+1) is a double, m 2^k is the correctly rounded quotient
+    0.5^nu / math.gamma(nu+1), taken at 2^600 so that it stays normal; above,
+    Gamma(nu+1) = e^r 2^j is split from `ln_gamma` by divmod, whose r, an
+    fmod, is exact at every order, and 2^-nu into 2^-n times its fractional
+    part.  OutOfRangeError where `ln_gamma` refuses nu + 1."""
+    if nu < 170.0:
+        m, k = math.frexp(0.5 ** nu * 2.0 ** 600 / math.gamma(nu + 1.0))
+        return m, k - 600
+    j, r = divmod(ln_gamma(nu + 1.0), _LN2)
+    m, k = math.frexp(0.5 ** (nu % 1.0) / math.exp(r))
+    # j is inf from nu of about 1.7e305, where any 2^-j puts every value
+    # below the doubles
+    return m, k - math.floor(nu) - int(min(j, 2.0 ** 1023))
 
 
 def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
-    """J_nu(c*root) * (c*root)^{-nu} at the nodes c of the quadrature rule
-    `rule`, an even (entire) function of root, for an order at which
-    `_phi_underflows` is false.  Where every |c root| <= _SHORT_SERIES_MAX,
-    as on the unit rule for |root| <= 4, `_psi_tabled` runs on the cached
-    table of c^{2k}: each series is one product of the table with
-    (-root^2/4)^k / (k! (mu+1)_k); otherwise every node goes to `_psi`."""
-    phi0 = 0.5 ** nu / math.gamma(nu + 1.0)
+    """psi(c*root) = J_nu(c*root) * (c*root)^{-nu} / phi(0) at the nodes c of
+    the quadrature rule `rule`, an even (entire) function of root, of modest
+    size at any order: phi(0) is `_phi_zero`'s.  Where every
+    |c root| <= _SHORT_SERIES_MAX, as on the unit rule for |root| <= 4,
+    `_psi_tabled` runs on the cached table of c^{2k}: each series is one
+    product of the table with (-root^2/4)^k / (k! (mu+1)_k); otherwise every
+    node goes to `_psi`."""
     c, table = _node_powers(rule)
     w = complex(root)
     r = abs(w) * c[-1]
     if r > _SHORT_SERIES_MAX:
-        return _psi(nu, c * w) * phi0
-    return _psi_tabled(nu, r, table, -w * w / 4.0) * phi0
+        return _psi(nu, c * w)
+    return _psi_tabled(nu, r, table, -w * w / 4.0)

@@ -15,11 +15,10 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         ginibre_kernel, global_kernel_t, global_kernel_u,
                         global_kernel_v, global_rot_t, global_rot_u, global_rot_v,
                         kernel_truncated_edge, make_kernel, sine_kernel)
-from ellipsegas import kernels_limit, specialfns
+from ellipsegas import kernels_limit
 from ellipsegas.geometry import _log_power
-from ellipsegas.kernels_limit import (_FEATURES, _HALF_LINE_FEATURES, _build_feature,
-                                      _bulk_log_weights, _feature, _half_line_feature,
-                                      _sqrt_weights)
+from ellipsegas.kernels_limit import (_FEATURES, _HALF_LINE_FEATURES, _build_feature, _feature,
+                                      _half_line_feature, _weights)
 from ellipsegas.quadrature import (_HALF_LINE_CAP, HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule,
                                    integrate_c)
 from ellipsegas.specialfns import bessel_j, ln_gamma, log_i_ratio
@@ -104,12 +103,12 @@ def test_bulk_weak_finite_N_oracle():
     assert abs(got - ref) <= 2e-3
 
 
-def _bulk_weak_sum_in_30_digits(a, s, z1, z2):
+def _bulk_weak_sum_in_40_digits(a, s, z1, z2):
     """The 64-node sum of bulk_weak, its weight G and cos(c(z1 - conj z2))
-    taken in 30 digits at the rule's double nodes and weights."""
+    taken in 40 digits at the rule's double nodes and weights."""
     mpmath = pytest.importorskip("mpmath")
     c, w = _gauss_rule(UNIT_INTERVAL, 64)
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         a, s = mpmath.mpf(a), mpmath.mpf(s)
         d = mpmath.mpc(z1) - mpmath.conj(mpmath.mpc(z2))
         total = mpmath.mpf(0)
@@ -134,9 +133,9 @@ def test_bulk_weak_answers_where_cos_cz_overflows():
         z1, z2 = 0.3 + 700j, -0.2 - 700j
         pair = [bulk_weak(a, s, u, v) for u, v in ((z1, z1), (z1, z2), (z2, z2))]
     assert value.imag == 0.0 and 0.0 < value.real < math.inf
-    assert abs(value - _bulk_weak_sum_in_30_digits(a, s, 1400j, 1400j)) <= 1e-13 * value.real
+    assert abs(value - _bulk_weak_sum_in_40_digits(a, s, 1400j, 1400j)) <= 1e-13 * value.real
     scale = math.sqrt(pair[0].real * pair[2].real)
-    assert (abs(pair[1] - _bulk_weak_sum_in_30_digits(a, s, z1, z2))
+    assert (abs(pair[1] - _bulk_weak_sum_in_40_digits(a, s, z1, z2))
             <= 8 * np.finfo(float).eps * scale)
 
 
@@ -184,11 +183,11 @@ def test_edge_weak_branch_flip_invariance():
     Z1, Z2 = 0.6 + 0.4j, 1.3 - 0.2j
     rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
     w1, w2 = np.sqrt(Z1), np.sqrt(Z2)
-    base = np.sum(kernels_limit._phi_nodes(a, s, rule, w1)
-                  * np.conj(kernels_limit._phi_nodes(a, s, rule, w2)))
+    base = np.sum(kernels_limit._phi_nodes(a, s, rule, w1)[0]
+                  * np.conj(kernels_limit._phi_nodes(a, s, rule, w2)[0]))
     for f1, f2 in ((-1, 1), (1, -1), (-1, -1)):
-        flipped = np.sum(kernels_limit._phi_nodes(a, s, rule, f1 * w1)
-                         * np.conj(kernels_limit._phi_nodes(a, s, rule, f2 * w2)))
+        flipped = np.sum(kernels_limit._phi_nodes(a, s, rule, f1 * w1)[0]
+                         * np.conj(kernels_limit._phi_nodes(a, s, rule, f2 * w2)[0]))
         assert abs(flipped - base) <= 1e-12 * abs(base)
 
 
@@ -262,7 +261,8 @@ def test_bessel_kernel_refuses_beyond_w_max_squared():
                                   lambda: bessel_kernel(200.0, 100.0, 100.0)],
                          ids=["edge_weak-a100", "bessel-a100", "bessel-a200"])
 def test_quadrature_kernels_refuse_where_the_integrand_leaves_the_double_range(call):
-    # the product of two J_nu(u) u^-nu, at most 4^-nu / Gamma(nu+1)^2, underflows
+    # the value, with a product of two J_nu(u) u^-nu of at most
+    # 4^-nu / Gamma(nu+1)^2, is below the normal doubles
     with pytest.raises(OutOfRangeError):
         call()
 
@@ -330,31 +330,51 @@ def test_edge_wall_is_correctly_rounded():
     assert kernels_limit._edge_wall(2.0, complex(-1.0, 0.0)) == 0.0    # on the wall
 
 
-@pytest.mark.parametrize("a", [83.0, 84.0, 84.3])
+@pytest.mark.parametrize("a", [83.0, 84.0, 84.3, 90.0, 150.0, 200.0])
 def test_edge_and_bessel_kernels_answer_in_full_precision_or_refuse(a):
-    # below the order where phi(0)^2 underflows (about 84.4), the two
-    # kernels returned subnormal values: edge_weak(84, ...) = 6.7e-312 and
-    # bessel_kernel(83, 1, 0.5) = 1.9e-317, 1.6e-12 and 8e-4 off; and
-    # bessel_kernel(84.3, 3600, 3600) = 1.4e-20, normal but 6e-5 off, from
-    # an integral of subnormal terms.  Each is refused now.  An answer is
-    # normal and within 2e-13 of the 40-digit sum of the same rule: its
-    # prefactor is the exp of terms up to lnGamma(a+1) = 285 and
-    # a log X = 573, each rounded to eps relative, which allows about 1.3e-13.
+    # the kernels once returned subnormal values, edge_weak(84, ...) =
+    # 6.7e-312 and bessel_kernel(83, 1, 0.5) = 1.9e-317, 1.6e-12 and 8e-4
+    # off, and bessel_kernel(84.3, 3600, 3600) = 1.4e-20, normal but 6e-5
+    # off, from an integral of subnormal terms; then refused every a from
+    # 84.4, where phi(0)^2 underflows, bessel_kernel(90, 3600, 3600) =
+    # 2.86e-25 included.  Each feature keeps phi(0) as a power of two apart,
+    # so a value that is a normal double is within 2e-13 of the 40-digit sum
+    # of the same rule, and any other is refused: its prefactor is the exp
+    # of terms up to lnGamma(a+1) = 868 and a log X = 819, each rounded to
+    # eps relative, which allows about 1.9e-13
     call = {"edge-weak": lambda s, Z1, Z2: edge_weak(a, s, Z1, Z2),
             "bessel": lambda s, Z1, Z2: bessel_kernel(a, Z1, Z2)}
-    # (kind, s, Z1, Z2, whether the kernel answers)
-    for kind, s, Z1, Z2, answers in [("edge-weak", 1.0, 1.0, 0.5 + 0.3j, a < 84),
-                                     ("bessel", 1.0, 1.0, 0.5, False),
-                                     ("bessel", 1.0, 1000.0, 1000.0, a < 84),
-                                     ("bessel", 1.0, 3600.0, 3600.0, False)]:
-        if not answers:
+    for kind, s, Z1, Z2 in [("edge-weak", 1.0, 1.0, 0.5 + 0.3j),
+                            ("edge-weak", 1.0, 3600.0, 3600.0 + 0j),
+                            ("edge-weak", 2.0, 2500.0 + 60j, 3600.0 - 40j),
+                            ("bessel", 1.0, 1.0, 0.5), ("bessel", 1.0, 1000.0, 1000.0),
+                            ("bessel", 1.0, 3600.0, 3600.0), ("bessel", 1.0, 3600.0, 2500.0)]:
+        ref = _rule_sum_40(kind, a, s, Z1, Z2)
+        if not abs(ref) >= np.finfo(float).tiny:
             with pytest.raises(OutOfRangeError):
                 call[kind](s, Z1, Z2)
             continue
         got = call[kind](s, Z1, Z2)
-        ref = _rule_sum_40(kind, a, s, Z1, Z2)
-        assert abs(got) >= np.finfo(float).tiny
         assert abs(got - ref) <= 2e-13 * abs(ref), (kind, a, Z1, got, ref)
+    # a point on the hard wall gives the wall's limit at any order
+    assert edge_weak(89.5, 2.0, -1.0, 0.5 + 0.3j) == 0.0
+    assert bessel_kernel(90.0, 0.0, 0.7) == 0.0
+
+
+@pytest.mark.parametrize("a", [1e17, 1e300, 2e305])
+def test_phi_kernels_refuse_by_name_at_any_order(a):
+    # phi(0) = m 2^k with k below -10^18: every value off the wall is below
+    # the doubles and refused as such, without a warning or a bare
+    # OverflowError from the split of e^(l1 + l2) or of Gamma(a + 3/2), whose
+    # log2 passes the doubles at 2e305; on the wall the value is its limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: bessel_kernel(a, 1.0, 1.0), lambda: edge_weak(a, 1.0, 1.0, 1.0),
+                     lambda: edge_weak(a, 1.0, 1e-3, 0.3 + 0.1j)):
+            with pytest.raises(OutOfRangeError, match="outside the normal double range"):
+                call()
+        assert edge_weak(a, 2.0, -1.0, 0.5 + 0.3j) == 0.0
+        assert bessel_kernel(a, 0.0, 0.7) == 0.0
 
 
 def test_real_point_kernels_reject_complex_points():
@@ -780,23 +800,37 @@ def test_bulk_kernels_on_strip_boundary():
     assert math.isinf(abs(bulk_strong(-0.5, 0.5j, 0.5j)))
 
 
-def test_bulk_wall_comes_before_the_feature_overflow_refusal():
-    # near the wall at large a the products of a point's features could
-    # overflow, and its value is refused; paired with a point on the wall it
-    # is the wall's limit.  At a = 1000 and 1022 on the strong bulk, and at
-    # a = 200, s = 1e8, an exponent of the feature itself passes the doubles
-    # (about e^1010 and e^1337), so no exp is taken for it
+def test_bulk_features_near_the_wall_answer_past_the_old_overflow_refusal():
+    # near the wall at large a the products of a point's features, up to
+    # about e^760 (strong bulk, a = 500, y = 0.45), e^2020 (a = 1000,
+    # y = 0.49) and e^2670 (a = 200, s = 1e8), pass the doubles, and such a
+    # value was refused.  Its exponents are lowered by whole powers of two
+    # now, so a value in range answers, and a point on the wall still gives
+    # the wall's limit.  The strong bulk's diagonal there meets the tail
+    # test: T = 5(a+2) is short of the integrand's peak near a/(1 - 2|y|);
+    # paired with y = 0 its value is 4.0e-129 at a = 500 (3.0e-13 off a
+    # 40-digit sum over the 2803 of its 8032 nodes within e^-50 of the
+    # largest term, too slow to run here) and below the doubles, about
+    # e^-1635, at a = 1000 and 1022
     for a, y in ((500.0, 0.45), (1000.0, 0.49), (1022.0, 0.49)):
         z = complex(0.1, y)
-        with pytest.raises(OutOfRangeError, match="products of the bulk features"):
+        with pytest.raises(TailDivergenceError):
             bulk_strong(a, z, z)
         assert bulk_strong(a, 0.1 + 0.5j, z) == bulk_strong(a, z, -0.5j) == 0.0
-        with pytest.raises(OutOfRangeError, match="products of the bulk features"):
-            bulk_strong(a, 0.1, z)
-    for a, s, y in ((1000.0, 2000.0, 900.0), (200.0, 1e8, 4.99e7)):
-        with pytest.raises(OutOfRangeError, match="products of the bulk features"):
-            bulk_weak(a, s, complex(0.0, y), complex(0.0, y))
-        assert bulk_weak(a, s, complex(0.0, s / 2), complex(0.0, y)) == 0.0
+        if a == 500.0:
+            value = bulk_strong(a, 0.1, z)
+            assert 4.0e-129 < value.real < 4.1e-129 and value == bulk_strong(a, z, 0.1).conjugate()
+        else:
+            with pytest.raises(OutOfRangeError, match="outside the normal double range"):
+                bulk_strong(a, 0.1, z)
+    # against 40 digits: 4.3e-13 off at s = 2000; at s = 1e8 the exponents
+    # L -+ cy of the leading nodes are near 1.7e4, each rounded to eps
+    # relative (2e-12), and the value is 1.6e-11 off
+    for a, s, y, tol in ((1000.0, 2000.0, 900.0, 1e-12), (200.0, 1e8, 4.99e7, 5e-11)):
+        z = complex(0.0, y)
+        value = bulk_weak(a, s, z, z)
+        assert abs(value - _bulk_weak_sum_in_40_digits(a, s, z, z)) <= tol * abs(value)
+        assert bulk_weak(a, s, complex(0.0, s / 2), z) == 0.0
 
 
 # ------------------------------------------------------- dispatch and series cap
@@ -850,6 +884,25 @@ def test_limit_spec_rejects_each_missing_or_invalid_parameter(kind):
             LimitKernelSpec(kind, **others)
         with pytest.raises(DomainError):
             LimitKernelSpec(kind, **others, **{p: _INVALID[p]})
+
+
+@pytest.mark.parametrize("kind", list(LimitKind))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_limit_kernels_refuse_points_that_are_not_finite(kind, bad):
+    # global_kernel_u returned nan+nanj at a nan point, bessel_kernel raised
+    # a bare ValueError and bulk_weak an overflow warning at an inf one; a
+    # real kind reads only the real coordinate
+    kern = make_kernel(LimitKernelSpec(kind, **{p: _VALID[p] for p in _NEEDS[kind]}))
+    good = 0.3 + 0.2j
+    kern(good, good)
+    points = [complex(bad, 0.1)] + ([] if kind in (LimitKind.SINE, LimitKind.BESSEL)
+                                    else [complex(0.1, bad)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for z in points:
+            for pair in ((z, good), (good, z)):
+                with pytest.raises(DomainError):
+                    kern(*pair)
 
 
 def test_global_series_refuses_past_its_term_cap():
@@ -1053,7 +1106,7 @@ def _bulk_strong_term_moduli(a, z1, z2):
 def _uncached(monkeypatch):
     """Take the memo of the features and of sqrt(W G) and its log out of the
     kernels."""
-    for cache in (_feature, _half_line_feature, _sqrt_weights, _bulk_log_weights):
+    for cache in (_feature, _half_line_feature, _weights):
         monkeypatch.setattr(kernels_limit, cache.__name__, cache.__wrapped__)
 
 
@@ -1071,7 +1124,7 @@ def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind,
         calls.append(nu)
         return log_i_ratio(nu, x)
 
-    for cache in (_bulk_log_weights, _sqrt_weights, _feature, _half_line_feature):
+    for cache in (_weights, _feature, _half_line_feature):
         cache.cache_clear()
     monkeypatch.setattr(kernels_limit, "log_i_ratio", counting)
     kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
@@ -1090,9 +1143,9 @@ def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind,
 
 def test_cached_arrays_are_read_only():
     bulk_strong(0.5, 0.2j, 0.1)
-    arrays = [_bulk_log_weights(0.5, 1.0, _c_rule(HALF_LINE, QuadratureSpec(), 50.0, 1.25)),
-              _sqrt_weights(0.5, 1.0, _c_rule(UNIT_INTERVAL, QuadratureSpec()), 0.0, False),
-              _sqrt_weights(0.8, None, _c_rule(UNIT_INTERVAL, QuadratureSpec()), 0.0, True)]
+    arrays = [_weights(0.5, 1.0, _c_rule(HALF_LINE, QuadratureSpec(), 50.0, 1.25), "log"),
+              _weights(0.5, 1.0, _c_rule(UNIT_INTERVAL, QuadratureSpec()), "sqrt"),
+              _weights(0.8, None, _c_rule(UNIT_INTERVAL, QuadratureSpec()), "phi")]
     for kind, s, z in _FEATURE_POINTS:
         arrays += _kept_feature(kind, 0.8, s, z, 1.0, 1.0)[:3]
     assert len(arrays) == 3 + 3 * 6
@@ -1207,38 +1260,6 @@ def test_features_keep_signed_zeros_apart(kind):
     assert _feature.cache_info().currsize + _half_line_feature.cache_info().currsize == 2
 
 
-def test_phi_refusal_is_raised_on_every_call_and_never_cached(monkeypatch):
-    # past the order where phi(0)^2 underflows nothing is built or looked up,
-    # and a point on the hard wall still gives the wall's limit
-    calls = []
-    monkeypatch.setattr(kernels_limit, "_phi", lambda *args: calls.append(args))
-    before = _feature.cache_info()
-    for _ in range(3):
-        with pytest.raises(OutOfRangeError, match="leaves the double range"):
-            edge_weak(89.5, 1.0, 0.5 + 0.3j, 0.5 + 0.3j)
-        with pytest.raises(OutOfRangeError, match="leaves the double range"):
-            bessel_kernel(90.0, 0.5, 0.7)
-        assert edge_weak(89.5, 2.0, -1.0, 0.5 + 0.3j) == 0.0
-        assert bessel_kernel(90.0, 0.0, 0.7) == 0.0
-    assert calls == [] and _feature.cache_info() == before
-
-
-def test_phi_order_check_runs_once_per_order(monkeypatch):
-    # the check's log-gamma runs on the first call at an order only; a
-    # refused order is refused again on every call, from its kept verdict
-    calls = []
-    lg = specialfns.ln_gamma
-    monkeypatch.setattr(specialfns, "ln_gamma", lambda x: calls.append(x) or lg(x))
-    specialfns._phi_underflows.cache_clear()
-    for X1, X2 in ((0.3, 0.2), (0.7, 0.1), (0.3, 0.2)):
-        bessel_kernel(0.75, X1, X2)
-    assert calls == [2.25]
-    for _ in range(3):
-        with pytest.raises(OutOfRangeError):
-            bessel_kernel(90.75, 0.5, 0.5)
-    assert calls == [2.25, 92.25]
-
-
 def test_feature_cache_stays_within_its_bound():
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -1250,7 +1271,7 @@ def test_feature_cache_stays_within_its_bound():
         bessel_kernel(0.5, 4.0 * rng.random(), 4.0 * rng.random())
         info = _feature.cache_info()
         assert info.maxsize == _FEATURES == 64 and info.currsize <= 64
-    assert _sqrt_weights.cache_info().currsize <= 64
+    assert _weights.cache_info().currsize <= 64
 
 
 def _hermitian_sweep_points(kind, s, rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ellipsegas import (BesselOrder, DomainError, OutOfRangeError, W_MAX,
                         bessel_i, bessel_j, ln_gamma, log_bessel_i, log_i_ratio)
-from ellipsegas.specialfns import ln_gamma_difference
+from ellipsegas.specialfns import _phi_zero, ln_gamma_difference
 
 mp.mp.dps = 40
 
@@ -422,19 +422,37 @@ def test_phi_psi_and_bessel_j_agree(nu, r):
     from ellipsegas.specialfns import _SHORT_SERIES_MAX, _phi, _psi
     rule = (UNIT_INTERVAL, 64)
     c = _gauss_rule(*rule)[0]
-    phi0 = 0.5 ** nu / math.gamma(nu + 1.0)
     some = np.r_[0:64:9, 63]        # every ninth node and the largest
     for angle in (0.0, 0.3, 1.2):
         root = r / c[-1] * complex(math.cos(angle), math.sin(angle))
         assert (r <= _SHORT_SERIES_MAX) == (abs(root) * c[-1] <= _SHORT_SERIES_MAX)
         us = c * root
-        ways = {"phi": _phi(nu, rule, root)[some] / phi0, "psi": _psi(nu, us)[some],
+        ways = {"phi": _phi(nu, rule, root)[some], "psi": _psi(nu, us)[some],
                 "bessel_j": np.array([bessel_j(nu, u) * math.gamma(nu + 1.0) / (u / 2.0) ** nu
                                       for u in us[some].tolist()])}
         scale = np.array([_psi_scale(nu, u) for u in us[some].tolist()])
         for (n1, v1), (n2, v2) in itertools.combinations(ways.items(), 2):
             units = np.max(np.abs(v1 - v2) / (_EPS * scale))
             assert units <= 16.0, (n1, n2, angle, units)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.3, 30.0, 84.9, 140.0, 169.9, 170.0, 200.5, 1000.25,
+                                1e5 + 0.5, 1e12 + 0.75])
+def test_phi_zero_is_a_mantissa_and_a_power_of_two(nu):
+    # phi(0) = 2^-nu / Gamma(nu+1) = m 2^k at any order: below 170 the bits
+    # of the quotient 0.5^nu / math.gamma(nu+1) wherever that is normal,
+    # above it split from ln_gamma, whose rounding, up to eps lnGamma(nu+1)
+    # absolute, it carries (0.93 of that at nu = 170)
+    m, k = _phi_zero(nu)
+    assert 0.5 <= m < 1.0 and isinstance(k, int)
+    ref = mp.mpf(2) ** -mp.mpf(nu) / mp.gamma(mp.mpf(nu) + 1)
+    err = abs(mp.mpf(m) * mp.mpf(2) ** k / ref - 1)
+    if nu < 170.0:
+        assert err <= 2 * _EPS
+        if nu < 140.0:
+            assert math.ldexp(m, k) == 0.5 ** nu / math.gamma(nu + 1.0)
+    else:
+        assert err <= 2 * _EPS * ln_gamma(nu + 1.0)
 
 
 def _psi_scale(nu, u):
