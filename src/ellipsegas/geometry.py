@@ -78,12 +78,6 @@ class GasFamily:
         """The polynomial family of the gas, which is the gas itself."""
         return self
 
-    @property
-    def has_focal_singularity(self) -> bool:
-        """True if the weight has an integrable 1/|1 +- z| singularity at a focus."""
-        return self.kind in (PolyKind.CHEBYSHEV_T, PolyKind.CHEBYSHEV_V,
-                             PolyKind.JACOBI_MINUS)
-
 
 # A polynomial family is fixed by the same (kind, a) as its gas.
 PolyFamily = GasFamily
@@ -281,9 +275,12 @@ def joukowsky_inverse(zeta: complex) -> complex:
 
 def bulk_domain_contains(s: float, zhat: complex) -> bool:
     """Weak-bulk scaling domain: an infinite strip |Im(zhat)| <= s/2."""
-    return zhat.imag ** 2 <= s * s / 4.0
+    return abs(zhat.imag) <= s / 2.0
 
 
 def edge_domain_contains(s: float, Z: complex) -> bool:
-    """Weak-edge scaling domain: the parabolic region X >= (Y/s)^2 - s^2/4."""
-    return Z.real >= (Z.imag / s) ** 2 - s * s / 4.0
+    """Weak-edge scaling domain: the parabolic region X >= (Y/s)^2 - s^2/4.
+    The squares are products, which round to inf past the double range
+    where ** raises OverflowError; both are inf only for Y past the doubles."""
+    q = Z.imag / s
+    return Z.real >= q * q - s * s / 4.0

@@ -111,7 +111,8 @@ def _bulk_point(a: float, s: float, z: complex):
     _check("s", s)
     if not (bulk_domain_contains(s, z) and cmath.isfinite(z)):
         raise DomainError(f"point {z!r} outside the bulk strip |Im z| <= {s / 2:g}")
-    return _log_power(0.5 * a, 1.0 - 4.0 * z.imag ** 2 / s ** 2), z
+    u = 2.0 * abs(z.imag) / s                  # in [0, 1]: squares neither s nor y
+    return _log_power(0.5 * a, (1.0 - u) * (1.0 + u)), z
 
 
 def _bulk_nodes(a: float, s: float, rule: tuple, z: complex):
@@ -142,13 +143,17 @@ def _edge_wall(s: float, Z: complex) -> float:
     correctly rounded.  Its terms cancel near the wall q = 0, and a root of Z
     carries the same rounding, so q is summed exactly over the integers:
     each double is an integer over a power of two.  That takes 2-3 us, once
-    per point: the point's features keep the factor."""
+    per point: the point's features keep the factor.  OutOfRangeError where
+    q passes the largest double, as s^2/4 does from s of about 2.7e154."""
     a, b = s.as_integer_ratio()
     c, d = Z.real.as_integer_ratio()
     e, f = Z.imag.as_integer_ratio()
     aa, bb, ff = a * a, b * b, f * f
     # over the common denominator 4 a^2 b^2 d f^2
-    return ((aa * d + 4 * c * bb) * aa * ff - 4 * e * e * bb * bb * d) / (4 * aa * bb * d * ff)
+    try:
+        return ((aa * d + 4 * c * bb) * aa * ff - 4 * e * e * bb * bb * d) / (4 * aa * bb * d * ff)
+    except OverflowError:
+        raise OutOfRangeError(f"the edge wall factor at s = {s:g} passes the doubles") from None
 
 
 def _edge_point(a: float, s: float, Z: complex):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _exp_in_range
-from .specialfns import _LN2, _read_only, ln_gamma, ln_gamma_difference
+from .specialfns import _LN2, _log_beta, _read_only, ln_gamma, ln_gamma_difference
 
 # a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
 # of a value, which the streamed kernel sum takes, stays finite after any
@@ -327,28 +327,33 @@ def log_raw_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.n
     kind = gas.kind
     if kind in (PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS, PolyKind.JACOBI_MINUS):
         if kind is PolyKind.GEGENBAUER:
-            c, d = math.log(math.pi * math.sqrt(1 - tau * tau) / (2 * tau)), np.log(n + a + 1)
+            # (1 - tau)(1 + tau), not 1 - tau^2: 1 - tau is exact from tau = 1/2
+            c = math.log(math.pi * math.sqrt((1 - tau) * (1 + tau)) / (2 * tau))
+            d = np.log(n + a + 1)
         else:
             # C_{2n+off-1}^(a+1)(semi_x) is P_n^(a+1/2, off-3/2)(1/tau) times
             # a Pochhammer ratio and, for jacobi-plus, semi_x (DLMF 18.7.13-14);
-            # the ratio leaves one Gamma(n + off - 1/2)/Gamma(n + a + off)
+            # the ratio leaves Gamma(a + 1) Gamma(n + off - 1/2)/Gamma(n + a + off),
+            # taken as B(a + 1, n + off - 1/2) Gamma(n + a + off + 1/2)/Gamma(n + a + off)
+            # so that no two log-gammas of size a log a cancel
             off = 2 if kind is PolyKind.JACOBI_PLUS else 1
-            c = (off * _LN2 + 0.5 * math.log(math.pi * (1 - tau) / (2 * tau)) + ln_gamma(a + 1)
+            c = (off * _LN2 + 0.5 * math.log(math.pi * (1 - tau) / (2 * tau))
                  + (off - 1) * math.log(geometry.semi_x))
-            d = ln_gamma_difference(n + off - 0.5, a + 0.5) + np.log(2 * n + a + off)
+            d = (np.log(2 * n + a + off) - _log_beta(a + 1, n + off - 0.5)
+                 - ln_gamma_difference(n + a + off, 0.5))
         mant, logs = scaled_sequence(gas.family, n_max, 1.0 / tau)
         # mantissas are positive for argument > 1; the exponent, the largest
         # term, is added last
         return logs[:, 0] + (np.log(mant[:, 0].real) + c - d)
     # Chebyshev T, U, V: pi (v^m - v^-m) / (c m) with m = 2n, 2n + 2, 2n + 1 and
-    # c = 2, 2, 1, where log(v^m - v^-m) = t + log1p(-e^-2t), t = m log v, stays
-    # accurate when t is tiny; the zero mode of T, m = 0, is 2 pi log v
+    # c = 2, 2, 1, where log(v^m - v^-m) = t + log(-expm1(-2t)), t = m log v,
+    # stays accurate when t is tiny; the zero mode of T, m = 0, is 2 pi log v
     m = 2 * n + {PolyKind.CHEBYSHEV_T: 0, PolyKind.CHEBYSHEV_U: 2}.get(kind, 1)
     c = 1.0 if kind is PolyKind.CHEBYSHEV_V else 2.0
     ms = np.maximum(m, 1)
-    log_v = math.log(geometry.v)
+    log_v = math.asinh(geometry.semi_y)      # log(A + B), without rounding v = A + B
     t = ms * log_v
-    lh = math.log(math.pi) + (t + np.log1p(-np.exp(-2.0 * t))) - np.log(c * ms)
+    lh = math.log(math.pi) + (t + np.log(-np.expm1(-2.0 * t))) - np.log(c * ms)
     return np.where(m == 0, math.log(2 * math.pi * log_v), lh)
 
 

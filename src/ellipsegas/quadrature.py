@@ -1,25 +1,35 @@
 """Quadrature over the ellipse and over the scaling variables c and t.
 
-Two product rules cover all five weights:
+One builder, `_product_rule`, serves every weight: Gauss-Jacobi (a, 0) in
+t on [0, 1] times the trapezoid in an angle theta (exact for trigonometric
+polynomials), sent through one of three maps, with A, B the semi-axes and
+v = A + B the Joukowsky radius.  In each, w d2z is (1-t)^a dt dtheta times a
+factor R(t, theta) in closed form.  On the disc and the focal ray, R times a
+product p conj q of polynomials of degree n is a trigonometric polynomial
+of degree 2n in theta and, once the angles have summed away the odd powers
+of sqrt(t) on the disc, a polynomial of degree at most 2n + 1 in t, so
+n + 1 nodes in t and 2n + 1 angles integrate it exactly; on the log annulus
+it is a sum of e^(k t log v), on which Gauss-Legendre converges
+geometrically:
 
-* disc rule -- affine map of the ellipse to the unit disc, trapezoid in the
-  angle (exact for trigonometric polynomials), Gauss-Jacobi in t = r^2 with
-  weight (1-t)^a.  Exact for weight-times-polynomial integrands of the
-  Gegenbauer family, whose weight pulls back to exactly (1-t)^a.
+* disc (Gegenbauer, Chebyshev U) -- z = sqrt(t) (A cos theta + i B sin
+  theta): the wall deficit is 1 - t and R = AB/2.
+* focal ray (both Jacobi gases, Chebyshev V) -- z = -1 + t (A cos theta + 1
+  + i B sin theta), the ray from the focus -1 to the wall: 1 - mu = 1 - t,
+  |1+z| = t (A + cos theta) and d2z = t B (A + cos theta) dt dtheta, so
+  R = B where the weight has 1/|1+z|, and t B (A + cos theta) for
+  jacobi-plus.
+* log annulus (Chebyshev T) -- omega = v^t e^(i theta), z = (omega +
+  1/omega)/2: w d2z = log v dt dtheta and R = log v.
 
-* annulus rule -- Joukowsky coordinates z = (omega + 1/omega)/2 on
-  1 <= |omega| <= v.  The 1/|1 +- z| focal singularities of the Chebyshev
-  and Jacobi-minus weights cancel exactly against the Jacobian, and the
-  (1-mu)^a boundary factor vanishes linearly at |omega| = v, so Gauss-Jacobi
-  in rho with weight (v-rho)^a leaves a smooth integrand.
-
-Both rules place the singular factors in the node/weight construction and
-divide them back out, so callers pass the raw integrand including the
-weight.  Their Gauss-Jacobi rules, and the Legendre rules of `integrate_c`,
-run no recurrence of their own: `_jacobi_rule` takes the Jacobi
-coefficients and the block core, with its rescale window, from
-`polynomials`.  Summation order is fixed (numpy pairwise over a frozen node
-ordering), making results independent of any data-parallel evaluation.
+The rule's weights are W = wt (2 pi/nth) R / w(z), with w(z) the gas weight
+at the rounded nodes, so callers pass the raw integrand including the
+weight, which cancels to rounding.  The Gauss-Jacobi rules, and the
+Legendre rules of `integrate_c`, run no recurrence of their own:
+`_jacobi_rule` takes the Jacobi coefficients and the block core, with its
+rescale window, from `polynomials`.  Summation order is fixed (numpy
+pairwise over a frozen node ordering), making results independent of any
+data-parallel evaluation.
 """
 
 from __future__ import annotations
@@ -32,9 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
-from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, joukowsky
+from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, weight_values
 from .polynomials import _block_length, _blocks, _jacobi_coefficients
-from .specialfns import _LN2, _LOG_MAX, _LOG_TINY, _read_only, ln_gamma, ln_gamma_difference
+from .specialfns import _LN2, _LOG_MAX, _log_beta, _read_only
 
 UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
@@ -82,16 +92,14 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     at n = 1024 depending on the load of a 2-vCPU VM.  The weights are
     proportional to 1/((1-x^2) P_n'(x)^2), with the run's exponent applied by
     ldexp, so no power 2^bits is formed, and sum to 2^(alpha+beta+1)
-    B(alpha+1, beta+1): the power of two by ldexp, and log B with
-    log Gamma(alpha+beta+2) - log Gamma(max(alpha, beta)+1) taken as one
-    `ln_gamma_difference`, whose two log-gammas would cancel (2.6e-13 off at
-    alpha = 300).  OutOfRangeError where the sum leaves the double range
-    (alpha or beta past about 1033 when the other is 0).  A symmetric weight
-    gets symmetric nodes and weights.
+    B(alpha+1, beta+1): the power of two by ldexp, and log B from
+    `_log_beta`, whose log-gammas do not cancel (as a plain sum they were
+    2.6e-13 off at alpha = 300).  OutOfRangeError where the sum leaves the
+    double range (alpha or beta past about 1033 when the other is 0).  A
+    symmetric weight gets symmetric nodes and weights.
     """
     ab = alpha + beta
-    small, large = sorted((alpha, beta))
-    log_beta = ln_gamma(small + 1.0) - float(ln_gamma_difference(large + 1.0, small + 1.0))
+    log_beta = float(_log_beta(alpha + 1.0, beta + 1.0))
     log_total = (ab + 1.0) * _LN2 + log_beta
     if log_total > _LOG_MAX:
         raise OutOfRangeError(f"the Gauss-Jacobi weights for alpha = {alpha:g}, beta = {beta:g} "
@@ -175,56 +183,49 @@ def _c_rule(domain: str, spec: QuadratureSpec, truncation: float | None = None,
 
 
 @lru_cache(maxsize=64)
-def _disc_rule(tau: float, a: float, nr: int, nth: int):
+def _product_rule(gas: GasFamily, tau: float, nr: int, nth: int):
+    """Read-only nodes z and weights W of the gas's product rule, built once
+    per process: Gauss-Jacobi (a, 0) in t on [0, 1] times the trapezoid in
+    the angle, sent through the gas's map, with W = wt (2 pi/nth) R / w(z)
+    and R = w |dz/d(t, theta)| / (1-t)^a in closed form; nodes where w(z)
+    underflows to 0 get W = 0."""
     geo = EllipseGeometry(tau)
-    xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
-    if a + 1.0 >= 1024.0:
-        raise OutOfRangeError(f"the disc rule's factor 2^(a+1) leaves the double range at a = {a:g}")
-    t = (xj + 1.0) / 2.0                      # t = r^2
-    wt = wj / 2.0 ** (a + 1.0)                # sum wt F(t) = int (1-t)^a F dt
+    A, B = geo.semi_x, geo.semi_y
+    xj, wj = _gauss_rule("jacobi", nr, gas.a, 0.0)
+    # sum wt F(t) = int_0^1 (1-t)^a F dt; the power of two by ldexp
+    j = math.floor(gas.a + 1.0)
+    t, wt = ((xj + 1.0) / 2.0)[:, None], np.ldexp(wj * 2.0 ** (j - gas.a - 1.0), -j)[:, None]
     th = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
-    tgrid, tt = np.meshgrid(t, th, indexing="ij")
-    rr = np.sqrt(tgrid)
-    z = geo.semi_x * rr * np.cos(tt) + 1j * geo.semi_y * rr * np.sin(tt)
-    w = geo.semi_x * geo.semi_y * 0.5 * (2.0 * math.pi / nth) * wt[:, None] / (1.0 - tgrid) ** a
-    return _read_only(z.ravel(), w.ravel())
-
-
-@lru_cache(maxsize=64)
-def _annulus_rule(tau: float, a: float, nr: int, nth: int):
-    v = EllipseGeometry(tau).v
-    xj, wj = _gauss_rule("jacobi", nr, a, 0.0)
-    rho = 1.0 + (xj + 1.0) / 2.0 * (v - 1.0)
-    # the logs of ((v-1)/2)^(a+1) and of (v-rho)^a at the ends of the nodes,
-    # where a factor past the normal doubles would leave weights of 0, inf or nan
-    logs = np.append(a * np.log(v - rho[[0, -1]]), (a + 1.0) * math.log((v - 1.0) / 2.0))
-    if not np.all((_LOG_TINY < logs) & (logs < _LOG_MAX)):
-        raise OutOfRangeError(f"the annulus rule's factor ((v-1)/2)^(a+1) or (v-rho)^a leaves "
-                              f"the double range at tau = {tau:g}, a = {a:g}")
-    wr = wj * ((v - 1.0) / 2.0) ** (a + 1.0)  # sum wr F = int_1^v (v-rho)^a F
-    ph = (np.arange(nth) + 0.5) * 2.0 * math.pi / nth
-    rr, pp = np.meshgrid(rho, ph, indexing="ij")
-    om = rr * np.exp(1j * pp)
-    z = joukowsky(om)
-    jac = np.abs(om * om - 1.0) ** 2 / (4.0 * rr ** 4) * rr
-    w = (2.0 * math.pi / nth) * wr[:, None] * jac / (v - rr) ** a
-    return _read_only(z.ravel(), w.ravel())
+    cos, sin = np.cos(th), np.sin(th)
+    if gas.kind in (PolyKind.GEGENBAUER, PolyKind.CHEBYSHEV_U):
+        z, R = np.sqrt(t) * (A * cos + 1j * B * sin), A * B / 2.0
+    elif gas.kind is PolyKind.CHEBYSHEV_T:
+        log_v = math.asinh(B)
+        z, R = np.cosh(t * log_v) * cos + 1j * np.sinh(t * log_v) * sin, log_v
+    else:
+        z = -1.0 + t * (A * cos + 1.0 + 1j * B * sin)
+        R = t * B * (A + cos) if gas.kind is PolyKind.JACOBI_PLUS else B
+    wz = weight_values(gas, geo, z)
+    W = np.divide(wt * (2.0 * math.pi / nth) * R, wz, out=np.zeros(z.shape), where=wz > 0.0)
+    return _read_only(z.ravel(), W.ravel())
 
 
 def ellipse_rule(geometry: EllipseGeometry, spec: QuadratureSpec, focal: bool = False):
     """Nodes z and weights W with  integral_E f d2z ~ sum W f(z); read-only,
-    because each rule is built once per process and shared."""
-    builder = _annulus_rule if focal else _disc_rule
-    return builder(geometry.tau, spec.singularity_exponent,
-                   spec.radial_nodes, spec.angular_nodes)
+    because each rule is built once per process and shared.  f carries the
+    factor (1-rho^2)^a of the spec's exponent a (the Gegenbauer weight);
+    with focal=True it may carry 1/|1 +- z| and a must be 0 (DomainError)."""
+    a = spec.singularity_exponent
+    if focal and a != 0.0:
+        raise DomainError(f"the focal rule takes no singularity exponent, got {a}")
+    gas = GasFamily(PolyKind.CHEBYSHEV_T) if focal else GasFamily(PolyKind.GEGENBAUER, a)
+    return _product_rule(gas, geometry.tau, spec.radial_nodes, spec.angular_nodes)
 
 
 def rule_for_gas(gas: GasFamily, geometry: EllipseGeometry, spec: QuadratureSpec):
-    """The appropriate rule for integrands carrying the gas's weight."""
-    spec = QuadratureSpec(spec.radial_nodes, spec.angular_nodes, spec.c_nodes,
-                          singularity_exponent=gas.a)
-    focal = gas.has_focal_singularity or gas.kind is PolyKind.JACOBI_PLUS
-    return ellipse_rule(geometry, spec, focal=focal)
+    """The gas's product rule: sum W w f(z) over its nodes integrates w f,
+    with the weight w = `weight_values` at the nodes."""
+    return _product_rule(gas, geometry.tau, spec.radial_nodes, spec.angular_nodes)
 
 
 def integrate_ellipse(f, geometry: EllipseGeometry, spec: QuadratureSpec,

@@ -136,9 +136,10 @@ def ln_gamma(x):
     return out
 
 
-def ln_gamma_difference(x, d: float) -> np.ndarray:
-    """log Gamma(x + d) - log Gamma(x) for a finite array x and a float d,
-    with x and x + d > 0, without the cancellation of the two log-gammas.
+def ln_gamma_difference(x, d) -> np.ndarray:
+    """log Gamma(x + d) - log Gamma(x) for finite arrays x and d that
+    broadcast together, with x and x + d > 0, without the cancellation of
+    the two log-gammas.
 
     Where x and x + d are both >= 13 it is one Stirling series,
 
@@ -148,15 +149,27 @@ def ln_gamma_difference(x, d: float) -> np.ndarray:
     difference, not of log Gamma(x); elsewhere both log-gammas are small, and
     it is their difference.  An entry <= 0 or nan raises DomainError.
     """
-    x = np.asarray(x, dtype=float)
+    x, d = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(d, dtype=float))
     y = x + d
     out = np.empty(x.shape)
     big = np.minimum(x, y) >= _STIRLING_MIN
-    xb, yb = x[big], y[big]
-    out[big] = ((xb - 0.5) * np.log1p(d / xb) + d * (np.log(yb) - 1.0)
+    xb, yb, db = x[big], y[big], d[big]
+    out[big] = ((xb - 0.5) * np.log1p(db / xb) + db * (np.log(yb) - 1.0)
                 + (_stirling_tail(yb) - _stirling_tail(xb)))
-    out[~big] = ln_gamma(y[~big]) - ln_gamma(x[~big])
+    # one array log-gamma for both ends: its per-call cost is most of the
+    # difference's where few entries are small
+    small = ln_gamma(np.concatenate((y[~big], x[~big])))
+    out[~big] = small[:small.size // 2] - small[small.size // 2:]
     return out
+
+
+def _log_beta(x, y) -> np.ndarray:
+    """log B(x, y) for arrays x, y > 0 that broadcast together: log Gamma of
+    the smaller argument less one `ln_gamma_difference` from the larger, so
+    that log Gamma(x + y) cancels no log-gamma of the larger argument.  The
+    log-gammas are taken of x and y apart, so a float x costs one call."""
+    small, large = np.minimum(x, y), np.maximum(x, y)
+    return np.where(x <= y, ln_gamma(x), ln_gamma(y)) - ln_gamma_difference(large, small)
 
 
 def _order(order) -> float:

@@ -145,6 +145,19 @@ def test_orthocheck(tmp_path):
     assert payload["max_offdiagonal"] < 1e-7
 
 
+@pytest.mark.parametrize("family, a, tau", [("gegenbauer", "1025", "0.5"),
+                                             ("jacobi-plus", "300", "1e-6")])
+def test_orthocheck_answers_where_rule_factors_pass_the_double_range(tmp_path, family, a, tau):
+    # 2^(a+1) at a = 1025 is past the doubles, and so is ((v-1)/2)^(a+1) of a
+    # rule in the Joukowsky radius at a = 300, tau = 1e-6: the product rules
+    # form neither
+    out = tmp_path / "o.json"
+    assert run(["orthocheck", "--family", family, "--a", a, "--tau", tau,
+                "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert max(payload["max_offdiagonal"], payload["max_diagonal_error"]) <= 1e-12
+
+
 def test_sample_command_reproducible(tmp_path):
     out1, out2 = tmp_path / "s1.ndjson", tmp_path / "s2.ndjson"
     args = ["sample", "--family", "gegenbauer", "--a", "1", "--tau", "0.5",
@@ -699,15 +712,14 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "the half-line rule needs more than 16384 nodes"),
     (["kernel", "--kind", "edge-strong", "--a", "0.5", "--points", "1e308,0"],
      "edge_strong needs |beta| <= 2^1022, got 1e+308"),
-    # Gauss-Jacobi rules whose weights, or the disc rule's 2^(a+1), leave the double range
+    # Gauss-Jacobi rules whose weights leave the double range, for the disc
+    # and the focal-ray rule alike
     (["orthocheck", "--family", "gegenbauer", "--a", "2000", "--tau", "0.5"],
      "the Gauss-Jacobi weights for alpha = 2000, beta = 0 sum to e^1379.39, "
      "past the double range"),
-    (["orthocheck", "--family", "gegenbauer", "--a", "1025", "--tau", "0.5"],
-     "the disc rule's factor 2^(a+1) leaves the double range at a = 1025"),
-    (["orthocheck", "--family", "jacobi-plus", "--a", "300", "--tau", "1e-6"],
-     "the annulus rule's factor ((v-1)/2)^(a+1) or (v-rho)^a leaves the double range "
-     "at tau = 1e-06, a = 300"),
+    (["orthocheck", "--family", "jacobi-plus", "--a", "1040", "--tau", "0.5"],
+     "the Gauss-Jacobi weights for alpha = 1040, beta = 0 sum to e^714.618, "
+     "past the double range"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -800,6 +800,29 @@ def test_bulk_kernels_on_strip_boundary():
     assert math.isinf(abs(bulk_strong(-0.5, 0.5j, 0.5j)))
 
 
+@pytest.mark.parametrize("inside, call", [
+    (True, lambda: bulk_weak(0.5, 1e300, 4e299j, 4e299j)),
+    (True, lambda: bulk_weak(0.5, 1e200, 0, 0)),
+    (True, lambda: edge_weak(0.5, 1e200, 1e300, 1e300)),
+    (True, lambda: edge_weak_minus_sine(0.5, 1e200, 1e300j, 1e300j)),
+    (False, lambda: bulk_strong(0.5, 1e200j, 0)),
+    (False, lambda: bulk_weak(0.5, 1.0, 0, 1e300j)),
+    (False, lambda: edge_weak(0.5, 1.0, 1 + 1e200j, 1)),
+    (False, lambda: edge_weak_minus_cosine(0.5, 1e-200, 1, 1e300j))])
+def test_huge_finite_inputs_answer_or_refuse_by_name(inside, call):
+    # Im z, s or Y/s whose squares pass the double range, where ** raises a
+    # bare OverflowError: points inside their domain answer or are refused
+    # as past the double range, points outside it raise DomainError
+    if not inside:
+        with pytest.raises(DomainError):
+            call()
+        return
+    try:
+        assert cmath.isfinite(call())
+    except OutOfRangeError:
+        pass
+
+
 def test_bulk_features_near_the_wall_answer_past_the_old_overflow_refusal():
     # near the wall at large a the products of a point's features, up to
     # about e^760 (strong bulk, a = 500, y = 0.45), e^2020 (a = 1000,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily, HALF_LINE,
                         OutOfRangeError, PolyKind, QuadratureSpec, TailDivergenceError,
                         UNIT_INTERVAL, integrate_c, integrate_ellipse,
-                        rule_for_gas, weight)
-from ellipsegas.polynomials import log_squared_norms, monic_scaled_sequence
-from ellipsegas.quadrature import (_annulus_rule, _c_rule, _disc_rule, _gauss_rule,
-                                   _jacobi_rule, ellipse_rule)
+                        rule_for_gas, weight, weight_values)
+from ellipsegas.polynomials import log_raw_norms, log_squared_norms, monic_scaled_sequence
+from ellipsegas.quadrature import _c_rule, _gauss_rule, _jacobi_rule, _product_rule, ellipse_rule
 
 from conftest import gas_cases
 
@@ -242,10 +242,24 @@ def test_cached_ellipse_rules_are_read_only(focal):
     for arr in ellipse_rule(geo, spec, focal=focal):
         with pytest.raises(ValueError):
             arr[0] = 123.0
-    build = (_annulus_rule if focal else _disc_rule).__wrapped__
-    fresh = build(geo.tau, spec.singularity_exponent, spec.radial_nodes, spec.angular_nodes)
+    gas = GasFamily(PolyKind.CHEBYSHEV_T if focal else PolyKind.GEGENBAUER)
+    fresh = _product_rule.__wrapped__(gas, geo.tau, spec.radial_nodes, spec.angular_nodes)
     again = ellipse_rule(geo, spec, focal=focal)
     assert all(np.array_equal(x, y) for x, y in zip(again, fresh))
+
+
+def test_ellipse_rule_and_the_gas_rules_share_one_builder():
+    # the plain rule is the Gegenbauer gas's at the spec's exponent, the focal
+    # one Chebyshev T's, which takes no exponent
+    geo = EllipseGeometry(0.3)
+    spec = QuadratureSpec(24, 32, 8, singularity_exponent=2.5)
+    assert ellipse_rule(geo, spec)[1] is rule_for_gas(GasFamily(PolyKind.GEGENBAUER, 2.5), geo,
+                                                      spec)[1]
+    plain = QuadratureSpec(24, 32, 8)
+    assert ellipse_rule(geo, plain, focal=True)[1] is rule_for_gas(
+        GasFamily(PolyKind.CHEBYSHEV_T), geo, plain)[1]
+    with pytest.raises(DomainError, match="focal rule takes no singularity exponent"):
+        ellipse_rule(geo, spec, focal=True)
 
 
 # ------------------------------------------------------ native Gauss rules
@@ -288,11 +302,29 @@ def test_gauss_jacobi_weights_past_the_double_range_are_refused(n, a, b):
     assert np.all(np.isfinite(_jacobi_rule(n, 800.0, 800.0)[1]))
 
 
-def test_disc_rule_refuses_a_factor_past_the_double_range():
-    # its weights take a factor 2^-(a+1); the Gauss-Jacobi rule is in range
-    with pytest.raises(OutOfRangeError, match="2\\^\\(a\\+1\\)"):
-        rule_for_gas(GasFamily(PolyKind.GEGENBAUER, 1025.0), EllipseGeometry(0.5),
-                     QuadratureSpec())
+def test_gas_rules_answer_up_to_the_gauss_jacobi_refusal():
+    # the factor 2^-(a+1) is applied by ldexp, so the disc rule answers past
+    # a = 1023, and refuses by name where the Gauss-Jacobi weights do
+    geo, spec = EllipseGeometry(0.5), QuadratureSpec()
+    gas = GasFamily(PolyKind.GEGENBAUER, 1025.0)
+    z, w = rule_for_gas(gas, geo, spec)
+    h0 = np.sum(w * weight_values(gas, geo, z))
+    assert h0 == pytest.approx(math.pi * geo.semi_x * geo.semi_y / 1026.0, rel=1e-13)
+    with pytest.raises(OutOfRangeError, match="past the double range"):
+        rule_for_gas(GasFamily(PolyKind.GEGENBAUER, 1040.0), geo, spec)
+
+
+@pytest.mark.parametrize("kind", [PolyKind.GEGENBAUER, PolyKind.JACOBI_PLUS])
+def test_gas_rules_give_no_weight_where_the_gas_weight_underflows(kind):
+    # at a = 1000, 400 radial nodes reach t where (1-t)^a is below the
+    # doubles: those nodes get W = 0, not 0/0, and h_0 = sum W w holds
+    geo, gas = EllipseGeometry(0.5), GasFamily(kind, 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z, w = rule_for_gas(gas, geo, QuadratureSpec(400, 32, 8))
+    wv = weight_values(gas, geo, z)
+    assert np.any(wv == 0.0) and np.all(w[wv == 0.0] == 0.0)
+    assert math.log(np.sum(w * wv)) == pytest.approx(log_raw_norms(gas, geo, 0)[0], abs=1e-13)
 
 
 @pytest.mark.parametrize("n, alpha, beta", [(96, a, b) for a in (0.5, 30.0, 300.0, 1000.0)
@@ -309,16 +341,43 @@ def test_gauss_jacobi_weights_sum_to_their_40_digit_total(n, alpha, beta):
         assert abs(got / total - 1) <= 1e-14
 
 
-@pytest.mark.parametrize("kind, a, tau", [(PolyKind.JACOBI_PLUS, 300.0, 1e-6),
-                                         (PolyKind.JACOBI_MINUS, 100.0, 1e-6),
-                                         (PolyKind.JACOBI_PLUS, 500.0, 0.9)])
-def test_annulus_rule_refuses_factors_past_the_double_range(kind, a, tau):
-    # at tau = 1e-6, v = 1414: ((v-1)/2)^(a+1) raised a bare OverflowError at
-    # a = 300, and (v-rho)^a overflowed with a RuntimeWarning at a = 100,
-    # leaving weights of 0; at tau = 0.9 both underflow at a = 500, and
-    # their ratio was nan
-    with pytest.raises(OutOfRangeError, match="annulus rule's factor"):
-        rule_for_gas(GasFamily(kind, a), EllipseGeometry(tau), QuadratureSpec())
+# ------------------------------------------------- the claimed domain as a grid
+# six gases x a (where the gas has one) x tau, from 1e-6 to 1 - 1e-6, plus
+# three Jacobi cells where a rule in the Joukowsky radius would need factors
+# ((v-1)/2)^(a+1) or (v-rho)^a past the double range
+
+def _h0(kind, a, geo):
+    """int w over the ellipse in closed form, A = semi_x, B = semi_y and
+    log v = asinh(B)."""
+    A, B = geo.semi_x, geo.semi_y
+    return {PolyKind.GEGENBAUER: math.pi * A * B / (a + 1),
+            PolyKind.CHEBYSHEV_U: math.pi * A * B,
+            PolyKind.JACOBI_MINUS: 2 * math.pi * B / (a + 1),
+            PolyKind.CHEBYSHEV_V: 2 * math.pi * B,
+            PolyKind.JACOBI_PLUS: 2 * math.pi * A * B / ((a + 1) * (a + 2)),
+            PolyKind.CHEBYSHEV_T: 2 * math.pi * math.asinh(B)}[kind]
+
+
+_DOMAIN_GRID = [(kind, a, tau) for kind in PolyKind
+                for a in ((0.0,) if kind.value.startswith("chebyshev")
+                          else (-0.999, 0.5, 30.0, 300.0, 1000.0))
+                for tau in (1e-6, 1e-3, 0.5, 0.9, 1 - 1e-6)] + [
+    (PolyKind.JACOBI_PLUS, 300.0, 1e-6), (PolyKind.JACOBI_MINUS, 100.0, 1e-6),
+    (PolyKind.JACOBI_PLUS, 500.0, 0.9)]
+
+
+@pytest.mark.parametrize("kind, a, tau", _DOMAIN_GRID)
+def test_gas_rules_and_norms_on_the_claimed_domain(kind, a, tau):
+    # the trace identity sum W K_N(z, z) = N through the default gas rule, and
+    # log h_0 against its closed form; any RuntimeWarning fails the cell, and
+    # so does a bare OverflowError, which is not caught
+    gas, geo = GasFamily(kind, a), EllipseGeometry(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z, w = rule_for_gas(gas, geo, QuadratureSpec())
+        for N in (1, 20):
+            assert abs(np.sum(w * FiniteKernel(gas, geo, N).diagonal(z)) - N) <= 1e-12 * N
+        assert abs(log_raw_norms(gas, geo, 0)[0] - math.log(_h0(kind, a, geo))) <= 1e-14
 
 
 def test_large_legendre_rule_needs_no_eigenvalue_solve():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ellipsegas import (BesselOrder, DomainError, OutOfRangeError, W_MAX,
                         bessel_i, bessel_j, ln_gamma, log_bessel_i, log_i_ratio)
-from ellipsegas.specialfns import _phi_zero, ln_gamma_difference
+from ellipsegas.specialfns import _log_beta, _phi_zero, ln_gamma_difference
 
 mp.mp.dps = 40
 
@@ -203,6 +203,25 @@ def test_ln_gamma_difference_against_40_digits(a, off):
         ref = mp.loggamma(k + off + mp.mpf(a)) - mp.loggamma(k + off - mp.mpf(0.5))
         tol = max(1e-14, 3 * float(np.spacing(abs(float(ref)))))
         assert abs(mp.mpf(g) - ref) <= tol, (k, g, ref)
+
+
+@pytest.mark.parametrize("off", [1, 2])
+@pytest.mark.parametrize("a", [-0.999, 0.5, 300.0, 1000.0])
+def test_jacobi_norm_log_gammas_do_not_cancel_against_40_digits(a, off):
+    # log Gamma(a + 1) + log Gamma(n + off - 1/2) - log Gamma(n + a + off) as
+    # the norms take it, log B(a + 1, n + off - 1/2) from `_log_beta` plus one
+    # `ln_gamma_difference`, whose shift is then an array: lnGamma(a + 1) less
+    # one difference cancelled to 5.3e-14 relative at a = 300, 8.9e-14 at 1000
+    n = np.unique(np.concatenate([np.arange(40), np.geomspace(40, 1e4, 30).astype(int)]))
+    got = _log_beta(a + 1.0, n + off - 0.5) + ln_gamma_difference(n + a + off, 0.5)
+    A = mp.mpf(a)
+    for k, g in zip(n.tolist(), got.tolist()):
+        ref = mp.loggamma(A + 1) + mp.loggamma(k + off - mp.mpf(0.5)) - mp.loggamma(k + A + off)
+        assert abs(mp.mpf(g) - ref) <= 2e-15 * max(1.0, abs(ref)), (k, g, ref)
+    # an array shift gives each entry the bits of its float shift
+    x = n + off - 0.5
+    assert np.array_equal(ln_gamma_difference(x, np.full(n.shape, a + 1.0)),
+                          ln_gamma_difference(x, a + 1.0))
 
 
 def test_ln_gamma_array_keeps_shape_and_extremes():
