@@ -10,11 +10,22 @@ axis and each distinct density once, in CSV and in JSON, and `sample` fills
 every line from the texts of its distinct particle coordinates by one template
 per chain.  All of them give the same bytes as formatting every value.
 Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
+
+Each command imports the layers it reads when it runs, and importing this
+module loads only `geometry` (with `errors` and `specialfns`), from which the
+parser takes its choices; argparse is imported when the parser is built.
+`density` loads `kernels_finite` and `correlations` (and through them
+`polynomials`), `kernel` `kernels_limit` (and `quadrature`) for a limiting
+kind and `kernels_finite` for the others, `converge` both kernel layers,
+`orthocheck` `polynomials` and `quadrature`, and `sample` `sampler` with
+`correlations` and `kernels_finite`.  `_LAYER_NAMES` lists the names read
+from each layer; they are bound into this module when the layer is first
+imported, by anyone (see the package docstring), so every name is still
+looked up at call time and a patch or wrapper put on it is the one called.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -22,15 +33,25 @@ import sys
 
 import numpy as np
 
-from .correlations import RESCALE_MAPS, DensityGrid, GridSpec, density_grid
+from . import _lazy_namespace, _load
 from .errors import DomainError
-from .geometry import _CHEBYSHEV, EllipseGeometry, GasFamily, PolyKind, _check, weight_values
-from .kernels_finite import (FiniteKernel, kernel_elliptic_ginibre, kernel_truncated,
-                             kernel_truncated_limit)
-from .kernels_limit import LimitKernelSpec, LimitKind, bulk_weak, make_kernel
-from .polynomials import log_raw_norms, scaled_sequence
-from .quadrature import QuadratureSpec, rule_for_gas
-from .sampler import ChainSettings, PRNG_ALGORITHM, density_chi_square, run_chain
+from .geometry import (_CHEBYSHEV, RESCALE_MAPS, EllipseGeometry, GasFamily, LimitKind, PolyKind,
+                       _check, weight_values)
+
+# layer -> the names the commands read from it.  Each command imports the
+# layers it reads when it runs (`_load`); a layer's names are bound here as
+# soon as anything imports it, and are looked up at call time as the names
+# above are.
+_LAYER_NAMES = {
+    "polynomials": ("log_raw_norms", "scaled_sequence"),
+    "quadrature": ("QuadratureSpec", "rule_for_gas"),
+    "kernels_finite": ("FiniteKernel", "kernel_elliptic_ginibre", "kernel_truncated",
+                       "kernel_truncated_limit"),
+    "kernels_limit": ("LimitKernelSpec", "bulk_weak", "make_kernel"),
+    "correlations": ("DensityGrid", "GridSpec", "density_grid"),
+    "sampler": ("ChainSettings", "PRNG_ALGORITHM", "density_chi_square", "run_chain"),
+}
+__getattr__ = _lazy_namespace(globals(), _LAYER_NAMES)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,6 +139,7 @@ def _grid_json(grid: DensityGrid, rescale: str) -> str:
 
 
 def cmd_density(args) -> int:
+    _load("kernels_finite", "correlations")
     kernel = FiniteKernel(_gas(args), EllipseGeometry(args.tau), args.N)
     grid = GridSpec((args.xmin, args.xmax), (args.ymin, args.ymax), args.nx, args.ny)
     dg = density_grid(kernel, grid, rescale=args.rescale)
@@ -149,12 +171,14 @@ def _parse_pairs(raw: str):
 
 def _kernel_from_args(args):
     if args.kind not in _REFERENCE_KINDS:
+        _load("kernels_limit")
         return make_kernel(LimitKernelSpec(LimitKind(args.kind), a=args.a, s=args.s,
                                            tau=args.tau))
     name, flags = _REFERENCE_KINDS[args.kind]
     for flag in flags:
         if getattr(args, flag) is None:
             raise DomainError(f"--{flag} is required for --kind {args.kind}")
+    _load("kernels_finite")
     kernel = globals()[name]
     if args.kind == "finite":
         return kernel(_gas(args), EllipseGeometry(args.tau), args.N)
@@ -205,6 +229,7 @@ _STUDIES = {
 
 
 def cmd_converge(args) -> int:
+    _load("kernels_finite", "kernels_limit")
     gas = _gas(args)
     schedule = [int(x) for x in args.schedule.split(",")]
     if min(schedule) < 1 or len(set(schedule)) < 2:
@@ -224,6 +249,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_orthocheck(args) -> int:
+    _load("polynomials", "quadrature")
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
     spec = QuadratureSpec(args.radial_nodes, args.angular_nodes, 64)
@@ -263,6 +289,7 @@ def _configuration_lines(samples, N: int) -> list[str]:
 
 
 def cmd_sample(args) -> int:
+    _load("kernels_finite", "correlations", "sampler")
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
     settings = ChainSettings(steps=args.steps, burn_in=args.burn_in, thin=args.thin,
@@ -282,6 +309,8 @@ def cmd_sample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     p = argparse.ArgumentParser(prog="ellipsegas",
                                 description="Coulomb-gas kernels on a hard-wall ellipse")
     sub = p.add_subparsers(dest="command", required=True)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (EllipseGeometry, GasFamily, PolyKind, _check, ellipse_deficit,
-                       log_weight_values)
+from .geometry import (RESCALE_MAPS, EllipseGeometry, GasFamily, PolyKind, _check,
+                       ellipse_deficit, log_weight_values)
 from .kernels_finite import FiniteKernel
 from .polynomials import log_squared_norms
 from .specialfns import ln_gamma
@@ -84,11 +84,6 @@ class DensityGrid:
 
     def mass(self) -> float:
         return float(np.sum(self.values)) * self.cell_area
-
-
-# rescale maps of the three density figures: point map z -> argument of K_N,
-# prefactor applied to the diagonal
-RESCALE_MAPS = ("none", "fig1", "fig2", "fig3")
 
 
 def _rescale(kernel: FiniteKernel, name: str):

@@ -83,6 +83,32 @@ class GasFamily:
 PolyFamily = GasFamily
 
 
+# The kinds of limiting kernel (`kernels_limit`) and the rescale maps of the
+# density figures (`correlations`) are kept here, with the gases: the command
+# line offers them as choices before it loads either layer.
+class LimitKind(Enum):
+    BULK_WEAK = "bulk-weak"
+    EDGE_WEAK = "edge-weak"
+    EDGE_WEAK_MINUS_SINE = "edge-weak-minus-sine"
+    EDGE_WEAK_MINUS_COSINE = "edge-weak-minus-cosine"
+    BULK_STRONG = "bulk-strong"
+    EDGE_STRONG = "edge-strong"
+    SINE = "sine"
+    BESSEL = "bessel"
+    GINIBRE = "ginibre"
+    GLOBAL_U = "global-u"
+    GLOBAL_T = "global-t"
+    GLOBAL_V = "global-v"
+    GLOBAL_ROT_U = "global-rot-u"
+    GLOBAL_ROT_T = "global-rot-t"
+    GLOBAL_ROT_V = "global-rot-v"
+
+
+# rescale maps of the three density figures: point map z -> argument of K_N,
+# prefactor applied to the diagonal (`correlations._rescale`)
+RESCALE_MAPS = ("none", "fig1", "fig2", "fig3")
+
+
 @dataclass(frozen=True)
 class EllipseGeometry:
     """The hard-wall domain for a given tau in (0,1)."""

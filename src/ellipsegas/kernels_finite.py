@@ -47,7 +47,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import OrderedDict
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_power, contains,
                        ellipse_deficit, log_weight, log_weight_values)
 from .polynomials import _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
-from .quadrature import _gauss_rule
 from .specialfns import _LN2, _LOG_MAX, _plus_bits, _read_only, ln_gamma, ln_gamma_difference
 
 # points whose checked single-point table a kernel keeps, oldest evicted first
@@ -235,11 +233,13 @@ def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:
     return kernel.eval(z1, z2)
 
 
-def _exact_abs2(z: complex) -> Fraction:
-    """|z|^2 = x^2 + y^2 of a complex double, exactly."""
+def _exact_abs2(z: complex) -> tuple:
+    """|z|^2 = x^2 + y^2 of a complex double, exactly, as an integer
+    numerator and denominator: each double is an integer over a power of two."""
     z = complex(z)
-    x, y = Fraction(z.real), Fraction(z.imag)
-    return x * x + y * y
+    a, b = z.real.as_integer_ratio()
+    c, d = z.imag.as_integer_ratio()
+    return a * a * d * d + c * c * b * b, b * b * d * d
 
 
 def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
@@ -260,12 +260,13 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
         raise DomainError("kernel_truncated requires |z| < 1")
     q = z1 * np.conj(z2)
     n = np.arange(N if q else 1)             # q = 0 leaves the n = 0 term
-    s1, s2 = _exact_abs2(z1), _exact_abs2(z2)
-    p = s1 * s2                              # |q|^2, exact
-    # log1p only near the wall: at small |q| the rounded p - 1 loses eps/p
-    log_q = 0.5 * math.log1p(float(p - 1)) if p > 0.5 else math.log(abs(q) or 1.0)
+    (n1, d1), (n2, d2) = _exact_abs2(z1), _exact_abs2(z2)
+    p, d = n1 * n2, d1 * d2                  # |q|^2 = p / d, exact
+    # log1p only near the wall: at small |q| the rounded p - 1 loses eps/p.
+    # Each int / int below is one correct rounding of an exact quotient.
+    log_q = 0.5 * math.log1p((p - d) / d) if 2 * p > d else math.log(abs(q) or 1.0)
     lt = (ln_gamma_difference(n + 1, a + 1) - ln_gamma(a + 1) + n * log_q
-          + 0.5 * a * (math.log(float(1 - s1)) + math.log(float(1 - s2))))
+          + 0.5 * a * (math.log((d1 - n1) / d1) + math.log((d2 - n2) / d2)))
     top = np.max(lt)
     s = np.sum(np.exp(lt - top) * (q / abs(q) if q else 1.0) ** n)
     return complex(s) * math.exp(top) / math.pi
@@ -330,6 +331,7 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
     if abs(beta) > _TRUNCATED_EDGE_BETA_MAX:
         raise OutOfRangeError(f"kernel_truncated_edge needs |beta| <= "
                               f"{_TRUNCATED_EDGE_BETA_MAX:g}, got {abs(beta):.6g}")
+    from .quadrature import _gauss_rule     # the only reader of quadrature here
     xj, wj = _gauss_rule("jacobi", 64, 0.0, a + 1.0)
     return pref * complex(np.sum(wj * np.exp(-(xj + 1.0) / 2.0 * beta)))
 

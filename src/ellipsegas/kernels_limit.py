@@ -54,13 +54,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (_PARAMETERS, EllipseGeometry, _check, _exp_in_range, _log_power,
-                       bulk_domain_contains, edge_domain_contains, joukowsky_inverse)
+from .geometry import (_PARAMETERS, EllipseGeometry, LimitKind, _check, _exp_in_range,
+                       _log_power, bulk_domain_contains, edge_domain_contains,
+                       joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
 from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
                          log_i_ratio)
@@ -623,24 +623,6 @@ def global_rot_v(z1: complex, z2: complex) -> complex:
 # ---------------------------------------------------------------------------
 # kernel factory
 # ---------------------------------------------------------------------------
-
-class LimitKind(Enum):
-    BULK_WEAK = "bulk-weak"
-    EDGE_WEAK = "edge-weak"
-    EDGE_WEAK_MINUS_SINE = "edge-weak-minus-sine"
-    EDGE_WEAK_MINUS_COSINE = "edge-weak-minus-cosine"
-    BULK_STRONG = "bulk-strong"
-    EDGE_STRONG = "edge-strong"
-    SINE = "sine"
-    BESSEL = "bessel"
-    GINIBRE = "ginibre"
-    GLOBAL_U = "global-u"
-    GLOBAL_T = "global-t"
-    GLOBAL_V = "global-v"
-    GLOBAL_ROT_U = "global-rot-u"
-    GLOBAL_ROT_T = "global-rot-t"
-    GLOBAL_ROT_V = "global-rot-v"
-
 
 # kind -> (kernel name, spec parameters it takes before (z1, z2), whether
 # it takes a QuadratureSpec, whether it takes real points; make_kernel passes

@@ -191,6 +191,62 @@ def test_truncated_at_small_nonzero_q_against_40_digits(z, a, N):
     assert abs(got - want) <= 1e-14 * want
 
 
+def _fraction_truncated(a, N, z1, z2):
+    """kernel_truncated with |z|^2 = x^2 + y^2 summed as fractions.Fraction,
+    the form that its integer numerators over powers of two replace."""
+    from fractions import Fraction
+
+    from ellipsegas.specialfns import ln_gamma, ln_gamma_difference
+
+    def abs2(z):
+        x, y = Fraction(z.real), Fraction(z.imag)
+        return x * x + y * y
+    q = z1 * np.conj(z2)
+    n = np.arange(N if q else 1)
+    s1, s2 = abs2(z1), abs2(z2)
+    p = s1 * s2
+    log_q = 0.5 * math.log1p(float(p - 1)) if p > 0.5 else math.log(abs(q) or 1.0)
+    lt = (ln_gamma_difference(n + 1, a + 1) - ln_gamma(a + 1) + n * log_q
+          + 0.5 * a * (math.log(float(1 - s1)) + math.log(float(1 - s2))))
+    top = np.max(lt)
+    s = np.sum(np.exp(lt - top) * (q / abs(q) if q else 1.0) ** n)
+    return complex(s) * math.exp(top) / math.pi
+
+
+def _truncated_pin_cases():
+    """The points of the 40-digit tests above, and a seeded sweep: |z| near
+    1, zero and subnormal coordinates, and off-axis points."""
+    wall = 1 - 5 * 2.0 ** -20
+    cases = [(a, N, z, z) for a in (-0.5, 0.7, 3.0) for N in (5, 100_000)
+             for z in (wall, 1j * wall, (0.6 + 0.8j) * wall, 1e-4, 5e-5, 3e-5 + 4e-5j,
+                       1e-160, 5e-324)]
+    rng = np.random.default_rng(20261019)
+    odd = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1074 * 3]
+    for _ in range(120):
+        a = float(rng.choice([-0.9, -0.5, 0.0, 0.3, 2.5, 40.0]))
+        N = int(rng.choice([1, 7, 300]))
+        pts = []
+        for kind in rng.integers(0, 3, size=2):
+            angle = rng.uniform(-math.pi, math.pi)
+            if kind == 2:       # a zero or subnormal coordinate, on either axis
+                x, y = float(rng.choice(odd)), rng.uniform(-0.99, 0.99)
+                pts.append(complex(x, y) if rng.integers(2) else complex(y, x))
+                continue
+            # near the wall off the axes, or anywhere inside
+            r = 1.0 - 2.0 ** -float(rng.integers(10, 52)) if kind == 0 else rng.uniform(0.0, 1.0)
+            pts.append(complex(r * math.cos(angle), r * math.sin(angle)))
+        cases.append((a, N, *pts))
+    return cases
+
+
+def test_truncated_keeps_the_bits_of_the_fraction_sums():
+    # each int / int of the integer sums is the one rounding float(Fraction)
+    # makes, so every value keeps its bits
+    for a, N, z1, z2 in _truncated_pin_cases():
+        assert repr(kernel_truncated(a, N, z1, z2)) == repr(_fraction_truncated(a, N, z1, z2)), \
+            (a, N, z1, z2)
+
+
 @pytest.mark.parametrize("a", [-0.5, 0.0, 2.5])
 def test_truncated_at_the_origin_is_its_first_term(a):
     # z1 conj z2 = 0 leaves the n = 0 term (a+1)/pi (1-|z2|^2)^{a/2}
