@@ -112,48 +112,62 @@ def metropolis_accept(log_ratio: float, u: float) -> bool:
     return _log_uniforms([u])[0] < log_ratio
 
 
-def _initial_configuration(geometry: EllipseGeometry, N: int, rng) -> np.ndarray:
-    pts = np.empty(N, dtype=complex)
-    filled = 0
-    while filled < N:
-        x = rng.uniform(-geometry.semi_x, geometry.semi_x)
-        y = rng.uniform(-geometry.semi_y, geometry.semi_y)
-        z = complex(x, y)
+def _initial_configuration(geometry: EllipseGeometry, N: int, rng) -> list:
+    """N positions drawn uniformly in the bounding box of the ellipse, x
+    before y, and kept if they lie inside."""
+    pts = []
+    while len(pts) < N:
+        z = complex(rng.uniform(-geometry.semi_x, geometry.semi_x),
+                    rng.uniform(-geometry.semi_y, geometry.semi_y))
         if contains(geometry, z):
-            pts[filled] = z
-            filled += 1
+            pts.append(z)
     return pts
 
 
 def _log_ratio(pts: list, j: int, znew: complex, lw_new: float, lw_old: float) -> float:
     """`log_density` after particle j of pts moves to znew, minus before:
 
-    lw_new - lw_old + 2 log prod_{l != j} |znew - z_l| / |z_j - z_l|,
+    lw_new - lw_old + 2 log |P_new| / |P_old|,
+    P_new = prod_{l != j} (znew - z_l),  P_old = prod_{l != j} (z_j - z_l),
 
-    or -inf if znew coincides with another particle.  One log per call; a
-    product that leaves the normal double range falls back to
-    `_coulomb_log_ratio_fsum` (an intermediate product that only passes
-    through the subnormals is not caught).
+    or -inf if znew coincides with another particle.  pts is a list of
+    complex numbers.  P_new and P_old are formed as two complex products in
+    one pass over it, which skips entry j by position: pts[j] holds None
+    during the pass and z_j again after it.  So an entry elsewhere that
+    equals z_j, even the same object, is a coincidence like any other, and
+    `_coulomb_log_ratio_fsum` refuses it.  One abs of each product and one
+    log; when either product or their ratio leaves the normal double range,
+    the Coulomb term is `_coulomb_log_ratio_fsum` (an intermediate product
+    that only passes through the subnormals is not caught).
     """
     zold = pts[j]
-    p = 1.0
-    for zl in pts[:j] + pts[j + 1:]:
-        p *= abs(znew - zl) / abs(zold - zl)
-    if _TINY <= p <= _HUGE:
-        return lw_new - lw_old + 2.0 * math.log(p)
+    pn = po = 1.0
+    pts[j] = None
+    for zl in pts:
+        if zl is not None:
+            pn *= znew - zl
+            po *= zold - zl
+    pts[j] = zold
+    try:
+        pn, po = abs(pn), abs(po)
+    except OverflowError:   # a modulus past the doubles, of finite parts
+        pn = po = math.nan
+    if _TINY <= pn <= _HUGE and _TINY <= po <= _HUGE and _TINY <= (r := pn / po) <= _HUGE:
+        return lw_new - lw_old + 2.0 * math.log(r)
     coulomb = _coulomb_log_ratio_fsum(pts, j, znew)
     return coulomb if coulomb == -math.inf else lw_new - lw_old + coulomb
 
 
 def _coulomb_log_ratio_fsum(pts: list, j: int, znew: complex) -> float:
     """The Coulomb term of `_log_ratio` as an exactly rounded sum of logs;
-    -inf if znew coincides with another particle."""
-    zold = pts[j]
-    others = pts[:j] + pts[j + 1:]
-    d_new = [abs(znew - zl) for zl in others]
-    if 0.0 in d_new:
+    -inf if znew coincides with another particle.  A z_j that coincides with
+    another particle is no valid configuration, and raises DomainError."""
+    zold, others = pts[j], pts[:j] + pts[j + 1:]
+    if zold in others:
+        raise DomainError("coincident particles are not a valid configuration")
+    if znew in others:
         return -math.inf
-    return 2.0 * math.fsum([math.log(d) for d in d_new]
+    return 2.0 * math.fsum([math.log(abs(znew - zl)) for zl in others]
                            + [-math.log(abs(zold - zl)) for zl in others])
 
 
@@ -163,61 +177,59 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
 
     Returns (configurations, acceptance_rate); one step is one proposed
     single-particle move.  The step is scalar Python over a list of N
-    positions.  After the initial configuration, the random numbers come in
-    blocks of `DRAW_BLOCK` steps: particle indices, then Gaussian moves, then
+    complex positions.  After the initial configuration, the random numbers
+    come in blocks of `DRAW_BLOCK` steps: particle indices, then Gaussian
+    moves (the x and y draws of a move read as one complex number), then
     uniforms, so the chain of a seed depends on that order.  Each uniform is
-    taken to its log once per block, and a step is accepted by one comparison
-    with its log-ratio; thinning counts down, and the rejection streak is read
-    from the last accepted step once per block.
+    taken to its log once per block, and a step is accepted by one
+    comparison with `_log_ratio`.  A kept configuration is a copy of the
+    list, at the steps burn_in, burn_in + thin, ...; all of them are packed
+    into one (M, N) array at the end, whose rows are returned.  The
+    rejection streak is read from the last accepted step once per block.
     """
     _check("N", N)
     rng = np.random.Generator(np.random.PCG64(settings.seed))
     sigma = settings.proposal_sigma or 0.15 * geometry.semi_y   # None: the default
     cx, cy = geometry.wall_coefficients
     rule = log_weight_rule(gas, geometry)
-    pts = _initial_configuration(geometry, N, rng).tolist()
+    pts = _initial_configuration(geometry, N, rng)
     logw = [log_weight(gas, geometry, z) for z in pts]
     steps, thin = settings.steps, settings.thin
     out = []
     accepted = 0
     last = -1                  # the last accepted step
     warned = False
-    keep = settings.burn_in    # steps before the next kept configuration
+    kept = settings.burn_in    # the next step whose configuration is kept
     step = 0
     while step < steps:
         size = min(DRAW_BLOCK, steps - step)
         js = rng.integers(N, size=size).tolist()
-        moves = (sigma * rng.standard_normal((size, 2))).ravel().tolist()
+        moves = (sigma * rng.standard_normal((size, 2))).view(complex).ravel().tolist()
         log_us = _log_uniforms(rng.random(size).tolist())
         end = step + size
-        block = zip(range(step, end), js, moves[0::2], moves[1::2], log_us)
+        block = zip(range(step, end), js, moves, log_us)
         while step < end:
             # to the end of the block, or to the step at which an unbroken
             # rejection streak would first pass the limit, where it is read
             stop = end if warned else min(end, last + STREAK_LIMIT + 2)
-            for k, j, dx, dy, log_u in islice(block, stop - step):
-                zold = pts[j]
-                x = zold.real + dx
-                y = zold.imag + dy
+            for k, j, d, log_u in islice(block, stop - step):
+                znew = pts[j] + d
+                x, y = znew.real, znew.imag
                 q = 1.0 - cx * x * x - cy * y * y
                 if q >= 0.0:      # the inclusive wall test of `contains`
-                    znew = complex(x, y)
                     lw_new = rule(x, y, q)
                     if log_u < _log_ratio(pts, j, znew, lw_new, logw[j]):
-                        pts[j] = znew
-                        logw[j] = lw_new
+                        pts[j], logw[j] = znew, lw_new
                         accepted += 1
                         last = k
-                if keep:
-                    keep -= 1
-                else:
-                    out.append(np.array(pts))
-                    keep = thin - 1
+                if k == kept:
+                    out.append(pts[:])
+                    kept += thin
             step = stop
             if not warned and step - 1 - last > STREAK_LIMIT:
                 warnings.warn("zero-acceptance streak exceeded 1e5 steps", RuntimeWarning)
                 warned = True
-    return out, accepted / steps
+    return list(np.array(out, dtype=complex)), accepted / steps
 
 
 def integrated_autocorrelation(series):

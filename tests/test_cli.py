@@ -175,6 +175,57 @@ def test_sample_command_reproducible(tmp_path):
     assert len(conf) == 4
 
 
+# `sample` output as commit e6bf98a wrote it: the sha256 of the configuration
+# lines (every line but the summary), and the summary.  The lines move if an
+# accept decision, the order of the random draws or the formatting does.  The
+# summary's chi-square sums kernel values from numpy's vectorised exp and log,
+# whose last bit depends on the SIMD level of the machine (75.42488657890699
+# with AVX-512, 75.424886578907 without), so it and sigma_units are compared
+# to 1e-12 and the other fields exactly.  The jacobi-minus chain at --sigma 0.3
+# proposes 9464 of its 20000 moves past the wall.
+_SAMPLE_OUTPUTS = {
+    "readme": (
+        "--family gegenbauer --a 1 --tau 0.5 --N 8 "
+        "--steps 100000 --burn-in 10000 --thin 100 --seed 1",
+        "87927500b8826bd68d417afd4d636877d5d78a0dce008eb04c432c6991acad7f",
+        {"algorithm": "pcg64", "seed": 1, "acceptance_rate": 0.67391,
+         "chi_square": 75.42488657890699, "dof": 88, "sigma_units": -0.9478848389529084,
+         "configurations": 900}),
+    "jacobi-minus-wall": (
+        "--family jacobi-minus --a -0.5 --tau 0.3 --N 16 --sigma 0.3 "
+        "--steps 20000 --burn-in 2000 --thin 20 --seed 5",
+        "e64acce2aa8061ff6d953306522aee79b31808c555c4d284bea7bef4b5e6d024",
+        {"algorithm": "pcg64", "seed": 5, "acceptance_rate": 0.1314,
+         "chi_square": 332.6338615880234, "dof": 54, "sigma_units": 26.811555832198373,
+         "configurations": 900}),
+    "chebyshev-t": (
+        "--family chebyshev-t --tau 0.7 --N 4 --steps 20000 --burn-in 2000 --thin 20 --seed 9",
+        "5cee4bb530653feaf5d7e61639f51c0726492e21ece5e28fb9764b03d4ba0dfc",
+        {"algorithm": "pcg64", "seed": 9, "acceptance_rate": 0.67735,
+         "chi_square": 159.34622927930707, "dof": 88, "sigma_units": 5.37792438013932,
+         "configurations": 900}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLE_OUTPUTS))
+def test_sample_output_keeps_its_bytes(tmp_path, case):
+    import hashlib
+
+    argv, digest, summary = _SAMPLE_OUTPUTS[case]
+    out = tmp_path / "chain.ndjson"
+    assert run(["sample", *argv.split(), "--output", str(out)]) == 0
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert hashlib.sha256(b"".join(lines[:-1])).hexdigest() == digest
+    got = json.loads(lines[-1])["summary"]
+    assert lines[-1].decode() == json.dumps({"summary": got}) + "\n"
+    assert list(got) == list(summary)
+    for key, value in summary.items():
+        if key in ("chi_square", "sigma_units"):
+            assert got[key] == pytest.approx(value, rel=1e-12)
+        else:
+            assert got[key] == value, key
+
+
 def test_sample_invalid_N_exits_2(tmp_path):
     assert run(["sample", "--family", "gegenbauer", "--a", "1", "--tau", "0.5",
                 "--N", "0", "--steps", "100", "--burn-in", "10",

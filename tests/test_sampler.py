@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -376,6 +377,88 @@ def test_step_log_ratio_fallback_on_underflowing_product():
     assert _coulomb_log_ratio_fsum(pts, 0, pts[1]) == -math.inf
     # a coincidence is -inf even onto a singular point of the weight
     assert _log_ratio(pts, 0, pts[1], math.inf, 0.0) == -math.inf
+
+
+def _fallback_case(case):
+    """(pts, j, znew, bound): a move whose distance products P_new, P_old
+    (see `_log_ratio`) leave the normal doubles while their ratio, and each
+    distance ratio, does not, and the bound on its log-ratio's error."""
+    if case == "underflow":
+        # the centre of a 60-point cluster of radius 1e-6 moves by 2e-7i: both
+        # products are near 1e-360, and the log-ratio is about -9e-13.  The
+        # bound is that of the fsum, 120 logs near 13.8, each off by at most
+        # 1.1e-15, doubled: 1e-12 alone would pass 0
+        cluster = [0.1 + 1e-6 * complex(math.cos(t), math.sin(t))
+                   for t in np.linspace(0.0, 2 * math.pi, 60, endpoint=False)]
+        return cluster + [0.1 + 0j], 60, 0.1 + 2e-7j, 2.7e-13
+    if case == "overflow":
+        # 120 particles over [-700, 700], inside the ellipse at tau = 1e-6
+        # (semi_x about 707): both products overflow
+        line = [complex(x) for x in np.linspace(-700.0, 700.0, 120)]
+        return line, 0, line[0] + (0.5 + 0.3j), 1e-12
+    # the modulus of P_new, 1.56e308 (1 + i), passes the doubles while its
+    # parts do not, so abs(P_new) raises OverflowError; inside the ellipse
+    # at tau = 1e-6 too
+    phase = complex(math.cos(math.pi / 400), math.sin(math.pi / 400))
+    r0 = math.exp((math.log(2.2) + 308 * math.log(10)) / 100)
+    others = [600.0 - r0 * (1 + 1e-3 * (l - 49.5) / 50) * phase for l in range(100)]
+    return others + [0.5 + 0j], 100, 600.0 + 0j, 1e-12
+
+
+@pytest.mark.parametrize("case", ["underflow", "overflow", "modulus-overflow"])
+def test_log_ratio_falls_back_when_a_product_leaves_the_doubles(case):
+    mpmath = pytest.importorskip("mpmath")
+    pts, j, znew, bound = _fallback_case(case)
+    assert all(contains(EllipseGeometry(1e-6), z) for z in pts + [znew])
+    others = pts[:j] + pts[j + 1:]
+    p_new = p_old = 1.0
+    for zl in others:
+        p_new *= znew - zl
+        p_old *= pts[j] - zl
+    normal = sys.float_info.min <= abs(p_old) <= sys.float_info.max
+    if case == "modulus-overflow":
+        assert normal and math.isfinite(p_new.real) and math.isfinite(p_new.imag)
+        with pytest.raises(OverflowError):
+            abs(p_new)
+    else:
+        assert not normal and not sys.float_info.min <= abs(p_new) <= sys.float_info.max
+    got = _log_ratio(pts, j, znew, 0.0, 0.0)
+    assert got == _coulomb_log_ratio_fsum(pts, j, znew)
+    mpmath.mp.dps = 40
+    exact = 2 * mpmath.fsum(mpmath.log(abs(mpmath.mpc(znew) - mpmath.mpc(zl)))
+                            - mpmath.log(abs(mpmath.mpc(pts[j]) - mpmath.mpc(zl)))
+                            for zl in others)
+    assert abs(got - float(exact)) <= bound
+    # the flags of the weight pass through the fallback, and a coincidence
+    # is still -inf; no case is nan
+    assert _log_ratio(pts, j, znew, math.inf, 0.0) == math.inf
+    assert _log_ratio(pts, j, znew, -math.inf, 0.0) == -math.inf
+    for lw_new in (0.0, math.inf, -math.inf):
+        assert _log_ratio(pts, j, others[0], lw_new, 0.0) == -math.inf
+
+
+def test_log_ratio_skips_particle_j_by_position():
+    # an entry elsewhere that is the same object as particle j is a second
+    # particle at z_j: the configuration before the move is refused, not given
+    # the ratio of the products that leave both entries out
+    rng = np.random.default_rng(11)
+    z, w, v = interior_points(GEO, 3, rng)
+    znew = 0.5 * (w + v)
+    for pts, j in (([z, z, w, v], 0), ([z, z, w, v], 1), ([w, z, v, z], 3),
+                   ([z, complex(z.real, z.imag), w, v], 0)):
+        before = list(pts)
+        with pytest.raises(DomainError, match="coincident"):
+            _log_ratio(pts, j, znew, 0.0, 0.0)
+        assert all(a is b for a, b in zip(pts, before, strict=True))
+    # on a valid configuration the list is left as it was, and the value does
+    # not depend on which objects hold the positions
+    pts = [z, w, v]
+    copy = [complex(p.real, p.imag) for p in pts]
+    got = _log_ratio(pts, 1, znew, 0.0, 0.0)
+    assert pts == [z, w, v] and pts[1] is w
+    assert got == _log_ratio(copy, 1, znew, 0.0, 0.0)
+    assert got == pytest.approx(2.0 * math.log(abs(znew - z) * abs(znew - v)
+                                               / (abs(w - z) * abs(w - v))), rel=1e-13)
 
 
 def _reference_chain(gas, geo, N, settings):
