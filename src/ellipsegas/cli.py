@@ -1,14 +1,18 @@
 """Command-line front end: density grids, kernel evaluation, convergence
 studies, orthogonality audits, Monte Carlo sampling.
 
-All output is deterministic: identical flags (and seed) produce byte-identical
-files.  Floats are rendered with repr(), the shortest round-trip decimal, and JSON
-is strict: a non-finite value is never written as NaN or Infinity.  Grids and
-chains repeat most of their values, so the writers format each distinct value
-once, keyed on its bits: a density file formats each coordinate once per grid
-axis and each distinct density once, in CSV and in JSON, and `sample` fills
-every line from the texts of its distinct particle coordinates by one template
-per chain.  All of them give the same bytes as formatting every value.
+All output is deterministic: on one machine, identical flags (and seed) produce
+byte-identical files.  Values computed through numpy's vectorised exp and log can
+move in their last digit with numpy's SIMD level, so between machines a density
+grid or the chi-square in `sample`'s summary may differ in a last digit;
+`sample`'s configuration lines are byte-stable.  Floats are rendered with repr(),
+the shortest round-trip decimal, and JSON is strict: a non-finite value is never
+written as NaN or Infinity.  Grids and chains repeat most of their values, so
+the writers format each distinct value once, keyed on its bits: a density file
+formats each coordinate once per grid axis and each distinct density once, in
+CSV and in JSON, and `sample` fills every line from the texts of its distinct
+particle coordinates by one template per chain.  All of them give the same
+bytes as formatting every value.
 Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
 
 Each command imports the layers it reads when it runs, and importing this

@@ -36,8 +36,27 @@ def correlation_k(kernel, points) -> float:
     return det.real
 
 
+def _centres(lo: float, hi: float, n: int, d: float) -> np.ndarray:
+    """Centres of n cells of width d on [lo, hi], each from the nearer edge."""
+    i = np.arange(n)
+    lower = i <= i[::-1]
+    k = np.where(lower, i, i[::-1]) + 0.5
+    return np.where(lower, lo + k * d, hi - k * d)
+
+
 @dataclass(frozen=True)
 class GridSpec:
+    """nx x ny cells of widths dx = (x1 - x0)/nx and dy = (y1 - y0)/ny.
+
+    Cell i of an axis with n cells is centred at lo + (i + 1/2) d on the
+    lower half (i <= n - 1 - i) and at hi - (n - i - 1/2) d on the upper
+    half, so that on a window with lo = -hi every upper centre is exactly
+    minus its mirror's (rounding to nearest is odd).  Its distance from the
+    exact centre is at most u (|c| + 3 t) to first order, u = 2^-53 and t
+    the offset from the nearer edge: the width, the cell width, the offset
+    and the sum each round once.
+    """
+
     x_range: tuple[float, float]
     y_range: tuple[float, float]
     nx: int
@@ -60,11 +79,11 @@ class GridSpec:
     @property
     def xs(self) -> np.ndarray:
         """Cell-center abscissae."""
-        return self.x_range[0] + (np.arange(self.nx) + 0.5) * self.dx
+        return _centres(*self.x_range, self.nx, self.dx)
 
     @property
     def ys(self) -> np.ndarray:
-        return self.y_range[0] + (np.arange(self.ny) + 0.5) * self.dy
+        return _centres(*self.y_range, self.ny, self.dy)
 
 
 @dataclass
@@ -124,20 +143,23 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
     real, the weight and the wall test are even in y, and each rescale map
     sends zbar to the conjugate of the image of z.  So a grid row above the
     middle whose centre is exactly minus that of its mirror row is copied
-    from that row, not evaluated; the centres y0 + (j + 1/2) dy round
-    asymmetrically, so only some rows mirror.  For the Gegenbauer and
+    from that row, not evaluated; `GridSpec` centres each cell from the
+    nearer edge, so on a window with y0 = -y1 every row pair mirrors and
+    only the lower half of the rows is evaluated.  For the Gegenbauer and
     Chebyshev T and U gases K_N(-z, -z) is K_N(z, z) bit for bit as well
     (a_n = 0, a weight even in x, and odd rescale maps), so their columns
-    right of the middle mirror in the same way.  A streamed point does not
-    depend on the rest of its batch, so the values are those of evaluating
-    every cell; where the fold would leave a single point, which
+    right of the middle mirror in the same way, and on a window symmetric
+    about the origin a quarter of the cells is evaluated.  A streamed point
+    does not depend on the rest of its batch, so the values are those of
+    evaluating every cell; where the fold would leave a single point, which
     `FiniteKernel.diagonal` sums by its one-point path, every cell is
     evaluated.
     """
     fmap, factor = _rescale(kernel, rescale)
-    rows = _mirrored(grid.ys)
-    cols = _mirrored(grid.xs) & (kernel.gas.kind in _X_EVEN)
-    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    xs, ys = grid.xs, grid.ys
+    rows = _mirrored(ys)
+    cols = _mirrored(xs) & (kernel.gas.kind in _X_EVEN)
+    xs, ys = np.meshgrid(xs, ys, indexing="ij")
     w = fmap(xs + 1j * ys)
     ok = ellipse_deficit(kernel.geometry, w) >= 0.0
     ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf

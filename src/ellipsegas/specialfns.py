@@ -261,13 +261,14 @@ def _hankel_coefficients(nu: float, r_min: float) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _debye_polynomials() -> tuple:
     """Coefficients (in p) of Debye's polynomials U_k(p), k < _DEBYE_TERMS,
-    from U_{k+1} = p^2 (1-p^2) U_k'/2 + int_0^p (1-5t^2) U_k(t) dt / 8."""
-    from numpy.polynomial import polynomial as P
+    from U_{k+1} = p^2 (1-p^2) U_k'/2 + int_0^p (1-5t^2) U_k(t) dt / 8: the
+    first term is p (1-p^2)/2 times p U_k', whose coefficients are j u_j."""
     out = [np.array([1.0])]
     for _ in range(_DEBYE_TERMS - 1):
         u = out[-1]
-        out.append(P.polyadd(P.polymul([0.0, 0.0, 0.5, 0.0, -0.5], P.polyder(u)),
-                             P.polyint(P.polymul([1.0, 0.0, -5.0], u)) / 8.0))
+        integral = np.convolve([1.0, 0.0, -5.0], u) / np.arange(1.0, u.size + 3)
+        out.append(np.convolve([0.0, 0.5, 0.0, -0.5], np.arange(u.size) * u)
+                   + np.concatenate(([0.0], integral / 8.0)))
     return tuple(out)
 
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         GridSpec, PolyKind, QuadratureSpec, correlation_k,
@@ -104,8 +107,8 @@ def test_density_grid_is_zero_at_weight_singularities(kind):
     assert vals.max() > 0.0
 
 
-def _every_cell(kernel, grid, rescale):
-    """The grid with every admissible cell evaluated, in one batch."""
+def _admissible(kernel, grid, rescale):
+    """The kernel argument of each cell, the prefactor, and the admissible cells."""
     from ellipsegas.correlations import _rescale
     from ellipsegas.geometry import ellipse_deficit, log_weight_values
     fmap, factor = _rescale(kernel, rescale)
@@ -113,6 +116,12 @@ def _every_cell(kernel, grid, rescale):
     w = fmap(xs + 1j * ys)
     ok = ellipse_deficit(kernel.geometry, w) >= 0.0
     ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf
+    return w, factor, ok
+
+
+def _every_cell(kernel, grid, rescale):
+    """The grid with every admissible cell evaluated, in one batch."""
+    w, factor, ok = _admissible(kernel, grid, rescale)
     vals = np.zeros((grid.nx, grid.ny))
     vals[ok] = factor * kernel.diagonal(w[ok])
     return vals
@@ -191,7 +200,7 @@ def test_mirrored_rows_never_reach_diagonal():
     kern = FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.5), EllipseGeometry(0.4), 9)
     grid = GridSpec((-1.6, 1.6), (-0.8, 0.8), 10, 40)
     mirrored = _mirrored_rows(grid)
-    assert 0 < mirrored.sum() < grid.ny // 2
+    assert mirrored.sum() == grid.ny // 2
     seen = []
     diagonal = kern.diagonal
     kern.diagonal = lambda zs: seen.append(zs.copy()) or diagonal(zs)
@@ -203,6 +212,58 @@ def test_mirrored_rows_never_reach_diagonal():
     del kern.diagonal
     want = _every_cell(kern, grid, "none")
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (63, 81)])
+@pytest.mark.parametrize("kind, rescale", _MIRROR_CASES)
+def test_a_figure_window_evaluates_half_its_cells_a_quarter_for_the_x_even_gases(
+        kind, rescale, nx, ny):
+    N, tau = 14, 0.35
+    a = 0.0 if kind.value.startswith("chebyshev") else (2.5 * N if rescale == "fig3" else 0.7)
+    gas = GasFamily(kind, a)
+    kern = FiniteKernel(gas, EllipseGeometry(tau), N)
+    grid = GridSpec(*_figure_window(gas, tau, N, rescale, a), nx, ny)
+    assert _mirrored_rows(grid).sum() == ny // 2 and _mirrored_columns(grid).sum() == nx // 2
+    seen = []
+    diagonal = kern.diagonal
+    kern.diagonal = lambda zs: seen.append(len(zs)) or diagonal(zs)
+    got = density_grid(kern, grid, rescale=rescale).values
+    del kern.diagonal
+    want = _every_cell(kern, grid, rescale)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    ok = _admissible(kern, grid, rescale)[2]
+    x_even = kind in _X_EVEN
+    assert seen == [np.count_nonzero(ok[:(nx + 1) // 2 if x_even else nx, :(ny + 1) // 2])]
+    if nx % 2 == 0 and ny % 2 == 0:
+        assert seen[0] * (4 if x_even else 2) == np.count_nonzero(ok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3, allow_subnormal=False), st.floats(-1e3, 1e3, allow_subnormal=False),
+       st.integers(1, 300))
+def test_cell_centres_are_taken_from_the_nearer_edge(a, b, n):
+    lo, hi = sorted((a, b))
+    assume(hi - lo > 1e-290)
+    grid = GridSpec((lo, hi), (-hi, -lo), n, n)
+    xs = grid.xs
+    i = np.arange(n)
+    lower = i <= i[::-1]
+    # the reflected window's centres are the negated, reversed ones, except
+    # the middle cell of an odd count: both windows take it from their lower
+    # edge, so it mirrors only when lo = -hi
+    odd_middle = i == i[::-1]
+    np.testing.assert_array_equal(grid.ys[~odd_middle], -xs[::-1][~odd_middle])
+    np.testing.assert_array_equal(xs[lower].view(np.int64),
+                                  (lo + (i[lower] + 0.5) * grid.dx).view(np.int64))
+    # first-order rounding bound, with u = 2^-53: the width, the cell width and
+    # the offset from the nearer edge each round once, an error of u times the
+    # offset t apiece, and the sum rounds once, so |c - exact| <= u (|c| + 3 t)
+    u = Fraction(1, 2 ** 53)
+    width = Fraction(hi) - Fraction(lo)
+    for j, c in enumerate(xs.tolist()):
+        exact = Fraction(lo) + (2 * j + 1) * width / (2 * n)
+        offset = min(2 * j + 1, 2 * (n - j) - 1) * width / (2 * n)
+        assert abs(Fraction(c) - exact) <= u * (abs(exact) + 3 * offset) * (1 + 4 * u), (j, c)
 
 
 def test_a_window_where_no_row_mirrors_evaluates_every_cell():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ellipsegas import (BesselOrder, DomainError, OutOfRangeError, W_MAX,
                         bessel_i, bessel_j, ln_gamma, log_bessel_i, log_i_ratio)
-from ellipsegas.specialfns import _log_beta, _phi_zero, ln_gamma_difference
+from ellipsegas.specialfns import (_DEBYE_TERMS, _debye_polynomials, _log_beta, _phi_zero,
+                                   ln_gamma_difference)
 
 mp.mp.dps = 40
 
@@ -349,6 +350,20 @@ def test_log_i_ratio_against_40_digits_no_worse_than_scipy(regime, nus, xs):
         ok = np.isfinite(theirs)
         floor = _ratio_error_units(nu, xs_[ok], theirs[ok]) if ok.any() else 0.0
         assert ours <= max(floor, 2.0), (regime, nu, ours, floor)
+
+
+def test_debye_polynomials_equal_the_numpy_polynomial_recursion_bit_for_bit():
+    from numpy.polynomial import polynomial as P
+    want = [np.array([1.0])]
+    for _ in range(_DEBYE_TERMS - 1):
+        u = want[-1]
+        want.append(P.polyadd(P.polymul([0.0, 0.0, 0.5, 0.0, -0.5], P.polyder(u)),
+                              P.polyint(P.polymul([1.0, 0.0, -5.0], u)) / 8.0))
+    got = _debye_polynomials()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+    assert got[1].tolist() == [0.0, 3 / 24, 0.0, -5 / 24]      # U_1 = (3p - 5p^3)/24
 
 
 def test_log_bessel_i_and_bessel_i_against_40_digits():
