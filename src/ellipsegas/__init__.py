@@ -8,8 +8,9 @@ attribute of the package, and no read calls `__getattr__` again.  A layer's
 names are bound when the import system attaches the layer to the package
 (`_Package.__setattr__`), whoever imported it, before any caller can read
 the layer: a function that is swapped for a wrapper at every alias and put
-back later, as a tracer does, leaves no copy of the wrapper here.  `cli`
-binds the names its commands read in the same way (`_lazy_namespace`).
+back later, as a tracer does, leaves no copy of the wrapper here.  That
+setattr is the one binding hook; `cli` keeps no namespace of its own, and
+each command imports the names it reads when it runs.
 
 Each path loads only its own layers: `geometry` (with `errors` and
 `specialfns`) for the gases and the ellipse, `polynomials`, `kernels_finite`
@@ -53,52 +54,17 @@ _EXPORTS = {
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 __version__ = "0.1.0"
 
-# the lazy namespaces: (globals, layer -> the names bound there from it)
-_NAMESPACES = []
-
-
-def _load(*layers: str) -> None:
-    """Import layers by the import statement's own path, which `python -X
-    importtime` reports (importlib.import_module bypasses it)."""
-    for layer in layers:
-        __import__(f"{__name__}.{layer}")
-
-
-def _bind(namespace: dict, names, module: ModuleType) -> None:
-    """Bind module's `names` into namespace, keeping any name already bound."""
-    for name in names:
-        namespace.setdefault(name, getattr(module, name))
-
-
-def _lazy_namespace(namespace: dict, table: dict):
-    """Make `namespace`, a module's globals, lazy in the layer names of
-    `table` (layer -> names): each layer's names are bound into it when the
-    layer is attached to the package, and at once for the layers attached
-    already.  Returns the module's `__getattr__`, which imports the layer of
-    a name read before it was bound."""
-    owner = {name: layer for layer, names in table.items() for name in names}
-    _NAMESPACES.append((namespace, table))
-    for layer, names in table.items():
-        module = sys.modules.get(f"{__name__}.{layer}")
-        if module is not None:
-            _bind(namespace, names, module)
-
-    def __getattr__(name):
-        if name not in owner:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        _load(owner[name])
-        return namespace[name]
-    return __getattr__
-
-
-_read_export = _lazy_namespace(globals(), _EXPORTS)
-
 
 def __getattr__(name):
-    if name in _EXPORTS:        # a layer module, read before it was imported
-        _load(name)
-        return globals()[name]
-    return _read_export(name)
+    """A layer module or an export read before its layer was imported:
+    import the layer, whose attachment binds the name.  `__import__` is the
+    import statement's own path, which `python -X importtime` reports
+    (importlib.import_module bypasses it)."""
+    for layer, names in _EXPORTS.items():
+        if name == layer or name in names:
+            __import__(f"{__name__}.{layer}")
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
@@ -107,14 +73,15 @@ def __dir__():
 
 class _Package(ModuleType):
     """The package's module type: its one hook is the import system's
-    setattr that attaches a layer, which binds the layer's names into every
-    lazy namespace."""
+    setattr that attaches a layer, which binds the layer's exports into the
+    package, keeping any name already bound."""
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if isinstance(value, ModuleType) and value.__name__ == f"{__name__}.{name}":
-            for namespace, table in _NAMESPACES:
-                _bind(namespace, table.get(name, ()), value)
+            namespace = vars(self)
+            for export in _EXPORTS.get(name, ()):
+                namespace.setdefault(export, getattr(value, export))
 
 
 sys.modules[__name__].__class__ = _Package

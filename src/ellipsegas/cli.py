@@ -13,19 +13,19 @@ formats each coordinate once per grid axis and each distinct density once, in
 CSV and in JSON, and `sample` fills every line from the texts of its distinct
 particle coordinates by one template per chain.  All of them give the same
 bytes as formatting every value.
-Exit codes: 0 ok, 2 usage/validation, 3 I/O failure.
+Exit codes: 0 ok, 2 usage/validation or a refused value (a limit whose tail
+does not decay), 3 I/O failure.
 
-Each command imports the layers it reads when it runs, and importing this
-module loads only `geometry` (with `errors` and `specialfns`), from which the
-parser takes its choices; argparse is imported when the parser is built.
-`density` loads `kernels_finite` and `correlations` (and through them
-`polynomials`), `kernel` `kernels_limit` (and `quadrature`) for a limiting
-kind and `kernels_finite` for the others, `converge` both kernel layers,
-`orthocheck` `polynomials` and `quadrature`, and `sample` `sampler` with
-`correlations` and `kernels_finite`.  `_LAYER_NAMES` lists the names read
-from each layer; they are bound into this module when the layer is first
-imported, by anyone (see the package docstring), so every name is still
-looked up at call time and a patch or wrapper put on it is the one called.
+Each command imports the names it reads from the layers in its own body, so
+they are looked up when it runs, and a patch or wrapper put on a layer's
+attribute is the one called.  Importing this module loads only `geometry`
+(with `errors` and `specialfns`), from which the parser takes its choices;
+argparse is imported when the parser is built.  `density` loads
+`kernels_finite` and `correlations` (and through them `polynomials`),
+`kernel` `kernels_limit` (and `quadrature`) for a limiting kind and
+`kernels_finite` for the others, `converge` `kernels_limit` and, for a weak
+study, `kernels_finite`, `orthocheck` `polynomials` and `quadrature`, and
+`sample` `sampler` with `correlations` and `kernels_finite`.
 """
 
 from __future__ import annotations
@@ -37,25 +37,9 @@ import sys
 
 import numpy as np
 
-from . import _lazy_namespace, _load
-from .errors import DomainError
+from .errors import DomainError, TailDivergenceError
 from .geometry import (_CHEBYSHEV, RESCALE_MAPS, EllipseGeometry, GasFamily, LimitKind, PolyKind,
                        _check, weight_values)
-
-# layer -> the names the commands read from it.  Each command imports the
-# layers it reads when it runs (`_load`); a layer's names are bound here as
-# soon as anything imports it, and are looked up at call time as the names
-# above are.
-_LAYER_NAMES = {
-    "polynomials": ("log_raw_norms", "scaled_sequence"),
-    "quadrature": ("QuadratureSpec", "rule_for_gas"),
-    "kernels_finite": ("FiniteKernel", "kernel_elliptic_ginibre", "kernel_truncated",
-                       "kernel_truncated_limit"),
-    "kernels_limit": ("LimitKernelSpec", "bulk_weak", "make_kernel"),
-    "correlations": ("DensityGrid", "GridSpec", "density_grid"),
-    "sampler": ("ChainSettings", "PRNG_ALGORITHM", "density_chi_square", "run_chain"),
-}
-__getattr__ = _lazy_namespace(globals(), _LAYER_NAMES)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,9 +47,9 @@ EXIT_IO = 3
 
 # --kind values that are not a LimitKind -> (kernel, the flags it takes before
 # (z1, z2)), each of them required; "finite" instead builds a FiniteKernel of
-# the --family gas from --tau and --N.  Kernels are looked up by name, as in
-# make_kernel, so that a module attribute swapped in later (a wrapper, a
-# patch) is the one called.
+# the --family gas from --tau and --N.  Kernels are looked up by name in
+# `kernels_finite`, as in make_kernel, so that a module attribute swapped in
+# later (a wrapper, a patch) is the one called.
 _REFERENCE_KINDS = {
     "finite": ("FiniteKernel", ("N", "tau")),
     "truncated": ("kernel_truncated", ("a", "N")),
@@ -143,7 +127,9 @@ def _grid_json(grid: DensityGrid, rescale: str) -> str:
 
 
 def cmd_density(args) -> int:
-    _load("kernels_finite", "correlations")
+    from .correlations import GridSpec, density_grid
+    from .kernels_finite import FiniteKernel
+
     kernel = FiniteKernel(_gas(args), EllipseGeometry(args.tau), args.N)
     grid = GridSpec((args.xmin, args.xmax), (args.ymin, args.ymax), args.nx, args.ny)
     dg = density_grid(kernel, grid, rescale=args.rescale)
@@ -175,15 +161,15 @@ def _parse_pairs(raw: str):
 
 def _kernel_from_args(args):
     if args.kind not in _REFERENCE_KINDS:
-        _load("kernels_limit")
+        from .kernels_limit import LimitKernelSpec, make_kernel
         return make_kernel(LimitKernelSpec(LimitKind(args.kind), a=args.a, s=args.s,
                                            tau=args.tau))
     name, flags = _REFERENCE_KINDS[args.kind]
     for flag in flags:
         if getattr(args, flag) is None:
             raise DomainError(f"--{flag} is required for --kind {args.kind}")
-    _load("kernels_finite")
-    kernel = globals()[name]
+    from . import kernels_finite
+    kernel = getattr(kernels_finite, name)
     if args.kind == "finite":
         return kernel(_gas(args), EllipseGeometry(args.tau), args.N)
     return functools.partial(kernel, *(getattr(args, flag) for flag in flags))
@@ -212,8 +198,17 @@ _EDGE_POINTS = [1.0 + 0j, 0.5 + 0.3j, 2.0 - 0.5j, 0.3 + 0j, 1.5 + 1.0j]
 def _weak_side(point, scale, args, gas: GasFamily, n: int):
     """Finite side of a weak study: z -> K_N(point(z, N), point(z, N)) / scale(N)
     for the gas of N = n particles at tau_N = 1/(1 + s^2/2N^2)."""
+    from .kernels_finite import FiniteKernel
+
     kern = FiniteKernel(gas, EllipseGeometry(1.0 / (1.0 + args.s ** 2 / (2.0 * n ** 2))), n)
     return lambda z: kern.eval(point(z, n), point(z, n)) / scale(n)
+
+
+def _strong_side(args, gas: GasFamily, s: int):
+    """Finite side of the strong study: z -> s^2 K_weak(s z, s z) at s."""
+    from .kernels_limit import bulk_weak
+
+    return lambda z: s ** 2 * bulk_weak(args.a, float(s), s * z, s * z)
 
 
 # converge --study -> (the LimitKind it converges to, its points, the row key
@@ -227,13 +222,13 @@ _STUDIES = {
     "edge-weak": (LimitKind.EDGE_WEAK, _EDGE_POINTS, "N",
                   functools.partial(_weak_side, lambda Z, N: 1.0 - Z / (2.0 * N ** 2),
                                     lambda N: 4.0 * N ** 4)),
-    "strong": (LimitKind.BULK_STRONG, [z / 4.0 for z in _BULK_POINTS], "s",
-               lambda args, gas, s: lambda z: s ** 2 * bulk_weak(args.a, float(s), s * z, s * z)),
+    "strong": (LimitKind.BULK_STRONG, [z / 4.0 for z in _BULK_POINTS], "s", _strong_side),
 }
 
 
 def cmd_converge(args) -> int:
-    _load("kernels_finite", "kernels_limit")
+    from .kernels_limit import LimitKernelSpec, make_kernel
+
     gas = _gas(args)
     schedule = [int(x) for x in args.schedule.split(",")]
     if min(schedule) < 1 or len(set(schedule)) < 2:
@@ -253,7 +248,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_orthocheck(args) -> int:
-    _load("polynomials", "quadrature")
+    from .polynomials import log_raw_norms, scaled_sequence
+    from .quadrature import QuadratureSpec, rule_for_gas
+
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
     spec = QuadratureSpec(args.radial_nodes, args.angular_nodes, 64)
@@ -293,7 +290,10 @@ def _configuration_lines(samples, N: int) -> list[str]:
 
 
 def cmd_sample(args) -> int:
-    _load("kernels_finite", "correlations", "sampler")
+    from .correlations import GridSpec
+    from .kernels_finite import FiniteKernel
+    from .sampler import PRNG_ALGORITHM, ChainSettings, density_chi_square, run_chain
+
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
     settings = ChainSettings(steps=args.steps, burn_in=args.burn_in, thin=args.thin,
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         if getattr(args, "N", None) is not None:
             _check("N", args.N)
         return globals()["cmd_" + args.command](args)
-    except ValueError as exc:   # DomainError and malformed numeric flags
+    except (ValueError, TailDivergenceError) as exc:   # DomainError, bad flags, refusals
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

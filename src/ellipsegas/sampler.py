@@ -186,14 +186,24 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     list, at the steps burn_in, burn_in + thin, ...; all of them are packed
     into one (M, N) array at the end, whose rows are returned.  The
     rejection streak is read from the last accepted step once per block.
+
+    Positions and moves are kept in units of u = 2^round(log2((a + b)/2)),
+    a and b the semi-axes, so that the distance products of `_log_ratio`
+    stay in the doubles at any tau; the wall coefficients are taken times
+    u^2, the log-weight rule reads (x u, y u), and the kept configurations
+    are multiplied by u.  Every scale factor is a power of two, so the wall
+    test, the log-weights and the ratio of the products are rounded as in
+    plain units (the sum of logs that `_log_ratio` falls back to is not).
     """
     _check("N", N)
     rng = np.random.Generator(np.random.PCG64(settings.seed))
-    sigma = settings.proposal_sigma or 0.15 * geometry.semi_y   # None: the default
-    cx, cy = geometry.wall_coefficients
+    u = 2.0 ** round(math.log2((geometry.semi_x + geometry.semi_y) / 2.0))
+    sigma = (settings.proposal_sigma or 0.15 * geometry.semi_y) / u   # None: the default
+    cx, cy = (c * u * u for c in geometry.wall_coefficients)
     rule = log_weight_rule(gas, geometry)
     pts = _initial_configuration(geometry, N, rng)
     logw = [log_weight(gas, geometry, z) for z in pts]
+    pts = [complex(z.real / u, z.imag / u) for z in pts]
     steps, thin = settings.steps, settings.thin
     out = []
     accepted = 0
@@ -217,7 +227,7 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
                 x, y = znew.real, znew.imag
                 q = 1.0 - cx * x * x - cy * y * y
                 if q >= 0.0:      # the inclusive wall test of `contains`
-                    lw_new = rule(x, y, q)
+                    lw_new = rule(x * u, y * u, q)
                     if log_u < _log_ratio(pts, j, znew, lw_new, logw[j]):
                         pts[j], logw[j] = znew, lw_new
                         accepted += 1
@@ -229,7 +239,8 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
             if not warned and step - 1 - last > STREAK_LIMIT:
                 warnings.warn("zero-acceptance streak exceeded 1e5 steps", RuntimeWarning)
                 warned = True
-    return list(np.array(out, dtype=complex)), accepted / steps
+    # the parts of each coordinate are scaled as reals, so a zero keeps its sign
+    return list((np.array(out, dtype=complex).view(float) * u).view(complex)), accepted / steps
 
 
 def integrated_autocorrelation(series):

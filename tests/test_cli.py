@@ -255,7 +255,6 @@ def test_converge_strong_study(tmp_path):
 
 
 def test_converge_strong_study_evaluates_the_limit_once_per_point(tmp_path, monkeypatch):
-    import ellipsegas.cli as cli
     import ellipsegas.kernels_limit as kernels_limit
 
     calls = []
@@ -266,7 +265,6 @@ def test_converge_strong_study_evaluates_the_limit_once_per_point(tmp_path, monk
         return original(*args, **kwargs)
 
     monkeypatch.setattr(kernels_limit, "bulk_strong", counted)
-    monkeypatch.setattr(cli, "bulk_strong", counted, raising=False)
     assert run(["converge", "--study", "strong", "--a", "1",
                 "--schedule", "10,20,40", "--output", str(tmp_path / "cs.json")]) == 0
     assert len(calls) == 5
@@ -477,6 +475,17 @@ def test_kernel_non_finite_value_exits_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_a_refused_limit_value_exits_2(tmp_path, capsys):
+    # the strong bulk's half-line tail does not decay at a = 500 there, and
+    # TailDivergenceError is no ValueError
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", "bulk-strong", "--a", "500", "--points", "0.1,0.45",
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: final panel contributes") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_every_command_runs_without_scipy(tmp_path):
     # a fresh interpreter: every command, every study of converge and every
     # kind of kernel run, and no scipy module is loaded at the end
@@ -609,6 +618,7 @@ def test_grid_writers_format_each_distinct_density_once(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_density_json_with_a_non_finite_value_exits_2(tmp_path, capsys, monkeypatch, bad):
     import ellipsegas.cli as cli
+    from ellipsegas import correlations
     from ellipsegas.correlations import DensityGrid
 
     def broken(kernel, grid, rescale="none"):
@@ -616,7 +626,7 @@ def test_density_json_with_a_non_finite_value_exits_2(tmp_path, capsys, monkeypa
         values[1, 0] = bad
         return DensityGrid(grid, values)
     formatted = _spy_on_repr(monkeypatch, cli)
-    monkeypatch.setattr(cli, "density_grid", broken)
+    monkeypatch.setattr(correlations, "density_grid", broken)
     out = tmp_path / "d.json"
     assert run(["density", "--tau", "0.5", "--N", "3", "--nx", "3", "--ny", "2",
                 "--format", "json", "--output", str(out)]) == 2
@@ -687,6 +697,7 @@ def test_sample_lines_match_a_chain(tmp_path):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_position_raises_before_writing(tmp_path, monkeypatch, bad):
     import ellipsegas.cli as cli
+    from ellipsegas import sampler
     from ellipsegas.errors import DomainError
 
     samples = [np.array([0.1 + 0.2j, 0.3 - 0.1j]), np.array([complex(0.1, bad), 0.2 + 0j])]
@@ -694,7 +705,7 @@ def test_non_finite_position_raises_before_writing(tmp_path, monkeypatch, bad):
         cli._configuration_lines(samples, 2)
     with pytest.raises(ValueError):     # the encoder the lines replace refuses it too
         _reference_lines(samples)
-    monkeypatch.setattr(cli, "run_chain", lambda gas, geo, N, settings: (samples, 0.5))
+    monkeypatch.setattr(sampler, "run_chain", lambda gas, geo, N, settings: (samples, 0.5))
     out = tmp_path / "s.ndjson"
     assert run(["sample", "--tau", "0.5", "--N", "2", "--output", str(out)]) == 2
     assert not out.exists()

@@ -112,19 +112,45 @@ def test_every_exported_name_resolves_to_its_layer_and_is_listed():
 
 
 def test_a_layers_names_are_bound_when_it_is_imported():
-    # whoever imports a layer, its names are bound into the package and
-    # into cli before any caller reads the layer, so an alias swapped in
-    # later and put back (a wrapper, a patch) leaves no copy behind
-    got = _fresh(f"import importlib, ellipsegas, ellipsegas.cli as cli\n"
+    # whoever imports a layer, its names are bound into the package before
+    # any caller reads the layer, so an alias swapped in later and put back
+    # (a wrapper, a patch) leaves no copy behind
+    got = _fresh(f"import importlib, ellipsegas\n"
                  f"bad = []\n"
                  f"for layer in {list(_LAYERS)!r}:\n"
                  f"    module = importlib.import_module('ellipsegas.' + layer)\n"
-                 f"    for ns, table in ((vars(ellipsegas), ellipsegas._EXPORTS),\n"
-                 f"                      (vars(cli), cli._LAYER_NAMES)):\n"
-                 f"        bad += [n for n in table.get(layer, ())\n"
-                 f"                if ns.get(n, None) is not getattr(module, n)]\n"
+                 f"    bad += [n for n in ellipsegas._EXPORTS.get(layer, ())\n"
+                 f"            if vars(ellipsegas).get(n, None) is not getattr(module, n)]\n"
                  f"print(json.dumps(bad))")
     assert got == []
+
+
+def test_a_patch_on_a_layer_reaches_the_cli(tmp_path):
+    # the layers are imported before they are patched, and each command reads
+    # its names from them when it runs
+    out = str(tmp_path / "out")
+    argvs = [["density", "--tau", "0.5", "--N", "3", "--nx", "3", "--ny", "2"],
+             ["sample", "--tau", "0.5", "--N", "3", "--steps", "300", "--burn-in", "10",
+              "--thin", "10"],
+             ["kernel", "--kind", "finite", "--tau", "0.5", "--N", "3", "--points", "0.3,0.2"]]
+    got = _fresh(f"import ellipsegas.cli as cli\n"
+                 f"from ellipsegas import correlations, kernels_finite, sampler\n"
+                 f"called = []\n"
+                 f"def spy(module, name):\n"
+                 f"    real = getattr(module, name)\n"
+                 f"    def patch(*args, **kwargs):\n"
+                 f"        called[-1].append(name)\n"
+                 f"        return real(*args, **kwargs)\n"
+                 f"    setattr(module, name, patch)\n"
+                 f"spy(correlations, 'density_grid')\n"
+                 f"spy(sampler, 'run_chain')\n"
+                 f"spy(kernels_finite, 'FiniteKernel')\n"
+                 f"for argv in {argvs!r}:\n"
+                 f"    called.append([])\n"
+                 f"    assert cli.main(argv + ['--output', {out!r}]) == 0\n"
+                 f"print(json.dumps(called))")
+    assert got == [["FiniteKernel", "density_grid"], ["run_chain", "FiniteKernel"],
+                   ["FiniteKernel"]]
 
 
 def test_unknown_names_raise_attribute_error():

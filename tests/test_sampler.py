@@ -510,6 +510,42 @@ def test_chain_matches_log_density_reference(family, a, N):
         np.testing.assert_array_equal(c1, c2)
 
 
+def test_a_wide_ellipse_chain_keeps_its_products_in_the_doubles(monkeypatch):
+    # gegenbauer a = 1 at tau = 1e-6 (semi-axes about 707) with N = 120: in
+    # plain units the distance products leave the doubles on most proposals
+    # (3,113 fallbacks in these 5,000 steps at commit db3032b), in units of
+    # u = 512 on none, and the configurations keep the bytes written there
+    import hashlib
+
+    import ellipsegas.sampler as sampler
+
+    calls = []
+    real = sampler._coulomb_log_ratio_fsum
+    monkeypatch.setattr(sampler, "_coulomb_log_ratio_fsum",
+                        lambda *args: calls.append(1) or real(*args))
+    settings = ChainSettings(steps=5000, burn_in=1000, thin=100, seed=3)
+    got, acc = run_chain(GAS, EllipseGeometry(1e-6), 120, settings)
+    assert calls == [] and acc == 0.181
+    assert hashlib.sha256(np.array(got).tobytes()).hexdigest() == \
+        "10b3311271fdaa0a6f9d2b6cb0dc587cab0900f59c8c6a3b3882e5a960885c22"
+
+
+@pytest.mark.parametrize("family, a", [("gegenbauer", 1.5), ("jacobi-minus", -0.5),
+                                       ("chebyshev-v", 0.0)])
+def test_chain_in_units_of_u_matches_log_density_reference(family, a):
+    # at tau = 0.05 the chain keeps its positions in units of u = 4; the
+    # reference works in plain units
+    gas = GasFamily(PolyKind(family), a)
+    geo = EllipseGeometry(0.05)
+    settings = ChainSettings(steps=1200, burn_in=101, thin=23, proposal_sigma=1.5, seed=29)
+    got, acc = run_chain(gas, geo, 6, settings)
+    ref, ref_acc, outside = _reference_chain(gas, geo, 6, settings)
+    assert acc == ref_acc and 0.05 < acc < 0.95 and outside > 50
+    assert len(got) == len(ref)
+    for c1, c2 in zip(got, ref):
+        np.testing.assert_array_equal(c1, c2)
+
+
 def _scripted_ratios(monkeypatch, accept_at):
     """Patch the chain's log-ratio so that the steps in accept_at are
     accepted and every other step is refused; returns the call count."""
