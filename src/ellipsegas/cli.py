@@ -18,7 +18,11 @@ does not decay), 3 I/O failure.
 
 Each command imports the names it reads from the layers in its own body, so
 they are looked up when it runs, and a patch or wrapper put on a layer's
-attribute is the one called.  Importing this module loads only `geometry`
+attribute is the one called.  `kernel` builds every --kind from its row of
+the one table of kinds, `geometry.KERNEL_KINDS`: the kernel is looked up by
+name in the row's layer, and the row's parameters are checked by their rules,
+each refusal naming the kind (`error: truncated needs integer N >= 1`).
+Importing this module loads only `geometry`
 (with `errors` and `specialfns`), from which the parser takes its choices;
 argparse is imported when the parser is built.  `density` loads
 `kernels_finite` and `correlations` (and through them `polynomials`),
@@ -38,24 +42,12 @@ import sys
 import numpy as np
 
 from .errors import DomainError, TailDivergenceError
-from .geometry import (_CHEBYSHEV, RESCALE_MAPS, EllipseGeometry, GasFamily, LimitKind, PolyKind,
-                       _check, weight_values)
+from .geometry import (_CHEBYSHEV, KERNEL_KINDS, RESCALE_MAPS, EllipseGeometry, GasFamily,
+                       LimitKind, PolyKind, _check, _kind_arguments, weight_values)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-# --kind values that are not a LimitKind -> (kernel, the flags it takes before
-# (z1, z2)), each of them required; "finite" instead builds a FiniteKernel of
-# the --family gas from --tau and --N.  Kernels are looked up by name in
-# `kernels_finite`, as in make_kernel, so that a module attribute swapped in
-# later (a wrapper, a patch) is the one called.
-_REFERENCE_KINDS = {
-    "finite": ("FiniteKernel", ("N", "tau")),
-    "truncated": ("kernel_truncated", ("a", "N")),
-    "truncated-limit": ("kernel_truncated_limit", ("a",)),
-    "elliptic-ginibre": ("kernel_elliptic_ginibre", ("tau", "N")),
-}
 
 # the value by which the a < 0 kernels flag their integrable hard-edge
 # divergence; the kernel command writes it as "re": null, "divergent": true
@@ -160,19 +152,14 @@ def _parse_pairs(raw: str):
 
 
 def _kernel_from_args(args):
-    if args.kind not in _REFERENCE_KINDS:
-        from .kernels_limit import LimitKernelSpec, make_kernel
-        return make_kernel(LimitKernelSpec(LimitKind(args.kind), a=args.a, s=args.s,
-                                           tau=args.tau))
-    name, flags = _REFERENCE_KINDS[args.kind]
-    for flag in flags:
-        if getattr(args, flag) is None:
-            raise DomainError(f"--{flag} is required for --kind {args.kind}")
-    from . import kernels_finite
-    kernel = getattr(kernels_finite, name)
+    """The kernel of --kind, by its row of `KERNEL_KINDS`: the package
+    imports the row's layer when it is first read."""
+    layer, name, _ = KERNEL_KINDS[args.kind]
+    values = _kind_arguments(args.kind, args)
+    kernel = getattr(getattr(sys.modules[__package__], layer), name)
     if args.kind == "finite":
         return kernel(_gas(args), EllipseGeometry(args.tau), args.N)
-    return functools.partial(kernel, *(getattr(args, flag) for flag in flags))
+    return functools.partial(kernel, *values)
 
 
 def cmd_kernel(args) -> int:
@@ -342,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--output", default="-")
 
     k = sub.add_parser("kernel", help="evaluate a finite or limiting kernel")
-    k.add_argument("--kind", choices=[*_REFERENCE_KINDS, *(kk.value for kk in LimitKind)],
-                   required=True)
+    k.add_argument("--kind", choices=list(KERNEL_KINDS), required=True)
     add_gas(k, tau=False)
     k.add_argument("--s", type=float, default=None)
     k.add_argument("--N", type=int, default=None)
@@ -381,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  It holds no command: `main` looks
-    up cmd_<command> by name when it is called, as `_REFERENCE_KINDS` does."""
+    up cmd_<command> by name when it is called, as `_kernel_from_args` looks
+    up a kernel."""
     return build_parser()
 
 

@@ -10,7 +10,8 @@ Five gas families live on it, distinguished by their one-particle weight.
 Every parameter rule of the package is written once, in `_PARAMETERS`, and
 checked by `_check`: the weight exponent a > -1, the Jacobi exponents alpha,
 gamma > -1, the weak scale s > 0 and the proposal width are finite, tau lies
-in (0,1), and N, burn_in and thin are integers.  The rules of the points
+in (0,1), and N, burn_in and thin are integers; `_kind_arguments` checks
+the parameters of a kernel kind by them.  The rules of the points
 (inside the ellipse, X >= 0, the strips) stay with the functions that take
 them.
 """
@@ -30,7 +31,7 @@ from .specialfns import _LOG_MAX
 
 # parameter -> (whether a value lies in its domain, the domain as text); one
 # rule for every function and class that takes the parameter, and for the text
-# of LimitKernelSpec; inf and nan lie in no domain
+# of `_kind_arguments`; inf and nan lie in no domain
 _PARAMETERS = {"a": (lambda a: -1 < a < math.inf, "finite a > -1"),
                "s": (lambda s: 0 < s < math.inf, "finite s > 0"),
                "tau": (lambda tau: 0 < tau < 1, "tau in (0,1)"),
@@ -83,25 +84,55 @@ class GasFamily:
 PolyFamily = GasFamily
 
 
-# The kinds of limiting kernel (`kernels_limit`) and the rescale maps of the
-# density figures (`correlations`) are kept here, with the gases: the command
-# line offers them as choices before it loads either layer.
-class LimitKind(Enum):
-    BULK_WEAK = "bulk-weak"
-    EDGE_WEAK = "edge-weak"
-    EDGE_WEAK_MINUS_SINE = "edge-weak-minus-sine"
-    EDGE_WEAK_MINUS_COSINE = "edge-weak-minus-cosine"
-    BULK_STRONG = "bulk-strong"
-    EDGE_STRONG = "edge-strong"
-    SINE = "sine"
-    BESSEL = "bessel"
-    GINIBRE = "ginibre"
-    GLOBAL_U = "global-u"
-    GLOBAL_T = "global-t"
-    GLOBAL_V = "global-v"
-    GLOBAL_ROT_U = "global-rot-u"
-    GLOBAL_ROT_T = "global-rot-t"
-    GLOBAL_ROT_V = "global-rot-v"
+# The kinds of kernel (`kernels_finite`, `kernels_limit`) and the rescale maps
+# of the density figures (`correlations`) are kept here, with the gases: the
+# command line offers them as choices before it loads any of those layers.
+# KERNEL_KINDS, the one table of kinds: every kind -> (its layer, the kernel's
+# name there, the parameters it takes before (z1, z2)); the --kind choices are
+# its keys and LimitKind its kernels_limit rows.  "finite" instead builds a
+# FiniteKernel of a gas from tau and N.  A kernel is looked up by name when it
+# is built, so that a layer attribute swapped in later (a wrapper, a patch) is
+# the one called.
+KERNEL_KINDS = {
+    "finite": ("kernels_finite", "FiniteKernel", ("N", "tau")),
+    "truncated": ("kernels_finite", "kernel_truncated", ("a", "N")),
+    "truncated-limit": ("kernels_finite", "kernel_truncated_limit", ("a",)),
+    "elliptic-ginibre": ("kernels_finite", "kernel_elliptic_ginibre", ("tau", "N")),
+    "bulk-weak": ("kernels_limit", "bulk_weak", ("a", "s")),
+    "edge-weak": ("kernels_limit", "edge_weak", ("a", "s")),
+    "edge-weak-minus-sine": ("kernels_limit", "edge_weak_minus_sine", ("a", "s")),
+    "edge-weak-minus-cosine": ("kernels_limit", "edge_weak_minus_cosine", ("a", "s")),
+    "bulk-strong": ("kernels_limit", "bulk_strong", ("a",)),
+    "edge-strong": ("kernels_limit", "edge_strong", ("a",)),
+    "sine": ("kernels_limit", "sine_kernel", ()),
+    "bessel": ("kernels_limit", "bessel_kernel", ("a",)),
+    "ginibre": ("kernels_limit", "ginibre_kernel", ()),
+    "global-u": ("kernels_limit", "global_kernel_u", ("tau",)),
+    "global-t": ("kernels_limit", "global_kernel_t", ("tau",)),
+    "global-v": ("kernels_limit", "global_kernel_v", ("tau",)),
+    "global-rot-u": ("kernels_limit", "global_rot_u", ()),
+    "global-rot-t": ("kernels_limit", "global_rot_t", ()),
+    "global-rot-v": ("kernels_limit", "global_rot_v", ()),
+}
+
+# BULK_WEAK = "bulk-weak", ... for every limiting kind
+LimitKind = Enum("LimitKind", [(kind.upper().replace("-", "_"), kind)
+                               for kind, (layer, _, _) in KERNEL_KINDS.items()
+                               if layer == "kernels_limit"], module=__name__)
+
+
+def _kind_arguments(kind: str, source) -> tuple:
+    """The parameters that the kernel of `kind` takes before (z1, z2), read
+    from the attributes of `source` (a LimitKernelSpec, the command line's
+    arguments); DomainError naming the kind where one is missing or outside
+    its rule."""
+    params = KERNEL_KINDS[kind][2]
+    values = tuple(getattr(source, p) for p in params)
+    for p, value in zip(params, values):
+        valid, need = _PARAMETERS[p]
+        if value is None or not valid(value):
+            raise DomainError(f"{kind} needs {need}")
+    return values
 
 
 # rescale maps of the three density figures: point map z -> argument of K_N,

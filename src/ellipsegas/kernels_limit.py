@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (_PARAMETERS, EllipseGeometry, LimitKind, _check, _exp_in_range,
-                       _log_power, bulk_domain_contains, edge_domain_contains,
+from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _exp_in_range,
+                       _kind_arguments, _log_power, bulk_domain_contains, edge_domain_contains,
                        joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
 from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
@@ -268,10 +268,21 @@ def _normal(value, name: str = "kernel"):
     return value
 
 
+def _real(name: str, x) -> float:
+    """x as a point of the real line, a number whose imaginary part is 0.0 or
+    -0.0; DomainError for any other."""
+    x = complex(x)
+    if x.imag != 0.0:
+        raise DomainError(f"{name} requires points on the real line, got {x!r}")
+    return x.real
+
+
 def sine_kernel(x1: float, x2: float) -> float:
     """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit.  DomainError for an x
-    that is not finite; OutOfRangeError for a value below the normal doubles,
-    as past |x1 - x2| = 1/(pi 2^-1022), where x1 - x2 may also overflow."""
+    off the real line or not finite; OutOfRangeError for a value below the
+    normal doubles, as past |x1 - x2| = 1/(pi 2^-1022), where x1 - x2 may also
+    overflow."""
+    x1, x2 = _real("sine_kernel", x1), _real("sine_kernel", x2)
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"sine_kernel requires finite x, got {x1!r}, {x2!r}")
     d = x1 - x2
@@ -357,8 +368,9 @@ def bessel_kernel(a: float, X1: float, X2: float,
     an integrable divergence flagged as inf.  Refused past X = W_MAX^2: the
     integrand oscillates at frequency sqrt(X1) + sqrt(X2) on [0,1], beyond
     what the c-nodes resolve; refused too where the integral or the value
-    falls below the normal doubles.
+    falls below the normal doubles, and, by DomainError, off the real line.
     """
+    X1, X2 = _real("bessel_kernel", X1), _real("bessel_kernel", X2)
     return _feature_kernel(_bessel_point, _phi_nodes, a, None, X1, X2, spec).real
 
 
@@ -593,7 +605,7 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:
     """Dispatch to one of the three global kernels by kind."""
-    name, params, _, _ = _KERNELS[LimitKind(kind)]
+    _, name, params = KERNEL_KINDS[LimitKind(kind).value]
     if params != ("tau",):
         raise DomainError(f"{kind} is not a global kernel kind")
     return globals()[name](tau, z1, z2)
@@ -610,7 +622,7 @@ def global_rot_t(z1: complex, z2: complex) -> complex:
     if not (0 < abs(z1) < 1 and 0 < abs(z2) < 1):
         raise DomainError("rotational Chebyshev-I kernel requires 0 < |z| < 1")
     q = z1 * np.conj(z2)
-    return q / (math.pi * abs(z1) * abs(z2) * (1.0 - q) ** 2)
+    return q / (math.pi * (abs(z1) * abs(z2)) * (1.0 - q) ** 2)
 
 
 def global_rot_v(z1: complex, z2: complex) -> complex:
@@ -624,32 +636,9 @@ def global_rot_v(z1: complex, z2: complex) -> complex:
 # kernel factory
 # ---------------------------------------------------------------------------
 
-# kind -> (kernel name, spec parameters it takes before (z1, z2), whether
-# it takes a QuadratureSpec, whether it takes real points; make_kernel passes
-# those the real parts of z1, z2).  Kernels are looked up by name so that a
-# module attribute swapped in later (a wrapper, a patch) is the one called.
-_KERNELS = {
-    LimitKind.BULK_WEAK: ("bulk_weak", ("a", "s"), True, False),
-    LimitKind.EDGE_WEAK: ("edge_weak", ("a", "s"), True, False),
-    LimitKind.EDGE_WEAK_MINUS_SINE: ("edge_weak_minus_sine", ("a", "s"), True, False),
-    LimitKind.EDGE_WEAK_MINUS_COSINE: ("edge_weak_minus_cosine", ("a", "s"), True, False),
-    LimitKind.BULK_STRONG: ("bulk_strong", ("a",), True, False),
-    LimitKind.EDGE_STRONG: ("edge_strong", ("a",), False, False),
-    LimitKind.SINE: ("sine_kernel", (), False, True),
-    LimitKind.BESSEL: ("bessel_kernel", ("a",), True, True),
-    LimitKind.GINIBRE: ("ginibre_kernel", (), False, False),
-    LimitKind.GLOBAL_U: ("global_kernel_u", ("tau",), False, False),
-    LimitKind.GLOBAL_T: ("global_kernel_t", ("tau",), False, False),
-    LimitKind.GLOBAL_V: ("global_kernel_v", ("tau",), False, False),
-    LimitKind.GLOBAL_ROT_U: ("global_rot_u", (), False, False),
-    LimitKind.GLOBAL_ROT_T: ("global_rot_t", (), False, False),
-    LimitKind.GLOBAL_ROT_V: ("global_rot_v", (), False, False),
-}
-
-
 @dataclass(frozen=True)
 class LimitKernelSpec:
-    """Which limiting kernel, plus its parameters."""
+    """Which limiting kernel, a LimitKind or its name, plus its parameters."""
 
     kind: LimitKind
     a: float | None = None
@@ -657,18 +646,12 @@ class LimitKernelSpec:
     tau: float | None = None
 
     def __post_init__(self):
-        for p in _KERNELS[self.kind][1]:
-            valid, need = _PARAMETERS[p]
-            if getattr(self, p) is None or not valid(getattr(self, p)):
-                raise DomainError(f"{self.kind.value} needs {need}")
+        object.__setattr__(self, "kind", LimitKind(self.kind))
+        _kind_arguments(self.kind.value, self)
 
 
-def make_kernel(spec: LimitKernelSpec, quad: QuadratureSpec | None = None):
-    """An evaluable K(z1, z2) for any limiting-kernel spec."""
-    name, params, quadrature, real = _KERNELS[spec.kind]
-    kernel = functools.partial(globals()[name], *(getattr(spec, p) for p in params))
-    if quadrature:
-        kernel = functools.partial(kernel, spec=quad)
-    if real:
-        return lambda z1, z2: kernel(complex(z1).real, complex(z2).real)
-    return kernel
+def make_kernel(spec: LimitKernelSpec):
+    """An evaluable K(z1, z2) for any limiting-kernel spec: the kernel of its
+    kind in `KERNEL_KINDS`, looked up by name, with the spec's parameters."""
+    name = KERNEL_KINDS[spec.kind.value][1]
+    return functools.partial(globals()[name], *_kind_arguments(spec.kind.value, spec))

@@ -11,8 +11,9 @@ from ellipsegas import (EllipseGeometry, FiniteKernel, GasFamily, GridSpec, Limi
                         ginibre_kernel, global_kernel_t, global_kernel_u, global_kernel_v,
                         global_rot_t, global_rot_u, global_rot_v, kernel_elliptic_ginibre,
                         kernel_truncated, kernel_truncated_limit, sine_kernel)
-from ellipsegas.cli import _REFERENCE_KINDS, main
+from ellipsegas.cli import main
 from ellipsegas.errors import DomainError, OutOfRangeError
+from ellipsegas.geometry import KERNEL_KINDS
 
 
 def run(args):
@@ -340,6 +341,8 @@ def test_density_every_cell_is_the_grid_value(tmp_path, family, a):
 
 
 _POINTS = (0.1 + 0.05j, 0.2 - 0.03j)
+# the real-line kinds' points
+_REAL_POINTS = (0.1 + 0j, 0.2 + 0j)
 _DIRECT = {
     "finite": lambda z1, z2: FiniteKernel(GasFamily(PolyKind.JACOBI_PLUS, 0.5),
                                           EllipseGeometry(0.4), 5).eval(z1, z2),
@@ -352,8 +355,8 @@ _DIRECT = {
     "edge-weak-minus-cosine": lambda z1, z2: edge_weak_minus_cosine(0.5, 1.2, z1, z2),
     "bulk-strong": lambda z1, z2: bulk_strong(0.5, z1, z2),
     "edge-strong": lambda z1, z2: edge_strong(0.5, z1, z2),
-    "sine": lambda z1, z2: sine_kernel(z1.real, z2.real),
-    "bessel": lambda z1, z2: bessel_kernel(0.5, z1.real, z2.real),
+    "sine": sine_kernel,
+    "bessel": lambda z1, z2: bessel_kernel(0.5, z1, z2),
     "ginibre": ginibre_kernel,
     "global-u": lambda z1, z2: global_kernel_u(0.4, z1, z2),
     "global-t": lambda z1, z2: global_kernel_t(0.4, z1, z2),
@@ -365,13 +368,40 @@ _DIRECT = {
 
 
 def test_direct_calls_cover_every_kernel_kind():
-    assert list(_DIRECT) == [*_REFERENCE_KINDS, *(kind.value for kind in LimitKind)]
+    assert list(_DIRECT) == list(KERNEL_KINDS)
+
+
+def test_the_table_of_kinds_is_the_only_source(tmp_path, capsys, monkeypatch):
+    import importlib
+
+    from ellipsegas import LimitKernelSpec, kernels_finite, kernels_limit, make_kernel
+
+    for kind, (layer, name, _) in KERNEL_KINDS.items():
+        assert callable(getattr(importlib.import_module(f"ellipsegas.{layer}"), name)), kind
+    # the --kind choices are the table's keys, in order
+    with pytest.raises(SystemExit):
+        run(["kernel", "--kind", "nope", "--points", "0,0"])
+    choices = ", ".join(f"'{kind}'" for kind in KERNEL_KINDS)
+    assert f"(choose from {choices})" in capsys.readouterr().err
+    assert [kind.value for kind in LimitKind] == [
+        kind for kind, (layer, _, _) in KERNEL_KINDS.items() if layer == "kernels_limit"]
+    # a kernel patched on its layer is the one built, a limit kind and a
+    # reference kind alike
+    monkeypatch.setattr(kernels_limit, "ginibre_kernel", lambda z1, z2: 2.5 + 0.5j)
+    monkeypatch.setattr(kernels_finite, "kernel_truncated", lambda a, N, z1, z2: a * N + 0j)
+    assert make_kernel(LimitKernelSpec(LimitKind.GINIBRE))(0j, 0j) == 2.5 + 0.5j
+    out = tmp_path / "k.json"
+    for argv, value in ((["--kind", "ginibre"], 2.5 + 0.5j),
+                        (["--kind", "truncated", "--a", "0.5", "--N", "3"], 1.5 + 0j)):
+        assert run(["kernel", *argv, "--points", "0.1,0.2", "--output", str(out)]) == 0
+        row = json.loads(out.read_text())["values"][0]
+        assert complex(row["re"], row["im"]) == value
 
 
 @pytest.mark.parametrize("kind", list(_DIRECT))
 def test_kernel_value_is_the_library_value(tmp_path, kind):
     out = tmp_path / "k.json"
-    z1, z2 = _POINTS
+    z1, z2 = _REAL_POINTS if kind in ("sine", "bessel") else _POINTS
     assert run(["kernel", "--kind", kind, "--family", "jacobi-plus", "--a", "0.5",
                 "--s", "1.2", "--tau", "0.4", "--N", "5",
                 "--points", f"{z1.real},{z1.imag},{z2.real},{z2.imag}",
@@ -530,7 +560,9 @@ runs = [["density", "--family", "jacobi-plus", "--a", "0.5", "--tau", "0.5", "--
          "--max-degree", "4"]]
 runs += [["converge", "--study", study, "--a", "0.5", "--s", "1", "--schedule", "2,3"]
          for study in cli._STUDIES]
-runs += [["kernel", "--kind", kind, *args, "--points", "0.3,0.1;0.3,0.1,0.2,-0.05"]
+# the real-line kinds take points on the axis
+runs += [["kernel", "--kind", kind, *args, "--points",
+          "0.3,0;0.3,0,0.2,0" if kind in ("sine", "bessel") else "0.3,0.1;0.3,0.1,0.2,-0.05"]
          for kind, args in kernel_args.items()]
 for argv in runs:
     assert cli.main(argv + ["--output", out]) == 0, argv
@@ -758,7 +790,7 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
     (["kernel", "--kind", "edge-strong", "--a", "inf", "--points", "0,0"],
      "edge-strong needs finite a > -1"),
     (["kernel", "--kind", "truncated-limit", "--a", "nan", "--points", "0.1,0"],
-     "expected finite a > -1, got nan"),
+     "truncated-limit needs finite a > -1"),
     (["sample", "--family", "jacobi-plus", "--a", "inf", "--tau", "0.5", "--N", "3",
       "--steps", "100", "--burn-in", "10"], "expected finite a > -1, got inf"),
     (["sample", "--tau", "0.5", "--N", "3", "--steps", "0", "--burn-in", "-1"],
@@ -782,6 +814,17 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
     (["orthocheck", "--family", "jacobi-plus", "--a", "1040", "--tau", "0.5"],
      "the Gauss-Jacobi weights for alpha = 1040, beta = 0 sum to e^714.618, "
      "past the double range"),
+    # a missing parameter names the kind and the rule, a reference kind's too
+    (["kernel", "--kind", "truncated", "--a", "0.5", "--points", "0,0"],
+     "truncated needs integer N >= 1"),
+    (["kernel", "--kind", "finite", "--N", "3", "--points", "0,0"], "finite needs tau in (0,1)"),
+    # the real-line kinds answered for the real part of a point off the axis
+    (["kernel", "--kind", "sine", "--points", "0.1,0.5"],
+     "sine_kernel requires points on the real line, got (0.1+0.5j)"),
+    (["kernel", "--kind", "bessel", "--a", "0.5", "--points", "1,7"],
+     "bessel_kernel requires points on the real line, got (1+7j)"),
+    (["kernel", "--kind", "sine", "--points", "0.1,0,0.2,-1e-300"],
+     "sine_kernel requires points on the real line, got (0.2-1e-300j)"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

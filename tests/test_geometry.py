@@ -277,10 +277,12 @@ def test_every_entry_point_refuses_a_parameter_outside_its_rule(name, param, bad
 
 
 def test_the_rules_live_in_one_table():
-    from ellipsegas import kernels_limit
-    from ellipsegas.geometry import _PARAMETERS, _check
+    from ellipsegas import geometry, kernels_limit
+    from ellipsegas.geometry import _check
 
-    assert kernels_limit._PARAMETERS is _PARAMETERS and kernels_limit._check is _check
+    # the kernels read the rules from geometry, a kind's through the helper
+    assert kernels_limit._kind_arguments is geometry._kind_arguments
+    assert kernels_limit._check is _check
     for name, (need, values) in _RULES.items():
         for value in values:
             with pytest.raises(DomainError, match=re.escape(f"{need}, got {value}")):

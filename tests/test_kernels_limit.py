@@ -253,6 +253,9 @@ def test_bessel_kernel_refuses_beyond_w_max_squared():
     with pytest.raises(OutOfRangeError):
         bessel_kernel(0.0, 1e4, 1e4)
     with pytest.raises(OutOfRangeError):
+        make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, complex(1e4, 0.0))
+    # a point off the real line is refused before its size is looked at
+    with pytest.raises(DomainError):
         make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, 1e4 + 0.5j)
 
 
@@ -378,13 +381,18 @@ def test_phi_kernels_refuse_by_name_at_any_order(a):
 
 
 def test_real_point_kernels_reject_complex_points():
-    # make_kernel passes the real parts; the functions themselves take reals
-    with pytest.raises(TypeError):
+    # a point of the real line is a number whose imaginary part is +-0.0;
+    # make_kernel used to pass the real part of any other
+    with pytest.raises(DomainError):
         sine_kernel(0.3 + 0.2j, 0.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError):
         bessel_kernel(0.0, 1.0 + 0.5j, 1.0)
     kern = make_kernel(LimitKernelSpec(LimitKind.SINE))
-    assert kern(0.3 + 0.2j, 0.0) == sine_kernel(0.3, 0.0)
+    with pytest.raises(DomainError):
+        kern(0.3 + 0.2j, 0.0)
+    assert kern(complex(0.3, -0.0), 0j) == sine_kernel(0.3, 0.0)
+    assert make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.5))(1 + 0j, 2.0) == \
+        bessel_kernel(0.5, 1.0, 2.0)
 
 
 # --------------------------------------------------------------------- strong bulk
@@ -725,6 +733,9 @@ def test_squeeze_and_repulsion_phenomenology():
 
 
 def test_hermitian_symmetry_all_limit_kernels(rng):
+    # bit for bit, with a real diagonal, but for the three series kernels
+    # (ROADMAP item 14); global_rot_t's abs(z1) * abs(z2) once rounded apart
+    # from abs(z2) * abs(z1) in about 3 pairs of 10
     specs = [
         LimitKernelSpec(LimitKind.BULK_WEAK, a=1.0, s=1.0),
         LimitKernelSpec(LimitKind.EDGE_WEAK, a=0.5, s=2.0),
@@ -736,7 +747,13 @@ def test_hermitian_symmetry_all_limit_kernels(rng):
         LimitKernelSpec(LimitKind.GLOBAL_U, tau=0.5),
         LimitKernelSpec(LimitKind.GLOBAL_T, tau=0.5),
         LimitKernelSpec(LimitKind.GLOBAL_V, tau=0.5),
+        LimitKernelSpec(LimitKind.SINE),
+        LimitKernelSpec(LimitKind.BESSEL, a=0.5),
+        LimitKernelSpec(LimitKind.GLOBAL_ROT_U),
+        LimitKernelSpec(LimitKind.GLOBAL_ROT_T),
+        LimitKernelSpec(LimitKind.GLOBAL_ROT_V),
     ]
+    disc = lambda: cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(-math.pi, math.pi))
     admissible = {
         LimitKind.BULK_WEAK: lambda: complex(rng.uniform(-2, 2), rng.uniform(-0.45, 0.45)),
         LimitKind.EDGE_WEAK: lambda: complex(rng.uniform(0.2, 2), rng.uniform(-0.5, 0.5)),
@@ -748,14 +765,29 @@ def test_hermitian_symmetry_all_limit_kernels(rng):
         LimitKind.GLOBAL_U: lambda: complex(rng.uniform(0.1, 0.6), rng.uniform(0.05, 0.4)),
         LimitKind.GLOBAL_T: lambda: complex(rng.uniform(0.1, 0.6), rng.uniform(0.05, 0.4)),
         LimitKind.GLOBAL_V: lambda: complex(rng.uniform(0.1, 0.6), rng.uniform(0.05, 0.4)),
+        LimitKind.SINE: lambda: complex(rng.uniform(-3, 3), 0.0),
+        LimitKind.BESSEL: lambda: complex(rng.uniform(0, 4), 0.0),
+        LimitKind.GLOBAL_ROT_U: disc,
+        LimitKind.GLOBAL_ROT_T: disc,
+        LimitKind.GLOBAL_ROT_V: disc,
     }
-    for spec in specs:
+    series = {LimitKind.GLOBAL_U, LimitKind.GLOBAL_T, LimitKind.GLOBAL_V}
+    assert [spec.kind for spec in specs] == list(admissible) and set(admissible) == set(LimitKind)
+    for i, spec in enumerate(specs):
         kern = make_kernel(spec)
         draw = admissible[spec.kind]
-        for _ in range(2):
+        # the closed forms and the real line are cheap: 20 pairs each
+        for _ in range(2 if i < 10 else 20):
             z1, z2 = draw(), draw()
-            k12, k21 = kern(z1, z2), kern(z2, z1)
-            assert abs(k12 - np.conj(k21)) <= 1e-10 * max(1.0, abs(k12))
+            k12, k21 = complex(kern(z1, z2)), complex(kern(z2, z1))
+            if spec.kind in series:
+                assert abs(k12 - k21.conjugate()) <= 1e-10 * max(1.0, abs(k12))
+            else:
+                assert k21 == k12.conjugate(), (spec.kind, z1, z2)
+                try:
+                    assert complex(kern(z1, z1)).imag == 0.0, (spec.kind, z1)
+                except TailDivergenceError:     # bulk_strong near its wall
+                    pass
 
 
 def test_limit_spec_validation():
@@ -767,6 +799,17 @@ def test_limit_spec_validation():
         LimitKernelSpec(LimitKind.BESSEL, a=-2.0)
     spec = LimitKernelSpec(LimitKind.SINE)
     assert make_kernel(spec)(0.5, 0.0) == pytest.approx(sine_kernel(0.5, 0.0))
+
+
+def test_limit_spec_takes_a_kind_by_its_name():
+    # the name used to raise a bare KeyError from the spec's check
+    assert LimitKernelSpec("bulk-weak", a=1.0, s=1.0) == \
+        LimitKernelSpec(LimitKind.BULK_WEAK, a=1.0, s=1.0)
+    assert make_kernel(LimitKernelSpec("sine"))(0.5, 0.0) == sine_kernel(0.5, 0.0)
+    with pytest.raises(ValueError, match="is not a valid LimitKind"):
+        LimitKernelSpec("finite", tau=0.5)
+    with pytest.raises(DomainError, match="^bulk-weak needs finite s > 0$"):
+        LimitKernelSpec("bulk-weak", a=1.0)
 
 
 def test_global_kernel_dispatch():
@@ -914,12 +957,12 @@ def test_limit_spec_rejects_each_missing_or_invalid_parameter(kind):
 def test_limit_kernels_refuse_points_that_are_not_finite(kind, bad):
     # global_kernel_u returned nan+nanj at a nan point, bessel_kernel raised
     # a bare ValueError and bulk_weak an overflow warning at an inf one; a
-    # real kind reads only the real coordinate
+    # real kind's points lie on the real line
     kern = make_kernel(LimitKernelSpec(kind, **{p: _VALID[p] for p in _NEEDS[kind]}))
-    good = 0.3 + 0.2j
+    real = kind in (LimitKind.SINE, LimitKind.BESSEL)
+    good = 0.3 + (0j if real else 0.2j)
     kern(good, good)
-    points = [complex(bad, 0.1)] + ([] if kind in (LimitKind.SINE, LimitKind.BESSEL)
-                                    else [complex(0.1, bad)])
+    points = [complex(bad, 0.0)] if real else [complex(bad, 0.1), complex(0.1, bad)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for z in points:
