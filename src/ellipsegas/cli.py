@@ -21,7 +21,8 @@ they are looked up when it runs, and a patch or wrapper put on a layer's
 attribute is the one called.  `kernel` builds every --kind from its row of
 the one table of kinds, `geometry.KERNEL_KINDS`: the kernel is looked up by
 name in the row's layer, and the row's parameters are checked by their rules,
-each refusal naming the kind (`error: truncated needs integer N >= 1`).
+each refusal naming the kind (`error: truncated needs integer N >= 1`); a
+flag that the kind does not take is ignored.
 Importing this module loads only `geometry`
 (with `errors` and `specialfns`), from which the parser takes its choices;
 argparse is imported when the parser is built.  `density` loads
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, TailDivergenceError
 from .geometry import (_CHEBYSHEV, KERNEL_KINDS, RESCALE_MAPS, EllipseGeometry, GasFamily,
-                       LimitKind, PolyKind, _check, _kind_arguments, weight_values)
+                       LimitKind, PolyKind, _kind_arguments, weight_values)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,7 +155,7 @@ def _parse_pairs(raw: str):
 def _kernel_from_args(args):
     """The kernel of --kind, by its row of `KERNEL_KINDS`: the package
     imports the row's layer when it is first read."""
-    layer, name, _ = KERNEL_KINDS[args.kind]
+    layer, name, *_ = KERNEL_KINDS[args.kind]
     values = _kind_arguments(args.kind, args)
     kernel = getattr(getattr(sys.modules[__package__], layer), name)
     if args.kind == "finite":
@@ -375,8 +376,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "N", None) is not None:
-            _check("N", args.N)
         return globals()["cmd_" + args.command](args)
     except (ValueError, TailDivergenceError) as exc:   # DomainError, bad flags, refusals
         print(f"error: {exc}", file=sys.stderr)

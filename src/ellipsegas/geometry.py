@@ -11,9 +11,12 @@ Every parameter rule of the package is written once, in `_PARAMETERS`, and
 checked by `_check`: the weight exponent a > -1, the Jacobi exponents alpha,
 gamma > -1, the weak scale s > 0 and the proposal width are finite, tau lies
 in (0,1), and N, burn_in and thin are integers; `_kind_arguments` checks
-the parameters of a kernel kind by them.  The rules of the points
-(inside the ellipse, X >= 0, the strips) stay with the functions that take
-them.
+the parameters of a kernel kind by them.  Every point domain is written once
+too, in `_POINT_DOMAINS`: the real line and its half line X >= 0, the weak
+bulk's strip, the weak edge's parabola, the right half-plane, the finite
+plane, the unit disc, whole or punctured, the rescaled ellipse off its foci
+and the gas's ellipse.  Each row of `KERNEL_KINDS` names its kind's domain,
+and `_check_point` checks a kernel's points by it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,39 @@ def _check(name: str, value) -> None:
     valid, need = _PARAMETERS[name]
     if not valid(value):
         raise DomainError(f"expected {need}, got {value}")
+
+
+# point domain -> (whether a point lies in it, the domain as text); the point
+# comes first, then the domain's parameters.  The rescaled ellipse takes the
+# Joukowsky image om of the point, and v of the wall, both of which its
+# kernel computes anyway; inf and nan lie in no domain
+_POINT_DOMAINS = {
+    "real line": (lambda x: x.imag == 0 and math.isfinite(x.real), "finite real x"),
+    "half line": (lambda x: x.imag == 0 and 0 <= x.real < math.inf, "finite real X >= 0"),
+    "strip": (lambda z, s: cmath.isfinite(z) and bulk_domain_contains(s, z),
+              "finite z with |Im z| <= s/2"),
+    "parabola": (lambda Z, s: cmath.isfinite(Z) and edge_domain_contains(s, Z),
+                 "finite Z with X >= (Y/s)^2 - s^2/4"),
+    "right half-plane": (lambda Z: Z.real >= 0 and cmath.isfinite(Z), "finite Z with X >= 0"),
+    "plane": (cmath.isfinite, "finite z"),
+    "unit disc": (lambda z: abs(z) < 1, "|z| < 1"),
+    "punctured disc": (lambda z: 0 < abs(z) < 1, "0 < |z| < 1"),
+    "rescaled ellipse": (lambda z, om, v: abs(om) < v and abs(om * om - 1.0) >= 1e-13,
+                         "z in the open rescaled ellipse off its foci"),
+    "ellipse": (lambda z, geometry: ellipse_deficit(geometry, z) >= 0.0, "z in the ellipse"),
+}
+
+
+def _check_point(kind: str, *points, params: tuple = (), domain: str | None = None) -> None:
+    """DomainError naming `kind` unless each point, or each entry of an
+    array of points, lies in the point domain of its row of `KERNEL_KINDS`
+    (or in `domain`, for a kernel that is not a kind) with the domain's
+    `params`; the message gives the first point outside."""
+    inside, need = _POINT_DOMAINS[domain or KERNEL_KINDS[kind][3]]
+    for z in points:
+        if (ok := inside(z, *params)) is not True and not np.all(ok):
+            z = complex(z[~ok][0]) if np.ndim(ok) else z
+            raise DomainError(f"{kind} needs {need}, got {z!r}")
 
 
 class PolyKind(Enum):
@@ -88,36 +124,36 @@ PolyFamily = GasFamily
 # of the density figures (`correlations`) are kept here, with the gases: the
 # command line offers them as choices before it loads any of those layers.
 # KERNEL_KINDS, the one table of kinds: every kind -> (its layer, the kernel's
-# name there, the parameters it takes before (z1, z2)); the --kind choices are
-# its keys and LimitKind its kernels_limit rows.  "finite" instead builds a
-# FiniteKernel of a gas from tau and N.  A kernel is looked up by name when it
-# is built, so that a layer attribute swapped in later (a wrapper, a patch) is
-# the one called.
+# name there, the parameters it takes before (z1, z2), the domain of its
+# points in `_POINT_DOMAINS`); the --kind choices are its keys and LimitKind
+# its kernels_limit rows.  "finite" instead builds a FiniteKernel of a gas
+# from tau and N.  A kernel is looked up by name when it is built, so that a
+# layer attribute swapped in later (a wrapper, a patch) is the one called.
 KERNEL_KINDS = {
-    "finite": ("kernels_finite", "FiniteKernel", ("N", "tau")),
-    "truncated": ("kernels_finite", "kernel_truncated", ("a", "N")),
-    "truncated-limit": ("kernels_finite", "kernel_truncated_limit", ("a",)),
-    "elliptic-ginibre": ("kernels_finite", "kernel_elliptic_ginibre", ("tau", "N")),
-    "bulk-weak": ("kernels_limit", "bulk_weak", ("a", "s")),
-    "edge-weak": ("kernels_limit", "edge_weak", ("a", "s")),
-    "edge-weak-minus-sine": ("kernels_limit", "edge_weak_minus_sine", ("a", "s")),
-    "edge-weak-minus-cosine": ("kernels_limit", "edge_weak_minus_cosine", ("a", "s")),
-    "bulk-strong": ("kernels_limit", "bulk_strong", ("a",)),
-    "edge-strong": ("kernels_limit", "edge_strong", ("a",)),
-    "sine": ("kernels_limit", "sine_kernel", ()),
-    "bessel": ("kernels_limit", "bessel_kernel", ("a",)),
-    "ginibre": ("kernels_limit", "ginibre_kernel", ()),
-    "global-u": ("kernels_limit", "global_kernel_u", ("tau",)),
-    "global-t": ("kernels_limit", "global_kernel_t", ("tau",)),
-    "global-v": ("kernels_limit", "global_kernel_v", ("tau",)),
-    "global-rot-u": ("kernels_limit", "global_rot_u", ()),
-    "global-rot-t": ("kernels_limit", "global_rot_t", ()),
-    "global-rot-v": ("kernels_limit", "global_rot_v", ()),
+    "finite": ("kernels_finite", "FiniteKernel", ("N", "tau"), "ellipse"),
+    "truncated": ("kernels_finite", "kernel_truncated", ("a", "N"), "unit disc"),
+    "truncated-limit": ("kernels_finite", "kernel_truncated_limit", ("a",), "unit disc"),
+    "elliptic-ginibre": ("kernels_finite", "kernel_elliptic_ginibre", ("tau", "N"), "plane"),
+    "bulk-weak": ("kernels_limit", "bulk_weak", ("a", "s"), "strip"),
+    "edge-weak": ("kernels_limit", "edge_weak", ("a", "s"), "parabola"),
+    "edge-weak-minus-sine": ("kernels_limit", "edge_weak_minus_sine", ("a", "s"), "parabola"),
+    "edge-weak-minus-cosine": ("kernels_limit", "edge_weak_minus_cosine", ("a", "s"), "parabola"),
+    "bulk-strong": ("kernels_limit", "bulk_strong", ("a",), "strip"),
+    "edge-strong": ("kernels_limit", "edge_strong", ("a",), "right half-plane"),
+    "sine": ("kernels_limit", "sine_kernel", (), "real line"),
+    "bessel": ("kernels_limit", "bessel_kernel", ("a",), "half line"),
+    "ginibre": ("kernels_limit", "ginibre_kernel", (), "plane"),
+    "global-u": ("kernels_limit", "global_kernel_u", ("tau",), "rescaled ellipse"),
+    "global-t": ("kernels_limit", "global_kernel_t", ("tau",), "rescaled ellipse"),
+    "global-v": ("kernels_limit", "global_kernel_v", ("tau",), "rescaled ellipse"),
+    "global-rot-u": ("kernels_limit", "global_rot_u", (), "unit disc"),
+    "global-rot-t": ("kernels_limit", "global_rot_t", (), "punctured disc"),
+    "global-rot-v": ("kernels_limit", "global_rot_v", (), "punctured disc"),
 }
 
 # BULK_WEAK = "bulk-weak", ... for every limiting kind
 LimitKind = Enum("LimitKind", [(kind.upper().replace("-", "_"), kind)
-                               for kind, (layer, _, _) in KERNEL_KINDS.items()
+                               for kind, (layer, *_) in KERNEL_KINDS.items()
                                if layer == "kernels_limit"], module=__name__)
 
 

@@ -50,9 +50,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (EllipseGeometry, GasFamily, _check, _exp_in_range, _log_power, contains,
-                       ellipse_deficit, log_weight, log_weight_values)
+from .errors import OutOfRangeError, SingularPointError
+from .geometry import (EllipseGeometry, GasFamily, _check, _check_point, _exp_in_range,
+                       _log_power, log_weight, log_weight_values)
 from .polynomials import _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
 from .specialfns import _LN2, _LOG_MAX, _plus_bits, _read_only, ln_gamma, ln_gamma_difference
 
@@ -111,9 +111,7 @@ class FiniteKernel:
         self._store = OrderedDict()
 
     def _check_points(self, zs: np.ndarray) -> np.ndarray:
-        outside = ~(ellipse_deficit(self.geometry, zs) >= 0.0)
-        if outside.any():
-            raise DomainError(f"point {zs[outside][0]} lies outside the ellipse")
+        _check_point("finite", zs, params=(self.geometry,))
         lw = log_weight_values(self.gas, self.geometry, zs)
         singular = lw == math.inf
         if singular.any():
@@ -131,8 +129,7 @@ class FiniteKernel:
         key = complex(z)
         entry = self._store.get(key)
         if entry is None:
-            if not contains(self.geometry, z):
-                raise DomainError(f"point {z} lies outside the ellipse")
+            _check_point("finite", z, params=(self.geometry,))
             lw = log_weight(self.gas, self.geometry, z)
             if lw == math.inf:
                 raise SingularPointError(f"point {z} sits on a weight singularity")
@@ -202,7 +199,7 @@ class FiniteKernel:
         a whole and streamed against z1's kept table.  Each streamed sum is
         folded to a mantissa in [1/2, 1) before it meets its exponential."""
         if len(zs) == 1:
-            return np.array([self._pair(z1, zs[0])])
+            return np.array([self._pair(z1, complex(zs[0]))])
         # the log scale of a value is s1 + c lw(zs) plus the bits of its sum
         f1, s1, c = (None, 0.0, 1.0) if z1 is None else (*self._point(z1), 0.5)
         lws = self._check_points(zs)
@@ -256,8 +253,7 @@ def kernel_truncated(a: float, N: int, z1: complex, z2: complex) -> complex:
     """
     _check("a", a)
     _check("N", N)
-    if not (abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("kernel_truncated requires |z| < 1")
+    _check_point("truncated", z1, z2)
     q = z1 * np.conj(z2)
     n = np.arange(N if q else 1)             # q = 0 leaves the n = 0 term
     (n1, d1), (n2, d2) = _exact_abs2(z1), _exact_abs2(z2)
@@ -287,8 +283,7 @@ def kernel_truncated_limit(a: float, z1: complex, z2: complex) -> complex:
     double range raises OutOfRangeError.
     """
     _check("a", a)
-    if not (abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("kernel_truncated_limit requires |z| < 1")
+    _check_point("truncated-limit", z1, z2)
     w = 1 - z2 * z2.conjugate() - (z1 - z2) * z2.conjugate()
     x = (abs(z1 - z2) / abs(w)) ** 2
     log_1mx = (math.log1p(-x) if x < 0.5 else
@@ -319,8 +314,7 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
     """
     _check("a", a)
     Z1, Z2 = complex(Z1), complex(Z2)
-    if not (Z1.real >= 0 and Z2.real >= 0 and cmath.isfinite(Z1) and cmath.isfinite(Z2)):
-        raise DomainError("kernel_truncated_edge requires finite Zhat with Xhat >= 0")
+    _check_point("kernel_truncated_edge", Z1, Z2, domain="right half-plane")
     # 2^{-(a+2)} turns the Gauss-Jacobi sum at c = (xj + 1)/2 into int_0^1 c^{a+1} F(c) dc
     lpref = (_log_power(0.5 * a, Z1.real) + _log_power(0.5 * a, Z2.real)
              - math.log(4.0 * math.pi) - ln_gamma(a + 1) - (a + 2.0) * _LN2)
@@ -354,11 +348,12 @@ def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> com
     log-gamma.  Each point's table is folded as `_point` folds its own, and
     their exponents join the log of the Gaussian factor in one log scale.
     At tau = 0.5, N = 3000, z1 = z2 = 30+20i, where the terms peak near e^1400,
-    it is within 4.6e-14 of a 50-digit sum.  A value past the double range
-    raises OutOfRangeError.
+    it is within 4.6e-14 of a 50-digit sum.  A point that is not finite
+    raises DomainError, and a value past the double range OutOfRangeError.
     """
     _check("tau", tau)
     _check("N", N)
+    _check_point("elliptic-ginibre", z1, z2)
     coefs = _hermite_coefficients(tau, N - 1)
     (f1, t1), (f2, t2) = (_fold(*_scalar_steps(coefs, z)) for z in (z1, np.conj(z2)))
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag

@@ -58,9 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
-from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _exp_in_range,
-                       _kind_arguments, _log_power, bulk_domain_contains, edge_domain_contains,
-                       joukowsky_inverse)
+from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
+                       _exp_in_range, _kind_arguments, _log_power, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
 from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
                          log_i_ratio)
@@ -103,14 +102,14 @@ def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
                       else np.sqrt(w * np.exp(log_g + const)))
 
 
-# the feature kernels: a point function takes (a, s, z), checks s and z and
-# gives (l, the argument of the node function); a node function gives F at
-# the nodes of `rule` from (a, s, rule, argument), after the check of a
+# the feature kernels: a point function takes (kind, a, s, z), checks s and
+# z, the point by the kind's row, and gives (l, the argument of the node
+# function); a node function gives F at the nodes of `rule` from
+# (a, s, rule, argument), after the check of a
 
-def _bulk_point(a: float, s: float, z: complex):
+def _bulk_point(kind: str, a: float, s: float, z: complex):
     _check("s", s)
-    if not (bulk_domain_contains(s, z) and cmath.isfinite(z)):
-        raise DomainError(f"point {z!r} outside the bulk strip |Im z| <= {s / 2:g}")
+    _check_point(kind, z, params=(s,))
     u = 2.0 * abs(z.imag) / s                  # in [0, 1]: squares neither s nor y
     return _log_power(0.5 * a, (1.0 - u) * (1.0 + u)), z
 
@@ -156,12 +155,11 @@ def _edge_wall(s: float, Z: complex) -> float:
         raise OutOfRangeError(f"the edge wall factor at s = {s:g} passes the doubles") from None
 
 
-def _edge_point(a: float, s: float, Z: complex):
+def _edge_point(kind: str, a: float, s: float, Z: complex):
     """The wall factor q and w = sqrt Z; DomainError outside the parabolic
     edge domain."""
     _check("s", s)
-    if not (edge_domain_contains(s, Z) and cmath.isfinite(Z)):
-        raise DomainError("point outside the parabolic edge domain")
+    _check_point(kind, Z, params=(s,))
     return _log_power(0.5 * a, _edge_wall(s, Z)), cmath.sqrt(Z)
 
 
@@ -174,10 +172,10 @@ def _phi_nodes(a: float, s: float | None, rule: tuple, w):
     return weights * (_phi(a + 0.5, rule, w) * m), k
 
 
-def _left_focus_point(a: float, s: float, Z: complex):
+def _left_focus_point(kind: str, a: float, s: float, Z: complex):
     """The wall factor 1 - 2 (|Z| - X)/s^2, which is q / (s^2/4 + (Re w)^2)
     for the weak-edge wall factor q of Z and w = sqrt Z."""
-    ell, w = _edge_point(a, s, Z)
+    ell, w = _edge_point(kind, a, s, Z)
     return ell - _log_power(0.5 * a, s * s / 4.0 + w.real ** 2), w
 
 
@@ -187,8 +185,8 @@ def _sine_nodes(a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
     return _weights(a, s, rule, "sqrt") * (c + 0j * c if w == 0 else np.sin(c * w) / w), 0
 
 
-def _cosine_point(a: float, s: float, Z: complex):
-    ell, w = _left_focus_point(a, s, Z)
+def _cosine_point(kind: str, a: float, s: float, Z: complex):
+    ell, w = _left_focus_point(kind, a, s, Z)
     if Z == 0:
         raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
     return ell - 0.5 * math.log(abs(Z)), w
@@ -198,22 +196,22 @@ def _cosine_nodes(a: float, s: float, rule: tuple, w: complex):
     return _weights(a, s, rule, "sqrt") * np.cos(_gauss_rule(*rule)[0] * w), 0
 
 
-def _bessel_point(a: float, s: None, X: float):
-    if not 0.0 <= X < math.inf:
-        raise DomainError(f"bessel_kernel requires finite X >= 0, got {X!r}")
-    if X > W_MAX ** 2:
+def _bessel_point(kind: str, a: float, s: None, X: complex):
+    """The wall factor and sqrt X of a point X + 0i that `bessel_kernel` has
+    checked."""
+    if X.real > W_MAX ** 2:
         raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
-    return _log_power(0.5 * a, X) - _LN2, math.sqrt(X)
+    return _log_power(0.5 * a, X.real) - _LN2, math.sqrt(X.real)
 
 
-def _build_feature(point, nodes, a: float, s: float | None, rule: tuple, z, re_sign: float,
-                   im_sign: float):
-    """(V, Re F, Im F, l, k) of one point, whose features are F 2^k: V,
-    read-only, holds the parts of F interleaved, and the parts are its
-    views.  The signs of the parts of z are in the key, so that 0.0 and
-    -0.0, which are equal keys, stay apart.  A refusal raised here is never
-    kept."""
-    ell, arg = point(a, s, z)
+def _build_feature(kind: str, point, nodes, a: float, s: float | None, rule: tuple, z,
+                   re_sign: float, im_sign: float):
+    """(V, Re F, Im F, l, k) of one point of a kernel of `kind`, whose
+    features are F 2^k: V, read-only, holds the parts of F interleaved, and
+    the parts are its views.  The signs of the parts of z are in the key, so
+    that 0.0 and -0.0, which are equal keys, stay apart.  A refusal raised
+    here is never kept."""
+    ell, arg = point(kind, a, s, z)
     values, k = nodes(a, s, rule, arg)
     v = _read_only(np.ravel(values).view(float))
     return v, v[0::2], v[1::2], ell, k
@@ -223,7 +221,7 @@ _feature = functools.lru_cache(maxsize=_FEATURES)(_build_feature)
 _half_line_feature = functools.lru_cache(maxsize=_HALF_LINE_FEATURES)(_build_feature)
 
 
-def _feature_kernel(point, nodes, a: float, s: float | None, z1, z2,
+def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
                     spec: QuadratureSpec | None, rule: tuple | None = None) -> complex:
     """e^(l1 + l2) 2^(k1 + k2) F1 . conj F2 from the kept features of z1 and
     z2, on the unit-interval c-rule of `spec` or on `rule`.  Where e^(l1 + l2)
@@ -235,9 +233,12 @@ def _feature_kernel(point, nodes, a: float, s: float | None, z1, z2,
     normal doubles has lost bits to the exponent range, and is refused like
     a value there."""
     rule, sign = rule or _c_rule(UNIT_INTERVAL, spec or _DEFAULT), math.copysign
+    z1, z2 = complex(z1), complex(z2)
     feature = _half_line_feature if rule[0] == HALF_LINE else _feature
-    v1, r1, i1, l1, k1 = feature(point, nodes, a, s, rule, z1, sign(1, z1.real), sign(1, z1.imag))
-    v2, r2, i2, l2, k2 = feature(point, nodes, a, s, rule, z2, sign(1, z2.real), sign(1, z2.imag))
+    v1, r1, i1, l1, k1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
+                                 sign(1, z1.imag))
+    v2, r2, i2, l2, k2 = feature(kind, point, nodes, a, s, rule, z2, sign(1, z2.real),
+                                 sign(1, z2.imag))
     ell = l1 + l2
     if not -math.inf < ell < math.inf:
         # the hard-wall limit: 0 for a > 0 and, for a < 0, an integrable
@@ -268,24 +269,13 @@ def _normal(value, name: str = "kernel"):
     return value
 
 
-def _real(name: str, x) -> float:
-    """x as a point of the real line, a number whose imaginary part is 0.0 or
-    -0.0; DomainError for any other."""
-    x = complex(x)
-    if x.imag != 0.0:
-        raise DomainError(f"{name} requires points on the real line, got {x!r}")
-    return x.real
-
-
 def sine_kernel(x1: float, x2: float) -> float:
     """sin(x1-x2)/(pi (x1-x2)); the s -> 0 bulk limit.  DomainError for an x
     off the real line or not finite; OutOfRangeError for a value below the
     normal doubles, as past |x1 - x2| = 1/(pi 2^-1022), where x1 - x2 may also
     overflow."""
-    x1, x2 = _real("sine_kernel", x1), _real("sine_kernel", x2)
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise DomainError(f"sine_kernel requires finite x, got {x1!r}, {x2!r}")
-    d = x1 - x2
+    _check_point("sine", x1, x2)
+    d = x1.real - x2.real
     if d == 0.0:
         return 1.0 / math.pi
     if math.isinf(d):
@@ -302,8 +292,7 @@ def ginibre_kernel(u1: complex, u2: complex) -> complex:
     that is not finite; OutOfRangeError for a phase past the double range.
     """
     u1, u2 = complex(u1), complex(u2)
-    if not (cmath.isfinite(u1) and cmath.isfinite(u2)):
-        raise DomainError(f"ginibre_kernel requires finite u, got {u1!r}, {u2!r}")
+    _check_point("ginibre", u1, u2)
     d, m = u1 - u2, 0.5 * u1 + 0.5 * u2
     phase = 2.0 * (d.imag * m.real - d.real * m.imag)
     if not math.isfinite(phase):
@@ -320,7 +309,7 @@ def bulk_weak(a: float, s: float, z1: complex, z2: complex,
 
     summed as the product of the bulk features of the two points.
     """
-    return _feature_kernel(_bulk_point, _bulk_nodes, a, s, complex(z1), complex(z2), spec)
+    return _feature_kernel("bulk-weak", _bulk_point, _bulk_nodes, a, s, z1, z2, spec)
 
 
 def bulk_strong(a: float, z1: complex, z2: complex,
@@ -343,7 +332,7 @@ def bulk_strong(a: float, z1: complex, z2: complex,
     """
     T = max(50.0, 5.0 * (a + 2.0))
     rule = _c_rule(HALF_LINE, spec or _DEFAULT, T, min(5.0, max(1.0, T / 40.0)))
-    return _feature_kernel(_bulk_point, _bulk_nodes, a, 1.0, complex(z1), complex(z2), spec, rule)
+    return _feature_kernel("bulk-strong", _bulk_point, _bulk_nodes, a, 1.0, z1, z2, spec, rule)
 
 
 def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
@@ -354,7 +343,7 @@ def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
             * int_0^1 dc c^{2a+2} (cs/2)^{a+1/2}/I_{a+1/2}(cs) phi(c w1) conj phi(c w2),
 
     w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`."""
-    return _feature_kernel(_edge_point, _phi_nodes, a, s, complex(Z1), complex(Z2), spec)
+    return _feature_kernel("edge-weak", _edge_point, _phi_nodes, a, s, Z1, Z2, spec)
 
 
 def bessel_kernel(a: float, X1: float, X2: float,
@@ -370,8 +359,8 @@ def bessel_kernel(a: float, X1: float, X2: float,
     what the c-nodes resolve; refused too where the integral or the value
     falls below the normal doubles, and, by DomainError, off the real line.
     """
-    X1, X2 = _real("bessel_kernel", X1), _real("bessel_kernel", X2)
-    return _feature_kernel(_bessel_point, _phi_nodes, a, None, X1, X2, spec).real
+    _check_point("bessel", X1, X2)
+    return _feature_kernel("bessel", _bessel_point, _phi_nodes, a, None, X1, X2, spec).real
 
 
 def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
@@ -385,8 +374,7 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
     (a+1)/(4 pi X^2) up to X ~ 1e150.  So is |beta| past 2^1022.
     """
     Z1, Z2 = complex(Z1), complex(Z2)
-    if not (Z1.real >= 0 and Z2.real >= 0 and cmath.isfinite(Z1) and cmath.isfinite(Z2)):
-        raise DomainError("edge_strong requires finite Z with X >= 0")
+    _check_point("edge-strong", Z1, Z2)
     _check("a", a)
     lpref = (_log_power(0.5 * a, Z1.real) + _log_power(0.5 * a, Z2.real)
              - math.log(4.0 * math.pi) - ln_gamma(a + 1))
@@ -466,7 +454,7 @@ def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
     Sine-type integrand: the J_{1/2} pair collapses to sin(c w)/w, w = sqrt Z,
     and the wall factor is 1 - 2 (|Z| - X)/s^2.
     """
-    return _feature_kernel(_left_focus_point, _sine_nodes, a, s, complex(Z1), complex(Z2),
+    return _feature_kernel("edge-weak-minus-sine", _left_focus_point, _sine_nodes, a, s, Z1, Z2,
                            spec)
 
 
@@ -476,7 +464,7 @@ def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
     (cosine-type), with node function cos(c sqrt Z) and the factor
     |Z1 Z2|^{-1/2}; also the Chebyshev-I edge kernel at a = 0.
     SingularPointError at the focus Z = 0."""
-    return _feature_kernel(_cosine_point, _cosine_nodes, a, s, complex(Z1), complex(Z2),
+    return _feature_kernel("edge-weak-minus-cosine", _cosine_point, _cosine_nodes, a, s, Z1, Z2,
                            spec)
 
 
@@ -507,22 +495,19 @@ _SERIES_TOL = 1e-15
 _SERIES_CAP = 500
 
 
-def _interior_omega(tau: float, v: float, z: complex):
-    """(zeta, omega) for a rescaled global point z, zeta = z/sqrt(2 tau);
-    requires 1 <= |omega| < v, v the Joukowsky radius of the wall.
+def _interior_omega(kind: str, tau: float, v: float, z: complex):
+    """(zeta, omega) for a rescaled global point z of a kernel of `kind`,
+    zeta = z/sqrt(2 tau); requires 1 <= |omega| < v, v the Joukowsky radius
+    of the wall.
 
     The series extends continuously onto the open branch cut (|omega| = 1
     with Im omega >= 0); only the degenerate focal points omega = +-1, where
-    the Joukowsky frame collapses, are rejected.
+    the Joukowsky frame collapses, are rejected.  A point that is not finite
+    has omega nan, which lies outside.
     """
     zeta = complex(z) / math.sqrt(2.0 * tau)
-    if not cmath.isfinite(zeta):
-        raise DomainError(f"point {z} is not finite")
     om = joukowsky_inverse(zeta)
-    if abs(om) >= v:
-        raise DomainError(f"point {z} is outside the open rescaled ellipse")
-    if abs(om * om - 1.0) < 1e-13:
-        raise DomainError(f"point {z} sits at a focus of the rescaled ellipse")
+    _check_point(kind, z, params=(om, v))
     return zeta, om
 
 
@@ -543,12 +528,12 @@ def _tau_frame(tau: float, decay: int):
     return v, terms, _read_only((v ** -(1.0 + 2.0 * np.arange(terms))) ** (decay // 2))
 
 
-def _series_frame(tau: float, z1: complex, z2: complex, decay: int):
-    """(v, zeta_1, zeta_2, omega_1, conj omega_2, p) for a global kernel, the
-    tau part from `_tau_frame`: DomainError for a point outside the rescaled
-    ellipse is raised before OutOfRangeError past the term cap."""
+def _series_frame(kind: str, tau: float, z1: complex, z2: complex, decay: int):
+    """(v, zeta_1, zeta_2, omega_1, conj omega_2, p) for a global kernel of
+    `kind`, the tau part from `_tau_frame`: DomainError for a point outside
+    the rescaled ellipse is raised before OutOfRangeError past the term cap."""
     v, terms, p = _tau_frame(tau, decay)
-    (zeta1, o1), (zeta2, o2) = (_interior_omega(tau, v, z) for z in (z1, z2))
+    (zeta1, o1), (zeta2, o2) = (_interior_omega(kind, tau, v, z) for z in (z1, z2))
     if p is None:
         raise OutOfRangeError(f"the tau={tau} global series needs {terms} terms, "
                               f"more than {_SERIES_CAP}")
@@ -571,7 +556,7 @@ def _images(p, x1: complex, x2: complex, sign: float) -> complex:
 
 def global_kernel_u(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the flat (a=0, Chebyshev-U) gas, rescaled coordinates."""
-    _, _, _, o1, o2, eta = _series_frame(tau, z1, z2, 4)
+    _, _, _, o1, o2, eta = _series_frame("global-u", tau, z1, z2, 4)
     tot = _images(eta, o1, o2, -1.0)
     return complex(2.0 / (math.pi * tau) * tot / ((o1 - 1.0 / o1) * (o2 - 1.0 / o2)))
 
@@ -579,7 +564,7 @@ def global_kernel_u(tau: float, z1: complex, z2: complex) -> complex:
 def global_kernel_t(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the Chebyshev-I gas (weight 1/|1-z^2|), rescaled
     coordinates; includes the 1/(2 log v) zero-mode term."""
-    v, zeta1, zeta2, o1, o2, eta = _series_frame(tau, z1, z2, 4)
+    v, zeta1, zeta2, o1, o2, eta = _series_frame("global-t", tau, z1, z2, 4)
     pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 - zeta1 ** 2) * abs(1 - zeta2 ** 2))
     return complex(pref * (_images(eta, o1, o2, 1.0) + 1.0 / (2.0 * math.log(v))))
 
@@ -596,7 +581,7 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
     series is half the difference of the image sums over e and -e.  Its
     terms shrink like v^{-2j} only: G(q) -> 1 leaves the factor e_j.
     """
-    _, zeta1, zeta2, o1, o2c, e = _series_frame(tau, z1, z2, 2)
+    _, zeta1, zeta2, o1, o2c, e = _series_frame("global-v", tau, z1, z2, 2)
     r1, r2 = np.sqrt(o1), np.conj(np.sqrt(np.conj(o2c)))
     tot = 0.5 * (_images(e, r1, r2, -1.0) - _images(-e, r1, r2, -1.0))
     pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2))
@@ -605,7 +590,7 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:
     """Dispatch to one of the three global kernels by kind."""
-    _, name, params = KERNEL_KINDS[LimitKind(kind).value]
+    _, name, params, _ = KERNEL_KINDS[LimitKind(kind).value]
     if params != ("tau",):
         raise DomainError(f"{kind} is not a global kernel kind")
     return globals()[name](tau, z1, z2)
@@ -613,21 +598,18 @@ def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -
 
 def global_rot_u(z1: complex, z2: complex) -> complex:
     """tau -> 0 limit of the flat-gas global kernel: 1/(pi (1 - z1 conj z2)^2)."""
-    if not (abs(z1) < 1 and abs(z2) < 1):
-        raise DomainError("rotational global kernel requires |z| < 1")
+    _check_point("global-rot-u", z1, z2)
     return 1.0 / (math.pi * (1.0 - z1 * np.conj(z2)) ** 2)
 
 
 def global_rot_t(z1: complex, z2: complex) -> complex:
-    if not (0 < abs(z1) < 1 and 0 < abs(z2) < 1):
-        raise DomainError("rotational Chebyshev-I kernel requires 0 < |z| < 1")
+    _check_point("global-rot-t", z1, z2)
     q = z1 * np.conj(z2)
     return q / (math.pi * (abs(z1) * abs(z2)) * (1.0 - q) ** 2)
 
 
 def global_rot_v(z1: complex, z2: complex) -> complex:
-    if not (0 < abs(z1) < 1 and 0 < abs(z2) < 1):
-        raise DomainError("rotational 1/|1+z| kernel requires 0 < |z| < 1")
+    _check_point("global-rot-v", z1, z2)
     q = z1 * np.conj(z2)
     return (1.0 + q) / (2.0 * math.pi * math.sqrt(abs(z1) * abs(z2)) * (1.0 - q) ** 2)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .correlations import DensityGrid, GridSpec
 from .errors import DomainError
-from .geometry import (EllipseGeometry, GasFamily, _check, contains, ellipse_deficit,
-                       log_weight, log_weight_rule)
+from .geometry import (EllipseGeometry, GasFamily, _check, _check_point, contains,
+                       ellipse_deficit, log_weight, log_weight_rule)
 
 PRNG_ALGORITHM = "pcg64"
 # steps whose random numbers are drawn at once: bounded, so memory does not
@@ -44,9 +44,7 @@ class ParticleConfiguration:
         pts = tuple(complex(z) for z in points)
         if not pts:
             raise DomainError("a configuration needs at least one particle")
-        for z in pts:
-            if not contains(geometry, z):
-                raise DomainError(f"particle {z} lies outside the ellipse")
+        _check_point("ParticleConfiguration", *pts, params=(geometry,), domain="ellipse")
         if len(set(pts)) != len(pts):
             raise DomainError("coincident particles are not a valid configuration")
         return ParticleConfiguration(pts)

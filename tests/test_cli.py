@@ -305,6 +305,18 @@ def test_converge_edge_study(tmp_path):
     assert sups[2] < 2e-3
 
 
+def test_a_flag_that_a_kind_does_not_take_is_ignored(tmp_path):
+    # bulk-weak reads a and s only: --N 0, and --tau, change nothing
+    out = tmp_path / "k.json"
+    base = ["kernel", "--kind", "bulk-weak", "--a", "0.5", "--s", "1", "--points", "0,0",
+            "--output", str(out)]
+    assert run(base) == 0
+    expect = out.read_bytes()
+    for extra in (["--N", "0"], ["--tau", "5"]):
+        assert run(base + extra) == 0
+        assert out.read_bytes() == expect
+
+
 def test_kernel_missing_parameters_exit_2(tmp_path):
     out = str(tmp_path / "k.json")
     assert run(["kernel", "--kind", "truncated", "--a", "0",
@@ -376,7 +388,7 @@ def test_the_table_of_kinds_is_the_only_source(tmp_path, capsys, monkeypatch):
 
     from ellipsegas import LimitKernelSpec, kernels_finite, kernels_limit, make_kernel
 
-    for kind, (layer, name, _) in KERNEL_KINDS.items():
+    for kind, (layer, name, *_) in KERNEL_KINDS.items():
         assert callable(getattr(importlib.import_module(f"ellipsegas.{layer}"), name)), kind
     # the --kind choices are the table's keys, in order
     with pytest.raises(SystemExit):
@@ -384,7 +396,7 @@ def test_the_table_of_kinds_is_the_only_source(tmp_path, capsys, monkeypatch):
     choices = ", ".join(f"'{kind}'" for kind in KERNEL_KINDS)
     assert f"(choose from {choices})" in capsys.readouterr().err
     assert [kind.value for kind in LimitKind] == [
-        kind for kind, (layer, _, _) in KERNEL_KINDS.items() if layer == "kernels_limit"]
+        kind for kind, (layer, *_) in KERNEL_KINDS.items() if layer == "kernels_limit"]
     # a kernel patched on its layer is the one built, a limit kind and a
     # reference kind alike
     monkeypatch.setattr(kernels_limit, "ginibre_kernel", lambda z1, z2: 2.5 + 0.5j)
@@ -820,11 +832,31 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
     (["kernel", "--kind", "finite", "--N", "3", "--points", "0,0"], "finite needs tau in (0,1)"),
     # the real-line kinds answered for the real part of a point off the axis
     (["kernel", "--kind", "sine", "--points", "0.1,0.5"],
-     "sine_kernel requires points on the real line, got (0.1+0.5j)"),
+     "sine needs finite real x, got (0.1+0.5j)"),
     (["kernel", "--kind", "bessel", "--a", "0.5", "--points", "1,7"],
-     "bessel_kernel requires points on the real line, got (1+7j)"),
+     "bessel needs finite real X >= 0, got (1+7j)"),
     (["kernel", "--kind", "sine", "--points", "0.1,0,0.2,-1e-300"],
-     "sine_kernel requires points on the real line, got (0.2-1e-300j)"),
+     "sine needs finite real x, got (0.2-1e-300j)"),
+    # --N is read by the kinds that take it, and refused by their name; the
+    # other commands refuse it in the constructors that take it
+    (["kernel", "--kind", "truncated", "--a", "0.5", "--N", "0", "--points", "0,0"],
+     "truncated needs integer N >= 1"),
+    (["kernel", "--kind", "finite", "--tau", "0.5", "--N", "0", "--points", "0,0"],
+     "finite needs integer N >= 1"),
+    (["density", "--tau", "0.5", "--N", "0"], "expected integer N >= 1, got 0"),
+    (["sample", "--tau", "0.5", "--N", "0", "--steps", "100", "--burn-in", "10"],
+     "expected integer N >= 1, got 0"),
+    # a point outside the domain of its kind's row names the kind
+    (["kernel", "--kind", "bulk-weak", "--a", "0.5", "--s", "1", "--points", "0,0.6"],
+     "bulk-weak needs finite z with |Im z| <= s/2, got 0.6j"),
+    (["kernel", "--kind", "edge-weak", "--a", "1", "--s", "1", "--points=-5,0"],
+     "edge-weak needs finite Z with X >= (Y/s)^2 - s^2/4, got (-5+0j)"),
+    (["kernel", "--kind", "global-rot-t", "--points", "0,0"],
+     "global-rot-t needs 0 < |z| < 1, got 0j"),
+    (["kernel", "--kind", "global-u", "--tau", "0.5", "--points", "5,0"],
+     "global-u needs z in the open rescaled ellipse off its foci, got (5+0j)"),
+    (["kernel", "--kind", "finite", "--family", "gegenbauer", "--tau", "0.5", "--N", "3",
+      "--points", "5,0"], "finite needs z in the ellipse, got (5+0j)"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

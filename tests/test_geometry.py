@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -11,7 +12,7 @@ from ellipsegas import (DomainError, EllipseGeometry, GasFamily, PolyKind,
                         bulk_domain_contains, contains, edge_domain_contains,
                         ellipse_deficit, joukowsky, joukowsky_inverse, log_weight,
                         log_weight_values, mu, one_minus_mu, weight, weight_values)
-from ellipsegas.geometry import log_weight_rule
+from ellipsegas.geometry import _POINT_DOMAINS, KERNEL_KINDS, log_weight_rule
 
 from conftest import interior_points, wall_points
 
@@ -287,3 +288,79 @@ def test_the_rules_live_in_one_table():
         for value in values:
             with pytest.raises(DomainError, match=re.escape(f"{need}, got {value}")):
                 _check(name, value)
+
+
+# every kind, and kernel_truncated_edge, which is no kind: the parameters
+# before (z1, z2), a point inside its point domain and points just outside it
+_DOMAIN_CASES = {
+    "finite": ((GasFamily(PolyKind.GEGENBAUER, 0.5), EllipseGeometry(0.5), 3), 0.3 + 0.1j,
+               [1.23 + 0j, 0.3 + 0.9j]),
+    "truncated": ((0.5, 3), 0.3 + 0.2j, [1.0 + 0j, -1j]),
+    "truncated-limit": ((0.5,), 0.3 + 0.2j, [1.0 + 0j, -1j]),
+    "elliptic-ginibre": ((0.5, 3), 0.3 + 0.1j, []),
+    "bulk-weak": ((0.5, 1.0), 0.1 + 0.4j, [0.1 + 0.51j, -0.51j]),
+    "edge-weak": ((1.0, 1.0), 0.5 + 0.3j, [-0.26 + 0j, 0.5 + 0.9j]),
+    "edge-weak-minus-sine": ((1.0, 1.0), 0.5 + 0.3j, [-0.26 + 0j, 0.5 + 0.9j]),
+    "edge-weak-minus-cosine": ((1.0, 1.0), 0.5 + 0.3j, [-0.26 + 0j, 0.5 + 0.9j]),
+    "bulk-strong": ((0.5,), 0.1 + 0.2j, [0.1 + 0.51j, -0.51j]),
+    "edge-strong": ((0.5,), 0.5 + 0.3j, [-0.01 + 0.3j]),
+    "sine": ((), 0.3, [0.3 + 1e-9j]),
+    "bessel": ((0.5,), 2.0, [-0.01, 2.0 + 1e-9j]),
+    "ginibre": ((), 0.3 + 0.1j, []),
+    "global-u": ((0.5,), 0.3 + 0.1j, [1.23 + 0j, 1.0 + 0j, -1.0 + 0j]),
+    "global-t": ((0.5,), 0.3 + 0.1j, [1.23 + 0j, 1.0 + 0j, -1.0 + 0j]),
+    "global-v": ((0.5,), 0.3 + 0.1j, [1.23 + 0j, 1.0 + 0j, -1.0 + 0j]),
+    "global-rot-u": ((), 0.3 + 0.1j, [1.0 + 0j, -1j]),
+    "global-rot-t": ((), 0.3 + 0.1j, [0j, 1.0 + 0j]),
+    "global-rot-v": ((), 0.3 + 0.1j, [0j, 1.0 + 0j]),
+    "kernel_truncated_edge": ((0.5,), 0.5 + 0.3j, [-0.01 + 0.3j]),
+}
+
+
+def _domain_kernel(kind):
+    """K(z1, z2) of a kind, built from its row of KERNEL_KINDS, with the
+    parameters of `_DOMAIN_CASES`."""
+    params = _DOMAIN_CASES[kind][0]
+    if kind == "kernel_truncated_edge":
+        return lambda z1, z2: eg.kernel_truncated_edge(*params, z1, z2)
+    layer, name, *_ = KERNEL_KINDS[kind]
+    kernel = getattr(importlib.import_module(f"ellipsegas.{layer}"), name)
+    return kernel(*params) if kind == "finite" else lambda z1, z2: kernel(*params, z1, z2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(_DOMAIN_CASES))
+def test_every_kind_answers_inside_its_point_domain_and_refuses_outside_it(kind):
+    kernel = _domain_kernel(kind)
+    _, inside, outside = _DOMAIN_CASES[kind]
+    domain = KERNEL_KINDS[kind][3] if kind in KERNEL_KINDS else "right half-plane"
+    need = f"{kind} needs {_POINT_DOMAINS[domain][1]}, got "
+    assert np.isfinite(complex(kernel(inside, inside)))
+    x, y = complex(inside).real, complex(inside).imag
+    bad = outside + [complex(x, v) for v in (math.nan, math.inf, -math.inf)] + [
+        complex(v, y) for v in (math.nan, math.inf, -math.inf)]
+    for z in bad:
+        for pair in ((z, inside), (inside, z)):
+            with pytest.raises(DomainError) as exc:
+                kernel(*pair)
+            assert type(exc.value) is DomainError and str(exc.value).startswith(need), z
+    if kind == "finite":
+        # the batch paths check an array of points by the same rule
+        for z in bad:
+            for call in (lambda: kernel.diagonal([inside, z]),
+                         lambda: kernel.eval_batch(inside, [inside, z, inside])):
+                with pytest.raises(DomainError) as exc:
+                    call()
+                assert type(exc.value) is DomainError and str(exc.value) == need + repr(z)
+
+
+def test_the_point_domains_live_in_one_table():
+    from ellipsegas import geometry, kernels_finite, kernels_limit, sampler
+
+    # the kernels, and the sampler's configurations, check their points
+    # through the one check of geometry, by the domain that their row names;
+    # every domain serves a kind
+    for layer in (kernels_limit, kernels_finite, sampler):
+        assert layer._check_point is geometry._check_point
+    assert {row[3] for row in KERNEL_KINDS.values()} == set(_POINT_DOMAINS)
+    assert list(_DOMAIN_CASES) == [*KERNEL_KINDS, "kernel_truncated_edge"]

@@ -16,7 +16,7 @@ from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         global_kernel_v, global_rot_t, global_rot_u, global_rot_v,
                         kernel_truncated_edge, make_kernel, sine_kernel)
 from ellipsegas import kernels_limit
-from ellipsegas.geometry import _log_power
+from ellipsegas.geometry import KERNEL_KINDS, _log_power
 from ellipsegas.kernels_limit import (_FEATURES, _HALF_LINE_FEATURES, _build_feature, _feature,
                                       _half_line_feature, _weights)
 from ellipsegas.quadrature import (_HALF_LINE_CAP, HALF_LINE, UNIT_INTERVAL, _c_rule, _gauss_rule,
@@ -62,9 +62,13 @@ def test_ginibre_kernel_values():
     (ginibre_kernel, (math.nan, 0.0), DomainError),
 ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
 def test_closed_form_kernels_at_the_ends_of_the_double_range(kernel, args, expect):
-    # each answers correctly or raises a named error that names the kernel
+    # each answers correctly or raises a named error that names the kernel,
+    # a point outside its domain by the kernel's kind
     if isinstance(expect, type):
-        with pytest.raises(expect, match=kernel.__name__):
+        name = kernel.__name__
+        if expect is DomainError:
+            name = next((kind for kind, row in KERNEL_KINDS.items() if row[1] == name), name)
+        with pytest.raises(expect, match=name):
             kernel(*args)
     else:
         assert kernel(*args) == pytest.approx(expect, rel=1e-14)
@@ -1077,11 +1081,12 @@ def test_global_kernels_match_independent_fsum_of_their_series(kind, fn, tau, pl
     assert abs(fn(tau, z1, z2) - _global_by_fsum(kind, tau, z1, z2)) <= 1e-12 * scale
 
 
-def _per_value_series_frame(tau, z1, z2, decay):
+def _per_value_series_frame(kind, tau, z1, z2, decay):
     """The global series frame built afresh for every value: geometry, term
     count, cap and powers."""
     geo = EllipseGeometry(tau)
-    (zeta1, o1), (zeta2, o2) = (kernels_limit._interior_omega(tau, geo.v, z) for z in (z1, z2))
+    (zeta1, o1), (zeta2, o2) = (kernels_limit._interior_omega(kind, tau, geo.v, z)
+                                for z in (z1, z2))
     v = geo.v
     terms = math.ceil(math.log(1.0 / 1e-15) / (decay * math.log(v))) + 1
     if terms > 500:
@@ -1246,7 +1251,7 @@ def _kept_feature(kind, a, s, z, re_sign, im_sign, cache=None):
         s, cache = 1.0, cache or _half_line_feature
     else:
         rule, cache = _c_rule(UNIT_INTERVAL, QuadratureSpec()), cache or _feature
-    return cache(*_functions(kind), a, s, rule, z, re_sign, im_sign)
+    return cache(_FEATURE_KERNELS[kind][0], *_functions(kind), a, s, rule, z, re_sign, im_sign)
 
 
 # one point of each kernel's domain, off the real axis where it has one
