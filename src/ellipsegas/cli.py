@@ -19,8 +19,9 @@ does not decay), 3 I/O failure.
 Each command imports the names it reads from the layers in its own body, so
 they are looked up when it runs, and a patch or wrapper put on a layer's
 attribute is the one called.  `kernel` builds every --kind from its row of
-the one table of kinds, `geometry.KERNEL_KINDS`: the kernel is looked up by
-name in the row's layer, and the row's parameters are checked by their rules,
+the one table of kinds, `geometry.KERNEL_KINDS`, through `geometry._kernel_of`,
+as `make_kernel` does: the kernel is looked up by name in the row's layer,
+and the row's parameters are checked by their rules,
 each refusal naming the kind (`error: truncated needs integer N >= 1`); a
 flag that the kind does not take is ignored.
 Importing this module loads only `geometry`
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, TailDivergenceError
 from .geometry import (_CHEBYSHEV, KERNEL_KINDS, RESCALE_MAPS, EllipseGeometry, GasFamily,
-                       LimitKind, PolyKind, _kind_arguments, weight_values)
+                       LimitKind, PolyKind, _kernel_of, weight_values)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -153,14 +154,12 @@ def _parse_pairs(raw: str):
 
 
 def _kernel_from_args(args):
-    """The kernel of --kind, by its row of `KERNEL_KINDS`: the package
-    imports the row's layer when it is first read."""
-    layer, name, *_ = KERNEL_KINDS[args.kind]
-    values = _kind_arguments(args.kind, args)
-    kernel = getattr(getattr(sys.modules[__package__], layer), name)
+    """The kernel of --kind, by its row of `KERNEL_KINDS` (`_kernel_of`):
+    "finite" builds its FiniteKernel from the gas."""
+    kernel = _kernel_of(args.kind, args)
     if args.kind == "finite":
-        return kernel(_gas(args), EllipseGeometry(args.tau), args.N)
-    return functools.partial(kernel, *values)
+        return kernel.func(_gas(args), EllipseGeometry(args.tau), args.N)
+    return kernel
 
 
 def cmd_kernel(args) -> int:
@@ -188,7 +187,7 @@ def _weak_side(point, scale, args, gas: GasFamily, n: int):
     for the gas of N = n particles at tau_N = 1/(1 + s^2/2N^2)."""
     from .kernels_finite import FiniteKernel
 
-    kern = FiniteKernel(gas, EllipseGeometry(1.0 / (1.0 + args.s ** 2 / (2.0 * n ** 2))), n)
+    kern = FiniteKernel(gas, EllipseGeometry(1.0 / (1.0 + args.s * args.s / (2.0 * n ** 2))), n)
     return lambda z: kern.eval(point(z, n), point(z, n)) / scale(n)
 
 
@@ -243,7 +242,7 @@ def cmd_orthocheck(args) -> int:
     geo = EllipseGeometry(args.tau)
     spec = QuadratureSpec(args.radial_nodes, args.angular_nodes, 64)
     z, w = rule_for_gas(gas, geo, spec)
-    mant, logs = scaled_sequence(gas.family, args.max_degree, z)
+    mant, logs = scaled_sequence(gas, args.max_degree, z)
     lh = log_raw_norms(gas, geo, args.max_degree)
     vals = mant * np.exp(logs - lh[:, None] / 2.0)
     gram = (vals * (w * weight_values(gas, geo, z))) @ np.conj(vals.T)

@@ -17,12 +17,20 @@ bulk's strip, the weak edge's parabola, the right half-plane, the finite
 plane, the unit disc, whole or punctured, the rescaled ellipse off its foci
 and the gas's ellipse.  Each row of `KERNEL_KINDS` names its kind's domain,
 and `_check_point` checks a kernel's points by it.
+
+Two more rules that every layer shares are written here once: `_kernel_of`
+builds the kernel of a kind from its row, for `make_kernel`,
+`global_kernel` and the command line, and `_times_exp` is the range of a
+scaled value m e^s (a kernel sum and its log scale, a prefactor, a
+`ScaledValue`), with the one OutOfRangeError where it leaves the doubles.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -66,8 +74,9 @@ _POINT_DOMAINS = {
                  "finite Z with X >= (Y/s)^2 - s^2/4"),
     "right half-plane": (lambda Z: Z.real >= 0 and cmath.isfinite(Z), "finite Z with X >= 0"),
     "plane": (cmath.isfinite, "finite z"),
-    "unit disc": (lambda z: abs(z) < 1, "|z| < 1"),
-    "punctured disc": (lambda z: 0 < abs(z) < 1, "0 < |z| < 1"),
+    # |z| by hypot, which rounds a modulus past the doubles to inf, where abs raises
+    "unit disc": (lambda z: math.hypot(z.real, z.imag) < 1, "|z| < 1"),
+    "punctured disc": (lambda z: 0 < math.hypot(z.real, z.imag) < 1, "0 < |z| < 1"),
     "rescaled ellipse": (lambda z, om, v: abs(om) < v and abs(om * om - 1.0) >= 1e-13,
                          "z in the open rescaled ellipse off its foci"),
     "ellipse": (lambda z, geometry: ellipse_deficit(geometry, z) >= 0.0, "z in the ellipse"),
@@ -110,11 +119,6 @@ class GasFamily:
         if self.kind in _CHEBYSHEV and self.a != 0.0:
             raise DomainError(f"{self.kind.value} gas has no free parameter")
 
-    @property
-    def family(self) -> GasFamily:
-        """The polynomial family of the gas, which is the gas itself."""
-        return self
-
 
 # A polynomial family is fixed by the same (kind, a) as its gas.
 PolyFamily = GasFamily
@@ -127,8 +131,9 @@ PolyFamily = GasFamily
 # name there, the parameters it takes before (z1, z2), the domain of its
 # points in `_POINT_DOMAINS`); the --kind choices are its keys and LimitKind
 # its kernels_limit rows.  "finite" instead builds a FiniteKernel of a gas
-# from tau and N.  A kernel is looked up by name when it is built, so that a
-# layer attribute swapped in later (a wrapper, a patch) is the one called.
+# from tau and N.  `_kernel_of` looks a kernel up by name when it is built,
+# so that a layer attribute swapped in later (a wrapper, a patch) is the one
+# called.
 KERNEL_KINDS = {
     "finite": ("kernels_finite", "FiniteKernel", ("N", "tau"), "ellipse"),
     "truncated": ("kernels_finite", "kernel_truncated", ("a", "N"), "unit disc"),
@@ -169,6 +174,18 @@ def _kind_arguments(kind: str, source) -> tuple:
         if value is None or not valid(value):
             raise DomainError(f"{kind} needs {need}")
     return values
+
+
+def _kernel_of(kind: str, source) -> functools.partial:
+    """The kernel of `kind` with the parameters of its row, read from
+    `source` and checked by `_kind_arguments`, bound before (z1, z2).  The
+    kernel is looked up by name in its layer, through the package, which
+    imports the layer when it is first read, so a layer attribute swapped in
+    later (a wrapper, a patch) is the one called.  For "finite" the kernel
+    is the FiniteKernel class, which the caller builds from a gas."""
+    layer, name, *_ = KERNEL_KINDS[kind]
+    values = _kind_arguments(kind, source)
+    return functools.partial(getattr(getattr(sys.modules[__package__], layer), name), *values)
 
 
 # rescale maps of the three density figures: point map z -> argument of K_N,
@@ -258,11 +275,18 @@ def _log_power(a: float, q: float) -> float:
     return a * math.log(q)
 
 
-def _exp_in_range(lp: float) -> float:
-    """exp(lp) of a log prefactor; OutOfRangeError where it leaves the double range."""
-    if lp > _LOG_MAX:
-        raise OutOfRangeError(f"prefactor e^{lp:.6g} leaves the double range")
-    return math.exp(lp)
+def _times_exp(m, s):
+    """m e^s of a value m and its log scale s, floats or arrays of one shape
+    (an array m has |m| < 1): the one range rule of a scaled value, a kernel
+    sum, a prefactor (m = 1) or a `ScaledValue`.  OutOfRangeError where a
+    value, or its scale e^s, leaves the double range."""
+    if isinstance(s, float):
+        v = m * math.exp(s) if s <= _LOG_MAX else math.inf
+        if cmath.isfinite(v):
+            return v
+    elif not (s > _LOG_MAX).any():
+        return m * np.exp(s)
+    raise OutOfRangeError(f"a value of log scale {np.max(s):.6g} leaves the double range")
 
 
 def weight(gas: GasFamily, geometry: EllipseGeometry, z: complex) -> float:

@@ -51,10 +51,10 @@ from collections import OrderedDict
 import numpy as np
 
 from .errors import OutOfRangeError, SingularPointError
-from .geometry import (EllipseGeometry, GasFamily, _check, _check_point, _exp_in_range,
-                       _log_power, log_weight, log_weight_values)
+from .geometry import (EllipseGeometry, GasFamily, _check, _check_point, _log_power, _times_exp,
+                       log_weight, log_weight_values)
 from .polynomials import _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
-from .specialfns import _LN2, _LOG_MAX, _plus_bits, _read_only, ln_gamma, ln_gamma_difference
+from .specialfns import _LN2, _plus_bits, _read_only, ln_gamma, ln_gamma_difference
 
 # points whose checked single-point table a kernel keeps, oldest evicted first
 _STORE_POINTS = 32
@@ -70,19 +70,6 @@ def _fold(vals, bits, sigma=1.0):
     f = sigma * vals * np.exp2(bits - top)
     e = math.frexp(float(np.max(np.abs(f))))[1]
     return f * math.ldexp(1.0, -e), int(top) + e
-
-
-def _times_exp(m, s):
-    """m e^s of a kernel sum m and its log scale s, floats or arrays of one
-    shape (an array m has |m| < 1); OutOfRangeError where a value, or its
-    scale e^s, leaves the double range."""
-    if isinstance(s, float):
-        v = m * math.exp(s) if s <= _LOG_MAX else math.inf
-        if abs(v) < math.inf:
-            return v
-    elif not (s > _LOG_MAX).any():
-        return m * np.exp(s)
-    raise OutOfRangeError("a kernel value leaves the double range")
 
 
 class FiniteKernel:
@@ -102,7 +89,7 @@ class FiniteKernel:
         # bits of 2^f_n p_n
         f = np.floor(self._log_c / _LN2) - math.floor(self._log_c[0] / _LN2)
         d = np.diff(f, prepend=0.0).astype(int)
-        lin0, lin1, quad = _coefficients(gas.family, N - 1)
+        lin0, lin1, quad = _coefficients(gas, N - 1)
         self._coefs = np.ldexp(lin0, d), np.ldexp(lin1, d), np.ldexp(quad, d + np.roll(d, 1))
         self._sigma = np.exp(_plus_bits(self._log_c, -f))
         # degrees per block of a batch, whose points have |z| <= semi_x
@@ -320,7 +307,7 @@ def kernel_truncated_edge(a: float, Z1: complex, Z2: complex) -> complex:
              - math.log(4.0 * math.pi) - ln_gamma(a + 1) - (a + 2.0) * _LN2)
     if lpref == math.inf:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
-    pref = _exp_in_range(lpref)
+    pref = _times_exp(1.0, lpref)
     beta = 0.5 * (Z1.real + Z2.real) + 0.5j * (Z1.imag - Z2.imag)
     if abs(beta) > _TRUNCATED_EDGE_BETA_MAX:
         raise OutOfRangeError(f"kernel_truncated_edge needs |beta| <= "
@@ -348,15 +335,19 @@ def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> com
     log-gamma.  Each point's table is folded as `_point` folds its own, and
     their exponents join the log of the Gaussian factor in one log scale.
     At tau = 0.5, N = 3000, z1 = z2 = 30+20i, where the terms peak near e^1400,
-    it is within 4.6e-14 of a 50-digit sum.  A point that is not finite
-    raises DomainError, and a value past the double range OutOfRangeError.
+    it is within 4.6e-14 of a 50-digit sum.  Where the Gaussian factor is 0
+    in the doubles the value is 0j, before the recurrence runs, which at
+    |z| past about 1e233 would overflow.  A point that is not finite raises
+    DomainError, and a value past the double range OutOfRangeError.
     """
     _check("tau", tau)
     _check("N", N)
     _check_point("elliptic-ginibre", z1, z2)
-    coefs = _hermite_coefficients(tau, N - 1)
-    (f1, t1), (f2, t2) = (_fold(*_scalar_steps(coefs, z)) for z in (z1, np.conj(z2)))
     x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
     log_g = -(x1 * x1 + x2 * x2) / (2 * (1 + tau)) - (y1 * y1 + y2 * y2) / (2 * (1 - tau))
+    if log_g == -math.inf:
+        return 0j       # the Gaussian factor is 0, where the recurrence may overflow
+    coefs = _hermite_coefficients(tau, N - 1)
+    (f1, t1), (f2, t2) = (_fold(*_scalar_steps(coefs, z)) for z in (z1, np.conj(z2)))
     return _times_exp(complex(np.dot(f1, f2)) / (math.pi * math.sqrt(1 - tau * tau)),
                       _plus_bits(log_g, t1 + t2))

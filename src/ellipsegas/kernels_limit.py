@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
-                       _exp_in_range, _kind_arguments, _log_power, joukowsky_inverse)
+                       _kernel_of, _kind_arguments, _log_power, _times_exp, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
 from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
                          log_i_ratio)
@@ -105,7 +105,7 @@ def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
 # the feature kernels: a point function takes (kind, a, s, z), checks s and
 # z, the point by the kind's row, and gives (l, the argument of the node
 # function); a node function gives F at the nodes of `rule` from
-# (a, s, rule, argument), after the check of a
+# (kind, a, s, rule, argument), after the check of a
 
 def _bulk_point(kind: str, a: float, s: float, z: complex):
     _check("s", s)
@@ -114,7 +114,7 @@ def _bulk_point(kind: str, a: float, s: float, z: complex):
     return _log_power(0.5 * a, (1.0 - u) * (1.0 + u)), z
 
 
-def _bulk_nodes(a: float, s: float, rule: tuple, z: complex):
+def _bulk_nodes(kind: str, a: float, s: float, rule: tuple, z: complex):
     """[exp(L + icz), exp(L - icz)] per node, L = log sqrt(W G) from
     `_weights`, each one complex exp of its exponent L -+ cy +- icx:
     sqrt(W G) and cos(cz) are not formed apart, so neither overflows where
@@ -123,9 +123,14 @@ def _bulk_nodes(a: float, s: float, rule: tuple, z: complex):
     k ln2, k the whole number of ln2 in the largest, top = k ln2 + r
     (divmod, so r is exact), as L -+ cy - top + r, and k is returned with
     the node values; else k = 0.  The exponents' imaginary zeros are +0,
-    whatever the sign of a zero part of z: the bulk has no branch cut."""
+    whatever the sign of a zero part of z: the bulk has no branch cut.
+    OutOfRangeError where c z passes the doubles at the rule's last node c,
+    as it can on the half line."""
     log_weights = _weights(a, s, rule, "log")     # checks a before the rule is built
-    icz = _gauss_rule(*rule)[0] * complex(-z.imag, z.real)
+    c = _gauss_rule(*rule)[0]
+    if not float(c[-1]) * max(abs(z.real), abs(z.imag)) < math.inf:
+        raise OutOfRangeError(f"{kind} needs c z in the doubles at every node, got {z!r}")
+    icz = c * complex(-z.imag, z.real)
     arg = np.empty((icz.size, 2), complex)
     np.add(log_weights, icz, out=arg[:, 0])
     np.subtract(log_weights, icz, out=arg[:, 1])
@@ -163,7 +168,7 @@ def _edge_point(kind: str, a: float, s: float, Z: complex):
     return _log_power(0.5 * a, _edge_wall(s, Z)), cmath.sqrt(Z)
 
 
-def _phi_nodes(a: float, s: float | None, rule: tuple, w):
+def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
     """phi(c w) of `edge_weak` and, without s, of `bessel_kernel`, as node
     values psi(c w) phi(0) 2^-k and k, phi(0) = m 2^k by `_phi_zero`: at any
     order the node values are of modest size."""
@@ -179,7 +184,7 @@ def _left_focus_point(kind: str, a: float, s: float, Z: complex):
     return ell - _log_power(0.5 * a, s * s / 4.0 + w.real ** 2), w
 
 
-def _sine_nodes(a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
+def _sine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
     """sin(c w)/w, and c at w = 0."""
     c = _gauss_rule(*rule)[0]
     return _weights(a, s, rule, "sqrt") * (c + 0j * c if w == 0 else np.sin(c * w) / w), 0
@@ -192,7 +197,7 @@ def _cosine_point(kind: str, a: float, s: float, Z: complex):
     return ell - 0.5 * math.log(abs(Z)), w
 
 
-def _cosine_nodes(a: float, s: float, rule: tuple, w: complex):
+def _cosine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex):
     return _weights(a, s, rule, "sqrt") * np.cos(_gauss_rule(*rule)[0] * w), 0
 
 
@@ -212,7 +217,7 @@ def _build_feature(kind: str, point, nodes, a: float, s: float | None, rule: tup
     that 0.0 and -0.0, which are equal keys, stay apart.  A refusal raised
     here is never kept."""
     ell, arg = point(kind, a, s, z)
-    values, k = nodes(a, s, rule, arg)
+    values, k = nodes(kind, a, s, rule, arg)
     v = _read_only(np.ravel(values).view(float))
     return v, v[0::2], v[1::2], ell, k
 
@@ -320,7 +325,8 @@ def bulk_strong(a: float, z1: complex, z2: complex,
             * int_0^infty dt (t/2)^{a+1/2}/I_{a+1/2}(t) cos(t(z1 - conj z2)).
 
     The half line is truncated at max(50, 5(a+2)) where the integrand has
-    decayed below machine relevance, and summed as the product of the bulk
+    decayed below machine relevance (the rule of `quadrature._c_rule` at
+    a), and summed as the product of the bulk
     features of the two points on its nodes; TailDivergenceError where the
     last panel's share of that product is not negligible, as near the wall
     at large a, where the integrand peaks near a/(1 - |y1 + y2|): so
@@ -328,10 +334,11 @@ def bulk_strong(a: float, z1: complex, z2: complex,
     spec that rule has 16(a+2) nodes from a = 38 on, so past a = 1022 it
     exceeds the half-line node cap of `quadrature` and the kernel raises
     OutOfRangeError, first, whatever the walls.  A wall factor q <= 0 takes
-    the hard-wall limit, as in the feature kernels.
+    the hard-wall limit, as in the feature kernels.  A point whose product
+    with the last node passes the doubles (from x of about 3.6e306 at
+    a < 8) is refused with OutOfRangeError.
     """
-    T = max(50.0, 5.0 * (a + 2.0))
-    rule = _c_rule(HALF_LINE, spec or _DEFAULT, T, min(5.0, max(1.0, T / 40.0)))
+    rule = _c_rule(HALF_LINE, spec or _DEFAULT, a)
     return _feature_kernel("bulk-strong", _bulk_point, _bulk_nodes, a, 1.0, z1, z2, spec, rule)
 
 
@@ -380,7 +387,7 @@ def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
              - math.log(4.0 * math.pi) - ln_gamma(a + 1))
     if lpref == math.inf:
         return complex(math.inf, 0.0)   # integrable hard-edge divergence, flagged
-    pref = _exp_in_range(lpref)
+    pref = _times_exp(1.0, lpref)
     beta = complex(0.5 * Z1.real + 0.5 * Z2.real, 0.5 * Z1.imag - 0.5 * Z2.imag)
     if abs(beta) < 1e-14:
         return pref / (a + 2.0)
@@ -590,10 +597,10 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:
     """Dispatch to one of the three global kernels by kind."""
-    _, name, params, _ = KERNEL_KINDS[LimitKind(kind).value]
-    if params != ("tau",):
+    name = LimitKind(kind).value
+    if KERNEL_KINDS[name][2] != ("tau",):
         raise DomainError(f"{kind} is not a global kernel kind")
-    return globals()[name](tau, z1, z2)
+    return _kernel_of(name, LimitKernelSpec(name, tau=tau))(z1, z2)
 
 
 def global_rot_u(z1: complex, z2: complex) -> complex:
@@ -635,5 +642,4 @@ class LimitKernelSpec:
 def make_kernel(spec: LimitKernelSpec):
     """An evaluable K(z1, z2) for any limiting-kernel spec: the kernel of its
     kind in `KERNEL_KINDS`, looked up by name, with the spec's parameters."""
-    name = KERNEL_KINDS[spec.kind.value][1]
-    return functools.partial(globals()[name], *_kind_arguments(spec.kind.value, spec))
+    return _kernel_of(spec.kind.value, spec)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _exp_in_range
+from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _times_exp
 from .specialfns import _LN2, _log_beta, _read_only, ln_gamma, ln_gamma_difference
 
 # a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
@@ -30,6 +30,9 @@ from .specialfns import _LN2, _log_beta, _read_only, ln_gamma, ln_gamma_differen
 # block that `_block_length` allows; a rescale is by a power of two, so it
 # changes no bit
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -250, 2.0 ** 250
+# the largest Jacobi exponent alpha or gamma: the coefficients take products
+# of three factors of its size, which leave the doubles from about 5.6e102
+_JACOBI_MAX = 1e100
 # the most degrees a block holds: a batch's buffers take 24 B per degree and
 # point; 16 and 24 were no faster on 800 to 3200 points, and slower at N = 3000
 _BLOCK_MAX = 32
@@ -45,20 +48,14 @@ class ScaledValue:
     @property
     def value(self) -> complex:
         """mantissa * exp(log_scale); OutOfRangeError past the double range."""
-        v = self.mantissa * _exp_in_range(self.log_scale)
-        if abs(v) == math.inf:
-            raise OutOfRangeError(f"value {v} leaves the double range")
-        return v
+        return _times_exp(self.mantissa, float(self.log_scale))
 
     @staticmethod
     def of(z: complex) -> "ScaledValue":
-        z = complex(z)
-        if z == 0:
-            return ScaledValue(0.0, 0.0)
-        # in two factors: 2^-k is past the double range where z is subnormal
-        _, k = math.frexp(abs(z))
-        step = min(-k, 1000)
-        return ScaledValue(z * 2.0 ** step * 2.0 ** (-k - step), k * _LN2)
+        """z by the normalisation of `_scaled_table`; 0 as (0, 0)."""
+        m = np.array([complex(z)])
+        k = _normalise(m)
+        return ScaledValue(complex(m[0]), float(k[0]) * _LN2) if z else ScaledValue(0.0, 0.0)
 
 
 def _jacobi_coefficients(alpha: float, gamma: float, n_max: int):
@@ -66,9 +63,12 @@ def _jacobi_coefficients(alpha: float, gamma: float, n_max: int):
     P_n = (alpha_n + beta_n z) P_{n-1} + gamma_n P_{n-2} for P^(alpha, gamma).
 
     Index 0 is unused; the n = 1 entries give P_1 from P_0 = 1 and P_{-1} = 0.
+    OutOfRangeError for an exponent past `_JACOBI_MAX`.
     """
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    if alpha > _JACOBI_MAX or gamma > _JACOBI_MAX:
+        raise OutOfRangeError(f"jacobi needs alpha, gamma <= {_JACOBI_MAX:g}, got {alpha}, {gamma}")
     al, be = alpha, gamma
     n = np.arange(n_max + 1, dtype=float)
     n[:2] = 2.0  # placeholders, overwritten below (avoids a 0/0 at n = 0, 1)
@@ -218,19 +218,25 @@ def _scaled_table(coefs, z):
         for n0, block, bits, _ in _blocks(coefs, zs.astype(complex), size):
             mant[n0:n0 + len(block)] = block
             logs[n0:n0 + len(block)] = bits
-    # frexp-normalize once; a subnormal mantissa takes 2^-k in two factors,
-    # as one is past the double range.  Exact zeros carry a -inf log so they
-    # can never dominate the max-exponent alignment of downstream sums
-    mag = np.abs(mant)
-    k = np.frexp(mag)[1]
+    # exact zeros carry a -inf log so they can never dominate the
+    # max-exponent alignment of downstream sums
+    logs += _normalise(mant)
+    logs *= _LN2
+    logs[mant == 0.0] = -np.inf
+    return mant.astype(complex, copy=False), logs
+
+
+def _normalise(mant: np.ndarray) -> np.ndarray:
+    """The exponents k with mant = m 2^k and |m| in [1/2, 1), mant overwritten
+    by m (0 stays 0, with k = 0): the one frexp normalisation of a scaled
+    value.  A subnormal value takes 2^-k in two factors, as one is past the
+    double range; every factor is a power of two, so m rounds nowhere."""
+    k = np.frexp(np.abs(mant))[1]
     step = np.minimum(-k, 1000)
     mant *= np.exp2(step)
     sub = step != -k
     mant[sub] *= np.exp2(-k[sub] - step[sub])
-    logs += k
-    logs *= _LN2
-    logs[mag == 0.0] = -np.inf
-    return mant.astype(complex, copy=False), logs
+    return k
 
 
 def scaled_sequence(family: PolyFamily, n_max: int, z):
@@ -249,9 +255,7 @@ def _scaled_at(coefs, z: complex) -> ScaledValue:
     """The highest degree of the recurrence at one point."""
     mant, logs = _scaled_table(coefs, complex(z))
     m = complex(mant[-1, 0])
-    if m == 0:
-        return ScaledValue(0.0, 0.0)
-    return ScaledValue(m, float(logs[-1, 0]))
+    return ScaledValue(m, float(logs[-1, 0])) if m else ScaledValue(0.0, 0.0)
 
 
 def gegenbauer(n: int, a: float, z: complex) -> ScaledValue:
@@ -341,7 +345,7 @@ def log_raw_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.n
                  + (off - 1) * math.log(geometry.semi_x))
             d = (np.log(2 * n + a + off) - _log_beta(a + 1, n + off - 0.5)
                  - ln_gamma_difference(n + a + off, 0.5))
-        mant, logs = scaled_sequence(gas.family, n_max, 1.0 / tau)
+        mant, logs = scaled_sequence(gas, n_max, 1.0 / tau)
         # mantissas are positive for argument > 1; the exponent, the largest
         # term, is added last
         return logs[:, 0] + (np.log(mant[:, 0].real) + c - d)
@@ -360,7 +364,7 @@ def log_raw_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.n
 def log_squared_norms(gas: GasFamily, geometry: EllipseGeometry, n_max: int) -> np.ndarray:
     """log h_n, n = 0..n_max, for the monic polynomials of the gas:
     2 log kappa_n plus the raw norms of `log_raw_norms`."""
-    return 2.0 * log_monic_factors(gas.family, n_max) + log_raw_norms(gas, geometry, n_max)
+    return 2.0 * log_monic_factors(gas, n_max) + log_raw_norms(gas, geometry, n_max)
 
 
 def squared_norm(gas: GasFamily, geometry: EllipseGeometry, n: int) -> float:

@@ -24,7 +24,14 @@ geometrically:
 
 The rule's weights are W = wt (2 pi/nth) R / w(z), with w(z) the gas weight
 at the rounded nodes, so callers pass the raw integrand including the
-weight, which cancels to rounding.  The Gauss-Jacobi rules, and the
+weight, which cancels to rounding.  `rule_for_gas` gives a gas's rule, and
+`ellipse_rule` that of the a = 0 disc gas or, for a focal integrand, of
+the Chebyshev-T gas: an exponent belongs to the gas, and `QuadratureSpec`
+holds node counts only.  The rules in c on [0, 1] and on the half line
+[0, inf) are set in one place, `_c_rule`: the half line of an integrand of
+exponent a is truncated at T = max(50, 5(a+2)), in panels of
+min(5, max(1, T/40)), for `bulk_strong` at its a and for `integrate_c` at
+a = 0.  The Gauss-Jacobi rules, and the
 Legendre rules of `integrate_c`, run no recurrence of their own:
 `_jacobi_rule` takes the Jacobi coefficients and the block core, with its
 rescale window, from `polynomials`.  Summation order is fixed (numpy
@@ -42,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, TailDivergenceError
-from .geometry import EllipseGeometry, GasFamily, PolyKind, _check, weight_values
+from .geometry import EllipseGeometry, GasFamily, PolyKind, weight_values
 from .polynomials import _block_length, _blocks, _jacobi_coefficients
 from .specialfns import _LN2, _LOG_MAX, _log_beta, _read_only
 
@@ -64,12 +71,10 @@ class QuadratureSpec:
     radial_nodes: int = 96
     angular_nodes: int = 128
     c_nodes: int = 64
-    singularity_exponent: float = 0.0
 
     def __post_init__(self):
         if min(self.radial_nodes, self.angular_nodes, self.c_nodes) < 4:
             raise DomainError("all node counts must be >= 4")
-        _check("a", self.singularity_exponent)
 
 
 def _top_degree(coefs, x: np.ndarray):
@@ -170,16 +175,19 @@ def _gauss_rule(kind: str, n: int, *params: float):
     return _read_only((tm[:, None] + th[:, None] * x).ravel(), np.outer(th, w))
 
 
-def _c_rule(domain: str, spec: QuadratureSpec, truncation: float | None = None,
-            panel: float = 5.0) -> tuple:
-    """The `_gauss_rule` arguments of integrate_c's rule on `domain`."""
+def _c_rule(domain: str, spec: QuadratureSpec, a: float = 0.0,
+            truncation: float | None = None, panel: float | None = None) -> tuple:
+    """The `_gauss_rule` arguments of the c-rule on `domain`, the one place
+    that sets the half-line rule: the half line [0, inf) of an integrand of
+    exponent a, which peaks near t = a, is truncated at T = max(50, 5(a+2))
+    and cut into panels of min(5, max(1, T/40)), or of the truncation and
+    panel given."""
     if domain == UNIT_INTERVAL:
         return UNIT_INTERVAL, spec.c_nodes
     if domain != HALF_LINE:
         raise DomainError(f"unknown domain {domain!r}")
-    if truncation is None:
-        truncation = max(50.0, 5.0 * (spec.singularity_exponent + 2.0))
-    return HALF_LINE, spec.c_nodes, truncation, panel
+    T = truncation or max(50.0, 5.0 * (a + 2.0))
+    return HALF_LINE, spec.c_nodes, T, panel or min(5.0, max(1.0, T / 40.0))
 
 
 @lru_cache(maxsize=64)
@@ -212,14 +220,12 @@ def _product_rule(gas: GasFamily, tau: float, nr: int, nth: int):
 
 def ellipse_rule(geometry: EllipseGeometry, spec: QuadratureSpec, focal: bool = False):
     """Nodes z and weights W with  integral_E f d2z ~ sum W f(z); read-only,
-    because each rule is built once per process and shared.  f carries the
-    factor (1-rho^2)^a of the spec's exponent a (the Gegenbauer weight);
-    with focal=True it may carry 1/|1 +- z| and a must be 0 (DomainError)."""
-    a = spec.singularity_exponent
-    if focal and a != 0.0:
-        raise DomainError(f"the focal rule takes no singularity exponent, got {a}")
-    gas = GasFamily(PolyKind.CHEBYSHEV_T) if focal else GasFamily(PolyKind.GEGENBAUER, a)
-    return _product_rule(gas, geometry.tau, spec.radial_nodes, spec.angular_nodes)
+    because each rule is built once per process and shared: the rule of the
+    a = 0 disc gas or, with focal=True, for an f that may carry 1/|1 +- z|,
+    of the Chebyshev-T gas.  An f with the factor (1-rho^2)^a of the
+    Gegenbauer weight takes that gas's rule from `rule_for_gas`."""
+    gas = GasFamily(PolyKind.CHEBYSHEV_T if focal else PolyKind.GEGENBAUER)
+    return rule_for_gas(gas, geometry, spec)
 
 
 def rule_for_gas(gas: GasFamily, geometry: EllipseGeometry, spec: QuadratureSpec):
@@ -230,10 +236,8 @@ def rule_for_gas(gas: GasFamily, geometry: EllipseGeometry, spec: QuadratureSpec
 
 def integrate_ellipse(f, geometry: EllipseGeometry, spec: QuadratureSpec,
                       focal: bool = False) -> complex:
-    """Integral over the hard-wall ellipse of a vectorized integrand f(z).
-
-    f must absorb any (1-rho^2)^a boundary factor declared through
-    spec.singularity_exponent and, with focal=True, may carry integrable
+    """Integral over the hard-wall ellipse of a vectorized integrand f(z),
+    on the rule of `ellipse_rule`: with focal=True f may carry integrable
     1/|1 +- z| focal singularities.
     """
     z, w = ellipse_rule(geometry, spec, focal=focal)
@@ -253,17 +257,18 @@ def _check_tail(last: float, total: float) -> None:
 
 
 def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None = None,
-                panel: float = 5.0) -> complex:
+                panel: float | None = None) -> complex:
     """Integrate g over c in [0,1] or t in [0,inf) (paneled, truncated).
 
-    Half-line truncation defaults to max(50, 5*(a+2)) with a the spec's
-    singularity exponent; the final panel must be negligible or the
-    integrand is flagged as non-decaying.  An integrand that is not finite at
-    a node, such as an underflowed factor times an overflowed one, or a sum
-    that overflows, raises OutOfRangeError rather than return nan.  g sees the nodes as one flat array, the same
+    The half line takes the rule of `_c_rule` at a = 0, truncated at 50 in
+    panels of 1.25, or at the truncation and in the panels given; the final
+    panel must be negligible or the integrand is flagged as non-decaying.
+    An integrand that is not finite at a node, such as an underflowed factor
+    times an overflowed one, or a sum that overflows, raises OutOfRangeError
+    rather than return nan.  g sees the nodes as one flat array, the same
     read-only array on every call with the same rule.
     """
-    c, w = _gauss_rule(*_c_rule(domain, spec, truncation, panel))
+    c, w = _gauss_rule(*_c_rule(domain, spec, 0.0, truncation, panel))
     vals = np.asarray(g(c), dtype=complex)
     if domain == UNIT_INTERVAL:
         total = complex((w * vals).sum())

@@ -212,7 +212,8 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
     while step < steps:
         size = min(DRAW_BLOCK, steps - step)
         js = rng.integers(N, size=size).tolist()
-        moves = (sigma * rng.standard_normal((size, 2))).view(complex).ravel().tolist()
+        with np.errstate(over="ignore"):      # an infinite move fails the wall test
+            moves = (sigma * rng.standard_normal((size, 2))).view(complex).ravel().tolist()
         log_us = _log_uniforms(rng.random(size).tolist())
         end = step + size
         block = zip(range(step, end), js, moves, log_us)

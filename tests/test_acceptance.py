@@ -81,7 +81,7 @@ class GasFamilyGeo:
 
 def gram_extremes(gas, geo, max_degree=8):
     z, w = rule_for_gas(gas, geo, QuadratureSpec())
-    mant, logs = monic_scaled_sequence(gas.family, max_degree, z)
+    mant, logs = monic_scaled_sequence(gas, max_degree, z)
     lh = log_squared_norms(gas, geo, max_degree)
     vals = mant * np.exp(logs - lh[:, None] / 2.0)
     gram = (vals * (w * weight_values(gas, geo, z))) @ np.conj(vals.T)

@@ -410,6 +410,31 @@ def test_the_table_of_kinds_is_the_only_source(tmp_path, capsys, monkeypatch):
         assert complex(row["re"], row["im"]) == value
 
 
+def test_one_builder_serves_every_kernel_of_a_kind(tmp_path, monkeypatch):
+    import inspect
+
+    from ellipsegas import (LimitKernelSpec, cli, geometry, global_kernel, kernels_limit,
+                            make_kernel)
+
+    # make_kernel, global_kernel and kernel --kind build through
+    # geometry._kernel_of, which reads the layer's attribute when it builds
+    assert kernels_limit._kernel_of is cli._kernel_of is geometry._kernel_of
+    assert "globals()" not in inspect.getsource(kernels_limit)
+    monkeypatch.setattr(kernels_limit, "global_kernel_u", lambda tau, z1, z2: tau + 1j)
+    assert make_kernel(LimitKernelSpec("global-u", tau=0.25))(0j, 0j) == 0.25 + 1j
+    assert global_kernel(LimitKind.GLOBAL_U, 0.5, 0j, 0j) == 0.5 + 1j
+    out = tmp_path / "k.json"
+    assert run(["kernel", "--kind", "global-u", "--tau", "0.75", "--points", "0.1,0.2",
+                "--output", str(out)]) == 0
+    row = json.loads(out.read_text())["values"][0]
+    assert complex(row["re"], row["im"]) == 0.75 + 1j
+    # global_kernel keeps its refusal of a kind that is not global, before
+    # the kind's own parameters are read
+    for kind in (LimitKind.SINE, "bulk-weak"):
+        with pytest.raises(DomainError, match="is not a global kernel kind"):
+            global_kernel(kind, 0.5, 0j, 0j)
+
+
 @pytest.mark.parametrize("kind", list(_DIRECT))
 def test_kernel_value_is_the_library_value(tmp_path, kind):
     out = tmp_path / "k.json"
@@ -813,7 +838,7 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
       "--sigma", "inf"], "expected finite proposal_sigma > 0, got inf"),
     # a finite value past what the kernel can compute in double precision
     (["kernel", "--kind", "edge-strong", "--a", "300", "--points", "3000,0"],
-     "prefactor e^984.473 leaves the double range"),
+     "a value of log scale 984.473 leaves the double range"),
     (["kernel", "--kind", "bulk-strong", "--a", "1e8", "--points", "0,0"],
      "the half-line rule needs more than 16384 nodes"),
     (["kernel", "--kind", "edge-strong", "--a", "0.5", "--points", "1e308,0"],
@@ -863,3 +888,48 @@ def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv
     assert run(argv + ["--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# large finite inputs, each of which ended in a traceback: an OverflowError
+# from abs or ** or a RuntimeWarning (an error here); None for a command that
+# answers, else the start of its one error line
+_HUGE = "1.7e308,1.7e308"
+_LARGE_FINITE = [
+    (["kernel", "--kind", "truncated", "--a", "0.5", "--N", "3", "--points", _HUGE],
+     "truncated needs |z| < 1, got (1.7e+308+1.7e+308j)"),
+    (["kernel", "--kind", "truncated-limit", "--a", "0.5", "--points", _HUGE],
+     "truncated-limit needs |z| < 1, got "),
+    (["kernel", "--kind", "global-rot-u", "--points", _HUGE], "global-rot-u needs |z| < 1, got "),
+    (["kernel", "--kind", "global-rot-t", "--points", _HUGE],
+     "global-rot-t needs 0 < |z| < 1, got "),
+    (["kernel", "--kind", "elliptic-ginibre", "--tau", "0.5", "--N", "3", "--points", _HUGE],
+     None),
+    (["converge", "--study", "bulk-weak", "--a", "1", "--s", "1e160", "--schedule", "1,2"],
+     "expected tau in (0,1), got 0.0"),
+    (["converge", "--study", "edge-weak", "--a", "1", "--s", "1e160", "--schedule", "1,2"],
+     "expected tau in (0,1), got 0.0"),
+    (["kernel", "--kind", "bulk-strong", "--a", "1", "--points", "4e306,0"],
+     "bulk-strong needs c z in the doubles at every node, got (4e+306+0j)"),
+    (["sample", "--tau", "0.5", "--N", "3", "--steps", "100", "--burn-in", "10",
+      "--sigma", "1e308"], None),
+    (["kernel", "--kind", "finite", "--family", "jacobi-minus", "--a", "1e120", "--tau", "0.5",
+      "--N", "3", "--points", "0.1,0.1"], "jacobi needs alpha, gamma <= 1e+100, got 1e+120"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,message", _LARGE_FINITE)
+def test_large_finite_inputs_answer_or_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    status = run(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (status, err) == (0, "")
+        lines = out.read_text().splitlines()
+        if argv[0] == "kernel":      # the Gaussian factor is 0 in the doubles
+            assert json.loads(lines[0])["values"][0]["re"] == 0.0
+        else:                        # every move leaves the ellipse
+            assert json.loads(lines[-1])["summary"]["acceptance_rate"] == 0.0
+    else:
+        assert status == 2 and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()

@@ -231,7 +231,6 @@ def _entry_points():
     return {
         "GasFamily": (("a",), lambda p: GasFamily(PolyKind.JACOBI_PLUS, p["a"])),
         "EllipseGeometry": (("tau",), lambda p: EllipseGeometry(p["tau"])),
-        "QuadratureSpec": (("a",), lambda p: eg.QuadratureSpec(singularity_exponent=p["a"])),
         **weak,
         "bulk_from_edge_check": (("a", "s"), lambda p: eg.bulk_from_edge_check(
             p["a"], p["s"], 1.0, z, z, 30.0)),

@@ -187,11 +187,13 @@ def test_edge_weak_branch_flip_invariance():
     Z1, Z2 = 0.6 + 0.4j, 1.3 - 0.2j
     rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
     w1, w2 = np.sqrt(Z1), np.sqrt(Z2)
-    base = np.sum(kernels_limit._phi_nodes(a, s, rule, w1)[0]
-                  * np.conj(kernels_limit._phi_nodes(a, s, rule, w2)[0]))
+
+    def phi(w):
+        return kernels_limit._phi_nodes("edge-weak", a, s, rule, w)[0]
+
+    base = np.sum(phi(w1) * np.conj(phi(w2)))
     for f1, f2 in ((-1, 1), (1, -1), (-1, -1)):
-        flipped = np.sum(kernels_limit._phi_nodes(a, s, rule, f1 * w1)[0]
-                         * np.conj(kernels_limit._phi_nodes(a, s, rule, f2 * w2)[0]))
+        flipped = np.sum(phi(f1 * w1) * np.conj(phi(f2 * w2)))
         assert abs(flipped - base) <= 1e-12 * abs(base)
 
 
@@ -816,6 +818,34 @@ def test_limit_spec_takes_a_kind_by_its_name():
         LimitKernelSpec("bulk-weak", a=1.0)
 
 
+def test_bulk_strong_takes_its_half_line_rule_from_c_rule(monkeypatch):
+    # the one owner of the half-line rule is quadrature._c_rule at the
+    # kernel's a, whatever the spec's node counts
+    rules = []
+    real = kernels_limit._feature_kernel
+
+    def spy(*args):
+        rules.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(kernels_limit, "_feature_kernel", spy)
+    for a, spec in ((-0.5, None), (0.5, None), (9.0, None), (40.0, QuadratureSpec(c_nodes=32))):
+        bulk_strong(a, 0.1 + 0.05j, 0.1 + 0.05j, spec)
+        assert rules[-1] == _c_rule(HALF_LINE, spec or QuadratureSpec(), a)
+    assert rules == [(HALF_LINE, 64, 50.0, 1.25), (HALF_LINE, 64, 50.0, 1.25),
+                     (HALF_LINE, 64, 55.0, 1.375), (HALF_LINE, 32, 210.0, 5.0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bulk_strong_refuses_a_point_whose_node_products_leave_the_doubles():
+    # c z at the half line's last node c ~ 50 passes the doubles from
+    # x ~ 3.6e306; the closest point below answers
+    assert cmath.isfinite(bulk_strong(1.0, 3e306, 3e306))
+    for z in (4e306, -4e306 + 0.1j, 1.7e308):
+        with pytest.raises(OutOfRangeError, match=r"^bulk-strong needs c z in the doubles"):
+            bulk_strong(1.0, z, 0.1)
+
+
 def test_global_kernel_dispatch():
     from ellipsegas import LimitKind, global_kernel
     tau, z = 0.5, 0.3 + 0.1j
@@ -1138,8 +1168,7 @@ def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, *
     def g(c):
         return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
 
-    return complex(integrate_c(g, domain, QuadratureSpec(singularity_exponent=a),
-                               **half_line))
+    return complex(integrate_c(g, domain, QuadratureSpec(), **half_line))
 
 
 def _closure_bulk_weak(a, s, z1, z2):
@@ -1151,8 +1180,8 @@ def _closure_bulk_weak(a, s, z1, z2):
 
 def _strong_half_line(a):
     """The truncation and panel of bulk_strong's half-line rule."""
-    T = max(50.0, 5.0 * (a + 2.0))
-    return {"truncation": T, "panel": min(5.0, max(1.0, T / 40.0))}
+    _, _, truncation, panel = _c_rule(HALF_LINE, QuadratureSpec(), a)
+    return {"truncation": truncation, "panel": panel}
 
 
 def _uncached_bulk_strong(a, z1, z2):
@@ -1166,7 +1195,7 @@ def _uncached_bulk_strong(a, z1, z2):
 def _bulk_strong_term_moduli(a, z1, z2):
     """The sum of the moduli of the terms of `_uncached_bulk_strong`'s node
     sum, walls included: the scale of its rounding."""
-    t, w = _gauss_rule(*_c_rule(HALF_LINE, QuadratureSpec(), **_strong_half_line(a)))
+    t, w = _gauss_rule(*_c_rule(HALF_LINE, QuadratureSpec(), a))
     lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
              + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
              + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
@@ -1214,7 +1243,7 @@ def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind,
 
 def test_cached_arrays_are_read_only():
     bulk_strong(0.5, 0.2j, 0.1)
-    arrays = [_weights(0.5, 1.0, _c_rule(HALF_LINE, QuadratureSpec(), 50.0, 1.25), "log"),
+    arrays = [_weights(0.5, 1.0, _c_rule(HALF_LINE, QuadratureSpec()), "log"),
               _weights(0.5, 1.0, _c_rule(UNIT_INTERVAL, QuadratureSpec()), "sqrt"),
               _weights(0.8, None, _c_rule(UNIT_INTERVAL, QuadratureSpec()), "phi")]
     for kind, s, z in _FEATURE_POINTS:
@@ -1247,7 +1276,7 @@ def _kept_feature(kind, a, s, z, re_sign, im_sign, cache=None):
     """The kept (V, Re F, Im F, l) of a point, on the kernel's default rule,
     from `cache` if given: the strong bulk's on its half line at s = 1."""
     if kind == "strong":
-        rule = _c_rule(HALF_LINE, QuadratureSpec(), **_strong_half_line(a))
+        rule = _c_rule(HALF_LINE, QuadratureSpec(), a)
         s, cache = 1.0, cache or _half_line_feature
     else:
         rule, cache = _c_rule(UNIT_INTERVAL, QuadratureSpec()), cache or _feature

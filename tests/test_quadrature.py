@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -32,9 +33,8 @@ def test_weight_normalization_example():
     a, tau = 2.5, 0.45
     geo = EllipseGeometry(tau)
     gas = GasFamily(PolyKind.GEGENBAUER, a)
-    spec = QuadratureSpec(48, 64, 16, singularity_exponent=a)
-    val = integrate_ellipse(lambda z: np.array([weight(gas, geo, p) for p in z]),
-                            geo, spec)
+    z, w = rule_for_gas(gas, geo, QuadratureSpec(48, 64, 16))
+    val = np.sum(w * np.array([weight(gas, geo, p) for p in z]))
     ref = math.pi * math.sqrt(1 - tau ** 2) / (2 * tau * (a + 1))
     assert val.real == pytest.approx(ref, rel=1e-12)
 
@@ -46,7 +46,7 @@ def test_orthogonality_m1_m2_vanishes():
     gas = GasFamily(PolyKind.GEGENBAUER, a)
     z, w = rule_for_gas(gas, geo, QuadratureSpec())
     wv = np.array([weight(gas, geo, p) for p in z])
-    mant, logs = monic_scaled_sequence(gas.family, 2, z)
+    mant, logs = monic_scaled_sequence(gas, 2, z)
     vals = mant * np.exp(logs)
     integral = np.sum(w * wv * vals[1] * np.conj(vals[2]))
     lh = log_squared_norms(gas, geo, 2)
@@ -135,7 +135,7 @@ def test_integrate_c_half_line_against_trapezoid_oracle():
         return np.array([math.exp(log_i_ratio(0.5, ti) + 0.5 * math.log(ti)
                                   - 0.5 * math.log(ti / 2)) for ti in t])
 
-    spec = QuadratureSpec(16, 16, 64, singularity_exponent=0.0)
+    spec = QuadratureSpec(16, 16, 64)
     val = integrate_c(g, HALF_LINE, spec).real
     # 10^6-node trapezoid oracle
     t = np.linspace(1e-9, 60.0, 1_000_001)
@@ -185,8 +185,9 @@ def test_quadrature_spec_validation():
     from ellipsegas import DomainError
     with pytest.raises(DomainError):
         QuadratureSpec(radial_nodes=2)
-    with pytest.raises(DomainError):
-        QuadratureSpec(singularity_exponent=-1.0)
+    # node counts only: an exponent belongs to the gas or to the half-line rule
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
+        "radial_nodes", "angular_nodes", "c_nodes"]
 
 
 def test_rule_is_deterministic():
@@ -227,11 +228,18 @@ def test_integrate_c_passes_the_cached_nodes():
     spec = QuadratureSpec(16, 16, 64)
     integrate_c(g, UNIT_INTERVAL, spec)
     integrate_c(g, HALF_LINE, spec, truncation=50.0, panel=1.25)
+    integrate_c(g, HALF_LINE, spec)
     assert seen[0] is _gauss_rule(*_c_rule(UNIT_INTERVAL, spec))[0]
     assert seen[1] is _gauss_rule(HALF_LINE, 64, 50.0, 1.25)[0]
-    # the default truncation is max(50, 5(a+2)) of the spec's exponent
-    assert _c_rule(HALF_LINE, QuadratureSpec(c_nodes=32, singularity_exponent=9.0)) == (
-        HALF_LINE, 32, 55.0, 5.0)
+    # the default half line is the rule of a = 0
+    assert seen[2] is seen[1]
+    # the truncation is max(50, 5(a+2)) and the panel min(5, max(1, T/40))
+    spec = QuadratureSpec(c_nodes=32)
+    assert _c_rule(HALF_LINE, spec) == (HALF_LINE, 32, 50.0, 1.25)
+    assert _c_rule(HALF_LINE, spec, 9.0) == (HALF_LINE, 32, 55.0, 1.375)
+    assert _c_rule(HALF_LINE, spec, 1000.0) == (HALF_LINE, 32, 5010.0, 5.0)
+    assert _c_rule(HALF_LINE, spec, 9.0, truncation=60.0) == (HALF_LINE, 32, 60.0, 1.5)
+    assert _c_rule(HALF_LINE, spec, 9.0, panel=2.0) == (HALF_LINE, 32, 55.0, 2.0)
     with pytest.raises(DomainError):
         _c_rule("circle", spec)
 
@@ -249,17 +257,12 @@ def test_cached_ellipse_rules_are_read_only(focal):
 
 
 def test_ellipse_rule_and_the_gas_rules_share_one_builder():
-    # the plain rule is the Gegenbauer gas's at the spec's exponent, the focal
-    # one Chebyshev T's, which takes no exponent
+    # the plain rule is the a = 0 Gegenbauer gas's, the focal one Chebyshev T's
     geo = EllipseGeometry(0.3)
-    spec = QuadratureSpec(24, 32, 8, singularity_exponent=2.5)
-    assert ellipse_rule(geo, spec)[1] is rule_for_gas(GasFamily(PolyKind.GEGENBAUER, 2.5), geo,
-                                                      spec)[1]
-    plain = QuadratureSpec(24, 32, 8)
-    assert ellipse_rule(geo, plain, focal=True)[1] is rule_for_gas(
-        GasFamily(PolyKind.CHEBYSHEV_T), geo, plain)[1]
-    with pytest.raises(DomainError, match="focal rule takes no singularity exponent"):
-        ellipse_rule(geo, spec, focal=True)
+    spec = QuadratureSpec(24, 32, 8)
+    for focal, kind in ((False, PolyKind.GEGENBAUER), (True, PolyKind.CHEBYSHEV_T)):
+        rule = ellipse_rule(geo, spec, focal=focal)
+        assert rule[1] is rule_for_gas(GasFamily(kind), geo, spec)[1]
 
 
 # ------------------------------------------------------ native Gauss rules
