@@ -11,8 +11,10 @@ evaluation stays finite arbitrarily close to the wall and for N ~ 10^4.
 A kernel builds one scaled coefficient table: with 1/sqrt(h_n) = sigma_n 2^f_n,
 the family's coefficients scaled by powers of two only carry 2^f_n p_n bit
 for bit, and sigma_n enters each term once.  Both point paths run it.  A
-single point runs it in plain Python (`_point`) and keeps one feature table
-F and one log scale s, F_n e^s = sqrt(w(z)) q_n(z) for the orthonormal
+single point runs it in plain Python (`_point`), which tests its
+recurrence pair for a rescale at the block starts of a batch and so carries
+a batch's exponent at every degree; it keeps one feature table F and one
+log scale s, F_n e^s = sqrt(w(z)) q_n(z) for the orthonormal
 q_n = p_n/sqrt(h_n), with the largest |F_n| in [1/2, 1); a pair of points
 is one conjugate dot product of two tables times e^(s1 + s2).  A kernel
 keeps the checked entry of each of the last `_STORE_POINTS` points it was
@@ -110,9 +112,11 @@ class FiniteKernel:
         for the orthonormal q_n = p_n/sqrt(h_n), n < N.  The kernel's scaled
         table gives 2^f_n p_n(z) = v_n 2^(b_n), and F_n = sigma_n v_n 2^(b_n - t)
         for the integer t that puts the largest |F_n| in [1/2, 1), so only
-        sigma_n v_n rounds; s = lw/2 + t ln2 is one float.  Checked and
-        computed on the point's first use and then read from the store; a
-        point that fails its check raises and is not stored."""
+        sigma_n v_n rounds; s = lw/2 + t ln2 is one float.  The table runs
+        with the blocks of a batch, valid because a checked point has
+        |z| <= semi_x.  Checked and computed on the point's first use and
+        then read from the store; a point that fails its check raises and is
+        not stored."""
         key = complex(z)
         entry = self._store.get(key)
         if entry is None:
@@ -120,7 +124,7 @@ class FiniteKernel:
             lw = log_weight(self.gas, self.geometry, z)
             if lw == math.inf:
                 raise SingularPointError(f"point {z} sits on a weight singularity")
-            feats, t = _fold(*_scalar_steps(self._coefs, key), self._sigma)
+            feats, t = _fold(*_scalar_steps(self._coefs, key, self._block), self._sigma)
             entry = (_read_only(feats), _plus_bits(0.5 * lw, t))
             while len(self._store) >= _STORE_POINTS:
                 self._store.popitem(last=False)
@@ -150,9 +154,10 @@ class FiniteKernel:
         which is tested once per block.  A block's terms join the sum in one
         reduction over the rows [acc + first term; the other terms], which
         adds them in order of degree after the sum, as a degree-by-degree
-        run does, so the values are its bits (but for subnormal parts, at
-        points with a subnormal coordinate).  Every operation is per point,
-        so a value does not depend on the rest of its batch.
+        run does, so the values are its bits (but for parts that leave the
+        normal range, at points with a coordinate far below the other).
+        Every operation is per point, so a value does not depend on the
+        rest of its batch.
         """
         scalars = self._sigma * self._sigma if f1 is None else f1 * self._sigma
         terms = np.empty((self._block, zs.shape[0])) if f1 is None else None
@@ -331,9 +336,10 @@ def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> com
     target of the Gegenbauer gas under the sqrt(2 tau a) rescaling.
 
     The sum over n < N of u_n(z1) u_n(conj z2) runs the orthonormal Hermite
-    recurrence of `_hermite_coefficients` at both points, so no term takes a
-    log-gamma.  Each point's table is folded as `_point` folds its own, and
-    their exponents join the log of the Gaussian factor in one log scale.
+    recurrence of `_hermite_coefficients` at both points, with the blocks of
+    `_block_length` at the larger |z|, so no term takes a log-gamma.  Each
+    point's table is folded as `_point` folds its own, and their exponents
+    join the log of the Gaussian factor in one log scale.
     At tau = 0.5, N = 3000, z1 = z2 = 30+20i, where the terms peak near e^1400,
     it is within 4.6e-14 of a 50-digit sum.  Where the Gaussian factor is 0
     in the doubles the value is 0j, before the recurrence runs, which at
@@ -348,6 +354,7 @@ def kernel_elliptic_ginibre(tau: float, N: int, z1: complex, z2: complex) -> com
     if log_g == -math.inf:
         return 0j       # the Gaussian factor is 0, where the recurrence may overflow
     coefs = _hermite_coefficients(tau, N - 1)
-    (f1, t1), (f2, t2) = (_fold(*_scalar_steps(coefs, z)) for z in (z1, np.conj(z2)))
+    size = _block_length(coefs, max(abs(z1), abs(z2)))
+    (f1, t1), (f2, t2) = (_fold(*_scalar_steps(coefs, z, size)) for z in (z1, np.conj(z2)))
     return _times_exp(complex(np.dot(f1, f2)) / (math.pi * math.sqrt(1 - tau * tau)),
                       _plus_bits(log_g, t1 + t2))

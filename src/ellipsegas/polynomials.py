@@ -5,6 +5,13 @@ every call site sits in or near the ellipse where the polynomials are the
 dominant solution).  Values are carried as (mantissa, log_scale) pairs so
 that degrees up to 10^5 and arguments like 1/tau ~ 10^6 never overflow.
 
+One rescale rule serves every run: per point, the recurrence pair
+(p_{n-1}, p_n) shares one power-of-two exponent, tested once per block of
+`_block_length` degrees and moved by the frexp exponent of its larger
+magnitude when that leaves [2^-250, 2^250].  The one-point run
+(`_scalar_steps`, plain Python) and the batch run (`_blocks`, numpy) test
+at the same block starts, so they carry the same exponent at every degree.
+
 One normalisation serves the kernels: `log_raw_norms` gives log int |p_n|^2 w
 for the polynomial p_n the recurrence produces, from p_n(1/tau) for the
 Gegenbauer and Jacobi gases and from closed forms in the Joukowsky radius for
@@ -18,17 +25,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .geometry import EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _times_exp
+from .geometry import (EllipseGeometry, GasFamily, PolyFamily, PolyKind, _check, _check_point,
+                       _times_exp)
 from .specialfns import _LN2, _log_beta, _read_only, ln_gamma, ln_gamma_difference
 
-# a recurrence pair is rescaled when it leaves [2^-250, 2^250], so the square
-# of a value, which the streamed kernel sum takes, stays finite after any
-# block that `_block_length` allows; a rescale is by a power of two, so it
-# changes no bit
+# a recurrence pair is rescaled when, at a block start, it leaves
+# [2^-250, 2^250], so the square of a value, which the streamed kernel sum
+# takes, stays finite after any block that `_block_length` allows; a rescale
+# is by a power of two, so it changes no bit
 _RESCALE_LO, _RESCALE_HI = 2.0 ** -250, 2.0 ** 250
 # the largest Jacobi exponent alpha or gamma: the coefficients take products
 # of three factors of its size, which leave the doubles from about 5.6e102
@@ -52,7 +61,9 @@ class ScaledValue:
 
     @staticmethod
     def of(z: complex) -> "ScaledValue":
-        """z by the normalisation of `_scaled_table`; 0 as (0, 0)."""
+        """z by the normalisation of `_scaled_table`; 0 as (0, 0); DomainError
+        for a part that is inf or nan, which has no mantissa."""
+        _check_point("ScaledValue.of", complex(z), domain="plane")
         m = np.array([complex(z)])
         k = _normalise(m)
         return ScaledValue(complex(m[0]), float(k[0]) * _LN2) if z else ScaledValue(0.0, 0.0)
@@ -122,7 +133,8 @@ def _block_length(coefs, radius: float, log2_scale: float = 0.0) -> int:
     H = max (1 + |alpha_n| + |beta_n| radius)/|gamma_n| down, so
     K log2 G + log2_scale <= 250 keeps every term below 2^1000 and
     K log2 H <= 700 keeps the pair normal; a nan bound (a nan point) is
-    ignored."""
+    ignored.  Its blocks are where the one rescale rule tests, in
+    `_blocks` and in `_scalar_steps` alike."""
     lin0, lin1, quad = (np.abs(c[1:]) for c in coefs)
     lin = lin0 + lin1 * radius
     grow = math.log2(np.max(lin + quad, initial=2.0))
@@ -138,10 +150,11 @@ def _blocks(coefs, zs, size: int):
     Yields (n0, block, bits, rescaled) in order of degree, p_0 = 1 alone
     first: the rows of block are p_n(zs) 2^-bits for n = n0, n0 + 1, ...
     Per point the pair (p_{n-1}, p_n) that ends a block shares one exponent
-    and is rescaled when its larger magnitude leaves [2^-250, 2^250]; bits
-    changes only then, and rescaled says whether it did since the last
-    block.  A consumer may overwrite a block; bits is updated in place, so a
-    consumer copies what it keeps past the next block.  Rescales are powers
+    and is rescaled when its larger magnitude leaves [2^-250, 2^250], the
+    package's one rescale rule, which `_scalar_steps` tests at the same
+    block starts; bits changes only then, and rescaled says whether it did
+    since the last block.  A consumer may overwrite a block; bits is updated
+    in place, so a consumer copies what it keeps past the next block.  Rescales are powers
     of two, so where a block ends changes no bit of p_n(zs) that is not
     subnormal.
     """
@@ -173,34 +186,36 @@ def _blocks(coefs, zs, size: int):
         yield n0, buf[2:k + 2], bits, rescaled
 
 
-def _scalar_steps(coefs, z):
+def _scalar_steps(coefs, z, size: int):
     """(values, exponents) of p_0..p_n_max at one point, as arrays: the
-    recurrence of `_blocks` in plain Python, which beats numpy at one point.
-    A float z runs in float arithmetic, about 1.5x faster; its values are the
-    real parts of the run at complex(z) bit for bit, because every
-    coefficient is real.  The loop records only where the exponent changes."""
+    recurrence of `_blocks` in plain Python, which beats numpy at one point,
+    with its one rescale rule.  `size` is a block length of `_block_length`
+    at a radius of at least |z|; the pair is tested at the block starts
+    1, 1 + size, ..., as `_blocks(coefs, zs, size)` tests it, so the
+    exponents are those of `_blocks` at every degree, and no step tests a
+    magnitude.  A float z runs in float arithmetic, about 1.5x faster; its
+    values are the real parts of the run at complex(z) bit for bit, because
+    every coefficient is real."""
     lin0, lin1, quad = coefs
-    lins = (lin0[1:] + lin1[1:] * z).tolist()
+    steps = zip((lin0[1:] + lin1[1:] * z).tolist(), quad[1:].tolist())
     real = isinstance(z, float)
     prev, curr = (0.0, 1.0) if real else (0.0j, 1.0 + 0.0j)
-    vals, rescales = [curr], []
+    vals = [curr]
     append = vals.append
-    for lin, g_n in zip(lins, quad[1:].tolist()):
-        prev, curr = curr, lin * curr + g_n * prev
-        m = abs(curr)
-        if m > _RESCALE_HI or m < _RESCALE_LO:
-            big = max(m, abs(prev))
-            if big > _RESCALE_HI or 0.0 < big < _RESCALE_LO:
-                k = math.frexp(big)[1]
-                f = math.ldexp(1.0, -k)
-                prev *= f
-                curr *= f
-                rescales.append((len(vals), k))
-        append(curr)
-    bits = np.zeros(len(vals))
-    for n, k in rescales:
-        bits[n:] += k
-    return np.fromiter(vals, float if real else complex, len(vals)), bits
+    # the exponent added at each degree, summed at the end
+    shifts = np.zeros(len(lin0))
+    for n0 in range(1, len(lin0), size):
+        big = max(abs(prev), abs(curr))
+        if big > _RESCALE_HI or 0.0 < big < _RESCALE_LO:
+            k = math.frexp(big)[1]
+            f = math.ldexp(1.0, -k)
+            prev *= f
+            curr *= f
+            shifts[n0] = k
+        for lin, g_n in islice(steps, size):
+            prev, curr = curr, lin * curr + g_n * prev
+            append(curr)
+    return np.fromiter(vals, float if real else complex, len(vals)), np.cumsum(shifts)
 
 
 def _scaled_table(coefs, z):
@@ -208,13 +223,13 @@ def _scaled_table(coefs, z):
     point in plain Python, several block by block, with the block length
     that the largest |z| allows."""
     zs = np.atleast_1d(np.asarray(z)).ravel()
+    size = _block_length(coefs, np.max(np.abs(zs), initial=0.0))
     if zs.shape[0] == 1:
         z0 = complex(zs[0]) if np.iscomplexobj(zs) else float(zs[0])
-        mant, logs = (v[:, None] for v in _scalar_steps(coefs, z0))
+        mant, logs = (v[:, None] for v in _scalar_steps(coefs, z0, size))
     else:
         mant = np.empty((coefs[0].shape[0], zs.shape[0]), dtype=complex)
         logs = np.empty(mant.shape)
-        size = _block_length(coefs, np.max(np.abs(zs), initial=0.0))
         for n0, block, bits, _ in _blocks(coefs, zs.astype(complex), size):
             mant[n0:n0 + len(block)] = block
             logs[n0:n0 + len(block)] = bits
@@ -243,10 +258,12 @@ def scaled_sequence(family: PolyFamily, n_max: int, z):
     """All degrees 0..n_max at points z: mantissas [n_max+1, npts], logs alike.
 
     z may be a scalar or a 1-d complex array.  Per point, the recurrence pair
-    shares one running exponent and is rescaled whenever it leaves
-    [2^-250, 2^250]; emitted values are frexp-normalized.  One point runs a
-    plain-Python loop, several points one vectorized loop, block by block
-    (`_blocks`), which gives the bits of a degree-by-degree run.
+    shares one running exponent, tested at the start of each block of
+    `_block_length` degrees (for the largest |z|) and rescaled when it has
+    left [2^-250, 2^250]; emitted values are frexp-normalized.  One point
+    runs a plain-Python loop, several points one vectorized loop (`_blocks`);
+    both rescale at the same degrees and give the bits of a degree-by-degree
+    run.
     """
     return _scaled_table(_coefficients(family, n_max), z)
 

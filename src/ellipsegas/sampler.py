@@ -24,7 +24,9 @@ PRNG_ALGORITHM = "pcg64"
 # steps whose random numbers are drawn at once: bounded, so memory does not
 # grow with the steps
 DRAW_BLOCK = 2048
-# a chain warns once when more steps than this in a row are all rejected
+# a chain warns once when more steps than this in a row are all rejected, with
+# a UserWarning: a diagnostic of the chain, not a floating-point fault, so
+# `-W error::RuntimeWarning` leaves it a warning
 STREAK_LIMIT = 100_000
 # the normal double range, inside which a distance-ratio product is trusted
 _TINY = sys.float_info.min
@@ -236,7 +238,7 @@ def run_chain(gas: GasFamily, geometry: EllipseGeometry, N: int,
                     kept += thin
             step = stop
             if not warned and step - 1 - last > STREAK_LIMIT:
-                warnings.warn("zero-acceptance streak exceeded 1e5 steps", RuntimeWarning)
+                warnings.warn("zero-acceptance streak exceeded 1e5 steps", UserWarning)
                 warned = True
     # the parts of each coordinate are scaled as reals, so a zero keeps its sign
     return list((np.array(out, dtype=complex).view(float) * u).view(complex)), accepted / steps

@@ -494,7 +494,7 @@ def test_elliptic_ginibre_hermite_orthogonality():
     # checked by tensor Gauss-Hermite quadrature over the plane
     from numpy.polynomial.hermite import hermgauss
     from ellipsegas.kernels_finite import _hermite_coefficients
-    from ellipsegas.polynomials import _scalar_steps
+    from ellipsegas.polynomials import _block_length, _scalar_steps
 
     tau = 0.5
     u, wu = hermgauss(48)
@@ -503,10 +503,12 @@ def test_elliptic_ginibre_hermite_orthogonality():
     wx = wu * math.sqrt(1 + tau)
     wy = wu * math.sqrt(1 - tau)
     nmax = 4
+    coefs = _hermite_coefficients(tau, nmax)
     vals = np.zeros((nmax + 1, x.size, y.size), dtype=complex)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            mant, bits = _scalar_steps(_hermite_coefficients(tau, nmax), complex(xi, yj))
+            z = complex(xi, yj)
+            mant, bits = _scalar_steps(coefs, z, _block_length(coefs, abs(z)))
             vals[:, i, j] = np.array(mant) * np.exp2(bits)
     ref = math.pi * math.sqrt(1 - tau ** 2)
     for m in range(nmax + 1):
@@ -821,6 +823,77 @@ def test_scaled_sequence_of_a_batch_keeps_the_bits_of_the_per_degree_stream(fami
                 assert g.dtype == r.dtype and np.array_equal(g.view(np.int64), r.view(np.int64))
 
 
+def _per_degree_steps(coefs, z):
+    """`polynomials._scalar_steps` as it ran with a rescale test after every
+    degree: the pair is rescaled at the first degree whose value leaves
+    [2^-250, 2^250], in the same plain-Python arithmetic."""
+    lin0, lin1, quad = coefs
+    prev, curr = (0.0, 1.0) if isinstance(z, float) else (0j, 1 + 0j)
+    vals, bits, e = [curr], [0], 0
+    for lin, g_n in zip((lin0[1:] + lin1[1:] * z).tolist(), quad[1:].tolist()):
+        prev, curr = curr, lin * curr + g_n * prev
+        m = abs(curr)
+        if m > _RESCALE_HI or m < _RESCALE_LO:
+            big = max(m, abs(prev))
+            if big > _RESCALE_HI or 0.0 < big < _RESCALE_LO:
+                k = math.frexp(big)[1]
+                f = math.ldexp(1.0, -k)
+                prev *= f
+                curr *= f
+                e += k
+        vals.append(curr)
+        bits.append(e)
+    return np.array(vals), np.array(bits)
+
+
+def _exact_parts(vals, bits):
+    """The real and imaginary parts of vals 2^bits as frexp mantissas and
+    exponents, which no exponent range limits (0 with exponent 0).  A zero
+    compares equal whatever its sign: a rescale multiplies a complex value by
+    a real power of two, which may turn -0j into 0j."""
+    m, e = np.frexp(np.stack([vals.real, vals.imag]))
+    return m, np.where(m == 0.0, 0, e + bits)
+
+
+def _assert_one_rescale_rule(coefs, zs, size):
+    """At each point of zs, the one-point run carries the exponents of
+    `_blocks` at every degree, and its values are those of the per-degree
+    run bit for bit."""
+    exps = np.empty((coefs[0].shape[0], len(zs)))
+    for n0, block, bits, _ in polynomials._blocks(coefs, np.array(zs), size):
+        exps[n0:n0 + len(block)] = bits
+    for z, ref_bits in zip(zs, exps.T):
+        vals, bits = polynomials._scalar_steps(coefs, z, size)
+        assert np.array_equal(bits, ref_bits), z
+        for got, ref in zip(_exact_parts(vals, bits), _exact_parts(*_per_degree_steps(coefs, z))):
+            assert np.array_equal(got, ref), z
+
+
+@pytest.mark.parametrize("gas,geo", [
+    pytest.param(GasFamily(kind, a), EllipseGeometry(tau), id=f"{kind.value}-a{a}-tau{tau}")
+    for tau in (1e-6, 0.5, 1 - 1e-6) for kind in PolyKind
+    for a in ((-0.999, 0.5, 300.0) if kind in A_KINDS else (0.0,))])
+def test_one_point_runs_rescale_at_the_block_starts(gas, geo):
+    # one rescale rule: the one-point run of `eval` and of the norms at
+    # 1/tau tests its pair where `_blocks` does, so both carry one exponent
+    # at every degree, and a rescale is a power of two, so no bit moves
+    for N in (1, 33, 10_000):
+        kern = FiniteKernel(gas, geo, N)
+        pts = [0j, complex(0.6 * geo.semi_x, math.sqrt(0.64 - 1e-6) * geo.semi_y),
+               complex(1.0 - 1e-6, 0.0)]
+        _assert_one_rescale_rule(kern._coefs, pts, kern._block)
+        coefs = polynomials._coefficients(gas, N - 1)
+        _assert_one_rescale_rule(coefs, [1.0 / geo.tau],
+                                 polynomials._block_length(coefs, 1.0 / geo.tau))
+
+
+def test_the_hermite_run_rescales_at_the_block_starts():
+    # the elliptic Ginibre kernel's table at 30+20i, whose terms reach e^1400
+    coefs = kernels_finite._hermite_coefficients(0.5, 9_999)
+    z = 30.0 + 20.0j
+    _assert_one_rescale_rule(coefs, [z], polynomials._block_length(coefs, abs(z)))
+
+
 def test_empty_batches_and_one_degree_kernels_keep_their_shapes():
     geo = EllipseGeometry(0.5)
     kern = FiniteKernel(GasFamily(PolyKind.GEGENBAUER, 0.5), geo, 10)
@@ -894,9 +967,9 @@ def count_recurrences(monkeypatch):
     calls = []
     real = kernels_finite._scalar_steps
 
-    def counting(coefs, z):
+    def counting(coefs, z, size):
         calls.append(z)
-        return real(coefs, z)
+        return real(coefs, z, size)
     monkeypatch.setattr(kernels_finite, "_scalar_steps", counting)
     return calls
 

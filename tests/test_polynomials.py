@@ -189,6 +189,15 @@ def test_scaled_value_invariant_and_roundtrip():
     assert zero.mantissa == 0.0 and zero.log_scale == 0.0
 
 
+@pytest.mark.parametrize("z", [complex(x, 0.5) for x in (math.inf, -math.inf, math.nan)]
+                         + [complex(0.5, y) for y in (math.inf, -math.inf, math.nan)], ids=repr)
+def test_scaled_value_of_refuses_a_part_that_is_not_finite(z):
+    # inf and nan have no mantissa: refused before the frexp normalisation,
+    # which would warn on inf and carry nan on
+    with pytest.raises(DomainError, match="ScaledValue.of needs finite z"):
+        ScaledValue.of(z)
+
+
 def test_subnormal_values_keep_finite_mantissas():
     # the factor 2^-k that normalises a subnormal value leaves the double
     # range, so it is applied in two factors

@@ -291,7 +291,7 @@ def test_zero_acceptance_streak_warns():
     # and emits the diagnostics warning past 1e5 rejections
     settings = ChainSettings(steps=100_100, burn_in=10, thin=50_000,
                              proposal_sigma=1e6, seed=0)
-    with pytest.warns(RuntimeWarning, match="zero-acceptance"):
+    with pytest.warns(UserWarning, match="zero-acceptance"):
         samples, acc = run_chain(GAS, GEO, 3, settings)
     assert acc == 0.0
     assert len(samples) == 3
