@@ -240,8 +240,7 @@ def cmd_orthocheck(args) -> int:
 
     gas = _gas(args)
     geo = EllipseGeometry(args.tau)
-    spec = QuadratureSpec(args.radial_nodes, args.angular_nodes, 64)
-    z, w = rule_for_gas(gas, geo, spec)
+    z, w = rule_for_gas(gas, geo, QuadratureSpec(args.radial_nodes, args.angular_nodes))
     mant, logs = scaled_sequence(gas, args.max_degree, z)
     lh = log_raw_norms(gas, geo, args.max_degree)
     vals = mant * np.exp(logs - lh[:, None] / 2.0)

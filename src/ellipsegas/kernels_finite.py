@@ -55,7 +55,8 @@ import numpy as np
 from .errors import OutOfRangeError, SingularPointError
 from .geometry import (EllipseGeometry, GasFamily, _check, _check_point, _log_power, _times_exp,
                        log_weight, log_weight_values)
-from .polynomials import _block_length, _blocks, _coefficients, _scalar_steps, log_raw_norms
+from .polynomials import (_block_length, _blocks, _coefficients, _normalise, _scalar_steps,
+                          log_raw_norms)
 from .specialfns import _LN2, _plus_bits, _read_only, ln_gamma, ln_gamma_difference
 
 # points whose checked single-point table a kernel keeps, oldest evicted first
@@ -189,15 +190,16 @@ class FiniteKernel:
         with z1 checked before zs.  A single point is checked and kept by
         `_point` and evaluated by `_pair`, as `eval` is; a batch is checked as
         a whole and streamed against z1's kept table.  Each streamed sum is
-        folded to a mantissa in [1/2, 1) before it meets its exponential."""
+        folded to a mantissa in [1/2, 1) by `polynomials._normalise` before it
+        meets its exponential."""
         if len(zs) == 1:
             return np.array([self._pair(z1, complex(zs[0]))])
         # the log scale of a value is s1 + c lw(zs) plus the bits of its sum
         f1, s1, c = (None, 0.0, 1.0) if z1 is None else (*self._point(z1), 0.5)
         lws = self._check_points(zs)
         acc, top = self._stream(zs, f1)
-        e = np.frexp(np.abs(acc))[1]
-        return _times_exp(acc * np.exp2(-e), _plus_bits(s1 + c * lws, top + e))
+        e = _normalise(acc)
+        return _times_exp(acc, _plus_bits(s1 + c * lws, top + e))
 
     def __call__(self, z1: complex, z2: complex) -> complex:
         return self.eval(z1, z2)

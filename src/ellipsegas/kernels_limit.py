@@ -26,12 +26,19 @@ alone overflows past |Im z| of about 710 where F does not; J_nu(c w)
 phi(0) = m 2^k (`_phi_zero`); sin(c w)/w and cos(c w), w = sqrt(Z), for the
 left-focus kernels.  Only the phi features and the bulk features near the
 wall, whose exponents are then lowered by whole powers of two, have k != 0.
-sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by `_weights`,
-and each point's (F, l, k) by `_feature`, in one LRU cache of
-_FEATURES = 64 entries keyed on the kernel, a, s, the rule and the point's
-bits, signed zeros apart: 0.5-2 kB each, at most 128 kB, on the default
-64-node rule.  The half-line features of `bulk_strong` are 20 kB on the
-default 640-node rule and up to 512 KiB at the rule's node cap, so they
+The rule on [0, 1] is sized per pair by `quadrature._c_rule` from s and the
+larger |u| of the two node-function arguments, u = z for the bulk and
+sqrt Z otherwise: 64 2^j Gauss-Legendre nodes, j the least with
+s <= 50 2^j and |u| <= 60 2^j, and a refusal by name past 4096 nodes
+(s > 3200 or |u| > 3840).  The weak edge kernels form their weight in c as
+a double, which underflows on [0, 1] from s of about 705, so they refuse
+s > 690.  sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by
+`_weights`, and each point's (F, l, k) by `_feature`, in one LRU
+cache of _FEATURES = 64 entries keyed on the kernel, a, s, the rule and the
+point's bits, signed zeros apart: 16 bytes a node, 32 for the bulk, so
+1-2 kB on 64 nodes, 64-128 kB on 4096 and at most 8 MiB at the node cap.
+The half-line features of `bulk_strong` are 20 kB on the
+640-node rule of a below 8 and up to 512 KiB at the rule's node cap, so they
 have their own LRU cache of _HALF_LINE_FEATURES = 6 entries, at most
 3 MiB.  One call is two lookups, three real dot products, one exp and
 one ldexp per part, by 2^(k1 + k2) and, where e^(l1 + l2) is not a normal
@@ -60,18 +67,17 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
                        _kernel_of, _kind_arguments, _log_power, _times_exp, joukowsky_inverse)
-from .quadrature import HALF_LINE, UNIT_INTERVAL, QuadratureSpec, _c_rule, _check_tail, _gauss_rule
+from .quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _check_tail, _gauss_rule
 from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
                          log_i_ratio)
 
-_DEFAULT = QuadratureSpec()
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
 _GAMMA_SERIES_MAX = 5.0
-# per-point features kept by `_feature`, 0.5-2 kB each on the default rule;
-# a pair of points reads two
+# per-point features kept by `_feature`, 1-2 kB each on 64 nodes and up to
+# 128 kB at the node cap of the c-rule; a pair of points reads two
 _FEATURES = 64
 # per-point half-line features kept by `_half_line_feature`: 20 kB each on the
-# default 640-node rule, 512 KiB at the node cap of `quadrature`
+# 640-node rule of a below 8, 512 KiB at the node cap of `quadrature`
 _HALF_LINE_FEATURES = 6
 
 
@@ -162,9 +168,14 @@ def _edge_wall(s: float, Z: complex) -> float:
 
 def _edge_point(kind: str, a: float, s: float, Z: complex):
     """The wall factor q and w = sqrt Z; DomainError outside the parabolic
-    edge domain."""
+    edge domain.  The weight in c of the three weak edge kernels is formed as
+    a double, G(1) of about e^-s: from s of about 705 it leaves the normal
+    doubles at the last nodes, where the features of a point near the wall,
+    e^(c s/2) in size, need it, so s past 690 is refused by name."""
     _check("s", s)
     _check_point(kind, Z, params=(s,))
+    if s > 690.0:
+        raise OutOfRangeError(f"{kind} needs s <= 690, got {s:g}")
     return _log_power(0.5 * a, _edge_wall(s, Z)), cmath.sqrt(Z)
 
 
@@ -227,9 +238,12 @@ _half_line_feature = functools.lru_cache(maxsize=_HALF_LINE_FEATURES)(_build_fea
 
 
 def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
-                    spec: QuadratureSpec | None, rule: tuple | None = None) -> complex:
+                    rule: tuple | None = None) -> complex:
     """e^(l1 + l2) 2^(k1 + k2) F1 . conj F2 from the kept features of z1 and
-    z2, on the unit-interval c-rule of `spec` or on `rule`.  Where e^(l1 + l2)
+    z2, on `rule` or on the unit-interval c-rule that `_c_rule` sizes from s
+    and the larger |u| of the pair, u = z for the bulk and sqrt Z otherwise;
+    a parameter or point outside its domain is refused as such before a
+    refusal of that rule.  Where e^(l1 + l2)
     is not a normal double it is taken as 2^j e^r, j the whole number of ln2
     in l1 + l2 and r exact (divmod), and 2^(k1 + k2 + j) meets the product
     last, so only a value outside the normal doubles is refused.  On a half-line
@@ -237,8 +251,17 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     which must pass the tail test against the whole.  A product below the
     normal doubles has lost bits to the exponent range, and is refused like
     a value there."""
-    rule, sign = rule or _c_rule(UNIT_INTERVAL, spec or _DEFAULT), math.copysign
-    z1, z2 = complex(z1), complex(z2)
+    z1, z2, sign = complex(z1), complex(z2), math.copysign
+    if rule is None:
+        u = 2.0 * max(abs(0.5 * z1), abs(0.5 * z2))     # halved: no modulus overflows
+        try:
+            rule = _c_rule(UNIT_INTERVAL, s=s or 0.0, u=u if point is _bulk_point else math.sqrt(u),
+                           name=kind)
+        except OutOfRangeError:
+            _check("a", a)
+            for z in (z1, z2):
+                point(kind, a, s, z)
+            raise
     feature = _half_line_feature if rule[0] == HALF_LINE else _feature
     v1, r1, i1, l1, k1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
                                  sign(1, z1.imag))
@@ -250,7 +273,7 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
         # divergence flagged as inf
         return 0j if ell < 0 else complex(math.inf, 0.0)
     j, r = (0, ell) if _LOG_TINY <= ell <= _LOG_MAX else divmod(ell, _LN2)
-    re, im = v1.dot(v2), i1.dot(r2) - r1.dot(i2)
+    re, im = float(v1.dot(v2)), float(i1.dot(r2) - r1.dot(i2))
     e = math.exp(r)
     if feature is _half_line_feature:
         last = 4 * _gauss_rule(*rule)[1].shape[1]     # the last panel's floats of F
@@ -305,8 +328,7 @@ def ginibre_kernel(u1: complex, u2: complex) -> complex:
     return 2.0 / math.pi * cmath.exp(complex(-(d.real * d.real + d.imag * d.imag), phase))
 
 
-def bulk_weak(a: float, s: float, z1: complex, z2: complex,
-              spec: QuadratureSpec | None = None) -> complex:
+def bulk_weak(a: float, s: float, z1: complex, z2: complex) -> complex:
     """Deformed sine kernel of the weak bulk limit at the origin.
 
     K(z1,z2) = (2/(s pi^{3/2} Gamma(a+1))) prod_j (1-4 yhat_j^2/s^2)^{a/2}
@@ -314,11 +336,10 @@ def bulk_weak(a: float, s: float, z1: complex, z2: complex,
 
     summed as the product of the bulk features of the two points.
     """
-    return _feature_kernel("bulk-weak", _bulk_point, _bulk_nodes, a, s, z1, z2, spec)
+    return _feature_kernel("bulk-weak", _bulk_point, _bulk_nodes, a, s, z1, z2)
 
 
-def bulk_strong(a: float, z1: complex, z2: complex,
-                spec: QuadratureSpec | None = None) -> complex:
+def bulk_strong(a: float, z1: complex, z2: complex) -> complex:
     """Strong non-Hermitian bulk kernel on the unit-width strip,
 
         (2/(pi^{3/2} Gamma(a+1))) prod_j (1-4 y_j^2)^{a/2}
@@ -330,44 +351,42 @@ def bulk_strong(a: float, z1: complex, z2: complex,
     features of the two points on its nodes; TailDivergenceError where the
     last panel's share of that product is not negligible, as near the wall
     at large a, where the integrand peaks near a/(1 - |y1 + y2|): so
-    bulk_strong(500, 0.1+0.45j, 0.1+0.45j) is refused.  With the default
-    spec that rule has 16(a+2) nodes from a = 38 on, so past a = 1022 it
+    bulk_strong(500, 0.1+0.45j, 0.1+0.45j) is refused.  That rule has
+    16(a+2) nodes from a = 38 on, so past a = 1022 it
     exceeds the half-line node cap of `quadrature` and the kernel raises
     OutOfRangeError, first, whatever the walls.  A wall factor q <= 0 takes
     the hard-wall limit, as in the feature kernels.  A point whose product
     with the last node passes the doubles (from x of about 3.6e306 at
     a < 8) is refused with OutOfRangeError.
     """
-    rule = _c_rule(HALF_LINE, spec or _DEFAULT, a)
-    return _feature_kernel("bulk-strong", _bulk_point, _bulk_nodes, a, 1.0, z1, z2, spec, rule)
+    rule = _c_rule(HALF_LINE, a)
+    return _feature_kernel("bulk-strong", _bulk_point, _bulk_nodes, a, 1.0, z1, z2, rule)
 
 
-def edge_weak(a: float, s: float, Z1: complex, Z2: complex,
-              spec: QuadratureSpec | None = None) -> complex:
+def edge_weak(a: float, s: float, Z1: complex, Z2: complex) -> complex:
     """Deformed Bessel kernel of the weak edge limit at the +1 focus,
 
         (1/(2 s sqrt(pi) Gamma(a+1))) prod_j q_j^{a/2}
             * int_0^1 dc c^{2a+2} (cs/2)^{a+1/2}/I_{a+1/2}(cs) phi(c w1) conj phi(c w2),
 
     w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`."""
-    return _feature_kernel("edge-weak", _edge_point, _phi_nodes, a, s, Z1, Z2, spec)
+    return _feature_kernel("edge-weak", _edge_point, _phi_nodes, a, s, Z1, Z2)
 
 
-def bessel_kernel(a: float, X1: float, X2: float,
-                  spec: QuadratureSpec | None = None) -> float:
+def bessel_kernel(a: float, X1: float, X2: float) -> float:
     """Hard-edge Bessel kernel
     (1/4)(X1 X2)^{-1/4} int_0^1 c J_nu(c sqrt X1) J_nu(c sqrt X2) dc, nu = a + 1/2.
 
     Evaluated as (1/4)(X1 X2)^{a/2} int_0^1 c^{2a+2} phi(c sqrt X1) phi(c sqrt X2) dc
     with the entire phi(u) = J_nu(u) u^{-nu}, which also holds on X = 0: there
     the kernel is 0 for a > 0, its continuous limit for a = 0 and, for a < 0,
-    an integrable divergence flagged as inf.  Refused past X = W_MAX^2: the
-    integrand oscillates at frequency sqrt(X1) + sqrt(X2) on [0,1], beyond
-    what the c-nodes resolve; refused too where the integral or the value
-    falls below the normal doubles, and, by DomainError, off the real line.
+    an integrable divergence flagged as inf.  Refused past X = W_MAX^2, the
+    reach of the checked J evaluations of `specialfns`, so its c-rule keeps
+    64 nodes; refused too where the integral or the value falls below the
+    normal doubles, and, by DomainError, off the real line.
     """
     _check_point("bessel", X1, X2)
-    return _feature_kernel("bessel", _bessel_point, _phi_nodes, a, None, X1, X2, spec).real
+    return _feature_kernel("bessel", _bessel_point, _phi_nodes, a, None, X1, X2).real
 
 
 def edge_strong(a: float, Z1: complex, Z2: complex) -> complex:
@@ -454,44 +473,38 @@ def _lower_gamma_ratio_cf(s: float, z: complex) -> complex:
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 
-def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex,
-                         spec: QuadratureSpec | None = None) -> complex:
+def edge_weak_minus_sine(a: float, s: float, Z1: complex, Z2: complex) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, +1/2) Jacobi gas.
 
     Sine-type integrand: the J_{1/2} pair collapses to sin(c w)/w, w = sqrt Z,
     and the wall factor is 1 - 2 (|Z| - X)/s^2.
     """
-    return _feature_kernel("edge-weak-minus-sine", _left_focus_point, _sine_nodes, a, s, Z1, Z2,
-                           spec)
+    return _feature_kernel("edge-weak-minus-sine", _left_focus_point, _sine_nodes, a, s, Z1, Z2)
 
 
-def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex,
-                           spec: QuadratureSpec | None = None) -> complex:
+def edge_weak_minus_cosine(a: float, s: float, Z1: complex, Z2: complex) -> complex:
     """Left-focus weak edge kernel of the (a+1/2, -1/2) Jacobi gas
     (cosine-type), with node function cos(c sqrt Z) and the factor
     |Z1 Z2|^{-1/2}; also the Chebyshev-I edge kernel at a = 0.
     SingularPointError at the focus Z = 0."""
-    return _feature_kernel("edge-weak-minus-cosine", _cosine_point, _cosine_nodes, a, s, Z1, Z2,
-                           spec)
+    return _feature_kernel("edge-weak-minus-cosine", _cosine_point, _cosine_nodes, a, s, Z1, Z2)
 
 
 def bulk_from_edge_check(a: float, s: float, kappa: float, z1: complex, z2: complex,
-                         h: float, spec: QuadratureSpec | None = None):
+                         h: float):
     """Pair (4h * edge_weak at Z = kappa h - 2 sqrt(h) zhat, closed bulk form).
 
     The caller asserts closeness; at kappa = 1 the closed form is bulk_weak,
     and at any kappa it is bulk_weak at zhat / sqrt(kappa), over kappa:
     DomainError for a zhat outside the kappa-scaled strip
-    |Im zhat| <= sqrt(kappa) s/2.  The edge integrand oscillates at frequency
-    ~ sqrt(kappa h), so spec.c_nodes must grow with sqrt(h).
+    |Im zhat| <= sqrt(kappa) s/2.
     """
-    _check("s", s)
     if kappa <= 0 or h <= 0:
         raise DomainError("kappa and h must be positive")
     z1, z2, root = complex(z1), complex(z2), math.sqrt(kappa)
-    second = bulk_weak(a, s, z1 / root, z2 / root, spec) / kappa
+    second = bulk_weak(a, s, z1 / root, z2 / root) / kappa
     Z1, Z2 = (kappa * h - 2.0 * math.sqrt(h) * z for z in (z1, z2))
-    return 4.0 * h * edge_weak(a, s, Z1, Z2, spec), second
+    return 4.0 * h * edge_weak(a, s, Z1, Z2), second
 
 
 # ---------------------------------------------------------------------------

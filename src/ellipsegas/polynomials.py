@@ -97,9 +97,8 @@ def _jacobi_coefficients(alpha: float, gamma: float, n_max: int):
 def _coefficients(family: PolyFamily, n_max: int):
     """z-independent (alpha_n, beta_n, gamma_n) of the family's recurrence
     p_n = (alpha_n + beta_n z) p_{n-1} + gamma_n p_{n-2}, n = 1..n_max
-    (p_0 = 1, p_{-1} = 0; index 0 is unused).  Cached, because a kernel
-    evaluates the same family to the same degree at every point; the arrays
-    are read-only."""
+    (p_0 = 1, p_{-1} = 0; index 0 is unused).  Cached; the arrays are
+    read-only."""
     return _read_only(*_build_coefficients(family, n_max))
 
 

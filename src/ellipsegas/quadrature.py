@@ -28,11 +28,14 @@ weight, which cancels to rounding.  `rule_for_gas` gives a gas's rule, and
 `ellipse_rule` that of the a = 0 disc gas or, for a focal integrand, of
 the Chebyshev-T gas: an exponent belongs to the gas, and `QuadratureSpec`
 holds node counts only.  The rules in c on [0, 1] and on the half line
-[0, inf) are set in one place, `_c_rule`: the half line of an integrand of
-exponent a is truncated at T = max(50, 5(a+2)), in panels of
-min(5, max(1, T/40)), for `bulk_strong` at its a and for `integrate_c` at
-a = 0.  The Gauss-Jacobi rules, and the
-Legendre rules of `integrate_c`, run no recurrence of their own:
+[0, inf) are set in one place, `_c_rule`.  On [0, 1] a kernel's rule is
+sized from its s and the argument u of its node functions: 64 2^j
+Gauss-Legendre nodes, j the least with s <= 50 2^j and |u| <= 60 2^j, up to
+4096 nodes, past which the kernel is refused by name; `integrate_c` takes
+the 64-node rule.  The half line of an integrand of exponent a is truncated
+at T = max(50, 5(a+2)), in panels of min(5, max(1, T/40)) of 16 nodes, for
+`bulk_strong` at its a and for `integrate_c` at a = 0.  The Gauss-Jacobi
+rules, and the Legendre rules of the c-rules, run no recurrence of their own:
 `_jacobi_rule` takes the Jacobi coefficients and the block core, with its
 rescale window, from `polynomials`.  Summation order is fixed (numpy
 pairwise over a frozen node ordering), making results independent of any
@@ -64,16 +67,23 @@ _RULE_CACHE = 128
 # where the per-node series it replaced took 0.39 s, 0.37 s and 31 s; the
 # kernel's values past a = 1022 are unchecked, so the refusal stays
 _HALF_LINE_CAP = 2 ** 14
+# the unit-interval c-rules of `_c_rule`, (rule, largest s, largest |u|):
+# 64 2^j nodes up to s = 50 2^j and |u| = 60 2^j, j <= 6.  Against an
+# 8192-node rule, at a in {-0.5, 0.5, 30}, 64 nodes were within 2.6e-14 of
+# the kernels' scale up to s = 70 and |u| = 80, and 2e-8 and 8e-8 off at
+# s = 200 and |u| = 100; 128 nodes were within 1.1e-13 at s = 300 and
+# 2.7e-15 at |u| = 150.  A first bulk_weak call took 0.13 s on 2048 nodes
+# and 0.23 s on 4096 on a 2-vCPU VM
+_C_RULES = tuple(((UNIT_INTERVAL, 64 << j), 50.0 * 2 ** j, 60.0 * 2 ** j) for j in range(7))
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     radial_nodes: int = 96
     angular_nodes: int = 128
-    c_nodes: int = 64
 
     def __post_init__(self):
-        if min(self.radial_nodes, self.angular_nodes, self.c_nodes) < 4:
+        if min(self.radial_nodes, self.angular_nodes) < 4:
             raise DomainError("all node counts must be >= 4")
 
 
@@ -175,19 +185,23 @@ def _gauss_rule(kind: str, n: int, *params: float):
     return _read_only((tm[:, None] + th[:, None] * x).ravel(), np.outer(th, w))
 
 
-def _c_rule(domain: str, spec: QuadratureSpec, a: float = 0.0,
-            truncation: float | None = None, panel: float | None = None) -> tuple:
+def _c_rule(domain: str, a=0.0, truncation=None, panel=None, *, s=0.0, u=0.0, name="c-rule"):
     """The `_gauss_rule` arguments of the c-rule on `domain`, the one place
-    that sets the half-line rule: the half line [0, inf) of an integrand of
-    exponent a, which peaks near t = a, is truncated at T = max(50, 5(a+2))
-    and cut into panels of min(5, max(1, T/40)), or of the truncation and
-    panel given."""
+    that sets them.  On [0, 1], for a weight in cs and node functions of
+    c u, the first rule of `_C_RULES` that reaches s and |u|, and
+    OutOfRangeError naming `name` past the last.  The half line [0, inf) of
+    an integrand of exponent a, which peaks near t = a, is truncated at
+    T = max(50, 5(a+2)) and cut into panels of min(5, max(1, T/40)), or of
+    the truncation and panel given, with 16 nodes a panel."""
     if domain == UNIT_INTERVAL:
-        return UNIT_INTERVAL, spec.c_nodes
+        for rule, hi_s, hi_u in _C_RULES:
+            if s <= hi_s and u <= hi_u:
+                return rule
+        raise OutOfRangeError(f"{name} needs s <= {hi_s:g} and |u| <= {hi_u:g}, got {s:g}, {u:.6g}")
     if domain != HALF_LINE:
         raise DomainError(f"unknown domain {domain!r}")
     T = truncation or max(50.0, 5.0 * (a + 2.0))
-    return HALF_LINE, spec.c_nodes, T, panel or min(5.0, max(1.0, T / 40.0))
+    return HALF_LINE, 64, T, panel or min(5.0, max(1.0, T / 40.0))
 
 
 @lru_cache(maxsize=64)
@@ -256,11 +270,11 @@ def _check_tail(last: float, total: float) -> None:
                                   "increase truncation or check integrand decay")
 
 
-def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None = None,
-                panel: float | None = None) -> complex:
+def integrate_c(g, domain: str, truncation=None, panel=None) -> complex:
     """Integrate g over c in [0,1] or t in [0,inf) (paneled, truncated).
 
-    The half line takes the rule of `_c_rule` at a = 0, truncated at 50 in
+    [0, 1] takes the 64-node rule of `_c_rule`, and the half line its rule
+    at a = 0, truncated at 50 in
     panels of 1.25, or at the truncation and in the panels given; the final
     panel must be negligible or the integrand is flagged as non-decaying.
     An integrand that is not finite at a node, such as an underflowed factor
@@ -268,7 +282,7 @@ def integrate_c(g, domain: str, spec: QuadratureSpec, truncation: float | None =
     rather than return nan.  g sees the nodes as one flat array, the same
     read-only array on every call with the same rule.
     """
-    c, w = _gauss_rule(*_c_rule(domain, spec, 0.0, truncation, panel))
+    c, w = _gauss_rule(*_c_rule(domain, 0.0, truncation, panel))
     vals = np.asarray(g(c), dtype=complex)
     if domain == UNIT_INTERVAL:
         total = complex((w * vals).sum())

@@ -220,7 +220,6 @@ def _rising_reciprocals(nu: float, terms: int) -> np.ndarray:
     return _read_only(_ascending(nu, 1.0, terms))
 
 
-@functools.lru_cache(maxsize=256)
 def _series_terms(nu: float, q_max: float) -> int:
     """Terms of the ascending series in q = (x/2)^2 that leave a tail below
     _TAIL of the sum of |terms| at every q <= q_max: the terms are positive
@@ -272,14 +271,13 @@ def _debye_polynomials() -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=256)
 def _debye_coefficients(nu: float) -> np.ndarray:
-    """sum_k U_k(p) nu^-k as one polynomial in p; read-only."""
+    """sum_k U_k(p) nu^-k as one polynomial in p."""
     polys = _debye_polynomials()
     out = np.zeros(polys[-1].size)
     for k, u in enumerate(polys):
         out[:u.size] += u * nu ** -k
-    return _read_only(out)
+    return out
 
 
 def _hankel_min(nu: float) -> float:

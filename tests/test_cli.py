@@ -255,6 +255,17 @@ def test_converge_strong_study(tmp_path):
     assert sups[0] > sups[1] > sups[2]
 
 
+def test_converge_strong_study_default_schedule_agrees_to_rounding(tmp_path):
+    # s^2 K_weak(s z) equals K_strong(z) well below 1e-12 from s = 100 on;
+    # a c-rule that does not grow with s reads 4.3e-11 and 6.7e-8 at s = 200
+    # and 400, its own error rather than the limit's convergence
+    out = tmp_path / "cs.json"
+    assert run(["converge", "--study", "strong", "--a", "1", "--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["s"] for r in rows] == [100, 200, 400]
+    assert all(r["sup_discrepancy"] <= 1e-12 for r in rows)
+
+
 def test_converge_strong_study_evaluates_the_limit_once_per_point(tmp_path, monkeypatch):
     import ellipsegas.kernels_limit as kernels_limit
 

@@ -356,7 +356,7 @@ def test_log_partition_brute_force_quadrature_N2():
     a, tau = 1.0, 0.5
     geo = EllipseGeometry(tau)
     gas = GasFamily(PolyKind.GEGENBAUER, a)
-    z, w = rule_for_gas(gas, geo, QuadratureSpec(24, 32, 8))
+    z, w = rule_for_gas(gas, geo, QuadratureSpec(24, 32))
     wv = w * np.array([weight(gas, geo, p) for p in z])
     diff2 = np.abs(z[:, None] - z[None, :]) ** 2
     Z2 = float(np.einsum("i,j,ij->", wv, wv, diff2))

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         LimitKernelSpec, LimitKind, OutOfRangeError, PolyKind,
-                        QuadratureSpec, SingularPointError, TailDivergenceError, bessel_kernel, bulk_from_edge_check,
+                        SingularPointError, TailDivergenceError, bessel_kernel, bulk_from_edge_check,
                         bulk_strong, bulk_weak, edge_strong, edge_weak,
                         edge_weak_minus_cosine, edge_weak_minus_sine,
                         ginibre_kernel, global_kernel_t, global_kernel_u,
@@ -108,15 +109,19 @@ def test_bulk_weak_finite_N_oracle():
 
 
 def _bulk_weak_sum_in_40_digits(a, s, z1, z2):
-    """The 64-node sum of bulk_weak, its weight G and cos(c(z1 - conj z2))
-    taken in 40 digits at the rule's double nodes and weights."""
+    """The sum of bulk_weak on its own c-rule, its weight G and
+    cos(c(z1 - conj z2)) taken in 40 digits at the rule's double nodes and
+    weights, over the nodes whose terms, bounded by W G e^(c |Im(z1 - conj
+    z2)|), are within e^-100 of the largest."""
     mpmath = pytest.importorskip("mpmath")
-    c, w = _gauss_rule(UNIT_INTERVAL, 64)
+    c, w = _gauss_rule(*_c_rule(UNIT_INTERVAL, s=s, u=max(abs(z1), abs(z2))))
+    bound = np.log(w) + log_i_ratio(a + 0.5, c * s) + c * abs((z1 - z2.conjugate()).imag)
+    keep = bound >= bound.max() - 100.0
     with mpmath.workdps(40):
         a, s = mpmath.mpf(a), mpmath.mpf(s)
         d = mpmath.mpc(z1) - mpmath.conj(mpmath.mpc(z2))
         total = mpmath.mpf(0)
-        for ci, wi in zip(c.tolist(), w.tolist()):
+        for ci, wi in zip(c[keep].tolist(), w[keep].tolist()):
             x = mpmath.mpf(ci) * s
             g = 2 * (x / 2) ** (a + 0.5) / (s * mpmath.pi ** 1.5 * mpmath.gamma(a + 1)
                                             * mpmath.besseli(a + 0.5, x))
@@ -128,8 +133,9 @@ def _bulk_weak_sum_in_40_digits(a, s, z1, z2):
 
 def test_bulk_weak_answers_where_cos_cz_overflows():
     # past |Im z| of about 710 cos(cz) overflows while sqrt(W G) cos(cz) does
-    # not; the features are formed in log space.  The 64-node rule itself is
-    # 2.9e-5 off the integral here: 30-digit mpmath.quad gives 1.19627764459e-05
+    # not; the features are formed in log space.  The kernel's 4096-node rule
+    # is within 1e-13 of the integral here: 30-digit mpmath.quad gives
+    # 1.19627764459e-05, where a 64-node rule is 2.9e-5 off
     a, s = 0.5, 3000.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -185,7 +191,7 @@ def test_edge_weak_branch_flip_invariance():
     # at -sqrt(Z) give the value of those at sqrt(Z)
     a, s = 1.5, 0.8
     Z1, Z2 = 0.6 + 0.4j, 1.3 - 0.2j
-    rule = _c_rule(UNIT_INTERVAL, QuadratureSpec())
+    rule = _c_rule(UNIT_INTERVAL)
     w1, w2 = np.sqrt(Z1), np.sqrt(Z2)
 
     def phi(w):
@@ -254,8 +260,7 @@ def test_bessel_kernel_on_the_edge_X_zero():
 
 
 def test_bessel_kernel_refuses_beyond_w_max_squared():
-    # at X = 1e4 the integrand oscillates at ~200 rad on [0,1], which the
-    # default c-nodes alias
+    # X = 1e4 is past W_MAX^2 = 3600, the reach of the checked J evaluations
     with pytest.raises(OutOfRangeError):
         bessel_kernel(0.0, 1e4, 1e4)
     with pytest.raises(OutOfRangeError):
@@ -276,36 +281,68 @@ def test_quadrature_kernels_refuse_where_the_integrand_leaves_the_double_range(c
         call()
 
 
+@functools.lru_cache(maxsize=None)
+def _ratio_mp(nu, s, c, dps):
+    """(cs/2)^nu / I_nu(cs) at the working precision dps, kept per node: the
+    quadratures of one (a, s) share their nodes."""
+    import mpmath
+    return (c * s / 2) ** nu / mpmath.besseli(nu, c * s)
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_mp(nu, u, dps):
+    """phi(u) = J_nu(u) u^-nu at the working precision dps, kept per argument."""
+    import mpmath
+    return mpmath.hyp0f1(nu + 1, -u * u / 4) / (2 ** nu * mpmath.gamma(nu + 1))
+
+
+def _integrand_mp(kind, a, s, Z1, Z2):
+    """(prefactor, integrand of c) of a weak unit-interval or Bessel kernel
+    in mpmath at its working precision: the kernel is the prefactor times
+    the integral of the integrand over [0, 1]."""
+    import mpmath
+    dps = mpmath.mp.dps
+    a = mpmath.mpf(a)
+    s = mpmath.mpf(s or 1)
+    nu = a + mpmath.mpf(1) / 2
+    Z1, Z2 = mpmath.mpc(Z1), mpmath.mpc(Z2)
+    ratio = lambda c: _ratio_mp(nu, s, c, dps)
+    pref = 1 / (s * mpmath.pi ** 1.5 * mpmath.gamma(a + 1))
+    if kind == "bulk-weak":
+        d = Z1 - mpmath.conj(Z2)
+        walls = [1 - 4 * Z.imag ** 2 / s ** 2 for Z in (Z1, Z2)]
+        pref, f = 2 * pref, lambda c: ratio(c) * mpmath.cos(c * d)
+    else:
+        w1, w2 = mpmath.sqrt(Z1), mpmath.sqrt(mpmath.conj(Z2))
+        phi = lambda u: _phi_mp(nu, u, dps)
+        walls = [s * s / 4 + Z.real - (Z.imag / s) ** 2 for Z in (Z1, Z2)]
+    if kind == "bessel":
+        pref, walls = (Z1.real * Z2.real) ** (a / 2) / 4, []
+        f = lambda c: c ** (2 * a + 2) * phi(c * w1) * phi(c * w2)
+    elif kind == "edge-weak":
+        pref *= mpmath.pi / 2
+        f = lambda c: ratio(c) * c ** (2 * a + 2) * phi(c * w1) * phi(c * w2)
+    elif kind != "bulk-weak":
+        walls = [1 - 2 / (s * s) * (abs(Z) - Z.real) for Z in (Z1, Z2)]
+        if kind == "edge-weak-minus-sine":
+            f = lambda c: ratio(c) * mpmath.sin(c * w1) / w1 * mpmath.sin(c * w2) / w2
+        else:
+            pref /= mpmath.sqrt(abs(Z1) * abs(Z2))
+            f = lambda c: ratio(c) * mpmath.cos(c * w1) * mpmath.cos(c * w2)
+    for q in walls:
+        pref *= q ** (a / 2)
+    return pref, f
+
+
 def _rule_sum_40(kind, a, s, Z1, Z2):
     """A weak-edge or Bessel kernel as the 40-digit sum of its own integrand
-    over the default 64-node c-rule, whose nodes and weights are taken as
-    exact: it measures rounding alone."""
+    over its own c-rule, whose nodes and weights are taken as exact: it
+    measures rounding alone."""
     mpmath = pytest.importorskip("mpmath")
-    c, w = _gauss_rule(*_c_rule(UNIT_INTERVAL, QuadratureSpec()))
+    u = math.sqrt(max(abs(Z1), abs(Z2)))
+    c, w = _gauss_rule(*_c_rule(UNIT_INTERVAL, s=s or 0.0, u=u))
     with mpmath.workdps(40):
-        a, s = mpmath.mpf(a), mpmath.mpf(s)
-        nu = a + mpmath.mpf(1) / 2
-        Z1, Z2 = mpmath.mpc(Z1), mpmath.mpc(Z2)
-        w1, w2 = mpmath.sqrt(Z1), mpmath.sqrt(mpmath.conj(Z2))
-        ratio = lambda c: (c * s / 2) ** nu / mpmath.besseli(nu, c * s)
-        phi = lambda u: mpmath.hyp0f1(nu + 1, -u * u / 4) / (2 ** nu * mpmath.gamma(nu + 1))
-        walls = [s * s / 4 + Z.real - (Z.imag / s) ** 2 for Z in (Z1, Z2)]
-        pref = 1 / (s * mpmath.pi ** 1.5 * mpmath.gamma(a + 1))
-        if kind == "bessel":
-            pref, walls = (Z1.real * Z2.real) ** (a / 2) / 4, []
-            f = lambda c: c ** (2 * a + 2) * phi(c * w1) * phi(c * w2)
-        elif kind == "edge-weak":
-            pref *= mpmath.pi / 2
-            f = lambda c: ratio(c) * c ** (2 * a + 2) * phi(c * w1) * phi(c * w2)
-        else:
-            walls = [1 - 2 / (s * s) * (abs(Z) - Z.real) for Z in (Z1, Z2)]
-            if kind == "edge-weak-minus-sine":
-                f = lambda c: ratio(c) * mpmath.sin(c * w1) / w1 * mpmath.sin(c * w2) / w2
-            else:
-                pref /= mpmath.sqrt(abs(Z1) * abs(Z2))
-                f = lambda c: ratio(c) * mpmath.cos(c * w1) * mpmath.cos(c * w2)
-        for q in walls:
-            pref *= q ** (a / 2)
+        pref, f = _integrand_mp(kind, a, s, Z1, Z2)
         return complex(pref * mpmath.fsum(mpmath.mpf(wi) * f(mpmath.mpf(ci))
                                           for ci, wi in zip(c.tolist(), w.tolist())))
 
@@ -401,12 +438,83 @@ def test_real_point_kernels_reject_complex_points():
         bessel_kernel(0.5, 1.0, 2.0)
 
 
+# ------------------------------------------------- the c-rule against mpmath.quad
+
+_UNIT_INTERVAL_KERNELS = {"bulk-weak": bulk_weak, **_EDGE_KERNELS}
+
+
+def _quad_30(kind, a, s, z1, z2, pieces):
+    """A weak unit-interval kernel by 30-digit mpmath.quad, with breakpoints
+    at 1/s, 10/s and 100/s, where its weight in c falls by e^-1, e^-10 and
+    e^-100, and at the ends of `pieces` equal pieces of [0, 1].  quad stops
+    on an absolute error estimate, so the integrand is first divided by a
+    rough integral of its modulus."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pref, f = _integrand_mp(kind, a, s, z1, z2)
+        cuts = sorted({mpmath.mpf(k) / s for k in (1, 10, 100) if k < s}
+                      | {mpmath.mpf(j) / pieces for j in range(pieces + 1)})
+        size = mpmath.quad(lambda c: abs(f(c)), cuts, method="gauss-legendre", maxdegree=3)
+        return complex(pref * size * mpmath.quad(lambda c: f(c) / size, cuts,
+                                                 method="gauss-legendre"))
+
+
+def _agrees_or_refuses(kind, a, s, points, refused):
+    """Every pair of `points` agrees with `_quad_30` to 1e-13 of
+    sqrt(K11 K22), or the kernel refuses each by name; K(z2, z1) is
+    conj K(z1, z2) bit for bit, so a pair is taken in one order.  Every
+    quadrature cuts [0, 1] at the same points, one or more per 10 radians of
+    the fastest pair's oscillation, so that they share their nodes."""
+    kernel = _UNIT_INTERVAL_KERNELS[kind]
+    if refused:
+        for z1, z2 in itertools.product(points, repeat=2):
+            with pytest.raises(OutOfRangeError, match=f"^{kind} needs"):
+                kernel(a, s, z1, z2)
+        return
+    u = max(abs((z if kind == "bulk-weak" else cmath.sqrt(z)).real) for z in points)
+    pieces = 1 + int(2.0 * u / 10.0)
+    diagonal = [_quad_30(kind, a, s, z, z, pieces).real for z in points]
+    for (i, z1), (j, z2) in itertools.combinations_with_replacement(enumerate(points), 2):
+        ref = diagonal[i] if i == j else _quad_30(kind, a, s, z1, z2, pieces)
+        got = kernel(a, s, z1, z2)
+        scale = math.sqrt(diagonal[i]) * math.sqrt(diagonal[j])
+        assert abs(got - ref) <= 1e-13 * scale, (kind, a, s, z1, z2, got, ref)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.5, 30.0])
+@pytest.mark.parametrize("s", [1.0, 100.0, 300.0, 1e3, 1e4])
+@pytest.mark.parametrize("kind", sorted(_UNIT_INTERVAL_KERNELS))
+def test_unit_interval_kernels_against_mpmath_quad_in_s(kind, a, s):
+    # a point near the centre and one within 1% of the wall: the weight in
+    # c decays like e^-cs, and the wall point's node functions grow like
+    # e^(c s/2).  A c-rule of 64 nodes was 2e-8 off at s = 200 (bulk-weak,
+    # a = -0.5) and 2.6e-4 at s = 1e3 (a = 0.5).  Refused by name: past the
+    # rule's node cap (s > 3200), and the edge kernels past s = 690, short
+    # of where their weight in c leaves the normal doubles
+    if kind == "bulk-weak":
+        points = [0.3 + 0.1j, complex(-0.2, 0.495 * s)]
+    else:
+        points = [1.0 + 0.5j, complex(-0.99 * s * s / 4.0, 0.0)]
+    refused = s > 3200.0 or (kind != "bulk-weak" and s > 690.0)
+    _agrees_or_refuses(kind, a, s, points, refused)
+
+
+@pytest.mark.parametrize("Z", [3600.0, 1e4, 1e5])
+@pytest.mark.parametrize("kind", sorted(_EDGE_KERNELS))
+def test_edge_kernels_against_mpmath_quad_in_Z(kind, Z):
+    # the node functions of sqrt Z oscillate at up to 2 sqrt|Z| radians over
+    # [0, 1]: a c-rule of 64 nodes was 4.1e-8 off at Z = 1e4 and 4.8e-2 at
+    # Z = 1e5 (edge-weak, a = 0.5, s = 1).  One a: each quadrature of 1e5
+    # takes about 3000 nodes of 30-digit Bessel functions
+    _agrees_or_refuses(kind, 0.5, 1.0, [complex(Z, 0.0), 1.0 + 0.5j], False)
+
+
 # --------------------------------------------------------------------- strong bulk
 
 def test_bulk_strong_matches_weak_at_large_s():
     a, s = 1.0, 40.0
     for zt in (0.0, 0.1 + 0.2j, -0.3 + 0.25j):
-        kw = s ** 2 * bulk_weak(a, s, s * zt, s * zt, QuadratureSpec(c_nodes=256))
+        kw = s ** 2 * bulk_weak(a, s, s * zt, s * zt)
         ks = bulk_strong(a, zt, zt)
         assert abs(kw - ks) <= 1e-3
 
@@ -443,7 +551,7 @@ def test_bulk_strong_refuses_past_the_half_line_node_cap():
     with pytest.raises(OutOfRangeError):       # also where a wall would give 0
         bulk_strong(1e8, 0.5j, 0.0)
     with pytest.raises(OutOfRangeError):
-        integrate_c(np.cos, HALF_LINE, QuadratureSpec(), truncation=1e6, panel=1.0)
+        integrate_c(np.cos, HALF_LINE, truncation=1e6, panel=1.0)
     assert _gauss_rule(HALF_LINE, 64, 5120.0, 5.0)[0].size == 16384   # a = 1022 answers
 
 
@@ -496,8 +604,7 @@ def test_edge_strong_matches_weak_at_large_s():
     for Zt in (0.5, 1.0 + 0.5j, 2.0 - 1.0j):
         X = (Zt.real - s / 2) * s / 2
         Y = Zt.imag * s / 2
-        kw = (s ** 2 / 4) * edge_weak(a, s, complex(X, Y), complex(X, Y),
-                                      QuadratureSpec(c_nodes=512))
+        kw = (s ** 2 / 4) * edge_weak(a, s, complex(X, Y), complex(X, Y))
         ks = edge_strong(a, Zt, Zt)
         assert abs(kw - ks) <= 1e-3
 
@@ -641,12 +748,11 @@ def test_bulk_from_edge_formula_identity_at_kappa_one():
 
 def test_bulk_from_edge_convergence():
     a, s, kappa = 0.0, 1.0, 1.0
-    spec = QuadratureSpec(c_nodes=1024)
-    first, second = bulk_from_edge_check(a, s, kappa, 0.0, 0.0, h=1e4, spec=spec)
+    first, second = bulk_from_edge_check(a, s, kappa, 0.0, 0.0, h=1e4)
     assert abs(first - second) <= 1e-2
     # h-doubling shrinks the discrepancy
-    d1 = abs(np.subtract(*bulk_from_edge_check(a, s, kappa, 0.0, 0.0, h=400.0, spec=spec)))
-    d2 = abs(np.subtract(*bulk_from_edge_check(a, s, kappa, 0.0, 0.0, h=1600.0, spec=spec)))
+    d1 = abs(np.subtract(*bulk_from_edge_check(a, s, kappa, 0.0, 0.0, h=400.0)))
+    d2 = abs(np.subtract(*bulk_from_edge_check(a, s, kappa, 0.0, 0.0, h=1600.0)))
     assert d2 < d1
 
 
@@ -820,7 +926,7 @@ def test_limit_spec_takes_a_kind_by_its_name():
 
 def test_bulk_strong_takes_its_half_line_rule_from_c_rule(monkeypatch):
     # the one owner of the half-line rule is quadrature._c_rule at the
-    # kernel's a, whatever the spec's node counts
+    # kernel's a
     rules = []
     real = kernels_limit._feature_kernel
 
@@ -829,11 +935,11 @@ def test_bulk_strong_takes_its_half_line_rule_from_c_rule(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels_limit, "_feature_kernel", spy)
-    for a, spec in ((-0.5, None), (0.5, None), (9.0, None), (40.0, QuadratureSpec(c_nodes=32))):
-        bulk_strong(a, 0.1 + 0.05j, 0.1 + 0.05j, spec)
-        assert rules[-1] == _c_rule(HALF_LINE, spec or QuadratureSpec(), a)
+    for a in (-0.5, 0.5, 9.0, 40.0):
+        bulk_strong(a, 0.1 + 0.05j, 0.1 + 0.05j)
+        assert rules[-1] == _c_rule(HALF_LINE, a)
     assert rules == [(HALF_LINE, 64, 50.0, 1.25), (HALF_LINE, 64, 50.0, 1.25),
-                     (HALF_LINE, 64, 55.0, 1.375), (HALF_LINE, 32, 210.0, 5.0)]
+                     (HALF_LINE, 64, 55.0, 1.375), (HALF_LINE, 64, 210.0, 5.0)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -923,14 +1029,15 @@ def test_bulk_features_near_the_wall_answer_past_the_old_overflow_refusal():
         else:
             with pytest.raises(OutOfRangeError, match="outside the normal double range"):
                 bulk_strong(a, 0.1, z)
-    # against 40 digits: 4.3e-13 off at s = 2000; at s = 1e8 the exponents
-    # L -+ cy of the leading nodes are near 1.7e4, each rounded to eps
-    # relative (2e-12), and the value is 1.6e-11 off
-    for a, s, y, tol in ((1000.0, 2000.0, 900.0, 1e-12), (200.0, 1e8, 4.99e7, 5e-11)):
-        z = complex(0.0, y)
-        value = bulk_weak(a, s, z, z)
-        assert abs(value - _bulk_weak_sum_in_40_digits(a, s, z, z)) <= tol * abs(value)
-        assert bulk_weak(a, s, complex(0.0, s / 2), z) == 0.0
+    # against 40 digits at s = 2000, on the kernel's 4096-node rule; s = 1e8,
+    # whose exponents L -+ cy passed 1.7e4 on the 64-node rule, is past the
+    # node cap of the c-rule and refused by name
+    a, s, z = 1000.0, 2000.0, 900j
+    value = bulk_weak(a, s, z, z)
+    assert abs(value - _bulk_weak_sum_in_40_digits(a, s, z, z)) <= 1e-12 * abs(value)
+    assert bulk_weak(a, s, complex(0.0, s / 2), z) == 0.0
+    with pytest.raises(OutOfRangeError, match="^bulk-weak needs s <= 3200"):
+        bulk_weak(200.0, 1e8, 4.99e7j, 4.99e7j)
 
 
 # ------------------------------------------------------- dispatch and series cap
@@ -1168,7 +1275,7 @@ def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, *
     def g(c):
         return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
 
-    return complex(integrate_c(g, domain, QuadratureSpec(), **half_line))
+    return complex(integrate_c(g, domain, **half_line))
 
 
 def _closure_bulk_weak(a, s, z1, z2):
@@ -1180,7 +1287,7 @@ def _closure_bulk_weak(a, s, z1, z2):
 
 def _strong_half_line(a):
     """The truncation and panel of bulk_strong's half-line rule."""
-    _, _, truncation, panel = _c_rule(HALF_LINE, QuadratureSpec(), a)
+    _, _, truncation, panel = _c_rule(HALF_LINE, a)
     return {"truncation": truncation, "panel": panel}
 
 
@@ -1195,7 +1302,7 @@ def _uncached_bulk_strong(a, z1, z2):
 def _bulk_strong_term_moduli(a, z1, z2):
     """The sum of the moduli of the terms of `_uncached_bulk_strong`'s node
     sum, walls included: the scale of its rounding."""
-    t, w = _gauss_rule(*_c_rule(HALF_LINE, QuadratureSpec(), a))
+    t, w = _gauss_rule(*_c_rule(HALF_LINE, a))
     lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
              + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
              + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
@@ -1243,9 +1350,9 @@ def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind,
 
 def test_cached_arrays_are_read_only():
     bulk_strong(0.5, 0.2j, 0.1)
-    arrays = [_weights(0.5, 1.0, _c_rule(HALF_LINE, QuadratureSpec()), "log"),
-              _weights(0.5, 1.0, _c_rule(UNIT_INTERVAL, QuadratureSpec()), "sqrt"),
-              _weights(0.8, None, _c_rule(UNIT_INTERVAL, QuadratureSpec()), "phi")]
+    arrays = [_weights(0.5, 1.0, _c_rule(HALF_LINE), "log"),
+              _weights(0.5, 1.0, _c_rule(UNIT_INTERVAL), "sqrt"),
+              _weights(0.8, None, _c_rule(UNIT_INTERVAL), "phi")]
     for kind, s, z in _FEATURE_POINTS:
         arrays += _kept_feature(kind, 0.8, s, z, 1.0, 1.0)[:3]
     assert len(arrays) == 3 + 3 * 6
@@ -1276,10 +1383,10 @@ def _kept_feature(kind, a, s, z, re_sign, im_sign, cache=None):
     """The kept (V, Re F, Im F, l) of a point, on the kernel's default rule,
     from `cache` if given: the strong bulk's on its half line at s = 1."""
     if kind == "strong":
-        rule = _c_rule(HALF_LINE, QuadratureSpec(), a)
+        rule = _c_rule(HALF_LINE, a)
         s, cache = 1.0, cache or _half_line_feature
     else:
-        rule, cache = _c_rule(UNIT_INTERVAL, QuadratureSpec()), cache or _feature
+        rule, cache = _c_rule(UNIT_INTERVAL), cache or _feature
     return cache(_FEATURE_KERNELS[kind][0], *_functions(kind), a, s, rule, z, re_sign, im_sign)
 
 

@@ -17,7 +17,7 @@ from conftest import gas_cases
 
 def test_area_is_exact():
     geo = EllipseGeometry(0.6)
-    spec = QuadratureSpec(48, 64, 16)
+    spec = QuadratureSpec(48, 64)
     val = integrate_ellipse(lambda z: np.ones_like(z, dtype=float), geo, spec)
     assert val.real == pytest.approx(geo.area, rel=1e-12)
     assert abs(val.imag) < 1e-14
@@ -26,14 +26,14 @@ def test_area_is_exact():
 def test_weight_normalization_example():
     # integral of the a=0 weight is the area: 2 pi/3 at tau = 0.6
     geo = EllipseGeometry(0.6)
-    spec = QuadratureSpec(48, 64, 16)
+    spec = QuadratureSpec(48, 64)
     val = integrate_ellipse(lambda z: np.ones_like(z, dtype=float), geo, spec)
     assert val.real == pytest.approx(2 * math.pi / 3, rel=1e-12)
     # and for general a the closed form pi sqrt(1-tau^2)/(2 tau (a+1))
     a, tau = 2.5, 0.45
     geo = EllipseGeometry(tau)
     gas = GasFamily(PolyKind.GEGENBAUER, a)
-    z, w = rule_for_gas(gas, geo, QuadratureSpec(48, 64, 16))
+    z, w = rule_for_gas(gas, geo, QuadratureSpec(48, 64))
     val = np.sum(w * np.array([weight(gas, geo, p) for p in z]))
     ref = math.pi * math.sqrt(1 - tau ** 2) / (2 * tau * (a + 1))
     assert val.real == pytest.approx(ref, rel=1e-12)
@@ -106,14 +106,13 @@ def test_self_convergence_node_doubling(gas, geo):
     kern = FiniteKernel(gas, geo, 6)
     vals = []
     for nr, nth in ((48, 64), (96, 128)):
-        z, w = rule_for_gas(gas, geo, QuadratureSpec(nr, nth, 16))
+        z, w = rule_for_gas(gas, geo, QuadratureSpec(nr, nth))
         vals.append(np.sum(w * kern.diagonal(z)))
     assert abs(vals[0] - vals[1]) < 1e-10
 
 
 def test_integrate_c_examples():
-    spec = QuadratureSpec(16, 16, 64)
-    assert integrate_c(lambda c: c, UNIT_INTERVAL, spec).real == pytest.approx(0.5, rel=1e-14)
+    assert integrate_c(lambda c: c, UNIT_INTERVAL).real == pytest.approx(0.5, rel=1e-14)
     # small-s law: c^{a+1/2}/I_{a+1/2}(cs) * Gamma(a+3/2) (2/s)^{a+1/2} -> 1
     from ellipsegas import log_i_ratio
     a, s = 1.0, 1e-6
@@ -123,7 +122,7 @@ def test_integrate_c_examples():
         return np.array([math.exp(log_i_ratio(nu, ci * s) - math.lgamma(nu + 1))
                          for ci in c])
 
-    val = integrate_c(g, UNIT_INTERVAL, spec)
+    val = integrate_c(g, UNIT_INTERVAL)
     assert val.real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -135,8 +134,7 @@ def test_integrate_c_half_line_against_trapezoid_oracle():
         return np.array([math.exp(log_i_ratio(0.5, ti) + 0.5 * math.log(ti)
                                   - 0.5 * math.log(ti / 2)) for ti in t])
 
-    spec = QuadratureSpec(16, 16, 64)
-    val = integrate_c(g, HALF_LINE, spec).real
+    val = integrate_c(g, HALF_LINE).real
     # 10^6-node trapezoid oracle
     t = np.linspace(1e-9, 60.0, 1_000_001)
     oracle = np.trapezoid(np.sqrt(math.pi / 2) * t / np.sinh(t), t)
@@ -145,9 +143,8 @@ def test_integrate_c_half_line_against_trapezoid_oracle():
 
 
 def test_half_line_tail_divergence_detected():
-    spec = QuadratureSpec(16, 16, 32)
     with pytest.raises(TailDivergenceError):
-        integrate_c(lambda t: np.ones_like(t), HALF_LINE, spec, truncation=60.0)
+        integrate_c(lambda t: np.ones_like(t), HALF_LINE, truncation=60.0)
 
 
 def test_half_line_calls_its_integrand_once_on_all_panels():
@@ -157,7 +154,7 @@ def test_half_line_calls_its_integrand_once_on_all_panels():
         calls.append(t)
         return np.exp(-t)
 
-    val = integrate_c(g, HALF_LINE, QuadratureSpec(16, 16, 64), truncation=50.0, panel=1.25)
+    val = integrate_c(g, HALF_LINE, truncation=50.0, panel=1.25)
     assert val.real == pytest.approx(1.0, rel=1e-13)
     assert len(calls) == 1 and calls[0].shape == (40 * 16,)
     assert 0.0 < calls[0].min() and calls[0].max() < 50.0
@@ -176,8 +173,7 @@ def test_half_line_equals_the_panel_by_panel_sum(truncation, panel):
         tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
         total += complex(np.sum(w * th * g(tm + th * x)))
         t0 = t1
-    got = integrate_c(g, HALF_LINE, QuadratureSpec(16, 16, 64), truncation=truncation,
-                      panel=panel)
+    got = integrate_c(g, HALF_LINE, truncation=truncation, panel=panel)
     assert got == total
 
 
@@ -187,7 +183,7 @@ def test_quadrature_spec_validation():
         QuadratureSpec(radial_nodes=2)
     # node counts only: an exponent belongs to the gas or to the half-line rule
     assert [f.name for f in dataclasses.fields(QuadratureSpec)] == [
-        "radial_nodes", "angular_nodes", "c_nodes"]
+        "radial_nodes", "angular_nodes"]
 
 
 def test_rule_is_deterministic():
@@ -225,23 +221,37 @@ def test_integrate_c_passes_the_cached_nodes():
         seen.append(c)
         return np.exp(-c)
 
-    spec = QuadratureSpec(16, 16, 64)
-    integrate_c(g, UNIT_INTERVAL, spec)
-    integrate_c(g, HALF_LINE, spec, truncation=50.0, panel=1.25)
-    integrate_c(g, HALF_LINE, spec)
-    assert seen[0] is _gauss_rule(*_c_rule(UNIT_INTERVAL, spec))[0]
+    integrate_c(g, UNIT_INTERVAL)
+    integrate_c(g, HALF_LINE, truncation=50.0, panel=1.25)
+    integrate_c(g, HALF_LINE)
+    assert seen[0] is _gauss_rule(*_c_rule(UNIT_INTERVAL))[0]
     assert seen[1] is _gauss_rule(HALF_LINE, 64, 50.0, 1.25)[0]
     # the default half line is the rule of a = 0
     assert seen[2] is seen[1]
-    # the truncation is max(50, 5(a+2)) and the panel min(5, max(1, T/40))
-    spec = QuadratureSpec(c_nodes=32)
-    assert _c_rule(HALF_LINE, spec) == (HALF_LINE, 32, 50.0, 1.25)
-    assert _c_rule(HALF_LINE, spec, 9.0) == (HALF_LINE, 32, 55.0, 1.375)
-    assert _c_rule(HALF_LINE, spec, 1000.0) == (HALF_LINE, 32, 5010.0, 5.0)
-    assert _c_rule(HALF_LINE, spec, 9.0, truncation=60.0) == (HALF_LINE, 32, 60.0, 1.5)
-    assert _c_rule(HALF_LINE, spec, 9.0, panel=2.0) == (HALF_LINE, 32, 55.0, 2.0)
+    # the truncation is max(50, 5(a+2)) and the panel min(5, max(1, T/40)),
+    # with 16 nodes per panel
+    assert _c_rule(HALF_LINE) == (HALF_LINE, 64, 50.0, 1.25)
+    assert _c_rule(HALF_LINE, 9.0) == (HALF_LINE, 64, 55.0, 1.375)
+    assert _c_rule(HALF_LINE, 1000.0) == (HALF_LINE, 64, 5010.0, 5.0)
+    assert _c_rule(HALF_LINE, 9.0, truncation=60.0) == (HALF_LINE, 64, 60.0, 1.5)
+    assert _c_rule(HALF_LINE, 9.0, panel=2.0) == (HALF_LINE, 64, 55.0, 2.0)
     with pytest.raises(DomainError):
-        _c_rule("circle", spec)
+        _c_rule("circle")
+
+
+@pytest.mark.parametrize("s, u, nodes", [
+    (0.0, 0.0, 64), (50.0, 60.0, 64), (50.5, 1.0, 128), (1.0, 60.5, 128), (100.0, 120.0, 128),
+    (300.0, 0.0, 512), (1e3, 3.0, 2048), (3.0, 316.3, 512), (3200.0, 3840.0, 4096)])
+def test_unit_interval_rule_is_sized_from_s_and_u(s, u, nodes):
+    # 64 2^j nodes, j the least with s <= 50 2^j and |u| <= 60 2^j
+    assert _c_rule(UNIT_INTERVAL, s=s, u=u) == (UNIT_INTERVAL, nodes)
+
+
+@pytest.mark.parametrize("s, u", [(3200.5, 0.0), (1.0, 3841.0), (1e4, 0.0), (math.nan, 0.0),
+                                  (1.0, math.inf)])
+def test_unit_interval_rule_refuses_past_its_node_cap_by_name(s, u):
+    with pytest.raises(OutOfRangeError, match=r"bulk-weak needs s <= 3200 and \|u\| <= 3840"):
+        _c_rule(UNIT_INTERVAL, s=s, u=u, name="bulk-weak")
 
 
 @pytest.mark.parametrize("focal", [False, True])
@@ -259,7 +269,7 @@ def test_cached_ellipse_rules_are_read_only(focal):
 def test_ellipse_rule_and_the_gas_rules_share_one_builder():
     # the plain rule is the a = 0 Gegenbauer gas's, the focal one Chebyshev T's
     geo = EllipseGeometry(0.3)
-    spec = QuadratureSpec(24, 32, 8)
+    spec = QuadratureSpec(24, 32)
     for focal, kind in ((False, PolyKind.GEGENBAUER), (True, PolyKind.CHEBYSHEV_T)):
         rule = ellipse_rule(geo, spec, focal=focal)
         assert rule[1] is rule_for_gas(GasFamily(kind), geo, spec)[1]
@@ -324,7 +334,7 @@ def test_gas_rules_give_no_weight_where_the_gas_weight_underflows(kind):
     geo, gas = EllipseGeometry(0.5), GasFamily(kind, 1000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z, w = rule_for_gas(gas, geo, QuadratureSpec(400, 32, 8))
+        z, w = rule_for_gas(gas, geo, QuadratureSpec(400, 32))
     wv = weight_values(gas, geo, z)
     assert np.any(wv == 0.0) and np.all(w[wv == 0.0] == 0.0)
     assert math.log(np.sum(w * wv)) == pytest.approx(log_raw_norms(gas, geo, 0)[0], abs=1e-13)

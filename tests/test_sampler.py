@@ -47,7 +47,7 @@ def test_log_density_flags():
 def test_exp_log_density_integrates_to_partition():
     # int int e^{log_density} = Z_2 = 2 h_0 h_1 at low precision
     from ellipsegas import QuadratureSpec, log_partition, rule_for_gas, weight
-    z, w = rule_for_gas(GAS, GEO, QuadratureSpec(20, 24, 8))
+    z, w = rule_for_gas(GAS, GEO, QuadratureSpec(20, 24))
     wv = w * np.array([weight(GAS, GEO, p) for p in z])
     diff2 = np.abs(z[:, None] - z[None, :]) ** 2
     Z2 = float(np.einsum("i,j,ij->", wv, wv, diff2))
