@@ -36,6 +36,11 @@ def correlation_k(kernel, points) -> float:
     return det.real
 
 
+# the most cells that a GridSpec takes: on a 2-vCPU VM `density` on a
+# 1024 x 1024 grid took 0.69 s and 220 MB, about 210 B a cell
+_MAX_CELLS = 2 ** 20
+
+
 def _centres(lo: float, hi: float, n: int, d: float) -> np.ndarray:
     """Centres of n cells of width d on [lo, hi], each from the nearer edge."""
     i = np.arange(n)
@@ -63,8 +68,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise DomainError("grid must have nx, ny >= 1")
+        if not (min(self.nx, self.ny) >= 1 and self.nx * self.ny <= _MAX_CELLS):
+            raise DomainError(f"grid needs nx, ny >= 1 and nx * ny <= {_MAX_CELLS}, "
+                              f"got {self.nx}, {self.ny}")
         if not (0.0 < self.dx < math.inf and 0.0 < self.dy < math.inf):
             raise DomainError("grid ranges must be finite and increasing")
 
@@ -150,10 +156,8 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
     (a_n = 0, a weight even in x, and odd rescale maps), so their columns
     right of the middle mirror in the same way, and on a window symmetric
     about the origin a quarter of the cells is evaluated.  A streamed point
-    does not depend on the rest of its batch, so the values are those of
-    evaluating every cell; where the fold would leave a single point, which
-    `FiniteKernel.diagonal` sums by its one-point path, every cell is
-    evaluated.
+    does not depend on the rest of its batch, a batch of one point included,
+    so the values are those of evaluating every cell.
     """
     fmap, factor = _rescale(kernel, rescale)
     xs, ys = grid.xs, grid.ys
@@ -164,14 +168,11 @@ def density_grid(kernel: FiniteKernel, grid: GridSpec, rescale: str = "none") ->
     ok = ellipse_deficit(kernel.geometry, w) >= 0.0
     ok[ok] = log_weight_values(kernel.gas, kernel.geometry, w[ok]) < math.inf
     todo = ok & ~cols[:, None] & ~rows
-    if np.count_nonzero(todo) == 1:
-        todo = ok
     vals = np.zeros((grid.nx, grid.ny))
     if todo.any():
         vals[todo] = factor * kernel.diagonal(w[todo])
-    if todo is not ok:
-        vals[cols] = vals[::-1][cols]
-        vals[:, rows] = vals[:, ::-1][:, rows]
+    vals[cols] = vals[::-1][cols]
+    vals[:, rows] = vals[:, ::-1][:, rows]
     return DensityGrid(grid, vals)
 
 

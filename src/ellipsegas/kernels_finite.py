@@ -19,16 +19,17 @@ q_n = p_n/sqrt(h_n), with the largest |F_n| in [1/2, 1); a pair of points
 is one conjugate dot product of two tables times e^(s1 + s2).  A kernel
 keeps the checked entry of each of the last `_STORE_POINTS` points it was
 asked for, so a k-point determinant runs k recurrences; at 16 B per term
-the store holds at most about 5.1 MB at N = 10^4.  A batch (`_stream`) runs
-the table block by block, K degrees at a time, vectorized over the points,
-with one magnitude, one rescale test, one alignment to each point's largest
-exponent and one reduction per block, and never holds an [N, points] table;
-each sum is folded to a mantissa in [1/2, 1) before it meets its
-exponential.  K comes from the kernel alone (`polynomials._block_length`:
-at most 32, fewer where one step of the scaled table can grow or shrink a
-value fast), and the diagonal of 808 points at N = 300 takes about half the
-time of a degree-by-degree run.  Every operation is per point, so a
-streamed value does not depend on the rest of its batch.  A row
+the store holds at most about 5.1 MB at N = 10^4.  A batch (`_stream`), of
+one point or many, runs the table block by block, K degrees at a time,
+vectorized over the points, with one magnitude, one rescale test, one
+alignment to each point's largest exponent and one reduction per block, and
+never holds an [N, points] table; each sum is folded to a mantissa in
+[1/2, 1) before it meets its exponential.  K comes from the kernel alone
+(`polynomials._block_length`: at most 32, fewer where one step of the
+scaled table can grow or shrink a value fast), and the diagonal of 808
+points at N = 300 takes about half the time of a degree-by-degree run.
+Every operation is per point, so a streamed value does not depend on the
+rest of its batch, a batch of one point included.  A row
 K_N(z1, zs) streams zs against z1's kept table.  Every integer exponent
 becomes a log through `_plus_bits`, which rounds no exponent times ln 2,
 and a value whose log scale leaves the double range raises
@@ -132,17 +133,6 @@ class FiniteKernel:
             self._store[key] = entry
         return entry
 
-    def _pair(self, z1, z2):
-        """K_N(z1, z2) of two single points as one product of their feature
-        tables, sum_n F_n(z1) conj F_n(z2) e^(s1 + s2); the real K_N(z2, z2)
-        when z1 is None or equal to z2.  z1 is checked first."""
-        if z1 is not None:
-            f1, s1 = self._point(z1)
-        f2, s2 = self._point(z2)
-        if z1 is None or z1 == z2:
-            return _times_exp(float(np.vdot(f2, f2).real), 2.0 * s2)
-        return _times_exp(complex(np.vdot(f2, f1)), s1 + s2)
-
     def _stream(self, zs: np.ndarray, f1=None):
         """(acc, bits) with acc 2^bits the sum over n of sigma_n^2 |P_n(zs)|^2,
         or of f1_n sigma_n conj P_n(zs) for a first point's kept feature table
@@ -158,8 +148,12 @@ class FiniteKernel:
         run does, so the values are its bits (but for parts that leave the
         normal range, at points with a coordinate far below the other).
         Every operation is per point, so a value does not depend on the
-        rest of its batch.
+        rest of its batch.  numpy runs a batch of one point through other
+        loops (it sums a lone column pairwise, and an in-place complex
+        product of one element rounds otherwise), so the batch streams with
+        one more point, z = 0, whose sum is dropped.
         """
+        zs = np.append(zs, 0j)
         scalars = self._sigma * self._sigma if f1 is None else f1 * self._sigma
         terms = np.empty((self._block, zs.shape[0])) if f1 is None else None
         acc = np.zeros(zs.shape, dtype=scalars.dtype)
@@ -183,17 +177,17 @@ class FiniteKernel:
             # acc first, then the terms in order of degree
             rows[0] += acc
             np.add.reduce(rows, axis=0, out=acc)
-        return acc, top
+        return acc[:-1], top[:-1]
 
     def _kernel(self, z1, zs: np.ndarray) -> np.ndarray:
         """K_N(z1, zs[i]), or the diagonal K_N(zs[i], zs[i]) when z1 is None,
-        with z1 checked before zs.  A single point is checked and kept by
-        `_point` and evaluated by `_pair`, as `eval` is; a batch is checked as
-        a whole and streamed against z1's kept table.  Each streamed sum is
-        folded to a mantissa in [1/2, 1) by `polynomials._normalise` before it
-        meets its exponential."""
-        if len(zs) == 1:
-            return np.array([self._pair(z1, complex(zs[0]))])
+        with z1 checked before zs.  The batch, of one point or of many, is
+        checked as a whole and streamed against z1's kept table, so a point's
+        value has the bits it has inside any larger batch.  A one-point batch
+        is not `eval`, a dot product of two folded feature tables, so the two
+        can differ in the last bits.  Each streamed sum is folded to a
+        mantissa in [1/2, 1) by `polynomials._normalise` before it meets its
+        exponential."""
         # the log scale of a value is s1 + c lw(zs) plus the bits of its sum
         f1, s1, c = (None, 0.0, 1.0) if z1 is None else (*self._point(z1), 0.5)
         lws = self._check_points(zs)
@@ -205,7 +199,14 @@ class FiniteKernel:
         return self.eval(z1, z2)
 
     def eval(self, z1: complex, z2: complex) -> complex:
-        return complex(self._pair(z1, z2))
+        """K_N(z1, z2) of two single points as one product of their feature
+        tables, sum_n F_n(z1) conj F_n(z2) e^(s1 + s2), with a zero imaginary
+        part where z1 equals z2.  z1 is checked first."""
+        f1, s1 = self._point(z1)
+        f2, s2 = self._point(z2)
+        if z1 == z2:
+            return complex(_times_exp(float(np.vdot(f2, f2).real), 2.0 * s2))
+        return complex(_times_exp(complex(np.vdot(f2, f1)), s1 + s2))
 
     def diagonal(self, zs) -> np.ndarray:
         """Density rho_1 = K_N(z, z) at a batch of points of the ellipse;
@@ -215,9 +216,10 @@ class FiniteKernel:
 
     def eval_batch(self, z1: complex, zs) -> np.ndarray:
         """K_N(z1, zs[i]) for a batch of second arguments, with the domain
-        checks of `eval`; complex, also where zs is the one point z1."""
+        checks of `eval`; complex, as z1's feature table is, also where zs is
+        the one point z1."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        return self._kernel(z1, zs.ravel()).astype(complex, copy=False).reshape(zs.shape)
+        return self._kernel(z1, zs.ravel()).reshape(zs.shape)
 
 
 def kernel_eval(kernel: FiniteKernel, z1: complex, z2: complex) -> complex:

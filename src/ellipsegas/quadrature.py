@@ -34,12 +34,12 @@ Gauss-Legendre nodes, j the least with s <= 50 2^j and |u| <= 60 2^j, up to
 4096 nodes, past which the kernel is refused by name; `integrate_c` takes
 the 64-node rule.  The half line of an integrand of exponent a is truncated
 at T = max(50, 5(a+2)), in panels of min(5, max(1, T/40)) of 16 nodes, for
-`bulk_strong` at its a and for `integrate_c` at a = 0.  The Gauss-Jacobi
-rules, and the Legendre rules of the c-rules, run no recurrence of their own:
-`_jacobi_rule` takes the Jacobi coefficients and the block core, with its
-rescale window, from `polynomials`.  Summation order is fixed (numpy
-pairwise over a frozen node ordering), making results independent of any
-data-parallel evaluation.
+`bulk_strong` and for `integrate_c` at the a they are given: a is the only
+input of the half-line rule.  The Gauss-Jacobi rules, and the Legendre
+rules of the c-rules, run no recurrence of their own: `_jacobi_rule` takes
+the Jacobi coefficients and the block core, with its rescale window, from
+`polynomials`.  Summation order is fixed (numpy pairwise over a frozen node
+ordering), making results independent of any data-parallel evaluation.
 """
 
 from __future__ import annotations
@@ -77,14 +77,25 @@ _HALF_LINE_CAP = 2 ** 14
 _C_RULES = tuple(((UNIT_INTERVAL, 64 << j), 50.0 * 2 ** j, 60.0 * 2 ** j) for j in range(7))
 
 
+# the largest radial node count and product rule that a QuadratureSpec takes.
+# On a 2-vCPU VM the dense Golub-Welsch solve of 2048 radial nodes took 1.0 s
+# and 67 MB, and it grows as n^3 and n^2; `orthocheck` at 512 x 512 = 2^18
+# nodes took 0.35 s and 179 MB, about 700 B a node
+_MAX_RADIAL = 2048
+_MAX_NODES = 2 ** 18
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     radial_nodes: int = 96
     angular_nodes: int = 128
 
     def __post_init__(self):
-        if min(self.radial_nodes, self.angular_nodes) < 4:
-            raise DomainError("all node counts must be >= 4")
+        nr, nth = self.radial_nodes, self.angular_nodes
+        if not (min(nr, nth) >= 4 and nr <= _MAX_RADIAL and nr * nth <= _MAX_NODES):
+            raise DomainError(f"QuadratureSpec needs node counts >= 4, radial_nodes <= "
+                              f"{_MAX_RADIAL} and radial_nodes * angular_nodes <= "
+                              f"{_MAX_NODES}, got {nr}, {nth}")
 
 
 def _top_degree(coefs, x: np.ndarray):
@@ -161,10 +172,10 @@ def _gauss_rule(kind: str, n: int, *params: float):
     "legendre": n-node Gauss-Legendre on [-1, 1].  "jacobi", params
     (alpha, beta): n-node Gauss-Jacobi for the weight (1-x)^alpha (1+x)^beta.
     UNIT_INTERVAL: the n-node Legendre rule moved to [0, 1].  HALF_LINE,
-    params (truncation, panel): the max(16, n // 4)-node Legendre rule on
-    each panel of [0, truncation], nodes as one flat array and weights as
-    [panels, nodes]; OutOfRangeError, before it is built, past
-    _HALF_LINE_CAP nodes.
+    params (truncation, panel): the n-node Legendre rule on each panel of
+    [0, truncation], nodes as one flat array and weights as [panels, n];
+    OutOfRangeError, before it is built, past _HALF_LINE_CAP nodes.  The
+    arguments of every c-rule come from `_c_rule`.
     """
     if kind == "legendre":
         return _read_only(*_jacobi_rule(n, 0.0, 0.0))
@@ -174,9 +185,9 @@ def _gauss_rule(kind: str, n: int, *params: float):
         x, w = _gauss_rule("legendre", n)
         return _read_only((x + 1.0) / 2.0, w / 2.0)
     truncation, panel = params
-    x, w = _gauss_rule("legendre", max(16, n // 4))
-    if not truncation / panel * x.size <= _HALF_LINE_CAP:
+    if not truncation / panel * n <= _HALF_LINE_CAP:
         raise OutOfRangeError(f"the half-line rule needs more than {_HALF_LINE_CAP} nodes")
+    x, w = _gauss_rule("legendre", n)
     edges = [0.0]
     while edges[-1] < truncation:
         edges.append(min(edges[-1] + panel, truncation))
@@ -185,14 +196,14 @@ def _gauss_rule(kind: str, n: int, *params: float):
     return _read_only((tm[:, None] + th[:, None] * x).ravel(), np.outer(th, w))
 
 
-def _c_rule(domain: str, a=0.0, truncation=None, panel=None, *, s=0.0, u=0.0, name="c-rule"):
+def _c_rule(domain: str, a=0.0, *, s=0.0, u=0.0, name="c-rule"):
     """The `_gauss_rule` arguments of the c-rule on `domain`, the one place
     that sets them.  On [0, 1], for a weight in cs and node functions of
     c u, the first rule of `_C_RULES` that reaches s and |u|, and
     OutOfRangeError naming `name` past the last.  The half line [0, inf) of
-    an integrand of exponent a, which peaks near t = a, is truncated at
-    T = max(50, 5(a+2)) and cut into panels of min(5, max(1, T/40)), or of
-    the truncation and panel given, with 16 nodes a panel."""
+    an integrand of exponent a, which peaks near t = a, is set by a alone:
+    truncated at T = max(50, 5(a+2)) and cut into panels of
+    min(5, max(1, T/40)), with 16 nodes a panel; a is read there only."""
     if domain == UNIT_INTERVAL:
         for rule, hi_s, hi_u in _C_RULES:
             if s <= hi_s and u <= hi_u:
@@ -200,8 +211,8 @@ def _c_rule(domain: str, a=0.0, truncation=None, panel=None, *, s=0.0, u=0.0, na
         raise OutOfRangeError(f"{name} needs s <= {hi_s:g} and |u| <= {hi_u:g}, got {s:g}, {u:.6g}")
     if domain != HALF_LINE:
         raise DomainError(f"unknown domain {domain!r}")
-    T = truncation or max(50.0, 5.0 * (a + 2.0))
-    return HALF_LINE, 64, T, panel or min(5.0, max(1.0, T / 40.0))
+    T = max(50.0, 5.0 * (a + 2.0))
+    return HALF_LINE, 16, T, min(5.0, max(1.0, T / 40.0))
 
 
 @lru_cache(maxsize=64)
@@ -267,22 +278,24 @@ def _check_tail(last: float, total: float) -> None:
     integrand has not decayed by the truncation point."""
     if last > 1e-8 * max(total, 1e-300):
         raise TailDivergenceError(f"final panel contributes {last:.3g} of {total:.3g}; "
-                                  "increase truncation or check integrand decay")
+                                  "the integrand has not decayed by the truncation")
 
 
-def integrate_c(g, domain: str, truncation=None, panel=None) -> complex:
+def integrate_c(g, domain: str, a=0.0) -> complex:
     """Integrate g over c in [0,1] or t in [0,inf) (paneled, truncated).
 
-    [0, 1] takes the 64-node rule of `_c_rule`, and the half line its rule
-    at a = 0, truncated at 50 in
-    panels of 1.25, or at the truncation and in the panels given; the final
-    panel must be negligible or the integrand is flagged as non-decaying.
+    [0, 1] takes the 64-node rule of `_c_rule`, and the half line the rule
+    that `_c_rule` sets for an integrand of exponent a, the one `bulk_strong`
+    sums on at its a: at a = 0 truncated at 50 in panels of 1.25, and at
+    a = 1000 at 5010 in panels of 5.  The final panel must be negligible or
+    the integrand is flagged as non-decaying (TailDivergenceError), and a
+    rule past _HALF_LINE_CAP nodes is refused (OutOfRangeError).
     An integrand that is not finite at a node, such as an underflowed factor
     times an overflowed one, or a sum that overflows, raises OutOfRangeError
     rather than return nan.  g sees the nodes as one flat array, the same
     read-only array on every call with the same rule.
     """
-    c, w = _gauss_rule(*_c_rule(domain, 0.0, truncation, panel))
+    c, w = _gauss_rule(*_c_rule(domain, a))
     vals = np.asarray(g(c), dtype=complex)
     if domain == UNIT_INTERVAL:
         total = complex((w * vals).sum())

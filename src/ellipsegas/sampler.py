@@ -274,8 +274,11 @@ def integrated_autocorrelation(series):
     return tau, n / tau
 
 
-def _bin_counts(samples, grid: GridSpec) -> np.ndarray:
-    """[nx, ny] counts of all sampled positions in the cells of the grid."""
+def _bin_counts(samples, grid: GridSpec, name: str) -> np.ndarray:
+    """[nx, ny] counts of all sampled positions in the cells of the grid;
+    DomainError naming the caller `name` where there is no configuration."""
+    if not len(samples):
+        raise DomainError(f"{name} needs at least one configuration")
     zs = np.concatenate([np.asarray(s) for s in samples])
     return np.histogram2d(zs.real, zs.imag, bins=[grid.nx, grid.ny],
                           range=[list(grid.x_range), list(grid.y_range)])[0]
@@ -286,10 +289,11 @@ def density_chi_square(samples, kernel, grid: GridSpec, min_expected: float = 10
 
     Only bins whose four corners lie inside the ellipse enter (partial cells
     would bias the expectation); each expected count integrates rho_1 over
-    the bin with a 3x3 midpoint refinement.  Returns (chi2, dof).
+    the bin with a 3x3 midpoint refinement.  Returns (chi2, dof), and
+    DomainError where there is no configuration.
     """
     geo = kernel.geometry
-    counts = _bin_counts(samples, grid)
+    counts = _bin_counts(samples, grid, "density_chi_square")
     M = len(samples)
     dx, dy = grid.dx, grid.dy
     x0 = grid.x_range[0] + np.arange(grid.nx) * dx
@@ -314,10 +318,8 @@ def density_chi_square(samples, kernel, grid: GridSpec, min_expected: float = 10
 def empirical_density(samples, grid: GridSpec) -> DensityGrid:
     """Histogram of sampled particle positions, normalized so the grid
     integral equals the particle number N."""
-    if not samples:
-        raise DomainError("empirical_density needs at least one configuration")
+    counts = _bin_counts(samples, grid, "empirical_density")
     N = len(samples[0])
-    counts = _bin_counts(samples, grid)
     total = counts.sum()
     if total == 0:
         raise DomainError("no sample fell inside the grid")

@@ -239,11 +239,10 @@ def _series_terms(nu: float, q_max: float) -> int:
 # I_nu at real x >= 0
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
 def _hankel_coefficients(nu: float, r_min: float) -> np.ndarray:
     """a_k(nu), the coefficients of the Hankel expansions in 1/x (DLMF
     10.17.1), up to the first one below _TAIL at x = r_min, or to the last
-    nonzero one at half-odd order; read-only."""
+    nonzero one at half-odd order."""
     mu = 4.0 * nu * nu
     out = [1.0]
     while True:
@@ -254,7 +253,7 @@ def _hankel_coefficients(nu: float, r_min: float) -> np.ndarray:
         out.append(nxt)
         if abs(nxt) / r_min ** k < _TAIL:
             break
-    return _read_only(np.array(out))
+    return np.array(out)
 
 
 @functools.lru_cache(maxsize=1)

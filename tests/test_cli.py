@@ -893,6 +893,16 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "global-u needs z in the open rescaled ellipse off its foci, got (5+0j)"),
     (["kernel", "--kind", "finite", "--family", "gegenbauer", "--tau", "0.5", "--N", "3",
       "--points", "5,0"], "finite needs z in the ellipse, got (5+0j)"),
+    # an oversized rule or grid is refused by name before it is built (each
+    # ended in a numpy memory error)
+    (["orthocheck", "--tau", "0.5", "--radial-nodes", "1000000"],
+     "QuadratureSpec needs node counts >= 4, radial_nodes <= 2048 and "
+     "radial_nodes * angular_nodes <= 262144, got 1000000, 128"),
+    (["orthocheck", "--tau", "0.5", "--angular-nodes", "100000000000"],
+     "QuadratureSpec needs node counts >= 4, radial_nodes <= 2048 and "
+     "radial_nodes * angular_nodes <= 262144, got 96, 100000000000"),
+    (["density", "--tau", "0.5", "--N", "3", "--nx", "100000", "--ny", "100000"],
+     "grid needs nx, ny >= 1 and nx * ny <= 1048576, got 100000, 100000"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -281,13 +281,19 @@ def test_a_window_where_no_row_mirrors_evaluates_every_cell():
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_a_fold_to_one_point_evaluates_both_mirror_cells():
-    # the two admissible cells mirror each other; one point alone would take
-    # the one-point path of `diagonal`, so both are evaluated as one batch
+def test_a_fold_to_one_point_evaluates_one_cell_with_the_bits_of_both():
+    # the two admissible cells mirror each other: the lower one is streamed
+    # alone, as a batch of one point, and the upper one copied from it, with
+    # the bits of the two streamed as one batch
     kern = FiniteKernel(GasFamily(PolyKind.JACOBI_MINUS, 0.5), EllipseGeometry(0.5), 30)
     grid = GridSpec((0.1, 0.3), (-0.25, 0.25), 1, 2)
     assert _mirrored_rows(grid).tolist() == [False, True]
+    seen = []
+    diagonal = kern.diagonal
+    kern.diagonal = lambda zs: seen.append(len(zs)) or diagonal(zs)
     got = density_grid(kern, grid).values
+    assert seen == [1]
+    del kern.diagonal
     want = _every_cell(kern, grid, "none")
     assert np.all(want > 0.0)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -316,6 +322,20 @@ def test_grid_validation():
         GridSpec((0.0, 1.0), (0.0, 1.0), 0, 4)
     with pytest.raises(DomainError):
         GridSpec((1.0, 0.0), (0.0, 1.0), 4, 4)
+
+
+@pytest.mark.parametrize("nx, ny", [(100_000, 100_000), (1025, 1024), (1, 2 ** 20 + 1),
+                                    (10 ** 12, 1)])
+def test_grid_refuses_more_than_its_cap_of_cells_by_name(nx, ny):
+    with pytest.raises(DomainError, match=rf"^grid needs nx, ny >= 1 and nx \* ny <= 1048576, "
+                                          rf"got {nx}, {ny}$"):
+        GridSpec((0.0, 1.0), (0.0, 1.0), nx, ny)
+
+
+@pytest.mark.parametrize("nx, ny", [(1024, 1024), (1, 2 ** 20), (64, 64), (12, 12), (160, 160)])
+def test_grid_takes_the_sizes_in_use(nx, ny):
+    # the cap, the density command's default, sample's grid and the largest test grid
+    assert GridSpec((0.0, 1.0), (0.0, 1.0), nx, ny).xs.size == nx
 
 
 def test_grid_ranges_must_be_finite():

@@ -544,25 +544,36 @@ def engine_points(geo, rng):
 
 @pytest.mark.parametrize("gas,geo", engine_cases())
 def test_single_point_paths_agree(gas, geo, rng):
+    # a batch of one point streams as any batch does: its diagonal has the
+    # bits of the same point inside the whole batch.  eval takes a dot
+    # product of two folded tables instead, at most 2.3e-15 off here
     kern = FiniteKernel(gas, geo, 40)
-    for z in engine_points(geo, rng):
+    pts = engine_points(geo, rng)
+    diag = kern.diagonal(pts)
+    for i, z in enumerate(pts):
         ref = kern.eval(z, z)
         assert ref.imag == 0.0 and ref.real >= 0.0
-        for got in (kern.diagonal([z])[0], kern.eval_batch(z, [z])[0]):
-            assert got == ref
+        one = kern.diagonal([z])
+        assert one.dtype == np.float64 and one.view(np.int64)[0] == diag.view(np.int64)[i]
+        assert abs(one[0] - ref.real) <= 1e-14 * ref.real
+        assert abs(kern.eval_batch(z, [z])[0] - ref) <= 1e-14 * ref.real
 
 
 @pytest.mark.parametrize("gas,geo", engine_cases())
 def test_eval_batch_is_complex_at_every_length(gas, geo, rng):
-    # the one-point batch at z1 itself sums |q_n|^2, yet returns the dtype of
-    # every other batch and the bits of eval
+    # a row of one point, at z1 itself too, is complex and has the bits of the
+    # same point inside the whole row; it agrees with eval to 1e-14
     kern = FiniteKernel(gas, geo, 40)
     pts = engine_points(geo, rng)
-    for z in pts:
-        one = kern.eval_batch(z, [z])
-        assert one.dtype == np.complex128
-        bits = np.array([kern.eval(z, z)]).view(np.uint64)
-        assert one.view(np.uint64).tolist() == bits.tolist()
+    rows = {z1: kern.eval_batch(z1, pts) for z1 in pts[:2]}
+    for i, z in enumerate(pts):
+        assert kern.eval_batch(z, [z]).dtype == np.complex128
+        for z1, row in rows.items():
+            got = kern.eval_batch(z1, [z])
+            assert got.dtype == np.complex128
+            assert got.view(np.int64).tolist() == row[i:i + 1].view(np.int64).tolist()
+            scale = math.sqrt(kern.eval(z1, z1).real * kern.eval(z, z).real)
+            assert abs(got[0] - kern.eval(z1, z)) <= 1e-14 * scale
     for zs in ([pts[1]], pts[:2], pts):
         assert kern.eval_batch(pts[0], zs).dtype == np.complex128
 

@@ -550,9 +550,9 @@ def test_bulk_strong_refuses_past_the_half_line_node_cap():
         assert time.perf_counter() - start < 1.0
     with pytest.raises(OutOfRangeError):       # also where a wall would give 0
         bulk_strong(1e8, 0.5j, 0.0)
-    with pytest.raises(OutOfRangeError):
-        integrate_c(np.cos, HALF_LINE, truncation=1e6, panel=1.0)
-    assert _gauss_rule(HALF_LINE, 64, 5120.0, 5.0)[0].size == 16384   # a = 1022 answers
+    with pytest.raises(OutOfRangeError):       # integrate_c on the rule of a = 1023
+        integrate_c(np.cos, HALF_LINE, 1023.0)
+    assert _gauss_rule(*_c_rule(HALF_LINE, 1022.0))[0].size == 16384   # a = 1022 answers
 
 
 def test_bulk_strong_refuses_the_tail_where_its_integral_does():
@@ -938,8 +938,8 @@ def test_bulk_strong_takes_its_half_line_rule_from_c_rule(monkeypatch):
     for a in (-0.5, 0.5, 9.0, 40.0):
         bulk_strong(a, 0.1 + 0.05j, 0.1 + 0.05j)
         assert rules[-1] == _c_rule(HALF_LINE, a)
-    assert rules == [(HALF_LINE, 64, 50.0, 1.25), (HALF_LINE, 64, 50.0, 1.25),
-                     (HALF_LINE, 64, 55.0, 1.375), (HALF_LINE, 64, 210.0, 5.0)]
+    assert rules == [(HALF_LINE, 16, 50.0, 1.25), (HALF_LINE, 16, 50.0, 1.25),
+                     (HALF_LINE, 16, 55.0, 1.375), (HALF_LINE, 16, 210.0, 5.0)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1266,8 +1266,9 @@ def test_global_refusals_keep_their_order_and_kind():
 
 # ------------------------------------------------------------------ feature caches
 
-def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, **half_line):
-    """The Bessel-ratio integral with log_i_ratio run on every call."""
+def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL):
+    """The Bessel-ratio integral with log_i_ratio run on every call, on the
+    half line on the rule of `integrate_c` at a, which is bulk_strong's."""
     lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
     for q in walls:
         lpref += _log_power(0.5 * a, q)
@@ -1275,7 +1276,7 @@ def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL, *
     def g(c):
         return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
 
-    return complex(integrate_c(g, domain, **half_line))
+    return complex(integrate_c(g, domain, a))
 
 
 def _closure_bulk_weak(a, s, z1, z2):
@@ -1285,18 +1286,12 @@ def _closure_bulk_weak(a, s, z1, z2):
     return _uncached_ratio_integral(a, s, walls, lambda c: np.cos(c * d), math.log(2.0))
 
 
-def _strong_half_line(a):
-    """The truncation and panel of bulk_strong's half-line rule."""
-    _, _, truncation, panel = _c_rule(HALF_LINE, a)
-    return {"truncation": truncation, "panel": panel}
-
-
 def _uncached_bulk_strong(a, z1, z2):
     """bulk_strong as one integrand of t, cos(t(z1 - conj z2)), per value."""
     d = z1 - z2.conjugate()
     walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
     return _uncached_ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), math.log(2.0),
-                                    HALF_LINE, **_strong_half_line(a))
+                                    HALF_LINE)
 
 
 def _bulk_strong_term_moduli(a, z1, z2):

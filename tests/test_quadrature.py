@@ -142,9 +142,21 @@ def test_integrate_c_half_line_against_trapezoid_oracle():
     assert val == pytest.approx(math.pi ** 2 / 4 * math.sqrt(math.pi / 2), rel=1e-10)
 
 
-def test_half_line_tail_divergence_detected():
+@pytest.mark.parametrize("a", [0.0, 9.0, 300.0])
+def test_half_line_tail_divergence_detected(a):
+    # the tail refusal is reached through a, the one input of the half-line rule
     with pytest.raises(TailDivergenceError):
-        integrate_c(lambda t: np.ones_like(t), HALF_LINE, truncation=60.0)
+        integrate_c(lambda t: np.ones_like(t), HALF_LINE, a)
+
+
+def test_half_line_refuses_past_its_node_cap_through_a():
+    # 16 nodes on each of the 1024 panels of 5 of a = 1022 is the cap, 16384
+    calls = []
+    assert integrate_c(lambda t: calls.append(t) or np.exp(-t), HALF_LINE, 1022.0) != 0.0
+    assert calls[0].size == 16384
+    with pytest.raises(OutOfRangeError, match="half-line rule needs more than 16384 nodes"):
+        integrate_c(lambda t: calls.append(t) or np.exp(-t), HALF_LINE, 1022.5)
+    assert len(calls) == 1
 
 
 def test_half_line_calls_its_integrand_once_on_all_panels():
@@ -154,18 +166,22 @@ def test_half_line_calls_its_integrand_once_on_all_panels():
         calls.append(t)
         return np.exp(-t)
 
-    val = integrate_c(g, HALF_LINE, truncation=50.0, panel=1.25)
+    val = integrate_c(g, HALF_LINE)       # a = 0: 40 panels of 1.25 on [0, 50]
     assert val.real == pytest.approx(1.0, rel=1e-13)
     assert len(calls) == 1 and calls[0].shape == (40 * 16,)
     assert 0.0 < calls[0].min() and calls[0].max() < 50.0
 
 
-@pytest.mark.parametrize("truncation, panel", [(50.0, 1.25), (17.3, 0.7), (33.0, 5.0)])
-def test_half_line_equals_the_panel_by_panel_sum(truncation, panel):
-    # reference: one Gauss-Legendre rule per panel, panel sums added in order
+@pytest.mark.parametrize("a", [-0.5, 0.0, 9.0, 17.3, 33.0, 100.0, 1000.0])
+def test_half_line_equals_the_panel_by_panel_sum(a):
+    # reference: one 16-node Gauss-Legendre rule per panel of
+    # min(5, max(1, T/40)) on [0, T], T = max(50, 5(a+2)), panel sums added
+    # in order
     def g(t):
-        return np.exp(-2.5 * t) * np.cos((1.0 + 0.3j) * t)
+        return np.exp((-0.5 + 1.3j) * t)
 
+    truncation = max(50.0, 5.0 * (a + 2.0))
+    panel = min(5.0, max(1.0, truncation / 40.0))
     x, w = _jacobi_rule(16, 0.0, 0.0)
     total, t0 = 0.0 + 0.0j, 0.0
     while t0 < truncation:
@@ -173,8 +189,14 @@ def test_half_line_equals_the_panel_by_panel_sum(truncation, panel):
         tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
         total += complex(np.sum(w * th * g(tm + th * x)))
         t0 = t1
-    got = integrate_c(g, HALF_LINE, truncation=truncation, panel=panel)
+    got = integrate_c(g, HALF_LINE, a)
     assert got == total
+    # and a hand sum, in order of panel, over the rule of `_c_rule` at a
+    t, wt = _gauss_rule(*_c_rule(HALF_LINE, a))
+    by_hand = 0.0 + 0.0j
+    for part in (wt * g(t).reshape(wt.shape)).sum(axis=1).tolist():
+        by_hand += part
+    assert got == by_hand
 
 
 def test_quadrature_spec_validation():
@@ -186,6 +208,26 @@ def test_quadrature_spec_validation():
         "radial_nodes", "angular_nodes"]
 
 
+@pytest.mark.parametrize("nr, nth", [(2049, 4), (1_000_000, 128), (96, 100_000_000_000),
+                                     (512, 513), (4, 2 ** 16 + 1)])
+def test_quadrature_spec_refuses_an_oversized_rule_by_name(nr, nth):
+    # at most 2048 radial nodes, whose Golub-Welsch solve is dense, and 2^18
+    # nodes in all; refused before any rule is built
+    with pytest.raises(DomainError, match=r"^QuadratureSpec needs node counts >= 4, "
+                                          r"radial_nodes <= 2048 and radial_nodes \* "
+                                          r"angular_nodes <= 262144, got "):
+        QuadratureSpec(nr, nth)
+
+
+@pytest.mark.parametrize("nr, nth", [(48, 64), (96, 128), (400, 32), (20, 24), (2048, 128),
+                                     (512, 512), (4, 2 ** 16)])
+def test_quadrature_spec_takes_the_rules_in_use(nr, nth):
+    # the benchmark's (48, 64), orthocheck's default (96, 128), the tests'
+    # rules and the largest of each cap
+    spec = QuadratureSpec(nr, nth)
+    assert (spec.radial_nodes, spec.angular_nodes) == (nr, nth)
+
+
 def test_rule_is_deterministic():
     geo = EllipseGeometry(0.5)
     spec = QuadratureSpec()
@@ -194,7 +236,7 @@ def test_rule_is_deterministic():
     assert np.array_equal(z1, z2) and np.array_equal(w1, w2)
 
 
-@pytest.mark.parametrize("rule", [(UNIT_INTERVAL, 64), (HALF_LINE, 64, 50.0, 1.25),
+@pytest.mark.parametrize("rule", [(UNIT_INTERVAL, 64), (HALF_LINE, 16, 50.0, 1.25),
                                   ("legendre", 16), ("jacobi", 64, 0.0, 1.5)])
 def test_cached_rules_are_read_only_and_shared(rule):
     nodes, weights = _gauss_rule(*rule)
@@ -222,21 +264,29 @@ def test_integrate_c_passes_the_cached_nodes():
         return np.exp(-c)
 
     integrate_c(g, UNIT_INTERVAL)
-    integrate_c(g, HALF_LINE, truncation=50.0, panel=1.25)
+    integrate_c(g, HALF_LINE, 0.0)
     integrate_c(g, HALF_LINE)
+    integrate_c(g, HALF_LINE, 9.0)
     assert seen[0] is _gauss_rule(*_c_rule(UNIT_INTERVAL))[0]
-    assert seen[1] is _gauss_rule(HALF_LINE, 64, 50.0, 1.25)[0]
+    assert seen[1] is _gauss_rule(HALF_LINE, 16, 50.0, 1.25)[0]
     # the default half line is the rule of a = 0
     assert seen[2] is seen[1]
-    # the truncation is max(50, 5(a+2)) and the panel min(5, max(1, T/40)),
-    # with 16 nodes per panel
-    assert _c_rule(HALF_LINE) == (HALF_LINE, 64, 50.0, 1.25)
-    assert _c_rule(HALF_LINE, 9.0) == (HALF_LINE, 64, 55.0, 1.375)
-    assert _c_rule(HALF_LINE, 1000.0) == (HALF_LINE, 64, 5010.0, 5.0)
-    assert _c_rule(HALF_LINE, 9.0, truncation=60.0) == (HALF_LINE, 64, 60.0, 1.5)
-    assert _c_rule(HALF_LINE, 9.0, panel=2.0) == (HALF_LINE, 64, 55.0, 2.0)
+    assert seen[3] is _gauss_rule(*_c_rule(HALF_LINE, 9.0))[0]
+    # a is the one input of the half-line rule: the truncation is
+    # max(50, 5(a+2)) and the panel min(5, max(1, T/40)), with 16 nodes per panel
+    assert _c_rule(HALF_LINE) == (HALF_LINE, 16, 50.0, 1.25)
+    assert _c_rule(HALF_LINE, 9.0) == (HALF_LINE, 16, 55.0, 1.375)
+    assert _c_rule(HALF_LINE, 1000.0) == (HALF_LINE, 16, 5010.0, 5.0)
     with pytest.raises(DomainError):
         _c_rule("circle")
+
+
+@pytest.mark.parametrize("knob", ["truncation", "panel"])
+def test_the_half_line_rule_takes_no_truncation_or_panel(knob):
+    with pytest.raises(TypeError):
+        _c_rule(HALF_LINE, 9.0, **{knob: 60.0})
+    with pytest.raises(TypeError):
+        integrate_c(np.exp, HALF_LINE, **{knob: 60.0})
 
 
 @pytest.mark.parametrize("s, u, nodes", [

@@ -194,6 +194,17 @@ def test_empirical_density_single_sample():
     assert dg.mass() == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("samples", [[], np.empty((0, 3), dtype=complex)])
+def test_no_configuration_is_refused_by_the_function_name(samples):
+    # density_chi_square raised numpy's "need at least one array to concatenate"
+    grid = GridSpec((-1.5, 1.5), (-1.0, 1.0), 6, 4)
+    kern = FiniteKernel(GAS, GEO, 3)
+    with pytest.raises(DomainError, match="^density_chi_square needs at least one configuration$"):
+        density_chi_square(samples, kern, grid)
+    with pytest.raises(DomainError, match="^empirical_density needs at least one configuration$"):
+        empirical_density(samples, grid)
+
+
 def test_empirical_density_normalization_algebraic():
     samples, _ = run_chain(GAS, GEO, 5, ChainSettings(steps=2000, burn_in=100, thin=10, seed=9))
     grid = GridSpec((-GEO.semi_x, GEO.semi_x), (-GEO.semi_y, GEO.semi_y), 10, 10)
