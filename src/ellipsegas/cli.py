@@ -21,8 +21,8 @@ they are looked up when it runs, and a patch or wrapper put on a layer's
 attribute is the one called.  `kernel` builds every --kind from its row of
 the one table of kinds, `geometry.KERNEL_KINDS`, through `geometry._kernel_of`,
 as `make_kernel` does: the kernel is looked up by name in the row's layer,
-and the row's parameters are checked by their rules,
-each refusal naming the kind (`error: truncated needs integer N >= 1`); a
+and the row's parameters are checked by their rules, each refusal
+naming the kind (`error: truncated needs integer N in [1, 1000000]`); a
 flag that the kind does not take is ignored.
 Importing this module loads only `geometry`
 (with `errors` and `specialfns`), from which the parser takes its choices;
@@ -235,10 +235,14 @@ def cmd_converge(args) -> int:
 
 
 def cmd_orthocheck(args) -> int:
-    from .polynomials import log_raw_norms, scaled_sequence
+    from .polynomials import _MAX_TABLE, log_raw_norms, scaled_sequence
     from .quadrature import QuadratureSpec, rule_for_gas
 
     gas = _gas(args)
+    if (args.max_degree + 1) ** 2 > _MAX_TABLE:
+        # the Gram holds (max_degree + 1)^2 entries, a polynomial table's cap
+        raise DomainError(f"orthocheck needs (max_degree + 1)^2 <= {_MAX_TABLE}, "
+                          f"got max_degree = {args.max_degree}")
     geo = EllipseGeometry(args.tau)
     z, w = rule_for_gas(gas, geo, QuadratureSpec(args.radial_nodes, args.angular_nodes))
     mant, logs = scaled_sequence(gas, args.max_degree, z)

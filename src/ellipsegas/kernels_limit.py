@@ -46,7 +46,9 @@ double, its power of two:
 Re K = (Re F1, Im F1) . (Re F2, Im F2), the parts interleaved, and
 Im K = Im F1 . Re F2 - Re F1 . Im F2, so K(z,z) is real and
 K(z2,z1) = conj K(z1,z2) bit for bit.  A value is refused only where it, or
-the product of the features, is outside the normal doubles.  On the half
+the product of the features, is outside the normal doubles, and a phi
+kernel also where `specialfns._psi` refuses a node argument, whose run would
+leave them (below order |u|/2, |u| past 1416.8 on the real axis).  On the half
 line the same product over the last panel's nodes is the tail that
 `quadrature._check_tail` tests against the whole.  The bulk's products
 cancel at most down to sqrt(K(z1,z1) K(z2,z2)).  Every kept array is
@@ -68,7 +70,7 @@ from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
                        _kernel_of, _kind_arguments, _log_power, _times_exp, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _check_tail, _gauss_rule
-from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, W_MAX, _phi, _phi_zero, _read_only, ln_gamma,
+from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, _phi, _phi_zero, _read_only, ln_gamma,
                          log_i_ratio)
 
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
@@ -215,8 +217,6 @@ def _cosine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex):
 def _bessel_point(kind: str, a: float, s: None, X: complex):
     """The wall factor and sqrt X of a point X + 0i that `bessel_kernel` has
     checked."""
-    if X.real > W_MAX ** 2:
-        raise OutOfRangeError(f"bessel_kernel requires X <= W_MAX^2 = {W_MAX ** 2:g}")
     return _log_power(0.5 * a, X.real) - _LN2, math.sqrt(X.real)
 
 
@@ -369,7 +369,8 @@ def edge_weak(a: float, s: float, Z1: complex, Z2: complex) -> complex:
         (1/(2 s sqrt(pi) Gamma(a+1))) prod_j q_j^{a/2}
             * int_0^1 dc c^{2a+2} (cs/2)^{a+1/2}/I_{a+1/2}(cs) phi(c w1) conj phi(c w2),
 
-    w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`."""
+    w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`;
+    OutOfRangeError where `_psi` refuses c w, as at (30, 1, 2.5e6, 2.5e6)."""
     return _feature_kernel("edge-weak", _edge_point, _phi_nodes, a, s, Z1, Z2)
 
 
@@ -380,10 +381,10 @@ def bessel_kernel(a: float, X1: float, X2: float) -> float:
     Evaluated as (1/4)(X1 X2)^{a/2} int_0^1 c^{2a+2} phi(c sqrt X1) phi(c sqrt X2) dc
     with the entire phi(u) = J_nu(u) u^{-nu}, which also holds on X = 0: there
     the kernel is 0 for a > 0, its continuous limit for a = 0 and, for a < 0,
-    an integrable divergence flagged as inf.  Refused past X = W_MAX^2, the
-    reach of the checked J evaluations of `specialfns`, so its c-rule keeps
-    64 nodes; refused too where the integral or the value falls below the
-    normal doubles, and, by DomainError, off the real line.
+    an integrable divergence flagged as inf.  Refused by name past the node
+    cap of its c-rule (X > 3840^2), where `_phi`'s psi would leave the normal
+    doubles (below order sqrt(X)/2, X past 1416.8^2 = 2.0e6), and where the
+    integral or the value falls below them; by DomainError off the real line.
     """
     _check_point("bessel", X1, X2)
     return _feature_kernel("bessel", _bessel_point, _phi_nodes, a, None, X1, X2).real

@@ -24,6 +24,10 @@ any array of points:
                               and nu + m + 1, m = max(0, ceil(|u|^2/4 - nu - 1)),
                               where it cancels little, then m steps of the
                               backward recurrence in the order (DLMF 10.6.1)
+    either side               OutOfRangeError, before it runs, where a term of
+                              the run would leave the normal doubles: the
+                              least, -|u|/2 in log below order |u|/2 on the
+                              real axis, or |Im u| past 709.78 (`_psi_in_range`)
 
 In `log_i_ratio` each regime's term count is fixed by nu and the regime's
 bounds, so an entry's value does not depend on the other entries.
@@ -41,8 +45,8 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 
-# Complex J evaluations are guaranteed accurate here; beyond this modulus the
-# caller is expected to switch to the large-argument cosine asymptotic.
+# the modulus to which `bessel_j` was once limited; kept as an exported
+# name, but no code reads it: `_psi` refuses by its own range rule
 W_MAX = 60.0
 # the range constants of the package, and the ln2 split of `_plus_bits`
 _LOG_TINY = math.log(sys.float_info.min)
@@ -454,16 +458,55 @@ def _psi_tabled(nu: float, r: float, table: np.ndarray, z=1.0) -> np.ndarray:
     return psi
 
 
+def _psi_in_range(nu: float, u: np.ndarray, size: np.ndarray, hankel: np.ndarray) -> bool:
+    """Whether every intermediate of `_psi`'s run at the entries u, size = |u|,
+    of the Hankel side or not, lies in the normal doubles.
+
+    Above them: every |psi_mu(u)| and the Hankel cos w and sin w are bounded
+    by about e^|Im u| (DLMF 10.14.4), so |Im u| must not pass the log of the
+    largest double; at large order this also refuses some values in range.
+
+    Below them, the least log: on the Hankel side the lead
+    Gamma(nu+1) 2^nu sqrt(2/pi) |u|^-(nu+1/2); on the recurrence side the
+    least |psi_mu(u)|, mu >= nu, by Stirling and Debye's
+    J_mu(mu z) ~ e^(mu eta(z)) (DLMF 10.19.3, continued to complex z by 10.20):
+
+        log|psi_mu(u)| ~ E(mu) = mu Re[log(2/(1+t)) + t - 1],  t = sqrt(1 - (u/mu)^2),
+
+    whose derivative is log 2 - log|1+t|.  With theta = |arg u| folded into
+    [0, pi/2] and b = (pi - 4 theta)/6, E falls to -sqrt(2) |u| sin(b)^(3/2)
+    at mu* = |u| / sqrt(8 sin b), where |1+t| = 2, and rises after it; from
+    theta = pi/4 on, where b <= 0, it falls to E = 0 throughout.  So the
+    least value is E(max(nu, mu*)): -|u|/2 on the real axis for nu <= |u|/2."""
+    sin_b = np.maximum(np.sin((math.pi - 4.0 * np.arctan2(np.abs(u.imag), np.abs(u.real))) / 6.0),
+                       0.0)
+    least = -math.sqrt(2.0) * size * sin_b ** 1.5
+    past = nu * np.sqrt(8.0 * sin_b) > size               # nu > mu*, so nu > 0
+    t = np.sqrt(1.0 - (u[past] / nu) ** 2)
+    least[past] = nu * (_LN2 - np.log(np.abs(1.0 + t)) + t.real - 1.0)
+    least[hankel] = (ln_gamma(nu + 1.0) + nu * _LN2 + 0.5 * math.log(2.0 / math.pi)
+                     - (nu + 0.5) * np.log(size[hankel]))
+    return bool(np.abs(u.imag).max() <= _LOG_MAX and least.min() >= _LOG_TINY)
+
+
 def _psi(nu: float, u: np.ndarray) -> np.ndarray:
     """psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u) = sum_k (-u^2/4)^k / (k! (nu+1)_k)
     at every entry of the complex array u: the Hankel expansion from
     `_hankel_min`, below it `_psi_tabled` on the powers of -u^2/4, as many as
-    the series at order nu + m takes at r = max |u|."""
+    the series at order nu + m takes at r = max |u| of those entries.
+
+    Before either runs, OutOfRangeError where an intermediate would leave
+    the normal doubles (`_psi_in_range`), so that the run would lose bits
+    or overflow.  Below order |u|/2 that refuses |u| past 1416.8 on the
+    real axis, past 1708 at arg u = 0.1, and past 2402 at arg u = 0.3."""
     u = np.asarray(u, dtype=complex)
     size = np.abs(u)
     r = float(size.max())
+    hankel = size >= _hankel_min(nu)
+    # below |u| = 709.78, |Im u| <= |u| and no term is below about e^(-|u|/2)
+    if r > _LOG_MAX and not _psi_in_range(nu, u, size, hankel):
+        raise OutOfRangeError(f"psi of order {nu:g} at |u| up to {r:.6g} leaves the normal doubles")
     if r >= _hankel_min(nu):
-        hankel = size >= _hankel_min(nu)
         out = np.empty(u.shape, dtype=complex)
         out[hankel] = _psi_hankel(nu, u[hankel])
         if not np.all(hankel):
@@ -474,18 +517,17 @@ def _psi(nu: float, u: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(order, w: complex) -> complex:
-    """J_nu(w) at complex w, principal branch of w^nu, for |w| <= W_MAX."""
+    """J_nu(w) at complex w, principal branch of w^nu, as psi(w) times
+    (w/2)^nu / Gamma(nu+1), which is taken through logs where (w/2)^nu or
+    Gamma(nu+1) would leave the doubles.  OutOfRangeError where `_psi`
+    refuses w."""
     nu = _order(order)
     w = complex(w)
-    if abs(w) > W_MAX:
-        raise OutOfRangeError(
-            f"|w|={abs(w):.3g} exceeds W_MAX={W_MAX}; use the cosine asymptotic"
-        )
     if w == 0:
         return complex(1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf))
     psi = complex(_psi(nu, np.array([w]))[0])
-    if nu < 170.0:
-        return psi * (w / 2.0) ** nu / math.gamma(nu + 1.0)
+    if nu < 170.0 and nu * (math.log(abs(w)) - _LN2) < _LOG_MAX:
+        return psi * ((w / 2.0) ** nu / math.gamma(nu + 1.0))
     return psi * cmath.exp(nu * cmath.log(w / 2.0) - ln_gamma(nu + 1.0))
 
 

@@ -146,6 +146,16 @@ def test_orthocheck(tmp_path):
     assert payload["max_offdiagonal"] < 1e-7
 
 
+def test_orthocheck_reports_a_rule_with_fewer_nodes_than_degrees(tmp_path):
+    # 21 degrees on 16 nodes give a singular Gram, whose distance from the
+    # identity is what orthocheck reports; only an oversized Gram is refused
+    out = tmp_path / "o.json"
+    assert run(["orthocheck", "--tau", "0.5", "--radial-nodes", "4", "--angular-nodes", "4",
+                "--max-degree", "20", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert max(payload["max_offdiagonal"], payload["max_diagonal_error"]) > 0.1
+
+
 @pytest.mark.parametrize("family, a, tau", [("gegenbauer", "1025", "0.5"),
                                              ("jacobi-plus", "300", "1e-6")])
 def test_orthocheck_answers_where_rule_factors_pass_the_double_range(tmp_path, family, a, tau):
@@ -864,7 +874,7 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "past the double range"),
     # a missing parameter names the kind and the rule, a reference kind's too
     (["kernel", "--kind", "truncated", "--a", "0.5", "--points", "0,0"],
-     "truncated needs integer N >= 1"),
+     "truncated needs integer N in [1, 1000000]"),
     (["kernel", "--kind", "finite", "--N", "3", "--points", "0,0"], "finite needs tau in (0,1)"),
     # the real-line kinds answered for the real part of a point off the axis
     (["kernel", "--kind", "sine", "--points", "0.1,0.5"],
@@ -876,12 +886,12 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
     # --N is read by the kinds that take it, and refused by their name; the
     # other commands refuse it in the constructors that take it
     (["kernel", "--kind", "truncated", "--a", "0.5", "--N", "0", "--points", "0,0"],
-     "truncated needs integer N >= 1"),
+     "truncated needs integer N in [1, 1000000]"),
     (["kernel", "--kind", "finite", "--tau", "0.5", "--N", "0", "--points", "0,0"],
-     "finite needs integer N >= 1"),
-    (["density", "--tau", "0.5", "--N", "0"], "expected integer N >= 1, got 0"),
+     "finite needs integer N in [1, 1000000]"),
+    (["density", "--tau", "0.5", "--N", "0"], "expected integer N in [1, 1000000], got 0"),
     (["sample", "--tau", "0.5", "--N", "0", "--steps", "100", "--burn-in", "10"],
-     "expected integer N >= 1, got 0"),
+     "expected integer N in [1, 1000000], got 0"),
     # a point outside the domain of its kind's row names the kind
     (["kernel", "--kind", "bulk-weak", "--a", "0.5", "--s", "1", "--points", "0,0.6"],
      "bulk-weak needs finite z with |Im z| <= s/2, got 0.6j"),
@@ -903,6 +913,16 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "radial_nodes * angular_nodes <= 262144, got 96, 100000000000"),
     (["density", "--tau", "0.5", "--N", "3", "--nx", "100000", "--ny", "100000"],
      "grid needs nx, ny >= 1 and nx * ny <= 1048576, got 100000, 100000"),
+    # so is an oversized N, polynomial table or Gram matrix
+    (["density", "--tau", "0.5", "--N", "100000000000", "--nx", "2", "--ny", "2"],
+     "expected integer N in [1, 1000000], got 100000000000"),
+    (["orthocheck", "--tau", "0.5", "--max-degree", "100000000000"],
+     "orthocheck needs (max_degree + 1)^2 <= 4194304, got max_degree = 100000000000"),
+    (["orthocheck", "--tau", "0.5", "--max-degree", "100000", "--radial-nodes", "4",
+      "--angular-nodes", "4"], "orthocheck needs (max_degree + 1)^2 <= 4194304, "
+     "got max_degree = 100000"),
+    (["orthocheck", "--tau", "0.5", "--max-degree", "400"],
+     "a polynomial table needs (n_max + 1) * points <= 4194304, got n_max = 400 at 12288 points"),
 ])
 def test_parameter_outside_its_rule_exits_2_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -258,7 +258,7 @@ def _entry_points():
 _RULES = {"a": ("finite a > -1", [math.inf, math.nan, -1.0]),
           "s": ("finite s > 0", [math.inf, math.nan, 0.0]),
           "tau": ("tau in (0,1)", [math.inf, math.nan, 0.0, 1.0]),
-          "N": ("integer N >= 1", [0, 2.5, 3.0, math.inf]),
+          "N": ("integer N in [1, 1000000]", [0, 2.5, 3.0, math.inf, 1000001]),
           "burn_in": ("integer burn_in >= 0", [-1, -10, 1.5]),
           "thin": ("integer thin >= 1", [0, 2.5]),
           "proposal_sigma": ("finite proposal_sigma > 0", [math.inf, math.nan, 0.0, -1.0]),

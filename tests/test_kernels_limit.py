@@ -259,12 +259,32 @@ def test_bessel_kernel_on_the_edge_X_zero():
     assert isinstance(bessel_kernel(0.0, 0.0, 1.0), float)
 
 
-def test_bessel_kernel_refuses_beyond_w_max_squared():
-    # X = 1e4 is past W_MAX^2 = 3600, the reach of the checked J evaluations
-    with pytest.raises(OutOfRangeError):
-        bessel_kernel(0.0, 1e4, 1e4)
-    with pytest.raises(OutOfRangeError):
-        make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, complex(1e4, 0.0))
+@pytest.mark.parametrize("a", [0.5, 30.0])
+def test_bessel_kernel_answers_past_the_old_w_max_squared(a):
+    # bessel_kernel once refused X > W_MAX^2 = 3600; psi now owns its range.
+    # At X = 1e4 and 1e5 (128 and 512 c-nodes) it agrees with 30-digit
+    # mpmath.quad to 1e-13 of sqrt(K11 K22)
+    points = [1e4, 1e5]
+    pieces = 1 + int(2.0 * math.sqrt(points[-1]) / 10.0)
+    diagonal = [_quad_30("bessel", a, None, X, X, pieces).real for X in points]
+    for (i, X1), (j, X2) in itertools.combinations_with_replacement(enumerate(points), 2):
+        ref = diagonal[i] if i == j else _quad_30("bessel", a, None, X1, X2, pieces).real
+        scale = math.sqrt(diagonal[i] * diagonal[j])
+        assert abs(bessel_kernel(a, X1, X2) - ref) <= 1e-13 * scale, (a, X1, X2)
+
+
+def test_phi_kernels_refuse_where_psi_leaves_the_doubles():
+    # below order |u|/2 psi's recurrence passes terms of about e^(-|u|/2):
+    # edge_weak(30, 1, 2.5e6, 2.5e6), |u| up to 1581, returned 1.28e18 after
+    # about 4.5 s; psi refuses before its run.  At a = 0.5 the Hankel side
+    # answers there
+    for call in (lambda: edge_weak(30.0, 1.0, 2.5e6, 2.5e6),
+                 lambda: bessel_kernel(30.0, 2.5e6, 2.5e6)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeError, match="psi of order 30.5 .* normal doubles"):
+            call()
+        assert time.perf_counter() - start < 2.0
+    assert bessel_kernel(0.5, 2.5e6, 2.5e6) > 0.0
     # a point off the real line is refused before its size is looked at
     with pytest.raises(DomainError):
         make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, 1e4 + 0.5j)
@@ -444,7 +464,8 @@ _UNIT_INTERVAL_KERNELS = {"bulk-weak": bulk_weak, **_EDGE_KERNELS}
 
 
 def _quad_30(kind, a, s, z1, z2, pieces):
-    """A weak unit-interval kernel by 30-digit mpmath.quad, with breakpoints
+    """A weak unit-interval kernel, or with s None the Bessel kernel, by
+    30-digit mpmath.quad, with breakpoints
     at 1/s, 10/s and 100/s, where its weight in c falls by e^-1, e^-10 and
     e^-100, and at the ends of `pieces` equal pieces of [0, 1].  quad stops
     on an absolute error estimate, so the integrand is first divided by a
@@ -452,7 +473,7 @@ def _quad_30(kind, a, s, z1, z2, pieces):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         pref, f = _integrand_mp(kind, a, s, z1, z2)
-        cuts = sorted({mpmath.mpf(k) / s for k in (1, 10, 100) if k < s}
+        cuts = sorted({mpmath.mpf(k) / s for k in (1, 10, 100) if s and k < s}
                       | {mpmath.mpf(j) / pieces for j in range(pieces + 1)})
         size = mpmath.quad(lambda c: abs(f(c)), cuts, method="gauss-legendre", maxdegree=3)
         return complex(pref * size * mpmath.quad(lambda c: f(c) / size, cuts,
@@ -507,6 +528,33 @@ def test_edge_kernels_against_mpmath_quad_in_Z(kind, Z):
     # Z = 1e5 (edge-weak, a = 0.5, s = 1).  One a: each quadrature of 1e5
     # takes about 3000 nodes of 30-digit Bessel functions
     _agrees_or_refuses(kind, 0.5, 1.0, [complex(Z, 0.0), 1.0 + 0.5j], False)
+
+
+def _quad_endpoint_power(kind, a, s, z1, z2):
+    """A phi kernel by 30-digit tanh-sinh mpmath.quad, which takes the
+    c^(2a+2) of its integrand at c = 0 in full precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pref, f = _integrand_mp(kind, a, s, z1, z2)
+        return complex(pref * mpmath.quad(f, [0, 0.25, 0.5, 1]))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the c-rule is Gauss-Legendre, exact for c^(2a+2) times a smooth function "
+    "only where 2a+2 is an integer: against 30-digit mpmath.quad, edge_weak "
+    "is 3.8e-6 to 1.7e-5 and bessel_kernel 3.5e-6 to 1.5e-5 of sqrt(K11 K22) "
+    "off at a in {-0.99, -0.9} (ROADMAP item 21)"))
+@pytest.mark.parametrize("a", [-0.99, -0.9])
+@pytest.mark.parametrize("kind", ["edge-weak", "bessel"])
+def test_phi_kernels_at_a_non_integer_2a_plus_2_against_mpmath_quad(kind, a):
+    s, points = (1.0, [1.0 + 0.5j, 100.0 + 0j]) if kind == "edge-weak" else (None, [1.0, 100.0])
+    kernel = ((lambda z1, z2: edge_weak(a, s, z1, z2)) if kind == "edge-weak"
+              else (lambda z1, z2: bessel_kernel(a, z1, z2)))
+    diagonal = [_quad_endpoint_power(kind, a, s, z, z).real for z in points]
+    for (i, z1), (j, z2) in itertools.combinations_with_replacement(enumerate(points), 2):
+        ref = diagonal[i] if i == j else _quad_endpoint_power(kind, a, s, z1, z2)
+        scale = math.sqrt(diagonal[i] * diagonal[j])
+        assert abs(kernel(z1, z2) - ref) <= 1e-13 * scale, (kind, a, z1, z2)
 
 
 # --------------------------------------------------------------------- strong bulk

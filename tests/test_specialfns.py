@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -52,11 +53,20 @@ def test_bessel_j_complex_against_series_oracle():
     assert abs(val - ref) <= 1e-11 * abs(ref)
 
 
-def test_bessel_j_rejects_large_modulus():
-    with pytest.raises(OutOfRangeError):
-        bessel_j(0.5, W_MAX + 1.0)
-    # right at the boundary is fine
-    bessel_j(0.5, W_MAX)
+@pytest.mark.parametrize("nu", [0.5, 30.5, 150.5, 200.5])
+def test_bessel_j_past_the_old_w_max_against_40_digits(nu):
+    # bessel_j once refused |w| > W_MAX = 60, and (w/2)^nu overflowed below
+    # nu = 170 where nu log|w/2| passes the doubles, as at (150.5, 1000).
+    # Past 60 it is within 2.6e-13 relative of mpmath, 4e-13 allowed; where
+    # psi's run would leave the doubles it is refused by name: |Im w| past
+    # 709.78 and, on the recurrence side (|w| < 2 nu^2), |w| past 1416.8
+    for w in (61.0, -250.0, 1000.0, 300 - 200j, 700j):
+        got = bessel_j(nu, w)
+        ref = mp.besselj(nu, mp.mpc(w))
+        assert abs(got - complex(ref)) <= 4e-13 * float(abs(ref)), (nu, w)
+    for w in (800j, 1500.0) if nu > 30 else (800j,):
+        with pytest.raises(OutOfRangeError, match="normal doubles"):
+            bessel_j(nu, w)
 
 
 def test_bessel_j_trig_identities_on_interval():
@@ -423,6 +433,48 @@ def test_psi_at_large_order_against_40_digits(nu):
     from ellipsegas.specialfns import _psi
     us = np.concatenate([_points(0.05, 60.0, 16), [60.0, 30j, 12 + 8j]])
     assert _psi_error_units(nu, us, _psi(nu, us)) <= 16.0
+
+
+def test_psi_answers_within_1e_12_or_refuses_before_its_run(monkeypatch):
+    # psi's backward recurrence in the order passes mu = |u|/2, where |psi_mu|
+    # is about e^(-|u|/2) on the real axis: from |u| = 1450 at nu = 30.5 it
+    # returned values 2e-9 to 31 relative off, with no refusal.  Each point
+    # of the grid either answers within 1e-12 relative of 40-digit hyp0f1,
+    # or is refused by name before the run: with the run replaced by a
+    # failure, a refusal is still raised.  The answered points of one order
+    # share one call, whose recurrence starts at the largest of them
+    from ellipsegas import specialfns
+
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    grid = {nu: [r * cmath.exp(1j * angle) for r in (1.0, 30.0, 300.0, 1000.0, 1400.0, 1450.0,
+                                                        1500.0, 2500.0, 3840.0)
+                 for angle in (0.0, 0.1, 0.3)] for nu in (0.5, 30.5, 100.5, 300.5)}
+    grid[30.5].append(1500.0 * cmath.exp(0.2j))
+    answered = {}
+    with monkeypatch.context() as m:
+        m.setattr(specialfns, "_psi_tabled", no_run)
+        m.setattr(specialfns, "_psi_hankel", no_run)
+        for nu, us in grid.items():
+            for u in us:
+                try:
+                    specialfns._psi(nu, np.array([u]))
+                except OutOfRangeError as refusal:
+                    assert "normal doubles" in str(refusal)
+                except AssertionError:
+                    answered.setdefault(nu, []).append(u)
+    for nu, us in answered.items():
+        got = specialfns._psi(nu, np.array(us))
+        for u, g in zip(us, got.tolist()):
+            ref = mp.hyp0f1(nu + 1, -mp.mpc(u) ** 2 / 4)
+            assert abs(g - complex(ref)) <= 1e-12 * float(abs(ref)), (nu, u, g)
+    assert 1400.0 in answered[30.5] and 1500.0 * cmath.exp(0.2j) in answered[30.5]
+    assert 1500.0 not in answered[30.5] and 1450.0 not in answered[100.5]
+    # the Hankel side (|u| >= 20 at nu = 0.5, >= 1860.5 at 30.5) answers on the
+    # real axis up to the c-rule's 3840; |Im u| past 709.78 is refused
+    assert 3840.0 in answered[0.5] and 3840.0 in answered[30.5]
+    assert [len(answered[nu]) for nu in grid] == [25, 24, 19, 19]
 
 
 def test_bessel_j_against_40_digits_at_the_regime_edges():
