@@ -30,15 +30,19 @@ The rule on [0, 1] is sized per pair by `quadrature._c_rule` from s and the
 larger |u| of the two node-function arguments, u = z for the bulk and
 sqrt Z otherwise: 64 2^j Gauss-Legendre nodes, j the least with
 s <= 50 2^j and |u| <= 60 2^j, and a refusal by name past 4096 nodes
-(s > 3200 or |u| > 3840).  The weak edge kernels form their weight in c as
+(s > 3200 or |u| > 3840).  The half-line rule of `bulk_strong` is sized per
+pair from a and |x1 - x2|, the frequency of the product: 160 nodes for a
+below 8 and |x1 - x2| <= 8, and a refusal by name past 16,384 nodes.  A
+weight in c that takes ln Gamma(a+1) is refused past a = 1024 (_A_MAX).
+The weak edge kernels form their weight in c as
 a double, which underflows on [0, 1] from s of about 705, so they refuse
 s > 690.  sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by
 `_weights`, and each point's (F, l, k) by `_feature`, in one LRU
 cache of _FEATURES = 64 entries keyed on the kernel, a, s, the rule and the
 point's bits, signed zeros apart: 16 bytes a node, 32 for the bulk, so
 1-2 kB on 64 nodes, 64-128 kB on 4096 and at most 8 MiB at the node cap.
-The half-line features of `bulk_strong` are 20 kB on the
-640-node rule of a below 8 and up to 512 KiB at the rule's node cap, so they
+The half-line features of `bulk_strong` are 5 kB on the
+160-node rule of a below 8 and up to 512 KiB at the rule's node cap, so they
 have their own LRU cache of _HALF_LINE_FEATURES = 6 entries, at most
 3 MiB.  One call is two lookups, three real dot products, one exp and
 one ldexp per part, by 2^(k1 + k2) and, where e^(l1 + l2) is not a normal
@@ -75,11 +79,18 @@ from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, _phi, _phi_zero, _read_only,
 
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
 _GAMMA_SERIES_MAX = 5.0
+# the largest a of a kernel whose weight in c takes ln Gamma(a+1) against
+# log_i_ratio: both are of size a log a and their sum only of size log a, so
+# the weight carries about eps ln Gamma(a+1) of relative error, 6.8e-13 at
+# a = 1024.  Against 40-digit mpmath, bulk_weak and edge_weak_minus_sine at
+# s = 1 were within 4.7e-14 at a = 100, 5.1e-13 at 300, 7.6e-13 at 1000,
+# 3.3e-13 at 1024, and 2.3e-12, 1.5e-12 and 6.9e-12 off at 2000, 3000, 1e4
+_A_MAX = 1024.0
 # per-point features kept by `_feature`, 1-2 kB each on 64 nodes and up to
 # 128 kB at the node cap of the c-rule; a pair of points reads two
 _FEATURES = 64
-# per-point half-line features kept by `_half_line_feature`: 20 kB each on the
-# 640-node rule of a below 8, 512 KiB at the node cap of `quadrature`
+# per-point half-line features kept by `_half_line_feature`: 5 kB each on the
+# 160-node first rung of a below 8, 512 KiB at the node cap of `quadrature`
 _HALF_LINE_FEATURES = 6
 
 
@@ -97,15 +108,21 @@ def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
     `bessel_kernel`'s.  W c^(2a+2) is one product under the root, which
     keeps bessel_kernel(83, 1000, 1000) 5e-15 off the 40-digit sum of its
     rule, where sqrt(W) c^(a+1) is 2.5e-14 off.  DomainError for an a
-    outside its rule, before the rule is built."""
+    outside its rule and, with s, OutOfRangeError where ln Gamma(a+1) passes
+    the doubles and past _A_MAX, before the rule is built."""
     _check("a", a)
+    if s is not None:
+        log_gamma = ln_gamma(a + 1)
+        if a > _A_MAX:
+            raise OutOfRangeError(f"the weight in c needs a <= {_A_MAX:g}, got {a:g}: past it, "
+                                  f"ln Gamma(a+1) and the Bessel ratio cancel to over 1e-12")
     c, w = _gauss_rule(*rule)
     w = w.ravel() * c ** (2.0 * a + 2.0) if form == "phi" else w.ravel()
     if s is None:
         return _read_only(np.sqrt(w))
     log_g = log_i_ratio(a + 0.5, c * s)
     const = ((math.log(math.pi / 2.0) if form == "phi" else 0.0) - math.log(s)
-             - 1.5 * math.log(math.pi) - ln_gamma(a + 1))
+             - 1.5 * math.log(math.pi) - log_gamma)
     return _read_only(0.5 * (np.log(w) + log_g + const) if form == "log"
                       else np.sqrt(w * np.exp(log_g + const)))
 
@@ -238,12 +255,13 @@ _half_line_feature = functools.lru_cache(maxsize=_HALF_LINE_FEATURES)(_build_fea
 
 
 def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
-                    rule: tuple | None = None) -> complex:
+                    domain: str = UNIT_INTERVAL) -> complex:
     """e^(l1 + l2) 2^(k1 + k2) F1 . conj F2 from the kept features of z1 and
-    z2, on `rule` or on the unit-interval c-rule that `_c_rule` sizes from s
-    and the larger |u| of the pair, u = z for the bulk and sqrt Z otherwise;
-    a parameter or point outside its domain is refused as such before a
-    refusal of that rule.  Where e^(l1 + l2)
+    z2, on the c-rule that `_c_rule` sizes from the pair: on [0, 1] from s
+    and the larger |u| of the pair, u = z for the bulk and sqrt Z otherwise,
+    and on the half line from a and |x1 - x2|, the frequency of the
+    product; a parameter or point outside its domain is refused as such
+    before a refusal of that rule.  Where e^(l1 + l2)
     is not a normal double it is taken as 2^j e^r, j the whole number of ln2
     in l1 + l2 and r exact (divmod), and 2^(k1 + k2 + j) meets the product
     last, so only a value outside the normal doubles is refused.  On a half-line
@@ -252,16 +270,18 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     normal doubles has lost bits to the exponent range, and is refused like
     a value there."""
     z1, z2, sign = complex(z1), complex(z2), math.copysign
-    if rule is None:
-        u = 2.0 * max(abs(0.5 * z1), abs(0.5 * z2))     # halved: no modulus overflows
-        try:
+    try:
+        if domain == HALF_LINE:
+            rule = _c_rule(HALF_LINE, a, omega=abs(z1.real - z2.real))
+        else:
+            u = 2.0 * max(abs(0.5 * z1), abs(0.5 * z2))     # halved: no modulus overflows
             rule = _c_rule(UNIT_INTERVAL, s=s or 0.0, u=u if point is _bulk_point else math.sqrt(u),
                            name=kind)
-        except OutOfRangeError:
-            _check("a", a)
-            for z in (z1, z2):
-                point(kind, a, s, z)
-            raise
+    except OutOfRangeError:
+        _check("a", a)
+        for z in (z1, z2):
+            point(kind, a, s, z)
+        raise
     feature = _half_line_feature if rule[0] == HALF_LINE else _feature
     v1, r1, i1, l1, k1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
                                  sign(1, z1.imag))
@@ -276,7 +296,7 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     re, im = float(v1.dot(v2)), float(i1.dot(r2) - r1.dot(i2))
     e = math.exp(r)
     if feature is _half_line_feature:
-        last = 4 * _gauss_rule(*rule)[1].shape[1]     # the last panel's floats of F
+        last = 4 * rule[-1]     # the final panel's floats of F
         tail = np.vdot(v2[-last:].view(complex), v1[-last:].view(complex))
         _check_tail(abs(tail) * e, abs(complex(re, im)) * e)
     _normal(complex(re, im))
@@ -346,21 +366,24 @@ def bulk_strong(a: float, z1: complex, z2: complex) -> complex:
             * int_0^infty dt (t/2)^{a+1/2}/I_{a+1/2}(t) cos(t(z1 - conj z2)).
 
     The half line is truncated at max(50, 5(a+2)) where the integrand has
-    decayed below machine relevance (the rule of `quadrature._c_rule` at
-    a), and summed as the product of the bulk
-    features of the two points on its nodes; TailDivergenceError where the
-    last panel's share of that product is not negligible, as near the wall
-    at large a, where the integrand peaks near a/(1 - |y1 + y2|): so
-    bulk_strong(500, 0.1+0.45j, 0.1+0.45j) is refused.  That rule has
-    16(a+2) nodes from a = 38 on, so past a = 1022 it
-    exceeds the half-line node cap of `quadrature` and the kernel raises
-    OutOfRangeError, first, whatever the walls.  A wall factor q <= 0 takes
+    decayed below machine relevance, on the rule that `quadrature._c_rule`
+    sizes from a and |x1 - x2|, the frequency of cos(t(z1 - conj z2)): on
+    the rung |x1 - x2| <= 8 2^j, equal panels of up to 256 Gauss-Legendre
+    nodes (160 nodes in all for a below 8 and |x1 - x2| <= 8, where 16
+    nodes on each panel of 1.25 were 640).  It is summed as the product of
+    the bulk features of the two points on its nodes; TailDivergenceError
+    where the final panel's share of that product is not negligible, as near
+    the wall at large a, where the integrand peaks near a/(1 - |y1 + y2|):
+    so bulk_strong(500, 0.1+0.45j, 0.1+0.45j) is refused.  Past 16,384
+    nodes, the half-line node cap of `quadrature`, the kernel raises
+    OutOfRangeError, first, whatever the walls: on the first rung from
+    a = 1309.4, past a_max = 1024, and at a = 300 from |x1 - x2| > 32.  A
+    wall factor q <= 0 takes
     the hard-wall limit, as in the feature kernels.  A point whose product
     with the last node passes the doubles (from x of about 3.6e306 at
     a < 8) is refused with OutOfRangeError.
     """
-    rule = _c_rule(HALF_LINE, a)
-    return _feature_kernel("bulk-strong", _bulk_point, _bulk_nodes, a, 1.0, z1, z2, rule)
+    return _feature_kernel("bulk-strong", _bulk_point, _bulk_nodes, a, 1.0, z1, z2, HALF_LINE)
 
 
 def edge_weak(a: float, s: float, Z1: complex, Z2: complex) -> complex:
@@ -561,10 +584,11 @@ def _series_frame(kind: str, tau: float, z1: complex, z2: complex, decay: int):
     return v, zeta1, zeta2, o1, np.conj(o2), p
 
 
-def _images(p, x1: complex, x2: complex, sign: float) -> complex:
-    """The Joukowsky image sum of every global kernel,
+def _images(p, x1: complex, x2: complex, sign: float) -> np.ndarray:
+    """The terms of the Joukowsky image sum of every global kernel, one per
+    power p_j,
 
-        sum_j S(p_j x1 x2) + sign S(p_j x1/x2) + sign S(p_j x2/x1) + S(p_j/(x1 x2)),
+        S(p_j x1 x2) + sign S(p_j x1/x2) + sign S(p_j x2/x1) + S(p_j/(x1 x2)),
 
     with S(q) = q/(1-q)^2, evaluated as one S over a [4, terms] array."""
     q = np.array((x1, x1, x2, 1.0))[:, None] * p
@@ -572,13 +596,13 @@ def _images(p, x1: complex, x2: complex, sign: float) -> complex:
     q[1:] /= np.array((x2, x1, x1 * x2))[:, None]
     q /= (1.0 - q) ** 2
     q[1:3] *= sign
-    return q.sum(axis=0).sum()
+    return q.sum(axis=0)
 
 
 def global_kernel_u(tau: float, z1: complex, z2: complex) -> complex:
     """Global kernel of the flat (a=0, Chebyshev-U) gas, rescaled coordinates."""
     _, _, _, o1, o2, eta = _series_frame("global-u", tau, z1, z2, 4)
-    tot = _images(eta, o1, o2, -1.0)
+    tot = _images(eta, o1, o2, -1.0).sum()
     return complex(2.0 / (math.pi * tau) * tot / ((o1 - 1.0 / o1) * (o2 - 1.0 / o2)))
 
 
@@ -587,7 +611,7 @@ def global_kernel_t(tau: float, z1: complex, z2: complex) -> complex:
     coordinates; includes the 1/(2 log v) zero-mode term."""
     v, zeta1, zeta2, o1, o2, eta = _series_frame("global-t", tau, z1, z2, 4)
     pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 - zeta1 ** 2) * abs(1 - zeta2 ** 2))
-    return complex(pref * (_images(eta, o1, o2, 1.0) + 1.0 / (2.0 * math.log(v))))
+    return complex(pref * (_images(eta, o1, o2, 1.0).sum() + 1.0 / (2.0 * math.log(v))))
 
 
 def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
@@ -599,12 +623,14 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
     roots, which keeps the series single-valued and Hermitian.  Each term is
     sqrt(q) G(q), G(q) = (1+q)/(1-q)^2, at sqrt(q) = e_j r1^{+-1} r2^{+-1} with
     e_j = v^{-(1+2j)}; since sqrt(q) G(q) = [S(sqrt q) - S(-sqrt q)]/2, the
-    series is half the difference of the image sums over e and -e.  Its
-    terms shrink like v^{-2j} only: G(q) -> 1 leaves the factor e_j.
+    series is half the difference of the image sums over e and -e, both
+    from one `_images` run on the powers (e, -e).  Its terms shrink like
+    v^{-2j} only: G(q) -> 1 leaves the factor e_j.
     """
     _, zeta1, zeta2, o1, o2c, e = _series_frame("global-v", tau, z1, z2, 2)
     r1, r2 = np.sqrt(o1), np.conj(np.sqrt(np.conj(o2c)))
-    tot = 0.5 * (_images(e, r1, r2, -1.0) - _images(-e, r1, r2, -1.0))
+    terms = _images(np.concatenate((e, -e)), r1, r2, -1.0)
+    tot = 0.5 * (terms[:e.size].sum() - terms[e.size:].sum())
     pref = 1.0 / (2.0 * math.pi * tau) / math.sqrt(abs(1 + zeta1) * abs(1 + zeta2))
     return complex(pref * tot / ((r1 - 1.0 / r1) * (r2 - 1.0 / r2)))
 

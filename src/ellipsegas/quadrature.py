@@ -32,11 +32,15 @@ holds node counts only.  The rules in c on [0, 1] and on the half line
 sized from its s and the argument u of its node functions: 64 2^j
 Gauss-Legendre nodes, j the least with s <= 50 2^j and |u| <= 60 2^j, up to
 4096 nodes, past which the kernel is refused by name; `integrate_c` takes
-the 64-node rule.  The half line of an integrand of exponent a is truncated
-at T = max(50, 5(a+2)), in panels of min(5, max(1, T/40)) of 16 nodes, for
-`bulk_strong` and for `integrate_c` at the a they are given: a is the only
-input of the half-line rule.  The Gauss-Jacobi rules, and the Legendre
-rules of the c-rules, run no recurrence of their own: `_jacobi_rule` takes
+the 64-node rule.  The half line of an integrand of exponent a times an
+oscillation of frequency omega, the strong bulk's |x1 - x2|, is truncated at
+T = max(50, 5(a+2)), with a final panel of min(5, max(1, T/40)), and sized
+for the rung omega <= 8 2^j: equal Gauss-Legendre panels of up to 256
+nodes, each given as many nodes as its oscillation omega_j L/2 asks, so 160
+nodes at a below 8 on the first rung (there were 640), for `bulk_strong`
+and, on the first rung, for `integrate_c` at the a it is given.  The
+Gauss-Jacobi rules, and the Legendre rules of the c-rules, run no
+recurrence of their own: `_jacobi_rule` takes
 the Jacobi coefficients and the block core, with its rescale window, from
 `polynomials`.  Summation order is fixed (numpy pairwise over a frozen node
 ordering), making results independent of any data-parallel evaluation.
@@ -60,12 +64,12 @@ UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
 # Gauss rules kept per process; each is a few kB
 _RULE_CACHE = 128
-# nodes of a half-line rule past which it is refused, which bulk_strong
-# reaches past a = 1022.  It no longer guards a slow path: on a 2-vCPU VM a
-# first bulk_strong call takes 0.013 s on 9,632 nodes (a = 600) and 0.008 s
-# on 16,032 (a = 1000), and log_i_ratio 0.017 s on the 48,032 of a = 3000,
-# where the per-node series it replaced took 0.39 s, 0.37 s and 31 s; the
-# kernel's values past a = 1022 are unchecked, so the refusal stays
+# nodes of a half-line rule past which it is refused, before it is built.  It
+# no longer guards a slow path: on a 2-vCPU VM a first bulk_strong call took
+# 0.013 s on 9,632 nodes (a = 600) and 0.008 s on 16,032 (a = 1000) of the
+# 16-node panels this rule replaced, and log_i_ratio 0.017 s on 48,032
+# (a = 3000); it bounds the kept features (32 B a node) and the oscillation
+# the rule is asked to resolve
 _HALF_LINE_CAP = 2 ** 14
 # the unit-interval c-rules of `_c_rule`, (rule, largest s, largest |u|):
 # 64 2^j nodes up to s = 50 2^j and |u| = 60 2^j, j <= 6.  Against an
@@ -75,6 +79,14 @@ _HALF_LINE_CAP = 2 ** 14
 # 2.7e-15 at |u| = 150.  A first bulk_weak call took 0.13 s on 2048 nodes
 # and 0.23 s on 4096 on a 2-vCPU VM
 _C_RULES = tuple(((UNIT_INTERVAL, 64 << j), 50.0 * 2 ** j, 60.0 * 2 ** j) for j in range(7))
+# the half-line rule's rungs: the pair's frequency |x1 - x2| up to 8 2^j.  An
+# n-node Gauss-Legendre panel is given at most kappa = omega L/2, L its
+# length, with 2n - 6 sqrt(n) >= kappa, and at most _PANEL_NODES nodes: on
+# [-1, 1] the n-node rule integrates e^(i kappa x) to within 1e-14 up to
+# kappa = 9.2, 31, 83, 197, 435 and 926 at n = 16, 32, 64, 128, 256 and 512,
+# where the bound gives 8, 30, 80, 188, 416 and 888
+_OMEGA_RUNG = 8.0
+_PANEL_NODES = 256
 
 
 # the largest radial node count and product rule that a QuadratureSpec takes.
@@ -172,10 +184,11 @@ def _gauss_rule(kind: str, n: int, *params: float):
     "legendre": n-node Gauss-Legendre on [-1, 1].  "jacobi", params
     (alpha, beta): n-node Gauss-Jacobi for the weight (1-x)^alpha (1+x)^beta.
     UNIT_INTERVAL: the n-node Legendre rule moved to [0, 1].  HALF_LINE,
-    params (truncation, panel): the n-node Legendre rule on each panel of
-    [0, truncation], nodes as one flat array and weights as [panels, n];
-    OutOfRangeError, before it is built, past _HALF_LINE_CAP nodes.  The
-    arguments of every c-rule come from `_c_rule`.
+    params (truncation, panels, final, final_nodes): the n-node Legendre rule
+    on each of `panels` equal panels of [0, truncation - final], then the
+    final_nodes-node rule on [truncation - final, truncation], as flat nodes
+    and weights, the final panel's last.  The arguments of every c-rule come
+    from `_c_rule`.
     """
     if kind == "legendre":
         return _read_only(*_jacobi_rule(n, 0.0, 0.0))
@@ -184,26 +197,38 @@ def _gauss_rule(kind: str, n: int, *params: float):
     if kind == UNIT_INTERVAL:
         x, w = _gauss_rule("legendre", n)
         return _read_only((x + 1.0) / 2.0, w / 2.0)
-    truncation, panel = params
-    if not truncation / panel * n <= _HALF_LINE_CAP:
-        raise OutOfRangeError(f"the half-line rule needs more than {_HALF_LINE_CAP} nodes")
-    x, w = _gauss_rule("legendre", n)
-    edges = [0.0]
-    while edges[-1] < truncation:
-        edges.append(min(edges[-1] + panel, truncation))
-    t0, t1 = np.array(edges[:-1]), np.array(edges[1:])
-    tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
-    return _read_only((tm[:, None] + th[:, None] * x).ravel(), np.outer(th, w))
+    truncation, panels, final, final_nodes = params
+    edges = np.append(np.linspace(0.0, truncation - final, panels + 1), truncation)
+    t, w = [], []
+    for t0, t1, nodes in zip(edges[:-1], edges[1:], [n] * panels + [final_nodes]):
+        x, wx = _gauss_rule("legendre", nodes)
+        t.append((t0 + t1) / 2.0 + (t1 - t0) / 2.0 * x)
+        w.append((t1 - t0) / 2.0 * wx)
+    return _read_only(np.concatenate(t), np.concatenate(w))
 
 
-def _c_rule(domain: str, a=0.0, *, s=0.0, u=0.0, name="c-rule"):
+def _panel_nodes(kappa: float) -> int:
+    """The least multiple of 16 Gauss-Legendre nodes n with
+    2n - 6 sqrt(n) >= kappa, the most oscillation kappa = omega L/2 that a
+    panel of length L is given at frequency omega."""
+    root = (6.0 + math.sqrt(36.0 + 8.0 * kappa)) / 4.0
+    return max(16, 16 * math.ceil(root * root / 16.0))
+
+
+def _c_rule(domain: str, a=0.0, *, s=0.0, u=0.0, omega=0.0, name="c-rule"):
     """The `_gauss_rule` arguments of the c-rule on `domain`, the one place
     that sets them.  On [0, 1], for a weight in cs and node functions of
     c u, the first rule of `_C_RULES` that reaches s and |u|, and
     OutOfRangeError naming `name` past the last.  The half line [0, inf) of
-    an integrand of exponent a, which peaks near t = a, is set by a alone:
-    truncated at T = max(50, 5(a+2)) and cut into panels of
-    min(5, max(1, T/40)), with 16 nodes a panel; a is read there only."""
+    an integrand of exponent a, which peaks near t = a, times an oscillation
+    of frequency omega: truncated at T = max(50, 5(a+2)), with a final panel
+    of P = min(5, max(1, T/40)) whose share is the tail that
+    `_check_tail` tests, and sized for the rung omega_j = 8 2^j, j the least
+    with omega <= omega_j: [0, T - P] in the fewest equal panels whose
+    kappa = omega_j L/2 a panel of _PANEL_NODES nodes reaches, each of the
+    nodes `_panel_nodes` gives for its kappa, and the final panel of the
+    nodes it gives for omega_j P/2 (16 on the first rung up to a = 14).
+    OutOfRangeError, before the rule is built, past _HALF_LINE_CAP nodes."""
     if domain == UNIT_INTERVAL:
         for rule, hi_s, hi_u in _C_RULES:
             if s <= hi_s and u <= hi_u:
@@ -212,7 +237,20 @@ def _c_rule(domain: str, a=0.0, *, s=0.0, u=0.0, name="c-rule"):
     if domain != HALF_LINE:
         raise DomainError(f"unknown domain {domain!r}")
     T = max(50.0, 5.0 * (a + 2.0))
-    return HALF_LINE, 16, T, min(5.0, max(1.0, T / 40.0))
+    P = min(5.0, max(1.0, T / 40.0))
+    rung, nodes = _OMEGA_RUNG, math.inf
+    # an n-node panel resolves no kappa past 2n: that bound first, which also
+    # refuses an omega or T that is not finite
+    if omega * (T - P) <= 4.0 * _HALF_LINE_CAP:
+        while rung < omega:
+            rung *= 2.0
+        kappa = rung * (T - P) / 2.0
+        panels = math.ceil(kappa / (2.0 * _PANEL_NODES - 6.0 * math.sqrt(_PANEL_NODES)))
+        n, final_nodes = _panel_nodes(kappa / panels), _panel_nodes(rung * P / 2.0)
+        nodes = panels * n + final_nodes
+    if not nodes <= _HALF_LINE_CAP:
+        raise OutOfRangeError(f"the half-line rule needs more than {_HALF_LINE_CAP} nodes")
+    return HALF_LINE, n, T, panels, P, final_nodes
 
 
 @lru_cache(maxsize=64)
@@ -285,27 +323,23 @@ def integrate_c(g, domain: str, a=0.0) -> complex:
     """Integrate g over c in [0,1] or t in [0,inf) (paneled, truncated).
 
     [0, 1] takes the 64-node rule of `_c_rule`, and the half line the rule
-    that `_c_rule` sets for an integrand of exponent a, the one `bulk_strong`
-    sums on at its a: at a = 0 truncated at 50 in panels of 1.25, and at
-    a = 1000 at 5010 in panels of 5.  The final panel must be negligible or
-    the integrand is flagged as non-decaying (TailDivergenceError), and a
-    rule past _HALF_LINE_CAP nodes is refused (OutOfRangeError).
+    that `_c_rule` sets for an integrand of exponent a on its first rung,
+    the one `bulk_strong` sums on at its a for a pair with |x1 - x2| <= 8:
+    at a = 0 truncated at 50, 144 nodes on [0, 48.75] and 16 on its final
+    panel.  The final panel must be negligible or the integrand is flagged as
+    non-decaying (TailDivergenceError), and a rule past _HALF_LINE_CAP
+    nodes is refused (OutOfRangeError).
     An integrand that is not finite at a node, such as an underflowed factor
     times an overflowed one, or a sum that overflows, raises OutOfRangeError
     rather than return nan.  g sees the nodes as one flat array, the same
     read-only array on every call with the same rule.
     """
-    c, w = _gauss_rule(*_c_rule(domain, a))
-    vals = np.asarray(g(c), dtype=complex)
-    if domain == UNIT_INTERVAL:
-        total = complex((w * vals).sum())
-    else:
-        # one composite rule, weights [panels, nodes]
-        parts = (w * vals.reshape(w.shape)).sum(axis=1).tolist()
-        total = 0.0 + 0.0j
-        for part in parts:
-            total += part
-        _check_tail(abs(parts[-1]), abs(total))
+    rule = _c_rule(domain, a)
+    c, w = _gauss_rule(*rule)
+    terms = w * np.asarray(g(c), dtype=complex)
+    total = complex(terms.sum())
+    if domain == HALF_LINE:
+        _check_tail(abs(terms[-rule[-1]:].sum()), abs(total))
     # the weights are positive, so a value that is not finite at any node
     # leaves the sum not finite; checking the sum is the cheaper test
     if not cmath.isfinite(total):

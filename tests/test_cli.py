@@ -862,6 +862,9 @@ def test_converge_weak_study_refuses_non_positive_s(tmp_path, capsys, study):
      "a value of log scale 984.473 leaves the double range"),
     (["kernel", "--kind", "bulk-strong", "--a", "1e8", "--points", "0,0"],
      "the half-line rule needs more than 16384 nodes"),
+    (["kernel", "--kind", "bulk-weak", "--a", "1e16", "--s", "1", "--points", "0.1,0"],
+     "the weight in c needs a <= 1024, got 1e+16: past it, ln Gamma(a+1) and the Bessel "
+     "ratio cancel to over 1e-12"),
     (["kernel", "--kind", "edge-strong", "--a", "0.5", "--points", "1e308,0"],
      "edge_strong needs |beta| <= 2^1022, got 1e+308"),
     # Gauss-Jacobi rules whose weights leave the double range, for the disc

@@ -83,6 +83,30 @@ def test_bulk_weak_diagonal_real_positive():
     assert val.real > 0
 
 
+def test_weight_kernels_refuse_past_a_max_by_name():
+    # a kernel whose weight in c takes ln Gamma(a+1) against the Bessel ratio
+    # answers up to a = 1024 and is refused past it: bulk_weak(1e16, 1, 0.1,
+    # 0.1) returned 128.  bessel_kernel's weight has no ln Gamma(a+1)
+    # (kernel, whether it answers at a = 1000, the a past a_max it is given):
+    # edge_weak's value at a = 1000 is below the doubles, and bulk_strong's
+    # half-line rule at a = 1e16 is refused first by its node cap
+    kernels = ((lambda a: bulk_weak(a, 1.0, 0.1, 0.1), True, (1024.5, 1100.0, 1e16)),
+               (lambda a: edge_weak_minus_sine(a, 1.0, 0.85 + 0.1j, 0.85 + 0.1j), True,
+                (1024.5, 1100.0, 1e16)),
+               (lambda a: edge_weak_minus_cosine(a, 1.0, 0.85 + 0.1j, 0.85 + 0.1j), True,
+                (1024.5, 1100.0, 1e16)),
+               (lambda a: edge_weak(a, 1.0, 1.0, 1.0), False, (1024.5, 1100.0, 1e16)),
+               (lambda a: bulk_strong(a, 0.1, 0.1), True, (1024.5, 1100.0)))
+    for kernel, answers, past in kernels:
+        if answers:
+            assert kernel(1000.0).real > 0.0
+        for a in past:
+            with pytest.raises(OutOfRangeError, match=r"^the weight in c needs a <= 1024, got"):
+                kernel(a)
+    with pytest.raises(OutOfRangeError, match="outside the normal double range"):
+        bessel_kernel(2000.0, 1.0, 1.0)
+
+
 def test_bulk_weak_translation_invariance():
     # depends on z1 - conj z2 and the imaginary parts only
     a, s = 1.0, 2.0
@@ -429,17 +453,20 @@ def test_edge_and_bessel_kernels_answer_in_full_precision_or_refuse(a):
 
 @pytest.mark.parametrize("a", [1e17, 1e300, 2e305])
 def test_phi_kernels_refuse_by_name_at_any_order(a):
-    # phi(0) = m 2^k with k below -10^18: every value off the wall is below
-    # the doubles and refused as such, without a warning or a bare
-    # OverflowError from the split of e^(l1 + l2) or of Gamma(a + 3/2), whose
-    # log2 passes the doubles at 2e305; on the wall the value is its limit
+    # phi(0) = m 2^k with k below -10^18: every value of bessel_kernel off the
+    # wall is below the doubles and refused as such, without a warning or a
+    # bare OverflowError from the split of e^(l1 + l2) or of Gamma(a + 3/2),
+    # whose log2 passes the doubles at 2e305; on the wall the value is its
+    # limit.  edge_weak, whose weight in c takes ln Gamma(a+1), is refused
+    # past a = 1024 before its weight is formed, on the wall too
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for call in (lambda: bessel_kernel(a, 1.0, 1.0), lambda: edge_weak(a, 1.0, 1.0, 1.0),
-                     lambda: edge_weak(a, 1.0, 1e-3, 0.3 + 0.1j)):
-            with pytest.raises(OutOfRangeError, match="outside the normal double range"):
+        with pytest.raises(OutOfRangeError, match="outside the normal double range"):
+            bessel_kernel(a, 1.0, 1.0)
+        for call in (lambda: edge_weak(a, 1.0, 1.0, 1.0), lambda: edge_weak(a, 1.0, 1e-3, 0.3 + 0.1j),
+                     lambda: edge_weak(a, 2.0, -1.0, 0.5 + 0.3j)):
+            with pytest.raises(OutOfRangeError, match=r"^the weight in c needs a <= 1024, got"):
                 call()
-        assert edge_weak(a, 2.0, -1.0, 0.5 + 0.3j) == 0.0
         assert bessel_kernel(a, 0.0, 0.7) == 0.0
 
 
@@ -589,18 +616,82 @@ def test_bulk_strong_ginibre_equivalence():
 
 
 def test_bulk_strong_refuses_past_the_half_line_node_cap():
-    # its rule has 16(a+2) nodes; a = 3000 used to take 33 s for its first
-    # value and a = 1e8 would ask for 1.6e9 nodes
-    for a in (1023.0, 3000.0, 1e8, 1e300):
+    # its rule is sized from a and |x1 - x2|: on the first rung, |x1 - x2| <= 8,
+    # it passes the 16,384-node cap from a = 1309.4, beyond a_max = 1024; a
+    # pair farther apart passes it at a smaller a (at a = 300 from 32); each
+    # refusal is at once, before any rule or feature is built
+    for a, z1, z2 in ((3000.0, 0.1, 0.1), (1e8, 0.1, 0.1), (1e300, 0.1, 0.1),
+                      (300.0, -16.5 + 0.1j, 16.5), (1000.0, 4.25, -4.25), (0.5, 0.0, 1200.0)):
         start = time.perf_counter()
         with pytest.raises(OutOfRangeError, match="half-line rule needs more than 16384 nodes"):
-            bulk_strong(a, 0.1, 0.1)
+            bulk_strong(a, z1, z2)
         assert time.perf_counter() - start < 1.0
     with pytest.raises(OutOfRangeError):       # also where a wall would give 0
         bulk_strong(1e8, 0.5j, 0.0)
-    with pytest.raises(OutOfRangeError):       # integrate_c on the rule of a = 1023
-        integrate_c(np.cos, HALF_LINE, 1023.0)
-    assert _gauss_rule(*_c_rule(HALF_LINE, 1022.0))[0].size == 16384   # a = 1022 answers
+    with pytest.raises(OutOfRangeError):       # integrate_c on the first rung of a = 1310
+        integrate_c(np.cos, HALF_LINE, 1310.0)
+    # a = 1024 answers on 12,832 nodes, on the first rung, and a pair 16 apart
+    # at a = 300 on the third, 14,912
+    assert _gauss_rule(*_c_rule(HALF_LINE, 1024.0))[0].size == 12832
+    assert bulk_strong(1024.0, 0.1, 0.1).real > 0.0
+    assert _gauss_rule(*_c_rule(HALF_LINE, 300.0, omega=32.0))[0].size == 14912
+    assert abs(bulk_strong(300.0, -8.0 + 0.1j, 8.0)) < 1e-13 * bulk_strong(300.0, 8.0, 8.0).real
+
+
+def _fine_half_line_rule(a, omega):
+    """32 Gauss-Legendre nodes on each equal panel of at most min(2, 16/omega)
+    of [0, T], T = max(50, 5(a+2)): kappa <= 8 a panel, where 32 nodes are
+    exact to rounding, and at least 4 times the nodes of bulk_strong's rule."""
+    truncation = max(50.0, 5.0 * (a + 2.0))
+    panels = math.ceil(truncation / min(2.0, 16.0 / max(omega, 1e-300)))
+    x, w = _gauss_rule("legendre", 32)
+    half = truncation / panels / 2.0
+    mids = (2.0 * np.arange(panels) + 1.0) * half
+    return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
+
+
+@pytest.mark.parametrize("a", [-0.999, -0.5, 0.7, 3.0, 8.0, 20.0, 35.0, 100.0, 300.0])
+def test_bulk_strong_answers_its_grid_within_1e_13_or_refuses(a):
+    # pairs -X + i y1, X + i y2, whose product oscillates at 2X, against the
+    # same half line [0, T] on a rule with at least 4 times the nodes: each
+    # value within 1e-13 of sqrt(K11 K22), or refused by name.  A diagonal
+    # also carries the rounding of ln Gamma(a+1) against the Bessel ratio,
+    # about eps ln Gamma(a+1) of it: 2.3e-13 against 30-digit mpmath at
+    # a = 300, z = 0.5, on this rule and on the 16-node panels it replaced
+    # (ROADMAP item 6).  At a = 35 and X = 8 the 16-node panels were 2.9e-3 off
+    floor = 2.0 * np.finfo(float).eps * ln_gamma(a + 1.0)
+    for X in (0.5, 3.0, 4.0, 8.0, 10.0, 30.0):
+        t, w = _fine_half_line_rule(a, 2.0 * X)
+        log_w = np.log(w) + log_i_ratio(a + 0.5, t) + (math.log(2.0) - 1.5 * math.log(math.pi)
+                                                        - ln_gamma(a + 1.0))
+        for y1, y2 in ((0.0, 0.0), (0.1, -0.1), (0.1, 0.1), (0.45, -0.45), (0.25, 0.2),
+                       (-0.45, 0.3)):
+            z1, z2 = complex(-X, y1), complex(X, y2)
+
+            def reference(u, v):
+                walls = _log_power(0.5 * a, 1.0 - 4.0 * u.imag ** 2) + _log_power(
+                    0.5 * a, 1.0 - 4.0 * v.imag ** 2)
+                itd = 1j * t * (u - v.conjugate())     # cos(td) in log space: no overflow
+                return complex(np.sum(np.exp(log_w + walls - math.log(2.0) + itd)
+                                      + np.exp(log_w + walls - math.log(2.0) - itd)))
+
+            k11, k22 = reference(z1, z1), reference(z2, z2)
+            for u, v, scale, tol in ((z1, z1, k11.real, 1e-13 + floor),
+                                     (z2, z2, k22.real, 1e-13 + floor),
+                                     (z1, z2, math.sqrt(k11.real * k22.real), 1e-13)):
+                try:
+                    value = bulk_strong(a, u, v)
+                except (OutOfRangeError, TailDivergenceError):
+                    continue
+                assert abs(value - reference(u, v)) <= tol * scale, (a, u, v)
+
+
+def test_bulk_strong_far_pair_at_a_35_is_its_cancellation():
+    # 30-digit mpmath.quad gives -5.5e-34 at a = 35, z = -8 + 0.1i, 8 - 0.1i:
+    # 16 nodes on each panel of 4.625 gave -0.0753, 2.9e-3 of sqrt(K11 K22)
+    k12 = bulk_strong(35.0, -8.0 + 0.1j, 8.0 - 0.1j)
+    k11, k22 = bulk_strong(35.0, -8.0 + 0.1j, -8.0 + 0.1j), bulk_strong(35.0, 8.0 - 0.1j, 8.0 - 0.1j)
+    assert abs(k12) <= 1e-13 * math.sqrt(k11.real * k22.real)
 
 
 def test_bulk_strong_refuses_the_tail_where_its_integral_does():
@@ -626,17 +717,22 @@ def test_bulk_strong_refuses_the_tail_where_its_integral_does():
 
 
 def test_half_line_feature_cache_stays_within_its_bound():
-    # a point's features are two complex numbers a node: 20 kB on the
-    # default 640-node rule and 512 KiB at the half-line node cap, so the
-    # kept features hold at most _HALF_LINE_FEATURES of them, 3 MiB
+    # a point's features are two complex numbers a node: 5 kB on the
+    # 160-node first rung of a below 8 and 512 KiB at the half-line node cap,
+    # so the kept features hold at most _HALF_LINE_FEATURES of them, 3 MiB
     assert _HALF_LINE_FEATURES * _HALF_LINE_CAP * 32 <= 4e6
-    assert _kept_feature("strong", 0.5, None, 0.1 + 0.2j, 1.0, 1.0)[0].nbytes == 640 * 32
-    assert (_kept_feature("strong", 1022.0, None, 0.1 + 0.2j, 1.0, 1.0)[0].nbytes
-            == _HALF_LINE_CAP * 32)
+    assert _kept_feature("strong", 0.5, None, 0.1 + 0.2j, 1.0, 1.0)[0].nbytes == 160 * 32
+    for a, omega in ((1024.0, 0.0), (300.0, 32.0), (0.5, 1000.0)):
+        rule = _c_rule(HALF_LINE, a, omega=omega)
+        nbytes = _kept_feature("strong", a, None, 0.1 + 0.2j, 1.0, 1.0, rule=rule)[0].nbytes
+        assert nbytes == _gauss_rule(*rule)[0].size * 32 <= _HALF_LINE_CAP * 32
     rng = np.random.default_rng(9)
-    for _ in range(12):
-        z1, z2 = (complex(2.0 * rng.random(), 0.4 * rng.random() - 0.2) for _ in range(2))
-        bulk_strong(0.5, z1, z2)
+    for _ in range(12):     # pairs on the first three rungs
+        z1, z2 = (complex(20.0 * rng.random(), 0.4 * rng.random() - 0.2) for _ in range(2))
+        try:
+            bulk_strong(0.5, z1, z2)
+        except TailDivergenceError:     # a far pair whose sum cancels below its tail
+            pass
         info = _half_line_feature.cache_info()
         assert info.maxsize == _HALF_LINE_FEATURES and info.currsize <= _HALF_LINE_FEATURES
 
@@ -950,6 +1046,75 @@ def test_hermitian_symmetry_all_limit_kernels(rng):
                     pass
 
 
+def _edge_points(domain, params):
+    """Points of a point domain of `_POINT_DOMAINS` at and next to its edge,
+    given the kind's parameters (a, s, tau; each None where not taken)."""
+    a, s, tau = params
+    near = 1.0 - 1e-9
+    if domain == "real line":
+        return [0.0, 2.5, -40.0]
+    if domain == "half line":
+        return [0.0, 1e-12, 3.0, 3600.0]
+    if domain == "strip":
+        w = (s or 1.0) / 2.0
+        return [complex(0.0, w), complex(3.0, -w * near), complex(-0.5, w * near), 0.2 + 0j]
+    if domain == "parabola":
+        return [complex((y / s) ** 2 - s * s / 4.0, y) for y in (0.0, s, -2.0 * s)] + [1e-12 + 0j]
+    if domain == "right half-plane":
+        return [0j, 2j, complex(1e-12, -3.0), 4.0 + 1j]
+    if domain == "plane":
+        return [0j, 5.0 - 5.0j, -0.3 + 1e-12j]
+    if domain in ("unit disc", "punctured disc"):
+        return [cmath.rect(r, angle) for r, angle in ((1e-12, 0.3), (near, 1.1), (near, -2.9))] + (
+            [0j] if domain == "unit disc" else [])
+    # the rescaled ellipse: z = sqrt(2 tau) (omega + 1/omega)/2 next to its
+    # wall |omega| = v and next to its foci omega = +-1
+    v = EllipseGeometry(tau).v
+    return [math.sqrt(2.0 * tau) * (om + 1.0 / om) / 2.0
+            for om in (cmath.rect(v * near, 0.7), cmath.rect(v * near, -2.2), 1.0 + 1e-6j,
+                       -1.0 + 1e-6j, 1.0001 + 0j)]
+
+
+_SERIES_KINDS = {"global-u", "global-t", "global-v"}
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.xfail(
+        kind in _SERIES_KINDS, strict=True,
+        reason="ROADMAP item 5: next to the wall a series diagonal is complex by up to 6.6e-8 "
+               "of its value, and next to a focus K21 is conj K12 only to 1.3e-7 of "
+               "sqrt(K11 K22)"))
+    for kind, row in KERNEL_KINDS.items() if row[0] == "kernels_limit"])
+def test_limit_kinds_at_the_corners_of_their_domains(kind):
+    # each limit kind of `KERNEL_KINDS` at the ends of its parameters' ranges
+    # and at points next to the edge of its row's point domain: each value is
+    # a real K(z, z) >= 0 and K(z2, z1) = conj K(z1, z2), to the tolerance of
+    # test_hermitian_symmetry_all_limit_kernels, or a refusal by name; a bare
+    # exception or a RuntimeWarning fails
+    values = {"a": (-0.999, 0.0, 3.0, 30.0), "s": (0.5, 3.0), "tau": (1e-3, 0.5, 0.99)}
+    _, _, names, domain = KERNEL_KINDS[kind]
+    answered = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for combo in itertools.product(*(values[n] for n in names)):
+            params = dict(zip(names, combo))
+            kern = make_kernel(LimitKernelSpec(kind, **params))
+            points = _edge_points(domain, tuple(params.get(n) for n in ("a", "s", "tau")))
+            for z1, z2 in itertools.combinations_with_replacement(points, 2):
+                try:
+                    k11, k12, k21 = (complex(kern(u, v)) for u, v in ((z1, z1), (z1, z2), (z2, z1)))
+                except (DomainError, TailDivergenceError):
+                    continue
+                answered += 1
+                if kind in _SERIES_KINDS:
+                    assert abs(k11.imag) <= 1e-10 * max(1.0, abs(k11)) and k11.real >= 0.0
+                    assert abs(k12 - k21.conjugate()) <= 1e-10 * max(1.0, abs(k12))
+                else:
+                    assert k11.imag == 0.0 and k11.real >= 0.0, (params, z1)
+                    assert k21 == k12.conjugate(), (params, z1, z2)
+    assert answered > 0
+
+
 def test_limit_spec_validation():
     with pytest.raises(DomainError):
         LimitKernelSpec(LimitKind.BULK_WEAK, a=1.0)          # missing s
@@ -973,30 +1138,36 @@ def test_limit_spec_takes_a_kind_by_its_name():
 
 
 def test_bulk_strong_takes_its_half_line_rule_from_c_rule(monkeypatch):
-    # the one owner of the half-line rule is quadrature._c_rule at the
-    # kernel's a
-    rules = []
-    real = kernels_limit._feature_kernel
+    # the one owner of the half-line rule is quadrature._c_rule, at the
+    # kernel's a and the pair's |x1 - x2|, the frequency of its product
+    calls = []
+    real = kernels_limit._c_rule
 
-    def spy(*args):
-        rules.append(args[-1])
-        return real(*args)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernels_limit, "_feature_kernel", spy)
-    for a in (-0.5, 0.5, 9.0, 40.0):
-        bulk_strong(a, 0.1 + 0.05j, 0.1 + 0.05j)
-        assert rules[-1] == _c_rule(HALF_LINE, a)
-    assert rules == [(HALF_LINE, 16, 50.0, 1.25), (HALF_LINE, 16, 50.0, 1.25),
-                     (HALF_LINE, 16, 55.0, 1.375), (HALF_LINE, 16, 210.0, 5.0)]
+    monkeypatch.setattr(kernels_limit, "_c_rule", spy)
+    for a, z1, z2 in ((-0.5, 0.1 + 0.05j, 0.1 + 0.05j), (0.5, 100.0, 100.0 + 0.2j),
+                      (9.0, 0.1, 0.6 - 0.1j), (40.0, 0.1, 0.1 + 1e-300j)):
+        bulk_strong(a, z1, z2)
+        assert calls[-1] == ((HALF_LINE, a), {"omega": abs(z1.real - z2.real)})
+    assert [real(*args, **kwargs) for args, kwargs in calls] == [
+        (HALF_LINE, 144, 50.0, 1, 1.25, 16), (HALF_LINE, 144, 50.0, 1, 1.25, 16),
+        (HALF_LINE, 144, 55.0, 1, 1.375, 16), (HALF_LINE, 256, 210.0, 2, 5.0, 32)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bulk_strong_refuses_a_point_whose_node_products_leave_the_doubles():
     # c z at the half line's last node c ~ 50 passes the doubles from
-    # x ~ 3.6e306; the closest point below answers
+    # x ~ 3.6e306; the closest point below answers.  A point far from its
+    # partner is refused first by the node cap: the pair's oscillation
+    # |x1 - x2| needs more nodes than the rule may have
     assert cmath.isfinite(bulk_strong(1.0, 3e306, 3e306))
     for z in (4e306, -4e306 + 0.1j, 1.7e308):
         with pytest.raises(OutOfRangeError, match=r"^bulk-strong needs c z in the doubles"):
+            bulk_strong(1.0, z, z)
+        with pytest.raises(OutOfRangeError, match="half-line rule needs more than 16384 nodes"):
             bulk_strong(1.0, z, 0.1)
 
 
@@ -1281,11 +1452,12 @@ def _per_value_series_frame(kind, tau, z1, z2, decay):
 
 
 def _per_value_images(p, x1, x2, sign):
-    """The image sum with its weight rows and divisors from nested lists."""
+    """The image sum's terms with its weight rows and divisors from nested
+    lists."""
     q = np.outer((x1, x1, x2, 1.0), p)
     q[0] *= x2
     q[1:] /= [[x2], [x1], [x1 * x2]]
-    return np.sum(np.sum([[1.0], [sign], [sign], [1.0]] * (q / (1.0 - q) ** 2), axis=0))
+    return np.sum([[1.0], [sign], [sign], [1.0]] * (q / (1.0 - q) ** 2), axis=0)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.5, 0.95])
@@ -1422,11 +1594,12 @@ def _functions(kind):
     return tuple(getattr(kernels_limit, name) for name in _FEATURE_KERNELS[kind][3:])
 
 
-def _kept_feature(kind, a, s, z, re_sign, im_sign, cache=None):
-    """The kept (V, Re F, Im F, l) of a point, on the kernel's default rule,
-    from `cache` if given: the strong bulk's on its half line at s = 1."""
+def _kept_feature(kind, a, s, z, re_sign, im_sign, cache=None, rule=None):
+    """The kept (V, Re F, Im F, l) of a point, on `rule` or the kernel's
+    default rule, from `cache` if given: the strong bulk's on its half line at
+    s = 1."""
     if kind == "strong":
-        rule = _c_rule(HALF_LINE, a)
+        rule = rule or _c_rule(HALF_LINE, a)
         s, cache = 1.0, cache or _half_line_feature
     else:
         rule, cache = _c_rule(UNIT_INTERVAL), cache or _feature

@@ -150,12 +150,15 @@ def test_half_line_tail_divergence_detected(a):
 
 
 def test_half_line_refuses_past_its_node_cap_through_a():
-    # 16 nodes on each of the 1024 panels of 5 of a = 1022 is the cap, 16384
+    # on its first rung the rule takes 63 panels of 256 nodes and a final
+    # panel of 32 up to a = 1309.4 (T = 6557), 16,160 nodes, and passes the
+    # 16,384-node cap from there, refused before g is called
     calls = []
-    assert integrate_c(lambda t: calls.append(t) or np.exp(-t), HALF_LINE, 1022.0) != 0.0
-    assert calls[0].size == 16384
-    with pytest.raises(OutOfRangeError, match="half-line rule needs more than 16384 nodes"):
-        integrate_c(lambda t: calls.append(t) or np.exp(-t), HALF_LINE, 1022.5)
+    assert integrate_c(lambda t: calls.append(t) or np.exp(-t), HALF_LINE, 1309.0) != 0.0
+    assert calls[0].size == 63 * 256 + 32
+    for a in (1310.0, 3000.0, 1e8, 1e300, math.inf):
+        with pytest.raises(OutOfRangeError, match="half-line rule needs more than 16384 nodes"):
+            integrate_c(lambda t: calls.append(t) or np.exp(-t), HALF_LINE, a)
     assert len(calls) == 1
 
 
@@ -166,37 +169,44 @@ def test_half_line_calls_its_integrand_once_on_all_panels():
         calls.append(t)
         return np.exp(-t)
 
-    val = integrate_c(g, HALF_LINE)       # a = 0: 40 panels of 1.25 on [0, 50]
+    val = integrate_c(g, HALF_LINE)       # a = 0: 144 nodes on [0, 48.75], 16 on [48.75, 50]
     assert val.real == pytest.approx(1.0, rel=1e-13)
-    assert len(calls) == 1 and calls[0].shape == (40 * 16,)
+    assert len(calls) == 1 and calls[0].shape == (144 + 16,)
     assert 0.0 < calls[0].min() and calls[0].max() < 50.0
+    assert np.sum(calls[0] > 48.75) == 16
 
 
-@pytest.mark.parametrize("a", [-0.5, 0.0, 9.0, 17.3, 33.0, 100.0, 1000.0])
-def test_half_line_equals_the_panel_by_panel_sum(a):
-    # reference: one 16-node Gauss-Legendre rule per panel of
-    # min(5, max(1, T/40)) on [0, T], T = max(50, 5(a+2)), panel sums added
-    # in order
+@pytest.mark.parametrize("a, omega", [(-0.5, 0.0), (0.0, 0.0), (0.0, 20.0), (9.0, 3.0),
+                                      (17.3, 0.0), (33.0, 40.0), (100.0, 0.0), (1000.0, 8.0)])
+def test_half_line_rule_is_its_panels_in_order(a, omega):
+    # reference: `panels` equal panels of [0, T - P] of n Gauss-Legendre
+    # nodes each, then the final panel [T - P, T] of its own count, from the
+    # rule that `_c_rule` sets at (a, omega)
+    rule = _c_rule(HALF_LINE, a, omega=omega)
+    kind, n, truncation, panels, final, final_nodes = rule
+    assert truncation == max(50.0, 5.0 * (a + 2.0))
+    assert final == min(5.0, max(1.0, truncation / 40.0))
+    edges = [(truncation - final) * k / panels for k in range(panels + 1)] + [truncation]
+    t, w = _gauss_rule(*rule)
+    assert t.shape == w.shape == (panels * n + final_nodes,)
+    start = 0
+    for k, nodes in enumerate([n] * panels + [final_nodes]):
+        x, wx = _jacobi_rule(nodes, 0.0, 0.0)
+        half = (edges[k + 1] - edges[k]) / 2.0
+        np.testing.assert_allclose(t[start:start + nodes], edges[k] + half * (x + 1.0),
+                                   rtol=4e-16, atol=4e-16 * truncation)
+        # a width is a difference of edges, rounded as such
+        np.testing.assert_allclose(w[start:start + nodes], half * wx, rtol=1e-14)
+        start += nodes
+
+    # integrate_c sums the weighted terms as one array, and the tail is the
+    # final panel's share
     def g(t):
         return np.exp((-0.5 + 1.3j) * t)
 
-    truncation = max(50.0, 5.0 * (a + 2.0))
-    panel = min(5.0, max(1.0, truncation / 40.0))
-    x, w = _jacobi_rule(16, 0.0, 0.0)
-    total, t0 = 0.0 + 0.0j, 0.0
-    while t0 < truncation:
-        t1 = min(t0 + panel, truncation)
-        tm, th = (t0 + t1) / 2.0, (t1 - t0) / 2.0
-        total += complex(np.sum(w * th * g(tm + th * x)))
-        t0 = t1
-    got = integrate_c(g, HALF_LINE, a)
-    assert got == total
-    # and a hand sum, in order of panel, over the rule of `_c_rule` at a
-    t, wt = _gauss_rule(*_c_rule(HALF_LINE, a))
-    by_hand = 0.0 + 0.0j
-    for part in (wt * g(t).reshape(wt.shape)).sum(axis=1).tolist():
-        by_hand += part
-    assert got == by_hand
+    rule0 = _c_rule(HALF_LINE, a)
+    t0, w0 = _gauss_rule(*rule0)
+    assert integrate_c(g, HALF_LINE, a) == complex(np.sum(w0 * g(t0)))
 
 
 def test_quadrature_spec_validation():
@@ -236,7 +246,7 @@ def test_rule_is_deterministic():
     assert np.array_equal(z1, z2) and np.array_equal(w1, w2)
 
 
-@pytest.mark.parametrize("rule", [(UNIT_INTERVAL, 64), (HALF_LINE, 16, 50.0, 1.25),
+@pytest.mark.parametrize("rule", [(UNIT_INTERVAL, 64), (HALF_LINE, 144, 50.0, 1, 1.25, 16),
                                   ("legendre", 16), ("jacobi", 64, 0.0, 1.5)])
 def test_cached_rules_are_read_only_and_shared(rule):
     nodes, weights = _gauss_rule(*rule)
@@ -268,15 +278,15 @@ def test_integrate_c_passes_the_cached_nodes():
     integrate_c(g, HALF_LINE)
     integrate_c(g, HALF_LINE, 9.0)
     assert seen[0] is _gauss_rule(*_c_rule(UNIT_INTERVAL))[0]
-    assert seen[1] is _gauss_rule(HALF_LINE, 16, 50.0, 1.25)[0]
+    assert seen[1] is _gauss_rule(HALF_LINE, 144, 50.0, 1, 1.25, 16)[0]
     # the default half line is the rule of a = 0
     assert seen[2] is seen[1]
     assert seen[3] is _gauss_rule(*_c_rule(HALF_LINE, 9.0))[0]
-    # a is the one input of the half-line rule: the truncation is
-    # max(50, 5(a+2)) and the panel min(5, max(1, T/40)), with 16 nodes per panel
-    assert _c_rule(HALF_LINE) == (HALF_LINE, 16, 50.0, 1.25)
-    assert _c_rule(HALF_LINE, 9.0) == (HALF_LINE, 16, 55.0, 1.375)
-    assert _c_rule(HALF_LINE, 1000.0) == (HALF_LINE, 16, 5010.0, 5.0)
+    # integrate_c takes the first rung, omega <= 8, at its a: the truncation
+    # max(50, 5(a+2)) and the final panel min(5, max(1, T/40)) are as they were
+    assert _c_rule(HALF_LINE) == (HALF_LINE, 144, 50.0, 1, 1.25, 16)
+    assert _c_rule(HALF_LINE, 9.0) == (HALF_LINE, 144, 55.0, 1, 1.375, 16)
+    assert _c_rule(HALF_LINE, 1000.0) == (HALF_LINE, 256, 5010.0, 49, 5.0, 32)
     with pytest.raises(DomainError):
         _c_rule("circle")
 
@@ -287,6 +297,52 @@ def test_the_half_line_rule_takes_no_truncation_or_panel(knob):
         _c_rule(HALF_LINE, 9.0, **{knob: 60.0})
     with pytest.raises(TypeError):
         integrate_c(np.exp, HALF_LINE, **{knob: 60.0})
+
+
+@pytest.mark.parametrize("a, omega, rule", [
+    (0.0, 0.0, (144, 50.0, 1, 1.25, 16)), (-0.999, 8.0, (144, 50.0, 1, 1.25, 16)),
+    (3.0, 8.5, (256, 50.0, 1, 1.25, 32)), (3.0, 60.0, (256, 50.0, 4, 1.25, 48)),
+    (16.0, 0.0, (224, 90.0, 1, 2.25, 32)), (35.0, 16.0, (240, 185.0, 4, 4.625, 48)),
+    (300.0, 32.0, (256, 1510.0, 58, 5.0, 64)), (1000.0, 8.0, (256, 5010.0, 49, 5.0, 32))])
+def test_half_line_rule_is_sized_from_a_and_omega(a, omega, rule):
+    # the rung omega_j = 8 2^j, j the least with omega <= omega_j; kappa =
+    # omega_j L/2 per panel of length L: the fewest equal panels of [0, T - P]
+    # whose kappa 256 nodes reach, 2n - 6 sqrt(n) >= kappa for each n
+    assert _c_rule(HALF_LINE, a, omega=omega) == (HALF_LINE, *rule)
+    n, truncation, panels, final, final_nodes = rule
+    rung = 8.0 * 2 ** max(0, math.ceil(math.log2(max(omega, 1.0) / 8.0)))
+    for nodes, length in ((n, (truncation - final) / panels), (final_nodes, final)):
+        assert 2 * nodes - 6 * math.sqrt(nodes) >= rung * length / 2
+        assert nodes == 16 or 2 * (nodes - 16) - 6 * math.sqrt(nodes - 16) < rung * length / 2
+
+
+@pytest.mark.parametrize("a, omega", [(0.0, 1200.0), (0.0, math.inf), (0.0, math.nan),
+                                      (300.0, 33.0), (1000.0, 8.5), (1310.0, 0.0)])
+def test_half_line_rule_refuses_past_its_node_cap_by_name(a, omega):
+    with pytest.raises(OutOfRangeError, match="the half-line rule needs more than 16384 nodes"):
+        _c_rule(HALF_LINE, a, omega=omega)
+
+
+@pytest.mark.parametrize("a", [0.0, 35.0, 300.0])
+def test_half_line_rungs_resolve_their_oscillation_against_closed_forms(a):
+    # the worst integrand of the rule: poles at +-i pi/2, those of the strong
+    # bulk's weight at a -> -1, times cos(omega t).  Closed forms (Gradshteyn
+    # and Ryzhik 3.981.3, 3.986.2): int_0^inf cos(w t)/cosh t dt =
+    # (pi/2) sech(pi w/2) and int_0^inf t cos(w t)/sinh t dt =
+    # (pi^2/4) sech^2(pi w/2); within 1e-14 of their value at w = 0 on every
+    # rung that the rule at a admits, up to the rung's top
+    for omega in (0.0, 1.0, 4.0, 7.9, 8.0, 8.1, 12.0, 16.0, 31.0, 32.0, 60.0, 64.0, 100.0, 128.0):
+        try:
+            t, w = _gauss_rule(*_c_rule(HALF_LINE, a, omega=omega))
+        except OutOfRangeError:
+            assert a == 300.0 and omega > 32.0
+            continue
+        sech = 1.0 / math.cosh(math.pi * omega / 2.0)
+        decay = np.exp(-t)          # 1/cosh t and t/sinh t without overflow
+        got = np.sum(w * np.cos(omega * t) * 2.0 * decay / (1.0 + decay * decay))
+        assert abs(got - math.pi / 2.0 * sech) <= 1e-14 * math.pi / 2.0
+        got = np.sum(w * t * np.cos(omega * t) * 2.0 * decay / -np.expm1(-2.0 * t))
+        assert abs(got - math.pi ** 2 / 4.0 * sech ** 2) <= 1e-14 * math.pi ** 2 / 4.0
 
 
 @pytest.mark.parametrize("s, u, nodes", [
