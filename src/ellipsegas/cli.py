@@ -184,10 +184,15 @@ _EDGE_POINTS = [1.0 + 0j, 0.5 + 0.3j, 2.0 - 0.5j, 0.3 + 0j, 1.5 + 1.0j]
 
 def _weak_side(point, scale, args, gas: GasFamily, n: int):
     """Finite side of a weak study: z -> K_N(point(z, N), point(z, N)) / scale(N)
-    for the gas of N = n particles at tau_N = 1/(1 + s^2/2N^2)."""
+    for the gas of N = n particles at tau_N = 1/(1 + s^2/2N^2); DomainError,
+    naming s and N, where tau_N rounds to 1."""
     from .kernels_finite import FiniteKernel
 
-    kern = FiniteKernel(gas, EllipseGeometry(1.0 / (1.0 + args.s * args.s / (2.0 * n ** 2))), n)
+    tau = 1.0 / (1.0 + args.s * args.s / (2.0 * n ** 2))
+    if tau == 1.0:
+        raise DomainError(f"converge needs tau_N = 1/(1 + s^2/2N^2) below 1, but s = {args.s:g} "
+                          f"and N = {n} give 1 in double precision")
+    kern = FiniteKernel(gas, EllipseGeometry(tau), n)
     return lambda z: kern.eval(point(z, n), point(z, n)) / scale(n)
 
 

@@ -23,8 +23,9 @@ cos(c(z1 - conj z2)) is their product, with F formed in log space as
 exp(log sqrt(W G/2) -+ c y +- i c x), one complex exp per entry: cos(cz)
 alone overflows past |Im z| of about 710 where F does not; J_nu(c w)
 (c w)^-nu for `edge_weak` and `bessel_kernel`, as psi(c w) (`_phi`) times
-phi(0) = m 2^k (`_phi_zero`); sin(c w)/w and cos(c w), w = sqrt(Z), for the
-left-focus kernels.  Only the phi features and the bulk features near the
+phi(0) = m 2^k (`_phi_zero`), with the powers of two that psi and the weight
+in c carry per node folded into k; sin(c w)/w and cos(c w), w = sqrt(Z), for
+the left-focus kernels.  Only the phi features and the bulk features near the
 wall, whose exponents are then lowered by whole powers of two, have k != 0.
 The rule on [0, 1] is sized per pair by `quadrature._c_rule` from s and the
 larger |u| of the two node-function arguments, u = z for the bulk and
@@ -50,9 +51,9 @@ double, its power of two:
 Re K = (Re F1, Im F1) . (Re F2, Im F2), the parts interleaved, and
 Im K = Im F1 . Re F2 - Re F1 . Im F2, so K(z,z) is real and
 K(z2,z1) = conj K(z1,z2) bit for bit.  A value is refused only where it, or
-the product of the features, is outside the normal doubles, and a phi
-kernel also where `specialfns._psi` refuses a node argument, whose run would
-leave them (below order |u|/2, |u| past 1416.8 on the real axis).  On the half
+the product of the features, is outside the normal doubles: psi, which
+carries its own power of two, answers on the whole range of the c-rule, so
+a phi kernel is refused past the rule's cap, not by psi.  On the half
 line the same product over the last panel's nodes is the tail that
 `quadrature._check_tail` tests against the whole.  The bulk's products
 cancel at most down to sqrt(K(z1,z1) K(z2,z2)).  Every kept array is
@@ -74,8 +75,8 @@ from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
                        _kernel_of, _kind_arguments, _log_power, _times_exp, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _check_tail, _gauss_rule
-from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, _phi, _phi_zero, _read_only, ln_gamma,
-                         log_i_ratio)
+from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, _exp_bits, _ldexp, _phi, _phi_zero,
+                         _read_only, ln_gamma, log_i_ratio)
 
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
 _GAMMA_SERIES_MAX = 5.0
@@ -95,7 +96,7 @@ _HALF_LINE_FEATURES = 6
 
 
 @functools.lru_cache(maxsize=64)
-def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
+def _weights(a: float, s: float | None, rule: tuple, form: str):
     """Read-only weights at the nodes c of `_gauss_rule(*rule)`, W its
     weights, of the deformed kernels' weight in c,
 
@@ -105,11 +106,17 @@ def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
     at large s (0.5-128 kB, s = 1 on the strong bulk's half line); "sqrt"
     gives sqrt(W G), the left-focus kernels'; "phi" gives
     sqrt(W c^(2a+2) G pi/2), `edge_weak`'s, and without s sqrt(W c^(2a+2)),
-    `bessel_kernel`'s.  W c^(2a+2) is one product under the root, which
-    keeps bessel_kernel(83, 1000, 1000) 5e-15 off the 40-digit sum of its
-    rule, where sqrt(W) c^(a+1) is 2.5e-14 off.  DomainError for an a
-    outside its rule and, with s, OutOfRangeError where ln Gamma(a+1) passes
-    the doubles and past _A_MAX, before the rule is built."""
+    `bessel_kernel`'s, as (values, bits), the weight values 2^bits, bits 0
+    where no node carries a power of two.
+    W c^(2a+2) G is one product under the root, which keeps
+    bessel_kernel(83, 1000, 1000) 5e-15 off the 40-digit sum of its rule,
+    where sqrt(W) c^(a+1) is 2.5e-14 off; where that product leaves the
+    normal doubles, as c^(2a+2) does at small c and large a, the root is
+    taken from logs and keeps its power of two apart, since psi(c w) of a
+    large |w| can be as far below the doubles at the last nodes.
+    DomainError for an a outside its rule and, with s, OutOfRangeError where
+    ln Gamma(a+1) passes the doubles and past _A_MAX, before the rule is
+    built."""
     _check("a", a)
     if s is not None:
         log_gamma = ln_gamma(a + 1)
@@ -117,14 +124,25 @@ def _weights(a: float, s: float | None, rule: tuple, form: str) -> np.ndarray:
             raise OutOfRangeError(f"the weight in c needs a <= {_A_MAX:g}, got {a:g}: past it, "
                                   f"ln Gamma(a+1) and the Bessel ratio cancel to over 1e-12")
     c, w = _gauss_rule(*rule)
-    w = w.ravel() * c ** (2.0 * a + 2.0) if form == "phi" else w.ravel()
-    if s is None:
-        return _read_only(np.sqrt(w))
-    log_g = log_i_ratio(a + 0.5, c * s)
-    const = ((math.log(math.pi / 2.0) if form == "phi" else 0.0) - math.log(s)
-             - 1.5 * math.log(math.pi) - log_gamma)
-    return _read_only(0.5 * (np.log(w) + log_g + const) if form == "log"
-                      else np.sqrt(w * np.exp(log_g + const)))
+    w = w.ravel()
+    log_g = 0.0
+    if s is not None:
+        ratio = log_i_ratio(a + 0.5, c * s)
+        const = ((math.log(math.pi / 2.0) if form == "phi" else 0.0) - math.log(s)
+                 - 1.5 * math.log(math.pi) - log_gamma)
+        if form == "log":
+            return _read_only(0.5 * (np.log(w) + ratio + const))
+        log_g = ratio + const
+    if form == "sqrt":
+        return _read_only(np.sqrt(w * np.exp(log_g)))
+    p = 2.0 * a + 2.0
+    values = np.sqrt(w * c ** p * np.exp(log_g))
+    low = values < 2.0 ** -511         # the product under the root left the normal doubles
+    if not np.any(low):
+        return _read_only(values), 0
+    bits = np.zeros(c.shape, np.int64)
+    values[low], bits[low] = _exp_bits((0.5 * (np.log(w) + p * np.log(c) + log_g))[low])
+    return _read_only(values, bits)
 
 
 # the feature kernels: a point function takes (kind, a, s, z), checks s and
@@ -200,11 +218,22 @@ def _edge_point(kind: str, a: float, s: float, Z: complex):
 
 def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
     """phi(c w) of `edge_weak` and, without s, of `bessel_kernel`, as node
-    values psi(c w) phi(0) 2^-k and k, phi(0) = m 2^k by `_phi_zero`: at any
-    order the node values are of modest size."""
-    weights = _weights(a, s, rule, "phi")      # checks a
+    values F = sqrt(W c^(2a+2) G) psi(c w) phi(0) 2^-k and k, phi(0) = m 2^k
+    by `_phi_zero`.  Where the weight or psi carries a power of two per node,
+    as at large |w| or large a, those are folded into k, exactly, by the
+    largest |F| 2^bits, so that the largest |F| is in [1/2, 1) and a node
+    below it by more than the doubles' range, which adds below rounding,
+    becomes 0; otherwise k is phi(0)'s, and the node values are of modest
+    size at any order."""
+    weights, bits = _weights(a, s, rule, "phi")      # checks a
     m, k = _phi_zero(a + 0.5)
-    return weights * (_phi(a + 0.5, rule, w) * m), k
+    psi, psi_bits = _phi(a + 0.5, rule, w)
+    values, bits = weights * (psi * m), bits + psi_bits
+    if np.ndim(bits) == 0:        # neither the weight nor psi carries a power of two
+        return values, k
+    exps = (bits + np.frexp(np.abs(values))[1])[values != 0]
+    top = int(exps.max()) if exps.size else 0
+    return _ldexp(values, bits - top), k + top
 
 
 def _left_focus_point(kind: str, a: float, s: float, Z: complex):
@@ -393,7 +422,8 @@ def edge_weak(a: float, s: float, Z1: complex, Z2: complex) -> complex:
             * int_0^1 dc c^{2a+2} (cs/2)^{a+1/2}/I_{a+1/2}(cs) phi(c w1) conj phi(c w2),
 
     w = sqrt Z, q the wall factor s^2/4 + X - (Y/s)^2 and phi = `_phi`;
-    OutOfRangeError where `_psi` refuses c w, as at (30, 1, 2.5e6, 2.5e6)."""
+    answers up to the cap of its c-rule, |w| = 3840, in about 2|w| - a
+    recurrence steps per node: (30, 1, 2.5e6, 2.5e6) in about 0.04 s."""
     return _feature_kernel("edge-weak", _edge_point, _phi_nodes, a, s, Z1, Z2)
 
 
@@ -405,9 +435,8 @@ def bessel_kernel(a: float, X1: float, X2: float) -> float:
     with the entire phi(u) = J_nu(u) u^{-nu}, which also holds on X = 0: there
     the kernel is 0 for a > 0, its continuous limit for a = 0 and, for a < 0,
     an integrable divergence flagged as inf.  Refused by name past the node
-    cap of its c-rule (X > 3840^2), where `_phi`'s psi would leave the normal
-    doubles (below order sqrt(X)/2, X past 1416.8^2 = 2.0e6), and where the
-    integral or the value falls below them; by DomainError off the real line.
+    cap of its c-rule (X > 3840^2), and where the integral or the value falls
+    below the normal doubles; by DomainError off the real line.
     """
     _check_point("bessel", X1, X2)
     return _feature_kernel("bessel", _bessel_point, _phi_nodes, a, None, X1, X2).real

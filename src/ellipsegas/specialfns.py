@@ -7,27 +7,30 @@ standard expansions, so the package loads no scipy at run time.
 
 One log-gamma, `ln_gamma`, serves scalars and arrays: log(math.gamma(x))
 below 13 and Stirling's series from 13.  Every ascending series of
-0F1(;nu+1;q) takes its terms q^k / (k! (nu+1)_k) from `_ascending`, and one
+0F1(;nu+1;q) takes its terms q^k / (k! (nu+1)_k) from `_ascending`; one
 series-and-recurrence core, `_psi_tabled`, serves psi on a node table and at
-any array of points:
+any array of points; and one Debye-and-shift core, `_log_f_shifted`, gives
+log 0F1(;nu+1;x^2/4) at real x for the I side and at x = iu for psi:
 
   I_nu(x), real x >= 0 (`log_i_ratio`, `log_bessel_i`, `bessel_i`):
     x <= 20                   ascending series (DLMF 10.25.2), positive terms,
                               with fewer terms up to x = 4
     x >= max(20, 2 nu^2)      Hankel expansion of e^-x I_nu(x) (DLMF 10.40.1)
     nu >= 50                  Debye's uniform expansion (DLMF 10.41.3)
-    otherwise                 Debye at order nu + m, then m < 51 steps of the
-                              ratio recurrence (DLMF 10.29.1) down to nu
+    otherwise                 `_log_f_shifted` from order 50: Debye at order
+                              nu + m, then m < 51 steps of the ratio
+                              recurrence (DLMF 10.29.1) down to nu
   psi(u), complex u (`bessel_j`, `_phi` of the edge and Bessel kernels):
-    |u| >= max(20, 2 nu^2)    Hankel expansion (DLMF 10.17.3)
-    otherwise                 ascending series (DLMF 10.2.2) at orders nu + m
+    |u| >= max(20, 2 nu^2)    Hankel expansion (DLMF 10.17.3), its lead in logs
+    |u| <= W_MAX = 60         ascending series (DLMF 10.2.2) at orders nu + m
                               and nu + m + 1, m = max(0, ceil(|u|^2/4 - nu - 1)),
-                              where it cancels little, then m steps of the
-                              backward recurrence in the order (DLMF 10.6.1)
-    either side               OutOfRangeError, before it runs, where a term of
-                              the run would leave the normal doubles: the
-                              least, -|u|/2 in log below order |u|/2 on the
-                              real axis, or |Im u| past 709.78 (`_psi_in_range`)
+                              where it cancels little, then m <= 900 steps of
+                              the backward recurrence in the order (DLMF 10.6.1)
+    otherwise                 `_log_f_shifted` at x = iu, as
+                              J_nu(u) = e^(i nu pi/2) I_nu(-iu), from order
+                              max(50, 2|u|): about 2|u| - nu steps
+    every route               values and a power-of-two exponent apart, so psi
+                              never leaves the doubles and none refuses
 
 In `log_i_ratio` each regime's term count is fixed by nu and the regime's
 bounds, so an entry's value does not depend on the other entries.
@@ -45,8 +48,10 @@ import numpy as np
 
 from .errors import DomainError, OutOfRangeError
 
-# the modulus to which `bessel_j` was once limited; kept as an exported
-# name, but no code reads it: `_psi` refuses by its own range rule
+# the modulus to which `bessel_j` was once limited, and up to which psi takes
+# the ascending series and its backward run of at most W_MAX^2/4 steps: there
+# it is within 16 eps of the modulus of J, where the I side's core was up to
+# 95 eps off at nu = 30, |u| = 51 off the real axis
 W_MAX = 60.0
 # the range constants of the package, and the ln2 split of `_plus_bits`
 _LOG_TINY = math.log(sys.float_info.min)
@@ -200,6 +205,14 @@ def _plus_bits(x, bits):
     return x + bits * _LN2_HI + bits * (_LN2 - _LN2_HI)
 
 
+def _ldexp(z: np.ndarray, n) -> np.ndarray:
+    """z 2^n for a complex array z and integers n, by parts: exact, also
+    where 2^n alone is not a double."""
+    out = np.empty_like(z)
+    out.real, out.imag = np.ldexp(z.real, n), np.ldexp(z.imag, n)
+    return out
+
+
 def _read_only(*arrays):
     """The arrays, each made read-only: one array, or a tuple of several."""
     for x in arrays:
@@ -261,26 +274,27 @@ def _hankel_coefficients(nu: float, r_min: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _debye_polynomials() -> tuple:
+def _debye_polynomials() -> np.ndarray:
     """Coefficients (in p) of Debye's polynomials U_k(p), k < _DEBYE_TERMS,
     from U_{k+1} = p^2 (1-p^2) U_k'/2 + int_0^p (1-5t^2) U_k(t) dt / 8: the
-    first term is p (1-p^2)/2 times p U_k', whose coefficients are j u_j."""
+    first term is p (1-p^2)/2 times p U_k', whose coefficients are j u_j.
+    Row k holds U_k, padded with zeros; read-only."""
     out = [np.array([1.0])]
     for _ in range(_DEBYE_TERMS - 1):
         u = out[-1]
         integral = np.convolve([1.0, 0.0, -5.0], u) / np.arange(1.0, u.size + 3)
         out.append(np.convolve([0.0, 0.5, 0.0, -0.5], np.arange(u.size) * u)
                    + np.concatenate(([0.0], integral / 8.0)))
-    return tuple(out)
+    table = np.zeros((len(out), out[-1].size))
+    for k, u in enumerate(out):
+        table[k, :u.size] = u
+    return _read_only(table)
 
 
 def _debye_coefficients(nu: float) -> np.ndarray:
-    """sum_k U_k(p) nu^-k as one polynomial in p."""
-    polys = _debye_polynomials()
-    out = np.zeros(polys[-1].size)
-    for k, u in enumerate(polys):
-        out[:u.size] += u * nu ** -k
-    return out
+    """sum_k U_k(p) nu^-k as one polynomial in p, one reduction over the rows."""
+    scales = np.array([nu ** -k for k in range(_DEBYE_TERMS)])
+    return np.add.reduce(_debye_polynomials() * scales[:, None], axis=0)
 
 
 def _hankel_min(nu: float) -> float:
@@ -323,19 +337,56 @@ def _log_i_debye(nu: float, x: np.ndarray) -> np.ndarray:
             - 0.5 * np.log(w) + u)
 
 
-def _log_i_shifted(nu: float, x: np.ndarray) -> np.ndarray:
-    """log I_nu(x): Debye at order nu + m >= _DEBYE_MIN, then down to nu with
-    r_{mu-1} = 1 / (2 mu / x + r_mu), r_mu = I_{mu+1} / I_mu, which is stable
-    downward (I is the minimal solution); the r, each below 1, are
-    multiplied and logged once."""
-    m = math.ceil(_DEBYE_MIN - nu)
-    top = _log_i_debye(nu + m, x)
-    r = np.exp(_log_i_debye(nu + m + 1.0, x) - top)
-    prod = np.ones(x.shape)
+def _log_f_debye(mu: float, x: np.ndarray) -> np.ndarray:
+    """log 0F1(;mu+1;x^2/4) = log[Gamma(mu+1) (2/x)^mu I_mu(x)], mu >= 50,
+    at real x >= 0 or complex x with |x| <= mu/2, by Debye's uniform
+    expansion (DLMF 10.41.3) with Gamma(mu+1) by Stirling: with z = x/mu,
+    w = sqrt(1 + z^2) and d = w - 1 = z^2/(1 + w), it is
+
+        mu (d - log(1 + d/2)) - log(w)/2 + log sum_k U_k(1/w) mu^-k + S(mu),
+
+    S the tail of Stirling's series.  It depends on x through z^2 alone, and
+    holds no log of size mu, so its rounding is that of its value."""
+    z = x / mu
+    z2 = z * z
+    w = np.sqrt(1.0 + z2)
+    d = z2 / (1.0 + w)
+    return (mu * (d - np.log1p(0.5 * d)) - 0.5 * np.log(w)
+            + np.log1p(_poly_tail(_debye_coefficients(mu), 1.0 / w)) + _stirling_tail(mu))
+
+
+def _log_f_shifted(nu: float, x: np.ndarray, top: float):
+    """(L, f, bits) with 0F1(;nu+1;x^2/4) = e^L f 2^bits, at real x >= 0 or
+    complex x with |x| <= top/2: Debye at the order mu = nu + m, the least
+    >= top (m = 0 where nu >= top), then m steps down of the recurrence of
+    F_mu = 0F1(;mu+1;q), q = x^2/4, that DLMF 10.29.1 gives for I_mu,
+
+        F_{mu-1} = F_mu + q F_{mu+1} / (mu (mu+1)),
+
+    started from 1 at order mu and from the ratio F_{mu+1}/F_mu, by Debye,
+    at order mu + 1.  It is stable downward (I is the minimal solution;
+    Gautschi, SIAM Rev. 9, 1967).  L is
+    log F_mu, of size about |x|^2/4mu, and f 2^bits the value the run
+    reaches, F_nu / F_mu.  The run's power of two is moved into bits,
+    exactly, only where it passes 2^(+-600), so an entry whose run stays in
+    the doubles has bits 0; f is not logged, so psi, which is e^L f, does
+    not carry the rounding of a log of its size."""
+    m = max(0, math.ceil(top - nu))
+    log_top = _log_f_debye(nu + m, x)
+    bits, f = np.zeros(x.shape, dtype=np.int64), np.ones(x.shape, dtype=log_top.dtype)
+    above, q = np.exp(_log_f_debye(nu + m + 1.0, x) - log_top), 0.25 * x * x
     for j in range(m, 0, -1):
-        r = 1.0 / (2.0 * (nu + j) / x + r)
-        prod *= r
-    return top - np.log(prod)
+        above *= q
+        above *= 1.0 / ((nu + j) * (nu + j + 1.0))
+        above += f
+        f, above = above, f
+        if j % 16 == 0:
+            e = np.frexp(np.abs(f))[1]
+            if e.min() < -600 or e.max() > 600:
+                f *= np.ldexp(1.0, -e)
+                above *= np.ldexp(1.0, -e)
+                bits += e
+    return log_top, f, bits
 
 
 def log_i_ratio(order, x):
@@ -359,12 +410,13 @@ def log_i_ratio(order, x):
     rest = ~series
     if nu >= _DEBYE_MIN:
         out[rest] = nu * np.log(xs[rest] / 2.0) - _log_i_debye(nu, xs[rest])
-    else:
-        hankel = rest & (xs >= _hankel_min(nu))
-        out[hankel] = _ratio_hankel(nu, xs[hankel])
-        mid = rest & ~hankel
-        if np.any(mid):
-            out[mid] = nu * np.log(xs[mid] / 2.0) - _log_i_shifted(nu, xs[mid])
+        return out
+    hankel = rest & (xs >= _hankel_min(nu))
+    out[hankel] = _ratio_hankel(nu, xs[hankel])
+    mid = rest & ~hankel
+    if np.any(mid):
+        log_top, f, bits = _log_f_shifted(nu, xs[mid], _DEBYE_MIN)
+        out[mid] = ln_gamma(nu + 1.0) - _plus_bits(log_top + np.log(f), bits)
     return out
 
 
@@ -411,10 +463,26 @@ def bessel_i(order, x: float) -> float:
 # J_nu at complex u
 # ---------------------------------------------------------------------------
 
-def _psi_hankel(nu: float, u: np.ndarray) -> np.ndarray:
-    """sqrt(2/(pi u)) (P cos w - Q sin w), w = u - nu pi/2 - pi/4, times
-    Gamma(nu+1) (2/u)^nu, on Re u >= 0 (psi is even); P and Q take the
-    even and the odd terms of sum_k (-1)^(k//2) a_k u^-k."""
+def _exp_bits(log: np.ndarray):
+    """(values, bits) with e^log = values 2^bits, real where log is: bits the
+    whole number of ln2 in Re log, by divmod, whose remainder is exact.  bits
+    is clipped to +-2^60, past which every sum of exponents leaves the
+    doubles alike, so that it stays an int64."""
+    bits, r = np.divmod(log.real, _LN2)
+    values = np.exp(r if np.isrealobj(log) else r + 1j * log.imag)
+    return values, np.clip(bits, -2.0 ** 60, 2.0 ** 60).astype(np.int64)
+
+
+def _psi_hankel(nu: float, u: np.ndarray):
+    """(values, bits), psi = values 2^bits, by the Hankel expansion on
+    Re u >= 0 (psi is even): Gamma(nu+1) (2/u)^nu sqrt(2/(pi u)) times
+
+        P cos w - Q sin w = [e^(iw) (P + iQ) + e^(-iw) (P - iQ)] / 2,
+
+    w = u - nu pi/2 - pi/4, where P and Q take the even and the odd terms
+    of sum_k (-1)^(k//2) a_k u^-k.  The lead is taken in logs and the
+    exponentials at e^-|Im w|, so that neither leaves the doubles; on the
+    real axis the bracket is P cos w - Q sin w to the bit."""
     u = np.where(u.real < 0, -u, u)
     a = _hankel_coefficients(nu, _hankel_min(nu))
     coefs = a * np.array([1.0, 1.0, -1.0, -1.0])[np.arange(a.size) % 4]
@@ -422,9 +490,12 @@ def _psi_hankel(nu: float, u: np.ndarray) -> np.ndarray:
     p = coefs[0] + powers[:, 1::2][:, :coefs[2::2].size] @ coefs[2::2]
     q = powers[:, 0::2][:, :coefs[1::2].size] @ coefs[1::2]
     w = u - (0.5 * nu + 0.25) * math.pi
-    lead = np.exp(ln_gamma(nu + 1.0) + nu * _LN2 + 0.5 * math.log(2.0 / math.pi)
-                  - (nu + 0.5) * np.log(u))
-    return lead * (p * np.cos(w) - q * np.sin(w))
+    t = np.abs(w.imag)
+    waves = 0.5 * (np.exp(1j * w - t) * (p + 1j * q) + np.exp(-1j * w - t) * (p - 1j * q))
+    lead, bits = _exp_bits(ln_gamma(nu + 1.0) + nu * _LN2 + 0.5 * math.log(2.0 / math.pi)
+                           - (nu + 0.5) * np.log(u))
+    grow, more = _exp_bits(t)       # e^|Im w|, apart from the lead: both are exact splits
+    return lead * grow * waves, bits + more
 
 
 def _recurrence_start(nu: float, r: float) -> int:
@@ -458,77 +529,60 @@ def _psi_tabled(nu: float, r: float, table: np.ndarray, z=1.0) -> np.ndarray:
     return psi
 
 
-def _psi_in_range(nu: float, u: np.ndarray, size: np.ndarray, hankel: np.ndarray) -> bool:
-    """Whether every intermediate of `_psi`'s run at the entries u, size = |u|,
-    of the Hankel side or not, lies in the normal doubles.
-
-    Above them: every |psi_mu(u)| and the Hankel cos w and sin w are bounded
-    by about e^|Im u| (DLMF 10.14.4), so |Im u| must not pass the log of the
-    largest double; at large order this also refuses some values in range.
-
-    Below them, the least log: on the Hankel side the lead
-    Gamma(nu+1) 2^nu sqrt(2/pi) |u|^-(nu+1/2); on the recurrence side the
-    least |psi_mu(u)|, mu >= nu, by Stirling and Debye's
-    J_mu(mu z) ~ e^(mu eta(z)) (DLMF 10.19.3, continued to complex z by 10.20):
-
-        log|psi_mu(u)| ~ E(mu) = mu Re[log(2/(1+t)) + t - 1],  t = sqrt(1 - (u/mu)^2),
-
-    whose derivative is log 2 - log|1+t|.  With theta = |arg u| folded into
-    [0, pi/2] and b = (pi - 4 theta)/6, E falls to -sqrt(2) |u| sin(b)^(3/2)
-    at mu* = |u| / sqrt(8 sin b), where |1+t| = 2, and rises after it; from
-    theta = pi/4 on, where b <= 0, it falls to E = 0 throughout.  So the
-    least value is E(max(nu, mu*)): -|u|/2 on the real axis for nu <= |u|/2."""
-    sin_b = np.maximum(np.sin((math.pi - 4.0 * np.arctan2(np.abs(u.imag), np.abs(u.real))) / 6.0),
-                       0.0)
-    least = -math.sqrt(2.0) * size * sin_b ** 1.5
-    past = nu * np.sqrt(8.0 * sin_b) > size               # nu > mu*, so nu > 0
-    t = np.sqrt(1.0 - (u[past] / nu) ** 2)
-    least[past] = nu * (_LN2 - np.log(np.abs(1.0 + t)) + t.real - 1.0)
-    least[hankel] = (ln_gamma(nu + 1.0) + nu * _LN2 + 0.5 * math.log(2.0 / math.pi)
-                     - (nu + 0.5) * np.log(size[hankel]))
-    return bool(np.abs(u.imag).max() <= _LOG_MAX and least.min() >= _LOG_TINY)
-
-
-def _psi(nu: float, u: np.ndarray) -> np.ndarray:
-    """psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u) = sum_k (-u^2/4)^k / (k! (nu+1)_k)
-    at every entry of the complex array u: the Hankel expansion from
-    `_hankel_min`, below it `_psi_tabled` on the powers of -u^2/4, as many as
-    the series at order nu + m takes at r = max |u| of those entries.
-
-    Before either runs, OutOfRangeError where an intermediate would leave
-    the normal doubles (`_psi_in_range`), so that the run would lose bits
-    or overflow.  Below order |u|/2 that refuses |u| past 1416.8 on the
-    real axis, past 1708 at arg u = 0.1, and past 2402 at arg u = 0.3."""
+def _psi(nu: float, u: np.ndarray):
+    """(values, bits) with psi(u) = Gamma(nu+1) (2/u)^nu J_nu(u) =
+    0F1(;nu+1;-u^2/4) = values 2^bits at every entry of the complex array u,
+    |values| in [1/2, 1) and bits integers, each entry by |u| alone: the
+    Hankel expansion from `_hankel_min`; below it and |u| <= W_MAX,
+    `_psi_tabled` on the powers of -u^2/4, as many as the series at order
+    nu + m takes at the largest of those |u|; between, the I side's core at
+    x = iu, where J_nu(u) = e^(i nu pi/2) I_nu(-iu) makes
+    psi = 0F1(;nu+1;x^2/4), from Debye at the order max(50, 2|u|), |u| the
+    largest of those entries, in about 2|u| - nu steps.  Each route carries
+    its power of two, so none leaves the doubles and none refuses."""
     u = np.asarray(u, dtype=complex)
     size = np.abs(u)
-    r = float(size.max())
+    out, bits = np.empty(u.shape, dtype=complex), np.zeros(u.shape, dtype=np.int64)
     hankel = size >= _hankel_min(nu)
-    # below |u| = 709.78, |Im u| <= |u| and no term is below about e^(-|u|/2)
-    if r > _LOG_MAX and not _psi_in_range(nu, u, size, hankel):
-        raise OutOfRangeError(f"psi of order {nu:g} at |u| up to {r:.6g} leaves the normal doubles")
-    if r >= _hankel_min(nu):
-        out = np.empty(u.shape, dtype=complex)
-        out[hankel] = _psi_hankel(nu, u[hankel])
-        if not np.all(hankel):
-            out[~hankel] = _psi(nu, u[~hankel])
-        return out
-    terms = _series_terms(nu + _recurrence_start(nu, r), r * r / 4.0)
-    return _psi_tabled(nu, r, _powers(-u * u / 4.0, terms - 1))
+    tabled = ~hankel & (size <= W_MAX)
+    mid = ~hankel & ~tabled
+    out[hankel], bits[hankel] = _psi_hankel(nu, u[hankel])
+    if np.any(tabled):
+        r = float(size[tabled].max())
+        terms = _series_terms(nu + _recurrence_start(nu, r), r * r / 4.0)
+        out[tabled] = _psi_tabled(nu, r, _powers(-u[tabled] * u[tabled] / 4.0, terms - 1))
+    if np.any(mid):
+        top_order = max(_DEBYE_MIN, 2.0 * float(size[mid].max()))
+        log_top, f, run = _log_f_shifted(nu, 1j * u[mid], top_order)
+        top, bits[mid] = _exp_bits(log_top)
+        out[mid] = top * f
+        bits[mid] += run
+    scale = np.frexp(np.abs(out))[1]        # |values| in [1/2, 1)
+    return _ldexp(out, -scale), bits + scale
 
 
 def bessel_j(order, w: complex) -> complex:
     """J_nu(w) at complex w, principal branch of w^nu, as psi(w) times
     (w/2)^nu / Gamma(nu+1), which is taken through logs where (w/2)^nu or
-    Gamma(nu+1) would leave the doubles.  OutOfRangeError where `_psi`
-    refuses w."""
+    Gamma(nu+1) would leave the doubles, and psi's power of two applied once,
+    last.  OutOfRangeError where the value passes the largest double, as
+    J_nu(800i) does; a value below the doubles underflows."""
     nu = _order(order)
     w = complex(w)
     if w == 0:
         return complex(1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf))
-    psi = complex(_psi(nu, np.array([w]))[0])
+    psi, bits = _psi(nu, np.array([w]))
     if nu < 170.0 and nu * (math.log(abs(w)) - _LN2) < _LOG_MAX:
-        return psi * ((w / 2.0) ** nu / math.gamma(nu + 1.0))
-    return psi * cmath.exp(nu * cmath.log(w / 2.0) - ln_gamma(nu + 1.0))
+        value, j = complex(psi[0]) * ((w / 2.0) ** nu / math.gamma(nu + 1.0)), 0
+    else:
+        e = nu * cmath.log(w / 2.0) - ln_gamma(nu + 1.0)
+        j, r = divmod(e.real, _LN2)
+        value = complex(psi[0]) * cmath.exp(complex(r, e.imag))
+    n = int(bits[0] + j)
+    try:
+        return complex(math.ldexp(value.real, n), math.ldexp(value.imag, n))
+    except OverflowError:
+        raise OutOfRangeError(f"J of order {nu:g} at {w!r} passes the largest double") from None
 
 
 @functools.lru_cache(maxsize=64)
@@ -560,17 +614,17 @@ def _phi_zero(nu: float) -> tuple:
     return m, k - math.floor(nu) - int(min(j, 2.0 ** 1023))
 
 
-def _phi(nu: float, rule: tuple, root: complex) -> np.ndarray:
-    """psi(c*root) = J_nu(c*root) * (c*root)^{-nu} / phi(0) at the nodes c of
-    the quadrature rule `rule`, an even (entire) function of root, of modest
-    size at any order: phi(0) is `_phi_zero`'s.  Where every
+def _phi(nu: float, rule: tuple, root: complex):
+    """(values, bits) with psi(c*root) = J_nu(c*root) * (c*root)^{-nu} / phi(0)
+    = values 2^bits at the nodes c of the quadrature rule `rule`, an even
+    (entire) function of root; phi(0) is `_phi_zero`'s.  Where every
     |c root| <= _SHORT_SERIES_MAX, as on the unit rule for |root| <= 4,
     `_psi_tabled` runs on the cached table of c^{2k}: each series is one
-    product of the table with (-root^2/4)^k / (k! (mu+1)_k); otherwise every
-    node goes to `_psi`."""
+    product of the table with (-root^2/4)^k / (k! (mu+1)_k), of modest size
+    at any order, and bits is 0; otherwise every node goes to `_psi`."""
     c, table = _node_powers(rule)
     w = complex(root)
     r = abs(w) * c[-1]
     if r > _SHORT_SERIES_MAX:
         return _psi(nu, c * w)
-    return _psi_tabled(nu, r, table, -w * w / 4.0)
+    return _psi_tabled(nu, r, table, -w * w / 4.0), 0

@@ -485,6 +485,18 @@ def test_converge_malformed_schedule_exits_2(tmp_path, study, schedule):
                 "--output", str(tmp_path / "c.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--study", "edge-weak", "--a", "0.5", "--s", "1e-300", "--schedule", "10,20"],
+    ["--study", "bulk-weak", "--s", "1e-5", "--schedule", "100000,200000"]])
+def test_converge_tau_rounding_to_1_exits_2_naming_s_and_n(tmp_path, capsys, argv):
+    # tau_N = 1/(1 + s^2/2N^2) is 1 in doubles at these s and N; the refusal
+    # named tau, which the command does not take
+    assert run(["converge", *argv, "--output", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: converge needs tau_N") and err.count("\n") == 1
+    assert "s = " in err and "N = " in err and "expected tau" not in err
+
+
 @pytest.mark.parametrize("bound, value", [("--xmin", "nan"), ("--xmax", "inf"),
                                           ("--ymin", "-inf"), ("--ymax", "nan")])
 def test_density_non_finite_range_exits_2(tmp_path, bound, value):

@@ -297,21 +297,48 @@ def test_bessel_kernel_answers_past_the_old_w_max_squared(a):
         assert abs(bessel_kernel(a, X1, X2) - ref) <= 1e-13 * scale, (a, X1, X2)
 
 
-def test_phi_kernels_refuse_where_psi_leaves_the_doubles():
-    # below order |u|/2 psi's recurrence passes terms of about e^(-|u|/2):
-    # edge_weak(30, 1, 2.5e6, 2.5e6), |u| up to 1581, returned 1.28e18 after
-    # about 4.5 s; psi refuses before its run.  At a = 0.5 the Hankel side
-    # answers there
-    for call in (lambda: edge_weak(30.0, 1.0, 2.5e6, 2.5e6),
-                 lambda: bessel_kernel(30.0, 2.5e6, 2.5e6)):
-        start = time.perf_counter()
-        with pytest.raises(OutOfRangeError, match="psi of order 30.5 .* normal doubles"):
-            call()
-        assert time.perf_counter() - start < 2.0
-    assert bessel_kernel(0.5, 2.5e6, 2.5e6) > 0.0
+def test_phi_kernels_answer_up_to_the_c_rule_cap():
+    # psi once ran |u|^2/4 steps of a recurrence that left the doubles below
+    # order |u|/2: edge_weak(30, 1, 2.5e6, 2.5e6) returned 1.28e18 after
+    # about 4.5 s, and a range rule then refused it.  psi now carries its
+    # power of two on every route, in about 2|u| - nu steps: the kernels
+    # answer up to the c-rule's cap |u| = 3840 and are refused by name past it
+    edge_weak(30.0, 1.0, 1e5, 1e5)              # builds the 2048-node rule
+    start = time.perf_counter()
+    edge_weak(30.0, 1.0, 1e6, 1e6)
+    assert time.perf_counter() - start < 0.5    # 0.033 s on a 2-vCPU VM; 1.6 s before
+    for value in (edge_weak(30.0, 1.0, 2.5e6, 2.5e6), bessel_kernel(30.0, 2.5e6, 2.5e6),
+                  bessel_kernel(0.5, 2.5e6, 2.5e6)):
+        assert 0.0 < value.real < math.inf and value.imag == 0.0
+    with pytest.raises(OutOfRangeError, match="^edge-weak needs .*3840"):
+        edge_weak(30.0, 1.0, 2e7, 2e7)
     # a point off the real line is refused before its size is looked at
     with pytest.raises(DomainError):
         make_kernel(LimitKernelSpec(LimitKind.BESSEL, a=0.0))(1.0, 1e4 + 0.5j)
+
+
+@pytest.mark.parametrize("kind, a, s, points, bound", [
+    ("edge-weak", 0.5, 1.0, [1.47e7], 1e-13),
+    ("edge-weak", 30.0, 1.0, [1.47e7], 2e-13),
+    ("edge-weak", 100.0, 1.0, [1.47e7, 9e6], 3e-13),
+    ("edge-weak", 30.0, 690.0, [1.47e7 * cmath.exp(0.1j)], 1e-13),
+    ("bessel", 0.5, None, [1.47e7], 1e-13),
+    ("bessel", 30.0, None, [1.47e7], 1e-13)],
+    ids=["edge-0.5", "edge-30", "edge-100", "edge-30-ray", "bessel-0.5", "bessel-30"])
+def test_phi_kernels_at_the_c_rule_cap_against_40_digits(kind, a, s, points, bound):
+    # |Z| = 1.47e7, |u| = 3834 on the 4096-node rule, against the 40-digit
+    # sum of the same rule with psi from mpmath.hyp0f1.  Hankel serves a = 0.5
+    # and a = 30 on the real axis, the I side's core the rest.  At a = 100
+    # the small-c nodes, whose weight c^(2a+2) leaves the doubles, carry
+    # about 1e-4 of the sum each, with weights taken from logs: 2.1e-13
+    # there.  At a = 30 the Hankel nodes' lead, taken in logs of size 350,
+    # leaves 1.01e-13; elsewhere it is below 1e-13
+    kernel = edge_weak if kind == "edge-weak" else (lambda a, s, z1, z2: bessel_kernel(a, z1, z2))
+    diagonal = [_rule_sum_40(kind, a, s, z, z).real for z in points]
+    for (i, z1), (j, z2) in itertools.combinations_with_replacement(enumerate(points), 2):
+        ref = diagonal[i] if i == j else _rule_sum_40(kind, a, s, z1, z2)
+        got = kernel(a, s, z1, z2)
+        assert abs(got - ref) <= bound * math.sqrt(diagonal[i] * diagonal[j]), (z1, z2, got, ref)
 
 
 @pytest.mark.parametrize("call", [lambda: edge_weak(100.0, 1.0, 1.0, 0.5 + 0.3j),
@@ -1567,10 +1594,11 @@ def test_cached_arrays_are_read_only():
     bulk_strong(0.5, 0.2j, 0.1)
     arrays = [_weights(0.5, 1.0, _c_rule(HALF_LINE), "log"),
               _weights(0.5, 1.0, _c_rule(UNIT_INTERVAL), "sqrt"),
-              _weights(0.8, None, _c_rule(UNIT_INTERVAL), "phi")]
+              _weights(0.8, None, _c_rule(UNIT_INTERVAL), "phi")[0],
+              *_weights(100.0, None, _c_rule(UNIT_INTERVAL, u=100.0), "phi")]
     for kind, s, z in _FEATURE_POINTS:
         arrays += _kept_feature(kind, 0.8, s, z, 1.0, 1.0)[:3]
-    assert len(arrays) == 3 + 3 * 6
+    assert len(arrays) == 5 + 3 * 6
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0.0

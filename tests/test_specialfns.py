@@ -57,16 +57,15 @@ def test_bessel_j_complex_against_series_oracle():
 def test_bessel_j_past_the_old_w_max_against_40_digits(nu):
     # bessel_j once refused |w| > W_MAX = 60, and (w/2)^nu overflowed below
     # nu = 170 where nu log|w/2| passes the doubles, as at (150.5, 1000).
-    # Past 60 it is within 2.6e-13 relative of mpmath, 4e-13 allowed; where
-    # psi's run would leave the doubles it is refused by name: |Im w| past
-    # 709.78 and, on the recurrence side (|w| < 2 nu^2), |w| past 1416.8
-    for w in (61.0, -250.0, 1000.0, 300 - 200j, 700j):
+    # psi's range rule then refused |Im w| past 709.78 and, below the Hankel
+    # side, |w| past 1416.8.  Now every w answers within 4e-13 relative of
+    # mpmath, and only a value past the largest double, as at 800i, is refused
+    for w in (61.0, -250.0, 1000.0, 1500.0, 2500.0, 300 - 200j, 700j):
         got = bessel_j(nu, w)
         ref = mp.besselj(nu, mp.mpc(w))
         assert abs(got - complex(ref)) <= 4e-13 * float(abs(ref)), (nu, w)
-    for w in (800j, 1500.0) if nu > 30 else (800j,):
-        with pytest.raises(OutOfRangeError, match="normal doubles"):
-            bessel_j(nu, w)
+    with pytest.raises(OutOfRangeError, match="passes the largest double"):
+        bessel_j(nu, 800j)
 
 
 def test_bessel_j_trig_identities_on_interval():
@@ -370,10 +369,11 @@ def test_debye_polynomials_equal_the_numpy_polynomial_recursion_bit_for_bit():
         want.append(P.polyadd(P.polymul([0.0, 0.0, 0.5, 0.0, -0.5], P.polyder(u)),
                               P.polyint(P.polymul([1.0, 0.0, -5.0], u)) / 8.0))
     got = _debye_polynomials()
-    assert len(got) == len(want)
+    assert got.shape == (len(want), want[-1].size) and not got.flags.writeable
     for g, w in zip(got, want):
-        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
-    assert got[1].tolist() == [0.0, 3 / 24, 0.0, -5 / 24]      # U_1 = (3p - 5p^3)/24
+        np.testing.assert_array_equal(g[:w.size].view(np.int64), w.view(np.int64))
+        assert not np.any(g[w.size:])
+    assert got[1, :4].tolist() == [0.0, 3 / 24, 0.0, -5 / 24]      # U_1 = (3p - 5p^3)/24
 
 
 def test_log_bessel_i_and_bessel_i_against_40_digits():
@@ -388,6 +388,12 @@ def test_log_bessel_i_and_bessel_i_against_40_digits():
                 err = abs(bessel_i(nu, x) - float(ref)) / float(ref)
                 sc = abs(float(iv(nu, x)) - float(ref)) / float(ref)
                 assert err <= max(sc, 8 * _EPS), (nu, x, err, sc)
+
+
+def _psi_values(nu, us):
+    """psi at the entries of us as complex doubles, values 2^bits of `_psi`."""
+    from ellipsegas.specialfns import _ldexp, _psi
+    return _ldexp(*_psi(nu, np.asarray(us, dtype=complex)))
 
 
 def _psi_error_units(nu, us, got):
@@ -420,8 +426,7 @@ def _points(r0, r1, count, im_max=None):
 @pytest.mark.parametrize("nu", [-0.45, 0.0, 0.5, 1.3, 3.5, -5e-324])
 def test_psi_against_40_digits_no_worse_than_scipy(regime, us, nu):
     from scipy.special import jv
-    from ellipsegas.specialfns import _psi
-    ours = _psi_error_units(nu, us, _psi(nu, us))
+    ours = _psi_error_units(nu, us, _psi_values(nu, us))
     scipy_psi = [complex(mp.mpc(complex(jv(max(nu, 0.0) if nu < 0 and nu > -1e-300 else nu, u)))
                          * mp.gamma(nu + 1) * (2 / mp.mpc(u)) ** nu) for u in us]
     theirs = _psi_error_units(nu, us, scipy_psi)
@@ -430,51 +435,36 @@ def test_psi_against_40_digits_no_worse_than_scipy(regime, us, nu):
 
 @pytest.mark.parametrize("nu", [8.0, 30.0, 200.5])
 def test_psi_at_large_order_against_40_digits(nu):
-    from ellipsegas.specialfns import _psi
     us = np.concatenate([_points(0.05, 60.0, 16), [60.0, 30j, 12 + 8j]])
-    assert _psi_error_units(nu, us, _psi(nu, us)) <= 16.0
+    assert _psi_error_units(nu, us, _psi_values(nu, us)) <= 16.0
 
 
-def test_psi_answers_within_1e_12_or_refuses_before_its_run(monkeypatch):
-    # psi's backward recurrence in the order passes mu = |u|/2, where |psi_mu|
-    # is about e^(-|u|/2) on the real axis: from |u| = 1450 at nu = 30.5 it
-    # returned values 2e-9 to 31 relative off, with no refusal.  Each point
-    # of the grid either answers within 1e-12 relative of 40-digit hyp0f1,
-    # or is refused by name before the run: with the run replaced by a
-    # failure, a refusal is still raised.  The answered points of one order
-    # share one call, whose recurrence starts at the largest of them
+def test_psi_answers_within_1e_12_on_the_whole_c_rule_range():
+    # psi's backward recurrence in the order once ran |u|^2/4 steps and passed
+    # mu = |u|/2, where |psi_mu| is about e^(-|u|/2): from |u| = 1450 at
+    # nu = 30.5 it returned values 2e-9 to 31 relative off, and with a range
+    # rule it then answered only 25, 24, 19 and 19 of the points below at
+    # arg u <= 0.3, refusing the rest.
+    # Each route now carries its power of two, and every point answers within
+    # 1e-12 relative of 40-digit hyp0f1, the I side's core in at most
+    # 2|u| - nu steps
     from ellipsegas import specialfns
-
-    def no_run(*args):
-        raise AssertionError("the run started")
-
     grid = {nu: [r * cmath.exp(1j * angle) for r in (1.0, 30.0, 300.0, 1000.0, 1400.0, 1450.0,
                                                         1500.0, 2500.0, 3840.0)
-                 for angle in (0.0, 0.1, 0.3)] for nu in (0.5, 30.5, 100.5, 300.5)}
+                 for angle in (0.0, 0.1, 0.3, math.pi / 4)]
+            + [1j * y for y in (1.0, 30.0, 100.0, 345.0)] for nu in (0.5, 30.5, 100.5, 300.5)}
     grid[30.5].append(1500.0 * cmath.exp(0.2j))
-    answered = {}
-    with monkeypatch.context() as m:
-        m.setattr(specialfns, "_psi_tabled", no_run)
-        m.setattr(specialfns, "_psi_hankel", no_run)
-        for nu, us in grid.items():
-            for u in us:
-                try:
-                    specialfns._psi(nu, np.array([u]))
-                except OutOfRangeError as refusal:
-                    assert "normal doubles" in str(refusal)
-                except AssertionError:
-                    answered.setdefault(nu, []).append(u)
-    for nu, us in answered.items():
-        got = specialfns._psi(nu, np.array(us))
-        for u, g in zip(us, got.tolist()):
+    for nu, us in grid.items():
+        for u in us:
+            values, bits = specialfns._psi(nu, np.array([u]))
+            got = mp.mpc(complex(values[0])) * mp.mpf(2) ** int(bits[0])
             ref = mp.hyp0f1(nu + 1, -mp.mpc(u) ** 2 / 4)
-            assert abs(g - complex(ref)) <= 1e-12 * float(abs(ref)), (nu, u, g)
-    assert 1400.0 in answered[30.5] and 1500.0 * cmath.exp(0.2j) in answered[30.5]
-    assert 1500.0 not in answered[30.5] and 1450.0 not in answered[100.5]
-    # the Hankel side (|u| >= 20 at nu = 0.5, >= 1860.5 at 30.5) answers on the
-    # real axis up to the c-rule's 3840; |Im u| past 709.78 is refused
-    assert 3840.0 in answered[0.5] and 3840.0 in answered[30.5]
-    assert [len(answered[nu]) for nu in grid] == [25, 24, 19, 19]
+            assert abs(got / ref - 1) <= 1e-12, (nu, u, got)
+    # one call on points whose psi are further apart than the doubles' range:
+    # each entry keeps its own power of two, its value in [1/2, 1)
+    values, bits = specialfns._psi(100.5, np.array([1.0, 3840.0 * cmath.exp(0.3j), 2500.0]))
+    assert np.all((0.5 <= np.abs(values)) & (np.abs(values) < 1.0))
+    assert bits[0] == 0 and bits[1] > 1024 and bits[1] - bits[2] > 1074
 
 
 def test_bessel_j_against_40_digits_at_the_regime_edges():
@@ -505,7 +495,7 @@ def test_phi_psi_and_bessel_j_agree(nu, r):
     # r = 8 and 15).  Pairwise they agree within 16 eps of the modulus of J,
     # taken no larger than the sum of the series' |terms|.
     from ellipsegas.quadrature import UNIT_INTERVAL, _gauss_rule
-    from ellipsegas.specialfns import _SHORT_SERIES_MAX, _phi, _psi
+    from ellipsegas.specialfns import _SHORT_SERIES_MAX, _ldexp, _phi
     rule = (UNIT_INTERVAL, 64)
     c = _gauss_rule(*rule)[0]
     some = np.r_[0:64:9, 63]        # every ninth node and the largest
@@ -513,7 +503,10 @@ def test_phi_psi_and_bessel_j_agree(nu, r):
         root = r / c[-1] * complex(math.cos(angle), math.sin(angle))
         assert (r <= _SHORT_SERIES_MAX) == (abs(root) * c[-1] <= _SHORT_SERIES_MAX)
         us = c * root
-        ways = {"phi": _phi(nu, rule, root)[some], "psi": _psi(nu, us)[some],
+        phi, bits = _phi(nu, rule, root)
+        assert np.any(bits) <= (r > _SHORT_SERIES_MAX)
+        ways = {"phi": _ldexp(phi, bits)[some],
+                "psi": _psi_values(nu, us)[some],
                 "bessel_j": np.array([bessel_j(nu, u) * math.gamma(nu + 1.0) / (u / 2.0) ** nu
                                       for u in us[some].tolist()])}
         scale = np.array([_psi_scale(nu, u) for u in us[some].tolist()])
