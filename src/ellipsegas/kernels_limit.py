@@ -15,9 +15,10 @@ point:
     K(z1, z2) = e^(l(z1) + l(z2)) 2^(k(z1) + k(z2)) sum_i F_i(z1) conj F_i(z2),
     F_i(z) 2^k(z) = sqrt(W_i G(c_i)) u(c_i, z),
 
-with W the rule's weights, G the kernel's weight in c, l the point's log
-wall factor (the cosine kernel's also holds -log|Z|/2, the Bessel kernel's
--log 2) and k an exact power of two that keeps F of modest size at any a.
+with W the rule's weights, G the kernel's weight in c, e^l 2^n the point's
+wall factor (the cosine kernel's l also holds -log|Z|/2, the Bessel kernel's
+n a -1) and k an exact power of two, n included, that keeps F and e^l of
+modest size at any a.
 The node functions u are [e^(icz), e^(-icz)]/sqrt 2 for the bulk, whose
 cos(c(z1 - conj z2)) is their product, with F formed in log space as
 exp(log sqrt(W G/2) -+ c y +- i c x), one complex exp per entry: cos(cz)
@@ -25,8 +26,9 @@ alone overflows past |Im z| of about 710 where F does not; J_nu(c w)
 (c w)^-nu for `edge_weak` and `bessel_kernel`, as psi(c w) (`_phi`) times
 phi(0) = m 2^k (`_phi_zero`), with the powers of two that psi and the weight
 in c carry per node folded into k; sin(c w)/w and cos(c w), w = sqrt(Z), for
-the left-focus kernels.  Only the phi features and the bulk features near the
-wall, whose exponents are then lowered by whole powers of two, have k != 0.
+the left-focus kernels.  Beside the walls' n, only the phi features and the
+bulk features near the wall, whose exponents are then lowered by whole powers
+of two, add to k.
 The rule on [0, 1] is sized per pair by `quadrature._c_rule` from s and the
 larger |u| of the two node-function arguments, u = z for the bulk and
 sqrt Z otherwise: 64 2^j Gauss-Legendre nodes, j the least with
@@ -34,7 +36,7 @@ s <= 50 2^j and |u| <= 60 2^j, and a refusal by name past 4096 nodes
 (s > 3200 or |u| > 3840).  The half-line rule of `bulk_strong` is sized per
 pair from a and |x1 - x2|, the frequency of the product: 160 nodes for a
 below 8 and |x1 - x2| <= 8, and a refusal by name past 16,384 nodes.  A
-weight in c that takes ln Gamma(a+1) is refused past a = 1024 (_A_MAX).
+kernel with a weight in c is refused past a = 1024 (_A_MAX).
 The weak edge kernels form their weight in c as
 a double, which underflows on [0, 1] from s of about 705, so they refuse
 s > 690.  sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by
@@ -75,17 +77,20 @@ from .errors import DomainError, OutOfRangeError, SingularPointError
 from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
                        _kernel_of, _kind_arguments, _log_power, _times_exp, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _check_tail, _gauss_rule
-from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, _exp_bits, _ldexp, _phi, _phi_zero,
-                         _read_only, ln_gamma, log_i_ratio)
+from .specialfns import (_LN2, _LOG_MAX, _LOG_TINY, _exp_bits, _ldexp, _ln_gamma_step, _log_f,
+                         _phi, _phi_zero, _read_only, ln_gamma)
 
 # |beta| up to which edge_strong always sums the series of gamma_low(s, beta)
 _GAMMA_SERIES_MAX = 5.0
-# the largest a of a kernel whose weight in c takes ln Gamma(a+1) against
-# log_i_ratio: both are of size a log a and their sum only of size log a, so
-# the weight carries about eps ln Gamma(a+1) of relative error, 6.8e-13 at
-# a = 1024.  Against 40-digit mpmath, bulk_weak and edge_weak_minus_sine at
-# s = 1 were within 4.7e-14 at a = 100, 5.1e-13 at 300, 7.6e-13 at 1000,
-# 3.3e-13 at 1024, and 2.3e-12, 1.5e-12 and 6.9e-12 off at 2000, 3000, 1e4
+# the largest a of a kernel with a weight in c.  Against 40-digit sums of the
+# same rule, bulk_weak, the left-focus kernels and the strong bulk on the real
+# axis are within 6e-16 at a = 1000 and 1024, and edge_weak(1000, 1, Z, Z)
+# within 1.9e-15 at Z = 2e6 and 1.4e-13 at the cap 1.47e7 (the phi weights
+# taken from logs at small c); off the axis a/2 times the rounding of each
+# wall factor remains: bulk_weak 3-8e-14 at a = 1000-1024, 1.5e-13 at 2000 and
+# 3e-13 at 4000.  So the cap is not an accuracy bound: it is the a up to which
+# the kernels are tested, and the strong bulk's half-line rule is refused by
+# its node cap from a = 1309.4 in any case
 _A_MAX = 1024.0
 # per-point features kept by `_feature`, 1-2 kB each on 64 nodes and up to
 # 128 kB at the node cap of the c-rule; a pair of points reads two
@@ -114,25 +119,23 @@ def _weights(a: float, s: float | None, rule: tuple, form: str):
     normal doubles, as c^(2a+2) does at small c and large a, the root is
     taken from logs and keeps its power of two apart, since psi(c w) of a
     large |w| can be as far below the doubles at the last nodes.
-    DomainError for an a outside its rule and, with s, OutOfRangeError where
-    ln Gamma(a+1) passes the doubles and past _A_MAX, before the rule is
-    built."""
-    _check("a", a)
-    if s is not None:
-        log_gamma = ln_gamma(a + 1)
-        if a > _A_MAX:
-            raise OutOfRangeError(f"the weight in c needs a <= {_A_MAX:g}, got {a:g}: past it, "
-                                  f"ln Gamma(a+1) and the Bessel ratio cancel to over 1e-12")
+    With s, G is taken as log Gamma(a+3/2) - log Gamma(a+1), one Stirling
+    difference, less log 0F1(;a+3/2;(cs)^2/4) from `_log_f`, so that no
+    log-gamma of size a log a cancels in it; OutOfRangeError past _A_MAX,
+    or where ln Gamma(a+1) passes the doubles, before the rule is built.
+    The caller has checked a."""
+    if s is not None and a > _A_MAX:
+        ln_gamma(a + 1)         # which refuses first where log Gamma(a+1) passes the doubles
+        raise OutOfRangeError(f"the weight in c needs a <= {_A_MAX:g}, got {a:g}: past it, "
+                              f"ln Gamma(a+1) and the Bessel ratio cancel to over 1e-12")
     c, w = _gauss_rule(*rule)
     w = w.ravel()
     log_g = 0.0
     if s is not None:
-        ratio = log_i_ratio(a + 0.5, c * s)
-        const = ((math.log(math.pi / 2.0) if form == "phi" else 0.0) - math.log(s)
-                 - 1.5 * math.log(math.pi) - log_gamma)
+        log_g = ((math.log(math.pi / 2.0) if form == "phi" else 0.0) - math.log(s)
+                 - 1.5 * math.log(math.pi) + _ln_gamma_step(a + 1.0, 0.5) - _log_f(a + 0.5, c * s))
         if form == "log":
-            return _read_only(0.5 * (np.log(w) + ratio + const))
-        log_g = ratio + const
+            return _read_only(0.5 * (np.log(w) + log_g))
     if form == "sqrt":
         return _read_only(np.sqrt(w * np.exp(log_g)))
     p = 2.0 * a + 2.0
@@ -145,16 +148,33 @@ def _weights(a: float, s: float | None, rule: tuple, form: str):
     return _read_only(values, bits)
 
 
-# the feature kernels: a point function takes (kind, a, s, z), checks s and
-# z, the point by the kind's row, and gives (l, the argument of the node
-# function); a node function gives F at the nodes of `rule` from
-# (kind, a, s, rule, argument), after the check of a
+# the feature kernels: after the check of a, a point function takes
+# (kind, a, s, z), checks s and z, the point by the kind's row, and gives
+# ((l, n), the argument of the node function), its wall factor e^l 2^n by
+# `_wall_power`; a node function gives F at the nodes of `rule` from
+# (kind, a, s, rule, argument)
+
+def _wall_power(p: float, q: float, d: float = 1.0):
+    """(l, n) with (q/d)^p = e^l 2^n, n an integer, for a wall factor q/d,
+    d > 0, continued onto the hard wall q <= 0 as `_log_power`, with n = 0.
+    q/d = m 2^e with m in [1/sqrt 2, sqrt 2), so that q = d gives l = 0
+    exactly, and p e = n + f exactly over the integers, f in [0, 1): so
+    l = p log m + f ln2, at most about p/3 in size where p log(q/d) is of
+    size p log q, and its rounding with it."""
+    if q <= 0.0:
+        return _log_power(p, q), 0
+    (mq, eq), (md, ed) = math.frexp(q), math.frexp(d)
+    j = round(math.log2(mq / md))          # so that m = 2^-j mq/md
+    num, den = p.as_integer_ratio()
+    n, f = divmod(num * (eq - ed + j), den)
+    return p * math.log(math.ldexp(mq / md, -j)) + f / den * _LN2, n
+
 
 def _bulk_point(kind: str, a: float, s: float, z: complex):
     _check("s", s)
     _check_point(kind, z, params=(s,))
     u = 2.0 * abs(z.imag) / s                  # in [0, 1]: squares neither s nor y
-    return _log_power(0.5 * a, (1.0 - u) * (1.0 + u)), z
+    return _wall_power(0.5 * a, (1.0 - u) * (1.0 + u)), z
 
 
 def _bulk_nodes(kind: str, a: float, s: float, rule: tuple, z: complex):
@@ -169,7 +189,7 @@ def _bulk_nodes(kind: str, a: float, s: float, rule: tuple, z: complex):
     whatever the sign of a zero part of z: the bulk has no branch cut.
     OutOfRangeError where c z passes the doubles at the rule's last node c,
     as it can on the half line."""
-    log_weights = _weights(a, s, rule, "log")     # checks a before the rule is built
+    log_weights = _weights(a, s, rule, "log")
     c = _gauss_rule(*rule)[0]
     if not float(c[-1]) * max(abs(z.real), abs(z.imag)) < math.inf:
         raise OutOfRangeError(f"{kind} needs c z in the doubles at every node, got {z!r}")
@@ -203,17 +223,18 @@ def _edge_wall(s: float, Z: complex) -> float:
         raise OutOfRangeError(f"the edge wall factor at s = {s:g} passes the doubles") from None
 
 
-def _edge_point(kind: str, a: float, s: float, Z: complex):
-    """The wall factor q and w = sqrt Z; DomainError outside the parabolic
-    edge domain.  The weight in c of the three weak edge kernels is formed as
-    a double, G(1) of about e^-s: from s of about 705 it leaves the normal
-    doubles at the last nodes, where the features of a point near the wall,
-    e^(c s/2) in size, need it, so s past 690 is refused by name."""
+def _edge_point(kind: str, a: float, s: float, Z: complex, d: float = 1.0):
+    """The wall factor (q/d)^(a/2), q = `_edge_wall`, and w = sqrt Z;
+    DomainError outside the parabolic edge domain.  The weight in c of the
+    three weak edge kernels is formed as a double, G(1) of about e^-s: from s
+    of about 705 it leaves the normal doubles at the last nodes, where the
+    features of a point near the wall, e^(c s/2) in size, need it, so s past
+    690 is refused by name."""
     _check("s", s)
     _check_point(kind, Z, params=(s,))
     if s > 690.0:
         raise OutOfRangeError(f"{kind} needs s <= 690, got {s:g}")
-    return _log_power(0.5 * a, _edge_wall(s, Z)), cmath.sqrt(Z)
+    return _wall_power(0.5 * a, _edge_wall(s, Z), d), cmath.sqrt(Z)
 
 
 def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
@@ -225,7 +246,7 @@ def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
     below it by more than the doubles' range, which adds below rounding,
     becomes 0; otherwise k is phi(0)'s, and the node values are of modest
     size at any order."""
-    weights, bits = _weights(a, s, rule, "phi")      # checks a
+    weights, bits = _weights(a, s, rule, "phi")
     m, k = _phi_zero(a + 0.5)
     psi, psi_bits = _phi(a + 0.5, rule, w)
     values, bits = weights * (psi * m), bits + psi_bits
@@ -238,9 +259,11 @@ def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
 
 def _left_focus_point(kind: str, a: float, s: float, Z: complex):
     """The wall factor 1 - 2 (|Z| - X)/s^2, which is q / (s^2/4 + (Re w)^2)
-    for the weak-edge wall factor q of Z and w = sqrt Z."""
-    ell, w = _edge_point(kind, a, s, Z)
-    return ell - _log_power(0.5 * a, s * s / 4.0 + w.real ** 2), w
+    for the weak-edge wall factor q of Z and w = sqrt Z.  On the real axis
+    (Re w)^2 is max(X, 0) exactly, so that on the positive axis the factor
+    is 1 to the bit where s^2/4 + X is a double."""
+    re2 = max(Z.real, 0.0) if Z.imag == 0.0 else cmath.sqrt(Z).real ** 2
+    return _edge_point(kind, a, s, Z, s * s / 4.0 + re2)
 
 
 def _sine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
@@ -250,10 +273,10 @@ def _sine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex) -> np.nd
 
 
 def _cosine_point(kind: str, a: float, s: float, Z: complex):
-    ell, w = _left_focus_point(kind, a, s, Z)
+    (ell, n), w = _left_focus_point(kind, a, s, Z)
     if Z == 0:
         raise SingularPointError("cosine edge kernel diverges at the focus Z = 0")
-    return ell - 0.5 * math.log(abs(Z)), w
+    return (ell - 0.5 * math.log(abs(Z)), n), w
 
 
 def _cosine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex):
@@ -263,7 +286,8 @@ def _cosine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex):
 def _bessel_point(kind: str, a: float, s: None, X: complex):
     """The wall factor and sqrt X of a point X + 0i that `bessel_kernel` has
     checked."""
-    return _log_power(0.5 * a, X.real) - _LN2, math.sqrt(X.real)
+    ell, n = _wall_power(0.5 * a, X.real)
+    return (ell, n - 1), math.sqrt(X.real)
 
 
 def _build_feature(kind: str, point, nodes, a: float, s: float | None, rule: tuple, z,
@@ -273,10 +297,11 @@ def _build_feature(kind: str, point, nodes, a: float, s: float | None, rule: tup
     the parts are its views.  The signs of the parts of z are in the key, so
     that 0.0 and -0.0, which are equal keys, stay apart.  A refusal raised
     here is never kept."""
-    ell, arg = point(kind, a, s, z)
+    _check("a", a)
+    (ell, n), arg = point(kind, a, s, z)
     values, k = nodes(kind, a, s, rule, arg)
     v = _read_only(np.ravel(values).view(float))
-    return v, v[0::2], v[1::2], ell, k
+    return v, v[0::2], v[1::2], ell, k + n
 
 
 _feature = functools.lru_cache(maxsize=_FEATURES)(_build_feature)

@@ -12,14 +12,16 @@ series-and-recurrence core, `_psi_tabled`, serves psi on a node table and at
 any array of points; and one Debye-and-shift core, `_log_f_shifted`, gives
 log 0F1(;nu+1;x^2/4) at real x for the I side and at x = iu for psi:
 
-  I_nu(x), real x >= 0 (`log_i_ratio`, `log_bessel_i`, `bessel_i`):
-    x <= 20                   ascending series (DLMF 10.25.2), positive terms,
-                              with fewer terms up to x = 4
+  I_nu(x), real x >= 0, as log 0F1(;nu+1;x^2/4) (`_log_f`, which the weight
+  in c of the limiting kernels reads, and `log_i_ratio`, `log_bessel_i`,
+  `bessel_i`):
+    x <= 20                   log1p of the ascending series (DLMF 10.25.2),
+                              positive terms, with fewer terms up to x = 4
     x >= max(20, 2 nu^2)      Hankel expansion of e^-x I_nu(x) (DLMF 10.40.1)
-    nu >= 50                  Debye's uniform expansion (DLMF 10.41.3)
-    otherwise                 `_log_f_shifted` from order 50: Debye at order
-                              nu + m, then m < 51 steps of the ratio
-                              recurrence (DLMF 10.29.1) down to nu
+    otherwise                 `_log_f_shifted` from order 50: Debye's uniform
+                              expansion (DLMF 10.41.3) at order nu + m, then
+                              m < 51 steps of the ratio recurrence (DLMF
+                              10.29.1) down to nu; m = 0 from nu = 50
   psi(u), complex u (`bessel_j`, `_phi` of the edge and Bessel kernels):
     |u| >= max(20, 2 nu^2)    Hankel expansion (DLMF 10.17.3), its lead in logs
     |u| <= W_MAX = 60         ascending series (DLMF 10.2.2) at orders nu + m
@@ -32,7 +34,7 @@ log 0F1(;nu+1;x^2/4) at real x for the I side and at x = iu for psi:
     every route               values and a power-of-two exponent apart, so psi
                               never leaves the doubles and none refuses
 
-In `log_i_ratio` each regime's term count is fixed by nu and the regime's
+In `_log_f` each regime's term count is fixed by nu and the regime's
 bounds, so an entry's value does not depend on the other entries.
 """
 
@@ -162,14 +164,27 @@ def ln_gamma_difference(x, d) -> np.ndarray:
     y = x + d
     out = np.empty(x.shape)
     big = np.minimum(x, y) >= _STIRLING_MIN
-    xb, yb, db = x[big], y[big], d[big]
-    out[big] = ((xb - 0.5) * np.log1p(db / xb) + db * (np.log(yb) - 1.0)
-                + (_stirling_tail(yb) - _stirling_tail(xb)))
+    out[big] = _stirling_difference(x[big], d[big], np.log, np.log1p)
     # one array log-gamma for both ends: its per-call cost is most of the
     # difference's where few entries are small
     small = ln_gamma(np.concatenate((y[~big], x[~big])))
     out[~big] = small[:small.size // 2] - small[small.size // 2:]
     return out
+
+
+def _stirling_difference(x, d, log, log1p):
+    """The Stirling series of `ln_gamma_difference`, x and x + d >= 13, for
+    floats (log, log1p from math) or arrays (from numpy)."""
+    y = x + d
+    return (x - 0.5) * log1p(d / x) + d * (log(y) - 1.0) + (_stirling_tail(y) - _stirling_tail(x))
+
+
+def _ln_gamma_step(x: float, d: float) -> float:
+    """`ln_gamma_difference` at one pair of floats, at the cost of the scalar
+    `ln_gamma`: the array path costs about 40 us a call."""
+    if min(x, x + d) >= _STIRLING_MIN:
+        return _stirling_difference(x, d, math.log, math.log1p)
+    return _ln_gamma(x + d) - _ln_gamma(x)
 
 
 def _log_beta(x, y) -> np.ndarray:
@@ -302,39 +317,10 @@ def _hankel_min(nu: float) -> float:
     return max(_HANKEL_MIN, 2.0 * nu * nu)
 
 
-def _ratio_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """log_i_ratio by the ascending series, each entry with the terms that
-    the smaller of _SHORT_SERIES_MAX and _I_SERIES_MAX above it takes."""
-    lg = ln_gamma(nu + 1.0)
-    q = x * x / 4.0
-    near = x <= _SHORT_SERIES_MAX
-    out = np.empty(x.shape)
-    for part, r in ((near, _SHORT_SERIES_MAX), (~near, _I_SERIES_MAX)):
-        if np.any(part):
-            coefs = _rising_reciprocals(nu, _series_terms(nu, r * r / 4.0))
-            out[part] = lg - np.log1p(_poly_tail(coefs, q[part]))
-    return out
-
-
 def _i_hankel_tail(nu: float, x: np.ndarray) -> np.ndarray:
     """sqrt(2 pi x) e^-x I_nu(x) - 1 by the Hankel expansion (DLMF 10.40.1)."""
     a = _hankel_coefficients(nu, _hankel_min(nu))
     return _poly_tail(a * np.where(np.arange(a.size) % 2 == 0, 1.0, -1.0), 1.0 / x)
-
-
-def _ratio_hankel(nu: float, x: np.ndarray) -> np.ndarray:
-    return (nu * np.log(x / 2.0) - x + 0.5 * np.log(2.0 * math.pi * x)
-            - np.log1p(_i_hankel_tail(nu, x)))
-
-
-def _log_i_debye(nu: float, x: np.ndarray) -> np.ndarray:
-    """log I_nu(x), x > 0, by the uniform expansion: with z = x/nu and
-    w = sqrt(1 + z^2), nu eta = nu w + nu log(z / (1 + w))."""
-    z = x / nu
-    w = np.sqrt(1.0 + z * z)
-    u = np.log1p(_poly_tail(_debye_coefficients(nu), 1.0 / w))
-    return (nu * w + nu * np.log(z / (1.0 + w)) - 0.5 * math.log(2.0 * math.pi * nu)
-            - 0.5 * np.log(w) + u)
 
 
 def _log_f_debye(mu: float, x: np.ndarray) -> np.ndarray:
@@ -369,10 +355,13 @@ def _log_f_shifted(nu: float, x: np.ndarray, top: float):
     log F_mu, of size about |x|^2/4mu, and f 2^bits the value the run
     reaches, F_nu / F_mu.  The run's power of two is moved into bits,
     exactly, only where it passes 2^(+-600), so an entry whose run stays in
-    the doubles has bits 0; f is not logged, so psi, which is e^L f, does
+    the doubles has bits 0, and where m = 0 f and bits are 1.0 and 0, with no
+    Debye start at order mu + 1; f is not logged, so psi, which is e^L f, does
     not carry the rounding of a log of its size."""
     m = max(0, math.ceil(top - nu))
     log_top = _log_f_debye(nu + m, x)
+    if not m:
+        return log_top, 1.0, 0
     bits, f = np.zeros(x.shape, dtype=np.int64), np.ones(x.shape, dtype=log_top.dtype)
     above, q = np.exp(_log_f_debye(nu + m + 1.0, x) - log_top), 0.25 * x * x
     for j in range(m, 0, -1):
@@ -389,8 +378,34 @@ def _log_f_shifted(nu: float, x: np.ndarray, top: float):
     return log_top, f, bits
 
 
+def _log_f(nu: float, x: np.ndarray) -> np.ndarray:
+    """log 0F1(;nu+1;x^2/4) = log[Gamma(nu+1) (2/x)^nu I_nu(x)] at an array
+    of real x >= 0, each entry by the regimes of the module docstring, by x
+    and nu alone.  Below the Hankel regime it holds no log-gamma, so its
+    rounding is that of its value, of size x^2/4nu or x, however large nu."""
+    out, q = np.empty(x.shape), x * x / 4.0
+    series, near = x <= _I_SERIES_MAX, x <= _SHORT_SERIES_MAX
+    for part, r in ((near, _SHORT_SERIES_MAX), (series & ~near, _I_SERIES_MAX)):
+        if part.any():
+            coefs = _rising_reciprocals(nu, _series_terms(nu, r * r / 4.0))
+            out[part] = np.log1p(_poly_tail(coefs, q[part]))
+    if series.all():
+        return out
+    hankel = ~series & (x >= _hankel_min(nu))
+    if hankel.any():
+        xh = x[hankel]
+        out[hankel] = (ln_gamma(nu + 1.0) + xh - nu * np.log(xh / 2.0)
+                       - 0.5 * np.log(2.0 * math.pi * xh) + np.log1p(_i_hankel_tail(nu, xh)))
+    mid = ~series & ~hankel
+    if mid.any():
+        log_top, f, bits = _log_f_shifted(nu, x[mid], _DEBYE_MIN)
+        out[mid] = _plus_bits(log_top + np.log(f), bits)
+    return out
+
+
 def log_i_ratio(order, x):
-    """log[(x/2)^nu / I_nu(x)] for finite x >= 0 (log Gamma(nu+1) at x = 0).
+    """log[(x/2)^nu / I_nu(x)] for finite x >= 0 (log Gamma(nu+1) at x = 0),
+    as log Gamma(nu+1) less `_log_f`.
 
     x may be an array; a scalar x gives a float.  Each entry goes to one of
     the regimes of the module docstring by x and nu alone.
@@ -402,22 +417,7 @@ def log_i_ratio(order, x):
         raise DomainError(f"log_i_ratio requires finite x >= 0, got {x}")
     if xs.ndim == 0:
         return float(log_i_ratio(nu, xs.reshape(1))[0])
-    if hi <= _I_SERIES_MAX:
-        return _ratio_series(nu, xs)
-    out = np.empty(xs.shape)
-    series = xs <= _I_SERIES_MAX
-    out[series] = _ratio_series(nu, xs[series])
-    rest = ~series
-    if nu >= _DEBYE_MIN:
-        out[rest] = nu * np.log(xs[rest] / 2.0) - _log_i_debye(nu, xs[rest])
-        return out
-    hankel = rest & (xs >= _hankel_min(nu))
-    out[hankel] = _ratio_hankel(nu, xs[hankel])
-    mid = rest & ~hankel
-    if np.any(mid):
-        log_top, f, bits = _log_f_shifted(nu, xs[mid], _DEBYE_MIN)
-        out[mid] = ln_gamma(nu + 1.0) - _plus_bits(log_top + np.log(f), bits)
-    return out
+    return ln_gamma(nu + 1.0) - _log_f(nu, xs)
 
 
 def log_bessel_i(order, x: float) -> float:
@@ -441,7 +441,7 @@ def bessel_i(order, x: float) -> float:
         raise DomainError(f"bessel_i requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if nu < _DEBYE_MIN and _hankel_min(nu) <= x < _LOG_MAX:
+    if _hankel_min(nu) <= x < _LOG_MAX:
         h = 1.0 + float(_i_hankel_tail(nu, np.array([float(x)]))[0])
         return math.exp(x) / math.sqrt(2.0 * math.pi * x) * h
     if x < _LOG_MAX:
@@ -546,7 +546,8 @@ def _psi(nu: float, u: np.ndarray):
     hankel = size >= _hankel_min(nu)
     tabled = ~hankel & (size <= W_MAX)
     mid = ~hankel & ~tabled
-    out[hankel], bits[hankel] = _psi_hankel(nu, u[hankel])
+    if np.any(hankel):
+        out[hankel], bits[hankel] = _psi_hankel(nu, u[hankel])
     if np.any(tabled):
         r = float(size[tabled].max())
         terms = _series_terms(nu + _recurrence_start(nu, r), r * r / 4.0)

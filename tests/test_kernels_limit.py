@@ -497,6 +497,28 @@ def test_phi_kernels_refuse_by_name_at_any_order(a):
         assert bessel_kernel(a, 0.0, 0.7) == 0.0
 
 
+@pytest.mark.parametrize("a", [300.0, 1000.0, 1024.0])
+@pytest.mark.parametrize("s", [1.0, 40.0])
+def test_weight_kernels_at_large_a_are_their_rule_sums_on_the_real_axis(a, s):
+    # the weight in c takes lnGamma(a+3/2) - lnGamma(a+1) as one Stirling
+    # difference and the Bessel ratio as log 0F1, which holds no log-gamma;
+    # as lnGamma(a+1) against the ratio's lnGamma(a+3/2), both of size a log a,
+    # bulk_weak was 4.1e-13 off at a = 300 and 7.1e-13 at a = 1000.  On the
+    # real axis every wall factor is 1 to the bit, so the weight is what is
+    # measured: 40-digit sums of the same rule, within 6e-16 here
+    points = {"bulk-weak": (0.1, -0.3, 2.0), "edge-weak-minus-sine": (0.5, 2.0, 9.0),
+              "edge-weak-minus-cosine": (0.5, 2.0, 9.0)}
+    calls = {"bulk-weak": bulk_weak, **_EDGE_KERNELS}
+    for kind, zs in points.items():
+        kernel = calls[kind]
+        for z1, z2 in itertools.combinations_with_replacement(zs, 2):
+            got = kernel(a, s, z1, z2)
+            ref = (_bulk_weak_sum_in_40_digits(a, s, complex(z1), complex(z2)) if kind == "bulk-weak"
+                   else _rule_sum_40(kind, a, s, z1, z2))
+            scale = math.sqrt(kernel(a, s, z1, z1).real) * math.sqrt(kernel(a, s, z2, z2).real)
+            assert abs(got - ref) <= 1e-14 * scale, (kind, z1, z2, got, ref)
+
+
 def test_real_point_kernels_reject_complex_points():
     # a point of the real line is a number whose imaginary part is +-0.0;
     # make_kernel used to pass the real part of any other
@@ -1563,19 +1585,21 @@ _CACHE_POINTS = [0.1 + 0.05j, -0.4 + 0.2j, 0.7 - 0.1j, 1.3 + 0.3j, -0.9 - 0.25j,
 
 
 @pytest.mark.parametrize("kind, a, s", [("bulk-weak", 0.37, 1.31), ("bulk-strong", -0.43, None)])
-def test_one_log_i_ratio_call_per_kernel_and_values_unchanged(monkeypatch, kind, a, s):
-    # the kept features give the bits of features built afresh, and the
-    # per-value integrand, with log_i_ratio run on every call, within
+def test_one_log_f_call_per_kernel_and_values_unchanged(monkeypatch, kind, a, s):
+    # the weight in c reads the Bessel ratio as log 0F1 from `_log_f`, once
+    # per kernel; the kept features give the bits of features built afresh,
+    # and the per-value integrand, with log_i_ratio run on every call, within
     # rounding of the bulk's own scale sqrt(K(z1,z1) K(z2,z2))
     calls = []
+    log_f = kernels_limit._log_f
 
     def counting(nu, x):
         calls.append(nu)
-        return log_i_ratio(nu, x)
+        return log_f(nu, x)
 
     for cache in (_weights, _feature, _half_line_feature):
         cache.cache_clear()
-    monkeypatch.setattr(kernels_limit, "log_i_ratio", counting)
+    monkeypatch.setattr(kernels_limit, "_log_f", counting)
     kern = make_kernel(LimitKernelSpec(LimitKind(kind), a=a, s=s))
     pairs = [(z1, z2) for z1 in _CACHE_POINTS for z2 in _CACHE_POINTS[:4]]
     values = [kern(z1, z2) for z1, z2 in pairs]

@@ -361,6 +361,18 @@ def test_log_i_ratio_against_40_digits_no_worse_than_scipy(regime, nus, xs):
         assert ours <= max(floor, 2.0), (regime, nu, ours, floor)
 
 
+def test_log_i_ratio_at_large_order_against_40_digits():
+    # from nu = 50, below the Hankel regime, log_i_ratio is log Gamma(nu+1)
+    # less the core's Debye at order nu, whose terms hold no log of size nu;
+    # a Debye expansion of log I_nu itself was 33 eps off at (60.3, 300)
+    xs = np.array([20.5, 30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0, 1e4])
+    for nu in (50.0, 60.3, 100.5, 300.5, 1000.5, 10000.5):
+        for x, got in zip(xs.tolist(), log_i_ratio(nu, xs).tolist()):
+            with mp.workdps(40):
+                ref = float(nu * mp.log(mp.mpf(x) / 2) - mp.log(mp.besseli(nu, mp.mpf(x))))
+            assert abs(got - ref) <= 16 * _EPS * max(1.0, abs(ref)), (nu, x, got, ref)
+
+
 def test_debye_polynomials_equal_the_numpy_polynomial_recursion_bit_for_bit():
     from numpy.polynomial import polynomial as P
     want = [np.array([1.0])]
