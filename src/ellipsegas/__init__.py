@@ -1,16 +1,14 @@
 """Determinantal Coulomb gases on a hard-wall ellipse.
 
 The namespace is lazy (PEP 562): `import ellipsegas` loads no layer.
-`_EXPORTS` is the name table, layer module -> the names exported from it.
-The first read of a name (``ellipsegas.X`` or ``from ellipsegas import X``)
-imports its layer through `__getattr__`; from then on the name is a plain
-attribute of the package, and no read calls `__getattr__` again.  A layer's
-names are bound when the import system attaches the layer to the package
-(`_Package.__setattr__`), whoever imported it, before any caller can read
-the layer: a function that is swapped for a wrapper at every alias and put
-back later, as a tracer does, leaves no copy of the wrapper here.  That
-setattr is the one binding hook; `cli` keeps no namespace of its own, and
-each command imports the names it reads when it runs.
+`_EXPORTS` is the name table, layer module -> the names exported from it,
+and the one place that says which layer a name lives in.  Every read of a
+name (``ellipsegas.X`` or ``from ellipsegas import X``) goes through
+`__getattr__`, which imports the name's layer and returns the layer's
+attribute: the package binds no export, so a patch or wrapper put on a
+layer, as a tracer puts and takes back, is what every read returns.  `cli`
+keeps no namespace of its own either, and each command imports the names
+it reads when it runs.
 
 Each path loads only its own layers: `geometry` (with `errors` and
 `specialfns`) for the gases and the ellipse, `polynomials`, `kernels_finite`
@@ -18,9 +16,6 @@ and `correlations` for finite kernels and density grids, `quadrature` and
 `kernels_limit` for the limiting kernels, and `sampler` for the Metropolis
 chain, which reads `correlations`.
 """
-
-import sys
-from types import ModuleType
 
 # layer module -> the names the package exports from it
 _EXPORTS = {
@@ -56,32 +51,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    """A layer module or an export read before its layer was imported:
-    import the layer, whose attachment binds the name.  `__import__` is the
-    import statement's own path, which `python -X importtime` reports
-    (importlib.import_module bypasses it)."""
+    """A layer module, or an export read from its layer on every read: the
+    layer is imported by `__import__`, the import statement's own path,
+    which `python -X importtime` reports (importlib.import_module bypasses
+    it), and nothing is bound here."""
     for layer, names in _EXPORTS.items():
         if name == layer or name in names:
-            __import__(f"{__name__}.{layer}")
-            return globals()[name]
+            module = getattr(__import__(f"{__name__}.{layer}"), layer)
+            return module if name == layer else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
     return sorted({*globals(), *__all__, *_EXPORTS})
-
-
-class _Package(ModuleType):
-    """The package's module type: its one hook is the import system's
-    setattr that attaches a layer, which binds the layer's exports into the
-    package, keeping any name already bound."""
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if isinstance(value, ModuleType) and value.__name__ == f"{__name__}.{name}":
-            namespace = vars(self)
-            for export in _EXPORTS.get(name, ()):
-                namespace.setdefault(export, getattr(value, export))
-
-
-sys.modules[__name__].__class__ = _Package

@@ -15,14 +15,17 @@ in (0,1), and N (at most 10^6), burn_in and thin are integers;
 point domain is written once too, in `_POINT_DOMAINS`: the real line and its
 half line X >= 0, the weak bulk's strip, the weak edge's parabola, the right
 half-plane, the finite plane, the unit disc, whole or punctured, the
-rescaled ellipse off its foci and the gas's ellipse.  Each row of `KERNEL_KINDS` names its kind's domain,
-and `_check_point` checks a kernel's points by it.
+rescaled ellipse off its foci and the gas's ellipse.  Each row of
+`KERNEL_KINDS` names its kind's domain, and `_check_point` checks a
+kernel's points by it.
 
 Two more rules that every layer shares are written here once: `_kernel_of`
 builds the kernel of a kind from its row, for `make_kernel`,
-`global_kernel` and the command line, and `_times_exp` is the range of a
-scaled value m e^s (a kernel sum and its log scale, a prefactor, a
-`ScaledValue`), with the one OutOfRangeError where it leaves the doubles.
+`global_kernel` and the command line, reading the kernel that the row names
+through the package, whose `_EXPORTS` alone says which layer defines it;
+and `_times_exp` is the range of a scaled value m e^s (a kernel sum and its
+log scale, a prefactor, a `ScaledValue`), with the one OutOfRangeError
+where it leaves the doubles.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DomainError, OutOfRangeError
 from .specialfns import _LOG_MAX
 
@@ -92,7 +96,7 @@ def _check_point(kind: str, *points, params: tuple = (), domain: str | None = No
     array of points, lies in the point domain of its row of `KERNEL_KINDS`
     (or in `domain`, for a kernel that is not a kind) with the domain's
     `params`; the message gives the first point outside."""
-    inside, need = _POINT_DOMAINS[domain or KERNEL_KINDS[kind][3]]
+    inside, need = _POINT_DOMAINS[domain or KERNEL_KINDS[kind][2]]
     for z in points:
         if (ok := inside(z, *params)) is not True and not np.all(ok):
             z = complex(z[~ok][0]) if np.ndim(ok) else z
@@ -131,39 +135,40 @@ PolyFamily = GasFamily
 # The kinds of kernel (`kernels_finite`, `kernels_limit`) and the rescale maps
 # of the density figures (`correlations`) are kept here, with the gases: the
 # command line offers them as choices before it loads any of those layers.
-# KERNEL_KINDS, the one table of kinds: every kind -> (its layer, the kernel's
-# name there, the parameters it takes before (z1, z2), the domain of its
+# KERNEL_KINDS, the one table of kinds: every kind -> (the name of its kernel
+# in the package, the parameters it takes before (z1, z2), the domain of its
 # points in `_POINT_DOMAINS`); the --kind choices are its keys and LimitKind
-# its kernels_limit rows.  "finite" instead builds a FiniteKernel of a gas
-# from tau and N.  `_kernel_of` looks a kernel up by name when it is built,
-# so that a layer attribute swapped in later (a wrapper, a patch) is the one
-# called.
+# the kinds whose kernel `kernels_limit` exports.  "finite" instead builds a
+# FiniteKernel of a gas from tau and N.  A row names no layer: the package's
+# `_EXPORTS` is the one table of where a name lives, and `_kernel_of` reads
+# the kernel through the package when it is built, so that a layer attribute
+# swapped in later (a wrapper, a patch) is the one called.
 KERNEL_KINDS = {
-    "finite": ("kernels_finite", "FiniteKernel", ("N", "tau"), "ellipse"),
-    "truncated": ("kernels_finite", "kernel_truncated", ("a", "N"), "unit disc"),
-    "truncated-limit": ("kernels_finite", "kernel_truncated_limit", ("a",), "unit disc"),
-    "elliptic-ginibre": ("kernels_finite", "kernel_elliptic_ginibre", ("tau", "N"), "plane"),
-    "bulk-weak": ("kernels_limit", "bulk_weak", ("a", "s"), "strip"),
-    "edge-weak": ("kernels_limit", "edge_weak", ("a", "s"), "parabola"),
-    "edge-weak-minus-sine": ("kernels_limit", "edge_weak_minus_sine", ("a", "s"), "parabola"),
-    "edge-weak-minus-cosine": ("kernels_limit", "edge_weak_minus_cosine", ("a", "s"), "parabola"),
-    "bulk-strong": ("kernels_limit", "bulk_strong", ("a",), "strip"),
-    "edge-strong": ("kernels_limit", "edge_strong", ("a",), "right half-plane"),
-    "sine": ("kernels_limit", "sine_kernel", (), "real line"),
-    "bessel": ("kernels_limit", "bessel_kernel", ("a",), "half line"),
-    "ginibre": ("kernels_limit", "ginibre_kernel", (), "plane"),
-    "global-u": ("kernels_limit", "global_kernel_u", ("tau",), "rescaled ellipse"),
-    "global-t": ("kernels_limit", "global_kernel_t", ("tau",), "rescaled ellipse"),
-    "global-v": ("kernels_limit", "global_kernel_v", ("tau",), "rescaled ellipse"),
-    "global-rot-u": ("kernels_limit", "global_rot_u", (), "unit disc"),
-    "global-rot-t": ("kernels_limit", "global_rot_t", (), "punctured disc"),
-    "global-rot-v": ("kernels_limit", "global_rot_v", (), "punctured disc"),
+    "finite": ("FiniteKernel", ("N", "tau"), "ellipse"),
+    "truncated": ("kernel_truncated", ("a", "N"), "unit disc"),
+    "truncated-limit": ("kernel_truncated_limit", ("a",), "unit disc"),
+    "elliptic-ginibre": ("kernel_elliptic_ginibre", ("tau", "N"), "plane"),
+    "bulk-weak": ("bulk_weak", ("a", "s"), "strip"),
+    "edge-weak": ("edge_weak", ("a", "s"), "parabola"),
+    "edge-weak-minus-sine": ("edge_weak_minus_sine", ("a", "s"), "parabola"),
+    "edge-weak-minus-cosine": ("edge_weak_minus_cosine", ("a", "s"), "parabola"),
+    "bulk-strong": ("bulk_strong", ("a",), "strip"),
+    "edge-strong": ("edge_strong", ("a",), "right half-plane"),
+    "sine": ("sine_kernel", (), "real line"),
+    "bessel": ("bessel_kernel", ("a",), "half line"),
+    "ginibre": ("ginibre_kernel", (), "plane"),
+    "global-u": ("global_kernel_u", ("tau",), "rescaled ellipse"),
+    "global-t": ("global_kernel_t", ("tau",), "rescaled ellipse"),
+    "global-v": ("global_kernel_v", ("tau",), "rescaled ellipse"),
+    "global-rot-u": ("global_rot_u", (), "unit disc"),
+    "global-rot-t": ("global_rot_t", (), "punctured disc"),
+    "global-rot-v": ("global_rot_v", (), "punctured disc"),
 }
 
 # BULK_WEAK = "bulk-weak", ... for every limiting kind
 LimitKind = Enum("LimitKind", [(kind.upper().replace("-", "_"), kind)
-                               for kind, (layer, *_) in KERNEL_KINDS.items()
-                               if layer == "kernels_limit"], module=__name__)
+                               for kind, (name, *_) in KERNEL_KINDS.items()
+                               if name in _EXPORTS["kernels_limit"]], module=__name__)
 
 
 def _kind_arguments(kind: str, source) -> tuple:
@@ -171,7 +176,7 @@ def _kind_arguments(kind: str, source) -> tuple:
     from the attributes of `source` (a LimitKernelSpec, the command line's
     arguments); DomainError naming the kind where one is missing or outside
     its rule."""
-    params = KERNEL_KINDS[kind][2]
+    params = KERNEL_KINDS[kind][1]
     values = tuple(getattr(source, p) for p in params)
     for p, value in zip(params, values):
         valid, need = _PARAMETERS[p]
@@ -183,13 +188,13 @@ def _kind_arguments(kind: str, source) -> tuple:
 def _kernel_of(kind: str, source) -> functools.partial:
     """The kernel of `kind` with the parameters of its row, read from
     `source` and checked by `_kind_arguments`, bound before (z1, z2).  The
-    kernel is looked up by name in its layer, through the package, which
-    imports the layer when it is first read, so a layer attribute swapped in
-    later (a wrapper, a patch) is the one called.  For "finite" the kernel
-    is the FiniteKernel class, which the caller builds from a gas."""
-    layer, name, *_ = KERNEL_KINDS[kind]
+    kernel is read by name through the package, which imports its layer and
+    returns the layer's attribute on every read, so a layer attribute
+    swapped in later (a wrapper, a patch) is the one called.  For "finite"
+    the kernel is the FiniteKernel class, which the caller builds from a
+    gas."""
     values = _kind_arguments(kind, source)
-    return functools.partial(getattr(getattr(sys.modules[__package__], layer), name), *values)
+    return functools.partial(getattr(sys.modules[__package__], KERNEL_KINDS[kind][0]), *values)
 
 
 # rescale maps of the three density figures: point map z -> argument of K_N,

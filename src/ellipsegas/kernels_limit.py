@@ -37,10 +37,11 @@ s <= 50 2^j and |u| <= 60 2^j, and a refusal by name past 4096 nodes
 pair from a and |x1 - x2|, the frequency of the product: 160 nodes for a
 below 8 and |x1 - x2| <= 8, and a refusal by name past 16,384 nodes.  A
 kernel with a weight in c is refused past a = 1024 (_A_MAX).
-The weak edge kernels form their weight in c as
-a double, which underflows on [0, 1] from s of about 705, so they refuse
-s > 690.  sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by
-`_weights`, and each point's (F, l, k) by `_feature`, in one LRU
+The left-focus kernels form their weight in c as a double, which underflows
+on [0, 1] from s of about 705, so they refuse s > 690; `edge_weak`'s phi
+weight keeps a power of two per node and answers up to the c-rule's cap of
+s = 3200.  sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by
+`_weights`, and each point's (F, l, k, |F|^2) by `_feature`, in one LRU
 cache of _FEATURES = 64 entries keyed on the kernel, a, s, the rule and the
 point's bits, signed zeros apart: 16 bytes a node, 32 for the bulk, so
 1-2 kB on 64 nodes, 64-128 kB on 4096 and at most 8 MiB at the node cap.
@@ -57,8 +58,10 @@ the product of the features, is outside the normal doubles: psi, which
 carries its own power of two, answers on the whole range of the c-rule, so
 a phi kernel is refused past the rule's cap, not by psi.  On the half
 line the same product over the last panel's nodes is the tail that
-`quadrature._check_tail` tests against the whole.  The bulk's products
-cancel at most down to sqrt(K(z1,z1) K(z2,z2)).  Every kept array is
+`quadrature._check_tail` tests against |F1| |F2|, the pair's scale
+sqrt(K(z1,z1) K(z2,z2)) in feature units, each |F|^2 kept with its point's
+features: a far pair whose sum cancels by oscillation is judged by its
+integrand's decay, not against its small value.  Every kept array is
 read-only, and a value reads the same bits as one from features built
 afresh.
 """
@@ -126,8 +129,9 @@ def _weights(a: float, s: float | None, rule: tuple, form: str):
     The caller has checked a."""
     if s is not None and a > _A_MAX:
         ln_gamma(a + 1)         # which refuses first where log Gamma(a+1) passes the doubles
-        raise OutOfRangeError(f"the weight in c needs a <= {_A_MAX:g}, got {a:g}: past it, "
-                              f"ln Gamma(a+1) and the Bessel ratio cancel to over 1e-12")
+        raise OutOfRangeError(f"the weight in c needs a <= {_A_MAX:g}, got {a:g}: the kernels "
+                              f"are tested up to it, and off the axis they lose a/2 times "
+                              f"each wall factor's rounding (1.5e-13 of scale at a = 2000)")
     c, w = _gauss_rule(*rule)
     w = w.ravel()
     log_g = 0.0
@@ -225,15 +229,11 @@ def _edge_wall(s: float, Z: complex) -> float:
 
 def _edge_point(kind: str, a: float, s: float, Z: complex, d: float = 1.0):
     """The wall factor (q/d)^(a/2), q = `_edge_wall`, and w = sqrt Z;
-    DomainError outside the parabolic edge domain.  The weight in c of the
-    three weak edge kernels is formed as a double, G(1) of about e^-s: from s
-    of about 705 it leaves the normal doubles at the last nodes, where the
-    features of a point near the wall, e^(c s/2) in size, need it, so s past
-    690 is refused by name."""
+    DomainError outside the parabolic edge domain.  `edge_weak`'s phi
+    weight keeps a power of two per node, so it answers up to the c-rule's
+    cap of s = 3200."""
     _check("s", s)
     _check_point(kind, Z, params=(s,))
-    if s > 690.0:
-        raise OutOfRangeError(f"{kind} needs s <= 690, got {s:g}")
     return _wall_power(0.5 * a, _edge_wall(s, Z), d), cmath.sqrt(Z)
 
 
@@ -261,7 +261,16 @@ def _left_focus_point(kind: str, a: float, s: float, Z: complex):
     """The wall factor 1 - 2 (|Z| - X)/s^2, which is q / (s^2/4 + (Re w)^2)
     for the weak-edge wall factor q of Z and w = sqrt Z.  On the real axis
     (Re w)^2 is max(X, 0) exactly, so that on the positive axis the factor
-    is 1 to the bit where s^2/4 + X is a double."""
+    is 1 to the bit where s^2/4 + X is a double.  The left-focus kernels
+    form their weight in c as a double, G(1) of about e^-s: from s of about
+    705 it leaves the normal doubles at the last nodes, where the features
+    of a point near the wall, e^(c s/2) in size, need it, so s past 690 is
+    refused by name, after the checks of s and Z that `_edge_point`
+    repeats."""
+    _check("s", s)
+    _check_point(kind, Z, params=(s,))
+    if s > 690.0:
+        raise OutOfRangeError(f"{kind} needs s <= 690, got {s:g}")
     re2 = max(Z.real, 0.0) if Z.imag == 0.0 else cmath.sqrt(Z).real ** 2
     return _edge_point(kind, a, s, Z, s * s / 4.0 + re2)
 
@@ -292,16 +301,17 @@ def _bessel_point(kind: str, a: float, s: None, X: complex):
 
 def _build_feature(kind: str, point, nodes, a: float, s: float | None, rule: tuple, z,
                    re_sign: float, im_sign: float):
-    """(V, Re F, Im F, l, k) of one point of a kernel of `kind`, whose
+    """(V, Re F, Im F, l, k, |F|^2) of one point of a kernel of `kind`, whose
     features are F 2^k: V, read-only, holds the parts of F interleaved, and
-    the parts are its views.  The signs of the parts of z are in the key, so
-    that 0.0 and -0.0, which are equal keys, stay apart.  A refusal raised
-    here is never kept."""
+    the parts are its views; |F|^2 = V . V is K(z, z) in feature units, kept
+    for the half line's tail test.  The signs of the parts of z are in the
+    key, so that 0.0 and -0.0, which are equal keys, stay apart.  A refusal
+    raised here is never kept."""
     _check("a", a)
     (ell, n), arg = point(kind, a, s, z)
     values, k = nodes(kind, a, s, rule, arg)
     v = _read_only(np.ravel(values).view(float))
-    return v, v[0::2], v[1::2], ell, k + n
+    return v, v[0::2], v[1::2], ell, k + n, float(v.dot(v))
 
 
 _feature = functools.lru_cache(maxsize=_FEATURES)(_build_feature)
@@ -318,9 +328,13 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     before a refusal of that rule.  Where e^(l1 + l2)
     is not a normal double it is taken as 2^j e^r, j the whole number of ln2
     in l1 + l2 and r exact (divmod), and 2^(k1 + k2 + j) meets the product
-    last, so only a value outside the normal doubles is refused.  On a half-line
-    rule the product over the last panel's nodes is that panel's share,
-    which must pass the tail test against the whole.  A product below the
+    last, so only a value outside the normal doubles is refused.  On a
+    half-line rule the product over the last panel's nodes is that panel's
+    share, which must pass the tail test against |F1| |F2|, the pair's own
+    scale sqrt(K11 K22) in feature units: by Cauchy-Schwarz it bounds the
+    integral of |F1 conj F2|, so a far pair whose sum cancels by oscillation
+    is not refused where its integrand has decayed, and on the diagonal it
+    is the value itself.  A product below the
     normal doubles has lost bits to the exponent range, and is refused like
     a value there."""
     z1, z2, sign = complex(z1), complex(z2), math.copysign
@@ -337,10 +351,10 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
             point(kind, a, s, z)
         raise
     feature = _half_line_feature if rule[0] == HALF_LINE else _feature
-    v1, r1, i1, l1, k1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
-                                 sign(1, z1.imag))
-    v2, r2, i2, l2, k2 = feature(kind, point, nodes, a, s, rule, z2, sign(1, z2.real),
-                                 sign(1, z2.imag))
+    v1, r1, i1, l1, k1, n1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
+                                     sign(1, z1.imag))
+    v2, r2, i2, l2, k2, n2 = feature(kind, point, nodes, a, s, rule, z2, sign(1, z2.real),
+                                     sign(1, z2.imag))
     ell = l1 + l2
     if not -math.inf < ell < math.inf:
         # the hard-wall limit: 0 for a > 0 and, for a < 0, an integrable
@@ -352,7 +366,7 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     if feature is _half_line_feature:
         last = 4 * rule[-1]     # the final panel's floats of F
         tail = np.vdot(v2[-last:].view(complex), v1[-last:].view(complex))
-        _check_tail(abs(tail) * e, abs(complex(re, im)) * e)
+        _check_tail(abs(tail) * e, math.sqrt(n1 * n2) * e)
     _normal(complex(re, im))
     try:
         n = k1 + k2 + int(j)
@@ -692,7 +706,7 @@ def global_kernel_v(tau: float, z1: complex, z2: complex) -> complex:
 def global_kernel(kind: LimitKind | str, tau: float, z1: complex, z2: complex) -> complex:
     """Dispatch to one of the three global kernels by kind."""
     name = LimitKind(kind).value
-    if KERNEL_KINDS[name][2] != ("tau",):
+    if KERNEL_KINDS[name][1] != ("tau",):
         raise DomainError(f"{kind} is not a global kernel kind")
     return _kernel_of(name, LimitKernelSpec(name, tau=tau))(z1, z2)
 

@@ -434,7 +434,10 @@ def bessel_i(order, x: float) -> float:
     Where it is in range, the value is a product rather than the exponential
     of `log_bessel_i`, whose rounding grows with |log I_nu(x)|: the Hankel
     expansion times e^x, or else (x/2)^nu / Gamma(nu+1) times the sum of the
-    positive terms of `_ascending`.
+    positive terms of `_ascending`.  The product form stops at x = 709.78,
+    where e^x leaves the doubles: past it, below the Hankel regime, the
+    value is exp(`log_bessel_i`), within 2 eps |log I_nu(x)| (818 eps off at
+    nu = 60, x = 710, where scipy's iv is 28.5 eps off).
     """
     nu = _order(order)
     if not x >= 0:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellipsegas import (DomainError, EllipseGeometry, FiniteKernel, GasFamily,
+from ellipsegas import (DensityGrid, DomainError, EllipseGeometry, FiniteKernel, GasFamily,
                         GridSpec, PolyKind, QuadratureSpec, correlation_k,
                         density_grid, log_partition, rule_for_gas, squared_norm,
                         weight)
@@ -322,6 +322,9 @@ def test_grid_validation():
         GridSpec((0.0, 1.0), (0.0, 1.0), 0, 4)
     with pytest.raises(DomainError):
         GridSpec((1.0, 0.0), (0.0, 1.0), 4, 4)
+    # a density grid's values take the shape of its spec
+    with pytest.raises(DomainError, match=r"^values shape must be \(nx, ny\)$"):
+        DensityGrid(GridSpec((-1.0, 1.0), (-1.0, 1.0), 3, 3), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("nx, ny", [(100_000, 100_000), (1025, 1024), (1, 2 ** 20 + 1),

@@ -1,4 +1,3 @@
-import importlib
 import math
 import re
 
@@ -322,8 +321,7 @@ def _domain_kernel(kind):
     params = _DOMAIN_CASES[kind][0]
     if kind == "kernel_truncated_edge":
         return lambda z1, z2: eg.kernel_truncated_edge(*params, z1, z2)
-    layer, name, *_ = KERNEL_KINDS[kind]
-    kernel = getattr(importlib.import_module(f"ellipsegas.{layer}"), name)
+    kernel = getattr(eg, KERNEL_KINDS[kind][0])
     return kernel(*params) if kind == "finite" else lambda z1, z2: kernel(*params, z1, z2)
 
 
@@ -332,7 +330,7 @@ def _domain_kernel(kind):
 def test_every_kind_answers_inside_its_point_domain_and_refuses_outside_it(kind):
     kernel = _domain_kernel(kind)
     _, inside, outside = _DOMAIN_CASES[kind]
-    domain = KERNEL_KINDS[kind][3] if kind in KERNEL_KINDS else "right half-plane"
+    domain = KERNEL_KINDS[kind][2] if kind in KERNEL_KINDS else "right half-plane"
     need = f"{kind} needs {_POINT_DOMAINS[domain][1]}, got "
     assert np.isfinite(complex(kernel(inside, inside)))
     x, y = complex(inside).real, complex(inside).imag
@@ -361,5 +359,5 @@ def test_the_point_domains_live_in_one_table():
     # every domain serves a kind
     for layer in (kernels_limit, kernels_finite, sampler):
         assert layer._check_point is geometry._check_point
-    assert {row[3] for row in KERNEL_KINDS.values()} == set(_POINT_DOMAINS)
+    assert {row[2] for row in KERNEL_KINDS.values()} == set(_POINT_DOMAINS)
     assert list(_DOMAIN_CASES) == [*KERNEL_KINDS, "kernel_truncated_edge"]

@@ -111,18 +111,24 @@ def test_every_exported_name_resolves_to_its_layer_and_is_listed():
     assert got == [[], []]
 
 
-def test_a_layers_names_are_bound_when_it_is_imported():
-    # whoever imports a layer, its names are bound into the package before
-    # any caller reads the layer, so an alias swapped in later and put back
-    # (a wrapper, a patch) leaves no copy behind
+def test_the_package_binds_no_export_and_reads_each_from_its_layer():
+    # once every layer is imported, no export is bound in the package, and
+    # each read goes to the layer: a layer attribute patched and then
+    # restored reads through the package as the patch, then as the original
     got = _fresh(f"import importlib, ellipsegas\n"
                  f"bad = []\n"
                  f"for layer in {list(_LAYERS)!r}:\n"
                  f"    module = importlib.import_module('ellipsegas.' + layer)\n"
-                 f"    bad += [n for n in ellipsegas._EXPORTS.get(layer, ())\n"
-                 f"            if vars(ellipsegas).get(n, None) is not getattr(module, n)]\n"
-                 f"print(json.dumps(bad))")
-    assert got == []
+                 f"    for n in ellipsegas._EXPORTS.get(layer, ()):\n"
+                 f"        real, patch = getattr(module, n), object()\n"
+                 f"        setattr(module, n, patch)\n"
+                 f"        seen = getattr(ellipsegas, n)\n"
+                 f"        setattr(module, n, real)\n"
+                 f"        if seen is not patch or getattr(ellipsegas, n) is not real:\n"
+                 f"            bad.append(n)\n"
+                 f"bound = [n for n in ellipsegas.__all__ if n in vars(ellipsegas)]\n"
+                 f"print(json.dumps([bound, bad]))")
+    assert got == [[], []]
 
 
 def test_a_patch_on_a_layer_reaches_the_cli(tmp_path):

@@ -60,6 +60,8 @@ def test_ginibre_kernel_values():
     (sine_kernel, (math.nan, 0.0), DomainError),
     # u1 conj u2 overflows, 2 Im(u1 conj u2) on the diagonal does not
     (ginibre_kernel, (1e200 + 1e200j, 1e200 + 1e200j), 2.0 / math.pi),
+    # off the diagonal there the phase 2 Im(u1 conj u2) passes the doubles
+    (ginibre_kernel, (1e200 + 1e200j, -1e200 + 1e200j), OutOfRangeError),
     (ginibre_kernel, (math.nan, 0.0), DomainError),
 ], ids=lambda v: repr(v) if isinstance(v, tuple) else None)
 def test_closed_form_kernels_at_the_ends_of_the_double_range(kernel, args, expect):
@@ -68,7 +70,7 @@ def test_closed_form_kernels_at_the_ends_of_the_double_range(kernel, args, expec
     if isinstance(expect, type):
         name = kernel.__name__
         if expect is DomainError:
-            name = next((kind for kind, row in KERNEL_KINDS.items() if row[1] == name), name)
+            name = next((kind for kind, row in KERNEL_KINDS.items() if row[0] == name), name)
         with pytest.raises(expect, match=name):
             kernel(*args)
     else:
@@ -586,14 +588,35 @@ def test_unit_interval_kernels_against_mpmath_quad_in_s(kind, a, s):
     # c decays like e^-cs, and the wall point's node functions grow like
     # e^(c s/2).  A c-rule of 64 nodes was 2e-8 off at s = 200 (bulk-weak,
     # a = -0.5) and 2.6e-4 at s = 1e3 (a = 0.5).  Refused by name: past the
-    # rule's node cap (s > 3200), and the edge kernels past s = 690, short
-    # of where their weight in c leaves the normal doubles
+    # rule's node cap (s > 3200), and the left-focus kernels past s = 690,
+    # short of where their weight in c, a double, leaves the normal doubles;
+    # edge-weak's phi weight keeps a power of two per node
     if kind == "bulk-weak":
         points = [0.3 + 0.1j, complex(-0.2, 0.495 * s)]
     else:
         points = [1.0 + 0.5j, complex(-0.99 * s * s / 4.0, 0.0)]
-    refused = s > 3200.0 or (kind != "bulk-weak" and s > 690.0)
+    refused = s > 3200.0 or (kind not in ("bulk-weak", "edge-weak") and s > 690.0)
     _agrees_or_refuses(kind, a, s, points, refused)
+
+
+def test_edge_weak_answers_past_s_690_up_to_the_c_rule_cap():
+    # the phi weight keeps a power of two per node, so edge_weak has no cap
+    # of its own on s: at s = 3000, on the 4096-node rule, a point within 1%
+    # of the wall and one off the axis agree with the 40-digit sum of the
+    # same rule to 1e-13 of sqrt(K11 K22) (2.8e-15 to 6.8e-15 here); past
+    # the rule's cap its points are still checked, and where s^2/4 passes
+    # the doubles the wall factor refuses by name
+    a, s = 3.0, 3000.0
+    points = [complex(-0.99 * s * s / 4.0, 0.0), complex(-0.999 * s * s / 4.0, 0.3 * s)]
+    diagonal = [_rule_sum_40("edge-weak", a, s, z, z).real for z in points]
+    for (i, z1), (j, z2) in itertools.combinations_with_replacement(enumerate(points), 2):
+        ref = diagonal[i] if i == j else _rule_sum_40("edge-weak", a, s, z1, z2)
+        scale = math.sqrt(diagonal[i] * diagonal[j])
+        assert abs(edge_weak(a, s, z1, z2) - ref) <= 1e-13 * scale, (z1, z2)
+    with pytest.raises(DomainError, match="^edge-weak needs"):
+        edge_weak(0.5, 1e4, -1e9 + 0j, 1.0)
+    with pytest.raises(OutOfRangeError, match=r"^the edge wall factor at s = 3e\+154 passes"):
+        edge_weak(0.5, 3e154, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("Z", [3600.0, 1e4, 1e5])
@@ -744,9 +767,10 @@ def test_bulk_strong_far_pair_at_a_35_is_its_cancellation():
 
 
 def test_bulk_strong_refuses_the_tail_where_its_integral_does():
-    # the tail test reads the last panel of the feature product: it refuses
-    # exactly where the per-value integral of the half line does, and the
-    # values agree within rounding of the terms' sum
+    # the tail test reads the last panel of the feature product against the
+    # pair's scale sqrt(K11 K22): it refuses exactly where the per-value node
+    # sum of the half line does by the same rule, and the values agree
+    # within rounding of the terms' sum
     rng = np.random.default_rng(27)
     refused = answered = 0
     for _ in range(520):
@@ -763,6 +787,31 @@ def test_bulk_strong_refuses_the_tail_where_its_integral_does():
         assert abs(value - reference) <= 1e-14 * _bulk_strong_term_moduli(a, z1, z2)
         answered += 1
     assert refused >= 50 and answered >= 50
+
+
+@pytest.mark.parametrize("a, z1, z2", [(2.86, -2.99 - 0.16j, 1.61 + 0.19j),
+                                       (6.768, -1.096 - 0.098j, -2.994 - 0.08j),
+                                       (3.908, 0.258 + 0.02j, -2.383 + 0.069j)])
+def test_bulk_strong_answers_far_pairs_that_cancel_by_oscillation(a, z1, z2):
+    # the final panel's share of K12 passes 1e-8 of |K12|, against which
+    # the tail test once refused the pair, though the integrand has
+    # decayed: K12 cancels by oscillation, to 3e-8 of sqrt(K11 K22) and
+    # below.  Against sqrt(K11 K22) the tail passes, and the value agrees
+    # with 30-digit mpmath.quad to 1e-10 of it (2.4e-12 at a = 6.768)
+    terms, last = _bulk_strong_terms(a, z1, z2)
+    assert abs(terms[-last:].sum()) > 1e-8 * abs(terms.sum())
+    scale = math.sqrt(bulk_strong(a, z1, z1).real * bulk_strong(a, z2, z2).real)
+    assert abs(bulk_strong(a, z1, z2) - _bulk_strong_quad_30(a, z1, z2)) <= 1e-10 * scale
+
+
+def _bulk_strong_quad_30(a, z1, z2):
+    """bulk_strong by 30-digit mpmath.quad over [0, 100] in pieces of
+    length 1: its integrand is the weak bulk's at s = 1, and past t = 100
+    it is below 1e-12 of sqrt(K11 K22) for a pair with |y1 + y2| <= 0.4."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pref, f = _integrand_mp("bulk-weak", a, 1.0, z1, z2)
+        return complex(pref * mpmath.quad(f, list(range(101)), method="gauss-legendre"))
 
 
 def test_half_line_feature_cache_stays_within_its_bound():
@@ -1133,7 +1182,7 @@ _SERIES_KINDS = {"global-u", "global-t", "global-v"}
         reason="ROADMAP item 5: next to the wall a series diagonal is complex by up to 6.6e-8 "
                "of its value, and next to a focus K21 is conj K12 only to 1.3e-7 of "
                "sqrt(K11 K22)"))
-    for kind, row in KERNEL_KINDS.items() if row[0] == "kernels_limit"])
+    for kind in (member.value for member in LimitKind)])
 def test_limit_kinds_at_the_corners_of_their_domains(kind):
     # each limit kind of `KERNEL_KINDS` at the ends of its parameters' ranges
     # and at points next to the edge of its row's point domain: each value is
@@ -1141,7 +1190,7 @@ def test_limit_kinds_at_the_corners_of_their_domains(kind):
     # test_hermitian_symmetry_all_limit_kernels, or a refusal by name; a bare
     # exception or a RuntimeWarning fails
     values = {"a": (-0.999, 0.0, 3.0, 30.0), "s": (0.5, 3.0), "tau": (1e-3, 0.5, 0.99)}
-    _, _, names, domain = KERNEL_KINDS[kind]
+    _, names, domain = KERNEL_KINDS[kind]
     answered = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1535,9 +1584,9 @@ def test_global_refusals_keep_their_order_and_kind():
 
 # ------------------------------------------------------------------ feature caches
 
-def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL):
-    """The Bessel-ratio integral with log_i_ratio run on every call, on the
-    half line on the rule of `integrate_c` at a, which is bulk_strong's."""
+def _uncached_ratio_integral(a, s, walls, f, log_factor):
+    """The Bessel-ratio integral over [0, 1] with log_i_ratio run on every
+    call, on the 64-node rule of `integrate_c`."""
     lpref = log_factor - math.log(s) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
     for q in walls:
         lpref += _log_power(0.5 * a, q)
@@ -1545,7 +1594,7 @@ def _uncached_ratio_integral(a, s, walls, f, log_factor, domain=UNIT_INTERVAL):
     def g(c):
         return np.exp(log_i_ratio(a + 0.5, c * s) + lpref) * f(c)
 
-    return complex(integrate_c(g, domain, a))
+    return complex(integrate_c(g, UNIT_INTERVAL, a))
 
 
 def _closure_bulk_weak(a, s, z1, z2):
@@ -1555,23 +1604,37 @@ def _closure_bulk_weak(a, s, z1, z2):
     return _uncached_ratio_integral(a, s, walls, lambda c: np.cos(c * d), math.log(2.0))
 
 
+def _bulk_strong_terms(a, z1, z2):
+    """The terms of bulk_strong's node sum as one integrand of t,
+    cos(t(z1 - conj z2)), walls included, with log_i_ratio run on every
+    call, on the half-line rule of `integrate_c` at a, which is bulk_strong's
+    for |x1 - x2| <= 8; and the number of nodes of its final panel."""
+    rule = _c_rule(HALF_LINE, a)
+    t, w = _gauss_rule(*rule)
+    lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
+             + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
+             + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
+    terms = np.exp(log_i_ratio(a + 0.5, t) + lpref) * np.cos(t * (z1 - z2.conjugate()))
+    return w.ravel() * terms, rule[-1]
+
+
 def _uncached_bulk_strong(a, z1, z2):
-    """bulk_strong as one integrand of t, cos(t(z1 - conj z2)), per value."""
-    d = z1 - z2.conjugate()
-    walls = (1.0 - 4.0 * z1.imag ** 2, 1.0 - 4.0 * z2.imag ** 2)
-    return _uncached_ratio_integral(a, 1.0, walls, lambda t: np.cos(t * d), math.log(2.0),
-                                    HALF_LINE)
+    """bulk_strong as the node sum of one integrand of t per value, refused
+    by the kernel's tail rule on uncached sums: TailDivergenceError where the
+    final panel's share passes 1e-8 of sqrt(K11 K22), each diagonal a node
+    sum too."""
+    terms, last = _bulk_strong_terms(a, z1, z2)
+    scale = math.sqrt(abs(_bulk_strong_terms(a, z1, z1)[0].sum())
+                      * abs(_bulk_strong_terms(a, z2, z2)[0].sum()))
+    if abs(terms[-last:].sum()) > 1e-8 * scale:
+        raise TailDivergenceError(f"final panel of {a}, {z1}, {z2}")
+    return complex(terms.sum())
 
 
 def _bulk_strong_term_moduli(a, z1, z2):
     """The sum of the moduli of the terms of `_uncached_bulk_strong`'s node
     sum, walls included: the scale of its rounding."""
-    t, w = _gauss_rule(*_c_rule(HALF_LINE, a))
-    lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
-             + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
-             + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
-    terms = np.exp(log_i_ratio(a + 0.5, t) + lpref) * np.cos(t * (z1 - z2.conjugate()))
-    return float(np.sum(w.ravel() * np.abs(terms)))
+    return float(np.abs(_bulk_strong_terms(a, z1, z2)[0]).sum())
 
 
 def _uncached(monkeypatch):

@@ -286,6 +286,8 @@ def test_norm_examples():
     geo = EllipseGeometry(0.5)
     got = math.exp(squared_norm(GasFamily(PolyKind.CHEBYSHEV_T), geo, 0))
     assert got == pytest.approx(2 * math.pi * math.log(geo.v), rel=1e-12)
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        squared_norm(gas, geo, -1)
 
 
 # log h_n of the raw polynomials at n = 0, 10, 9999, from the Gegenbauer form

@@ -205,6 +205,16 @@ def test_no_configuration_is_refused_by_the_function_name(samples):
         empirical_density(samples, grid)
 
 
+def test_samples_outside_the_grid():
+    # no sample in any cell: empirical_density has no density to normalise,
+    # and density_chi_square has no cell to compare, so it gives (0.0, 0)
+    with pytest.raises(DomainError, match="^no sample fell inside the grid$"):
+        empirical_density([[5 + 5j]], GridSpec((-1.0, 1.0), (-1.0, 1.0), 3, 3))
+    kern = FiniteKernel(GAS, GEO, 3)
+    far = GridSpec((5.0, 6.0), (5.0, 6.0), 2, 2)
+    assert density_chi_square([[0.1 + 0.1j]], kern, far) == (0.0, 0)
+
+
 def test_empirical_density_normalization_algebraic():
     samples, _ = run_chain(GAS, GEO, 5, ChainSettings(steps=2000, burn_in=100, thin=10, seed=9))
     grid = GridSpec((-GEO.semi_x, GEO.semi_x), (-GEO.semi_y, GEO.semi_y), 10, 10)

@@ -402,6 +402,18 @@ def test_log_bessel_i_and_bessel_i_against_40_digits():
                 assert err <= max(sc, 8 * _EPS), (nu, x, err, sc)
 
 
+@pytest.mark.parametrize("nu, x", [(60.0, 710.0), (20.0, 709.9), (250.0, 720.0), (300.0, 750.0)])
+def test_bessel_i_past_the_product_range_is_the_exponential_of_its_log(nu, x):
+    # past x = 709.78, where e^x leaves the doubles, and below the Hankel
+    # regime, bessel_i is exp(log_bessel_i), whose rounding grows with
+    # |log I_nu(x)|: 818 eps off at (60, 710), where scipy's iv is 28.5 eps
+    # off, and 94, 92 and 412 eps at the others (ROADMAP item 9)
+    ref = mp.besseli(nu, mp.mpf(x))
+    got = bessel_i(nu, x)
+    assert got == math.exp(log_bessel_i(nu, x))
+    assert abs(got - float(ref)) / float(ref) <= 2 * _EPS * abs(float(mp.log(ref)))
+
+
 def _psi_values(nu, us):
     """psi at the entries of us as complex doubles, values 2^bits of `_psi`."""
     from ellipsegas.specialfns import _ldexp, _psi
