@@ -48,18 +48,21 @@ _EXPORTS = {
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 __version__ = "0.1.0"
+# name -> its layer module, a layer naming itself: `_EXPORTS` read the other way
+_LAYER = {name: layer for layer, names in _EXPORTS.items() for name in (layer, *names)}
 
 
 def __getattr__(name):
-    """A layer module, or an export read from its layer on every read: the
-    layer is imported by `__import__`, the import statement's own path,
-    which `python -X importtime` reports (importlib.import_module bypasses
-    it), and nothing is bound here."""
-    for layer, names in _EXPORTS.items():
-        if name == layer or name in names:
-            module = getattr(__import__(f"{__name__}.{layer}"), layer)
-            return module if name == layer else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A layer module, or an export read from its layer on every read.  A
+    layer not yet attached to the package, which the import system does
+    once the layer has run, is imported by `__import__`, the import
+    statement's own path, which `python -X importtime` reports
+    (importlib.import_module bypasses it); nothing is bound here."""
+    layer = _LAYER.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals().get(layer) or getattr(__import__(f"{__name__}.{layer}"), layer)
+    return module if name == layer else getattr(module, name)
 
 
 def __dir__():

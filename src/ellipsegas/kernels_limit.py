@@ -41,7 +41,7 @@ The left-focus kernels form their weight in c as a double, which underflows
 on [0, 1] from s of about 705, so they refuse s > 690; `edge_weak`'s phi
 weight keeps a power of two per node and answers up to the c-rule's cap of
 s = 3200.  sqrt(W G), or its log for the bulk, is kept per (a, s, rule) by
-`_weights`, and each point's (F, l, k, |F|^2) by `_feature`, in one LRU
+`_weights`, and each point's (F, l, k, |F|) by `_feature`, in one LRU
 cache of _FEATURES = 64 entries keyed on the kernel, a, s, the rule and the
 point's bits, signed zeros apart: 16 bytes a node, 32 for the bulk, so
 1-2 kB on 64 nodes, 64-128 kB on 4096 and at most 8 MiB at the node cap.
@@ -58,10 +58,11 @@ the product of the features, is outside the normal doubles: psi, which
 carries its own power of two, answers on the whole range of the c-rule, so
 a phi kernel is refused past the rule's cap, not by psi.  On the half
 line the same product over the last panel's nodes is the tail that
-`quadrature._check_tail` tests against |F1| |F2|, the pair's scale
-sqrt(K(z1,z1) K(z2,z2)) in feature units, each |F|^2 kept with its point's
-features: a far pair whose sum cancels by oscillation is judged by its
-integrand's decay, not against its small value.  Every kept array is
+`quadrature._check_tail` tests against the value; where it fails, a far
+pair whose sum cancels by oscillation is still answered where its
+integrand's decay bounds the final panel and the rest past the truncation
+within 1e-10 of |F1| |F2|, the pair's scale sqrt(K(z1,z1) K(z2,z2)) in
+feature units, each |F| kept with its point's features.  Every kept array is
 read-only, and a value reads the same bits as one from features built
 afresh.
 """
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, SingularPointError
+from .errors import DomainError, OutOfRangeError, SingularPointError, TailDivergenceError
 from .geometry import (KERNEL_KINDS, EllipseGeometry, LimitKind, _check, _check_point,
                        _kernel_of, _kind_arguments, _log_power, _times_exp, joukowsky_inverse)
 from .quadrature import HALF_LINE, UNIT_INTERVAL, _c_rule, _check_tail, _gauss_rule
@@ -227,14 +228,26 @@ def _edge_wall(s: float, Z: complex) -> float:
         raise OutOfRangeError(f"the edge wall factor at s = {s:g} passes the doubles") from None
 
 
-def _edge_point(kind: str, a: float, s: float, Z: complex, d: float = 1.0):
+def _edge_point(kind: str, a: float, s: float, Z: complex, left_focus: bool = False):
     """The wall factor (q/d)^(a/2), q = `_edge_wall`, and w = sqrt Z;
-    DomainError outside the parabolic edge domain.  `edge_weak`'s phi
-    weight keeps a power of two per node, so it answers up to the c-rule's
-    cap of s = 3200."""
+    DomainError outside the parabolic edge domain.  d is 1 for `edge_weak`,
+    whose phi weight keeps a power of two per node, so that it answers up to
+    the c-rule's cap of s = 3200.  For the left-focus kernels d is
+    s^2/4 + (Re w)^2, so that q/d is their wall factor 1 - 2 (|Z| - X)/s^2;
+    on the real axis (Re w)^2 is max(X, 0) exactly, so that on the positive
+    axis the factor is 1 to the bit where s^2/4 + X is a double.  They form
+    their weight in c as a double, G(1) of about e^-s: from s of about 705 it
+    leaves the normal doubles at the last nodes, where the features of a
+    point near the wall, e^(c s/2) in size, need it, so s past 690 is
+    refused by name."""
     _check("s", s)
     _check_point(kind, Z, params=(s,))
-    return _wall_power(0.5 * a, _edge_wall(s, Z), d), cmath.sqrt(Z)
+    w, d = cmath.sqrt(Z), 1.0
+    if left_focus:
+        if s > 690.0:
+            raise OutOfRangeError(f"{kind} needs s <= 690, got {s:g}")
+        d = s * s / 4.0 + (max(Z.real, 0.0) if Z.imag == 0.0 else w.real ** 2)
+    return _wall_power(0.5 * a, _edge_wall(s, Z), d), w
 
 
 def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
@@ -257,22 +270,7 @@ def _phi_nodes(kind: str, a: float, s: float | None, rule: tuple, w):
     return _ldexp(values, bits - top), k + top
 
 
-def _left_focus_point(kind: str, a: float, s: float, Z: complex):
-    """The wall factor 1 - 2 (|Z| - X)/s^2, which is q / (s^2/4 + (Re w)^2)
-    for the weak-edge wall factor q of Z and w = sqrt Z.  On the real axis
-    (Re w)^2 is max(X, 0) exactly, so that on the positive axis the factor
-    is 1 to the bit where s^2/4 + X is a double.  The left-focus kernels
-    form their weight in c as a double, G(1) of about e^-s: from s of about
-    705 it leaves the normal doubles at the last nodes, where the features
-    of a point near the wall, e^(c s/2) in size, need it, so s past 690 is
-    refused by name, after the checks of s and Z that `_edge_point`
-    repeats."""
-    _check("s", s)
-    _check_point(kind, Z, params=(s,))
-    if s > 690.0:
-        raise OutOfRangeError(f"{kind} needs s <= 690, got {s:g}")
-    re2 = max(Z.real, 0.0) if Z.imag == 0.0 else cmath.sqrt(Z).real ** 2
-    return _edge_point(kind, a, s, Z, s * s / 4.0 + re2)
+_left_focus_point = functools.partial(_edge_point, left_focus=True)
 
 
 def _sine_nodes(kind: str, a: float, s: float, rule: tuple, w: complex) -> np.ndarray:
@@ -301,17 +299,17 @@ def _bessel_point(kind: str, a: float, s: None, X: complex):
 
 def _build_feature(kind: str, point, nodes, a: float, s: float | None, rule: tuple, z,
                    re_sign: float, im_sign: float):
-    """(V, Re F, Im F, l, k, |F|^2) of one point of a kernel of `kind`, whose
+    """(V, Re F, Im F, l, k, |F|) of one point of a kernel of `kind`, whose
     features are F 2^k: V, read-only, holds the parts of F interleaved, and
-    the parts are its views; |F|^2 = V . V is K(z, z) in feature units, kept
-    for the half line's tail test.  The signs of the parts of z are in the
-    key, so that 0.0 and -0.0, which are equal keys, stay apart.  A refusal
-    raised here is never kept."""
+    the parts are its views; |F| = sqrt(V . V) is sqrt K(z, z) in feature
+    units, kept for the half line's tail test.  The signs of the parts of z
+    are in the key, so that 0.0 and -0.0, which are equal keys, stay apart.
+    A refusal raised here is never kept."""
     _check("a", a)
     (ell, n), arg = point(kind, a, s, z)
     values, k = nodes(kind, a, s, rule, arg)
     v = _read_only(np.ravel(values).view(float))
-    return v, v[0::2], v[1::2], ell, k + n, float(v.dot(v))
+    return v, v[0::2], v[1::2], ell, k + n, math.sqrt(v.dot(v))
 
 
 _feature = functools.lru_cache(maxsize=_FEATURES)(_build_feature)
@@ -330,11 +328,18 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     in l1 + l2 and r exact (divmod), and 2^(k1 + k2 + j) meets the product
     last, so only a value outside the normal doubles is refused.  On a
     half-line rule the product over the last panel's nodes is that panel's
-    share, which must pass the tail test against |F1| |F2|, the pair's own
-    scale sqrt(K11 K22) in feature units: by Cauchy-Schwarz it bounds the
-    integral of |F1 conj F2|, so a far pair whose sum cancels by oscillation
-    is not refused where its integrand has decayed, and on the diagonal it
-    is the value itself.  A product below the
+    share, which must pass the tail test against the value, or else the
+    integrand's decay must bound that panel and what the truncation at T
+    leaves within 1e-10 of |F1| |F2|, the pair's own scale sqrt(K11 K22) in
+    feature units, so that a far pair whose sum cancels by oscillation is
+    not refused where its integrand has decayed.  Summed over its two
+    parts, |F1| |F2| is W h, h(t) = G(t) cosh(y t) for y = y1 + y2, and
+    d log h/dt <= |y| - I_(a+3/2)/I_(a+1/2)(t): past t0 = T - P, P the final
+    panel's length, h decays at least at the rate
+    eps = t0/(a + 3/2 + hypot(t0, a + 3/2)) - |y|, by Amos's bound on the
+    ratio, so that panel and rest are at most the panel's sum of |F1| |F2|
+    over 1 - e^(-eps P).  On a diagonal that sum is the panel's share, so
+    the test there is the one against the value.  A product below the
     normal doubles has lost bits to the exponent range, and is refused like
     a value there."""
     z1, z2, sign = complex(z1), complex(z2), math.copysign
@@ -351,9 +356,9 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
             point(kind, a, s, z)
         raise
     feature = _half_line_feature if rule[0] == HALF_LINE else _feature
-    v1, r1, i1, l1, k1, n1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
+    v1, r1, i1, l1, k1, f1 = feature(kind, point, nodes, a, s, rule, z1, sign(1, z1.real),
                                      sign(1, z1.imag))
-    v2, r2, i2, l2, k2, n2 = feature(kind, point, nodes, a, s, rule, z2, sign(1, z2.real),
+    v2, r2, i2, l2, k2, f2 = feature(kind, point, nodes, a, s, rule, z2, sign(1, z2.real),
                                      sign(1, z2.imag))
     ell = l1 + l2
     if not -math.inf < ell < math.inf:
@@ -365,8 +370,15 @@ def _feature_kernel(kind: str, point, nodes, a: float, s: float | None, z1, z2,
     e = math.exp(r)
     if feature is _half_line_feature:
         last = 4 * rule[-1]     # the final panel's floats of F
-        tail = np.vdot(v2[-last:].view(complex), v1[-last:].view(complex))
-        _check_tail(abs(tail) * e, math.sqrt(n1 * n2) * e)
+        c1, c2 = v1[-last:].view(complex), v2[-last:].view(complex)
+        try:
+            _check_tail(abs(np.vdot(c2, c1)) * e, abs(complex(re, im)) * e)
+        except TailDivergenceError:     # unless the decay bounds the rest
+            T, P = rule[2], rule[4]
+            eps = (T - P) / (a + 1.5 + math.hypot(T - P, a + 1.5)) - abs(z1.imag + z2.imag)
+            bound = 1e-10 * f1 * f2 * -math.expm1(-eps * P)
+            if not (eps > 0.0 and np.abs(c1).dot(np.abs(c2)) <= bound):
+                raise
     _normal(complex(re, im))
     try:
         n = k1 + k2 + int(j)
@@ -440,7 +452,9 @@ def bulk_strong(a: float, z1: complex, z2: complex) -> complex:
     nodes (160 nodes in all for a below 8 and |x1 - x2| <= 8, where 16
     nodes on each panel of 1.25 were 640).  It is summed as the product of
     the bulk features of the two points on its nodes; TailDivergenceError
-    where the final panel's share of that product is not negligible, as near
+    where the final panel's share of that product passes 1e-8 of the value
+    and the integrand's decay does not bound the share and the rest past
+    the truncation within 1e-10 of sqrt(K11 K22), as near
     the wall at large a, where the integrand peaks near a/(1 - |y1 + y2|):
     so bulk_strong(500, 0.1+0.45j, 0.1+0.45j) is refused.  Past 16,384
     nodes, the half-line node cap of `quadrature`, the kernel raises

@@ -312,8 +312,7 @@ def integrate_ellipse(f, geometry: EllipseGeometry, spec: QuadratureSpec,
 
 def _check_tail(last: float, total: float) -> None:
     """TailDivergenceError where the last panel of a half-line sum, of
-    modulus `last`, passes 1e-8 of `total`, the modulus of the whole for
-    `integrate_c` and for a kernel pair its scale sqrt(K11 K22): the
+    modulus `last`, passes 1e-8 of the whole, of modulus `total`: the
     integrand has not decayed by the truncation point."""
     if last > 1e-8 * max(total, 1e-300):
         raise TailDivergenceError(f"final panel contributes {last:.3g} of {total:.3g}; "

@@ -791,17 +791,40 @@ def test_bulk_strong_refuses_the_tail_where_its_integral_does():
 
 @pytest.mark.parametrize("a, z1, z2", [(2.86, -2.99 - 0.16j, 1.61 + 0.19j),
                                        (6.768, -1.096 - 0.098j, -2.994 - 0.08j),
-                                       (3.908, 0.258 + 0.02j, -2.383 + 0.069j)])
+                                       (3.908, 0.258 + 0.02j, -2.383 + 0.069j),
+                                       (4.904, -1.4985 + 0.0776j, -0.6529 - 0.4228j),
+                                       (6.315, -1.6215 + 0.0728j, -2.5871 - 0.3244j)])
 def test_bulk_strong_answers_far_pairs_that_cancel_by_oscillation(a, z1, z2):
     # the final panel's share of K12 passes 1e-8 of |K12|, against which
-    # the tail test once refused the pair, though the integrand has
-    # decayed: K12 cancels by oscillation, to 3e-8 of sqrt(K11 K22) and
-    # below.  Against sqrt(K11 K22) the tail passes, and the value agrees
-    # with 30-digit mpmath.quad to 1e-10 of it (2.4e-12 at a = 6.768)
+    # the tail test alone would refuse the pair, though the integrand has
+    # decayed: K12 cancels by oscillation.  The decay bounds the final panel
+    # and the rest past the truncation within 1e-10 of sqrt(K11 K22), and
+    # the value agrees with 30-digit mpmath.quad to 1e-10 of it.  The last
+    # two are the farthest off (2.1e-11 and 1.0e-11) of 575 such pairs of a
+    # seeded scan of 3000 strip triples, a in (-0.9, 7.1) and |x| <= 3.
+    # Their diagonal at y = -0.42 is refused, so the scale is taken from
+    # the diagonals' node sums, which the truncation can only make smaller
     terms, last = _bulk_strong_terms(a, z1, z2)
     assert abs(terms[-last:].sum()) > 1e-8 * abs(terms.sum())
-    scale = math.sqrt(bulk_strong(a, z1, z1).real * bulk_strong(a, z2, z2).real)
+    scale = math.sqrt(_bulk_strong_terms(a, z1, z1)[0].sum().real
+                      * _bulk_strong_terms(a, z2, z2)[0].sum().real)
     assert abs(bulk_strong(a, z1, z2) - _bulk_strong_quad_30(a, z1, z2)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("a, z1, z2", [(3.356, -2.9064 + 0.1309j, 1.9586 + 0.3905j),
+                                       (6.056, 0.6085 + 0.0146j, 0.7834 + 0.4042j),
+                                       (300.0, 0.45j, 0.45j), (300.0, 0.45j, 1.0 + 0.4j),
+                                       (250.0, 0.45j, -3.0 + 0.44j)])
+def test_bulk_strong_refuses_a_tail_that_its_decay_does_not_bound(a, z1, z2):
+    # with |y1 + y2| near 0.4 at a of 3-6 the integrand decays slowly enough
+    # that what the truncation at T = 50 leaves passes 1e-10 of
+    # sqrt(K11 K22): the first two pairs, judged by their final panel
+    # against sqrt(K11 K22) alone, were 1.4e-8 and 1.0e-8 of it off.  Near
+    # the wall at a = 250-300 the integrand still rises at T; there the
+    # features are about e^228 in size and the product of their squared
+    # norms passes the doubles, which must not pass the pair
+    with pytest.raises(TailDivergenceError, match="the integrand has not decayed"):
+        bulk_strong(a, z1, z2)
 
 
 def _bulk_strong_quad_30(a, z1, z2):
@@ -1604,30 +1627,43 @@ def _closure_bulk_weak(a, s, z1, z2):
     return _uncached_ratio_integral(a, s, walls, lambda c: np.cos(c * d), math.log(2.0))
 
 
-def _bulk_strong_terms(a, z1, z2):
-    """The terms of bulk_strong's node sum as one integrand of t,
-    cos(t(z1 - conj z2)), walls included, with log_i_ratio run on every
-    call, on the half-line rule of `integrate_c` at a, which is bulk_strong's
-    for |x1 - x2| <= 8; and the number of nodes of its final panel."""
+def _bulk_strong_weights(a, z1, z2):
+    """W G(t) at the nodes t of the half-line rule of `integrate_c` at a,
+    which is bulk_strong's for |x1 - x2| <= 8, walls and prefactor included,
+    with log_i_ratio run on every call; the nodes t and the rule."""
     rule = _c_rule(HALF_LINE, a)
     t, w = _gauss_rule(*rule)
     lpref = (math.log(2.0) - 1.5 * math.log(math.pi) - ln_gamma(a + 1)
              + _log_power(0.5 * a, 1.0 - 4.0 * z1.imag ** 2)
              + _log_power(0.5 * a, 1.0 - 4.0 * z2.imag ** 2))
-    terms = np.exp(log_i_ratio(a + 0.5, t) + lpref) * np.cos(t * (z1 - z2.conjugate()))
-    return w.ravel() * terms, rule[-1]
+    return w.ravel() * np.exp(log_i_ratio(a + 0.5, t) + lpref), t, rule
+
+
+def _bulk_strong_terms(a, z1, z2):
+    """The terms of bulk_strong's node sum as one integrand of t,
+    W G(t) cos(t(z1 - conj z2)), by `_bulk_strong_weights`; and the number
+    of nodes of its final panel."""
+    g, t, rule = _bulk_strong_weights(a, z1, z2)
+    return g * np.cos(t * (z1 - z2.conjugate())), rule[-1]
 
 
 def _uncached_bulk_strong(a, z1, z2):
     """bulk_strong as the node sum of one integrand of t per value, refused
     by the kernel's tail rule on uncached sums: TailDivergenceError where the
-    final panel's share passes 1e-8 of sqrt(K11 K22), each diagonal a node
-    sum too."""
-    terms, last = _bulk_strong_terms(a, z1, z2)
-    scale = math.sqrt(abs(_bulk_strong_terms(a, z1, z1)[0].sum())
-                      * abs(_bulk_strong_terms(a, z2, z2)[0].sum()))
-    if abs(terms[-last:].sum()) > 1e-8 * scale:
-        raise TailDivergenceError(f"final panel of {a}, {z1}, {z2}")
+    final panel's share passes 1e-8 of the value and the rest's bound, the
+    final panel's sum of W G(t) cosh((y1 + y2) t) over 1 - e^(-eps P), eps
+    the integrand's least rate of decay there, passes 1e-10 of
+    sqrt(K11 K22), each diagonal a node sum too."""
+    g, t, rule = _bulk_strong_weights(a, z1, z2)
+    terms, last = g * np.cos(t * (z1 - z2.conjugate())), rule[-1]
+    if abs(terms[-last:].sum()) > 1e-8 * abs(terms.sum()):
+        T, P, y = rule[2], rule[4], abs(z1.imag + z2.imag)
+        eps = (T - P) / (a + 1.5 + math.hypot(T - P, a + 1.5)) - y
+        scale = math.sqrt(abs(_bulk_strong_terms(a, z1, z1)[0].sum())
+                          * abs(_bulk_strong_terms(a, z2, z2)[0].sum()))
+        panel = (g * np.cosh(y * t))[-last:].sum()
+        if not (eps > 0.0 and panel <= 1e-10 * scale * -math.expm1(-eps * P)):
+            raise TailDivergenceError(f"final panel of {a}, {z1}, {z2}")
     return complex(terms.sum())
 
 
